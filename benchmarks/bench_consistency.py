@@ -40,6 +40,7 @@ import bench_perf
 from repro.audit import check_history, render_witness
 from repro.audit.nemesis import NemesisSoak, seeded_stale_read_scenario
 from repro.bench import bench_manifest, build_platform, render_table
+from repro.core import timeline_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -144,7 +145,7 @@ def run_digest_identity():
 
     docs = platform.run_process(drive(), limit=500_000)
     platform.run_for(30.0)
-    measured = bench_perf.timeline_digest(platform, docs)
+    measured = timeline_digest(platform, docs)
     auditor = platform.monitoring.auditor
     return {
         "expected": expected,

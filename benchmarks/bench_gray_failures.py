@@ -232,7 +232,7 @@ def run_digest_identity():
     committed = (json.loads(RESULT_PATH.read_text())
                  if RESULT_PATH.exists() else {})
     expected = committed.get("smoke", {}).get("digest")
-    measured = bench_perf.run_scenario(bench_perf.SMOKE, fast=True)
+    measured = bench_perf.run_scenario(bench_perf.SMOKE)
     return {
         "expected": expected,
         "measured": measured["digest"],

@@ -1,18 +1,17 @@
-"""Wall-clock perf gate for the simulator fast path.
+"""Wall-clock perf gate for the simulator.
 
-Runs the fixed 24-job scalability scenario twice — once on the fast
-path (indexed docstore planner, cancellable timers, copy-light reads)
-and once with every optimization switched off via
-``PlatformConfig(sim_fast_path=False)`` — and verifies three things:
+Runs the fixed 24-job scalability scenario (indexed docstore planner,
+cancellable timers, copy-light reads) and verifies three things:
 
-1. **Determinism**: both runs produce bit-identical timelines (the
-   full trace-record sequence, every job's status history, and the
-   final simulated clock).
-2. **Speedup**: the fast path processes kernel events at >= 2x the
+1. **Determinism** (``--check``): the smoke scenario's timeline digest
+   (the full trace-record sequence, every job's status history, and
+   the final simulated clock) equals the one committed in
+   ``BENCH_perf.json``.
+2. **Speedup**: the simulator processes kernel events at >= 2x the
    wall-clock rate of the committed pre-optimization baseline
    (``SEED_BASELINE``, measured on the seed tree with the identical
    scenario).
-3. **Regression gate** (``--check``): a small smoke scenario must not
+3. **Regression gate** (``--check``): the smoke scenario must not
    regress more than 25% against the wall time committed in
    ``BENCH_perf.json``.
 
@@ -27,7 +26,6 @@ or as the CI smoke gate::
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -35,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.bench import bench_manifest, build_platform, build_sharded_bench
+from repro.core import timeline_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -45,7 +44,7 @@ SMOKE = {"jobs": 6, "seed": 2, "steps": 30, "gpus_per_node": 4,
          "gpu_nodes": 4}
 
 # Sharded-kernel measurement (repro.core.sharded): the same workload
-# shape at 128 jobs, run once on a single kernel (the PR-5 fast path)
+# shape at 128 jobs, run once on a single kernel
 # and once partitioned into 4 platform cells — identical aggregate
 # GPU capacity — on 1 worker and on 4 multiprocessing workers. The
 # merged timeline must be identical for every worker count
@@ -80,24 +79,11 @@ SHARDED_SPEEDUP_TARGET = 2.0
 CHECK_TOLERANCE = 1.25  # --check fails above 125% of the committed wall
 
 
-def timeline_digest(platform, docs):
-    """A stable fingerprint of everything the simulation decided."""
-    trace = [(round(r.time, 9), r.component, r.kind) for r in
-             platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs
-    ]
-    blob = repr((trace, histories, round(platform.kernel.now, 9)))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def run_scenario(scenario, fast=True):
+def run_scenario(scenario):
     """One measured run; returns wall time, rates, and the digest."""
     platform = build_platform(
         "k80", gpus_per_node=scenario["gpus_per_node"],
         gpu_nodes=scenario["gpu_nodes"], seed=scenario["seed"],
-        sim_fast_path=fast,
     )
     client = platform.client("perf")
     jobs = scenario["jobs"]
@@ -123,7 +109,6 @@ def run_scenario(scenario, fast=True):
     kernel = platform.kernel
     completed = sum(1 for d in docs if d["status"] == "COMPLETED")
     return {
-        "mode": "fast" if fast else "slow",
         "jobs": jobs,
         "completed": completed,
         "wall_s": round(wall, 3),
@@ -162,8 +147,8 @@ def run_sharded(scenario, cells, workers, executor="process"):
 def run_sharded_full(fast_digest):
     """Plain vs sharded on the 128-job scenario, plus the smoke rows
     and the cells=1 bit-identity check against ``fast_digest`` (the
-    single-kernel fast-path digest of the 24-job scenario)."""
-    plain = run_scenario(SHARDED_SCENARIO, fast=True)
+    single-kernel digest of the 24-job scenario)."""
+    plain = run_scenario(SHARDED_SCENARIO)
     sequential = run_sharded(SHARDED_SCENARIO, SHARDED_CELLS, workers=1)
     parallel = run_sharded(SHARDED_SCENARIO, SHARDED_CELLS,
                            workers=SHARDED_CELLS)
@@ -197,23 +182,17 @@ def run_sharded_full(fast_digest):
 
 
 def run_full():
-    """Fast vs slow on the 24-job scenario; returns the result doc."""
-    fast = run_scenario(SCENARIO, fast=True)
-    slow = run_scenario(SCENARIO, fast=False)
-    smoke = run_scenario(SMOKE, fast=True)
+    """The 24-job scenario vs the seed baseline; returns the result doc."""
+    fast = run_scenario(SCENARIO)
+    smoke = run_scenario(SMOKE)
     return {
         "scenario": SCENARIO,
         "seed_baseline": SEED_BASELINE,
         "fast": fast,
-        "slow": slow,
         # vs the committed pre-optimization baseline (the gate)
         "speedup_wall": round(SEED_BASELINE["wall_s"] / fast["wall_s"], 2),
         "speedup_events_per_sec": round(
             fast["events_per_sec"] / SEED_BASELINE["events_per_sec"], 2),
-        # vs the in-tree slow path (compat switches only; it shares the
-        # mode-independent caches, so this understates the real win)
-        "speedup_vs_slow_path": round(slow["wall_s"] / fast["wall_s"], 2),
-        "timelines_identical": fast["digest"] == slow["digest"],
         "smoke": {"scenario": SMOKE, "wall_s": smoke["wall_s"],
                   "events_per_sec": smoke["events_per_sec"],
                   "digest": smoke["digest"]},
@@ -222,12 +201,8 @@ def run_full():
 
 
 def assert_full(result):
-    fast, slow = result["fast"], result["slow"]
+    fast = result["fast"]
     assert fast["completed"] == fast["jobs"], fast
-    assert slow["completed"] == slow["jobs"], slow
-    assert result["timelines_identical"], (
-        "fast path changed the simulated timeline: "
-        f"{fast['digest']} != {slow['digest']}")
     assert result["speedup_events_per_sec"] >= SPEEDUP_TARGET, (
         f"events/sec speedup {result['speedup_events_per_sec']}x over the "
         f"seed baseline is below the {SPEEDUP_TARGET}x target")
@@ -250,7 +225,7 @@ def assert_sharded(sharded):
     if (sharded["cpus"] or 1) >= cells:
         assert sharded["speedup_vs_plain"] >= SHARDED_SPEEDUP_TARGET, (
             f"sharded speedup {sharded['speedup_vs_plain']}x over the "
-            f"single-kernel fast path is below the "
+            f"single kernel is below the "
             f"{SHARDED_SPEEDUP_TARGET}x target")
     else:
         print(f"sharded wall-clock gate skipped: {sharded['cpus']} CPU(s) "
@@ -260,8 +235,9 @@ def assert_sharded(sharded):
 
 def run_check():
     """CI smoke gate: small scenarios vs the committed baselines —
-    the plain fast path plus the sharded 1-worker and N-worker paths
-    (any of the three regressing more than 25% fails)."""
+    the plain kernel plus the sharded 1-worker and N-worker paths
+    (any of the three regressing more than 25%, or the plain smoke
+    digest drifting from the committed one, fails)."""
     if not RESULT_PATH.exists():
         print(f"error: {RESULT_PATH} missing; run the full bench first",
               file=sys.stderr)
@@ -270,16 +246,18 @@ def run_check():
     failed = False
 
     baseline = committed["smoke"]["wall_s"]
-    measured = run_scenario(SMOKE, fast=True)
+    measured = run_scenario(SMOKE)
     limit = baseline * CHECK_TOLERANCE
     status = "ok" if measured["wall_s"] <= limit else "REGRESSION"
     failed |= status != "ok"
     print(f"perf smoke: wall={measured['wall_s']}s baseline={baseline}s "
           f"limit={round(limit, 3)}s [{status}]")
     if measured["digest"] != committed["smoke"]["digest"]:
-        print("perf smoke: WARNING timeline digest drifted from baseline "
-              "(expected after any scheduling-visible change; rerun the "
-              "full bench to refresh BENCH_perf.json)")
+        print("perf smoke: FAIL timeline digest drifted from baseline: "
+              f"{measured['digest']} != {committed['smoke']['digest']} "
+              "(after a deliberate scheduling-visible change, rerun the "
+              "full bench to refresh BENCH_perf.json)", file=sys.stderr)
+        failed = True
 
     sharded_smoke = committed.get("sharded", {}).get("smoke")
     if sharded_smoke is None:
@@ -307,11 +285,10 @@ def run_check():
 
 
 def test_perf_gate():
-    """Benchmark-suite entry: full fast-vs-slow comparison."""
+    """Benchmark-suite entry: full run against the seed baseline."""
     result = assert_full(run_full())
     print(json.dumps({k: result[k] for k in
-                      ("speedup_wall", "speedup_events_per_sec",
-                       "timelines_identical")}, indent=2))
+                      ("speedup_wall", "speedup_events_per_sec")}, indent=2))
 
 
 def main(argv=None):
@@ -325,7 +302,7 @@ def main(argv=None):
     if args.check:
         return run_check()
     if args.sharded:
-        fast = run_scenario(SCENARIO, fast=True)
+        fast = run_scenario(SCENARIO)
         sharded = assert_sharded(run_sharded_full(fast["digest"]))
         result = (json.loads(RESULT_PATH.read_text())
                   if RESULT_PATH.exists() else {})

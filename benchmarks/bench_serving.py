@@ -46,6 +46,7 @@ from repro.serving import (
     DiurnalProfile,
     TrafficGenerator,
 )
+from repro.serving.autoscaler import QUEUE_HIGH
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -128,7 +129,6 @@ def run_burst(seed=13):
     platform = build_platform(seed)
     model_id = _deploy_model(platform, min_replicas=1, max_replicas=4)
     slo = MODEL["slo_p99"]
-    queue_high = platform.config.serving_queue_high
     profile = BurstProfile(base_rate=10.0, burst_rate=200.0,
                            burst_start=60.0, burst_duration=90.0)
     generator = TrafficGenerator(platform, model_id, profile)
@@ -148,7 +148,7 @@ def run_burst(seed=13):
     def breached(replicas, p99, queue_depth):
         # The autoscaler's own breach condition (latency OR backlog).
         return ((p99 is not None and p99 > slo)
-                or queue_depth > queue_high * max(replicas, 1))
+                or queue_depth > QUEUE_HIGH * max(replicas, 1))
 
     t_breach = next((t for t, r, p99, qd in samples
                      if breached(r, p99, qd)), None)
@@ -220,7 +220,7 @@ def run_digest_identity():
     committed = (json.loads(RESULT_PATH.read_text())
                  if RESULT_PATH.exists() else {})
     expected = committed.get("smoke", {}).get("digest")
-    measured = bench_perf.run_scenario(bench_perf.SMOKE, fast=True)
+    measured = bench_perf.run_scenario(bench_perf.SMOKE)
     return {
         "expected": expected,
         "measured": measured["digest"],

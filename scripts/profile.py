@@ -3,14 +3,13 @@
 Runs the bench_perf scenario (small by default, ``--full`` for the
 24-job scalability scenario) and prints the top functions by own time
 and by cumulative time. This is the workflow that found every
-optimization in the fast path: run, read the tottime column, fix the
+optimization in the hot path: run, read the tottime column, fix the
 top entry, repeat.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
     PYTHONPATH=src python scripts/profile.py --full     # 24-job scenario
-    PYTHONPATH=src python scripts/profile.py --slow     # compat path
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -35,8 +34,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
                         help="profile the 24-job scalability scenario")
-    parser.add_argument("--slow", action="store_true",
-                        help="profile the sim_fast_path=False compat path")
     parser.add_argument("--lines", type=int, default=25,
                         help="rows per stats table (default 25)")
     parser.add_argument("-o", "--output", metavar="FILE",
@@ -46,10 +43,10 @@ def main(argv=None):
     scenario = SCENARIO if args.full else SMOKE
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_scenario(scenario, fast=not args.slow)
+    result = run_scenario(scenario)
     profiler.disable()
 
-    print(f"mode={result['mode']} jobs={result['jobs']} "
+    print(f"jobs={result['jobs']} "
           f"wall={result['wall_s']}s events={result['events_processed']} "
           f"({result['events_per_sec']}/s)\n")
     stats = pstats.Stats(profiler, stream=sys.stdout)

@@ -17,9 +17,9 @@ to ``bench_perf.run_scenario`` (same token, names, waits), which is
 what makes the cross-benchmark digest check possible.
 """
 
-import hashlib
 import time
 
+from ..core import timeline_digest
 from .platform_runner import bench_manifest, build_platform
 
 # 24 jobs cost ~940k kernel events at steps=60; scale the run cap with
@@ -44,18 +44,6 @@ def partition_overrides(partitions):
         "lcm_slices": 2 * partitions,
         "mongo_shards": 2,
     }
-
-
-def timeline_digest(platform, docs):
-    """Same fingerprint as bench_perf: trace + histories + clock."""
-    trace = [(round(r.time, 9), r.component, r.kind) for r in
-             platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs
-    ]
-    blob = repr((trace, histories, round(platform.kernel.now, 9)))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def guardian_latencies(platform):

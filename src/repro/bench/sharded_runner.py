@@ -3,7 +3,7 @@
 The cell driver below replays ``benchmarks/bench_perf.py``'s job loop
 verbatim inside each cell — same tenant, same job names, same
 submit-then-wait shape — so a one-cell sharded run is bit-identical to
-the plain fast-path bench (asserted there). With several cells the
+the plain single-kernel bench (asserted there). With several cells the
 drivers additionally exchange federation traffic: periodic
 fire-and-forget heartbeats while jobs run, and a final acked
 ``announce`` broadcast, which keeps the conservative-lookahead
@@ -49,7 +49,7 @@ def bench_cell_driver(cell, jobs, steps, heartbeat=HEARTBEAT_INTERVAL):
              "jobs": [doc["job_id"] for doc in docs]})
 
 
-def build_sharded_bench(scenario, cells, sim_fast_path=True):
+def build_sharded_bench(scenario, cells):
     """A :class:`ShardedPlatform` for one bench scenario.
 
     ``scenario`` is a bench_perf-style dict (jobs/seed/steps/
@@ -66,7 +66,6 @@ def build_sharded_bench(scenario, cells, sim_fast_path=True):
         gpus_per_node=scenario["gpus_per_node"],
         gpu_type="k80",
         management_nodes=2,
-        sim_fast_path=sim_fast_path,
         shards=cells,
     )
     return ShardedPlatform(

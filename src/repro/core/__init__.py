@@ -31,9 +31,8 @@ from .sharded import (
     PlatformShard,
     ShardedPlatform,
     federation_address,
-    timeline_digest,
 )
-from .timeline import job_timeline, render_timeline
+from .timeline import job_timeline, render_timeline, timeline_digest
 from .states import (
     ALL_STATUSES,
     COMPLETED,

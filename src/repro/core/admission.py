@@ -40,6 +40,8 @@ from ..sim import AnyOf
 from .errors import QuotaExceeded, RateLimited
 from .states import TERMINAL_STATUSES
 
+PUMP_INTERVAL = 0.1  # cadence of fair-queue grant rounds while any wait
+
 
 class AdmissionController:
     """Per-API-instance admission: rate, quota, and fair queueing."""
@@ -54,7 +56,6 @@ class AdmissionController:
         self.quota = config.tenant_quota_jobs
         self.queue_limit = config.admission_queue_limit
         self.max_wait = config.admission_max_wait
-        self.pump_interval = config.admission_pump_interval
         self.weights = dict(config.tenant_weights or {})
         metrics = platform.metrics
         self._m_requests = metrics.counter(
@@ -186,7 +187,7 @@ class AdmissionController:
         # racing enqueue either sees the live pump or respawns one).
         try:
             while True:
-                yield self.kernel.sleep(self.pump_interval)
+                yield self.kernel.sleep(PUMP_INTERVAL)
                 yield from self._grant_round()
                 if not any(self._queues.values()):
                     return

@@ -23,6 +23,8 @@ from .errors import JobNotFound, ModelNotFound, ServingDisabled
 from .manifest import TrainingManifest
 from .states import QUEUED, is_terminal
 
+API_SERVICE_TIME = 0.002  # handler cost per request
+
 
 class ApiService:
     """One API instance (runs inside an API pod)."""
@@ -49,7 +51,7 @@ class ApiService:
         else:
             self.serving_manager = None
         self.server = Server(self.kernel, platform.network, address,
-                             service_time=platform.config.api_service_time)
+                             service_time=API_SERVICE_TIME)
         for method in ("submit", "status", "list_jobs", "halt", "logs", "usage",
                        "events", "job_events",
                        "create_model", "get_model", "list_models",

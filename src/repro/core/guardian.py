@@ -55,6 +55,16 @@ from .states import (
 # order they are deployed (and reverse-torn-down).
 _DEPLOY_ORDER = ("pvc", "networkpolicy", "helper", "learners")
 
+GUARDIAN_INIT_TIME = 0.55  # pod boot (drives the Fig. 4 recovery band)
+GUARDIAN_STEP_TIME = 0.15  # cost of one deployment step
+MONITOR_INTERVAL = 1.0  # status resync (watch-driven between ticks)
+# Progress-only etcd events are batched over this window so a chatty
+# learner does not cost one Mongo round-trip per step.
+GUARDIAN_EVENT_COALESCE = 0.25
+# Level-triggered fallback cadences of the rollback/teardown waits.
+GUARDIAN_ROLLBACK_RESYNC = 0.2
+GUARDIAN_TEARDOWN_RESYNC = 0.5
+
 
 def _is_transition_event(event):
     """Does this etcd event warrant an *immediate* status aggregation?
@@ -126,7 +136,7 @@ class Guardian:
         return result
 
     def _run(self):
-        yield self.kernel.sleep(self.platform.config.guardian_init_time)
+        yield self.kernel.sleep(GUARDIAN_INIT_TIME)
         self.platform.tracer.emit("guardian", "component-ready", job=self.job_id)
 
         doc = yield from self.mongo.find_one("jobs", {"job_id": self.job_id},
@@ -228,7 +238,7 @@ class Guardian:
         Teardown only *requests* deletion; redeploying same-named
         resources before the old ones finish terminating would conflict
         and burn a deployment attempt for no reason. Wakes on API-server
-        deletion events; ``guardian_rollback_resync`` is the periodic
+        deletion events; ``GUARDIAN_ROLLBACK_RESYNC`` is the periodic
         fallback cadence.
         """
         job_id = self.job_id
@@ -245,7 +255,7 @@ class Guardian:
 
         yield from self._await_cluster(
             gone, kinds=("Pod", "StatefulSet", "Deployment"),
-            resync=self.platform.config.guardian_rollback_resync,
+            resync=GUARDIAN_ROLLBACK_RESYNC,
         )
 
     def _await_cluster(self, cond, kinds, resync, timeout=60.0):
@@ -278,7 +288,7 @@ class Guardian:
         supports the atomicity experiments.
         """
         job_id, manifest = self.job_id, self.manifest
-        step_cost = self.platform.config.guardian_step_time
+        step_cost = GUARDIAN_STEP_TIME
         crash_after = manifest.extra.get("guardian_crash_after")
         crash_on_attempt = int(manifest.extra.get("guardian_crash_on_attempt", 1))
 
@@ -379,12 +389,11 @@ class Guardian:
     def _monitor(self):
         """Watch-driven monitoring: the etcd watch on the job's prefix
         feeds a single-key reconciler that re-aggregates the *full*
-        current status state on every wake. ``monitor_interval``
+        current status state on every wake. ``MONITOR_INTERVAL``
         survives only as the periodic resync — the level-triggering
         safety net that re-observes anything a lost watch missed and
         that drives stall detection (a hung learner emits no events, so
         stalls are only visible from the resync clock)."""
-        config = self.platform.config
         done = self.kernel.event(name=f"job-terminal:{self.job_id}")
         prefix = layout.job_prefix(self.job_id)
 
@@ -394,18 +403,15 @@ class Guardian:
             # Progress-only updates coalesce: a burst of step reports
             # costs one aggregation per coalescing window, keeping the
             # Mongo traffic at the old poll-loop level.
-            return [("status", config.guardian_event_coalesce)]
+            return [("status", GUARDIAN_EVENT_COALESCE)]
 
         reconciler = Reconciler(
             self.kernel, f"guardian:{self.job_id}",
             lambda _key: self._reconcile_status(done),
-            resync_interval=config.monitor_interval,
-            rewatch_delay=config.watch_retry_delay,
+            resync_interval=MONITOR_INTERVAL,
             tracer=self.platform.tracer,
             metrics=self.platform.metrics,
         )
-        reconciler.queue.backoff_base = config.reconciler_backoff_base
-        reconciler.queue.backoff_max = config.reconciler_backoff_max
         reconciler.add_static_key("status")
         # The watch closes if its serving etcd node crashes; the
         # reconciler re-registers on a surviving node and relists (the
@@ -505,7 +511,7 @@ class Guardian:
         # Wait for the job's pods to actually terminate before cleaning
         # ETCD: a still-running controller would otherwise re-publish
         # statuses into keys we just deleted. Wakes on Pod deletion
-        # events, with ``guardian_teardown_resync`` as the fallback.
+        # events, with ``GUARDIAN_TEARDOWN_RESYNC`` as the fallback.
         def pods_gone():
             return not [
                 pod for pod in self.k8s.list("Pod", selector={"dlaas-job": self.job_id})
@@ -514,7 +520,7 @@ class Guardian:
 
         yield from self._await_cluster(
             pods_gone, kinds=("Pod",),
-            resync=self.platform.config.guardian_teardown_resync,
+            resync=GUARDIAN_TEARDOWN_RESYNC,
         )
         yield from self._cleanup_etcd()
         yield from self.mongo.update_one(

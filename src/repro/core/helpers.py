@@ -29,6 +29,10 @@ HELPER_RUNNING = "RUNNING"
 HELPER_DONE = "DONE"
 STALLED = "STALLED"
 
+HELPER_INIT_TIME = 1.8  # container boot (drives the Fig. 4 recovery band)
+CONTROLLER_POLL = 0.5  # controller NFS resync + progress coalescing window
+LOG_COLLECT_INTERVAL = 1.0  # log-collector resync behind the subscription
+
 
 def _idle_until_stopped(ctx):
     """Sidecar idiom: stay alive so restart policy Always is a no-op."""
@@ -77,7 +81,7 @@ def make_controller_workload(platform, job_id, manifest):
     """Event-driven controller: NFS change notifications feed a work
     queue; each reconcile re-reads the file state for one key (learner
     ordinal or helper name) and publishes it to ETCD. The old
-    ``controller_poll`` cadence survives only as the periodic resync —
+    ``CONTROLLER_POLL`` cadence survives only as the periodic resync —
     the level-triggering safety net that also drives hang detection
     (a stalled learner produces *no* events, so stalls are only
     observable from the resync clock)."""
@@ -86,7 +90,7 @@ def make_controller_workload(platform, job_id, manifest):
         kernel = ctx.kernel
         mount = ctx.mounts["job"]
         # Agent/runtime initialization inside the helper container.
-        yield kernel.sleep(platform.config.helper_init_time)
+        yield kernel.sleep(HELPER_INIT_TIME)
         etcd = EtcdClient(kernel, platform.network, platform.etcd,
                           client_id=f"controller-{job_id}-{ctx.pod.metadata.uid}",
                           history=platform.history)
@@ -101,7 +105,6 @@ def make_controller_workload(platform, job_id, manifest):
         # detection by one timeout.
         freshness = {}
         stall_timeout = platform.config.stall_timeout
-        poll = platform.config.controller_poll
         learner_keys = [f"learner-{i}" for i in range(manifest.learners)]
         all_keys = learner_keys + ["load-data", "store-results", "store-trigger"]
 
@@ -165,16 +168,13 @@ def make_controller_workload(platform, job_id, manifest):
 
         reconciler = Reconciler(
             kernel, f"controller:{job_id}", reconcile,
-            resync_interval=poll,
-            rewatch_delay=platform.config.watch_retry_delay,
+            resync_interval=CONTROLLER_POLL,
             tracer=platform.tracer,
             metrics=platform.metrics,
         )
-        reconciler.queue.backoff_base = platform.config.reconciler_backoff_base
-        reconciler.queue.backoff_max = platform.config.reconciler_backoff_max
         for key in all_keys:
             reconciler.add_static_key(key)
-        reconciler.add_source(_nfs_source(mount, manifest, poll))
+        reconciler.add_source(_nfs_source(mount))
         reconciler.start()
         try:
             yield ctx.stop_event
@@ -186,7 +186,7 @@ def make_controller_workload(platform, job_id, manifest):
     return workload
 
 
-def _nfs_source(mount, manifest, poll):
+def _nfs_source(mount):
     """NFS change notifications -> controller work keys.
 
     Exit-code and helper-status writes are transitions (§III.e failure
@@ -204,7 +204,7 @@ def _nfs_source(mount, manifest, poll):
             key = f"learner-{ordinal}"
             if path.endswith("/exit-code"):
                 return [key, "store-trigger"]
-            return [(key, poll)]
+            return [(key, CONTROLLER_POLL)]
         return []
 
     return _MountNotifySource(mount, classify)
@@ -362,7 +362,7 @@ def make_log_collector_workload(platform, job_id, manifest):
             # mid-job re-reads everything from its rebuilt offsets).
             while not ctx.stopping:
                 collect()
-                yield kernel.sleep(platform.config.log_collect_interval)
+                yield kernel.sleep(LOG_COLLECT_INTERVAL)
         finally:
             subscription.cancel()
             # Teardown can land mid-interval: flush the tail so the

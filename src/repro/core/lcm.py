@@ -20,6 +20,10 @@ from . import layout
 from .guardian import make_guardian_workload
 from .states import HALTED, QUEUED, is_terminal
 
+LCM_RECONCILE_INTERVAL = 1.0  # deploy-queue resync (Mongo relist)
+LCM_GC_INTERVAL = 5.0  # GC resync (API-server relist)
+GUARDIAN_BACKOFF_LIMIT = 8  # K8S Job retries of a crashing Guardian pod
+
 
 class LcmService:
     """One LCM instance (runs inside an LCM pod)."""
@@ -130,7 +134,7 @@ class LcmService:
         self.platform.k8s.api.create(Job(
             name,
             PodTemplate(spec_factory, labels={"dlaas-job": job_id, "role": "guardian"}),
-            backoff_limit=self.platform.config.guardian_backoff_limit,
+            backoff_limit=GUARDIAN_BACKOFF_LIMIT,
             labels={"dlaas-job": job_id},
         ))
         self.platform.metrics.histogram("lcm.guardian_creation_seconds").observe(
@@ -146,11 +150,6 @@ class LcmService:
     # ------------------------------------------------------------------
     # Reconcilers (started/stopped by the LCM pod workload)
     # ------------------------------------------------------------------
-
-    def _tune_queue(self, reconciler):
-        reconciler.queue.backoff_base = self.platform.config.reconciler_backoff_base
-        reconciler.queue.backoff_max = self.platform.config.reconciler_backoff_max
-        return reconciler
 
     def make_deploy_reconciler(self):
         """Deploy QUEUED jobs; the safety net behind lost notifies.
@@ -177,21 +176,20 @@ class LcmService:
         reconciler = Reconciler(
             self.kernel, f"deploy:{self.address}",
             self.deploy_job,
-            resync_interval=self.platform.config.lcm_reconcile_interval,
-            rewatch_delay=self.platform.config.watch_retry_delay,
+            resync_interval=LCM_RECONCILE_INTERVAL,
             tracer=tracer,
             metrics=self.platform.metrics,
             key_context=lambda job_id: tracer.context_of(("job", job_id)),
         )
         reconciler.add_source(WatchSource("mongo-queued", list_keys=list_queued))
-        return self._tune_queue(reconciler)
+        return reconciler
 
     def make_gc_reconciler(self):
         """Garbage-collect Guardian K8S Jobs of terminal DL jobs.
 
         Watch-driven: a Guardian K8S Job completing is a MODIFIED event
         on the API server, so collection is immediate instead of up to
-        ``lcm_gc_interval`` late; the interval survives as the relist
+        ``LCM_GC_INTERVAL`` late; the interval survives as the relist
         resync covering events lost across an LCM restart."""
         api = self.platform.k8s.api
 
@@ -213,14 +211,13 @@ class LcmService:
         reconciler = Reconciler(
             self.kernel, f"gc:{self.address}",
             self._gc_job,
-            resync_interval=self.platform.config.lcm_gc_interval,
-            rewatch_delay=self.platform.config.watch_retry_delay,
+            resync_interval=LCM_GC_INTERVAL,
             tracer=self.platform.tracer,
             metrics=self.platform.metrics,
         )
         reconciler.watch_channel("k8s-jobs", subscribe=lambda: api.watch("Job"),
                                  keys_of=keys_of, list_keys=job_names)
-        return self._tune_queue(reconciler)
+        return reconciler
 
     def _gc_job(self, name):
         api = self.platform.k8s.api

@@ -36,6 +36,8 @@ from .states import COMPLETED, FAILED, HALTED, PROCESSING
 
 WAITING_DATA = "WAITING_DATA"
 
+COS_BIND_TIME = 2.5  # object-store bind (drives the Fig. 4 learner band)
+
 
 def write_learner_status(mount, ordinal, status, step, time, loss=None):
     record = {"status": status, "step": step, "time": time}
@@ -124,7 +126,7 @@ def make_learner_workload(platform, job_id, manifest):
 
         # Bind to the cloud object store (credentials + connector
         # startup) — part of why learners take longest to recover.
-        yield kernel.sleep(platform.config.cos_bind_time)
+        yield kernel.sleep(COS_BIND_TIME)
 
         checkpoints = CheckpointStore(
             platform.object_store,

@@ -11,7 +11,7 @@ One object builds and wires every layer:
   StatefulSets are created at job-deployment time by the LCM/Guardian.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster import (
     ContainerSpec,
@@ -34,10 +34,29 @@ from .client import DlaasClient
 from .events import EventRecorder
 from .services import make_api_workload, make_lcm_workload
 
+# RPC fabric: per-hop base latency and uniform jitter, seconds.
+NETWORK_LATENCY = 0.0008
+NETWORK_JITTER = 0.0006
+
+SERVING_LATENCY_WINDOW = 20.0  # rolling p99 window, seconds
+
+# Platform image sizes, MB (dlaas/serving only with serving on).
+IMAGE_SIZES = {
+    "dlaas/api": 60.0,
+    "dlaas/lcm": 55.0,
+    "dlaas/guardian": 45.0,
+    "dlaas/helper": 120.0,
+}
+SERVING_IMAGE_SIZE = 55.0
+
 
 @dataclass
 class PlatformConfig:
-    """Every tunable of the assembled platform, simulated seconds."""
+    """What callers vary about the assembled platform (simulated
+    seconds). A field exists only while two callers pass different
+    values (or it is a deployment size/credential); one-valued tunables
+    are constants beside the code that reads them —
+    ``tests/core/test_config_surface.py`` holds the line."""
 
     # Topology
     gpu_nodes: int = 4
@@ -50,46 +69,16 @@ class PlatformConfig:
     etcd_size: int = 3
     mongo_size: int = 3
 
-    # Service boot times (drive Fig. 4 recovery bands)
-    api_init_time: float = 2.9
-    lcm_init_time: float = 4.1
-    guardian_init_time: float = 0.55
-    helper_init_time: float = 1.8
-    cos_bind_time: float = 2.5
-
     # Core-service behaviour
-    api_service_time: float = 0.002
     api_rate_limit: float = 50.0
     api_rate_burst: float = 200.0
-    lcm_reconcile_interval: float = 1.0  # deploy-queue resync (Mongo relist)
-    lcm_gc_interval: float = 5.0  # GC resync (API-server relist)
-    guardian_step_time: float = 0.15
-    guardian_backoff_limit: int = 8
     max_deploy_attempts: int = 3
     gang_scheduling: bool = True
-    monitor_interval: float = 1.0  # Guardian status resync (watch-driven between ticks)
-    controller_poll: float = 0.5  # controller NFS resync + progress coalescing window
-
-    # Reconciler runtime (event-driven control plane). Watches broken by
-    # a crashed server are re-established after ``watch_retry_delay``
-    # with a full relist; failed reconciles requeue with exponential
-    # backoff between the two bounds. The ``guardian_*_resync`` knobs
-    # are the level-triggered fallback cadences of the Guardian's
-    # rollback/teardown waits (formerly hardcoded sleeps), and
-    # ``guardian_event_coalesce`` batches progress-only etcd events so a
-    # chatty learner does not cost one Mongo round-trip per step.
-    watch_retry_delay: float = 0.2
-    reconciler_backoff_base: float = 0.1
-    reconciler_backoff_max: float = 5.0
-    guardian_event_coalesce: float = 0.25
-    guardian_rollback_resync: float = 0.2
-    guardian_teardown_resync: float = 0.5
     # Hang detection (extension): a PROCESSING learner whose status file
     # has not changed for this long is reported STALLED and restarted by
     # the Guardian. 0 disables.
     stall_timeout: float = 90.0
     stall_restart_cooldown: float = 60.0
-    log_collect_interval: float = 1.0
     progress_every: int = 20
 
     # Observability: causal span collection (flat trace records and
@@ -99,18 +88,11 @@ class PlatformConfig:
     # Monitoring subsystem (scrape pipeline + health probes + SLO
     # alerting). Collection is pure in-memory observation and event
     # persistence bypasses the RPC fabric, so the simulated job
-    # timeline is bit-identical with monitoring on or off. ``for:``
-    # durations: service-level rules ride out a scrape hiccup;
-    # pod-level dips (learner/guardian restarts) last well under a
-    # second, so their rules are tighter.
+    # timeline is bit-identical with monitoring on or off.
     monitoring: bool = True
     scrape_interval: float = 1.0
     alert_eval_interval: float = 1.0
     event_flush_interval: float = 2.0
-    series_retention: float = 600.0
-    series_max_samples: int = 2048
-    alert_service_for: float = 1.0
-    alert_pod_for: float = 0.2
     # Optional bearer token gating GET /metrics and GET /healthz
     # (None = unauthenticated, the current behaviour).
     metrics_auth: str = None
@@ -124,8 +106,6 @@ class PlatformConfig:
     # bit-identical with detection on or off.
     gray_detection: bool = True
     gray_window: float = 8.0  # trailing stats window, seconds
-    gray_min_count: int = 4  # min calls in window to score an endpoint
-    gray_divergence_threshold: float = 3.0  # robust z-score that alerts
     gray_alert_for: float = 1.0  # GrayFailure* hold before firing
     # Consistency audit (repro.audit): record every raftkv client
     # operation in a flight recorder and check the per-key histories
@@ -134,19 +114,6 @@ class PlatformConfig:
     # bit-identical with it on or off (gated by bench_consistency.py).
     history_recording: bool = False
     audit_interval: float = 5.0  # seconds between auditor passes
-    audit_max_configs: int = 200_000  # checker search budget per key
-
-    # Simulator fast path. On: cancellable timers with lazy heap
-    # deletion, indexed docstore queries, and copy-elided reads behind
-    # the Mongo servers' single send-boundary copy. Off replays the
-    # unoptimized code paths; either way the simulated timeline is
-    # bit-identical (asserted by tests/integration/test_fast_path_
-    # equivalence.py), so the flag exists only for equivalence testing
-    # and before/after benchmarking.
-    sim_fast_path: bool = True
-    # Debug assertion that no RPC handler mutates a request in place
-    # (the contract that makes reference-passing payloads sound).
-    rpc_debug_freeze: bool = False
 
     # Serving subsystem (repro.serving): inference Deployments with an
     # SLO-driven replica autoscaler, plus elastic batch inference. Off
@@ -155,37 +122,13 @@ class PlatformConfig:
     # bit-identical to a tree without the subsystem (gated by
     # bench_serving.py against the committed perf-smoke digest).
     serving: bool = False
-    serving_replicas: int = 1  # manager (dlaas-serving) replicas
-    serving_init_time: float = 3.2  # manager pod boot
-    serving_replica_init_time: float = 2.0  # model load on a replica
-    serving_reconcile_interval: float = 1.0  # model-registry resync
-    serving_autoscale_interval: float = 2.0
-    serving_scale_up_cooldown: float = 5.0
-    serving_scale_down_cooldown: float = 60.0
-    serving_queue_high: float = 16.0  # queued requests per replica
-    serving_latency_window: float = 20.0  # rolling p99 window, seconds
-    serving_service_jitter: float = 0.1  # fraction of service time
-    # Elastic batch inference (repro.serving.batch)
-    batchinfer_lease_timeout: float = 20.0
-    batchinfer_renew_interval: float = 2.0
-    batchinfer_monitor_interval: float = 2.0
-    batchinfer_stall_threshold: float = 60.0  # BatchInferStalled alert
-
-    # Fabric
-    network_latency: float = 0.0008
-    network_jitter: float = 0.0006
 
     # Sharded deployment (repro.core.sharded.ShardedPlatform): number
     # of platform cells, each a full control plane on its own kernel
     # shard owning a slice of the job space. 1 = today's single-cell
     # platform on one kernel — bit-identical, no shard machinery is
-    # even constructed. Cross-cell traffic (federation RPCs) rides
-    # boundary messages whose latency floor is ``shard_link_latency``;
-    # that floor is also the conservative-lookahead window of the
-    # sharded kernel, so raising it buys bigger parallel windows at the
-    # price of staler federation state.
+    # even constructed.
     shards: int = 1
-    shard_link_latency: float = 0.25
 
     # Sharded control plane (ISSUE 10): every knob defaults to the
     # unsharded platform, and with the defaults none of the sharding
@@ -222,15 +165,7 @@ class PlatformConfig:
     # Cap on queue wait — must stay under the client RPC deadline
     # (5 s) or a queued submit turns into client retry + duplicate.
     admission_max_wait: float = 3.0
-    admission_pump_interval: float = 0.1
     tenant_weights: dict = None  # tenant -> fair-share weight (default 1)
-
-    image_sizes: dict = field(default_factory=lambda: {
-        "dlaas/api": 60.0,
-        "dlaas/lcm": 55.0,
-        "dlaas/guardian": 45.0,
-        "dlaas/helper": 120.0,
-    })
 
 
 class DlaasPlatform:
@@ -243,8 +178,7 @@ class DlaasPlatform:
                 f"PlatformConfig(shards={self.config.shards}) needs the "
                 "partitioned assembly — use repro.core.sharded."
                 "ShardedPlatform; DlaasPlatform is one cell")
-        self.kernel = kernel or Kernel(
-            seed=seed, timer_cancellation=self.config.sim_fast_path)
+        self.kernel = kernel or Kernel(seed=seed)
         self.tracer = Tracer(self.kernel,
                              span_tracing=self.config.span_tracing)
         self.metrics = MetricsRegistry()
@@ -264,11 +198,9 @@ class DlaasPlatform:
             self.history = None
         self.network = Network(
             self.kernel,
-            latency=LatencyModel(self.config.network_latency,
-                                 self.config.network_jitter),
+            latency=LatencyModel(NETWORK_LATENCY, NETWORK_JITTER),
             tracer=None,
             metrics=self.metrics,
-            debug_freeze=self.config.rpc_debug_freeze,
         )
         self.nfs = NfsServer(self.kernel, metrics=self.metrics,
                              events=self.events)
@@ -287,15 +219,13 @@ class DlaasPlatform:
 
             self.mongo_shard_set = MongoShardSet(
                 self.kernel, self.network, shards=self.config.mongo_shards,
-                size=self.config.mongo_size, events=self.events,
-                fast_path=self.config.sim_fast_path)
+                size=self.config.mongo_size, events=self.events)
             self.mongo = self.mongo_shard_set.shards[0]
         else:
             self.mongo_shard_set = None
             self.mongo = MongoReplicaSet(self.kernel, self.network,
                                          size=self.config.mongo_size,
-                                         events=self.events,
-                                         fast_path=self.config.sim_fast_path)
+                                         events=self.events)
         self.tokens = TokenRegistry()
         self.api_balancer = LoadBalancer("dlaas-api",
                                          ring=self.config.api_ring_routing)
@@ -309,7 +239,7 @@ class DlaasPlatform:
             self.serving_balancer = LoadBalancer("dlaas-serving")
             self.serving = ServingRuntime(
                 self.kernel, self.metrics, self.events,
-                latency_window=self.config.serving_latency_window)
+                latency_window=SERVING_LATENCY_WINDOW)
         else:
             self.serving_balancer = None
             self.serving = None
@@ -337,9 +267,9 @@ class DlaasPlatform:
                                   gpu_type=gpu_type, labels={"pool": "gpu"})
 
     def _register_images(self):
-        image_sizes = dict(self.config.image_sizes)
+        image_sizes = dict(IMAGE_SIZES)
         if self.config.serving:
-            image_sizes.setdefault("dlaas/serving", 55.0)
+            image_sizes["dlaas/serving"] = SERVING_IMAGE_SIZE
         for image, size in image_sizes.items():
             self.k8s.registry.register(image, size)
         for framework in FRAMEWORKS.values():
@@ -421,11 +351,13 @@ class DlaasPlatform:
             replicas=self.config.lcm_replicas,
         ))
         if self.config.serving:
+            from ..serving import SERVING_REPLICAS
+
             self.k8s.api.create(Deployment(
                 "dlaas-serving",
                 PodTemplate(self._serving_pod_spec,
                             labels={"dlaas": "core", "app": "serving"}),
-                replicas=self.config.serving_replicas,
+                replicas=SERVING_REPLICAS,
             ))
 
     def _api_pod_spec(self):

@@ -11,6 +11,11 @@ from ..sim.errors import ProcessKilled
 from .api import ApiService
 from .lcm import LcmService
 
+# Service boot times (drive the Fig. 4 recovery bands).
+API_INIT_TIME = 2.9
+LCM_INIT_TIME = 4.1
+SERVING_INIT_TIME = 3.2  # serving manager pod boot
+
 
 def _emit_exit_event(platform, ctx, component):
     # Graceful scale-down triggers the stop event first; anything else
@@ -28,7 +33,7 @@ def make_api_workload(platform):
     def workload(ctx):
         kernel = ctx.kernel
         address = f"api:{ctx.pod.metadata.name}"
-        yield kernel.sleep(platform.config.api_init_time)
+        yield kernel.sleep(API_INIT_TIME)
         service = ApiService(platform, address)
         try:
             service.server.start()
@@ -62,7 +67,7 @@ def make_serving_workload(platform):
 
         kernel = ctx.kernel
         address = f"serving:{ctx.pod.metadata.name}"
-        yield kernel.sleep(platform.config.serving_init_time)
+        yield kernel.sleep(SERVING_INIT_TIME)
         service = ServingManager(platform, address)
         reconciler = autoscaler = None
         try:
@@ -95,7 +100,7 @@ def make_lcm_workload(platform):
     def workload(ctx):
         kernel = ctx.kernel
         address = f"lcm:{ctx.pod.metadata.name}"
-        yield kernel.sleep(platform.config.lcm_init_time)
+        yield kernel.sleep(LCM_INIT_TIME)
         service = LcmService(platform, address)
         deploy = gc = None
         try:

@@ -8,7 +8,7 @@ shard** (see :mod:`repro.sim.shard`), and owns a slice of the job
 space. This is the FfDL-shaped scale-out of the paper's architecture:
 nothing is shared between cells except explicit federation RPCs, which
 cross the shard boundary as serialized single-copy messages with the
-``shard_link_latency`` floor.
+``SHARD_LINK_LATENCY`` floor.
 
 With ``shards=1`` nothing here is even constructed — ``DlaasPlatform``
 is the single cell, bit-identical to every release before sharding
@@ -21,31 +21,22 @@ merge is identical for any worker count — asserted by
 test_shard_determinism.py``.
 """
 
-import hashlib
 from dataclasses import replace
 
 from ..grpcnet import Server
 from ..sim import Kernel, ShardedKernel, merged_digest
 from .platform import DlaasPlatform
+from .timeline import timeline_digest
 
 
 def federation_address(cell_id):
     return f"dlaas-federation-{cell_id}"
 
 
-def timeline_digest(platform, docs):
-    """The canonical fingerprint of everything one platform decided:
-    the full trace-record sequence, every job's status history, and the
-    final simulated clock. Shared by the perf bench and the sharded
-    merge so "bit-identical" means one thing everywhere."""
-    trace = [(round(r.time, 9), r.component, r.kind) for r in
-             platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs or ()
-    ]
-    blob = repr((trace, histories, round(platform.kernel.now, 9)))
-    return hashlib.sha256(blob.encode()).hexdigest()
+# Latency floor of a cross-cell boundary message, and therefore the
+# conservative-lookahead window of the sharded kernel: raising it buys
+# bigger parallel windows at the price of staler federation state.
+SHARD_LINK_LATENCY = 0.25
 
 
 class FederationService:
@@ -103,8 +94,7 @@ class PlatformShard:
         # unsharded platform bit for bit. Real cells fork the seed so
         # no two cells run correlated RNG streams.
         cell_seed = seed if slot.num_shards == 1 else f"{seed}#cell{slot.shard_id}"
-        self.kernel = Kernel(seed=cell_seed,
-                             timer_cancellation=config.sim_fast_path)
+        self.kernel = Kernel(seed=cell_seed)
         self.port = slot.bind(self.kernel)
         self.platform = DlaasPlatform(kernel=self.kernel, config=config)
         self.federation = None
@@ -235,7 +225,7 @@ class ShardedPlatform:
         if cells < 1:
             raise ValueError(f"config.shards must be >= 1: {cells}")
         self.cells = cells
-        self.lookahead = config.shard_link_latency
+        self.lookahead = SHARD_LINK_LATENCY
         self._specs = []
         for cell_id in range(cells):
             args = (per_cell_args[cell_id] if per_cell_args is not None

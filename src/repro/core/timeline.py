@@ -4,8 +4,26 @@
 This module merges everything the platform knows about one job — status
 transitions, Kubernetes events for its pods, trace events from its
 Guardian/controller/learners, injected faults — into one ordered,
-human-readable timeline.
+human-readable timeline. :func:`timeline_digest` is the whole-platform
+counterpart: one fingerprint of every trace record and status flip.
 """
+
+import hashlib
+
+
+def timeline_digest(platform, docs):
+    """The canonical fingerprint of everything one platform decided:
+    the full trace-record sequence, every job's status history, and the
+    final simulated clock. Shared by the benches and the sharded merge
+    so "bit-identical" means one thing everywhere."""
+    trace = [(round(r.time, 9), r.component, r.kind) for r in
+             platform.tracer.records]
+    histories = [
+        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
+        for doc in docs or ()
+    ]
+    blob = repr((trace, histories, round(platform.kernel.now, 9)))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def job_timeline(platform, job_id, status_doc=None):

@@ -72,7 +72,7 @@ class Collection:
     once at the send boundary instead of once per read *and* per hop).
     """
 
-    def __init__(self, name, use_planner=True):
+    def __init__(self, name):
         self.name = name
         self._documents = {}
         self._unique_indexes = {}
@@ -84,9 +84,6 @@ class Collection:
         # ids from an index are sorted by it to reproduce scan order.
         self._seqs = {}
         self._seq_counter = 0
-        # False replays pre-index behavior (full scans) bit-for-bit for
-        # the timeline-equivalence tests.
-        self.use_planner = use_planner
 
     def __len__(self):
         return len(self._documents)
@@ -221,16 +218,15 @@ class Collection:
         order."""
         if not query:
             return list(self._documents.values())
-        if self.use_planner:
-            ids = self._candidate_ids(query)
-            if ids is not None:
-                documents = self._documents
-                return [doc for doc_id in ids
-                        if matches(doc := documents[doc_id], query)]
+        ids = self._candidate_ids(query)
+        if ids is not None:
+            documents = self._documents
+            return [doc for doc_id in ids
+                    if matches(doc := documents[doc_id], query)]
         return [doc for doc in self._documents.values() if matches(doc, query)]
 
     def _find_first(self, query):
-        if query and self.use_planner:
+        if query:
             ids = self._candidate_ids(query)
             if ids is not None:
                 documents = self._documents

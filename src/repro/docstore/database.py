@@ -4,21 +4,16 @@ from .collection import Collection
 
 
 class Database:
-    """A namespace of collections, created on first access.
+    """A namespace of collections, created on first access."""
 
-    ``use_planner=False`` propagates to every collection, replaying
-    pre-index full-scan behavior for equivalence tests.
-    """
-
-    def __init__(self, name, use_planner=True):
+    def __init__(self, name):
         self.name = name
-        self.use_planner = use_planner
         self._collections = {}
 
     def collection(self, name):
         coll = self._collections.get(name)
         if coll is None:
-            coll = Collection(f"{self.name}.{name}", use_planner=self.use_planner)
+            coll = Collection(f"{self.name}.{name}")
             self._collections[name] = coll
         return coll
 
@@ -33,7 +28,7 @@ class Database:
 
     def clone(self, new_name=None):
         """Deep copy of every collection (replica state transfer)."""
-        copy = Database(new_name or self.name, use_planner=self.use_planner)
+        copy = Database(new_name or self.name)
         for name, coll in self._collections.items():
             target = copy.collection(name)
             for field in coll._unique_indexes:

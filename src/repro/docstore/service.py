@@ -18,18 +18,11 @@ from .errors import NoPrimary
 class MongoMember:
     """One replica-set member: a Database behind an RPC server."""
 
-    def __init__(self, kernel, network, member_id, replica_set, service_time=0.0005,
-                 fast_path=True):
+    def __init__(self, kernel, network, member_id, replica_set, service_time=0.0005):
         self.kernel = kernel
         self.member_id = member_id
         self.replica_set = replica_set
-        # Fast path: reads return uncopied documents (copy=False) and
-        # the RPC server deep-copies the response once at the send
-        # boundary — one copy per query instead of one per read plus
-        # implicit sharing per hop. False restores per-read copying for
-        # the equivalence tests.
-        self.fast_path = fast_path
-        self.database = Database(member_id, use_planner=fast_path)
+        self.database = Database(member_id)
         self.alive = False
         self.syncing = False
         # Gray fault: seconds every write op hangs in "fsync" before it
@@ -37,8 +30,12 @@ class MongoMember:
         # health probes keep passing while writes through this member
         # silently slow down. 0.0 (healthy) adds no sleeps at all.
         self.disk_stall = 0.0
+        # Reads return uncopied documents (copy=False) and the RPC
+        # server deep-copies the response once at the send boundary —
+        # one copy per query instead of one per read plus implicit
+        # sharing per hop.
         self.server = Server(kernel, network, member_id, service_time=service_time,
-                             copy_responses=fast_path)
+                             copy_responses=True)
         self.server.add_method("command", self._on_command)
         self.server.add_method("replicate", self._on_replicate)
         self.server.add_method("is_primary", lambda _r: {"primary": self.is_primary})
@@ -67,7 +64,7 @@ class MongoMember:
                     "Warning", "MongoMemberDown", "MongoMember", self.member_id,
                     message="data lost" if lose_data else "member crashed")
         if lose_data:
-            self.database = Database(self.member_id, use_planner=self.fast_path)
+            self.database = Database(self.member_id)
         return self
 
     def restart(self, sync_base_time=0.2, sync_per_doc=0.0005):
@@ -110,13 +107,12 @@ class MongoMember:
         # copy is the single serialization point (reads never yield
         # between the lookup and the response, so no write can slip in
         # between the two).
-        reads_copy = not self.fast_path
         if op == "insert_one":
             return {"inserted_id": coll.insert_one(request["document"])}
         if op == "find_one":
             return {"document": coll.find_one(request.get("query"),
                                               projection=request.get("projection"),
-                                              copy=reads_copy)}
+                                              copy=False)}
         if op == "find":
             return {
                 "documents": coll.find(
@@ -125,7 +121,7 @@ class MongoMember:
                     limit=request.get("limit"),
                     skip=request.get("skip", 0),
                     projection=request.get("projection"),
-                    copy=reads_copy,
+                    copy=False,
                 )
             }
         if op == "update_one":
@@ -141,7 +137,7 @@ class MongoMember:
                 "document": coll.find_one_and_update(
                     request["query"], request["update"],
                     return_new=request.get("return_new", True),
-                    copy=reads_copy,
+                    copy=False,
                 )
             }
         if op == "delete_one":
@@ -185,7 +181,7 @@ class MongoReplicaSet:
     """A fixed-membership replica set with majority write concern."""
 
     def __init__(self, kernel, network, size=3, prefix="mongo",
-                 service_time=0.0005, events=None, fast_path=True):
+                 service_time=0.0005, events=None):
         if size < 1:
             raise ValueError("replica set size must be >= 1")
         self.kernel = kernel
@@ -196,7 +192,6 @@ class MongoReplicaSet:
             member_id = f"{prefix}-{i}"
             self.members[member_id] = MongoMember(
                 kernel, network, member_id, self, service_time=service_time,
-                fast_path=fast_path,
             )
 
     def start(self):

@@ -46,7 +46,7 @@ class MongoShardSet:
     """N replica sets, each owning a hash slice of the sharded keys."""
 
     def __init__(self, kernel, network, shards=2, size=3, prefix="mongo",
-                 service_time=0.0005, events=None, fast_path=True):
+                 service_time=0.0005, events=None):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.kernel = kernel
@@ -57,8 +57,7 @@ class MongoShardSet:
             shard_prefix = prefix if k == 0 else f"{prefix}-s{k}"
             self.shards.append(MongoReplicaSet(
                 kernel, network, size=size, prefix=shard_prefix,
-                service_time=service_time, events=events,
-                fast_path=fast_path))
+                service_time=service_time, events=events))
 
     def start(self):
         for shard in self.shards:

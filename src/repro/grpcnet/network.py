@@ -73,7 +73,7 @@ class _DeadlineCall(Event):
     def _on_process(self, process):
         if self.state is not PENDING:
             return
-        self._timer.cancel()  # lazy heap deletion; no-op on the slow path
+        self._timer.cancel()  # lazy heap deletion
         if process.state == "failed":
             self.fail(process.exception)
         else:
@@ -81,7 +81,7 @@ class _DeadlineCall(Event):
 
     def _on_timer(self, _timer):
         if self.state is not PENDING:
-            return  # the call finished first (slow path: timer still fires)
+            return  # the call finished first
         self._process.kill("deadline exceeded")
         self.fail(DeadlineExceeded(
             f"{self._address}/{self._method} after {self._deadline}s"))
@@ -168,7 +168,7 @@ class Network:
         self.latency = latency or LatencyModel()
         self.loss_rate = loss_rate
         self.tracer = tracer
-        # Debug mode for the single-serialization fast path: payloads
+        # Debug mode for single-serialization RPC: payloads
         # travel by reference, which is only sound if no handler mutates
         # a request in place. When enabled, every request is snapshotted
         # at send time and verified unchanged after the handler ran.

@@ -359,28 +359,32 @@ class AlertEngine:
         return out
 
 
+# ``for_`` durations: service-level rules ride out one scrape hiccup,
+# pod-level rules are tighter because learner/guardian dips last well
+# under a second (Fig. 4 recovery bands).
+ALERT_SERVICE_FOR = 1.0
+ALERT_POD_FOR = 0.2
+GRAY_DIVERGENCE_THRESHOLD = 3.0  # robust z-score that alerts
+BATCHINFER_STALL_THRESHOLD = 60.0  # seconds without batch progress
+
+
 def default_rule_pack(config):
     """Alert rules covering the paper's failure matrix (§IV-V) plus
-    platform SLOs. ``for_`` durations come from the platform config:
-    service-level rules ride out one scrape hiccup, pod-level rules
-    are tighter because learner/guardian dips last well under a
-    second (Fig. 4 recovery bands)."""
-    service_for = config.alert_service_for
-    pod_for = config.alert_pod_for
+    platform SLOs; the feature-gated rules follow the platform config."""
 
     def down(component, for_):
         return Metric("up", component=component) == 0, for_
 
     rules = []
     for component, reason, for_ in (
-        ("api", "ApiDown", service_for),
-        ("lcm", "LcmDown", service_for),
-        ("etcd", "EtcdDegraded", pod_for),
-        ("mongo", "MongoDegraded", pod_for),
-        ("nfs", "NfsDown", pod_for),
-        ("guardian", "GuardianDown", pod_for),
-        ("helper", "HelperDown", pod_for),
-        ("learner", "LearnerDown", pod_for),
+        ("api", "ApiDown", ALERT_SERVICE_FOR),
+        ("lcm", "LcmDown", ALERT_SERVICE_FOR),
+        ("etcd", "EtcdDegraded", ALERT_POD_FOR),
+        ("mongo", "MongoDegraded", ALERT_POD_FOR),
+        ("nfs", "NfsDown", ALERT_POD_FOR),
+        ("guardian", "GuardianDown", ALERT_POD_FOR),
+        ("helper", "HelperDown", ALERT_POD_FOR),
+        ("learner", "LearnerDown", ALERT_POD_FOR),
     ):
         condition, for_duration = down(component, for_)
         rules.append(AlertRule(reason, condition, for_=for_duration,
@@ -396,20 +400,20 @@ def default_rule_pack(config):
     rules.append(AlertRule(
         "RpcLatencyHigh",
         Metric("rpc_client_duration_seconds", quantile="p99") > 1.0,
-        for_=service_for, severity="warning",
+        for_=ALERT_SERVICE_FOR, severity="warning",
         description="p99 RPC latency above 1s"))
     rules.append(AlertRule(
         "WorkqueueBacklog",
         Metric("workqueue_depth") > 50,
-        for_=service_for, severity="warning",
+        for_=ALERT_SERVICE_FOR, severity="warning",
         description="a reconciler workqueue is backing up"))
-    if getattr(config, "gray_detection", False):
+    if config.gray_detection:
         # Gray failures: the differential detector's gray_divergence
         # recording series score each endpoint against its role peers
         # (repro.monitoring.differential). The three signals map to the
         # three injectable gray fault families; the shared ``for_``
         # hold rides out a single-window statistical blip.
-        threshold = config.gray_divergence_threshold
+        threshold = GRAY_DIVERGENCE_THRESHOLD
         gray_for = config.gray_alert_for
         rules.append(AlertRule(
             "GrayFailureSlow",
@@ -432,18 +436,18 @@ def default_rule_pack(config):
             description="an endpoint's write/replication latency diverges "
                         "from its role peers (stalling disk under a "
                         "member that still answers reads)"))
-    if getattr(config, "admission_queue_limit", 0) > 0:
+    if config.admission_queue_limit > 0:
         # A tenant pinned at its admission-queue limit means quota
         # capacity is not freeing fast enough for its offered load;
         # sustained saturation turns queue waits into 429s.
         rules.append(AlertRule(
             "AdmissionSaturated",
             Metric("admission_queue_depth") >= config.admission_queue_limit,
-            for_=service_for, severity="warning",
+            for_=ALERT_SERVICE_FOR, severity="warning",
             description="a tenant's admission queue is pinned at its "
                         "limit; over-quota submissions are being "
                         "rejected instead of queued"))
-    if getattr(config, "history_recording", False):
+    if config.history_recording:
         # The consistency auditor latches one counter bump per
         # non-linearizable key; any bump at all is a platform-integrity
         # incident, so the rule fires immediately and never resolves
@@ -455,11 +459,11 @@ def default_rule_pack(config):
             description="the linearizability checker found a key whose "
                         "recorded client history admits no legal "
                         "serialization (stale read / lost write)"))
-    if getattr(config, "serving", False):
+    if config.serving:
         rules.append(AlertRule(
             "ServingDown",
             Metric("up", component="serving") == 0,
-            for_=service_for, severity="critical",
+            for_=ALERT_SERVICE_FOR, severity="critical",
             description="up{component=serving} == 0"))
         # The autoscaler exports each model's p99/SLO ratio; above 1.0
         # the model is out of SLO. ``for_`` rides out the scale-up lag
@@ -467,11 +471,11 @@ def default_rule_pack(config):
         rules.append(AlertRule(
             "ServingSLOBreach",
             Metric("serving_slo_breach") > 1.0,
-            for_=service_for, severity="warning",
+            for_=ALERT_SERVICE_FOR, severity="warning",
             description="a serving model's windowed p99 exceeds its SLO"))
         rules.append(AlertRule(
             "BatchInferStalled",
-            Metric("batchinfer_stalled_seconds") > config.batchinfer_stall_threshold,
+            Metric("batchinfer_stalled_seconds") > BATCHINFER_STALL_THRESHOLD,
             for_=0.0, severity="warning",
             description="a batch-inference job has made no progress for "
                         "longer than the stall threshold"))

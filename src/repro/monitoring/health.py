@@ -195,10 +195,12 @@ def register_platform_probes(platform, registry):
     registry.register("lcm",
                       balancer_check(platform.lcm_balancer, config.lcm_replicas),
                       latch=True)
-    if getattr(config, "serving", False):
+    if config.serving:
+        from ..serving import SERVING_REPLICAS
+
         registry.register(
             "serving",
-            balancer_check(platform.serving_balancer, config.serving_replicas),
+            balancer_check(platform.serving_balancer, SERVING_REPLICAS),
             latch=True)
 
     def etcd_check():

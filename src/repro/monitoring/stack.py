@@ -74,8 +74,7 @@ class MonitoringStack:
     def __init__(self, platform):
         config = platform.config
         self.platform = platform
-        self.store = TimeSeriesStore(retention=config.series_retention,
-                                     max_samples=config.series_max_samples)
+        self.store = TimeSeriesStore()
         self.scraper = MetricsScraper(
             platform.kernel, self.store, interval=config.scrape_interval,
             registry=platform.metrics, health=platform.health)
@@ -86,9 +85,8 @@ class MonitoringStack:
         # Gray-failure detection: the detector runs as a recording rule
         # (pure series-store reads) so divergence scores land in the
         # store before the GrayFailure* alert rules of the same pass.
-        if getattr(config, "gray_detection", False):
-            self.detector = DifferentialDetector(
-                window=config.gray_window, min_count=config.gray_min_count)
+        if config.gray_detection:
+            self.detector = DifferentialDetector(window=config.gray_window)
             self.engine.add_recording_rule("gray_divergence", self.detector)
         else:
             self.detector = None
@@ -104,8 +102,7 @@ class MonitoringStack:
             self.auditor = ConsistencyAuditor(
                 platform.kernel, platform.history,
                 metrics=platform.metrics,
-                interval=config.audit_interval,
-                max_configs=config.audit_max_configs)
+                interval=config.audit_interval)
         else:
             self.auditor = None
         self.flusher = EventFlusher(

@@ -22,6 +22,7 @@ from .manager import (
     MODEL_ACTIVE,
     MODEL_DELETED,
     MODEL_DELETING,
+    SERVING_REPLICAS,
     ServingManager,
     deployment_name,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "MODEL_DELETED",
     "MODEL_DELETING",
     "ReplicaHandle",
+    "SERVING_REPLICAS",
     "SHARD_DONE",
     "SHARD_LEASED",
     "SHARD_PENDING",

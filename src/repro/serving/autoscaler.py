@@ -8,7 +8,7 @@ SLO is what tenants buy. Policy:
 
 * scale **up** (by half the fleet, at least one) when the p99 over the
   runtime's rolling window exceeds the manifest's ``slo_p99`` or the
-  queue holds more than ``serving_queue_high`` requests per replica;
+  queue holds more than ``QUEUE_HIGH`` requests per replica;
 * scale **down** (by one) only when p99 sits below half the SLO and
   the queue is nearly drained — and no scale-up happened recently;
 * both directions respect the manifest's ``[min, max]`` bounds and a
@@ -21,6 +21,11 @@ between the write and the patch is healed by the next reconcile.
 ``plan_scaling`` is a pure function of the observed stats, unit-tested
 in isolation from the platform.
 """
+
+AUTOSCALE_INTERVAL = 2.0
+SCALE_UP_COOLDOWN = 5.0
+SCALE_DOWN_COOLDOWN = 60.0
+QUEUE_HIGH = 16.0  # queued requests per replica
 
 
 def plan_scaling(*, replicas, p99, queue_depth, manifest, now,
@@ -53,11 +58,6 @@ class ServingAutoscaler:
         self.manager = manager
         self.platform = manager.platform
         self.kernel = manager.kernel
-        config = self.platform.config
-        self.interval = config.serving_autoscale_interval
-        self.queue_high = config.serving_queue_high
-        self.up_cooldown = config.serving_scale_up_cooldown
-        self.down_cooldown = config.serving_scale_down_cooldown
         # Cooldown clocks are in-memory only: a manager restart resets
         # them, which at worst re-permits one early scaling step.
         self._last_up = {}
@@ -90,7 +90,7 @@ class ServingAutoscaler:
     def _loop(self):
         while self.running:
             yield from self.evaluate_once()
-            yield self.kernel.sleep(self.interval)
+            yield self.kernel.sleep(AUTOSCALE_INTERVAL)
 
     def evaluate_once(self):
         runtime = self.platform.serving
@@ -115,9 +115,9 @@ class ServingAutoscaler:
                 now=now,
                 last_scale_up=self._last_up.get(model_id, float("-inf")),
                 last_scale_down=self._last_down.get(model_id, float("-inf")),
-                queue_high=self.queue_high,
-                up_cooldown=self.up_cooldown,
-                down_cooldown=self.down_cooldown)
+                queue_high=QUEUE_HIGH,
+                up_cooldown=SCALE_UP_COOLDOWN,
+                down_cooldown=SCALE_DOWN_COOLDOWN)
             if target is None or target == replicas:
                 continue
             yield from self._apply(model_id, replicas, target, p99, stats)

@@ -27,6 +27,11 @@ Shard state machine::
 
 from ..cluster import ContainerSpec, Deployment, PodSpec, PodTemplate, RESTART_ALWAYS
 from ..frameworks import get_framework
+from .replica import REPLICA_INIT_TIME
+
+LEASE_TIMEOUT = 20.0
+RENEW_INTERVAL = 2.0
+MONITOR_INTERVAL = 2.0  # lease-expiry sweep cadence
 
 SHARD_PENDING = "PENDING"
 SHARD_LEASED = "LEASED"
@@ -54,8 +59,6 @@ class BatchCoordinator:
         self.kernel = platform.kernel
         self.batch_id = batch_id
         self.manifest = manifest
-        config = platform.config
-        self.lease_timeout = config.batchinfer_lease_timeout
         self.shards = []
         remaining = manifest.items
         index = 0
@@ -98,13 +101,13 @@ class BatchCoordinator:
             if shard.state == SHARD_PENDING:
                 shard.state = SHARD_LEASED
                 shard.holder = worker
-                shard.lease_expires = self.kernel.now + self.lease_timeout
+                shard.lease_expires = self.kernel.now + LEASE_TIMEOUT
                 return shard
         return None
 
     def renew(self, shard, worker):
         if shard.state == SHARD_LEASED and shard.holder == worker:
-            shard.lease_expires = self.kernel.now + self.lease_timeout
+            shard.lease_expires = self.kernel.now + LEASE_TIMEOUT
 
     def complete(self, shard, worker):
         """First completion wins; duplicates are accounted, not applied."""
@@ -178,17 +181,16 @@ class BatchCoordinator:
 def make_batch_worker_workload(platform, coordinator):
     """One worker pod: lease/score/complete until the table is drained.
 
-    The lease is renewed every ``batchinfer_renew_interval`` of scoring
+    The lease is renewed every ``RENEW_INTERVAL`` of scoring
     time, so a healthy worker never expires mid-shard while a crashed
     one expires within one lease timeout.
     """
     manifest = coordinator.manifest
-    renew_interval = platform.config.batchinfer_renew_interval
 
     def workload(ctx):
         kernel = ctx.kernel
         worker = ctx.pod.metadata.name
-        yield kernel.sleep(platform.config.serving_replica_init_time)
+        yield kernel.sleep(REPLICA_INIT_TIME)
         try:
             while not ctx.stop_event.triggered:
                 shard = coordinator.lease(worker)
@@ -201,7 +203,7 @@ def make_batch_worker_workload(platform, coordinator):
                     continue
                 remaining = shard.items * manifest.item_time
                 while remaining > 0:
-                    step = min(renew_interval, remaining)
+                    step = min(RENEW_INTERVAL, remaining)
                     yield kernel.sleep(step)
                     remaining -= step
                     coordinator.renew(shard, worker)
@@ -263,10 +265,9 @@ class BatchInferJob:
         return self
 
     def _monitor(self):
-        interval = self.platform.config.batchinfer_monitor_interval
         while not self.coordinator.done:
             self.coordinator.expire_leases()
-            yield self.kernel.sleep(interval)
+            yield self.kernel.sleep(MONITOR_INTERVAL)
         self.coordinator.expire_leases()  # final gauge reset
 
     def scale(self, workers):

@@ -25,6 +25,9 @@ MODEL_ACTIVE = "ACTIVE"
 MODEL_DELETING = "DELETING"
 MODEL_DELETED = "DELETED"
 
+SERVING_REPLICAS = 1  # manager (dlaas-serving) replicas
+RECONCILE_INTERVAL = 1.0  # model-registry resync
+
 
 def deployment_name(model_id):
     return f"serving-{model_id}"
@@ -144,17 +147,12 @@ class ServingManager:
         reconciler = Reconciler(
             self.kernel, f"serving:{self.address}",
             self.reconcile_model,
-            resync_interval=self.platform.config.serving_reconcile_interval,
-            rewatch_delay=self.platform.config.watch_retry_delay,
+            resync_interval=RECONCILE_INTERVAL,
             tracer=self.platform.tracer,
             metrics=self.platform.metrics,
         )
         reconciler.add_source(WatchSource("mongo-models",
                                           list_keys=list_models))
-        reconciler.queue.backoff_base = \
-            self.platform.config.reconciler_backoff_base
-        reconciler.queue.backoff_max = \
-            self.platform.config.reconciler_backoff_max
         return reconciler
 
     def make_autoscaler(self):

@@ -15,14 +15,16 @@ replica, and the runtime re-routes whatever was still queued — a
 dying replica drops no requests.
 """
 
+REPLICA_INIT_TIME = 2.0  # model load on a replica
+SERVICE_JITTER = 0.1  # fraction of service time
+
 
 def make_replica_workload(platform, model_id, manifest):
     def workload(ctx):
         kernel = ctx.kernel
         runtime = platform.serving
         rng = kernel.rng("serving-service")
-        jitter = platform.config.serving_service_jitter
-        yield kernel.sleep(platform.config.serving_replica_init_time)
+        yield kernel.sleep(REPLICA_INIT_TIME)
         handle = runtime.register_replica(model_id, ctx.pod.metadata.name)
         platform.events.emit_event(
             "Normal", "ComponentReady", "Pod", ctx.pod.metadata.name,
@@ -38,8 +40,7 @@ def make_replica_workload(platform, model_id, manifest):
                     continue
                 service = (manifest.base_service_time
                            + manifest.per_item_time * len(batch))
-                if jitter:
-                    service *= 1.0 + jitter * rng.random()
+                service *= 1.0 + SERVICE_JITTER * rng.random()
                 yield kernel.sleep(service)
                 runtime.complete(model_id, batch)
         finally:

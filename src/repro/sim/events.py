@@ -80,11 +80,9 @@ class Event:
         callbacks are dropped.
 
         Only the exclusive owner of an event may cancel it — a waiter
-        added later would never wake. No-op once triggered, and when the
-        kernel runs with ``timer_cancellation=False`` (the bit-compatible
-        slow path used by the timeline-equivalence tests).
+        added later would never wake. No-op once triggered.
         """
-        if self.state is PENDING and self._kernel._timer_cancellation:
+        if self.state is PENDING:
             self.state = CANCELLED
             self._callbacks = None
 
@@ -158,11 +156,10 @@ class AnyOf(Event):
             self.fail(event.exception)
         else:
             self.succeed((event, event.value))
-        if self._kernel._timer_cancellation:
-            on_child = self._on_child
-            for other in self.events:
-                if other is not event and other.state is PENDING:
-                    other.remove_callback(on_child)
+        on_child = self._on_child
+        for other in self.events:
+            if other is not event and other.state is PENDING:
+                other.remove_callback(on_child)
 
 
 class AllOf(Event):
@@ -192,11 +189,10 @@ class AllOf(Event):
             return
         if event.state is FAILED:
             self.fail(event.exception)
-            if self._kernel._timer_cancellation:
-                on_child = self._on_child
-                for other in self.events:
-                    if other is not event and other.state is PENDING:
-                        other.remove_callback(on_child)
+            on_child = self._on_child
+            for other in self.events:
+                if other is not event and other.state is PENDING:
+                    other.remove_callback(on_child)
             return
         self._remaining -= 1
         if self._remaining == 0:

@@ -16,8 +16,7 @@ returns a :class:`Timer` that is its own heap entry (no per-sleep
 closure). Cancelling it leaves the entry in the heap marked dead; when
 it pops, the kernel counts it (``dead_entries_skipped``) and does
 nothing else — the surviving timeline is bit-identical to the one where
-the timer fired into zero callbacks. ``timer_cancellation=False``
-restores the pre-optimization behavior for equivalence testing.
+the timer fired into zero callbacks.
 """
 
 import heapq
@@ -56,7 +55,7 @@ class Timer(Event):
 
     def cancel(self):
         """Defuse the timer; its heap entry is lazily skipped on pop."""
-        if self.state is PENDING and self._kernel._timer_cancellation:
+        if self.state is PENDING:
             self.state = CANCELLED
             self._callbacks = None
             kernel = self._kernel
@@ -75,7 +74,7 @@ class Kernel:
     lint_shared_state.py`` enforces this structurally.
     """
 
-    def __init__(self, seed=0, timer_cancellation=True, debug=False):
+    def __init__(self, seed=0, debug=False):
         self._now = 0.0
         self._queue = []
         self._sequence = 0
@@ -87,10 +86,6 @@ class Kernel:
         # default: the f-string formatting alone is measurable at scale.
         # Per instance — flipping one kernel's flag never outlives it.
         self.debug = debug
-        # Fast-path switch: False replays the pre-cancellation event
-        # order exactly (every timer fires; AnyOf/AllOf keep dead
-        # callbacks), for bit-for-bit timeline-equivalence tests.
-        self._timer_cancellation = timer_cancellation
         # Bound by ShardPort when this kernel is one shard of a
         # partitioned simulation (see repro.sim.shard); None otherwise.
         self.shard = None

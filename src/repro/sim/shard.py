@@ -213,7 +213,7 @@ class _ShardRun:
 class ShardSlot:
     """The shard-shaped hole a program builder fills.
 
-    Builders create their own :class:`Kernel` (seed, fast-path flags —
+    Builders create their own :class:`Kernel` (seed, debug flag —
     the kernel is theirs) and call :meth:`bind` to attach the boundary
     port.
     """

@@ -31,13 +31,14 @@ DOCS = [
 
 
 def make_pair():
-    """The same data in an indexed and an unindexed collection."""
-    indexed = Collection("jobs", use_planner=True)
+    """The same data in an indexed and an unindexed collection (no
+    ``create_index`` call: every query on it full-scans)."""
+    indexed = Collection("jobs")
     indexed.create_index("job_id", unique=True)
     indexed.create_index("status")
     indexed.create_index("tenant")
     indexed.create_index("gpus")
-    scan = Collection("jobs", use_planner=False)
+    scan = Collection("jobs")
     for doc in DOCS:
         indexed.insert_one(dict(doc))
         scan.insert_one(dict(doc))

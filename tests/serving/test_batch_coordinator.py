@@ -3,7 +3,12 @@
 import pytest
 
 from repro.serving import BatchCoordinator, BatchInferManifest
-from repro.serving.batch import SHARD_DONE, SHARD_LEASED, SHARD_PENDING
+from repro.serving.batch import (
+    LEASE_TIMEOUT,
+    SHARD_DONE,
+    SHARD_LEASED,
+    SHARD_PENDING,
+)
 
 
 def batch_manifest(**overrides):
@@ -44,7 +49,7 @@ class TestLeasing:
         coordinator.renew(shard, "w2")  # not the holder: ignored
         assert shard.lease_expires == original_expiry
         coordinator.renew(shard, "w1")
-        assert shard.lease_expires == kernel.now + coordinator.lease_timeout
+        assert shard.lease_expires == kernel.now + LEASE_TIMEOUT
 
 
 class TestExactlyOnce:
@@ -78,7 +83,7 @@ class TestLeaseRecovery:
     def test_expiry_requeues(self, coordinator, kernel):
         shard = coordinator.lease("w1")
         assert coordinator.expire_leases() == 0  # still fresh
-        kernel.run(until=coordinator.lease_timeout + 1.0)
+        kernel.run(until=LEASE_TIMEOUT + 1.0)
         assert coordinator.expire_leases() == 1
         assert shard.state == SHARD_PENDING
         assert shard.holder is None
@@ -97,7 +102,7 @@ class TestLeaseRecovery:
     def test_requeue_emits_warning_event(self, coordinator, stub_platform,
                                          kernel):
         coordinator.lease("w1")
-        kernel.run(until=coordinator.lease_timeout + 1.0)
+        kernel.run(until=LEASE_TIMEOUT + 1.0)
         coordinator.expire_leases()
         event = stub_platform.events.get(
             "Warning", "BatchShardRequeued", "BatchInfer", "b1")

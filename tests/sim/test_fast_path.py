@@ -38,17 +38,6 @@ class TestTimerCancellation:
         assert timer.ok  # still succeeded, not cancelled
         assert kernel.timers_cancelled == 0
 
-    def test_slow_path_disables_cancellation(self):
-        kernel = Kernel(timer_cancellation=False)
-        timer = kernel.sleep(5.0)
-        fired = []
-        timer.add_callback(fired.append)
-        timer.cancel()  # must be a no-op on the compat path
-        kernel.run()
-        assert fired == [timer]
-        assert kernel.timers_cancelled == 0
-        assert kernel.dead_entries_skipped == 0
-
     def test_add_callback_on_cancelled_event_raises(self):
         kernel = Kernel()
         timer = kernel.sleep(1.0)
