@@ -77,6 +77,7 @@ SEED_BASELINE = {
 SPEEDUP_TARGET = 2.0
 SHARDED_SPEEDUP_TARGET = 2.0
 CHECK_TOLERANCE = 1.25  # --check fails above 125% of the committed wall
+WALL_ATTEMPTS = 3  # --check wall gates take the best of this many runs
 
 
 def run_scenario(scenario):
@@ -233,11 +234,31 @@ def assert_sharded(sharded):
     return sharded
 
 
+def gate_wall(label, run, baseline):
+    """Run ``run()`` and gate its wall time at CHECK_TOLERANCE over
+    ``baseline``, taking the best of up to WALL_ATTEMPTS: a busy box
+    only ever adds wall time, so one run inside the limit shows the
+    code is. Returns ``(first run, passed)`` — digests are read off the
+    first run and get no second chance."""
+    first = run()
+    limit = baseline * CHECK_TOLERANCE
+    wall = first["wall_s"]
+    attempts = 1
+    while wall > limit and attempts < WALL_ATTEMPTS:
+        wall = min(wall, run()["wall_s"])
+        attempts += 1
+    passed = wall <= limit
+    print(f"{label}: wall={wall}s (best of {attempts}) baseline={baseline}s "
+          f"limit={round(limit, 3)}s [{'ok' if passed else 'REGRESSION'}]")
+    return first, passed
+
+
 def run_check():
     """CI smoke gate: small scenarios vs the committed baselines —
     the plain kernel plus the sharded 1-worker and N-worker paths
-    (any of the three regressing more than 25%, or the plain smoke
-    digest drifting from the committed one, fails)."""
+    (any of the three regressing more than 25% on the best of three
+    attempts, or the plain smoke digest drifting from the committed
+    one, fails)."""
     if not RESULT_PATH.exists():
         print(f"error: {RESULT_PATH} missing; run the full bench first",
               file=sys.stderr)
@@ -245,13 +266,9 @@ def run_check():
     committed = json.loads(RESULT_PATH.read_text())
     failed = False
 
-    baseline = committed["smoke"]["wall_s"]
-    measured = run_scenario(SMOKE)
-    limit = baseline * CHECK_TOLERANCE
-    status = "ok" if measured["wall_s"] <= limit else "REGRESSION"
-    failed |= status != "ok"
-    print(f"perf smoke: wall={measured['wall_s']}s baseline={baseline}s "
-          f"limit={round(limit, 3)}s [{status}]")
+    measured, passed = gate_wall("perf smoke", lambda: run_scenario(SMOKE),
+                                 committed["smoke"]["wall_s"])
+    failed |= not passed
     if measured["digest"] != committed["smoke"]["digest"]:
         print("perf smoke: FAIL timeline digest drifted from baseline: "
               f"{measured['digest']} != {committed['smoke']['digest']} "
@@ -268,15 +285,13 @@ def run_check():
             ("workers_n", SHARDED_SMOKE_CELLS))
     digests = {}
     for key, workers in rows:
-        run = run_sharded(SHARDED_SMOKE, SHARDED_SMOKE_CELLS,
-                          workers=workers)
+        run, passed = gate_wall(
+            f"perf smoke sharded/{key}",
+            lambda workers=workers: run_sharded(
+                SHARDED_SMOKE, SHARDED_SMOKE_CELLS, workers=workers),
+            sharded_smoke[key]["wall_s"])
         digests[key] = run["digest"]
-        baseline = sharded_smoke[key]["wall_s"]
-        limit = baseline * CHECK_TOLERANCE
-        status = "ok" if run["wall_s"] <= limit else "REGRESSION"
-        failed |= status != "ok"
-        print(f"perf smoke sharded/{key}: wall={run['wall_s']}s "
-              f"baseline={baseline}s limit={round(limit, 3)}s [{status}]")
+        failed |= not passed
     if len(set(digests.values())) != 1:
         print("perf smoke sharded: FAIL worker count changed the merged "
               f"timeline: {digests}", file=sys.stderr)

@@ -83,12 +83,6 @@ def run_full():
         "partitions": assert_scale(
             run_partition_sweep(SCALE_SCENARIO, SCALE_PARTITIONS)),
     }
-    base = scale["partitions"]["1"]["events_per_sec"]
-    scale["near_linear"] = {
-        str(p): round(
-            scale["partitions"][str(p)]["events_per_sec"] / base, 3)
-        for p in SCALE_PARTITIONS
-    }
     smoke_rows = run_partition_sweep(SMOKE_SCENARIO, SMOKE_PARTITIONS)
     scale["smoke"] = {
         "scenario": SMOKE_SCENARIO,

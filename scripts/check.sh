@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available), the tier-1 test suite, the
+# benchmark's own tests and quick run (outside tier 1: testpaths is
+# tests/), and the bench smoke gates.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -27,6 +29,12 @@ python scripts/lint_shared_state.py
 
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -q "$@"
+
+echo "== perfbench tests =="
+python -m pytest perfbench/tests -q
+
+echo "== perfbench quick run =="
+python3 perfbench/run.py --quick
 
 echo "== perf smoke gate =="
 PYTHONPATH=src python benchmarks/bench_perf.py --check

@@ -1,15 +1,16 @@
 """Profile the simulator hot path under cProfile.
 
 Runs the bench_perf scenario (small by default, ``--full`` for the
-24-job scalability scenario) and prints the top functions by own time
-and by cumulative time. This is the workflow that found every
-optimization in the hot path: run, read the tottime column, fix the
-top entry, repeat.
+24-job scalability scenario) or one of perfbench's closed-loop shapes
+(``--workload``) and prints the top functions by own time and by
+cumulative time. This is the workflow that found every optimization in
+the hot path: run, read the tottime column, fix the top entry, repeat.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
     PYTHONPATH=src python scripts/profile.py --full     # 24-job scenario
+    PYTHONPATH=src python scripts/profile.py --workload scale  # perfbench shape
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -22,28 +23,55 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:] = [p for p in sys.path
                if Path(p or ".").resolve() != REPO_ROOT / "scripts"]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(REPO_ROOT))  # perfbench, imported read-only
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import pstats  # noqa: E402
+import time  # noqa: E402
 
 from bench_perf import SCENARIO, SMOKE, run_scenario  # noqa: E402
+
+PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned")
+
+
+def run_workload(name, seed):
+    """One perfbench iteration (build, drive, drain), reported like
+    ``bench_perf.run_scenario`` reports its own."""
+    from perfbench.workloads import WORKLOADS, drive, make_platform
+
+    workload = WORKLOADS[name]
+    start = time.perf_counter()
+    platform = make_platform(workload, seed)
+    outcome = drive(platform, workload, seed)
+    wall = time.perf_counter() - start
+    events = platform.kernel.events_processed
+    return {"jobs": len(outcome.docs), "wall_s": round(wall, 3),
+            "events_processed": events,
+            "events_per_sec": round(events / wall, 1)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
                         help="profile the 24-job scalability scenario")
+    parser.add_argument("--workload", choices=PERFBENCH_WORKLOADS,
+                        help="profile one iteration of a perfbench workload "
+                             "instead of the bench_perf scenario")
+    parser.add_argument("--seed", type=int, default=2,
+                        help="perfbench workload seed (default 2)")
     parser.add_argument("--lines", type=int, default=25,
                         help="rows per stats table (default 25)")
     parser.add_argument("-o", "--output", metavar="FILE",
                         help="also dump raw pstats to FILE")
     args = parser.parse_args(argv)
 
-    scenario = SCENARIO if args.full else SMOKE
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_scenario(scenario)
+    if args.workload:
+        result = run_workload(args.workload, args.seed)
+    else:
+        result = run_scenario(SCENARIO if args.full else SMOKE)
     profiler.disable()
 
     print(f"jobs={result['jobs']} "

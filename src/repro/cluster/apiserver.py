@@ -7,6 +7,41 @@ loops that never talk to each other directly.
 
 from ..sim.channels import Channel
 from .errors import ConflictError, NotFoundError
+from .resources.meta import selector_matches
+from .resources.pod import PENDING
+
+# Index group of the pods a scheduler pass looks at: Pending, not bound,
+# not being deleted.
+_UNSCHEDULED = ("unscheduled",)
+
+
+def _order_key(resource):
+    """list() order. (namespace, name) is the store key, so this is a
+    total order: any subset sorted by it equals the sorted whole,
+    filtered."""
+    metadata = resource.metadata
+    return (metadata.creation_time or 0.0, metadata.name, metadata.namespace)
+
+
+def _matches(resource, namespace, selector, owner):
+    metadata = resource.metadata
+    if namespace is not None and metadata.namespace != namespace:
+        return False
+    if owner is not None and metadata.owner != owner:
+        return False
+    return selector is None or selector_matches(selector, metadata.labels)
+
+
+def _pod_groups(pod):
+    """The index groups a pod belongs to, from its current fields."""
+    groups = []
+    if pod.metadata.owner is not None:
+        groups.append(("owner", pod.metadata.owner))
+    if pod.node_name is not None:
+        groups.append(("node", pod.node_name))
+    elif pod.phase == PENDING and not pod.deletion_requested:
+        groups.append(_UNSCHEDULED)
+    return tuple(groups)
 
 
 class ResourceWatch(Channel):
@@ -61,6 +96,16 @@ class ApiServer:
         # mutates them afterwards), so membership changes only on
         # create/delete — updates leave every filtered list valid.
         self._filtered = {}
+        # Pod field indexes: by owner, by node_name, and the unscheduled
+        # set. A pod's groups are re-read from its fields on create and
+        # update (binding, deletion requests and phase flips all go
+        # through update) and dropped on delete, so an indexed list()
+        # costs the size of its group, not of the cluster.
+        self._pod_groups = {}  # group -> {store key: pod}
+        # group -> {(namespace, selector, owner): members in list()
+        # order}, like ``_filtered``; dropped when the group changes.
+        self._pod_group_views = {}
+        self._pod_filed = {}  # store key -> groups the pod is filed under
         self._watchers = {}
         self.events = []
 
@@ -81,14 +126,13 @@ class ApiServer:
         store[key] = resource
         cache = self._sorted.get(resource.kind)
         if cache is not None:
-            if not cache or (
-                (cache[-1].metadata.creation_time or 0.0, cache[-1].metadata.name)
-                <= (resource.metadata.creation_time or 0.0, resource.metadata.name)
-            ):
+            if not cache or _order_key(cache[-1]) <= _order_key(resource):
                 cache.append(resource)
             else:
                 self._sorted[resource.kind] = None
         self._filtered.pop(resource.kind, None)
+        if resource.kind == "Pod":
+            self._file_pod(key, resource, _pod_groups(resource))
         self._notify(resource.kind, "ADDED", resource)
         return resource
 
@@ -101,44 +145,73 @@ class ApiServer:
     def get_or_none(self, kind, name, namespace="default"):
         return self._store(kind).get((namespace, name))
 
-    def list(self, kind, namespace=None, selector=None, owner=None):
-        cache = self._sorted.get(kind)
-        if cache is None:
-            cache = sorted(
-                self._store(kind).values(),
-                key=lambda r: (r.metadata.creation_time or 0.0, r.metadata.name),
-            )
-            self._sorted[kind] = cache
-        # Filtering a pre-sorted list equals sorting the filtered list:
-        # the stable sort keeps insertion order within key ties either
-        # way. Always return a fresh list; the caches are private.
-        if namespace is None and selector is None and owner is None:
-            return list(cache)
-        filter_key = (namespace,
-                      tuple(sorted(selector.items())) if selector else None,
-                      owner)
-        filtered = self._filtered.setdefault(kind, {})
-        out = filtered.get(filter_key)
+    def list(self, kind, namespace=None, selector=None, owner=None,
+             node_name=None, unscheduled=False):
+        """Resources of ``kind`` in (creation_time, name) order.
+
+        For pods, ``owner``, ``node_name`` and ``unscheduled`` (Pending,
+        unbound, not being deleted) are served from the field indexes
+        and narrow further by ``namespace`` and ``selector`` like any
+        other list. Always a fresh list; the caches are private.
+        """
+        if kind == "Pod" and (unscheduled or node_name is not None
+                              or owner is not None):
+            if unscheduled:
+                group = _UNSCHEDULED
+            elif node_name is not None:
+                group, node_name = ("node", node_name), None
+            else:
+                group, owner = ("owner", owner), None
+            members = self._pod_groups.get(group)
+            if members is None:
+                return []
+            candidates = None  # sorted from ``members`` on a view miss
+            views = self._pod_group_views.setdefault(group, {})
+        else:
+            candidates = self._sorted.get(kind)
+            if candidates is None:
+                candidates = sorted(self._store(kind).values(), key=_order_key)
+                self._sorted[kind] = candidates
+            if namespace is None and selector is None and owner is None:
+                return list(candidates)
+            views = self._filtered.setdefault(kind, {})
+        # Filtering a sorted list equals sorting the filtered list.
+        view_key = (namespace,
+                    tuple(sorted(selector.items())) if selector else None,
+                    owner)
+        out = views.get(view_key)
         if out is None:
-            out = []
-            for resource in cache:
-                metadata = resource.metadata
-                if namespace is not None and metadata.namespace != namespace:
-                    continue
-                if owner is not None and metadata.owner != owner:
-                    continue
-                if selector is not None:
-                    labels = metadata.labels
-                    matched = True
-                    for key, value in selector.items():
-                        if labels.get(key) != value:
-                            matched = False
-                            break
-                    if not matched:
-                        continue
-                out.append(resource)
-            filtered[filter_key] = out
+            if candidates is None:
+                candidates = sorted(members.values(), key=_order_key)
+            out = views[view_key] = [
+                resource for resource in candidates
+                if _matches(resource, namespace, selector, owner)]
+        if node_name is not None:
+            # Narrowing another group by node: node_name changes on
+            # bind, so this cut is not cached with the views.
+            return [pod for pod in out if pod.node_name == node_name]
         return list(out)
+
+    def _file_pod(self, key, pod, groups):
+        """Move ``pod`` to exactly ``groups`` (``()`` unfiles it)."""
+        filed = self._pod_filed.get(key, ())
+        if filed == groups:
+            return
+        for group in filed:
+            if group not in groups:
+                members = self._pod_groups[group]
+                del members[key]
+                if not members:
+                    del self._pod_groups[group]
+                self._pod_group_views.pop(group, None)
+        for group in groups:
+            if group not in filed:
+                self._pod_groups.setdefault(group, {})[key] = pod
+                self._pod_group_views.pop(group, None)
+        if groups:
+            self._pod_filed[key] = groups
+        else:
+            self._pod_filed.pop(key, None)
 
     def update(self, resource):
         store = self._store(resource.kind)
@@ -146,6 +219,8 @@ class ApiServer:
         if key not in store:
             raise NotFoundError(f"{resource.kind} {key}")
         resource.metadata.resource_version += 1
+        if resource.kind == "Pod":
+            self._file_pod(key, resource, _pod_groups(resource))
         self._notify(resource.kind, "MODIFIED", resource)
         return resource
 
@@ -161,6 +236,8 @@ class ApiServer:
             except ValueError:
                 self._sorted[kind] = None
         self._filtered.pop(kind, None)
+        if kind == "Pod":
+            self._file_pod((namespace, name), resource, ())
         self._notify(kind, "DELETED", resource)
         return resource
 

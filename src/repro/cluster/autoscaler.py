@@ -59,10 +59,7 @@ class ClusterAutoscaler(Controller):
         not be mid-scheduling churn."""
         now = self.kernel.now
         demand = []
-        for pod in self.api.list("Pod"):
-            if pod.phase != "Pending" or pod.node_name is not None \
-                    or pod.deletion_requested:
-                continue
+        for pod in self.api.list("Pod", unscheduled=True):
             created = pod.metadata.creation_time or 0.0
             if now - created < self.pending_grace:
                 continue

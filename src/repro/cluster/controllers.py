@@ -262,8 +262,8 @@ class NodeController(Controller):
                                       "node unavailable")
 
     def _evict_pods(self, node):
-        for pod in self.api.list("Pod"):
-            if pod.node_name != node.metadata.name or pod.is_terminal():
+        for pod in self.api.list("Pod", node_name=node.metadata.name):
+            if pod.is_terminal():
                 continue
             pod.phase = FAILED
             pod.message = "node lost"

@@ -126,7 +126,7 @@ class Kubectl:
     def drain(self, node_name):
         """Cordon plus graceful eviction of every pod on the node."""
         self.cordon(node_name)
-        for pod in self.api.list("Pod"):
-            if pod.node_name == node_name and not pod.is_terminal():
+        for pod in self.api.list("Pod", node_name=node_name):
+            if not pod.is_terminal():
                 pod.deletion_requested = True
                 self.api.update(pod)

@@ -134,9 +134,7 @@ class Kubelet:
 
     def _sync_loop(self):
         while self.alive:
-            for pod in self.api.list("Pod"):
-                if pod.node_name != self.node.metadata.name:
-                    continue
+            for pod in self.api.list("Pod", node_name=self.node.metadata.name):
                 uid = pod.metadata.uid
                 if pod.deletion_requested:
                     if uid in self._terminating:

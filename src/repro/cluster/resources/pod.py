@@ -79,18 +79,16 @@ class PodSpec:
             raise InvalidResource("gang scheduling needs gang_size >= 2")
         self.gang = gang
         self.gang_size = gang_size
-
-    @property
-    def total_gpus(self):
-        return sum(c.gpus for c in self.containers)
-
-    @property
-    def total_cpu(self):
-        return sum(c.cpu_millicores for c in self.containers)
-
-    @property
-    def total_memory(self):
-        return sum(c.memory_mb for c in self.containers)
+        # Requests are fixed at construction (no call site edits a
+        # container's resources afterwards), so the totals the scheduler
+        # reads on every pass are summed once here.
+        self.total_gpus = sum(c.gpus for c in self.containers)
+        self.total_cpu = sum(c.cpu_millicores for c in self.containers)
+        self.total_memory = sum(c.memory_mb for c in self.containers)
+        # Everything Node.can_fit reads: two specs with equal shapes fit
+        # exactly the same nodes.
+        self.shape = (self.gpu_type, tuple(sorted(self.node_selector.items())),
+                      self.total_gpus, self.total_cpu, self.total_memory)
 
 
 class Pod:

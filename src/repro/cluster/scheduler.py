@@ -70,11 +70,7 @@ class Scheduler:
         A partially-pending gang (e.g. one crashed learner being
         replaced while its siblings run) schedules member-by-member.
         """
-        pending = [
-            pod for pod in self.api.list("Pod")
-            if pod.phase == "Pending" and pod.node_name is None
-            and not pod.deletion_requested
-        ]
+        pending = self.api.list("Pod", unscheduled=True)
         if self._m_pending is not None:
             self._m_pending.set(len(pending))
         if not pending:
@@ -88,22 +84,43 @@ class Scheduler:
 
         bound = 0
         scheduled_gangs = set()
+        # Request shapes that found no node earlier in this pass. The
+        # pass is synchronous and only allocates, so free capacity never
+        # grows inside it: a shape that fit nowhere still fits nowhere,
+        # and the node scan is skipped for every later pod of that
+        # shape. What a failed pod emits is not skipped.
+        no_room = set()
         for pod in pending:
             gang = pod.spec.gang
             if gang is not None and len(gang_members[gang]) >= pod.spec.gang_size:
                 if gang in scheduled_gangs:
                     continue
                 scheduled_gangs.add(gang)
-                bound += self._bind_gang(gang_members[gang], nodes)
+                bound += self._bind_gang(gang_members[gang], nodes, no_room)
                 continue
-            bound += self._bind_one(pod, nodes)
+            bound += self._bind_one(pod, nodes, no_room)
         return bound
 
-    def _bind_gang(self, pods, nodes):
+    def _find_node(self, pod, nodes, no_room, tentative=False):
+        """``_pick_node`` behind the pass's ``no_room`` memo.
+
+        ``tentative`` marks a lookup made while a gang's earlier members
+        hold capacity the rollback would hand back: a miss there proves
+        nothing about the rest of the pass and is not remembered.
+        """
+        shape = pod.spec.shape
+        if shape in no_room:
+            return None
+        node = self._pick_node(pod, nodes)
+        if node is None and not tentative:
+            no_room.add(shape)
+        return node
+
+    def _bind_gang(self, pods, nodes, no_room):
         """Place every member or none; rolls back on any failure."""
         placed = []
         for pod in pods:
-            node = self._pick_node(pod, nodes)
+            node = self._find_node(pod, nodes, no_room, tentative=bool(placed))
             if node is None:
                 for bound_pod, bound_node in placed:
                     bound_node.release(bound_pod.spec)
@@ -124,8 +141,8 @@ class Scheduler:
             self._commit_bind(pod, node)
         return len(placed)
 
-    def _bind_one(self, pod, nodes):
-        node = self._pick_node(pod, nodes)
+    def _bind_one(self, pod, nodes, no_room):
+        node = self._find_node(pod, nodes, no_room)
         if node is None:
             if self.preemption and pod.spec.priority > 0:
                 self._try_preempt(pod, nodes)
@@ -195,8 +212,8 @@ class Scheduler:
         or None if even evicting all of them would not fit."""
         residents = []
         terminating_gpus = 0
-        for p in self.api.list("Pod"):
-            if p.node_name != node.metadata.name or p.is_terminal():
+        for p in self.api.list("Pod", node_name=node.metadata.name):
+            if p.is_terminal():
                 continue
             if p.deletion_requested:
                 # Already on its way out (e.g. a previous preemption

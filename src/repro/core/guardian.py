@@ -247,15 +247,24 @@ class Guardian:
             return not (
                 self.k8s.exists("StatefulSet", layout.learner_set_name(job_id))
                 or self.k8s.exists("Deployment", layout.helper_deployment_name(job_id))
-                or any(
-                    pod.metadata.labels.get("role") != "guardian"
-                    for pod in self.k8s.list("Pod", selector={"dlaas-job": job_id})
-                )
+                or self._workload_pods()
             )
 
         yield from self._await_cluster(
             gone, kinds=("Pod", "StatefulSet", "Deployment"),
             resync=GUARDIAN_ROLLBACK_RESYNC,
+        )
+
+    def _workload_pods(self):
+        """The job's learner and helper pods still in the API server:
+        everything labelled with the job except this Guardian's own pod,
+        read from the owner index rather than a label scan."""
+        job_id = self.job_id
+        return (
+            self.k8s.list("Pod", owner=("StatefulSet",
+                                        layout.learner_set_name(job_id)))
+            + self.k8s.list("Pod", owner=("Deployment",
+                                          layout.helper_deployment_name(job_id)))
         )
 
     def _await_cluster(self, cond, kinds, resync, timeout=60.0):
@@ -513,10 +522,7 @@ class Guardian:
         # statuses into keys we just deleted. Wakes on Pod deletion
         # events, with ``GUARDIAN_TEARDOWN_RESYNC`` as the fallback.
         def pods_gone():
-            return not [
-                pod for pod in self.k8s.list("Pod", selector={"dlaas-job": self.job_id})
-                if pod.metadata.labels.get("role") != "guardian"
-            ]
+            return not self._workload_pods()
 
         yield from self._await_cluster(
             pods_gone, kinds=("Pod",),

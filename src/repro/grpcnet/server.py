@@ -36,7 +36,9 @@ class Server:
         self.requests_served = 0
 
     def add_method(self, name, handler):
-        self._methods[name] = handler
+        # Whether the handler is a generator function is a property of
+        # the handler, not of the request: resolved here, once.
+        self._methods[name] = (handler, inspect.isgeneratorfunction(handler))
         return self
 
     def add_service(self, obj, prefix=""):
@@ -76,9 +78,8 @@ class Server:
         # twice while the caller's request counter moves once — the flow
         # anomaly the differential detector keys on.
         self.network.observe_dispatch(self.address)
-        handler = self._methods.get(method)
         process = self.kernel.spawn(
-            self._serve(handler, method, request),
+            self._serve(self._methods.get(method), method, request),
             name=f"{self.address}/{method}" if self.kernel.debug else "serve",
         )
         self._inflight.add(process)
@@ -87,13 +88,14 @@ class Server:
         process.add_callback(self._inflight.discard)
         return process
 
-    def _serve(self, handler, method, request):
-        if handler is None:
+    def _serve(self, registered, method, request):
+        if registered is None:
             raise MethodNotFound(f"{self.address} has no method {method!r}")
+        handler, is_generator_function = registered
         if self.service_time:
             yield self.kernel.sleep(self.service_time)
         try:
-            if inspect.isgeneratorfunction(handler):
+            if is_generator_function:
                 response = yield from handler(request)
             else:
                 response = handler(request)

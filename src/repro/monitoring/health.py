@@ -166,9 +166,11 @@ def _template_owners(api, kind, role):
         labels = owner.template.labels or {}
         if labels.get("role") != role or getattr(owner, "deletion_requested", False):
             continue
-        selector = {"dlaas-job": labels.get("dlaas-job"), "role": role}
+        # The controller stamps the template's labels and itself as
+        # owner on every pod it makes: the owner index is that selector.
         running = sum(
-            1 for pod in api.list("Pod", selector=selector)
+            1 for pod in api.list("Pod", namespace=owner.metadata.namespace,
+                                  owner=(kind, owner.metadata.name))
             if pod.phase == RUNNING and not pod.deletion_requested
         )
         out.append((owner.metadata.name, owner.replicas, running))

@@ -1,6 +1,7 @@
 """Unit tests for the API server, image registry and kubectl extras."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ConflictError,
@@ -91,6 +92,115 @@ class TestCrud:
         kernel.spawn(later())
         kernel.run()
         assert [p.metadata.name for p in api.list("Pod")] == ["z", "a"]
+
+
+NODES = ("node-0", "node-1", "node-2")
+NAMESPACES = ("default", "other")
+OWNERS = (None, ("StatefulSet", "s"), ("Deployment", "d"), ("Job", "j"))
+ROLES = ("learner", "helper")
+
+_pick = st.integers(min_value=0, max_value=40)
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("create"), st.sampled_from(("a", "b", "c", "d", "e")),
+              st.sampled_from(NAMESPACES), st.sampled_from(OWNERS),
+              st.sampled_from(ROLES)),
+    st.tuples(st.just("bind"), _pick, st.sampled_from(NODES)),
+    st.tuples(st.just("phase"), _pick,
+              st.sampled_from(("Running", "Succeeded", "Failed"))),
+    st.tuples(st.just("request-deletion"), _pick),
+    st.tuples(st.just("update"), _pick),
+    st.tuples(st.just("delete"), _pick),
+    st.tuples(st.just("tick")),
+), max_size=40)
+
+
+def assert_indexes_match_full_list(api):
+    """Every indexed read equals the full list, filtered: same pods,
+    same order."""
+    everything = api.list("Pod")
+    for node in NODES + ("ghost",):
+        assert api.list("Pod", node_name=node) == \
+            [p for p in everything if p.node_name == node]
+    unscheduled = [p for p in everything
+                   if p.phase == "Pending" and p.node_name is None
+                   and not p.deletion_requested]
+    assert api.list("Pod", unscheduled=True) == unscheduled
+    assert api.list("Pod", unscheduled=True, node_name="node-0") == []
+    for namespace in NAMESPACES:
+        assert api.list("Pod", unscheduled=True, namespace=namespace) == \
+            [p for p in unscheduled if p.metadata.namespace == namespace]
+    for owner in OWNERS[1:] + (("Job", "ghost"),):
+        owned = [p for p in everything if p.metadata.owner == owner]
+        assert api.list("Pod", owner=owner) == owned
+        assert api.list("Pod", owner=owner, namespace="other") == \
+            [p for p in owned if p.metadata.namespace == "other"]
+        assert api.list("Pod", owner=owner, selector={"role": "helper"}) == \
+            [p for p in owned if p.metadata.labels["role"] == "helper"]
+        assert api.list("Pod", owner=owner, node_name="node-1") == \
+            [p for p in owned if p.node_name == "node-1"]
+
+
+class TestPodIndexes:
+    @settings(max_examples=150, deadline=None)
+    @given(OPERATIONS)
+    def test_indexed_reads_equal_filtered_full_list(self, operations):
+        kernel = Kernel(seed=0)
+        api = ApiServer(kernel)
+        for operation in operations:
+            verb = operation[0]
+            if verb == "tick":
+                kernel.run(until=kernel.now + 1.0)
+            elif verb == "create":
+                _verb, name, namespace, owner, role = operation
+                if not api.exists("Pod", name, namespace):
+                    spec = PodSpec(containers=[ContainerSpec("c", "img")],
+                                   restart_policy=RESTART_NEVER)
+                    api.create(Pod(name, spec, namespace=namespace,
+                                   labels={"role": role}, owner=owner))
+            else:
+                pods = api.list("Pod")
+                if not pods:
+                    continue
+                pod = pods[operation[1] % len(pods)]
+                if verb == "bind":
+                    pod.node_name = operation[2]
+                elif verb == "phase":
+                    pod.phase = operation[2]
+                elif verb == "request-deletion":
+                    pod.deletion_requested = True
+                if verb == "delete":
+                    api.delete("Pod", pod.metadata.name, pod.metadata.namespace)
+                else:
+                    api.update(pod)
+            assert_indexes_match_full_list(api)
+
+    def test_same_name_same_instant_orders_by_namespace(self, api):
+        # (creation_time, name) ties only across namespaces; the
+        # namespace breaks them the same way in every view.
+        spec = PodSpec(containers=[ContainerSpec("c", "img")],
+                       restart_policy=RESTART_NEVER)
+        api.create(Pod("same", spec, namespace="zz", owner=("Job", "j")))
+        api.create(Pod("same", spec, namespace="aa", owner=("Job", "j")))
+        order = [p.metadata.namespace for p in api.list("Pod")]
+        assert order == ["aa", "zz"]
+        assert [p.metadata.namespace
+                for p in api.list("Pod", owner=("Job", "j"))] == order
+
+    def test_indexed_list_is_a_fresh_list(self, api):
+        pod = api.create(make_pod("p"))
+        api.list("Pod", unscheduled=True).clear()
+        assert api.list("Pod", unscheduled=True) == [pod]
+
+    def test_emptied_groups_leave_nothing_behind(self, api):
+        pod = api.create(make_pod("p"))
+        pod.node_name = "node-0"
+        api.update(pod)
+        assert api.list("Pod", node_name="node-0") == [pod]
+        assert api.list("Pod", node_name="ghost") == []
+        api.delete("Pod", "p")
+        assert api.list("Pod", node_name="node-0") == []
+        assert not api._pod_groups and not api._pod_group_views \
+            and not api._pod_filed
 
 
 class TestWatches:

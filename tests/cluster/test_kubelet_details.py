@@ -198,3 +198,41 @@ class TestBriefKubeletOutage:
         assert pod.node_name == node_name  # never rescheduled
         assert pod.phase == "Running"
         assert len(runs) == 2  # original start + post-outage restart
+
+
+class TestSyncReadsNodeIndex:
+    def test_pod_bound_after_creation_is_picked_up_next_sync(self, kernel, cluster):
+        # Created with the scheduler stopped, so no node's index holds
+        # it; a late bind through update() must reach the kubelet.
+        cluster.scheduler.stop()
+        spec = PodSpec(containers=[ContainerSpec("c", "tiny",
+                                                 workload=sleeper(1e6))],
+                       restart_policy=RESTART_NEVER)
+        pod = cluster.api.create(Pod("late", spec))
+        kernel.run(until=2.0)
+        kubelet = cluster.kubelet_for("node-1")
+        assert pod.node_name is None and not kubelet.has_worker_for(pod)
+        assert cluster.api.list("Pod", node_name="node-1") == []
+
+        assert cluster.scheduler._bind_one(
+            pod, [cluster.api.get("Node", "node-1", namespace="")], set()) == 1
+        assert cluster.api.list("Pod", node_name="node-1") == [pod]
+        kernel.run(until=kernel.now + 2 * kubelet.config.sync_interval)
+        assert kubelet.has_worker_for(pod)
+        kernel.run(until=6.0)
+        assert pod.phase == "Running"
+
+    def test_deleted_pod_leaves_the_node_index(self, kernel, cluster):
+        spec = PodSpec(containers=[ContainerSpec("c", "tiny",
+                                                 workload=sleeper(1e6))],
+                       restart_policy=RESTART_NEVER)
+        pod = cluster.api.create(Pod("doomed", spec))
+        kernel.run(until=3.0)
+        node_name = pod.node_name
+        assert cluster.api.list("Pod", node_name=node_name) == [pod]
+        cluster.kubectl.delete_pod("doomed")
+        kernel.run(until=6.0)
+        assert not cluster.api.exists("Pod", "doomed")
+        assert cluster.api.list("Pod", node_name=node_name) == []
+        assert not cluster.kubelet_for(node_name).has_worker_for(pod)
+        assert cluster.capacity_summary()["gpus_allocated"] == 0
