@@ -1,4 +1,4 @@
-.PHONY: check test lint bench perf perf-sharded perf-scale perf-serving perf-gray perf-audit audit profile
+.PHONY: check test lint bench perf perf-sharded perf-serving perf-gray perf-audit audit profile
 
 check:
 	scripts/check.sh
@@ -13,13 +13,10 @@ bench:
 	PYTHONPATH=src python -m pytest -q benchmarks/bench_fig4_recovery.py benchmarks/bench_detection_latency.py
 
 perf:
-	PYTHONPATH=src python benchmarks/bench_perf.py
+	python3 perfbench/run.py
 
 perf-sharded:
-	PYTHONPATH=src python benchmarks/bench_perf.py --sharded
-
-perf-scale:
-	PYTHONPATH=src python benchmarks/bench_scalability.py
+	PYTHONPATH=src python benchmarks/bench_perf.py
 
 perf-serving:
 	PYTHONPATH=src python benchmarks/bench_serving.py

@@ -22,26 +22,21 @@ section of ``BENCH_perf.json`` and prints the EXPERIMENTS.md table)::
 
     PYTHONPATH=src python benchmarks/bench_gray_failures.py
 
-or as the CI smoke gate (two scenarios plus the timeline-digest
-identity check)::
+``make check`` runs two of the scenarios under the same assertions
+(with the detector on, the default, and no fault injected the training
+smoke timeline is pinned by ``tests/integration/test_timeline_pin.py``)::
 
-    PYTHONPATH=src python benchmarks/bench_gray_failures.py --check
+    PYTHONPATH=src python -m pytest benchmarks -k smoke
 """
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-import bench_perf
+from conftest import write_section
 
 from repro.bench import bench_manifest, build_platform, render_table
 from repro.core import ComponentCrasher, GrayFailureInjector
 from repro.docstore import MongoClient
 from repro.raftkv import EtcdClient
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 # Tight cadence + short divergence window: the bench measures detector
 # latency, not scrape cadence.
@@ -224,22 +219,6 @@ def run_crash_reference(seed=17):
     }
 
 
-def run_digest_identity():
-    """With the detector enabled (the default) and no gray fault
-    injected, the training smoke scenario must replay the digest
-    committed in ``BENCH_perf.json`` bit for bit: the detector is a
-    pure consumer of scraped series."""
-    committed = (json.loads(RESULT_PATH.read_text())
-                 if RESULT_PATH.exists() else {})
-    expected = committed.get("smoke", {}).get("digest")
-    measured = bench_perf.run_scenario(bench_perf.SMOKE)
-    return {
-        "expected": expected,
-        "measured": measured["digest"],
-        "identical": expected == measured["digest"],
-    }
-
-
 def assert_gray(result):
     for row in result["faults"]:
         if row["kind"] == "crash":
@@ -255,10 +234,6 @@ def assert_gray(result):
         assert row["resolve_s"] <= RESOLVE_LIMIT_S, (
             f"resolution took {row['resolve_s']}s "
             f"(limit {RESOLVE_LIMIT_S}s): {row}")
-    digest = result["timeline_digest"]
-    assert digest["identical"], (
-        "detector-on training timeline drifted from the committed smoke "
-        f"digest: {digest}")
     return result
 
 
@@ -279,39 +254,14 @@ def render(result):
 def run_full():
     faults = [run_gray(name) for name in SCENARIOS]
     faults.append(run_crash_reference())
-    return {"faults": faults, "timeline_digest": run_digest_identity()}
+    return {"faults": faults}
 
 
-def run_check():
-    """CI smoke gate: one latency-signal and one write-latency-signal
-    scenario, plus the digest-identity invariant."""
-    if not RESULT_PATH.exists():
-        print(f"error: {RESULT_PATH} missing; run the full bench first",
-              file=sys.stderr)
-        return 2
-    committed = json.loads(RESULT_PATH.read_text()).get("gray")
-    if committed is None:
-        print("error: no committed gray section; run "
-              "`python benchmarks/bench_gray_failures.py` first",
-              file=sys.stderr)
-        return 2
-    result = {
-        "faults": [run_gray("slow-endpoint"), run_gray("disk-stall-mongo")],
-        "timeline_digest": run_digest_identity(),
-    }
-    try:
-        assert_gray(result)
-    except AssertionError as exc:
-        print(f"gray smoke: FAIL {exc}", file=sys.stderr)
-        return 1
-    baseline = {row["fault"]: row for row in committed["faults"]}
-    for row in result["faults"]:
-        base = baseline.get(row["fault"], {})
-        print(f"gray smoke: {row['fault']} detected in {row['detect_s']}s "
-              f"(baseline {base.get('detect_s')}s, limit {DETECT_LIMIT_S}s), "
-              f"probe up throughout [ok]")
-    print("gray smoke: detector-on timeline digest identical [ok]")
-    return 0
+def test_gray_smoke():
+    """``make check`` entry: one latency-signal and one
+    write-latency-signal scenario."""
+    assert_gray({"faults": [run_gray("slow-endpoint"),
+                            run_gray("disk-stall-mongo")]})
 
 
 def test_gray_gate(record_table):
@@ -320,20 +270,10 @@ def test_gray_gate(record_table):
     record_table("gray_failures", render(result))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="smoke gate against committed BENCH_perf.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        return run_check()
+def main():
     result = assert_gray(run_full())
-    committed = (json.loads(RESULT_PATH.read_text())
-                 if RESULT_PATH.exists() else {})
-    committed["gray"] = result
-    RESULT_PATH.write_text(json.dumps(committed, indent=2) + "\n")
     print(render(result))
-    print(f"updated gray section of {RESULT_PATH}")
+    write_section("gray", result)
     return 0
 
 

@@ -81,6 +81,5 @@ def test_observability_overhead(record_table):
     assert off["spans"] == 0 and on["spans"] > 5, rows
     # Metrics stay on in both modes (they are load-bearing elsewhere).
     assert off["exposition lines"] > 50 and on["exposition lines"] > 50, rows
-    # Shape: instrumentation cost stays modest (generous bound — CI
-    # machines are noisy; the point is "not multiplicative").
-    assert on["wall s"] < off["wall s"] * 2.0, rows
+    # The wall column is recorded, not judged: what span tracing costs
+    # the host is perfbench's ``trace.overhead_ratio``.

@@ -13,28 +13,25 @@ on the simulated platform:
 3. **Elastic batch inference** — a sharded scoring job whose workers
    are crashed mid-run completes every shard exactly once without the
    batch restarting.
-4. **Timeline isolation** — with serving *disabled* (the default), the
-   training-only smoke scenario replays the digest committed in
-   ``BENCH_perf.json`` bit for bit: carrying the subsystem costs
-   nothing when it is off.
+
+With serving *disabled* (the default) the subsystem costs nothing: the
+training-only smoke timeline is pinned by
+``tests/integration/test_timeline_pin.py``.
 
 Invoke directly for the full measurement (updates the ``serving``
 section of ``BENCH_perf.json``)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
-or as the CI smoke gate (shortened scenarios, asserts against the
-committed baseline)::
+``make check`` runs the shortened scenarios under the same assertions::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py --check
+    PYTHONPATH=src python -m pytest benchmarks -k smoke
 """
 
-import argparse
 import json
 import sys
-from pathlib import Path
 
-import bench_perf
+from conftest import write_section
 
 from repro import DlaasPlatform
 from repro.core import PlatformConfig
@@ -47,9 +44,6 @@ from repro.serving import (
     TrafficGenerator,
 )
 from repro.serving.autoscaler import QUEUE_HIGH
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 ATTAINMENT_TARGET = 0.99
 # Breach -> first scale-up must fit one autoscale pass plus cooldown
@@ -214,20 +208,6 @@ def run_batch_crash(seed=13, crashes=2):
     return summary
 
 
-def run_digest_identity():
-    """Training-only smoke must replay the committed digest with the
-    serving flag off (the default)."""
-    committed = (json.loads(RESULT_PATH.read_text())
-                 if RESULT_PATH.exists() else {})
-    expected = committed.get("smoke", {}).get("digest")
-    measured = bench_perf.run_scenario(bench_perf.SMOKE)
-    return {
-        "expected": expected,
-        "measured": measured["digest"],
-        "identical": expected == measured["digest"],
-    }
-
-
 def assert_serving(result):
     steady = result["steady"]
     assert steady["attainment"] >= ATTAINMENT_TARGET, (
@@ -254,10 +234,6 @@ def assert_serving(result):
         f"a shard was applied more than once: {batch}")
     assert batch["requeues"] >= 1, (
         f"worker crashes never exercised the requeue path: {batch}")
-    digest = result["training_digest"]
-    assert digest["identical"], (
-        "serving-off training timeline drifted from the committed smoke "
-        f"digest: {digest}")
     return result
 
 
@@ -266,45 +242,16 @@ def run_full():
         "steady": run_steady(),
         "burst": run_burst(),
         "batch": run_batch_crash(),
-        "training_digest": run_digest_identity(),
     }
 
 
-def run_check():
-    """CI smoke gate: shortened scenarios, same invariants, plus the
-    attainment/reaction baselines committed in BENCH_perf.json."""
-    if not RESULT_PATH.exists():
-        print(f"error: {RESULT_PATH} missing; run the full bench first",
-              file=sys.stderr)
-        return 2
-    committed = json.loads(RESULT_PATH.read_text()).get("serving")
-    if committed is None:
-        print("error: no committed serving section; run "
-              "`python benchmarks/bench_serving.py` first", file=sys.stderr)
-        return 2
-    result = {
+def test_serving_smoke():
+    """``make check`` entry: shortened scenarios, same invariants."""
+    assert_serving({
         "steady": run_steady(duration=240.0),
         "burst": run_burst(),
         "batch": run_batch_crash(crashes=1),
-        "training_digest": run_digest_identity(),
-    }
-    try:
-        assert_serving(result)
-    except AssertionError as exc:
-        print(f"serving smoke: FAIL {exc}", file=sys.stderr)
-        return 1
-    print(f"serving smoke: steady attainment "
-          f"{result['steady']['attainment']} "
-          f"(baseline {committed['steady']['attainment']}, "
-          f"floor {ATTAINMENT_TARGET}) [ok]")
-    print(f"serving smoke: burst reaction {result['burst']['reaction_s']}s "
-          f"recovery {result['burst']['recovery_s']}s "
-          f"(limits {REACTION_LIMIT_S}/{RECOVERY_LIMIT_S}s) [ok]")
-    print(f"serving smoke: batch {result['batch']['completed']}/"
-          f"{result['batch']['shards']} shards exactly once, "
-          f"{result['batch']['requeues']} requeues [ok]")
-    print("serving smoke: training-only digest identical [ok]")
-    return 0
+    })
 
 
 def test_serving_gate():
@@ -313,20 +260,10 @@ def test_serving_gate():
     print(json.dumps(result, indent=2))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="smoke gate against committed BENCH_perf.json")
-    args = parser.parse_args(argv)
-    if args.check:
-        return run_check()
+def main():
     result = assert_serving(run_full())
-    committed = (json.loads(RESULT_PATH.read_text())
-                 if RESULT_PATH.exists() else {})
-    committed["serving"] = result
-    RESULT_PATH.write_text(json.dumps(committed, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    print(f"updated serving section of {RESULT_PATH}")
+    write_section("serving", result)
     return 0
 
 

@@ -12,11 +12,14 @@ scripts (``python benchmarks/bench_x.py`` puts this directory on
 ``sys.path``).
 """
 
+import json
 import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "bench_results"
+RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 CREDS = {"access_key": "AK", "secret": "SK"}
 
@@ -40,6 +43,16 @@ def seed_buckets(platform, size_mb=100):
     platform.seed_training_data("train-data", CREDS, size_mb=size_mb)
     platform.ensure_results_bucket("results", CREDS)
     return platform
+
+
+def write_section(name, result):
+    """Replace one top-level section of ``BENCH_perf.json`` (what a
+    bench's full run records), leaving the other sections as they are."""
+    committed = (json.loads(RESULT_PATH.read_text())
+                 if RESULT_PATH.exists() else {})
+    committed[name] = result
+    RESULT_PATH.write_text(json.dumps(committed, indent=2) + "\n")
+    print(f"updated {name} section of {RESULT_PATH}")
 
 
 @pytest.fixture

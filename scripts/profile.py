@@ -1,7 +1,7 @@
 """Profile the simulator hot path under cProfile.
 
-Runs the bench_perf scenario (small by default, ``--full`` for the
-24-job scalability scenario) or one of perfbench's closed-loop shapes
+Runs the 6-job smoke scenario (``--full`` for the 24-job one, both
+from ``BENCH_perf.json``) or one of perfbench's closed-loop shapes
 (``--workload``) and prints the top functions by own time and by
 cumulative time. This is the workflow that found every optimization in
 the hot path: run, read the tottime column, fix the top entry, repeat.
@@ -22,22 +22,22 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # module cProfile imports — drop scripts/ from the path first.
 sys.path[:] = [p for p in sys.path
                if Path(p or ".").resolve() != REPO_ROOT / "scripts"]
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT))  # perfbench, imported read-only
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
+import json  # noqa: E402
 import pstats  # noqa: E402
 import time  # noqa: E402
 
-from bench_perf import SCENARIO, SMOKE, run_scenario  # noqa: E402
+from repro.bench import run_scale_scenario  # noqa: E402
 
 PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned")
 
 
 def run_workload(name, seed):
-    """One perfbench iteration (build, drive, drain), reported like
-    ``bench_perf.run_scenario`` reports its own."""
+    """One perfbench iteration (build, drive, drain), reported with
+    the keys of a ``run_scale_scenario`` row."""
     from perfbench.workloads import WORKLOADS, drive, make_platform
 
     workload = WORKLOADS[name]
@@ -57,7 +57,7 @@ def main(argv=None):
                         help="profile the 24-job scalability scenario")
     parser.add_argument("--workload", choices=PERFBENCH_WORKLOADS,
                         help="profile one iteration of a perfbench workload "
-                             "instead of the bench_perf scenario")
+                             "instead of the smoke scenario")
     parser.add_argument("--seed", type=int, default=2,
                         help="perfbench workload seed (default 2)")
     parser.add_argument("--lines", type=int, default=25,
@@ -66,12 +66,15 @@ def main(argv=None):
                         help="also dump raw pstats to FILE")
     args = parser.parse_args(argv)
 
+    committed = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
+    scenario = committed["fast" if args.full else "smoke"]["scenario"]
+
     profiler = cProfile.Profile()
     profiler.enable()
     if args.workload:
         result = run_workload(args.workload, args.seed)
     else:
-        result = run_scenario(SCENARIO if args.full else SMOKE)
+        result = run_scale_scenario(partitions=1, **scenario)
     profiler.disable()
 
     print(f"jobs={result['jobs']} "

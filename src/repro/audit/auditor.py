@@ -7,8 +7,7 @@ violation surfaces as monitoring signal within one audit interval
 instead of at scenario teardown:
 
 * ``consistency_ops_checked_total`` — operations the checker has
-  examined (the audit work counter benchmarked by
-  ``bench_consistency.py``);
+  examined (perfbench's ``audit.ops_checked`` row);
 * ``consistency_violations_total{key}`` — incremented once per
   non-linearizable key, which the ``ConsistencyViolation`` alert rule
   in the default pack thresholds.

@@ -18,7 +18,8 @@ The recorder is a plain in-memory append log fed by direct method
 calls from :class:`repro.raftkv.client.EtcdClient` — no RPCs, no
 kernel events, no RNG draws — so with recording enabled and no fault
 injected the simulated timeline is bit-identical to a run without it
-(the digest identity gated by ``benchmarks/bench_consistency.py``).
+(the digest identity pinned by ``tests/integration/
+test_timeline_pin.py``).
 
 Two bookkeeping sets narrow the checker's model to what it can verify:
 keys ever written with a lease attached (the lease sweeper deletes

@@ -5,16 +5,16 @@ submissions through a platform whose control plane is split into
 ``partitions``:
 
 * ``partitions == 1`` builds the *stock, unsharded* platform — not a
-  one-slice sharded one — so its timeline is bit-identical to the
-  plain perf scenarios and anchors every comparison;
+  one-slice sharded one — so its timeline anchors every comparison
+  (``tests/integration/test_timeline_pin.py`` pins it);
 * ``partitions > 1`` turns on the whole sharded stack: that many LCM
   replicas leasing job-id slices, consistent-hash routing at the API
   balancer, and a sharded docstore.
 
 The tenant mix fans submissions round-robin over ``tenants`` client
-tokens. With ``tenants == 1`` the driver is event-for-event identical
-to ``bench_perf.run_scenario`` (same token, names, waits), which is
-what makes the cross-benchmark digest check possible.
+tokens. With ``tenants == 1`` there is one client, token ``perf``: the
+shape of the committed ``BENCH_perf.json`` digests and of the sharded
+cell driver (``sharded_runner.bench_cell_driver``).
 """
 
 import time

@@ -1,11 +1,12 @@
 """Sharded perf scenario: N platform cells driving the bench workload.
 
-The cell driver below replays ``benchmarks/bench_perf.py``'s job loop
-verbatim inside each cell — same tenant, same job names, same
-submit-then-wait shape — so a one-cell sharded run is bit-identical to
-the plain single-kernel bench (asserted there). With several cells the
-drivers additionally exchange federation traffic: periodic
-fire-and-forget heartbeats while jobs run, and a final acked
+The cell driver below replays ``scale_runner.run_scale_scenario``'s
+one-tenant job loop inside each cell — same tenant, same job names,
+same submit-then-wait shape — so a one-cell sharded run is
+bit-identical to the plain single-kernel run (asserted by
+``benchmarks/bench_perf.py``). With several cells the drivers
+additionally exchange federation traffic: periodic fire-and-forget
+heartbeats while jobs run, and a final acked
 ``announce`` broadcast, which keeps the conservative-lookahead
 protocol exercised under load instead of degenerating into
 embarrassingly-parallel silence.
@@ -52,8 +53,9 @@ def bench_cell_driver(cell, jobs, steps, heartbeat=HEARTBEAT_INTERVAL):
 def build_sharded_bench(scenario, cells):
     """A :class:`ShardedPlatform` for one bench scenario.
 
-    ``scenario`` is a bench_perf-style dict (jobs/seed/steps/
-    gpus_per_node/gpu_nodes); ``scenario["jobs"]`` is the total across
+    ``scenario`` is a dict of ``run_scale_scenario`` keywords (jobs/
+    seed/steps/gpus_per_node/gpu_nodes); ``scenario["jobs"]`` is the
+    total across
     all cells and must divide evenly so every cell replays an identical
     job count.
     """

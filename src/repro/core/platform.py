@@ -111,7 +111,7 @@ class PlatformConfig:
     # operation in a flight recorder and check the per-key histories
     # for linearizability with a periodic in-sim auditor. Recording is
     # direct appends (no RPCs, no RNG), so the simulated timeline is
-    # bit-identical with it on or off (gated by bench_consistency.py).
+    # bit-identical with it on or off (pinned by test_timeline_pin.py).
     history_recording: bool = False
     audit_interval: float = 5.0  # seconds between auditor passes
 
@@ -119,8 +119,8 @@ class PlatformConfig:
     # SLO-driven replica autoscaler, plus elastic batch inference. Off
     # by default — nothing serving-related is constructed, no extra
     # processes run, and the simulated training timeline is
-    # bit-identical to a tree without the subsystem (gated by
-    # bench_serving.py against the committed perf-smoke digest).
+    # bit-identical to a tree without the subsystem (the default row
+    # of test_timeline_pin.py).
     serving: bool = False
 
     # Sharded deployment (repro.core.sharded.ShardedPlatform): number
@@ -133,8 +133,8 @@ class PlatformConfig:
     # Sharded control plane (ISSUE 10): every knob defaults to the
     # unsharded platform, and with the defaults none of the sharding
     # machinery runs a single extra simulation event — the timeline is
-    # bit-identical to the pre-sharding tree (gated by the perf-smoke
-    # digest in bench_scalability.py --check).
+    # bit-identical to the pre-sharding tree (the default row of
+    # test_timeline_pin.py; its partitions-2 row pins the knobs on).
     #
     # api_ring_routing: the dlaas-api balancer grows a consistent-hash
     # ring and clients route by tenant, so one tenant's requests (and

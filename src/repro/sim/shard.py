@@ -28,8 +28,8 @@ lag/YAWNS variant of null-message CMB):
 Step 3 is what multiprocessing parallelizes: windows are computed from
 global state only, so the event order inside each shard — and hence the
 merged timeline — is identical whether the shards run interleaved on
-one worker or concurrently on eight. That property is asserted by the
-digest gates in ``benchmarks/bench_perf.py``.
+one worker or concurrently on eight. That property is asserted by
+``tests/property/test_shard_determinism.py``.
 
 Payloads cross the boundary serialized exactly once (:meth:`ShardPort.
 send` pickles at enqueue; the receiving handler unpickles once), the
