@@ -1,16 +1,23 @@
-"""Profile the simulator hot path under cProfile.
+"""Profile the simulator hot path under cProfile, or census its heap.
 
 Runs the 6-job smoke scenario (``--full`` for the 24-job one, both
-from ``BENCH_perf.json``) or one of perfbench's closed-loop shapes
+from ``BENCH_perf.json``) or one of perfbench's workloads
 (``--workload``) and prints the top functions by own time and by
 cumulative time. This is the workflow that found every optimization in
 the hot path: run, read the tottime column, fix the top entry, repeat.
+
+``--heap`` answers the question cProfile cannot: what is still alive
+at the end of the run, and what the cycle collector paid to keep
+walking it. The collector's time lands on whoever allocated last, so
+a retention leak is flat in the cProfile table; here it is the top
+row of the type census. No profiler runs in this mode.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
     PYTHONPATH=src python scripts/profile.py --full     # 24-job scenario
     PYTHONPATH=src python scripts/profile.py --workload scale  # perfbench shape
+    PYTHONPATH=src python scripts/profile.py --heap --workload scale
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -26,18 +33,23 @@ sys.path.insert(0, str(REPO_ROOT))  # perfbench, imported read-only
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import pstats  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 
 from repro.bench import run_scale_scenario  # noqa: E402
 
-PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned")
+PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned", "chaos")
+HEAP_TOP_TYPES = 15
 
 
 def run_workload(name, seed):
     """One perfbench iteration (build, drive, drain), reported with
-    the keys of a ``run_scale_scenario`` row."""
+    the keys of a ``run_scale_scenario`` row; the platform comes back
+    too, so that a heap census sees it alive."""
     from perfbench.workloads import WORKLOADS, drive, make_platform
 
     workload = WORKLOADS[name]
@@ -48,7 +60,69 @@ def run_workload(name, seed):
     events = platform.kernel.events_processed
     return {"jobs": len(outcome.docs), "wall_s": round(wall, 3),
             "events_processed": events,
-            "events_per_sec": round(events / wall, 1)}
+            "events_per_sec": round(events / wall, 1)}, platform
+
+
+def print_result(result):
+    print(f"jobs={result['jobs']} "
+          f"wall={result['wall_s']}s events={result['events_processed']} "
+          f"({result['events_per_sec']}/s)\n")
+
+
+class CollectorClock:
+    """Passes, seconds and objects freed per generation of the cycle
+    collector, from ``gc.callbacks``."""
+
+    def __init__(self):
+        self.passes = Counter()
+        self.seconds = Counter()
+        self.collected = Counter()
+        self._started = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            generation = info["generation"]
+            self.passes[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._started
+            self.collected[generation] += info["collected"]
+
+    def report(self):
+        print("--- cycle collector during the run (gc.callbacks) ---")
+        print("generation  passes  seconds  collected")
+        for generation in range(3):
+            print(f"{generation:>10}  {self.passes[generation]:>6}  "
+                  f"{self.seconds[generation]:>7.3f}  "
+                  f"{self.collected[generation]:>9}")
+        print(f"{'total':>10}  {sum(self.passes.values()):>6}  "
+              f"{sum(self.seconds.values()):>7.3f}  "
+              f"{sum(self.collected.values()):>9}\n")
+
+
+def heap_census(name, seed):
+    """Run one workload with the collector clocked, then count what is
+    alive while the platform still is."""
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
+    try:
+        # The platform is held, not used: the census counts what it
+        # keeps alive.
+        result, _platform = run_workload(name, seed)
+    finally:
+        gc.callbacks.remove(clock)
+    # Read before the census allocates its own list of everything.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print_result(result)
+    clock.report()
+    unreachable = gc.collect()
+    live = gc.get_objects()
+    census = Counter(type(obj).__qualname__ for obj in live)
+    print(f"--- {HEAP_TOP_TYPES} most numerous live GC-tracked types "
+          f"({len(live)} objects; the final collect freed {unreachable}) ---")
+    for type_name, count in census.most_common(HEAP_TOP_TYPES):
+        print(f"{count:>9}  {type_name}")
+    print(f"\nru_maxrss: {peak:.1f} MB")
 
 
 def main(argv=None):
@@ -64,7 +138,18 @@ def main(argv=None):
                         help="rows per stats table (default 25)")
     parser.add_argument("-o", "--output", metavar="FILE",
                         help="also dump raw pstats to FILE")
+    parser.add_argument("--heap", action="store_true",
+                        help="instead of cProfile: collector passes and "
+                             "seconds per generation, the most numerous "
+                             "live types and ru_maxrss (needs --workload)")
     args = parser.parse_args(argv)
+    if args.heap:
+        if not args.workload:
+            # Only the perfbench path hands the platform back, and a
+            # census after it was dropped counts nothing of interest.
+            parser.error("--heap needs --workload")
+        heap_census(args.workload, args.seed)
+        return 0
 
     committed = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
     scenario = committed["fast" if args.full else "smoke"]["scenario"]
@@ -72,14 +157,12 @@ def main(argv=None):
     profiler = cProfile.Profile()
     profiler.enable()
     if args.workload:
-        result = run_workload(args.workload, args.seed)
+        result, _platform = run_workload(args.workload, args.seed)
     else:
         result = run_scale_scenario(partitions=1, **scenario)
     profiler.disable()
 
-    print(f"jobs={result['jobs']} "
-          f"wall={result['wall_s']}s events={result['events_processed']} "
-          f"({result['events_per_sec']}/s)\n")
+    print_result(result)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs()
     for sort in ("tottime", "cumulative"):

@@ -133,6 +133,13 @@ class Guardian:
             self.span.end("error")
             raise
         self.span.end("ok")
+        if result == 0:
+            # Exit 0 completes the K8S Job: the DL job is terminal and
+            # torn down, and no later incarnation will look for a
+            # parent. A crashed or stopped Guardian leaves the bindings
+            # for its successor.
+            for stage in ("job", "job-deploy", "job-run"):
+                tracer.unbind((stage, self.job_id))
         return result
 
     def _run(self):
@@ -419,7 +426,7 @@ class Guardian:
             lambda _key: self._reconcile_status(done),
             resync_interval=MONITOR_INTERVAL,
             tracer=self.platform.tracer,
-            metrics=self.platform.metrics,
+            metrics=self.platform.metrics, kind="guardian",
         )
         reconciler.add_static_key("status")
         # The watch closes if its serving etcd node crashes; the

@@ -170,7 +170,7 @@ def make_controller_workload(platform, job_id, manifest):
             kernel, f"controller:{job_id}", reconcile,
             resync_interval=CONTROLLER_POLL,
             tracer=platform.tracer,
-            metrics=platform.metrics,
+            metrics=platform.metrics, kind="controller",
         )
         for key in all_keys:
             reconciler.add_static_key(key)
@@ -327,10 +327,11 @@ def make_log_collector_workload(platform, job_id, manifest):
         offsets = {}
         # Static metric name, dynamic dimension in the label: per-job
         # names would grow the series namespace without bound.
-        collected = platform.metrics.counter(
+        family = platform.metrics.counter(
             "logs_collected_lines_total", ("job",),
             help="Learner log lines folded into the combined job log",
-        ).labels(job=job_id)
+        )
+        collected = family.labels(job=job_id)
 
         def collect():
             for ordinal in range(manifest.learners):
@@ -371,6 +372,9 @@ def make_log_collector_workload(platform, job_id, manifest):
                 collect()
             except FsError:
                 pass  # NFS outage at teardown; nothing left to flush
+            # The label lives as long as its collector: the series goes
+            # stale and the scraper prunes it like a vanished endpoint.
+            family.remove(job=job_id)
         return 0
 
     return workload

@@ -406,7 +406,9 @@ def default_rule_pack(config):
         "WorkqueueBacklog",
         Metric("workqueue_depth") > 50,
         for_=ALERT_SERVICE_FOR, severity="warning",
-        description="a reconciler workqueue is backing up"))
+        description="keys are piling up across the work queues of one "
+                    "kind (all Guardians, all controllers) or in one "
+                    "run-long queue (an LCM's deploy or gc)"))
     if config.gray_detection:
         # Gray failures: the differential detector's gray_divergence
         # recording series score each endpoint against its role peers

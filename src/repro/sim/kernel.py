@@ -80,7 +80,6 @@ class Kernel:
         self._sequence = 0
         self._seed = seed
         self._rngs = {}
-        self.processes = []
         # When True, components may attach human-readable names to
         # hot-path events/processes (RPC calls, channel gets). Off by
         # default: the f-string formatting alone is measurable at scale.
@@ -169,9 +168,7 @@ class Kernel:
         The process begins executing at the current simulated instant
         (not synchronously inside this call).
         """
-        process = Process(self, generator, name=name)
-        self.processes.append(process)
-        return process
+        return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------
     # Randomness

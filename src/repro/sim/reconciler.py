@@ -34,12 +34,20 @@ class WorkQueue:
     one reconcile. Failed keys are requeued after an exponential
     per-key backoff; :meth:`forget` resets the backoff once a key
     reconciles cleanly.
+
+    ``kind`` is the value of the ``name`` label on the queue's
+    ``workqueue_*`` series. It defaults to the queue's own name, which
+    suits a bounded set of run-long queues (``deploy:<lcm>``); a queue
+    created per job passes what it *is* (``guardian``) so that the
+    series count the kinds that exist, not every job that ever ran.
+    Queues of one kind share their metric children.
     """
 
     def __init__(self, kernel, name="", backoff_base=0.1, backoff_max=5.0,
-                 metrics=None):
+                 metrics=None, kind=None):
         self._kernel = kernel
         self.name = name
+        self.kind = kind or name
         self.closed = False
         self._ready = deque()
         self._queued = set()
@@ -53,26 +61,26 @@ class WorkQueue:
         self.coalesced = 0
         self.dispatched = 0
         self._enqueued_at = {}  # key -> enqueue time, for queue latency
-        # Kubernetes workqueue metric names, labeled by queue name.
+        # Kubernetes workqueue metric names, labeled by queue kind.
         if metrics is not None:
-            # Children bound once: the queue name never changes, and
+            # Children bound once: the label never changes, and
             # labels() per enqueue is measurable on the hot path.
             self._m_depth = metrics.gauge(
                 "workqueue_depth", ("name",),
-                help="Keys currently waiting in the work queue"
-            ).labels(name=name)
+                help="Keys currently waiting in the work queues of a kind"
+            ).labels(name=self.kind)
             self._m_adds = metrics.counter(
                 "workqueue_adds_total", ("name",),
                 help="Keys added to the work queue (incl. coalesced)"
-            ).labels(name=name)
+            ).labels(name=self.kind)
             self._m_queue_dur = metrics.histogram(
                 "workqueue_queue_duration_seconds", ("name",),
                 help="Time keys wait in the queue before dispatch"
-            ).labels(name=name)
+            ).labels(name=self.kind)
             self._m_retries = metrics.counter(
                 "workqueue_retries_total", ("name",),
                 help="Keys requeued after a failed reconcile"
-            ).labels(name=name)
+            ).labels(name=self.kind)
         else:
             self._m_depth = self._m_adds = None
             self._m_queue_dur = self._m_retries = None
@@ -80,9 +88,12 @@ class WorkQueue:
     def __len__(self):
         return len(self._ready)
 
-    def _set_depth(self):
-        if self._m_depth is not None:
-            self._m_depth.set(len(self._ready))
+    def _move_depth(self, delta):
+        # The gauge child may be shared with other queues of this kind:
+        # move it by what this queue gained or lost, never set it. A
+        # closed queue has already given its keys back (see close()).
+        if self._m_depth is not None and not self.closed:
+            self._m_depth.inc(delta)
 
     def add(self, key):
         """Enqueue ``key`` now; a duplicate of a queued key coalesces."""
@@ -103,7 +114,7 @@ class WorkQueue:
             self._getters.popleft().succeed(key)
         else:
             self._ready.append(key)
-            self._set_depth()
+            self._move_depth(1)
 
     def _dispatch_metrics(self, key):
         enqueued = self._enqueued_at.pop(key, None)
@@ -153,13 +164,15 @@ class WorkQueue:
     def get(self):
         """Event yielding the next key; fails with :class:`ChannelClosed`
         once the queue is closed and drained."""
-        event = self._kernel.event(name=f"workqueue.get({self.name})")
+        kernel = self._kernel
+        event = kernel.event(
+            name=f"workqueue.get({self.name})" if kernel.debug else "")
         if self._ready:
             self.dispatched += 1
             key = self._ready.popleft()
             self._queued.discard(key)
             self._dispatch_metrics(key)
-            self._set_depth()
+            self._move_depth(-1)
             event.succeed(key)
         elif self.closed:
             event.fail(ChannelClosed(f"work queue {self.name!r} closed"))
@@ -171,6 +184,9 @@ class WorkQueue:
         """Shut the queue down; pending getters fail with ChannelClosed."""
         if self.closed:
             return
+        # Keys still queued leave the shared depth gauge with the queue
+        # (a killed Guardian must not leave phantom backlog behind).
+        self._move_depth(-len(self._ready))
         self.closed = True
         self._timers.clear()
         getters, self._getters = self._getters, deque()
@@ -249,6 +265,10 @@ class Reconciler:
     seconds (a scheduled re-check, without counting as a failure); an
     exception requeues with exponential backoff.
 
+    ``name`` identifies the instance (process names, trace component);
+    ``kind`` labels its metrics, as for :class:`WorkQueue` — a
+    reconciler created per job passes one.
+
     Crash recovery: when a source's channel closes (its server died),
     the pump re-subscribes after ``rewatch_delay`` and then performs a
     full relist, so transitions that fired while the watch was down are
@@ -257,11 +277,12 @@ class Reconciler:
 
     def __init__(self, kernel, name, reconcile, *, queue=None,
                  resync_interval=0.0, rewatch_delay=0.2, tracer=None,
-                 metrics=None, key_context=None):
+                 metrics=None, kind=None, key_context=None):
         self.kernel = kernel
         self.name = name
         self.reconcile = reconcile
-        self.queue = queue or WorkQueue(kernel, name=name, metrics=metrics)
+        self.queue = queue or WorkQueue(kernel, name=name, metrics=metrics,
+                                        kind=kind)
         self.resync_interval = resync_interval
         self.rewatch_delay = rewatch_delay
         self.tracer = tracer
@@ -273,7 +294,7 @@ class Reconciler:
             self._m_work_dur = metrics.histogram(
                 "workqueue_work_duration_seconds", ("name",),
                 help="Time spent running reconcile(key)"
-            ).labels(name=name)
+            ).labels(name=self.queue.kind)
         else:
             self._m_work_dur = None
         self.sources = []

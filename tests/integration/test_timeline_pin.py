@@ -13,6 +13,7 @@ paper's Fig. 4 bands), and fail-over retries — exactly the machinery
 timer cancellation touches.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro.bench import run_scale_scenario
 from repro.core import ComponentCrasher
+from repro.sim import Process
 
 from .conftest import make_platform, manifest
 
@@ -120,3 +122,32 @@ class TestDeadEntryBounds:
         # fraction of total events, not an ever-growing tail.
         assert kernel.dead_entries_pending < 0.05 * kernel.events_processed
         assert kernel.dead_entry_ratio < 0.5
+
+
+class TestHeapFollowsTheSimulation:
+    def test_finished_processes_die_with_their_rpcs(self):
+        """Every RPC is two processes (caller side, server side). The
+        kernel keeps no registry of them, so after six jobs the heap
+        holds the few finished processes some component still points
+        at (image pulls, the last pod of a kubelet) — not two per RPC."""
+        platform = make_platform(seed=2, gpu_nodes=4)
+        client = platform.client("perf")
+
+        def drive():
+            job_ids = []
+            for i in range(6):
+                job_ids.append((yield from client.submit(manifest(
+                    name=f"perf-{i}", gpus_per_learner=2, target_steps=30))))
+            for job_id in job_ids:
+                yield from client.wait_for_status(job_id, timeout=100_000)
+
+        platform.run_process(drive(), limit=500_000)
+        platform.run_for(30.0)
+        gc.collect()
+        finished = [obj for obj in gc.get_objects()
+                    if isinstance(obj, Process) and obj.triggered
+                    and obj._kernel is platform.kernel]
+        calls = platform.metrics.get("rpc_client_calls_total")
+        rpcs = sum(child.value for _labels, child in calls.children())
+        assert rpcs > 5_000
+        assert len(finished) < 100, len(finished)

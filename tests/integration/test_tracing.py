@@ -6,6 +6,7 @@ Guardian -> controller -> learner; the critical path attributes its
 latency; and the REST gateway serves the Prometheus exposition.
 """
 
+from repro.core import ComponentCrasher
 from repro.core.rest import RestClient
 from repro.sim import render_critical_path, render_span_tree
 
@@ -106,6 +107,35 @@ class TestJobTrace:
         platform.run_for(30.0)  # let teardown finish
         guardian = platform.tracer.find_spans(name="guardian.run", job=job_id)
         assert guardian and guardian[0].ended
+
+    def test_bindings_released_once_the_job_is_torn_down(self, platform,
+                                                         client):
+        tracer = platform.tracer
+        before = len(tracer._bindings)
+        job_id, _doc = run_one_job(platform, client)
+        assert len(tracer._bindings) == before
+        for stage in ("job", "job-deploy", "job-run"):
+            assert tracer.context_of((stage, job_id)) is None
+
+    def test_bindings_survive_a_guardian_crash(self, platform, client):
+        from .conftest import submit_and_wait_running
+
+        tracer = platform.tracer
+        before = len(tracer._bindings)
+        job_id = submit_and_wait_running(platform, client,
+                                         manifest(target_steps=400))
+        ComponentCrasher(platform).crash_guardian(job_id)
+        platform.run_for(10.0)
+        # The restarted Guardian found its parent: both incarnations
+        # hang off the submit request's trace.
+        root = tracer.find_spans(name="api.submit", job=job_id)[0]
+        runs = tracer.find_spans(name="guardian.run", job=job_id)
+        assert len(runs) == 2
+        assert {span.trace_id for span in runs} == {root.trace_id}
+        assert tracer.context_of(("job-run", job_id)) == runs[1].context
+        wait_terminal(platform, client, job_id)
+        platform.run_for(30.0)
+        assert len(tracer._bindings) == before
 
 
 class TestRestMetricsEndpoint:

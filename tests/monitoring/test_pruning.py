@@ -9,6 +9,8 @@ from repro.monitoring import Increase, MetricsScraper
 from repro.sim import Kernel, MetricsRegistry
 from repro.sim.timeseries import TimeSeriesStore, counter_increase
 
+from ..integration.conftest import make_platform, manifest
+
 
 @pytest.fixture
 def kernel():
@@ -246,3 +248,58 @@ class TestNetworkEndpointPruning:
         self.call_echo(kernel, network)
         network.unregister("svc")
         assert network.lookup("svc") is None
+
+
+class TestFinishedJobsLeaveNoSeries:
+    """A scrape costs what is alive: per-job reconcilers label their
+    workqueue series by kind and the log collector retires its child,
+    so neither the registry walk nor the store grows with the number
+    of jobs that have *finished*."""
+
+    @staticmethod
+    def run_jobs(platform, client, count):
+        for _ in range(count):
+            _job_id, doc = platform.run_process(
+                client.run_to_completion(manifest(target_steps=20)),
+                limit=50_000)
+            assert doc["status"] == "COMPLETED"
+        platform.run_for(30.0)  # teardown, then a few scrapes
+
+    @staticmethod
+    def census(platform):
+        registry = platform.metrics
+        children = sum(len(registry.get(name).children())
+                       for name in registry.names())
+        # A histogram's quantile series start with its first
+        # observation (an idle LCM replica has none yet); its _count
+        # and _sum series start with the child and are what is compared.
+        keys = {(s.name, s.labels) for s in platform.monitoring.store.series()
+                if "quantile" not in dict(s.labels)}
+        return children, keys
+
+    def test_series_independent_of_finished_jobs(self):
+        platform = make_platform()
+        client = platform.client("team-a")
+        self.run_jobs(platform, client, 2)
+        children_2, keys_2 = self.census(platform)
+        self.run_jobs(platform, client, 6)
+        children_8, keys_8 = self.census(platform)
+
+        assert children_8 == children_2
+
+        def workqueue(keys):
+            return {key for key in keys if key[0].startswith("workqueue_")}
+
+        assert workqueue(keys_8) == workqueue(keys_2)
+        assert {"guardian", "controller"} <= {
+            dict(labels)["name"] for _name, labels in workqueue(keys_8)}
+
+        # All that a finished job leaves in the store is its log
+        # collector's series, stale until prune_after reclaims it.
+        grown = keys_8 - keys_2
+        assert {name for name, _labels in grown} == {
+            "logs_collected_lines_total"}
+        assert len(grown) == 6
+        store = platform.monitoring.store
+        for name, labels in grown:
+            assert store.get(name, labels).latest_value() is None

@@ -1,5 +1,8 @@
 """Unit tests for the simulation kernel, events and processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -186,6 +189,45 @@ class TestProcesses:
         process = kernel.spawn(proc())
         with pytest.raises(SimError, match="deadlock"):
             kernel.run_until_complete(process)
+
+
+class TestFinishedProcessesAreNotRetained:
+    """The kernel's heap is what is alive in the simulation: a process
+    nobody references any more dies with its generator and its value,
+    however long the kernel itself lives."""
+
+    def test_finished_process_and_its_value_die(self, kernel):
+        class Response:
+            pass
+
+        def proc():
+            yield kernel.sleep(1.0)
+            return Response()
+
+        process = kernel.spawn(proc())
+        value = kernel.run_until_complete(process)
+        dead_process, dead_value = weakref.ref(process), weakref.ref(value)
+        del process, value
+        gc.collect()
+        assert dead_process() is None
+        assert dead_value() is None
+        assert kernel.now == 1.0  # the kernel outlived both
+
+    def test_heap_does_not_grow_with_finished_processes(self, kernel):
+        def proc():
+            yield kernel.sleep(0.001)
+            return {"ok": True}
+
+        def churn(count):
+            for _ in range(count):
+                kernel.spawn(proc())
+            kernel.run()
+            gc.collect()
+            return len(gc.get_objects())
+
+        before = churn(100)  # warm every lazy allocation first
+        after = churn(10_000)
+        assert after - before < 100
 
 
 class TestEvents:

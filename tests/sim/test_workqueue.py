@@ -6,6 +6,7 @@ from repro.sim import (
     Channel,
     ChannelClosed,
     Kernel,
+    MetricsRegistry,
     Reconciler,
     WatchSource,
     WorkQueue,
@@ -130,6 +131,92 @@ class TestWorkQueueClose:
         queue.add("b")
         kernel.run(until=2.0)
         assert len(queue) == 0
+
+
+def test_get_event_is_named_only_under_debug():
+    # Channel.get's convention: the f-string is paid for when asked.
+    assert WorkQueue(Kernel(), name="q").get().name == ""
+    named = WorkQueue(Kernel(debug=True), name="q").get()
+    assert named.name == "workqueue.get(q)"
+
+
+class TestQueuesSharingAKind:
+    """Per-job queues label their series by kind, so several live
+    queues move the same metric children."""
+
+    def make(self, kernel, count=3):
+        registry = MetricsRegistry()
+        queues = [WorkQueue(kernel, name=f"guardian:job-{i}",
+                            metrics=registry, kind="guardian")
+                  for i in range(count)]
+        return registry, queues
+
+    def depth(self, registry):
+        return registry.get("workqueue_depth").labels(name="guardian").value
+
+    def test_one_child_per_family_whatever_the_queue_count(self, kernel):
+        registry, _queues = self.make(kernel, count=5)
+        for name in registry.names():
+            children = registry.get(name).children()
+            assert [labels for labels, _child in children] == [("guardian",)]
+
+    def test_counter_is_the_sum_of_the_queues_adds(self, kernel):
+        registry, queues = self.make(kernel)
+        for i, queue in enumerate(queues):
+            for key in range(i + 2):
+                queue.add(key)
+            queue.add(0)  # coalesced adds count too
+        adds = registry.get("workqueue_adds_total").labels(name="guardian")
+        assert adds.value == sum(q.adds for q in queues) == 12
+
+    def test_gauge_is_the_sum_of_the_queues_depths(self, kernel):
+        registry, queues = self.make(kernel)
+        queues[0].add("a")
+        queues[0].add("b")
+        queues[1].add("a")
+        assert self.depth(registry) == sum(len(q) for q in queues) == 3
+        drain(kernel, queues[0], 1)
+        kernel.run(until=0.1)
+        assert self.depth(registry) == sum(len(q) for q in queues) == 2
+
+    def test_close_gives_back_the_keys_still_queued(self, kernel):
+        registry, queues = self.make(kernel)
+        queues[0].add("a")
+        queues[0].add("b")
+        queues[1].add("a")
+        queues[0].close()  # a killed Guardian: nobody drains its queue
+        assert self.depth(registry) == len(queues[1]) == 1
+        # Draining the closed queue's leftovers moves nothing twice.
+        drain(kernel, queues[0], 2)
+        kernel.run(until=0.1)
+        assert self.depth(registry) == 1
+        queues[0].close()
+        assert self.depth(registry) == 1
+
+    def test_reconciler_passes_its_kind_to_queue_and_work_histogram(
+            self, kernel):
+        registry = MetricsRegistry()
+        reconcilers = [
+            Reconciler(kernel, f"controller:job-{i}", lambda key: None,
+                       metrics=registry, kind="controller").start()
+            for i in range(2)]
+        for reconciler in reconcilers:
+            reconciler.queue.add("k")
+        kernel.run(until=1.0)
+        for name in ("workqueue_adds_total", "workqueue_depth",
+                     "workqueue_queue_duration_seconds",
+                     "workqueue_work_duration_seconds"):
+            children = registry.get(name).children()
+            assert [labels for labels, _child in children] == \
+                [("controller",)], name
+        work = registry.get("workqueue_work_duration_seconds")
+        assert work.labels(name="controller").count == 2
+
+    def test_kind_defaults_to_the_queue_name(self, kernel):
+        registry = MetricsRegistry()
+        WorkQueue(kernel, name="deploy:lcm-0", metrics=registry).add("a")
+        depth = registry.get("workqueue_depth")
+        assert depth.labels(name="deploy:lcm-0").value == 1
 
 
 class TestReconciler:
