@@ -12,12 +12,19 @@ walking it. The collector's time lands on whoever allocated last, so
 a retention leak is flat in the cProfile table; here it is the top
 row of the type census. No profiler runs in this mode.
 
+``--events`` reads the same cProfile run another way: who puts the
+kernel's events on its heap. Every timer is a ``Kernel.sleep`` and
+every process a ``Kernel.spawn``, so their callers, as shares of
+``events_processed``, say whether a kernel-cost idea (fewer poll ticks,
+fewer RPC timers) is aimed at a tenth of the events or at half.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
     PYTHONPATH=src python scripts/profile.py --full     # 24-job scenario
     PYTHONPATH=src python scripts/profile.py --workload scale  # perfbench shape
     PYTHONPATH=src python scripts/profile.py --heap --workload scale
+    PYTHONPATH=src python scripts/profile.py --events --workload scale
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -125,6 +132,50 @@ def heap_census(name, seed):
     print(f"\nru_maxrss: {peak:.1f} MB")
 
 
+def module_name(filename):
+    """``repro.grpcnet.network`` for ``…/src/repro/grpcnet/network.py``,
+    whichever checkout ``PYTHONPATH`` points at."""
+    path = Path(filename).with_suffix("")
+    for package in ("repro", "perfbench"):
+        if package in path.parts[:-1]:
+            return ".".join(path.parts[path.parts.index(package):])
+    return path.name
+
+
+def event_census(stats, events_processed, lines):
+    """Callers of ``Kernel.sleep`` and ``Kernel.spawn`` from a cProfile
+    run, by module and by function, as shares of ``events_processed``.
+    The rest of the events are the zero-delay callbacks those timers
+    and processes trigger (event callbacks, process resumptions)."""
+    kernel_py = str(Path("repro", "sim", "kernel.py"))
+    by_function = Counter()
+    for (filename, _line, name), entry in stats.stats.items():
+        if name in ("sleep", "spawn") and filename.endswith(kernel_py):
+            for (caller_file, caller_line, caller), counts in entry[4].items():
+                by_function[module_name(caller_file),
+                            f"{caller}:{caller_line}", name] += counts[0]
+    totals = Counter()
+    by_module = Counter()
+    for (module, _function, via), calls in by_function.items():
+        totals[via] += calls
+        by_module[module, via] += calls
+
+    def share(calls):
+        return f"{100.0 * calls / events_processed:5.1f} %"
+
+    print("--- who schedules the kernel's events "
+          f"({events_processed} processed) ---")
+    for via in ("sleep", "spawn"):
+        print(f"Kernel.{via}: {totals[via]} calls, {share(totals[via])} "
+              "of events_processed")
+    print("\n    calls    share  via    module")
+    for (module, via), calls in by_module.most_common():
+        print(f"{calls:>9}  {share(calls)}  {via:5}  {module}")
+    print(f"\n    calls    share  via    function:line (top {lines})")
+    for (module, function, via), calls in by_function.most_common(lines):
+        print(f"{calls:>9}  {share(calls)}  {via:5}  {module}.{function}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
@@ -142,6 +193,10 @@ def main(argv=None):
                         help="instead of cProfile: collector passes and "
                              "seconds per generation, the most numerous "
                              "live types and ru_maxrss (needs --workload)")
+    parser.add_argument("--events", action="store_true",
+                        help="instead of the function tables: callers of "
+                             "Kernel.sleep and Kernel.spawn by module and "
+                             "function, as shares of events_processed")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:
@@ -164,10 +219,13 @@ def main(argv=None):
 
     print_result(result)
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs()
-    for sort in ("tottime", "cumulative"):
-        print(f"--- top {args.lines} by {sort} ---")
-        stats.sort_stats(sort).print_stats(args.lines)
+    if args.events:
+        event_census(stats, result["events_processed"], args.lines)
+    else:
+        stats.strip_dirs()
+        for sort in ("tottime", "cumulative"):
+            print(f"--- top {args.lines} by {sort} ---")
+            stats.sort_stats(sort).print_stats(args.lines)
     if args.output:
         stats.dump_stats(args.output)
         print(f"wrote {args.output}")

@@ -7,6 +7,10 @@ multi-GPU jobs can still place — the paper's platform layer must place
 1–4 GPU learners densely).
 """
 
+# A pod that stays parked (see ``Scheduler._report_unschedulable``) is
+# reported again this often, in simulated seconds.
+UNSCHEDULABLE_REPORT_INTERVAL = 30.0
+
 
 class Scheduler:
     """Binds pending pods to nodes."""
@@ -28,6 +32,9 @@ class Scheduler:
         self._proc = None
         self.scheduled_count = 0
         self.preemptions = 0
+        # The unschedulable set: uid of a pod no pass could place (a
+        # gang: of its first member) -> when that was last reported.
+        self.parked = {}
         if metrics is not None:
             self._m_pending = metrics.gauge(
                 "scheduler_pending_pods",
@@ -47,6 +54,7 @@ class Scheduler:
         if self.alive:
             return self
         self.alive = True
+        self.parked = {}  # a restarted scheduler reports afresh
         self._proc = self.kernel.spawn(self._loop(), name="scheduler")
         return self
 
@@ -73,6 +81,12 @@ class Scheduler:
         pending = self.api.list("Pod", unscheduled=True)
         if self._m_pending is not None:
             self._m_pending.set(len(pending))
+        if self.parked:
+            # Deleted or terminal while parked: gone from the list, gone
+            # from the set.
+            listed = {pod.metadata.uid for pod in pending}
+            self.parked = {uid: at for uid, at in self.parked.items()
+                            if uid in listed}
         if not pending:
             return 0
         pending.sort(key=lambda p: (-p.spec.priority, p.metadata.creation_time or 0.0))
@@ -88,7 +102,7 @@ class Scheduler:
         # pass is synchronous and only allocates, so free capacity never
         # grows inside it: a shape that fit nowhere still fits nowhere,
         # and the node scan is skipped for every later pod of that
-        # shape. What a failed pod emits is not skipped.
+        # shape.
         no_room = set()
         for pod in pending:
             gang = pod.spec.gang
@@ -124,16 +138,9 @@ class Scheduler:
             if node is None:
                 for bound_pod, bound_node in placed:
                     bound_node.release(bound_pod.spec)
-                self.api.record_event(
-                    "Pod", pods[0].metadata.name, "FailedScheduling",
-                    f"gang {pods[0].spec.gang!r} needs {len(pods)} slots together",
-                )
-                if self.events is not None:
-                    self.events.emit_event(
-                        "Warning", "Unschedulable", "Pod", pods[0].metadata.name,
-                        message=f"gang {pods[0].spec.gang!r} needs "
-                                f"{len(pods)} slots together",
-                        job=pods[0].metadata.labels.get("dlaas-job"))
+                self._report_unschedulable(
+                    pods[0],
+                    f"gang {pods[0].spec.gang!r} needs {len(pods)} slots together")
                 return 0
             node.allocate(pod.spec)
             placed.append((pod, node))
@@ -146,17 +153,32 @@ class Scheduler:
         if node is None:
             if self.preemption and pod.spec.priority > 0:
                 self._try_preempt(pod, nodes)
-            self.api.record_event("Pod", pod.metadata.name, "FailedScheduling",
-                                  "no node with sufficient resources")
-            if self.events is not None:
-                self.events.emit_event(
-                    "Warning", "Unschedulable", "Pod", pod.metadata.name,
-                    message="no node with sufficient resources",
-                    job=pod.metadata.labels.get("dlaas-job"))
+            self._report_unschedulable(pod, "no node with sufficient resources")
             return 0
         node.allocate(pod.spec)
         self._commit_bind(pod, node)
         return 1
+
+    def _report_unschedulable(self, pod, message):
+        """Park ``pod``; say so once per ``UNSCHEDULABLE_REPORT_INTERVAL``.
+
+        Every pass still tries a parked pod (and preempts for it): what
+        is parked is the report, as in kube-scheduler's unschedulable
+        set. One ``FailedScheduling`` when the pod parks, one per
+        interval while it stays; the entry goes when it binds or leaves
+        the pending list, so whatever fails after that parks anew.
+        """
+        now = self.kernel.now
+        reported = self.parked.get(pod.metadata.uid)
+        if reported is not None and now - reported < UNSCHEDULABLE_REPORT_INTERVAL:
+            return
+        self.parked[pod.metadata.uid] = now
+        self.api.record_event("Pod", pod.metadata.name, "FailedScheduling",
+                              message)
+        if self.events is not None:
+            self.events.emit_event(
+                "Warning", "Unschedulable", "Pod", pod.metadata.name,
+                message=message, job=pod.metadata.labels.get("dlaas-job"))
 
     # ------------------------------------------------------------------
     # Preemption
@@ -261,6 +283,7 @@ class Scheduler:
         """Record an already-allocated placement (allocation done by caller)."""
         pod.node_name = node.metadata.name
         pod._resources_released = False
+        self.parked.pop(pod.metadata.uid, None)
         self.api.update(pod)
         self.api.record_event("Pod", pod.metadata.name, "Scheduled",
                               f"bound to {node.metadata.name}")

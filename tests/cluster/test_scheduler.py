@@ -11,15 +11,17 @@ from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
 from repro.cluster.resources.node import NOT_READY, Node, NodeResources
-from repro.cluster.scheduler import Scheduler
+from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
 from repro.sim import Kernel
 
 
-def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None, priority=0):
+def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None, priority=0,
+        gang=None, gang_size=0):
     spec = PodSpec(
         containers=[ContainerSpec("c", "tiny", gpus=gpus, cpu_millicores=cpu)],
         restart_policy=RESTART_NEVER, gpu_type=gpu_type,
         node_selector=selector, priority=priority,
+        gang=gang, gang_size=gang_size,
     )
     return Pod(name, spec)
 
@@ -40,6 +42,27 @@ def scheduler(api, **kwargs):
 
 def failed(api):
     return [e.name for e in api.events if e.reason == "FailedScheduling"]
+
+
+def preempted(api):
+    return [e.name for e in api.events if e.reason == "Preempted"]
+
+
+def run_pass(sched, at=None):
+    """One pass, at kernel time ``at`` if given. After any pass the
+    unschedulable set holds only pods that are still waiting."""
+    if at is not None:
+        sched.kernel.run(until=at)
+    bound = sched.schedule_once()
+    waiting = {p.metadata.uid
+               for p in sched.api.list("Pod", unscheduled=True)}
+    assert set(sched.parked) <= waiting
+    return bound
+
+
+def remove(api, resident):
+    release_pod_resources(api, resident)
+    api.delete("Pod", resident.metadata.name)
 
 
 class TestPodSpecShape:
@@ -156,11 +179,12 @@ class TestFailedShapeMemo:
         sched = scheduler(api)
         for i in range(5):
             api.create(pod(f"p-{i}", gpus=1))
+        # Each on the pass that parks it, in queue order.
         assert sched.schedule_once() == 2
         assert failed(api) == ["p-2", "p-3", "p-4"]
-        # ... and again on every later pass, one event per pod per pass.
+        api.create(pod("late", gpus=1))
         assert sched.schedule_once() == 0
-        assert failed(api) == ["p-2", "p-3", "p-4"] * 2
+        assert failed(api) == ["p-2", "p-3", "p-4", "late"]
 
     def test_one_node_scan_per_failed_shape_per_pass(self, api, monkeypatch):
         add_node(api, "node-0", gpus=2)
@@ -197,3 +221,157 @@ class TestFailedShapeMemo:
         release_pod_resources(api, first)
         assert sched.schedule_once() == 1
         assert api.get("Pod", "second").node_name == "node-0"
+
+
+class TestParkEpisodes:
+    """A pod that fits nowhere parks: it is tried on every pass and
+    reported once per episode, again only every report interval."""
+
+    def test_one_report_per_episode_over_many_passes(self, api):
+        add_node(api, "node-0", gpus=2)
+        sched = scheduler(api)
+        for i in range(5):
+            api.create(pod(f"p-{i}"))
+        assert run_pass(sched) == 2
+        for tick in range(1, 100):
+            assert run_pass(sched, at=tick * 0.1) == 0
+        assert failed(api) == ["p-2", "p-3", "p-4"]
+        assert len(sched.parked) == 3
+
+    def test_reported_again_after_the_interval_and_not_before(self, api):
+        add_node(api, "node-0", gpus=1)
+        sched = scheduler(api)
+        api.create(pod("resident"))
+        run_pass(sched, at=2.0)
+        api.create(pod("waiting"))
+        run_pass(sched, at=5.0)
+        assert failed(api) == ["waiting"]
+        run_pass(sched, at=5.0 + UNSCHEDULABLE_REPORT_INTERVAL - 0.1)
+        assert failed(api) == ["waiting"]
+        run_pass(sched, at=5.0 + UNSCHEDULABLE_REPORT_INTERVAL)
+        assert failed(api) == ["waiting"] * 2
+        # The interval runs from the last report, not from the first.
+        run_pass(sched, at=5.0 + 2 * UNSCHEDULABLE_REPORT_INTERVAL - 0.1)
+        assert failed(api) == ["waiting"] * 2
+        run_pass(sched, at=5.0 + 2 * UNSCHEDULABLE_REPORT_INTERVAL)
+        assert failed(api) == ["waiting"] * 3
+        assert [e.time for e in api.events
+                if e.reason == "FailedScheduling"] == [
+            5.0, 5.0 + UNSCHEDULABLE_REPORT_INTERVAL,
+            5.0 + 2 * UNSCHEDULABLE_REPORT_INTERVAL]
+
+    def test_gang_that_cannot_place_reports_once_under_its_first_member(
+            self, api):
+        add_node(api, "node-0", gpus=2)
+        sched = scheduler(api)
+        members = [api.create(pod(f"g-{i}", gang="job-a", gang_size=3))
+                   for i in range(3)]
+        for tick in range(20):
+            assert run_pass(sched, at=tick * 0.1) == 0
+        assert failed(api) == ["g-0"]
+        assert list(sched.parked) == [members[0].metadata.uid]
+        # Room for all three: the gang binds and the episode is over.
+        add_node(api, "node-1", gpus=1)
+        assert run_pass(sched, at=2.0) == 3
+        assert sched.parked == {}
+
+    def test_pod_deleted_while_parked_leaves_no_entry(self, api):
+        add_node(api, "node-0", gpus=1)
+        sched = scheduler(api)
+        api.create(pod("resident"))
+        run_pass(sched)
+        waiting = [api.create(pod(f"w-{i}")) for i in range(3)]
+        run_pass(sched)
+        assert len(sched.parked) == 3
+        api.delete("Pod", "w-1")
+        run_pass(sched)
+        assert set(sched.parked) == {waiting[0].metadata.uid,
+                                     waiting[2].metadata.uid}
+        # A deletion request takes a pod off the pending list too.
+        waiting[0].deletion_requested = True
+        api.update(waiting[0])
+        api.delete("Pod", "w-2")
+        run_pass(sched)
+        assert sched.parked == {}
+        assert failed(api) == ["w-0", "w-1", "w-2"]
+
+    def test_same_name_with_a_new_uid_is_a_new_episode(self, api):
+        # What a StatefulSet does with a crashed replica: same name,
+        # another object.
+        add_node(api, "node-0", gpus=1)
+        sched = scheduler(api)
+        api.create(pod("resident"))
+        run_pass(sched)
+        api.create(pod("web-0"))
+        run_pass(sched)
+        run_pass(sched)
+        assert failed(api) == ["web-0"]
+        api.delete("Pod", "web-0")
+        api.create(pod("web-0"))
+        run_pass(sched)
+        run_pass(sched)
+        assert failed(api) == ["web-0", "web-0"]
+        assert len(sched.parked) == 1
+
+    def test_a_pod_that_binds_and_a_later_one_that_fails_are_two_episodes(
+            self, api):
+        add_node(api, "node-0", gpus=1)
+        sched = scheduler(api)
+        first = api.create(pod("first"))
+        api.create(pod("second"))
+        assert run_pass(sched) == 1
+        assert failed(api) == ["second"]
+        remove(api, first)
+        assert run_pass(sched) == 1
+        assert sched.parked == {}
+        api.create(pod("third"))
+        assert run_pass(sched) == 0
+        assert failed(api) == ["second", "third"]
+
+    def test_parked_pod_with_priority_still_preempts_on_a_later_pass(
+            self, api):
+        add_node(api, "node-0", gpus=3)
+        sched = scheduler(api)
+        peer = api.create(pod("peer", priority=5))
+        assert run_pass(sched) == 1
+        # An equal-priority resident is no victim: urgent parks.
+        urgent = api.create(pod("urgent", gpus=3, priority=5))
+        assert run_pass(sched, at=0.1) == 0
+        assert failed(api) == ["urgent"] and preempted(api) == []
+        # Lower-priority residents appear; evicting them is not enough
+        # while peer stays.
+        for name in ("low-a", "low-b"):
+            api.create(pod(name))
+        assert run_pass(sched, at=0.2) == 2
+        assert run_pass(sched, at=0.3) == 0
+        assert preempted(api) == []
+        # peer leaves: now the two are worth evicting, and the parked
+        # pod's pass says so, one Preempted per victim.
+        remove(api, peer)
+        assert run_pass(sched, at=0.4) == 0
+        assert preempted(api) == ["low-a", "low-b"]
+        assert sched.preemptions == 2
+        # Victims on their way out are not evicted twice.
+        assert run_pass(sched, at=0.5) == 0
+        assert preempted(api) == ["low-a", "low-b"]
+        for name in ("low-a", "low-b"):
+            remove(api, api.get("Pod", name))
+        assert run_pass(sched, at=0.6) == 1
+        assert urgent.node_name == "node-0"
+        # One episode from parking to binding: one report.
+        assert failed(api) == ["urgent"]
+        assert sched.parked == {}
+
+    def test_a_restarted_scheduler_reports_afresh(self, api):
+        add_node(api, "node-0", gpus=1)
+        sched = scheduler(api)
+        api.create(pod("resident"))
+        api.create(pod("waiting"))
+        sched.start()
+        api.kernel.run(until=1.0)
+        assert failed(api) == ["waiting"]
+        sched.stop()
+        sched.start()
+        api.kernel.run(until=2.0)
+        sched.stop()
+        assert failed(api) == ["waiting"] * 2

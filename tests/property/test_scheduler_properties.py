@@ -1,10 +1,15 @@
-"""Property test: the shape-memoised scheduler against brute force.
+"""Property test: the memoising, parking scheduler against brute force.
 
 Two identical worlds receive the same random operations: pods of mixed
 shapes and priorities, gangs (some fit, some fit partly and roll back),
-passes, releases, cordons. One world runs the real ``Scheduler``; the
-other a reference that asks ``_pick_node`` about every single pod. They
-must agree on every binding and on the whole ``api.events`` sequence.
+passes, releases, cordons, clock advances short and long. One world
+runs the real ``Scheduler``; the other a reference that asks
+``_pick_node`` about every single pod and reports every failed pod on
+every pass. After every operation they must agree on bindings,
+allocations and preemptions; at the end on the ``Scheduled`` /
+``Preempted`` event sequence, and the real scheduler's
+``FailedScheduling`` log must be the reference's with the repeats of a
+still-parked pod inside one report interval taken out.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,15 +18,35 @@ from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
 from repro.cluster.resources.node import Node, NodeResources
-from repro.cluster.scheduler import Scheduler
+from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
 from repro.sim import Kernel
 
 
 class BruteForceScheduler(Scheduler):
-    """No memo: every pod gets its own node scan."""
+    """No memo, no parking: every pod gets its own node scan and every
+    failure its report."""
 
     def _find_node(self, pod, nodes, no_room, tentative=False):
         return self._pick_node(pod, nodes)
+
+    def _report_unschedulable(self, pod, message):
+        self.parked.clear()
+        super()._report_unschedulable(pod, message)
+
+
+def once_per_interval(failed):
+    """What parking leaves of an every-pass ``FailedScheduling`` log.
+    Pod names are unique in a ``World`` and a pod that bound or was
+    deleted never fails again, so a repeat of a name is a pod still
+    parked."""
+    reported, kept = {}, []
+    for event in failed:
+        time, name, _reason = event
+        if (name not in reported
+                or time - reported[name] >= UNSCHEDULABLE_REPORT_INTERVAL):
+            reported[name] = time
+            kept.append(event)
+    return kept
 
 
 GPU_TYPES = (None, "k80", "v100")
@@ -49,7 +74,11 @@ operations = st.lists(st.one_of(
     st.tuples(st.just("reap")),
     st.tuples(st.just("cordon"), st.integers(0, 3), st.booleans()),
     st.tuples(st.just("strategy"), st.sampled_from(Scheduler.STRATEGIES)),
-    st.tuples(st.just("tick")),
+    # A pass interval, a third of the report interval (three in a row
+    # land exactly on it), and past it.
+    st.tuples(st.just("tick"), st.sampled_from(
+        (0.1, 0.1, UNSCHEDULABLE_REPORT_INTERVAL / 3,
+         UNSCHEDULABLE_REPORT_INTERVAL + 0.1))),
 ), min_size=4, max_size=40)
 
 
@@ -101,7 +130,7 @@ class World:
         elif verb == "strategy":
             self.scheduler.strategy = operation[1]
         elif verb == "tick":
-            self.kernel.run(until=self.kernel.now + 0.1)
+            self.kernel.run(until=self.kernel.now + operation[1])
 
     def _remove(self, pod):
         release_pod_resources(self.api, pod)
@@ -110,12 +139,16 @@ class World:
     def bindings(self):
         return {p.metadata.name: p.node_name for p in self.api.list("Pod")}
 
-    def event_log(self):
-        return [(e.time, e.kind, e.name, e.reason) for e in self.api.events]
+    def decisions(self):
+        return (self.bindings(),
+                [(n.allocated_gpus, n.allocated_cpu, n.allocated_memory)
+                 for n in self.api.list("Node", namespace="")],
+                self.scheduler.preemptions)
 
-    def allocated(self):
-        return [(n.allocated_gpus, n.allocated_cpu, n.allocated_memory)
-                for n in self.api.list("Node", namespace="")]
+    def event_log(self, failed):
+        """The ``FailedScheduling`` events, or all the others."""
+        return [(e.time, e.name, e.reason) for e in self.api.events
+                if (e.reason == "FailedScheduling") == failed]
 
 
 class TestMemoisedSchedulerEqualsBruteForce:
@@ -127,7 +160,9 @@ class TestMemoisedSchedulerEqualsBruteForce:
         for operation in ops + [("pass",)]:
             real.apply(operation)
             reference.apply(operation)
-            assert real.bindings() == reference.bindings()
-        assert real.event_log() == reference.event_log()
-        assert real.allocated() == reference.allocated()
-        assert real.scheduler.preemptions == reference.scheduler.preemptions
+            assert real.decisions() == reference.decisions()
+            assert len(real.scheduler.parked) <= len(
+                real.api.list("Pod", unscheduled=True))
+        assert real.event_log(failed=False) == reference.event_log(failed=False)
+        assert real.event_log(failed=True) == once_per_interval(
+            reference.event_log(failed=True))
