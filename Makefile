@@ -1,4 +1,7 @@
-.PHONY: check test lint bench perf perf-sharded perf-serving perf-gray perf-audit audit profile
+WORKLOAD ?= steady
+PAIRS ?= 10
+
+.PHONY: check test lint bench perf pairs perf-sharded perf-serving perf-gray perf-audit audit profile
 
 check:
 	scripts/check.sh
@@ -14,6 +17,13 @@ bench:
 
 perf:
 	python3 perfbench/run.py
+
+# Host-clock claim: alternating pairs against a checkout of the parent
+# commit. PARENT and SEED are required; pick a seed not used while
+# writing the change, e.g.
+#   make pairs PARENT=/root/scratch/parent WORKLOAD=scale SEED=<unused> PAIRS=5
+pairs:
+	python3 scripts/pairs.py --parent $(PARENT) --change . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 perf-sharded:
 	PYTHONPATH=src python benchmarks/bench_perf.py

@@ -13,8 +13,9 @@ a retention leak is flat in the cProfile table; here it is the top
 row of the type census. No profiler runs in this mode.
 
 ``--events`` reads the same cProfile run another way: who puts the
-kernel's events on its heap. Every timer is a ``Kernel.sleep`` and
-every process a ``Kernel.spawn``, so their callers, as shares of
+kernel's events on its heap. Every timer is a ``Kernel.sleep``, every
+process a ``Kernel.spawn`` and every bare callback entry a
+``Kernel.call_later`` or ``call_soon``, so their callers, as shares of
 ``events_processed``, say whether a kernel-cost idea (fewer poll ticks,
 fewer RPC timers) is aimed at a tenth of the events or at half.
 
@@ -50,6 +51,8 @@ from collections import Counter  # noqa: E402
 from repro.bench import run_scale_scenario  # noqa: E402
 
 PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned", "chaos")
+# The Kernel methods that push a heap entry on a caller's behalf.
+SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon")
 HEAP_TOP_TYPES = 15
 
 
@@ -143,17 +146,22 @@ def module_name(filename):
 
 
 def event_census(stats, events_processed, lines):
-    """Callers of ``Kernel.sleep`` and ``Kernel.spawn`` from a cProfile
-    run, by module and by function, as shares of ``events_processed``.
-    The rest of the events are the zero-delay callbacks those timers
-    and processes trigger (event callbacks, process resumptions)."""
+    """Callers of ``Kernel.sleep``, ``spawn``, ``call_later`` and
+    ``call_soon`` from a cProfile run, by module and by function, as
+    shares of ``events_processed``. The rest of the events are the
+    zero-delay callbacks those timers and processes trigger (event
+    callbacks, process resumptions)."""
     kernel_py = str(Path("repro", "sim", "kernel.py"))
     by_function = Counter()
     for (filename, _line, name), entry in stats.stats.items():
-        if name in ("sleep", "spawn") and filename.endswith(kernel_py):
+        if name in SCHEDULERS and filename.endswith(kernel_py):
             for (caller_file, caller_line, caller), counts in entry[4].items():
-                by_function[module_name(caller_file),
-                            f"{caller}:{caller_line}", name] += counts[0]
+                module = module_name(caller_file)
+                if name == "call_soon" and module.startswith("repro.sim."):
+                    # ``_schedule_now`` is the same function: the hops
+                    # of events and processes, not somebody's entry.
+                    continue
+                by_function[module, f"{caller}:{caller_line}", name] += counts[0]
     totals = Counter()
     by_module = Counter()
     for (module, _function, via), calls in by_function.items():
@@ -165,15 +173,15 @@ def event_census(stats, events_processed, lines):
 
     print("--- who schedules the kernel's events "
           f"({events_processed} processed) ---")
-    for via in ("sleep", "spawn"):
+    for via in SCHEDULERS:
         print(f"Kernel.{via}: {totals[via]} calls, {share(totals[via])} "
               "of events_processed")
-    print("\n    calls    share  via    module")
+    print("\n    calls    share  via         module")
     for (module, via), calls in by_module.most_common():
-        print(f"{calls:>9}  {share(calls)}  {via:5}  {module}")
-    print(f"\n    calls    share  via    function:line (top {lines})")
+        print(f"{calls:>9}  {share(calls)}  {via:10}  {module}")
+    print(f"\n    calls    share  via         function:line (top {lines})")
     for (module, function, via), calls in by_function.most_common(lines):
-        print(f"{calls:>9}  {share(calls)}  {via:5}  {module}.{function}")
+        print(f"{calls:>9}  {share(calls)}  {via:10}  {module}.{function}")
 
 
 def main(argv=None):
@@ -195,8 +203,9 @@ def main(argv=None):
                              "live types and ru_maxrss (needs --workload)")
     parser.add_argument("--events", action="store_true",
                         help="instead of the function tables: callers of "
-                             "Kernel.sleep and Kernel.spawn by module and "
-                             "function, as shares of events_processed")
+                             "Kernel.sleep, spawn, call_later and call_soon "
+                             "by module and function, as shares of "
+                             "events_processed")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:

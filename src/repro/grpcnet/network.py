@@ -8,7 +8,7 @@ network partitions for dependability experiments. Services register a
 """
 
 from ..sim.errors import ProcessKilled, SimError
-from ..sim.events import PENDING, Event
+from ..sim.events import FAILED, PENDING, SUCCEEDED, Event
 from .errors import DeadlineExceeded, MethodNotFound, RpcError, Unavailable
 from .payload import deep_copy_payload
 
@@ -49,42 +49,149 @@ class EndpointImpairment:
         self.duplicate = duplicate
 
 
-class _DeadlineCall(Event):
-    """The call-vs-deadline race, wired as a plain event.
+class _Call(Event):
+    """One in-process RPC: the event the caller yields, and the state
+    machine that carries the message there and back.
 
-    Replaces the per-call wrapper process: the caller yields this event,
-    which succeeds/fails with the underlying call or fails with
-    :class:`DeadlineExceeded` when the timer wins (killing the in-flight
-    call). One event instead of a Process + AnyOf per deadline'd RPC.
+    ``_send`` -> ``_arrive`` (-> ``_admit``) -> ``_served`` -> ``_deliver``
+    are kernel callbacks, not a process: the two latency legs are bare
+    heap entries, the handler's completion costs one hop, and whichever
+    stage settles the call resumes its waiters in the same kernel entry.
+    The deadline is a real :class:`~repro.sim.kernel.Timer` (cancelled
+    on settle, so the dead-entry counters stay true); it can win at any
+    stage, after which the later stages find the call settled and
+    return — an orphaned handler runs on. Which hops may go and which
+    order the ``network`` RNG stream: DESIGN.md, "An RPC is one event".
     """
 
-    __slots__ = ("_process", "_timer", "_address", "_method", "_deadline")
+    __slots__ = ("_network", "_address", "_method", "_request", "_caller",
+                 "_started", "_timer", "_snapshot", "_handled")
 
-    def __init__(self, network, process, deadline, address, method):
-        Event.__init__(self, network.kernel)
-        self._process = process
+    def __init__(self, network, address, method, request, caller, deadline):
+        kernel = network.kernel
+        Event.__init__(self, kernel, name=f"rpc:{caller}->{address}/{method}"
+                       if kernel.debug else "rpc")
+        self._network = network
         self._address = address
         self._method = method
-        self._deadline = deadline
-        self._timer = network.kernel.sleep(deadline)
-        process.add_callback(self._on_process)
-        self._timer.add_callback(self._on_timer)
+        self._request = request
+        self._caller = caller
+        self._started = kernel.now
+        self._snapshot = self._handled = None
+        kernel.call_soon(self._send)
+        if deadline is None:
+            self._timer = None
+        else:
+            self._timer = kernel.sleep(deadline, deadline)
+            self._timer.add_callback(self._expire)
 
-    def _on_process(self, process):
+    def _send(self):
+        network = self._network
+        network.calls_total += 1
+        network.kernel.call_later(network.latency.sample(network._rng),
+                                  self._arrive)
+
+    def _arrive(self):
         if self.state is not PENDING:
             return
-        self._timer.cancel()  # lazy heap deletion
-        if process.state == "failed":
-            self.fail(process.exception)
+        network, address = self._network, self._address
+        if network.loss_rate and network._rng.random() < network.loss_rate:
+            return self._settle(Unavailable(f"message to {address} lost"))
+        # Gray impairments: only calls to a degraded endpoint pay for
+        # them, so healthy traffic costs no extra RNG draws or heap
+        # entries and the no-fault timeline stays bit-identical.
+        impair = network._impaired.get(address) if network._impaired else None
+        if impair is not None and impair.extra_latency:
+            network.kernel.call_later(impair.extra_latency,
+                                      lambda: self._admit(impair))
         else:
-            self.succeed(process.value)
+            self._admit(impair)
 
-    def _on_timer(self, _timer):
+    def _admit(self, impair):
         if self.state is not PENDING:
-            return  # the call finished first
-        self._process.kill("deadline exceeded")
-        self.fail(DeadlineExceeded(
-            f"{self._address}/{self._method} after {self._deadline}s"))
+            return
+        network, address, request = self._network, self._address, self._request
+        if impair is not None and impair.loss \
+                and network._gray_rng.random() < impair.loss:
+            return self._settle(Unavailable(
+                f"message to {address} lost (degraded link)"))
+        server = network._servers.get(address)
+        if server is None or not server.running:
+            return self._settle(Unavailable(f"no live endpoint at {address}"))
+        if network._blocked(self._caller, address):
+            return self._settle(Unavailable(
+                f"{self._caller} partitioned from {address}"))
+        if network.debug_freeze:
+            self._snapshot = deep_copy_payload(request)
+        if (impair is not None and impair.duplicate
+                and network._gray_rng.random() < impair.duplicate):
+            # Duplicate delivery: the server handles the message a
+            # second time; the extra response is discarded in flight.
+            # Only the server-side dispatch counter sees it.
+            server.dispatch(self._method, request)
+        # One hop after the handler settles, even when it already has:
+        # whatever it scheduled draws from the RNG before the response.
+        handled = self._handled = server.dispatch(self._method, request)
+        if handled.state is PENDING:
+            handled.add_callback(self._served)
+        else:
+            network.kernel.call_soon(self._served)
+
+    def _served(self, _handled=None):
+        if self.state is not PENDING:
+            return
+        network, handled = self._network, self._handled
+        if handled.state is FAILED:
+            error = handled.exception
+            if isinstance(error, ProcessKilled):
+                error = Unavailable(
+                    f"{self._address} crashed while serving {self._method}")
+            return self._settle(error)
+        if self._snapshot is not None and self._request != self._snapshot:
+            return self._settle(AssertionError(
+                f"handler {self._address}/{self._method} mutated its request "
+                "in place (violates the single-serialization contract)"))
+        network.kernel.call_later(network.latency.sample(network._rng),
+                                  self._deliver)
+
+    def _deliver(self):
+        if self.state is not PENDING:
+            return
+        if self._network._blocked(self._address, self._caller):
+            return self._settle(Unavailable(
+                f"response from {self._address} dropped by partition"))
+        self._settle(None, self._handled.value)
+
+    def _expire(self, timer):
+        if self.state is PENDING:
+            self._settle(DeadlineExceeded(
+                f"{self._address}/{self._method} after {timer.value}s"))
+
+    def _settle(self, error, value=None):
+        network = self._network
+        if self._timer is not None:
+            self._timer.cancel()  # lazy heap deletion; no-op once fired
+        if error is None:
+            code = "ok"
+            self.state = SUCCEEDED
+            self.value = value
+        else:
+            network.calls_failed += 1
+            code = type(error).__name__
+            self.state = FAILED
+            self.exception = error
+        network._observe_call(self._method, code, self._started, self._address)
+        if network.tracer is not None:
+            network.tracer.emit("network", "rpc", caller=self._caller,
+                                address=self._address, method=self._method)
+        if self._handled is not None and self._handled.state is PENDING:
+            # A deadline beat a suspended handler: it runs on, but must
+            # not keep this call alive until it finishes.
+            self._handled.remove_callback(self._served)
+        self._request = self._snapshot = self._handled = None
+        callbacks, self._callbacks = self._callbacks, ()
+        for callback in callbacks:
+            callback(self)
 
 
 class _RemoteCall(Event):
@@ -463,75 +570,18 @@ class Network:
     def call(self, address, method, request, deadline=None, caller="client"):
         """Invoke ``method`` on the server at ``address``.
 
-        Returns a :class:`~repro.sim.process.Process`; yield it to get
-        the response (or the failure). ``deadline`` is in simulated
-        seconds, measured from call initiation. Addresses owned by
-        another shard route over the boundary port instead (the caller
-        yields the same way; only the latency floor differs).
+        Returns an :class:`~repro.sim.events.Event` — never a process:
+        there is nothing to kill, a caller that stops waiting simply
+        stops. Yield it to get the response (or the failure).
+        ``deadline`` is in simulated seconds, measured from call
+        initiation. Addresses owned by another shard route over the
+        boundary port instead (the caller yields the same way; only the
+        latency floor differs).
         """
         if self._remotes and address in self._remotes:
             return self._remote_call(address, method, request, deadline,
                                      caller)
-        debug = self.kernel.debug
-        process = self.kernel.spawn(
-            self._call(address, method, request, caller),
-            name=f"rpc:{caller}->{address}/{method}" if debug else "rpc",
-        )
-        if deadline is None:
-            return process
-        return _DeadlineCall(self, process, deadline, address, method)
-
-    def _call(self, address, method, request, caller):
-        self.calls_total += 1
-        started = self.kernel.now
-        code = "ok"
-        try:
-            yield self.kernel.sleep(self.latency.sample(self._rng))
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                raise Unavailable(f"message to {address} lost")
-            # Gray impairments: only calls to a degraded endpoint enter
-            # this block, so healthy traffic costs no extra RNG draws
-            # or sleeps and the no-fault timeline stays bit-identical.
-            impair = self._impaired.get(address) if self._impaired else None
-            if impair is not None:
-                if impair.extra_latency:
-                    yield self.kernel.sleep(impair.extra_latency)
-                if impair.loss and self._gray_rng.random() < impair.loss:
-                    raise Unavailable(
-                        f"message to {address} lost (degraded link)")
-            server = self._servers.get(address)
-            if server is None or not server.running:
-                raise Unavailable(f"no live endpoint at {address}")
-            if self._blocked(caller, address):
-                raise Unavailable(f"{caller} partitioned from {address}")
-            snapshot = deep_copy_payload(request) if self.debug_freeze else None
-            if (impair is not None and impair.duplicate
-                    and self._gray_rng.random() < impair.duplicate):
-                # Duplicate delivery: the server handles the message a
-                # second time; the extra response is discarded in
-                # flight. Only the server-side dispatch counter sees it.
-                server.dispatch(method, request)
-            handler_process = server.dispatch(method, request)
-            try:
-                response = yield handler_process
-            except ProcessKilled:
-                raise Unavailable(f"{address} crashed while serving {method}") from None
-            if snapshot is not None and request != snapshot:
-                raise AssertionError(
-                    f"handler {address}/{method} mutated its request in place "
-                    "(violates the single-serialization contract)")
-            yield self.kernel.sleep(self.latency.sample(self._rng))
-            if self._blocked(address, caller):
-                raise Unavailable(f"response from {address} dropped by partition")
-            return response
-        except Exception as exc:
-            self.calls_failed += 1
-            code = type(exc).__name__
-            raise
-        finally:
-            self._observe_call(method, code, started, address)
-            if self.tracer is not None:
-                self.tracer.emit("network", "rpc", caller=caller, address=address, method=method)
+        return _Call(self, address, method, request, caller, deadline)
 
     def _observe_call(self, method, code, started, address=None):
         """Record one finished call (local or cross-shard) into the

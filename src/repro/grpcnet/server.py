@@ -1,8 +1,10 @@
-"""Simulated RPC server: named methods dispatched as processes."""
+"""Simulated RPC server: named methods, run inline when they cannot
+suspend and as kernel processes when they can."""
 
 import inspect
 
 from ..sim.errors import ProcessKilled
+from ..sim.events import Event
 from .errors import MethodNotFound, ServiceError
 from .payload import deep_copy_payload
 
@@ -12,8 +14,9 @@ class Server:
 
     Handlers may be plain callables (instantaneous in simulated time) or
     generator functions (which may sleep, call other services, etc.).
-    Either way each request runs as its own kernel process, so a slow
-    handler never blocks the server.
+    A request whose handler can suspend runs as its own kernel process,
+    so a slow handler never blocks the server; a plain one takes no
+    simulated time and is run where it is dispatched.
 
     Stopping the server models a process crash: in-flight handlers are
     killed (callers see ``Unavailable``) and new calls are refused until
@@ -73,13 +76,31 @@ class Server:
         return self
 
     def dispatch(self, method, request):
-        """Run ``method`` for one request; returns the handler process."""
+        """Run ``method`` for one request; returns the event of its
+        completion. A plain handler runs here, inline, and the event
+        comes back already settled; only a handler that can suspend
+        gets a process, which :meth:`stop` can kill."""
         # Server-side delivery count: a duplicated message shows up here
         # twice while the caller's request counter moves once — the flow
         # anomaly the differential detector keys on.
         self.network.observe_dispatch(self.address)
+        registered = self._methods.get(method)
+        if registered is None:
+            return Event(self.kernel).fail(
+                MethodNotFound(f"{self.address} has no method {method!r}"))
+        handler, is_generator_function = registered
+        if not is_generator_function and not self.service_time:
+            try:
+                response = handler(request)
+            except Exception as exc:
+                error = ServiceError(method, exc)
+                error.__cause__ = exc
+                return Event(self.kernel).fail(error)
+            if not inspect.isgenerator(response):
+                return Event(self.kernel).succeed(self._respond(response))
+            handler = response  # it can suspend after all
         process = self.kernel.spawn(
-            self._serve(self._methods.get(method), method, request),
+            self._serve(handler, method, request),
             name=f"{self.address}/{method}" if self.kernel.debug else "serve",
         )
         self._inflight.add(process)
@@ -88,25 +109,25 @@ class Server:
         process.add_callback(self._inflight.discard)
         return process
 
-    def _serve(self, registered, method, request):
-        if registered is None:
-            raise MethodNotFound(f"{self.address} has no method {method!r}")
-        handler, is_generator_function = registered
+    def _serve(self, handler, method, request):
+        """Process body: ``handler`` is a callable, or the generator a
+        plain handler already returned."""
         if self.service_time:
             yield self.kernel.sleep(self.service_time)
         try:
-            if is_generator_function:
-                response = yield from handler(request)
-            else:
-                response = handler(request)
-                if inspect.isgenerator(response):
-                    response = yield from response
+            response = handler if inspect.isgenerator(handler) \
+                else handler(request)
+            if inspect.isgenerator(response):
+                response = yield from response
         except ProcessKilled:
             # Server crash mid-handler; the caller must see Unavailable,
             # not a remote application error.
             raise
         except Exception as exc:
             raise ServiceError(method, exc) from exc
+        return self._respond(response)
+
+    def _respond(self, response):
         self.requests_served += 1
         if self.copy_responses:
             response = deep_copy_payload(response)

@@ -123,9 +123,25 @@ class Kernel:
         self._sequence += 1
         heapq.heappush(self._queue, (when, self._sequence, callback))
 
-    def _schedule_now(self, callback):
+    def call_soon(self, callback):
+        """Run ``callback()`` at the current instant, after everything
+        already queued for it: a bare heap entry, no event."""
         self._sequence += 1
         heapq.heappush(self._queue, (self._now, self._sequence, callback))
+
+    # The kernel's own zero-delay hops (event dispatch, process start)
+    # are the same entry; an alias, not a wrapper, so they pay no frame.
+    _schedule_now = call_soon
+
+    def call_later(self, delay, callback):
+        """Run ``callback()`` ``delay`` seconds from now. Unlike
+        :meth:`sleep` there is no :class:`Timer` to wait on or cancel
+        and no dispatch hop: the callback *is* the heap entry."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self._sequence += 1
+        heapq.heappush(self._queue,
+                       (self._now + delay, self._sequence, callback))
 
     # ------------------------------------------------------------------
     # Waitables

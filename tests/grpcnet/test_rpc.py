@@ -13,7 +13,7 @@ from repro.grpcnet import (
     ServiceError,
     Unavailable,
 )
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 
 @pytest.fixture
@@ -197,6 +197,30 @@ class TestDeadlines:
             return response
 
         assert run_call(kernel, caller()) == {"echo": 1}
+
+    def test_deadline_is_counted_as_deadline_exceeded(self, kernel):
+        """A locally expired call is labelled like a cross-shard one:
+        ``DeadlineExceeded``, not the ``ProcessKilled`` of the
+        generator that used to carry it."""
+        registry = MetricsRegistry()
+        network = Network(kernel, latency=LatencyModel(0.001, 0.0),
+                          metrics=registry)
+        server = Server(kernel, network, "svc").start()
+
+        def handler(_request):
+            yield kernel.sleep(10.0)
+
+        server.add_method("slow", handler)
+        network.call("svc", "slow", None, deadline=0.5)
+        kernel.run()
+
+        def codes(name):
+            return {labels[-1]: child.value
+                    for labels, child in registry.get(name).children()}
+
+        assert codes("rpc_client_calls_total") == {"DeadlineExceeded": 1}
+        assert codes("rpc_endpoint_requests_total") == {"DeadlineExceeded": 1}
+        assert network.calls_failed == 1
 
 
 class TestPartitions:

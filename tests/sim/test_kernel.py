@@ -75,6 +75,19 @@ class TestClock:
         kernel.run()
         assert order == ["a", "b", "c"]
 
+    def test_bare_callbacks_are_one_heap_entry_each(self, kernel):
+        """``call_soon`` / ``call_later``: no timer, no dispatch hop,
+        FIFO among entries of one instant."""
+        order = []
+        kernel.call_later(2.0, lambda: order.append(("later", kernel.now)))
+        kernel.call_soon(lambda: order.append(("soon", kernel.now)))
+        kernel.call_later(0.0, lambda: order.append(("zero", kernel.now)))
+        kernel.run()
+        assert order == [("soon", 0.0), ("zero", 0.0), ("later", 2.0)]
+        assert kernel.events_processed == 3
+        with pytest.raises(ValueError):
+            kernel.call_later(-1.0, lambda: None)
+
 
 class TestProcesses:
     def test_return_value(self, kernel):
