@@ -26,7 +26,7 @@ pairs:
 	python3 scripts/pairs.py --parent $(PARENT) --change . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 perf-sharded:
-	PYTHONPATH=src python benchmarks/bench_perf.py
+	PYTHONPATH=src python benchmarks/bench_perf.py --pairs $(PAIRS)
 
 perf-serving:
 	PYTHONPATH=src python benchmarks/bench_serving.py

@@ -197,22 +197,10 @@ def check_alert_rules(path, reasons):
                 f"{where}: AlertRule name must be a string literal "
                 f"(it becomes the alert's event reason)")
             names = []
-        reason_values = list(names)
-        for keyword in node.keywords:
-            if keyword.arg != "event_reason":
-                continue
-            explicit = literal_values(keyword.value)
-            if explicit is None:
-                violations.append(
-                    f"{where}: dynamic AlertRule event_reason "
-                    f"({ast.unparse(keyword.value)})")
-            else:
-                reason_values = explicit  # overrides the name default
         for value in names:
             if not REASON_RE.match(value):
                 violations.append(
                     f"{where}: alert rule name {value!r} is not CamelCase")
-        for value in reason_values:
             if value not in reasons:
                 violations.append(
                     f"{where}: alert event reason {value!r} is not "

@@ -27,6 +27,7 @@ enabled and no fault injected the simulated timeline stays
 bit-identical (same argument as the metrics scraper).
 """
 
+from ..sim.periodic import Periodic, Polling
 from .checker import (CheckBudgetExceeded, check_operations,
                       render_witness)
 from .history import HistoryRecorder  # noqa: F401  (re-export context)
@@ -50,16 +51,16 @@ def closed_prefix(ops):
     return len(ops)
 
 
-class ConsistencyAuditor:
+class ConsistencyAuditor(Polling):
     """Periodically check the recorded history key by key."""
 
     def __init__(self, kernel, history, metrics=None, interval=5.0,
                  max_configs=200_000):
-        if interval <= 0:
-            raise ValueError(f"audit interval must be positive: {interval}")
         self.kernel = kernel
         self.history = history
         self.interval = interval
+        self._loop = Periodic(kernel, "consistency-auditor", self.audit_once,
+                              interval, sleep_first=True)
         self.max_configs = max_configs
         self.ops_checked = 0
         self.passes = 0
@@ -67,7 +68,6 @@ class ConsistencyAuditor:
         self.budget_exhausted = []  # keys whose search blew the budget
         self._cursor = {}   # key -> (next raw index, carried states)
         self._flagged = set()
-        self._process = None
         self._m_checked = None
         self._m_violations = None
         if metrics is not None:
@@ -79,24 +79,6 @@ class ConsistencyAuditor:
                 "consistency_violations_total", ("key",),
                 help="Keys whose recorded client history is not "
                      "linearizable")
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self):
-        self._process = self.kernel.spawn(self._run(),
-                                          name="consistency-auditor")
-
-    def stop(self):
-        if self._process is not None:
-            self._process.kill("consistency auditor stopped")
-            self._process = None
-
-    def _run(self):
-        while True:
-            yield self.kernel.sleep(self.interval)
-            self.audit_once()
 
     # ------------------------------------------------------------------
     # One audit pass

@@ -26,15 +26,20 @@ from ..raftkv import EtcdClient, NoLeader
 
 __all__ = ["NemesisSoak", "seeded_stale_read_scenario"]
 
+# Soak pacing, simulated seconds (periods are means: each wait draws
+# 0.5–1.5x).
+OP_PERIOD = 0.06
+NEMESIS_PERIOD = 3.0
+FAULT_DURATION = (1.0, 2.5)
+CRASH_RESTART_AFTER = 1.5
+
 
 class NemesisSoak:
     """Concurrent KV load plus a mixed gray/crash nemesis."""
 
     KEY_PREFIX = "/audit/k"
 
-    def __init__(self, platform, clients=4, keys=6, duration=40.0,
-                 op_period=0.06, nemesis_period=3.0,
-                 fault_duration=(1.0, 2.5), crash_restart_after=1.5):
+    def __init__(self, platform, clients=4, keys=6, duration=40.0):
         if platform.history is None:
             raise ValueError(
                 "NemesisSoak needs PlatformConfig(history_recording=True)")
@@ -42,10 +47,6 @@ class NemesisSoak:
         self.clients = clients
         self.keys = keys
         self.duration = duration
-        self.op_period = op_period
-        self.nemesis_period = nemesis_period
-        self.fault_duration = fault_duration
-        self.crash_restart_after = crash_restart_after
         self._deadline = None
         self.faults_injected = []  # (time, kind, target)
         self.ops_issued = 0
@@ -136,7 +137,7 @@ class NemesisSoak:
                     last_seen[key] = None
             except NoLeader:
                 pass  # recorded as fail/info; keep hammering
-            yield kernel.sleep(self.op_period * (0.5 + rng.random()))
+            yield kernel.sleep(OP_PERIOD * (0.5 + rng.random()))
 
     # ------------------------------------------------------------------
     # Nemesis
@@ -150,9 +151,9 @@ class NemesisSoak:
         node_ids = list(platform.etcd.node_ids)
         kinds = ("slow", "oneway-peer", "oneway-client", "loss",
                  "duplicate", "disk-stall", "crash")
-        lo, hi = self.fault_duration
+        lo, hi = FAULT_DURATION
         while kernel.now < self._deadline - hi:
-            yield kernel.sleep(self.nemesis_period * (0.5 + rng.random()))
+            yield kernel.sleep(NEMESIS_PERIOD * (0.5 + rng.random()))
             kind = kinds[rng.randrange(len(kinds))]
             duration = lo + rng.random() * (hi - lo)
             target = node_ids[rng.randrange(len(node_ids))]
@@ -196,7 +197,7 @@ class NemesisSoak:
         kernel = self.platform.kernel
 
         def restart():
-            yield kernel.sleep(self.crash_restart_after)
+            yield kernel.sleep(CRASH_RESTART_AFTER)
             if not node.alive:
                 node.restart()
 

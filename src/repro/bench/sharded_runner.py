@@ -68,10 +68,9 @@ def build_sharded_bench(scenario, cells):
         gpus_per_node=scenario["gpus_per_node"],
         gpu_type="k80",
         management_nodes=2,
-        shards=cells,
     )
     return ShardedPlatform(
-        config, seed=scenario["seed"], driver=bench_cell_driver,
+        config, cells, seed=scenario["seed"], driver=bench_cell_driver,
         driver_args=(jobs, scenario["steps"]), settle=30.0)
 
 

@@ -9,6 +9,9 @@ retires nodes that have sat idle, within [min_nodes, max_nodes].
 
 from .controllers import Controller
 
+# A pending pod younger than this is mid-scheduling churn, not demand.
+PENDING_GRACE = 3.0
+
 
 class NodeTemplate:
     """Shape of nodes the autoscaler provisions."""
@@ -28,8 +31,7 @@ class ClusterAutoscaler(Controller):
     name = "cluster-autoscaler"
 
     def __init__(self, kernel, cluster, template=None, min_nodes=0, max_nodes=8,
-                 boot_time=90.0, idle_timeout=300.0, pending_grace=3.0,
-                 interval=1.0):
+                 boot_time=90.0, idle_timeout=300.0, interval=1.0):
         super().__init__(kernel, cluster.api, interval=interval)
         if min_nodes < 0 or max_nodes < min_nodes:
             raise ValueError("need 0 <= min_nodes <= max_nodes")
@@ -39,7 +41,6 @@ class ClusterAutoscaler(Controller):
         self.max_nodes = max_nodes
         self.boot_time = boot_time
         self.idle_timeout = idle_timeout
-        self.pending_grace = pending_grace
         self._booting = 0
         self._node_counter = 0
         self._idle_since = {}
@@ -61,7 +62,7 @@ class ClusterAutoscaler(Controller):
         demand = []
         for pod in self.api.list("Pod", unscheduled=True):
             created = pod.metadata.creation_time or 0.0
-            if now - created < self.pending_grace:
+            if now - created < PENDING_GRACE:
                 continue
             if pod.spec.gpu_type and pod.spec.gpu_type != self.template.gpu_type:
                 continue

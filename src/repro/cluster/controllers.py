@@ -7,12 +7,15 @@ dependability argument relies on (§IV: "each component can fail
 independently of the other").
 """
 
+from ..sim.periodic import Periodic, Polling
 from .kubelet import release_pod_resources
 from .resources.node import NOT_READY, READY
 from .resources.pod import FAILED, Pod
 
+PVC_BIND_DELAY = 0.2  # provisioning a volume for a claim, simulated seconds
 
-class Controller:
+
+class Controller(Polling):
     """Base reconcile loop."""
 
     name = "controller"
@@ -20,34 +23,16 @@ class Controller:
     def __init__(self, kernel, api, interval=0.2):
         self.kernel = kernel
         self.api = api
-        self.interval = interval
-        self.alive = False
-        self._proc = None
+        self._loop = Periodic(kernel, self.name, self.reconcile_once, interval)
 
-    def start(self):
-        if self.alive:
-            return self
-        self.alive = True
-        self._proc = self.kernel.spawn(self._loop(), name=self.name)
-        return self
-
-    def stop(self):
-        self.alive = False
-        if self._proc is not None:
-            self._proc.kill(f"{self.name} stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.alive:
-            try:
-                self.reconcile()
-            except Exception as exc:
-                # A real controller logs and retries; one bad resource
-                # must never kill the reconcile loop.
-                self.api.record_event("Controller", self.name, "ReconcileError",
-                                      repr(exc))
-            yield self.kernel.sleep(self.interval)
+    def reconcile_once(self):
+        try:
+            self.reconcile()
+        except Exception as exc:
+            # A real controller logs and retries; one bad resource
+            # must never kill the reconcile loop.
+            self.api.record_event("Controller", self.name, "ReconcileError",
+                                  repr(exc))
 
     def reconcile(self):
         raise NotImplementedError
@@ -279,10 +264,9 @@ class PvcController(Controller):
 
     name = "pvc-controller"
 
-    def __init__(self, kernel, api, nfs_server, interval=0.1, bind_delay=0.2):
+    def __init__(self, kernel, api, nfs_server, interval=0.1):
         super().__init__(kernel, api, interval=interval)
         self.nfs = nfs_server
-        self.bind_delay = bind_delay
         self._binding = set()
 
     def reconcile(self):
@@ -293,7 +277,7 @@ class PvcController(Controller):
             self.kernel.spawn(self._bind(pvc), name=f"pvc-bind:{pvc.metadata.name}")
 
     def _bind(self, pvc):
-        yield self.kernel.sleep(self.bind_delay)
+        yield self.kernel.sleep(PVC_BIND_DELAY)
         volume_name = f"pv-{pvc.metadata.namespace}-{pvc.metadata.name}"
         self.nfs.create_volume(volume_name, exist_ok=True)
         pvc.bound_volume = volume_name

@@ -8,6 +8,7 @@ node controller's job, exactly as in the real system.
 """
 
 from ..sim.errors import ProcessKilled
+from ..sim.periodic import Periodic
 from .resources.pod import (
     FAILED,
     RESTART_ALWAYS,
@@ -19,21 +20,21 @@ from .resources.pod import (
 
 KILLED_EXIT_CODE = 137
 
+# Kubelet timings, simulated seconds.
+SYNC_INTERVAL = 0.1
+HEARTBEAT_INTERVAL = 0.5
+CONTAINER_START_OVERHEAD = 0.4
+VOLUME_BIND_TIME = 0.8
+PVC_WAIT_INTERVAL = 0.1
+TERMINATION_GRACE = 0.5  # between a pod's stop signal and its SIGKILL
+
 
 class KubeletConfig:
-    """Tunable timing parameters, all simulated seconds."""
+    """The crash-loop backoff bounds, simulated seconds."""
 
-    def __init__(self, sync_interval=0.1, heartbeat_interval=0.5,
-                 container_start_overhead=0.4, volume_bind_time=0.8,
-                 restart_backoff_base=0.2, restart_backoff_max=10.0,
-                 pvc_wait_interval=0.1):
-        self.sync_interval = sync_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.container_start_overhead = container_start_overhead
-        self.volume_bind_time = volume_bind_time
+    def __init__(self, restart_backoff_base=0.2, restart_backoff_max=10.0):
         self.restart_backoff_base = restart_backoff_base
         self.restart_backoff_max = restart_backoff_max
-        self.pvc_wait_interval = pvc_wait_interval
 
 
 class ContainerContext:
@@ -80,6 +81,14 @@ class Kubelet:
         self.cluster = cluster  # for the shared container-log sink
         self.config = config or KubeletConfig()
         self.alive = False
+        # Spawned through the kubelet like everything else on the node:
+        # in ``_procs``, with its done-callback, as a pod worker is.
+        self._loops = (
+            Periodic(kernel, "heartbeat", self._heartbeat,
+                     HEARTBEAT_INTERVAL, spawn=self._spawn),
+            Periodic(kernel, "sync", self.sync_once, SYNC_INTERVAL,
+                     spawn=self._spawn),
+        )
         self._procs = set()
         self._pod_workers = {}  # pod uid -> worker process
         self._container_procs = {}  # (pod uid, container) -> (process, ctx)
@@ -95,8 +104,8 @@ class Kubelet:
             return self
         self.alive = True
         self.node.last_heartbeat = self.kernel.now
-        self._spawn(self._heartbeat_loop(), "heartbeat")
-        self._spawn(self._sync_loop(), "sync")
+        for loop in self._loops:
+            loop.start()
         return self
 
     def crash(self):
@@ -104,9 +113,12 @@ class Kubelet:
         if not self.alive:
             return self
         self.alive = False
+        reason = f"node {self.node.metadata.name} crashed"
+        for loop in self._loops:
+            loop.stop(reason)
         procs, self._procs = self._procs, set()
         for proc in procs:
-            proc.kill(f"node {self.node.metadata.name} crashed")
+            proc.kill(reason)
         self._pod_workers.clear()
         self._container_procs.clear()
         self._supervisors.clear()
@@ -124,34 +136,30 @@ class Kubelet:
         return process
 
     # ------------------------------------------------------------------
-    # Loops
+    # Loop bodies
     # ------------------------------------------------------------------
 
-    def _heartbeat_loop(self):
-        while self.alive:
-            self.node.last_heartbeat = self.kernel.now
-            yield self.kernel.sleep(self.config.heartbeat_interval)
+    def _heartbeat(self):
+        self.node.last_heartbeat = self.kernel.now
 
-    def _sync_loop(self):
-        while self.alive:
-            for pod in self.api.list("Pod", node_name=self.node.metadata.name):
-                uid = pod.metadata.uid
-                if pod.deletion_requested:
-                    if uid in self._terminating:
-                        continue
-                    if uid in self._pod_workers:
-                        self._terminating.add(uid)
-                        self._spawn(self._terminate_pod(pod, graceful=True),
-                                    f"terminate:{pod.metadata.name}")
-                    else:
-                        self._finalize_deletion(pod)
+    def sync_once(self):
+        for pod in self.api.list("Pod", node_name=self.node.metadata.name):
+            uid = pod.metadata.uid
+            if pod.deletion_requested:
+                if uid in self._terminating:
                     continue
-                if pod.is_terminal():
-                    continue
-                if uid not in self._pod_workers:
-                    worker = self._spawn(self._run_pod(pod), f"pod:{pod.metadata.name}")
-                    self._pod_workers[uid] = worker
-            yield self.kernel.sleep(self.config.sync_interval)
+                if uid in self._pod_workers:
+                    self._terminating.add(uid)
+                    self._spawn(self._terminate_pod(pod, graceful=True),
+                                f"terminate:{pod.metadata.name}")
+                else:
+                    self._finalize_deletion(pod)
+                continue
+            if pod.is_terminal():
+                continue
+            if uid not in self._pod_workers:
+                worker = self._spawn(self._run_pod(pod), f"pod:{pod.metadata.name}")
+                self._pod_workers[uid] = worker
 
     # ------------------------------------------------------------------
     # Pod execution
@@ -169,7 +177,7 @@ class Kubelet:
                 for c in pod.spec.containers
             ]
             yield self.kernel.all_of(pull_procs)
-            yield self.kernel.sleep(self.config.container_start_overhead)
+            yield self.kernel.sleep(CONTAINER_START_OVERHEAD)
 
             supervisors = []
             for container in pod.spec.containers:
@@ -208,8 +216,8 @@ class Kubelet:
                 )
                 if pvc is not None and pvc.bound:
                     break
-                yield self.kernel.sleep(self.config.pvc_wait_interval)
-            yield self.kernel.sleep(self.config.volume_bind_time)
+                yield self.kernel.sleep(PVC_WAIT_INTERVAL)
+            yield self.kernel.sleep(VOLUME_BIND_TIME)
             mounts[logical_name] = self.nfs.mount(pvc.bound_volume)
         return mounts
 
@@ -300,7 +308,7 @@ class Kubelet:
                 for (pod_uid, _name), (_proc, ctx) in list(self._container_procs.items()):
                     if pod_uid == uid and not ctx.stop_event.triggered:
                         ctx.stop_event.succeed()
-                yield self.kernel.sleep(pod.spec.termination_grace)
+                yield self.kernel.sleep(TERMINATION_GRACE)
             self.kill_pod_containers(pod)
             self._finalize_deletion(pod)
         finally:

@@ -55,7 +55,7 @@ class PodSpec:
 
     def __init__(self, containers, restart_policy=RESTART_ALWAYS, volumes=None,
                  node_selector=None, gpu_type=None, priority=0,
-                 termination_grace=0.5, gang=None, gang_size=0):
+                 gang=None, gang_size=0):
         if not containers:
             raise InvalidResource("a pod needs at least one container")
         names = [c.name for c in containers]
@@ -70,7 +70,6 @@ class PodSpec:
         self.node_selector = dict(node_selector or {})
         self.gpu_type = gpu_type
         self.priority = priority
-        self.termination_grace = termination_grace
         # Gang scheduling: pods sharing a gang name are placed
         # all-or-nothing when gang_size of them are pending together —
         # partial placement of a synchronous distributed job would hold

@@ -7,12 +7,14 @@ multi-GPU jobs can still place — the paper's platform layer must place
 1–4 GPU learners densely).
 """
 
+from ..sim.periodic import Periodic, Polling
+
 # A pod that stays parked (see ``Scheduler._report_unschedulable``) is
 # reported again this often, in simulated seconds.
 UNSCHEDULABLE_REPORT_INTERVAL = 30.0
 
 
-class Scheduler:
+class Scheduler(Polling):
     """Binds pending pods to nodes."""
 
     STRATEGIES = ("binpack", "spread")
@@ -24,12 +26,11 @@ class Scheduler:
         self.kernel = kernel
         self.api = api
         self.events = events
-        self.interval = interval
+        self._loop = Periodic(kernel, "scheduler", self.schedule_once,
+                              interval)
         self.tracer = tracer
         self.strategy = strategy
         self.preemption = preemption
-        self.alive = False
-        self._proc = None
         self.scheduled_count = 0
         self.preemptions = 0
         # The unschedulable set: uid of a pod no pass could place (a
@@ -51,24 +52,10 @@ class Scheduler:
             self._m_scheduled = self._m_preempted = None
 
     def start(self):
-        if self.alive:
-            return self
-        self.alive = True
-        self.parked = {}  # a restarted scheduler reports afresh
-        self._proc = self.kernel.spawn(self._loop(), name="scheduler")
+        if not self._loop.running:
+            self.parked = {}  # a restarted scheduler reports afresh
+            self._loop.start()
         return self
-
-    def stop(self):
-        self.alive = False
-        if self._proc is not None:
-            self._proc.kill("scheduler stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.alive:
-            self.schedule_once()
-            yield self.kernel.sleep(self.interval)
 
     def schedule_once(self):
         """One reconcile pass; returns how many pods were bound.

@@ -10,20 +10,24 @@ from ..grpcnet.errors import ServiceError
 from .errors import DlaasError
 from .states import TERMINAL_STATUSES
 
+# How hard a tenant's SDK tries before an API outage becomes an error.
+RPC_RETRIES = 6
+RPC_BACKOFF = 0.25
+RPC_DEADLINE = 5.0
+
 
 class DlaasClient:
     """Handle for one tenant's interactions with the platform."""
 
-    def __init__(self, platform, token, rpc_retries=6, rpc_backoff=0.25,
-                 rpc_deadline=5.0, route_key=None):
+    def __init__(self, platform, token, route_key=None):
         self.platform = platform
         self.kernel = platform.kernel
         self.token = token
         # With ring routing the tenant rides as the affinity key, so
         # every call of this client lands on the tenant's API replica.
         self._rpc = Client(self.kernel, platform.network, platform.api_balancer,
-                           caller=f"client-{token}", retries=rpc_retries,
-                           retry_backoff=rpc_backoff, deadline=rpc_deadline,
+                           caller=f"client-{token}", retries=RPC_RETRIES,
+                           retry_backoff=RPC_BACKOFF, deadline=RPC_DEADLINE,
                            route_key=route_key)
 
     def _call(self, method, **payload):

@@ -237,7 +237,7 @@ class GrayFailureInjector:
     def disk_stall_etcd(self, node_id, delay, duration=None):
         """Every log-carrying append on the node hangs ``delay`` s.
 
-        Keep ``delay`` under the Raft rpc_timeout (0.06 s default) so
+        Keep ``delay`` under the Raft ``RPC_TIMEOUT`` (0.06 s) so
         the leader's appends still succeed — slowly — instead of
         timing out into crash-style errors. Overlapping stalls add up;
         each revert subtracts only its own delay.

@@ -7,19 +7,20 @@ time series and produces operator summaries — the simulated analogue of
 a Prometheus + Grafana pair.
 """
 
+from ..sim.errors import ProcessKilled
+from ..sim.periodic import Periodic, Polling
 
-class ClusterMonitor:
+
+class ClusterMonitor(Polling):
     """Periodic sampler of GPU utilization and job states."""
 
     def __init__(self, platform, interval=5.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.platform = platform
         self.kernel = platform.kernel
-        self.interval = interval
         self.samples = []
-        self._proc = None
-        self.running = False
+        self._mongo = platform.mongo_client("cluster-monitor")
+        self._loop = Periodic(self.kernel, "cluster-monitor",
+                              self.sample_once, interval)
         # Each sample also updates the shared registry so the REST
         # /metrics endpoint exposes the same numbers operators would
         # scrape from a real cluster.
@@ -39,45 +40,31 @@ class ClusterMonitor:
         self._seen_phases = set()
         self._seen_statuses = set()
 
-    def start(self):
-        if self.running:
-            return self
-        self.running = True
-        self._proc = self.kernel.spawn(self._loop(), name="cluster-monitor")
-        return self
-
-    def stop(self):
-        self.running = False
-        if self._proc is not None:
-            self._proc.kill("monitor stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        mongo = self.platform.mongo_client("cluster-monitor")
-        while self.running:
-            capacity = self.platform.k8s.capacity_summary()
-            pods = self.platform.k8s.api.list("Pod")
-            phases = {}
-            for pod in pods:
-                phases[pod.phase] = phases.get(pod.phase, 0) + 1
-            try:
-                jobs = yield from mongo.find("jobs", {}, projection=["status"])
-            except Exception:
-                jobs = []
-            statuses = {}
-            for job in jobs:
-                statuses[job["status"]] = statuses.get(job["status"], 0) + 1
-            self.samples.append({
-                "time": self.kernel.now,
-                "gpus_total": capacity["gpus_total"],
-                "gpus_allocated": capacity["gpus_allocated"],
-                "nodes": capacity["nodes"],
-                "pods": phases,
-                "jobs": statuses,
-            })
-            self._publish(capacity, phases, statuses)
-            yield self.kernel.sleep(self.interval)
+    def sample_once(self):
+        capacity = self.platform.k8s.capacity_summary()
+        pods = self.platform.k8s.api.list("Pod")
+        phases = {}
+        for pod in pods:
+            phases[pod.phase] = phases.get(pod.phase, 0) + 1
+        try:
+            jobs = yield from self._mongo.find("jobs", {},
+                                               projection=["status"])
+        except ProcessKilled:
+            raise
+        except Exception:
+            jobs = []
+        statuses = {}
+        for job in jobs:
+            statuses[job["status"]] = statuses.get(job["status"], 0) + 1
+        self.samples.append({
+            "time": self.kernel.now,
+            "gpus_total": capacity["gpus_total"],
+            "gpus_allocated": capacity["gpus_allocated"],
+            "nodes": capacity["nodes"],
+            "pods": phases,
+            "jobs": statuses,
+        })
+        self._publish(capacity, phases, statuses)
 
     def _publish(self, capacity, phases, statuses):
         self._g_gpus_total.set(capacity["gpus_total"])

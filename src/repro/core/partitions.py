@@ -32,6 +32,7 @@ import math
 
 from ..grpcnet.hashring import stable_hash
 from ..sim.errors import ProcessKilled
+from ..sim.periodic import Periodic, Polling
 
 SLICE_PREFIX = "/lcm/slices/"
 MEMBER_PREFIX = "/lcm/members/"
@@ -50,7 +51,7 @@ def member_key(address):
     return f"{MEMBER_PREFIX}{address}"
 
 
-class SliceManager:
+class SliceManager(Polling):
     """One LCM instance's view of (and claim on) the slice space."""
 
     def __init__(self, platform, address, etcd):
@@ -60,11 +61,13 @@ class SliceManager:
         self.etcd = etcd
         self.slices = platform.config.lcm_slices
         self.ttl = platform.config.lcm_lease_ttl
-        self.tick = platform.config.lcm_slice_tick
         self.lease_id = f"lcm-slices:{address}"
         self.owned = set()
         self._owners = {}  # slice index -> address, as of the last tick
-        self._process = None
+        self._loop = Periodic(
+            self.kernel, f"slices:{address}", self._tick,
+            platform.config.lcm_slice_tick, sleep_first=True,
+            setup=self._register)
         self._g_owned = platform.metrics.gauge(
             "lcm_slices_owned", ("lcm",),
             help="Job-id slices this LCM partition currently owns")
@@ -76,17 +79,10 @@ class SliceManager:
     # Lifecycle (driven by the LCM pod workload)
     # ------------------------------------------------------------------
 
-    def start(self):
-        self._process = self.kernel.spawn(
-            self._loop(), name=f"slices:{self.address}")
-        return self
-
     def stop(self):
         """Stop claiming; the lease is left to expire (TTL), which is
         also the crash path — survivors adopt within one sweep+tick."""
-        if self._process is not None:
-            self._process.kill(f"slice manager {self.address} stopped")
-            self._process = None
+        self._loop.stop()
         self._g_owned.labels(lcm=self.address).set(0)
 
     # ------------------------------------------------------------------
@@ -105,25 +101,22 @@ class SliceManager:
     # The claim loop
     # ------------------------------------------------------------------
 
-    def _loop(self):
-        yield from self._register()
-        while True:
-            yield self.kernel.sleep(self.tick)
-            try:
-                yield from self._tick()
-            except ProcessKilled:
-                raise
-            except Exception:
-                # Transient etcd unavailability (election, partition):
-                # keep ticking; the lease TTL is the arbiter of life.
-                continue
-
     def _register(self):
         yield from self.etcd.lease_grant(self.lease_id, self.ttl)
         yield from self.etcd.put(member_key(self.address), True,
                                  lease=self.lease_id)
 
     def _tick(self):
+        try:
+            yield from self._claim()
+        except ProcessKilled:
+            raise
+        except Exception:
+            # Transient etcd unavailability (election, partition):
+            # keep ticking; the lease TTL is the arbiter of life.
+            pass
+
+    def _claim(self):
         alive = yield from self.etcd.lease_keepalive(self.lease_id)
         if not alive.get("ok"):
             # Our lease expired under us (long partition): every claim

@@ -123,13 +123,6 @@ class PlatformConfig:
     # of test_timeline_pin.py).
     serving: bool = False
 
-    # Sharded deployment (repro.core.sharded.ShardedPlatform): number
-    # of platform cells, each a full control plane on its own kernel
-    # shard owning a slice of the job space. 1 = today's single-cell
-    # platform on one kernel — bit-identical, no shard machinery is
-    # even constructed.
-    shards: int = 1
-
     # Sharded control plane (ISSUE 10): every knob defaults to the
     # unsharded platform, and with the defaults none of the sharding
     # machinery runs a single extra simulation event — the timeline is
@@ -173,11 +166,6 @@ class DlaasPlatform:
 
     def __init__(self, kernel=None, config=None, seed=0):
         self.config = config or PlatformConfig()
-        if self.config.shards > 1:
-            raise ValueError(
-                f"PlatformConfig(shards={self.config.shards}) needs the "
-                "partitioned assembly — use repro.core.sharded."
-                "ShardedPlatform; DlaasPlatform is one cell")
         self.kernel = kernel or Kernel(seed=seed)
         self.tracer = Tracer(self.kernel,
                              span_tracing=self.config.span_tracing)

@@ -1,6 +1,6 @@
 """Sharded DLaaS deployment: platform cells on a partitioned kernel.
 
-``PlatformConfig(shards=N)`` describes a deployment of N *cells*. Each
+``ShardedPlatform(config, cells=N)`` is a deployment of N *cells*. Each
 cell is a complete control plane — its own API/LCM replicas, etcd and
 Mongo quorums, NFS, cluster slice — assembled as a stock
 :class:`~repro.core.platform.DlaasPlatform` on a **private kernel
@@ -10,9 +10,8 @@ nothing is shared between cells except explicit federation RPCs, which
 cross the shard boundary as serialized single-copy messages with the
 ``SHARD_LINK_LATENCY`` floor.
 
-With ``shards=1`` nothing here is even constructed — ``DlaasPlatform``
-is the single cell, bit-identical to every release before sharding
-existed.
+``DlaasPlatform`` itself is always one cell and knows nothing of this
+module; a one-cell ``ShardedPlatform`` replays it bit for bit.
 
 Determinism: the cell timelines plus the boundary-message log merge
 into one fingerprint (:func:`repro.sim.shard.merged_digest`). The
@@ -86,11 +85,10 @@ class PlatformShard:
     """
 
     def __init__(self, slot, config, seed, driver, driver_args, settle):
-        config = replace(config, shards=1)
         self.cell_id = slot.shard_id
         self.num_cells = slot.num_shards
         self.settle = settle
-        # A solo cell keeps the plain seed: shards=1 must replay the
+        # A solo cell keeps the plain seed: cells=1 must replay the
         # unsharded platform bit for bit. Real cells fork the seed so
         # no two cells run correlated RNG streams.
         cell_seed = seed if slot.num_shards == 1 else f"{seed}#cell{slot.shard_id}"
@@ -204,38 +202,34 @@ def cell_config(config, cells, cell_id):
         raise ValueError(
             f"{cells} cells over {config.gpu_nodes} GPU nodes leaves "
             f"cell {cell_id} empty")
-    return replace(config, shards=1, gpu_nodes=gpu_nodes)
+    return replace(config, gpu_nodes=gpu_nodes)
 
 
 class ShardedPlatform:
     """An N-cell DLaaS deployment driven as one partitioned simulation.
 
-    ``driver`` is the per-cell workload generator (see
-    :class:`PlatformShard`); ``per_cell_args`` optionally overrides its
-    arguments cell by cell. ``run()`` executes the whole federation —
-    ``workers`` picks parallelism only and never changes the merged
-    timeline.
+    ``config`` is the whole deployment's (its GPU nodes are divided
+    over the ``cells``); ``driver`` is the per-cell workload generator
+    (see :class:`PlatformShard`). ``run()`` executes the whole
+    federation — ``workers`` picks parallelism only and never changes
+    the merged timeline.
     """
 
-    def __init__(self, config, seed=0, driver=None, driver_args=(),
-                 per_cell_args=None, settle=30.0):
+    def __init__(self, config, cells, seed=0, driver=None, driver_args=(),
+                 settle=30.0):
         if driver is None:
             raise ValueError("ShardedPlatform needs a driver")
-        cells = config.shards
         if cells < 1:
-            raise ValueError(f"config.shards must be >= 1: {cells}")
+            raise ValueError(f"cells must be >= 1: {cells}")
         self.cells = cells
         self.lookahead = SHARD_LINK_LATENCY
-        self._specs = []
-        for cell_id in range(cells):
-            args = (per_cell_args[cell_id] if per_cell_args is not None
-                    else driver_args)
-            self._specs.append((
-                build_platform_shard,
-                (cell_config(config, cells, cell_id), seed, driver, args,
-                 settle),
-                {},
-            ))
+        self._specs = [
+            (build_platform_shard,
+             (cell_config(config, cells, cell_id), seed, driver, driver_args,
+              settle),
+             {})
+            for cell_id in range(cells)
+        ]
         self.sharded = None
         self.results = None
         self.digest = None

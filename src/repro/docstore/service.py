@@ -14,6 +14,11 @@ from ..grpcnet.errors import RpcError, ServiceError
 from .database import Database
 from .errors import NoPrimary
 
+# A rejoining member's initial sync: a fixed transfer set-up plus a
+# per-document copy cost, simulated seconds.
+SYNC_BASE_TIME = 0.2
+SYNC_PER_DOC = 0.0005
+
 
 class MongoMember:
     """One replica-set member: a Database behind an RPC server."""
@@ -67,7 +72,7 @@ class MongoMember:
             self.database = Database(self.member_id)
         return self
 
-    def restart(self, sync_base_time=0.2, sync_per_doc=0.0005):
+    def restart(self):
         """Rejoin the set: state-transfer from the primary, then serve.
 
         A crashed member's data is stale — it missed every write made
@@ -84,7 +89,7 @@ class MongoMember:
         if primary is None or primary is self:
             return self.start()
         self.syncing = True
-        delay = sync_base_time + sync_per_doc * primary.database.document_count()
+        delay = SYNC_BASE_TIME + SYNC_PER_DOC * primary.database.document_count()
         self.kernel.spawn(self._initial_sync(delay), name=f"{self.member_id}:sync")
         return self
 

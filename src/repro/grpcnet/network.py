@@ -407,9 +407,6 @@ class Network:
             raise ValueError(f"remote address {address} maps to own shard")
         self._remotes[address] = shard_id
 
-    def is_remote(self, address):
-        return address in self._remotes
-
     def _remote_call(self, address, method, request, deadline, caller):
         self.calls_total += 1
         self.remote_calls_total += 1

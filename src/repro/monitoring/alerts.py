@@ -26,6 +26,7 @@ Evaluation reads only in-memory series — no RPCs — so the engine
 cannot perturb the simulated job timeline.
 """
 
+from ..sim.periodic import Periodic, Polling
 from ..sim.timeseries import counter_increase
 
 PENDING = "pending"
@@ -166,7 +167,7 @@ class AlertRule:
     """A condition that must hold for ``for_`` seconds to fire."""
 
     def __init__(self, name, condition, for_=0.0, severity="warning",
-                 event_reason=None, description=""):
+                 description=""):
         if not isinstance(condition, Condition):
             raise TypeError("AlertRule needs a Condition "
                             "(compare a Metric/Increase against a threshold)")
@@ -174,21 +175,19 @@ class AlertRule:
         self.condition = condition
         self.for_ = for_
         self.severity = severity
-        self.event_reason = event_reason or name
         self.description = description
 
 
-class AlertEngine:
+class AlertEngine(Polling):
     """Evaluates recording + alert rules on a fixed simulated cadence."""
 
     def __init__(self, kernel, store, events=None, metrics=None,
                  interval=1.0, staleness=None):
-        if interval <= 0:
-            raise ValueError("evaluation interval must be positive")
         self.kernel = kernel
         self.store = store
         self.events = events
-        self.interval = interval
+        self._loop = Periodic(kernel, "alert-engine", self.evaluate_once,
+                              interval)
         # An instant sample older than this is stale. Default: a bit
         # more than two eval ticks, so one late scrape is forgiven.
         self.staleness = staleness if staleness is not None else 2.5 * interval
@@ -196,8 +195,6 @@ class AlertEngine:
         self.recording_rules = []
         self.active = {}  # (rule_name, labels) -> instance dict
         self.history = []  # transition records, append-only
-        self.running = False
-        self._proc = None
         if metrics is not None:
             self._g_firing = metrics.gauge(
                 "alerts_firing", ("alert",), help="Currently firing alerts")
@@ -214,9 +211,9 @@ class AlertEngine:
     def add_rule(self, rule):
         self.rules.append(rule)
         if self.events is not None:
-            # Rules declare their event reason; admit it so firing can
+            # A rule's name is its event reason; admit it so firing can
             # always be recorded (built-in reasons are already known).
-            self.events.register_reason(rule.event_reason)
+            self.events.register_reason(rule.name)
         if self._g_firing is not None:
             self._g_firing.labels(alert=rule.name).set(0)
         return rule
@@ -231,29 +228,6 @@ class AlertEngine:
             if rule.name == name:
                 return rule
         raise KeyError(name)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self):
-        if self.running:
-            return self
-        self.running = True
-        self._proc = self.kernel.spawn(self._loop(), name="alert-engine")
-        return self
-
-    def stop(self):
-        self.running = False
-        if self._proc is not None:
-            self._proc.kill("alert engine stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.running:
-            self.evaluate_once()
-            yield self.kernel.sleep(self.interval)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -324,7 +298,7 @@ class AlertEngine:
         kind, name = self._involved(rule, labels)
         detail = ",".join(f"{k}={v}" for k, v in labels) or "-"
         self.events.emit_event(
-            "Warning", rule.event_reason, kind, name,
+            "Warning", rule.name, kind, name,
             message=f"alert {rule.name} firing ({detail}, value {value:g})")
 
     def _on_resolved(self, rule, labels):

@@ -48,6 +48,14 @@ WRITE_METHODS = frozenset({
     "replicate", "append_entries", "install_snapshot", "propose",
 })
 
+# Scale floors: absolute seconds / rate fraction below which a
+# difference is noise, and the relative floor that demands a multiple
+# of the peer median before a latency divergence scores.
+LATENCY_FLOOR = 0.002
+LATENCY_REL_FLOOR = 0.5
+ERROR_FLOOR = 0.05
+FLOW_FLOOR = 0.15
+
 
 def role_of(endpoint):
     """Peer-group key of an endpoint address.
@@ -93,23 +101,13 @@ class DifferentialDetector:
     expression (``eval(store, now, staleness)`` -> labels -> score).
     """
 
-    def __init__(self, window=8.0, min_count=4, write_methods=WRITE_METHODS,
-                 latency_floor=0.002, latency_rel_floor=0.5,
-                 error_floor=0.05, flow_floor=0.15):
+    def __init__(self, window=8.0, min_count=4):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1: {min_count}")
         self.window = window
         self.min_count = min_count
-        self.write_methods = frozenset(write_methods)
-        # Scale floors: absolute seconds / rate fraction below which a
-        # difference is noise, and the relative floor that demands a
-        # multiple of the peer median before a latency divergence scores.
-        self.latency_floor = latency_floor
-        self.latency_rel_floor = latency_rel_floor
-        self.error_floor = error_floor
-        self.flow_floor = flow_floor
 
     def eval(self, store, now, staleness):
         del staleness  # windowed deltas, not instant samples
@@ -174,10 +172,10 @@ class DifferentialDetector:
 
         score_groups(
             means,
-            lambda method: ("write_latency" if method in self.write_methods
+            lambda method: ("write_latency" if method in WRITE_METHODS
                             else "latency"),
-            self.latency_floor, self.latency_rel_floor)
-        score_groups(rates, lambda _method: "link", self.error_floor)
+            LATENCY_FLOOR, LATENCY_REL_FLOOR)
+        score_groups(rates, lambda _method: "link", ERROR_FLOOR)
 
         # Flow anomaly: handled-at-server vs requested-by-clients. An
         # absolute check (no peer group needed) — a healthy endpoint
@@ -195,6 +193,6 @@ class DifferentialDetector:
             if handled is None:
                 continue
             excess = max(0.0, handled / total - 1.0)
-            publish(endpoint, "link", excess / self.flow_floor)
+            publish(endpoint, "link", excess / FLOW_FLOOR)
 
         return out

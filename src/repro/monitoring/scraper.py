@@ -28,6 +28,7 @@ itself — is computed once per child and cached on a
 ring-buffer appends.
 """
 
+from ..sim.periodic import Periodic, Polling
 from ..sim.timeseries import canonical_labels
 
 
@@ -43,7 +44,7 @@ class _SeriesHandle:
         self.series = None  # resolved on first emission
 
 
-class MetricsScraper:
+class MetricsScraper(Polling):
     """Periodic collector of metrics + health into the series store."""
 
     QUANTILES = (("p50", 50), ("p95", 95), ("p99", 99))
@@ -55,11 +56,11 @@ class MetricsScraper:
 
     def __init__(self, kernel, store, interval=1.0, registry=None,
                  health=None, prune_after=None):
-        if interval <= 0:
-            raise ValueError("scrape interval must be positive")
         self.kernel = kernel
         self.store = store
         self.interval = interval
+        self._loop = Periodic(kernel, "metrics-scraper", self.scrape_once,
+                              interval)
         self.registry = registry
         self.health = health
         # A series stale this long is dropped from the store entirely
@@ -67,9 +68,7 @@ class MetricsScraper:
         self.prune_after = prune_after if prune_after is not None \
             else store.retention
         self.series_pruned = 0
-        self.running = False
         self.scrape_count = 0
-        self._proc = None
         self._last_keys = set()
         self._stale_since = {}  # (name, labels) -> time marked stale
         self._plans = {}  # (family name, labelvalues) -> emit plan
@@ -116,25 +115,6 @@ class MetricsScraper:
                     help="Local-clock lag behind the global window start"),
             )
         return handles
-
-    def start(self):
-        if self.running:
-            return self
-        self.running = True
-        self._proc = self.kernel.spawn(self._loop(), name="metrics-scraper")
-        return self
-
-    def stop(self):
-        self.running = False
-        if self._proc is not None:
-            self._proc.kill("scraper stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.running:
-            self.scrape_once()
-            yield self.kernel.sleep(self.interval)
 
     # ------------------------------------------------------------------
 

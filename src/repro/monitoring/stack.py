@@ -17,38 +17,19 @@ bit-identical with monitoring on or off.
 from .alerts import AlertEngine, default_rule_pack
 from .differential import DifferentialDetector
 from .scraper import MetricsScraper
+from ..sim.periodic import Periodic, Polling
 from ..sim.timeseries import TimeSeriesStore
 
 
-class EventFlusher:
+class EventFlusher(Polling):
     """Periodically persists dirty platform events to the docstore."""
 
     def __init__(self, kernel, recorder, replica_set, interval=1.0):
         self.kernel = kernel
         self.recorder = recorder
         self.replica_set = replica_set
-        self.interval = interval
-        self.running = False
-        self._proc = None
-
-    def start(self):
-        if self.running:
-            return self
-        self.running = True
-        self._proc = self.kernel.spawn(self._loop(), name="event-flusher")
-        return self
-
-    def stop(self):
-        self.running = False
-        if self._proc is not None:
-            self._proc.kill("event flusher stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.running:
-            self.flush_once()
-            yield self.kernel.sleep(self.interval)
+        self._loop = Periodic(kernel, "event-flusher", self.flush_once,
+                              interval)
 
     def flush_once(self):
         """Upsert every event touched since the last flush into each

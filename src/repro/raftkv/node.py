@@ -33,11 +33,15 @@ CANDIDATE = "candidate"
 LEADER = "leader"
 
 
+RPC_TIMEOUT = 0.06  # deadline of one peer RPC, simulated seconds
+LEASE_SWEEP = 0.5  # how often the leader expires overdue leases
+
+
 class RaftTimings:
-    """Protocol timing constants (simulated seconds)."""
+    """Election and heartbeat timing (simulated seconds)."""
 
     def __init__(self, election_min=0.15, election_max=0.30,
-                 heartbeat=0.05, rpc_timeout=0.06, lease_sweep=0.5):
+                 heartbeat=0.05):
         if not 0 < election_min < election_max:
             raise ValueError("need 0 < election_min < election_max")
         if heartbeat >= election_min:
@@ -45,8 +49,6 @@ class RaftTimings:
         self.election_min = election_min
         self.election_max = election_max
         self.heartbeat = heartbeat
-        self.rpc_timeout = rpc_timeout
-        self.lease_sweep = lease_sweep
 
 
 class RaftNode:
@@ -293,7 +295,7 @@ class RaftNode:
         try:
             reply = yield self.network.call(
                 peer, "request_vote", request,
-                deadline=self.timings.rpc_timeout, caller=self.node_id,
+                deadline=RPC_TIMEOUT, caller=self.node_id,
             )
         except (RpcError, ProcessKilled):
             return
@@ -456,7 +458,7 @@ class RaftNode:
             try:
                 reply = yield self.network.call(
                     peer, "append_entries", request,
-                    deadline=self.timings.rpc_timeout, caller=self.node_id,
+                    deadline=RPC_TIMEOUT, caller=self.node_id,
                 )
             except RpcError:
                 yield self.kernel.sleep(self.timings.heartbeat)
@@ -501,7 +503,7 @@ class RaftNode:
         try:
             reply = yield self.network.call(
                 peer, "install_snapshot", request,
-                deadline=self.timings.rpc_timeout * 4,  # big payload
+                deadline=RPC_TIMEOUT * 4,  # big payload
                 caller=self.node_id,
             )
         except RpcError:
@@ -603,7 +605,7 @@ class RaftNode:
 
     def _lease_sweeper(self, term):
         while self.alive and self.role == LEADER and self.current_term == term:
-            yield self.kernel.sleep(self.timings.lease_sweep)
+            yield self.kernel.sleep(LEASE_SWEEP)
             if not (self.alive and self.role == LEADER and self.current_term == term):
                 return
             now = self.kernel.now

@@ -22,6 +22,8 @@ between the write and the patch is healed by the next reconcile.
 in isolation from the platform.
 """
 
+from ..sim.periodic import Periodic, Polling
+
 AUTOSCALE_INTERVAL = 2.0
 SCALE_UP_COOLDOWN = 5.0
 SCALE_DOWN_COOLDOWN = 60.0
@@ -51,7 +53,7 @@ def plan_scaling(*, replicas, p99, queue_depth, manifest, now,
     return None
 
 
-class ServingAutoscaler:
+class ServingAutoscaler(Polling):
     """Periodic per-model evaluation loop inside the manager pod."""
 
     def __init__(self, manager):
@@ -62,8 +64,9 @@ class ServingAutoscaler:
         # them, which at worst re-permits one early scaling step.
         self._last_up = {}
         self._last_down = {}
-        self.running = False
-        self._proc = None
+        self._loop = Periodic(
+            self.kernel, f"serving-autoscaler:{manager.address}",
+            self.evaluate_once, AUTOSCALE_INTERVAL)
         metrics = self.platform.metrics
         self._m_scale = metrics.counter(
             "serving_scale_events_total", ("model", "direction"),
@@ -71,26 +74,6 @@ class ServingAutoscaler:
         self._g_breach = metrics.gauge(
             "serving_slo_breach", ("model",),
             help="Window p99 over the model SLO (ratio; >1 is a breach)")
-
-    def start(self):
-        if self.running:
-            return self
-        self.running = True
-        self._proc = self.kernel.spawn(self._loop(),
-                                       name=f"serving-autoscaler:{self.manager.address}")
-        return self
-
-    def stop(self):
-        self.running = False
-        if self._proc is not None:
-            self._proc.kill("serving autoscaler stopped")
-            self._proc = None
-        return self
-
-    def _loop(self):
-        while self.running:
-            yield from self.evaluate_once()
-            yield self.kernel.sleep(AUTOSCALE_INTERVAL)
 
     def evaluate_once(self):
         runtime = self.platform.serving

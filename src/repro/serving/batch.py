@@ -27,11 +27,13 @@ Shard state machine::
 
 from ..cluster import ContainerSpec, Deployment, PodSpec, PodTemplate, RESTART_ALWAYS
 from ..frameworks import get_framework
+from ..sim.periodic import Periodic
 from .replica import REPLICA_INIT_TIME
 
 LEASE_TIMEOUT = 20.0
 RENEW_INTERVAL = 2.0
 MONITOR_INTERVAL = 2.0  # lease-expiry sweep cadence
+WAIT_POLL = 1.0  # how often ``BatchInferJob.wait`` looks at the shards
 
 SHARD_PENDING = "PENDING"
 SHARD_LEASED = "LEASED"
@@ -231,7 +233,9 @@ class BatchInferJob:
         self.manifest = manifest
         self.coordinator = BatchCoordinator(platform, batch_id, manifest)
         self.deployment_name = f"batchinfer-{batch_id}"
-        self._monitor_proc = None
+        self._monitor = Periodic(
+            self.kernel, f"batch-monitor:{batch_id}", self._expire_leases,
+            MONITOR_INTERVAL)
 
     def start(self):
         platform = self.platform
@@ -260,15 +264,13 @@ class BatchInferJob:
             replicas=manifest.workers,
             labels={"dlaas-batch": self.batch_id},
         ))
-        self._monitor_proc = self.kernel.spawn(
-            self._monitor(), name=f"batch-monitor:{self.batch_id}")
+        self._monitor.start()
         return self
 
-    def _monitor(self):
-        while not self.coordinator.done:
-            self.coordinator.expire_leases()
-            yield self.kernel.sleep(MONITOR_INTERVAL)
-        self.coordinator.expire_leases()  # final gauge reset
+    def _expire_leases(self):
+        self.coordinator.expire_leases()
+        if self.coordinator.done:  # that pass was the final gauge reset
+            self._monitor.stop()
 
     def scale(self, workers):
         """Mid-run elasticity: patch the worker Deployment in place."""
@@ -280,7 +282,7 @@ class BatchInferJob:
             api.update(deployment)
         return workers
 
-    def wait(self, timeout=100_000.0, poll=1.0):
+    def wait(self, timeout=100_000.0):
         """Process generator: block until every shard is DONE, then
         tear the worker Deployment down. Returns the summary."""
         deadline = self.kernel.now + timeout
@@ -290,7 +292,7 @@ class BatchInferJob:
                     f"batch {self.batch_id}: "
                     f"{self.coordinator.completed}/{len(self.coordinator.shards)} "
                     f"shards after {timeout}s")
-            yield self.kernel.sleep(poll)
+            yield self.kernel.sleep(WAIT_POLL)
         api = self.platform.k8s.api
         deployment = api.get_or_none("Deployment", self.deployment_name)
         if deployment is not None and not deployment.deletion_requested:

@@ -3,7 +3,10 @@
 This is the substrate clock for the whole reproduction: every
 microservice, Kubernetes controller, Raft node and learner process runs
 as a generator-based process on :class:`Kernel`, and all times reported
-by benchmarks are simulated seconds.
+by benchmarks are simulated seconds. The two control-loop shapes are
+written once each: :class:`Reconciler` (watch-driven, keyed) and
+:class:`Periodic` (fixed interval — every poller in the platform holds
+one, and its ``start()``/``stop()`` contract is theirs).
 """
 
 from .channels import Channel
@@ -12,6 +15,7 @@ from .events import AllOf, AnyOf, Event
 from .faults import FaultInjector
 from .kernel import Kernel
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .periodic import Periodic, Polling
 from .process import Process
 from .reconciler import Reconciler, WatchSource, WorkQueue
 from .shard import (
@@ -49,6 +53,8 @@ __all__ = [
     "Kernel",
     "MetricsRegistry",
     "NULL_SPAN",
+    "Periodic",
+    "Polling",
     "Process",
     "ProcessKilled",
     "Reconciler",

@@ -24,6 +24,7 @@ The three building blocks:
 from collections import deque
 
 from .errors import ChannelClosed, ProcessKilled
+from .periodic import Periodic
 
 
 class WorkQueue:
@@ -283,7 +284,11 @@ class Reconciler:
         self.reconcile = reconcile
         self.queue = queue or WorkQueue(kernel, name=name, metrics=metrics,
                                         kind=kind)
-        self.resync_interval = resync_interval
+        self._resync = None  # the safety-net relist behind the watches
+        if resync_interval > 0:
+            self._resync = Periodic(
+                kernel, f"reconciler:{name}:resync", self.resync_once,
+                resync_interval, sleep_first=True)
         self.rewatch_delay = rewatch_delay
         self.tracer = tracer
         # key_context(key) -> SpanContext | None: lets the owner link a
@@ -346,8 +351,8 @@ class Reconciler:
         for source in self.sources:
             self._spawn(self._pump(source), f"pump:{source.name}")
         self._spawn(self._worker(), "worker")
-        if self.resync_interval and self.resync_interval > 0:
-            self._spawn(self._resync_ticker(), "resync")
+        if self._resync is not None:
+            self._resync.start()
         return self
 
     def stop(self):
@@ -356,8 +361,11 @@ class Reconciler:
             return
         self._running = False
         procs, self._procs = self._procs, []
+        reason = f"reconciler {self.name!r} stopped"
         for proc in procs:
-            proc.kill(f"reconciler {self.name!r} stopped")
+            proc.kill(reason)
+        if self._resync is not None:
+            self._resync.stop(reason)
         for source in self.sources:
             source.unsubscribe()
         self.queue.close()
@@ -421,16 +429,13 @@ class Reconciler:
         for key in listing or ():
             self.queue.add(key)
 
-    def _resync_ticker(self):
-        while self._running:
-            yield self.kernel.sleep(self.resync_interval)
-            if not self._running:
-                return
-            self.resyncs += 1
-            for key in self.static_keys:
-                self.queue.add(key)
-            for source in self.sources:
-                yield from self._relist(source)
+    def resync_once(self):
+        """Relist everything: static keys, then every source."""
+        self.resyncs += 1
+        for key in self.static_keys:
+            self.queue.add(key)
+        for source in self.sources:
+            yield from self._relist(source)
 
     def _start_reconcile_span(self, key):
         if self.tracer is None or not getattr(self.tracer, "span_tracing", False):

@@ -11,6 +11,7 @@ from repro.cluster import (
     RESTART_NEVER,
     RESTART_ON_FAILURE,
 )
+from repro.cluster.kubelet import SYNC_INTERVAL
 
 
 def sleeper(duration, exit_code=0):
@@ -199,6 +200,20 @@ class TestBriefKubeletOutage:
         assert pod.phase == "Running"
         assert len(runs) == 2  # original start + post-outage restart
 
+    def test_both_loops_are_on_the_kubelets_books(self, kernel, cluster):
+        # Heartbeat and sync are spawned through the kubelet: they are in
+        # what crash() sweeps and leave it when they end, like any other
+        # process of the node.
+        kernel.run(until=1.0)
+        kubelet = cluster.kubelet_for("node-1")
+        names = sorted(p.name for p in kubelet._procs)
+        assert names == ["kubelet:node-1:heartbeat", "kubelet:node-1:sync"]
+        kubelet.crash()
+        kernel.run(until=1.0)
+        assert kubelet._procs == set()
+        kubelet.restart()
+        assert len(kubelet._procs) == 2
+
 
 class TestSyncReadsNodeIndex:
     def test_pod_bound_after_creation_is_picked_up_next_sync(self, kernel, cluster):
@@ -217,7 +232,7 @@ class TestSyncReadsNodeIndex:
         assert cluster.scheduler._bind_one(
             pod, [cluster.api.get("Node", "node-1", namespace="")], set()) == 1
         assert cluster.api.list("Pod", node_name="node-1") == [pod]
-        kernel.run(until=kernel.now + 2 * kubelet.config.sync_interval)
+        kernel.run(until=kernel.now + 2 * SYNC_INTERVAL)
         assert kubelet.has_worker_for(pod)
         kernel.run(until=6.0)
         assert pod.phase == "Running"

@@ -72,9 +72,8 @@ def chaos_cell_driver(cell, jobs, steps, mtbf):
 
 def build_chaos_sharded(cells, jobs_per_cell=2, mtbf=40.0):
     config = PlatformConfig(
-        gpu_nodes=4, gpus_per_node=4, gpu_type="k80", management_nodes=2,
-        shards=cells)
-    return ShardedPlatform(config, seed=23, driver=chaos_cell_driver,
+        gpu_nodes=4, gpus_per_node=4, gpu_type="k80", management_nodes=2)
+    return ShardedPlatform(config, cells, seed=23, driver=chaos_cell_driver,
                            driver_args=(jobs_per_cell, 30, mtbf),
                            settle=30.0)
 
