@@ -19,6 +19,13 @@ process a ``Kernel.spawn`` and every bare callback entry a
 ``events_processed``, say whether a kernel-cost idea (fewer poll ticks,
 fewer RPC timers) is aimed at a tenth of the events or at half.
 
+``--rpcs`` is the companion of ``--events`` one layer up: who issues
+the network's calls, as caller kind × endpoint × method with shares of
+all calls made (perfbench's ``grpcnet.rpcs`` counts the ones that
+finished). An RPC is cheap since it became one event; this says whose
+there are. No profiler runs in this mode either: ``Network.call`` is
+wrapped from here.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
@@ -26,6 +33,7 @@ Usage::
     PYTHONPATH=src python scripts/profile.py --workload scale  # perfbench shape
     PYTHONPATH=src python scripts/profile.py --heap --workload scale
     PYTHONPATH=src python scripts/profile.py --events --workload scale
+    PYTHONPATH=src python scripts/profile.py --rpcs --workload scale
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -44,6 +52,7 @@ import cProfile  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import pstats  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
@@ -135,6 +144,48 @@ def heap_census(name, seed):
     print(f"\nru_maxrss: {peak:.1f} MB")
 
 
+def rpc_census(run, lines):
+    """Count every ``Network.call`` of ``run()`` by who made it, to
+    whom and for what, ids and ordinals collapsed (``guardian-job-*-uid-*``
+    is every Guardian's etcd client, ``etcd-*`` every member)."""
+    from repro.grpcnet.network import Network
+
+    def kind(name):
+        return re.sub(r"\d+", "*", str(name))
+
+    calls = Counter()
+    plain_call = Network.call
+
+    def counted_call(self, address, method, request, deadline=None,
+                     caller="client"):
+        calls[kind(caller), kind(address), method] += 1
+        return plain_call(self, address, method, request, deadline=deadline,
+                          caller=caller)
+
+    Network.call = counted_call
+    try:
+        result = run()
+    finally:
+        Network.call = plain_call
+    print_result(result)
+    total = sum(calls.values())
+    by_caller = Counter()
+    for (caller, _address, _method), count in calls.items():
+        by_caller[caller] += count
+
+    def share(count):
+        return f"{100.0 * count / total:5.1f} %"
+
+    print(f"--- who issues the network's calls ({total} made) ---")
+    print("    calls    share  caller kind")
+    for caller, count in by_caller.most_common():
+        print(f"{count:>9}  {share(count)}  {caller}")
+    print(f"\n    calls    share  caller kind -> endpoint . method "
+          f"(top {lines})")
+    for (caller, address, method), count in calls.most_common(lines):
+        print(f"{count:>9}  {share(count)}  {caller} -> {address} . {method}")
+
+
 def module_name(filename):
     """``repro.grpcnet.network`` for ``…/src/repro/grpcnet/network.py``,
     whichever checkout ``PYTHONPATH`` points at."""
@@ -206,6 +257,10 @@ def main(argv=None):
                              "Kernel.sleep, spawn, call_later and call_soon "
                              "by module and function, as shares of "
                              "events_processed")
+    parser.add_argument("--rpcs", action="store_true",
+                        help="instead of cProfile: who issues the network's "
+                             "calls, as caller kind x endpoint x method with "
+                             "shares of all calls made")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:
@@ -218,12 +273,18 @@ def main(argv=None):
     committed = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
     scenario = committed["fast" if args.full else "smoke"]["scenario"]
 
+    def run():
+        if args.workload:
+            return run_workload(args.workload, args.seed)[0]
+        return run_scale_scenario(partitions=1, **scenario)
+
+    if args.rpcs:
+        rpc_census(run, args.lines)
+        return 0
+
     profiler = cProfile.Profile()
     profiler.enable()
-    if args.workload:
-        result, _platform = run_workload(args.workload, args.seed)
-    else:
-        result = run_scale_scenario(partitions=1, **scenario)
+    result = run()
     profiler.disable()
 
     print_result(result)

@@ -28,7 +28,12 @@ are marked *unauditable* and skipped by the
 :class:`~repro.audit.auditor.ConsistencyAuditor`.
 """
 
+from bisect import insort
+from operator import attrgetter
+
 __all__ = ["HistoryRecorder", "OpRecord"]
+
+_invoke_seq = attrgetter("invoke_seq")
 
 
 class OpRecord:
@@ -91,6 +96,7 @@ class HistoryRecorder:
         self._next_seq = 0
         self._leased_keys = set()
         self._unmodeled_prefixes = []
+        self._open_ranges = []  # (invoke time, invoke seq, prefix)
 
     # ------------------------------------------------------------------
     # Recording (called by EtcdClient; no RPCs, no kernel interaction)
@@ -130,6 +136,35 @@ class HistoryRecorder:
         record.error = repr(error) if error is not None else None
         self._finish(record, "info")
 
+    def invoke_range(self, prefix):
+        """A range read over ``prefix`` was sent. Which keys it observes
+        is only known at the response, so until :meth:`complete_range`
+        gets the returned token back every key under the prefix is
+        :meth:`range_pending`."""
+        token = (self.kernel.now, self._seq(), prefix)
+        self._open_ranges.append(token)
+        return token
+
+    def complete_range(self, token, client, op_id, kvs, also=()):
+        """The range read returned ``kvs`` (``None``: it failed, which
+        records nothing). One ``ok`` ``get`` per pair, and one observing
+        ``None`` per key of ``also`` the snapshot lacks, all invoked at
+        the token's point and responding now; each is filed in
+        invocation order among its key's other operations."""
+        self._open_ranges.remove(token)
+        if kvs is None:
+            return
+        invoke_time, invoke_seq, _prefix = token
+        present = {key for key, _value in kvs}
+        absent = [(key, None) for key in also if key not in present]
+        for key, value in list(kvs) + absent:
+            record = OpRecord(client, "get", key, None, op_id,
+                              invoke_time, invoke_seq)
+            self.records.append(record)
+            insort(self._by_key.setdefault(key, []), record,
+                   key=_invoke_seq)
+            self.complete(record, value)
+
     # ------------------------------------------------------------------
     # Model scope
     # ------------------------------------------------------------------
@@ -147,6 +182,12 @@ class HistoryRecorder:
         if key in self._leased_keys:
             return False
         return not any(key.startswith(p) for p in self._unmodeled_prefixes)
+
+    def range_pending(self, key):
+        """Is a range read that may still file an observation of
+        ``key`` (at its own, earlier invocation point) in flight?"""
+        return any(key.startswith(prefix)
+                   for _time, _seq, prefix in self._open_ranges)
 
     # ------------------------------------------------------------------
     # Queries

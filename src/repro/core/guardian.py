@@ -59,7 +59,7 @@ GUARDIAN_INIT_TIME = 0.55  # pod boot (drives the Fig. 4 recovery band)
 GUARDIAN_STEP_TIME = 0.15  # cost of one deployment step
 MONITOR_INTERVAL = 1.0  # status resync (watch-driven between ticks)
 # Progress-only etcd events are batched over this window so a chatty
-# learner does not cost one Mongo round-trip per step.
+# learner does not cost one snapshot read per step.
 GUARDIAN_EVENT_COALESCE = 0.25
 # Level-triggered fallback cadences of the rollback/teardown waits.
 GUARDIAN_ROLLBACK_RESYNC = 0.2
@@ -115,6 +115,7 @@ class Guardian:
         self.span = None
         self._last_reports = []
         self._stall_restarts = {}  # ordinal -> last restart time
+        self._confirmed = None  # status Mongo last showed this incarnation
 
     # ------------------------------------------------------------------
 
@@ -417,8 +418,8 @@ class Guardian:
             if _is_transition_event(event):
                 return ["status"]
             # Progress-only updates coalesce: a burst of step reports
-            # costs one aggregation per coalescing window, keeping the
-            # Mongo traffic at the old poll-loop level.
+            # costs one aggregation (one range read, and no Mongo call
+            # while the aggregate stands) per coalescing window.
             return [("status", GUARDIAN_EVENT_COALESCE)]
 
         reconciler = Reconciler(
@@ -446,19 +447,22 @@ class Guardian:
         return 0
 
     def _reconcile_status(self, done):
-        """One level-triggered pass: read everything, aggregate, record."""
+        """One level-triggered pass: one snapshot of the job's etcd
+        prefix, aggregated; Mongo hears of it only if it moved."""
         if done.triggered:
             return
-        halted = yield from self.etcd.get(layout.halt_key(self.job_id))
-        statuses = yield from self.etcd.get_range(
-            layout.learner_status_prefix(self.job_id)
-        )
-        store_done = (yield from self.etcd.get(
-            layout.helper_status_key(self.job_id, "store-results")
-        )) == HELPER_DONE
-        load_done = (yield from self.etcd.get(
-            layout.helper_status_key(self.job_id, "load-data")
-        )) == HELPER_DONE
+        job_id = self.job_id
+        halt = layout.halt_key(job_id)
+        store = layout.helper_status_key(job_id, "store-results")
+        load = layout.helper_status_key(job_id, "load-data")
+        snapshot = yield from self.etcd.get_range(
+            layout.job_prefix(job_id), also=(halt, store, load))
+        state = dict(snapshot)
+        learners = layout.learner_status_prefix(job_id)
+        statuses = [kv for kv in snapshot if kv[0].startswith(learners)]
+        halted = state.get(halt)
+        store_done = state.get(store) == HELPER_DONE
+        load_done = state.get(load) == HELPER_DONE
 
         reports = [value for _key, value in statuses]
         if reports:
@@ -613,10 +617,17 @@ class Guardian:
     # ------------------------------------------------------------------
 
     def _set_status(self, status, reason=None):
-        """Advance the job's status in MongoDB, validated and monotone."""
+        """Advance the job's status in MongoDB, validated and monotone.
+        A status Mongo confirmed to this incarnation (read equal, or
+        written with the CAS matched) is not asked for again."""
+        if status == self._confirmed:
+            return
         doc = yield from self.mongo.find_one("jobs", {"job_id": self.job_id},
                                              projection=["status"])
-        if doc is None or doc["status"] == status:
+        if doc is None:
+            return
+        if doc["status"] == status:
+            self._confirmed = status
             return
         try:
             validate_transition(doc["status"], status)
@@ -628,8 +639,11 @@ class Guardian:
         }
         if reason:
             update["$set"]["reason"] = reason
-        yield from self.mongo.update_one(
+        matched, _modified = yield from self.mongo.update_one(
             "jobs", {"job_id": self.job_id, "status": doc["status"]}, update
         )
+        if not matched:
+            return  # an overlapping incarnation moved it first
+        self._confirmed = status
         self.platform.tracer.emit("guardian", "status-update", job=self.job_id,
                                   status=status)

@@ -13,7 +13,8 @@ When constructed with a ``history``
 recorded Jepsen-style: ``ok`` on success, ``fail`` when it definitely
 did not apply, ``info`` when a mutation's outcome is unknown (an
 attempt reached the wire but the client saw no response — timeout,
-retry exhaustion, or the client process dying mid-call). Recording is
+retry exhaustion, or the client process dying mid-call); a range read
+is recorded as the ``get`` of every key it observed. Recording is
 direct method calls on the recorder; it adds no RPCs, sleeps, or RNG
 draws, so the simulated timeline is bit-identical with it on or off.
 """
@@ -100,10 +101,28 @@ class EtcdClient:
             record=("get", key, None), op_id=op_id)
         return response["value"]
 
-    def get_range(self, prefix):
-        """All (key, value) pairs under ``prefix`` via the leader."""
-        response = yield from self._call_leader("range", {"prefix": prefix})
-        return response["kvs"]
+    def get_range(self, prefix, also=()):
+        """All (key, value) pairs under ``prefix`` via the leader: one
+        snapshot of the leader's applied state.
+
+        Recorded as one ``get`` per key returned plus one observing
+        ``None`` per key of ``also`` (keys under ``prefix`` whose
+        absence the caller acts on) that the snapshot lacks, all
+        invoked when the call was and completed at its response. A
+        range read that fails is not recorded: a lost read constrains
+        nothing.
+        """
+        op_id = self._next_seq()
+        history = self.history
+        token = history.invoke_range(prefix) if history is not None else None
+        kvs = None
+        try:
+            response = yield from self._call_leader("range", {"prefix": prefix})
+            kvs = response["kvs"]
+            return kvs
+        finally:
+            if token is not None:
+                history.complete_range(token, self.client_id, op_id, kvs, also)
 
     def watch(self, prefix, node_id=None):
         """Register a watch on a live node (default: any live node).
