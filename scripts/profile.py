@@ -26,6 +26,14 @@ finished). An RPC is cheap since it became one event; this says whose
 there are. No profiler runs in this mode either: ``Network.call`` is
 wrapped from here.
 
+``--passes`` is the same question asked of the reconcilers: what
+enqueued the keys their workers were handed, by reconciler kind × cause
+(a watch event or NFS notification, the periodic resync, a relist at
+(re)subscribe, a re-check the pass itself scheduled, a backoff requeue),
+with how many adds coalesced into a key already queued and how many
+became a pass. ``WorkQueue.add`` / ``add_after`` and the watch sources'
+``subscribe`` / ``keys_of`` are wrapped from here; no profiler runs.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
@@ -34,6 +42,7 @@ Usage::
     PYTHONPATH=src python scripts/profile.py --heap --workload scale
     PYTHONPATH=src python scripts/profile.py --events --workload scale
     PYTHONPATH=src python scripts/profile.py --rpcs --workload scale
+    PYTHONPATH=src python scripts/profile.py --passes --workload chaos
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -63,6 +72,10 @@ PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned", "chaos")
 # The Kernel methods that push a heap entry on a caller's behalf.
 SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon")
 HEAP_TOP_TYPES = 15
+# Reconciler-runtime functions whose frame on the stack of a
+# ``WorkQueue.add`` says why the key was enqueued (innermost wins).
+PASS_CAUSES = {"requeue": "backoff requeue", "_worker": "scheduled re-check",
+               "_on_change": "nfs notification", "resync_once": "resync"}
 
 
 def run_workload(name, seed):
@@ -186,6 +199,96 @@ def rpc_census(run, lines):
         print(f"{count:>9}  {share(count)}  {caller} -> {address} . {method}")
 
 
+def pass_census(run):
+    """Count every ``WorkQueue.add`` of ``run()`` by the queue's kind
+    and by what enqueued the key. The cause is read off the call stack
+    (a delayed add remembers the stack that armed its timer); a pump's
+    own adds are a watch event after ``keys_of`` and a relist after
+    ``subscribe``."""
+    from repro.sim.reconciler import Reconciler, WatchSource, WorkQueue
+
+    adds = Counter()  # (kind, cause) -> adds
+    coalesced = Counter()  # (kind, cause) -> adds that found the key queued
+    armed = {}  # (queue id, key) -> cause of the pending delayed add
+    in_event = set()  # pump frames that have an event in hand
+
+    def pump_frame():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_name != "_pump":
+            frame = frame.f_back
+        return frame
+
+    def cause_of(queue, key, frame):
+        while frame is not None:
+            name = frame.f_code.co_name
+            if name in PASS_CAUSES:
+                return PASS_CAUSES[name]
+            if name == "_fire_timer":
+                return armed.pop((id(queue), key), "timer")
+            if name == "_pump":
+                return ("watch event" if frame in in_event
+                        else "relist at (re)subscribe")
+            if name in ("start", "add_static_key") and isinstance(
+                    frame.f_locals.get("self"), Reconciler):
+                return "start"
+            frame = frame.f_back
+        return "other"
+
+    plain = (WorkQueue.add, WorkQueue.add_after, WatchSource.subscribe,
+             WatchSource.keys_of)
+
+    def counted_add(self, key):
+        if not self.closed:
+            cause = cause_of(self, key, sys._getframe(1))
+            adds[self.kind, cause] += 1
+            if key in self._queued:
+                coalesced[self.kind, cause] += 1
+        return plain[0](self, key)
+
+    def counted_add_after(self, key, delay):
+        before = self._timers.get(key)
+        plain[1](self, key, delay)
+        if self._timers.get(key) != before:  # this call armed the timer
+            armed[id(self), key] = cause_of(self, key, sys._getframe(1))
+
+    def counted_subscribe(self):
+        in_event.discard(pump_frame())
+        return plain[2](self)
+
+    def counted_keys_of(self, event):
+        in_event.add(pump_frame())
+        return plain[3](self, event)
+
+    WorkQueue.add, WorkQueue.add_after = counted_add, counted_add_after
+    WatchSource.subscribe = counted_subscribe
+    WatchSource.keys_of = counted_keys_of
+    try:
+        result = run()
+    finally:
+        (WorkQueue.add, WorkQueue.add_after, WatchSource.subscribe,
+         WatchSource.keys_of) = plain
+    print_result(result)
+    total = sum(adds.values())
+    print(f"--- what enqueues the reconcilers' keys ({total} adds, "
+          f"{total - sum(coalesced.values())} dispatched) ---")
+    print("     adds  coalesced dispatched  kind          cause")
+
+    def row(count, merged, kind, cause):
+        print(f"{count:>9}  {merged:>9}  {count - merged:>9}  "
+              f"{kind:12}  {cause}".rstrip())
+
+    by_kind = Counter()
+    for (kind, _cause), count in adds.items():
+        by_kind[kind] += count
+    for kind, kind_adds in by_kind.most_common():
+        row(kind_adds, sum(n for (k, _c), n in coalesced.items() if k == kind),
+            kind, "")
+        causes = Counter({cause: n for (k, cause), n in adds.items()
+                          if k == kind})
+        for cause, count in causes.most_common():
+            row(count, coalesced[kind, cause], "", cause)
+
+
 def module_name(filename):
     """``repro.grpcnet.network`` for ``…/src/repro/grpcnet/network.py``,
     whichever checkout ``PYTHONPATH`` points at."""
@@ -261,6 +364,10 @@ def main(argv=None):
                         help="instead of cProfile: who issues the network's "
                              "calls, as caller kind x endpoint x method with "
                              "shares of all calls made")
+    parser.add_argument("--passes", action="store_true",
+                        help="instead of cProfile: what enqueues the "
+                             "reconcilers' keys, as reconciler kind x cause "
+                             "with coalesced adds and passes")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:
@@ -280,6 +387,9 @@ def main(argv=None):
 
     if args.rpcs:
         rpc_census(run, args.lines)
+        return 0
+    if args.passes:
+        pass_census(run)
         return 0
 
     profiler = cProfile.Profile()

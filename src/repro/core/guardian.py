@@ -408,9 +408,12 @@ class Guardian:
         feeds a single-key reconciler that re-aggregates the *full*
         current status state on every wake. ``MONITOR_INTERVAL``
         survives only as the periodic resync — the level-triggering
-        safety net that re-observes anything a lost watch missed and
-        that drives stall detection (a hung learner emits no events, so
-        stalls are only visible from the resync clock)."""
+        safety net behind the watch. It stays at 1 Hz because the watch
+        is served by the first *live* etcd node, which may be a
+        partitioned follower that hears of nothing; the resync's leased
+        range read goes to the leader and sees through that. Stalls are
+        not found here: the controller detects them at its own deadline
+        and ``STALLED`` arrives as a transition event."""
         done = self.kernel.event(name=f"job-terminal:{self.job_id}")
         prefix = layout.job_prefix(self.job_id)
 
@@ -431,8 +434,9 @@ class Guardian:
         )
         reconciler.add_static_key("status")
         # The watch closes if its serving etcd node crashes; the
-        # reconciler re-registers on a surviving node and relists (the
-        # static key re-fires every resync), so nothing is lost.
+        # reconciler re-registers on a surviving node and re-enqueues
+        # the static key there and then, so a transition written in the
+        # gap is read at rewatch.
         reconciler.watch_channel("etcd",
                                  subscribe=lambda: self.etcd.watch(prefix),
                                  keys_of=keys_of)

@@ -30,7 +30,8 @@ HELPER_DONE = "DONE"
 STALLED = "STALLED"
 
 HELPER_INIT_TIME = 1.8  # container boot (drives the Fig. 4 recovery band)
-CONTROLLER_POLL = 0.5  # controller NFS resync + progress coalescing window
+CONTROLLER_POLL = 0.5  # progress coalescing window; STALLED re-report cadence
+CONTROLLER_RESYNC = 10.0  # level-triggered relist behind the NFS notifications
 LOG_COLLECT_INTERVAL = 1.0  # log-collector resync behind the subscription
 
 
@@ -80,11 +81,13 @@ def make_load_data_workload(platform, job_id, manifest):
 def make_controller_workload(platform, job_id, manifest):
     """Event-driven controller: NFS change notifications feed a work
     queue; each reconcile re-reads the file state for one key (learner
-    ordinal or helper name) and publishes it to ETCD. The old
-    ``CONTROLLER_POLL`` cadence survives only as the periodic resync —
-    the level-triggering safety net that also drives hang detection
-    (a stalled learner produces *no* events, so stalls are only
-    observable from the resync clock)."""
+    ordinal or helper name) and publishes it to ETCD when it differs
+    from what this incarnation last published; a report carries the
+    learner's clock, so unchanged files publish nothing. A hang
+    produces *no* events, so the pass over a ``PROCESSING`` learner
+    asks to be run again at its stall deadline. ``CONTROLLER_RESYNC``
+    is the level-triggered safety net behind both; nothing rides on
+    its cadence."""
 
     def workload(ctx):
         kernel = ctx.kernel
@@ -121,10 +124,10 @@ def make_controller_workload(platform, job_id, manifest):
                 # NFS on every pass, so a restarted controller (or a
                 # duplicate event) loses and corrupts nothing.
                 ordinal = int(key.rsplit("-", 1)[1])
-                report = _learner_report(mount, ordinal, kernel.now)
+                report = _learner_report(mount, ordinal)
                 if report is None:
                     return
-                report = _apply_stall_detection(
+                report, recheck_in = _apply_stall_detection(
                     report, ordinal, freshness, kernel.now, stall_timeout
                 )
                 if last_reported.get(ordinal) != report:
@@ -146,7 +149,7 @@ def make_controller_workload(platform, job_id, manifest):
                                 "Normal", "LearnerCompleted", "Pod", pod_name,
                                 message=f"finished at step {report.get('step')}",
                                 job=job_id)
-                return
+                return recheck_in
             # Helper statuses.
             path = f"/helper/{key}.status"
             if mount.exists(path):
@@ -168,13 +171,13 @@ def make_controller_workload(platform, job_id, manifest):
 
         reconciler = Reconciler(
             kernel, f"controller:{job_id}", reconcile,
-            resync_interval=CONTROLLER_POLL,
+            resync_interval=CONTROLLER_RESYNC,
             tracer=platform.tracer,
             metrics=platform.metrics, kind="controller",
         )
         for key in all_keys:
             reconciler.add_static_key(key)
-        reconciler.add_source(_nfs_source(mount))
+        reconciler.add_source(_nfs_source(mount, kernel))
         reconciler.start()
         try:
             yield ctx.stop_event
@@ -186,25 +189,38 @@ def make_controller_workload(platform, job_id, manifest):
     return workload
 
 
-def _nfs_source(mount):
+def _nfs_source(mount, kernel):
     """NFS change notifications -> controller work keys.
 
     Exit-code and helper-status writes are transitions (§III.e failure
-    detection) and dispatch immediately; learner status-file writes are
-    progress and coalesce for up to one poll interval, so a fast
-    learner costs the same ETCD traffic as under the old poll loop.
+    detection) and dispatch immediately. Learner status-file writes are
+    progress, dispatched on the leading edge: the first write after a
+    quiet ``CONTROLLER_POLL`` dispatches at once and later ones inside
+    the window coalesce to its end, so a phase change is published
+    when it happens and a fast learner costs at most one ETCD put per
+    window. Other files in a learner's directory (its log, the MPI
+    ``joined`` marker) are not status.
     """
+    due = {}  # learner key -> when its latest progress dispatch is (or was) due
 
     def classify(path):
         if path.startswith("/helper/"):
             name = path.rsplit("/", 1)[1].removesuffix(".status")
             return [name] if name in ("load-data", "store-results") else []
         if path.startswith("/learners/learner-"):
-            ordinal = path.split("/")[2].rsplit("-", 1)[1]
-            key = f"learner-{ordinal}"
-            if path.endswith("/exit-code"):
+            directory, _, leaf = path.removeprefix("/learners/").partition("/")
+            key = f"learner-{directory.rsplit('-', 1)[1]}"
+            if leaf == "exit-code":
                 return [key, "store-trigger"]
-            return [(key, CONTROLLER_POLL)]
+            if leaf == "status":
+                now = kernel.now
+                at = due.get(key, now - CONTROLLER_POLL)
+                if at <= now:  # no dispatch pending: open a new window
+                    at = due[key] = max(now, at + CONTROLLER_POLL)
+                # Inside a window the write rides its trailing edge; the
+                # queue coalesces the repeat unless an earlier pass (the
+                # stall re-check) already consumed that timer.
+                return [(key, at - now)]
         return []
 
     return _MountNotifySource(mount, classify)
@@ -257,20 +273,29 @@ def _apply_stall_detection(report, ordinal, freshness, now, stall_timeout):
     when each learner's reported (status, step) last changed and
     reports STALLED once it exceeds the timeout; the Guardian restarts
     stalled learners.
+
+    Returns ``(report, recheck_in)``: a hang emits no event, so the
+    caller re-runs the pass at the stall deadline (``recheck_in``
+    seconds away), and every ``CONTROLLER_POLL`` while stalled — the
+    growing ``stalled_for`` re-put is what lets the Guardian retry a
+    restart once its cooldown has passed.
     """
     if stall_timeout <= 0:
-        return report
+        return report, None
     fingerprint = (report.get("status"), report.get("step"))
     seen_fingerprint, since = freshness.get(ordinal, (None, now))
     if fingerprint != seen_fingerprint:
-        freshness[ordinal] = (fingerprint, now)
-        return report
-    if report.get("status") == "PROCESSING" and now - since >= stall_timeout:
-        stalled = dict(report)
-        stalled["status"] = STALLED
-        stalled["stalled_for"] = now - since
-        return stalled
-    return report
+        since = now
+        freshness[ordinal] = (fingerprint, since)
+    if report.get("status") != "PROCESSING":
+        return report, None
+    deadline = since + stall_timeout
+    if now < deadline:
+        return report, deadline - now
+    stalled = dict(report)
+    stalled["status"] = STALLED
+    stalled["stalled_for"] = now - since
+    return stalled, CONTROLLER_POLL
 
 
 def _exit_code(mount, ordinal):
@@ -283,11 +308,14 @@ def _exit_code(mount, ordinal):
         return None
 
 
-def _learner_report(mount, ordinal, now):
+def _learner_report(mount, ordinal):
     """Derive the learner's reported status from its NFS files.
 
     An orderly exit code takes precedence over the (possibly stale)
-    status file — this is the §III.e failure-detection rule.
+    status file — this is the §III.e failure-detection rule. ``time``
+    is the learner's clock (when it last wrote its status; the exit
+    file's mtime without one), never the reader's: unchanged files
+    yield an equal report.
     """
     exit_code = _exit_code(mount, ordinal)
     status = read_learner_status(mount, ordinal)
@@ -302,14 +330,16 @@ def _learner_report(mount, ordinal, now):
             "status": phase,
             "step": status.get("step", 0) if status else 0,
             "exit_code": exit_code,
-            "time": now,
+            "time": status["time"] if status
+            else mount.mtime(layout.learner_exit_file(ordinal)),
         }
         if status and "loss" in status:
             report["loss"] = status["loss"]
         return report
     if status is None:
         return None
-    report = {"status": status["status"], "step": status["step"], "time": now}
+    report = {"status": status["status"], "step": status["step"],
+              "time": status["time"]}
     if "loss" in status:
         report["loss"] = status["loss"]
     return report

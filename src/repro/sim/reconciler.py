@@ -272,8 +272,9 @@ class Reconciler:
 
     Crash recovery: when a source's channel closes (its server died),
     the pump re-subscribes after ``rewatch_delay`` and then performs a
-    full relist, so transitions that fired while the watch was down are
-    re-observed rather than lost.
+    full relist (the static keys and the source's own listing), so
+    transitions that fired while the watch was down are re-observed
+    rather than lost.
     """
 
     def __init__(self, kernel, name, reconcile, *, queue=None,
@@ -388,7 +389,9 @@ class Reconciler:
 
         (Re)subscribing always relists first: anything that changed
         while no watch was established is re-observed, which is the
-        relist-on-reconnect contract crash recovery depends on.
+        relist-on-reconnect contract crash recovery depends on. The
+        static keys are part of that relist (a source may have no
+        listing of its own); at start they coalesce with ``start()``'s.
         """
         while self._running:
             try:
@@ -396,6 +399,8 @@ class Reconciler:
             except Exception:
                 yield self.kernel.sleep(self.rewatch_delay)
                 continue
+            for key in self.static_keys:
+                self.queue.add(key)
             yield from self._relist(source)
             if channel is None:
                 return  # resync-only source; the ticker covers it

@@ -3,7 +3,9 @@
 A pass that finds nothing changed is almost every pass (1 Hz per live
 job, DESIGN.md "A status pass is one snapshot"). It used to be four
 leader reads and a Mongo ``find_one``; it is one range read of the
-job's etcd prefix and nothing else. The counts below are exact, in the
+job's etcd prefix and nothing else, and a job whose learners report
+nothing new gets one such pass per ``MONITOR_INTERVAL``, no more
+(DESIGN.md "A quiet job is quiet"). The counts below are exact, in the
 manner of ``tests/grpcnet/test_rpc_budget.py``; beside them are the two
 things that make the saving safe: the snapshot aggregates to what the
 four reads did, and only a status Mongo itself confirmed is skipped.
@@ -16,9 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ComponentCrasher, layout
-from repro.core.guardian import Guardian
+from repro.core.guardian import MONITOR_INTERVAL, Guardian
 from repro.core.helpers import HELPER_DONE
-from repro.grpcnet.network import Network
 
 from ..integration.conftest import (
     make_platform,
@@ -26,22 +27,6 @@ from ..integration.conftest import (
     submit_and_wait_running,
     wait_terminal,
 )
-
-
-@pytest.fixture
-def rpcs(monkeypatch):
-    """Every ``Network.call`` as ``(caller, address, method, request)``."""
-    seen = []
-    plain_call = Network.call
-
-    def recording_call(self, address, method, request, deadline=None,
-                       caller="client"):
-        seen.append((caller, address, method, request))
-        return plain_call(self, address, method, request, deadline=deadline,
-                          caller=caller)
-
-    monkeypatch.setattr(Network, "call", recording_call)
-    return seen
 
 
 def guardian_rpcs(rpcs, job_id):
@@ -66,22 +51,25 @@ class TestQuiescentPass:
             return plain_pass(self, done)
 
         monkeypatch.setattr(Guardian, "_reconcile_status", counted_pass)
-        # A learner that hangs with detection off: PROCESSING for good.
-        # The controller still republishes its report every poll (the
-        # report carries the time), so passes come from the watch as
-        # well as from the 1 Hz resync; none of them finds a change.
+        # A learner that hangs with detection off: PROCESSING for good,
+        # and quiescent in etcd (the controller publishes a report only
+        # when it changes), so the passes left are the 1 Hz resync's.
         platform = make_platform(stall_timeout=0.0)
         job_id = submit_and_wait_running(
             platform, platform.client("team"),
             manifest(target_steps=200, extra={"hang_at_step": 20}))
         platform.run_for(60.0)
         del rpcs[:], passes[:]
-        platform.run_for(20.0)
+        seconds = 20.0
+        platform.run_for(seconds)
 
         etcd, mongo = guardian_rpcs(rpcs, job_id)
-        assert len(passes) >= 20
+        assert 1 <= len(passes) <= seconds / MONITOR_INTERVAL
         assert etcd == ["range"] * len(passes)
         assert mongo == []
+        # Nothing woke them: the controller wrote nothing in that time.
+        assert [method for caller, _address, method, _request in rpcs
+                if caller.startswith(f"controller-{job_id}-")] == []
 
 
 class SnapshotGuardian(Guardian):

@@ -100,22 +100,29 @@ class TestControllerParsing:
         fs = SharedFilesystem()
         write_learner_status(fs, 0, "PROCESSING", 10, 1.0)
         fs.write_file(layout.learner_exit_file(0), "1")
-        report = _learner_report(fs, 0, now=2.0)
+        report = _learner_report(fs, 0)
         assert report["status"] == "FAILED"
         assert report["exit_code"] == 1
         assert report["step"] == 10
+        assert report["time"] == 1.0  # the learner's last write, not ours
 
     def test_exit_code_mapping(self):
-        fs = SharedFilesystem()
+        clock = [4.0]
+        fs = SharedFilesystem(clock=lambda: clock[0])
         for code, expected in ((0, "COMPLETED"), (143, "HALTED"), (7, "FAILED")):
+            clock[0] += 1.0
             fs.write_file(layout.learner_exit_file(0), str(code))
-            assert _learner_report(fs, 0, now=0.0)["status"] == expected
+            report = _learner_report(fs, 0)
+            assert report["status"] == expected
+            # No status file: the exit file's mtime is the learner's clock.
+            assert report["time"] == clock[0]
 
     def test_no_files_no_report(self):
-        assert _learner_report(SharedFilesystem(), 0, now=0.0) is None
+        assert _learner_report(SharedFilesystem(), 0) is None
 
     def test_status_only_report(self):
         fs = SharedFilesystem()
         write_learner_status(fs, 1, "WAITING_DATA", 0, 3.0)
-        report = _learner_report(fs, 1, now=5.0)
-        assert report == {"status": "WAITING_DATA", "step": 0, "time": 5.0}
+        report = _learner_report(fs, 1)
+        assert report == {"status": "WAITING_DATA", "step": 0, "time": 3.0}
+        assert _learner_report(fs, 1) == report  # unchanged files, equal report

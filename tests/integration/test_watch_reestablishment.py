@@ -6,6 +6,8 @@ same final state it would have reached with no crash at all."""
 import pytest
 
 from repro.core import ComponentCrasher, layout
+from repro.raftkv import EtcdClient
+from repro.sim import Reconciler
 
 from .conftest import (
     make_platform,
@@ -58,6 +60,47 @@ class TestEtcdWatchReestablishment:
         platform.run_process(halt(), limit=600)
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "HALTED"
+
+
+    def test_put_during_the_rewatch_gap_is_read_at_rewatch(self, platform):
+        # The Guardian's arrangement in miniature, without its resync:
+        # one static key, a watch with no listing of its own. The
+        # serving node dies and a status lands while no watch stands;
+        # the pass at re-establishment reads it.
+        kernel = platform.kernel
+        etcd = EtcdClient(kernel, platform.network, platform.etcd,
+                          client_id="rewatch-test")
+        seen = []
+
+        def reconcile(_key):
+            value = yield from etcd.get("jobs/j/learners/learner-0/status")
+            seen.append((kernel.now, value))
+
+        # Served by a follower, so that its crash costs no election.
+        leader = platform.etcd.leader().node_id
+        serving = next(n for n in platform.etcd.node_ids if n != leader)
+        reconciler = Reconciler(kernel, "rewatch-test", reconcile,
+                                rewatch_delay=0.2)
+        reconciler.add_static_key("status")
+        reconciler.watch_channel(
+            "etcd",
+            subscribe=lambda: etcd.watch(
+                "jobs/j/", node_id=serving
+                if platform.etcd.node(serving).alive else None),
+            keys_of=lambda event: ["status"])
+        reconciler.start()
+        platform.run_for(1.0)
+        platform.etcd.crash(serving)
+        crashed = kernel.now
+        platform.run_for(0.05)
+        platform.run_process(
+            etcd.put("jobs/j/learners/learner-0/status", "FAILED"), limit=60)
+        assert kernel.now < crashed + 0.2  # still inside the gap
+        del seen[:]
+        platform.run_for(1.0)
+        reconciler.stop()
+        assert seen and seen[0][1] == "FAILED"
+        assert seen[0][0] <= crashed + 0.2 + 0.1
 
 
 class TestApiServerWatchHygiene:

@@ -97,9 +97,9 @@ def drive_mongo_writes(platform, period=0.05):
 
 
 def drive_etcd_puts(platform, period=0.05):
-    """Steady etcd writes so entry-carrying ``append_entries`` (which a
-    disk stall delays) dominate the followers' latency series instead
-    of the fast empty heartbeats."""
+    """Steady etcd writes: entry-carrying ``append_entries`` are what
+    a disk stall delays (empty ones are ``heartbeat`` calls and skip
+    the disk)."""
     etcd = EtcdClient(platform.kernel, platform.network, platform.etcd,
                       client_id="gray-etcd-writer")
 
@@ -205,6 +205,31 @@ class TestGrayFaultMatrix:
         injector.disk_stall_etcd(victim, delay=0.04,
                                  duration=FAULT_DURATION)
         platform.run_for(13.0)
+        assert_gray_detected(platform, victim, "etcd",
+                             "GrayFailureDiskStall", "disk-stall",
+                             inject_time)
+
+
+    def test_etcd_disk_stall_detected_at_one_put_a_second(self):
+        """The organic write rate of a quiet platform. The write signal
+        is a mean over log writes — empty appends are ``heartbeat``
+        calls, a method of their own — so a handful of slow appends in
+        the window is enough; averaged in with twenty fast heartbeats
+        a second they moved the mean by less than the noise floor."""
+        duration = 20.0
+        # The stock 8 s window and 1 s hold; only the scrape cadence is
+        # tightened to keep the run short.
+        platform = make_platform(scrape_interval=0.25,
+                                 alert_eval_interval=0.25,
+                                 event_flush_interval=0.5)
+        drive_etcd_puts(platform, period=1.0)
+        platform.run_for(10.0)
+
+        injector = GrayFailureInjector(platform)
+        victim = injector.etcd_followers()[0]
+        inject_time = platform.kernel.now
+        injector.disk_stall_etcd(victim, delay=0.04, duration=duration)
+        platform.run_for(duration + 15.0)
         assert_gray_detected(platform, victim, "etcd",
                              "GrayFailureDiskStall", "disk-stall",
                              inject_time)

@@ -255,6 +255,31 @@ class TestWatches:
 
         assert run(kernel, scenario()) == ("put", "status/learner-0", "RUNNING")
 
+    def test_lone_write_reaches_a_follower_watch_within_one_heartbeat(self):
+        # A follower applies an entry when the leader's *next* append
+        # carries the commit index; after a lone write that is the next
+        # heartbeat. This is the bound on the status pipeline when the
+        # Guardian's watch is served by a follower and nothing else is
+        # being written (DESIGN.md "A quiet job is quiet").
+        kernel, network, cluster = make_cluster()
+        client = EtcdClient(kernel, network, cluster)
+
+        def scenario():
+            leader = yield from cluster.wait_for_leader()
+            follower = next(n for n in cluster.node_ids
+                            if n != leader.node_id)
+            on_leader = client.watch("status/", node_id=leader.node_id)
+            on_follower = client.watch("status/", node_id=follower)
+            yield kernel.sleep(1.0)  # quiet: heartbeats only
+            yield from client.put("status/learner-0", "FAILED")
+            yield on_leader.channel.get()
+            committed = kernel.now
+            yield on_follower.channel.get()
+            return kernel.now - committed
+
+        lag = run(kernel, scenario())
+        assert 0.0 < lag <= cluster.timings.heartbeat + 0.01
+
     def test_watch_channel_closes_on_node_crash(self):
         kernel, network, cluster = make_cluster()
         client = EtcdClient(kernel, network, cluster)

@@ -298,6 +298,32 @@ class TestReconciler:
         # One relist at first subscribe, one after re-establishment.
         assert seen == ["relisted", "relisted"]
 
+    def test_rewatch_relists_the_static_keys_of_a_listless_source(self, kernel):
+        # A source with no listing of its own (the Guardian's etcd
+        # watch): what changed while no watch stood is re-read through
+        # the static keys at re-establishment, not a resync tick later.
+        channels = []
+        seen = []
+
+        def subscribe():
+            channel = Channel(kernel)
+            channels.append(channel)
+            return channel
+
+        reconciler = Reconciler(kernel, "t",
+                                lambda key: seen.append((kernel.now, key)),
+                                rewatch_delay=0.5)
+        reconciler.add_static_key("status")
+        reconciler.watch_channel("src", subscribe=subscribe,
+                                 keys_of=lambda event: [event])
+        reconciler.start()
+        kernel.run(until=0.1)
+        channels[0].close()
+        kernel.run(until=5.0)
+        reconciler.stop()
+        # At start the pump's add coalesces with start()'s.
+        assert seen == [(0.0, "status"), (0.6, "status")]
+
     def test_generator_reconcile_and_list_keys(self, kernel):
         seen = []
 
