@@ -13,8 +13,7 @@ submissions through a platform whose control plane is split into
 
 The tenant mix fans submissions round-robin over ``tenants`` client
 tokens. With ``tenants == 1`` there is one client, token ``perf``: the
-shape of the committed ``BENCH_perf.json`` digests and of the sharded
-cell driver (``sharded_runner.bench_cell_driver``).
+shape of the committed ``BENCH_perf.json`` digests.
 """
 
 import time

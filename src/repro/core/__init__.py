@@ -26,12 +26,6 @@ from .manifest import DataStoreRef, TrainingManifest
 from .observability import ClusterMonitor
 from .platform import DlaasPlatform, PlatformConfig
 from .rest import RestClient, RestGateway
-from .sharded import (
-    FederationService,
-    PlatformShard,
-    ShardedPlatform,
-    federation_address,
-)
 from .timeline import job_timeline, render_timeline, timeline_digest
 from .states import (
     ALL_STATUSES,
@@ -68,7 +62,6 @@ __all__ = [
     "EVENT_WARNING",
     "EventRecorder",
     "FAILED",
-    "FederationService",
     "HALTED",
     "IllegalTransition",
     "InvalidManifest",
@@ -77,20 +70,17 @@ __all__ = [
     "PROCESSING",
     "PlatformConfig",
     "PlatformEvent",
-    "PlatformShard",
     "QUEUED",
     "RateLimited",
     "RateLimiter",
     "RestClient",
     "RestGateway",
     "STORING",
-    "ShardedPlatform",
     "StatusHistory",
     "TERMINAL_STATUSES",
     "TokenRegistry",
     "TrainingManifest",
     "aggregate_learner_statuses",
-    "federation_address",
     "is_terminal",
     "job_timeline",
     "timeline_digest",

@@ -164,9 +164,9 @@ class PlatformConfig:
 class DlaasPlatform:
     """The running platform: substrates + core services + user client."""
 
-    def __init__(self, kernel=None, config=None, seed=0):
+    def __init__(self, config=None, seed=0):
         self.config = config or PlatformConfig()
-        self.kernel = kernel or Kernel(seed=seed)
+        self.kernel = Kernel(seed=seed)
         self.tracer = Tracer(self.kernel,
                              span_tracing=self.config.span_tracing)
         self.metrics = MetricsRegistry()

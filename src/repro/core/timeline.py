@@ -14,8 +14,8 @@ import hashlib
 def timeline_digest(platform, docs):
     """The canonical fingerprint of everything one platform decided:
     the full trace-record sequence, every job's status history, and the
-    final simulated clock. Shared by the benches and the sharded merge
-    so "bit-identical" means one thing everywhere."""
+    final simulated clock. Shared by the benches and the tests so
+    "bit-identical" means one thing everywhere."""
     trace = [(round(r.time, 9), r.component, r.kind) for r in
              platform.tracer.records]
     histories = [

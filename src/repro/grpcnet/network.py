@@ -7,9 +7,9 @@ network partitions for dependability experiments. Services register a
 ``network.call(address, method, request)``.
 """
 
-from ..sim.errors import ProcessKilled, SimError
+from ..sim.errors import ProcessKilled
 from ..sim.events import FAILED, PENDING, SUCCEEDED, Event
-from .errors import DeadlineExceeded, MethodNotFound, RpcError, Unavailable
+from .errors import DeadlineExceeded, Unavailable
 from .payload import deep_copy_payload
 
 
@@ -194,76 +194,6 @@ class _Call(Event):
             callback(self)
 
 
-class _RemoteCall(Event):
-    """An RPC whose server lives on another shard.
-
-    The request leaves as an ``rpc-req`` boundary message (payload
-    serialized once at the port); this event settles when the matching
-    ``rpc-res`` arrives at a later window — or when the local deadline
-    timer wins, in which case a late response is dropped and counted.
-    """
-
-    __slots__ = ("_network", "_corr", "_address", "_method", "_deadline",
-                 "_timer", "_started")
-
-    def __init__(self, network, corr, address, method, deadline):
-        Event.__init__(self, network.kernel)
-        self._network = network
-        self._corr = corr
-        self._address = address
-        self._method = method
-        self._deadline = deadline
-        self._started = network.kernel.now
-        if deadline is not None:
-            self._timer = network.kernel.sleep(deadline)
-            self._timer.add_callback(self._on_timer)
-        else:
-            self._timer = None
-
-    def _on_timer(self, _timer):
-        if self.state is not PENDING:
-            return
-        self._network._abandon_remote(self._corr)
-        self._settle_metrics("DeadlineExceeded")
-        self.fail(DeadlineExceeded(
-            f"{self._address}/{self._method} after {self._deadline}s "
-            "(cross-shard)"))
-
-    def complete(self, ok, value, error):
-        if self.state is not PENDING:
-            return
-        if self._timer is not None:
-            self._timer.cancel()
-        if ok:
-            self._settle_metrics("ok")
-            self.succeed(value)
-        else:
-            exc = _decode_error(error, self._method)
-            self._network.calls_failed += 1
-            self._settle_metrics(type(exc).__name__)
-            self.fail(exc)
-
-    def _settle_metrics(self, code):
-        self._network._observe_call(self._method, code, self._started,
-                                    self._address)
-
-
-def _encode_error(exc):
-    """Picklable form of a server-side failure: (class name, message)."""
-    return (type(exc).__name__, str(exc))
-
-
-def _decode_error(spec, method):
-    name, message = spec
-    for cls in (Unavailable, DeadlineExceeded, MethodNotFound):
-        if cls.__name__ == name:
-            return cls(message)
-    # Handler application errors arrive as the ServiceError the server
-    # wrapped them in; anything unrecognized degrades to the base class
-    # with its origin preserved in the message.
-    return RpcError(f"{method} failed on remote shard: {name}: {message}")
-
-
 class Network:
     """Registry of endpoints plus the latency/partition/loss model."""
 
@@ -297,15 +227,6 @@ class Network:
         self._rng = kernel.rng("network")
         self.calls_total = 0
         self.calls_failed = 0
-        # Cross-shard routing (repro.sim.shard): addresses owned by
-        # other shards, and the in-flight correlation table of calls
-        # awaiting an rpc-res boundary message.
-        self._port = None
-        self._remotes = {}
-        self._pending_remote = {}
-        self._remote_corr = 0
-        self.remote_calls_total = 0
-        self.remote_late_responses = 0
         if metrics is not None:
             self._m_calls = metrics.counter(
                 "rpc_client_calls_total", ("method", "code"),
@@ -346,9 +267,6 @@ class Network:
     def register(self, address, server):
         if address in self._servers:
             raise ValueError(f"address already registered: {address}")
-        if address in self._remotes:
-            raise ValueError(f"address is owned by shard "
-                             f"{self._remotes[address]}: {address}")
         self._servers[address] = server
 
     def unregister(self, address):
@@ -378,87 +296,6 @@ class Network:
 
     def addresses(self):
         return sorted(self._servers)
-
-    # ------------------------------------------------------------------
-    # Cross-shard boundary (repro.sim.shard)
-    # ------------------------------------------------------------------
-
-    def bind_shard(self, port):
-        """Attach this fabric to a shard boundary port.
-
-        Cross-shard sends become ``rpc-req`` boundary messages (payload
-        serialized exactly once, at the port); this network serves the
-        requests of other shards and routes their responses back.
-        """
-        if self._port is not None:
-            raise SimError("network already bound to a shard port")
-        self._port = port
-        port.on("rpc-req", self._on_remote_request)
-        port.on("rpc-res", self._on_remote_response)
-        return self
-
-    def add_remote(self, address, shard_id):
-        """Declare ``address`` as served by another shard."""
-        if self._port is None:
-            raise SimError("bind_shard() before add_remote()")
-        if address in self._servers:
-            raise ValueError(f"address already registered locally: {address}")
-        if shard_id == self._port.shard_id:
-            raise ValueError(f"remote address {address} maps to own shard")
-        self._remotes[address] = shard_id
-
-    def _remote_call(self, address, method, request, deadline, caller):
-        self.calls_total += 1
-        self.remote_calls_total += 1
-        self._remote_corr += 1
-        corr = self._remote_corr
-        event = _RemoteCall(self, corr, address, method, deadline)
-        self._pending_remote[corr] = event
-        self._port.send(self._remotes[address], "rpc-req",
-                        (corr, address, method, request, caller))
-        return event
-
-    def _abandon_remote(self, corr):
-        self._pending_remote.pop(corr, None)
-
-    def _on_remote_request(self, src, payload):
-        corr, address, method, request, caller = payload
-        self.kernel.spawn(
-            self._serve_remote(src, corr, address, method, request, caller),
-            name=f"shard-rpc:{address}/{method}" if self.kernel.debug
-            else "shard-rpc",
-        )
-
-    def _serve_remote(self, src, corr, address, method, request, caller):
-        try:
-            server = self._servers.get(address)
-            if server is None or not server.running:
-                raise Unavailable(f"no live endpoint at {address} "
-                                  f"(shard {self._port.shard_id})")
-            if self._blocked(caller, address):
-                raise Unavailable(f"{caller} partitioned from {address}")
-            try:
-                response = yield server.dispatch(method, request)
-            except ProcessKilled:
-                raise Unavailable(
-                    f"{address} crashed while serving {method}") from None
-            self._port.send(src, "rpc-res", (corr, True, response, None))
-        except Exception as exc:  # noqa: BLE001 — every failure must travel back
-            self._port.send(src, "rpc-res",
-                            (corr, False, None, _encode_error(exc)))
-        if self.tracer is not None:
-            self.tracer.emit("network", "shard-rpc", src=src, address=address,
-                             method=method)
-
-    def _on_remote_response(self, _src, payload):
-        corr, ok, value, error = payload
-        event = self._pending_remote.pop(corr, None)
-        if event is None:
-            # The caller's deadline already won the race; the protocol
-            # still delivered the bytes, so count the waste.
-            self.remote_late_responses += 1
-            return
-        event.complete(ok, value, error)
 
     # ------------------------------------------------------------------
     # Partitions
@@ -571,18 +408,13 @@ class Network:
         there is nothing to kill, a caller that stops waiting simply
         stops. Yield it to get the response (or the failure).
         ``deadline`` is in simulated seconds, measured from call
-        initiation. Addresses owned by another shard route over the
-        boundary port instead (the caller yields the same way; only the
-        latency floor differs).
+        initiation.
         """
-        if self._remotes and address in self._remotes:
-            return self._remote_call(address, method, request, deadline,
-                                     caller)
         return _Call(self, address, method, request, caller, deadline)
 
-    def _observe_call(self, method, code, started, address=None):
-        """Record one finished call (local or cross-shard) into the
-        cached per-(method, code) and per-endpoint metric children."""
+    def _observe_call(self, method, code, started, address):
+        """Record one finished call into the cached per-(method, code)
+        and per-endpoint metric children."""
         if self._m_calls is None:
             return
         counter = self._call_children.get((method, code))
@@ -595,8 +427,6 @@ class Network:
             histogram = self._duration_children[method] = \
                 self._m_duration.labels(method=method)
         histogram.observe(self.kernel.now - started)
-        if address is None:
-            return
         key = (address, method, code)
         endpoint_counter = self._endpoint_children.get(key)
         if endpoint_counter is None:

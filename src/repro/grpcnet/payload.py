@@ -12,25 +12,7 @@ in place.
 Payloads are JSON-shaped: dicts, lists and tuples are copied
 structurally, everything else (scalars, ObjectIds, frozen value
 objects) passes through by reference.
-
-Cross-shard payloads (see ``repro.sim.shard``) extend the same
-discipline to real process boundaries: :func:`encode_payload` pickles
-exactly once at the sending shard's boundary, :func:`decode_payload`
-unpickles exactly once at the receiver — one serialization per hop,
-and structural isolation even when both shards share a process.
 """
-
-import pickle
-
-
-def encode_payload(value):
-    """Serialize a boundary payload once, at the sending shard."""
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_payload(blob):
-    """Materialize a boundary payload once, at the receiving shard."""
-    return pickle.loads(blob)
 
 
 def deep_copy_payload(value):

@@ -19,11 +19,13 @@ per-endpoint counter series
 * ``write_latency`` — windowed mean latency of the replication/write
   methods (``replicate``, ``append_entries``, ...), isolating a disk
   stall from request-path slowness.
-* ``link`` — the larger of the windowed error-*rate* divergence (an
-  asymmetric partition or lossy link fails calls to one endpoint while
-  its peers stay clean) and the served-vs-requested flow anomaly (a
-  fabric duplicating messages makes a server handle more requests than
-  its callers sent — invisible client-side).
+* ``link`` — the larger of the windowed transport-failure-*rate*
+  divergence (an asymmetric partition or lossy link fails calls to one
+  endpoint while its peers stay clean; a call the server answered with
+  an error, such as raftkv's "not leader", is not a link failure) and
+  the served-vs-requested flow anomaly (a fabric duplicating messages
+  makes a server handle more requests than its callers sent —
+  invisible client-side).
 
 Each per-(role, method) group scores every member against the others
 with a robust z-score, ``max(0, (value - median(peers)) / scale)``
@@ -116,7 +118,7 @@ class DifferentialDetector:
         del staleness  # windowed deltas, not instant samples
         start = now - self.window
 
-        requests = {}  # (endpoint, method) -> [total delta, error delta]
+        requests = {}  # (endpoint, method) -> [total, transport-failure delta]
         for series in store.series("rpc_endpoint_requests_total"):
             delta = _counter_delta(series, start, now)
             if not delta:
@@ -125,7 +127,7 @@ class DifferentialDetector:
             entry = requests.setdefault(
                 (labels["endpoint"], labels["method"]), [0.0, 0.0])
             entry[0] += delta
-            if labels["code"] != "ok":
+            if labels["code"] in ("Unavailable", "DeadlineExceeded"):
                 entry[1] += delta
 
         latency_sums = {}  # (endpoint, method) -> duration-sum delta

@@ -93,28 +93,6 @@ class MetricsScraper(Polling):
         else:
             self._m_scrapes = self._m_series = None
             self._g_events = self._g_dead = self._g_dead_ratio = None
-        # Shard-boundary gauges, registered lazily on the first scrape
-        # that sees ``kernel.shard`` bound: an unsharded platform (the
-        # overwhelmingly common case) must not grow empty shard series.
-        self._shard_handles = None
-
-    def _shard_gauges(self):
-        handles = self._shard_handles
-        if handles is None:
-            messages = self.registry.gauge(
-                "shard_boundary_messages_total", ("direction",),
-                help="Boundary messages crossed by this shard's port")
-            handles = self._shard_handles = (
-                messages.labels(direction="sent"),
-                messages.labels(direction="received"),
-                self.registry.gauge(
-                    "shard_lookahead_stalls_total",
-                    help="Windows this shard had work but none executable"),
-                self.registry.gauge(
-                    "shard_merge_lag_seconds",
-                    help="Local-clock lag behind the global window start"),
-            )
-        return handles
 
     # ------------------------------------------------------------------
 
@@ -136,13 +114,6 @@ class MetricsScraper(Polling):
             self._g_events.set(float(kernel.events_processed))
             self._g_dead.set(float(kernel.dead_entries_skipped))
             self._g_dead_ratio.set(kernel.dead_entry_ratio)
-            shard = kernel.shard
-            if shard is not None:
-                sent, received, stalls, lag = self._shard_gauges()
-                sent.set(float(shard.messages_sent))
-                received.set(float(shard.messages_received))
-                stalls.set(float(shard.lookahead_stalls))
-                lag.set(shard.merge_lag)
 
         if self.registry is not None:
             self._collect_registry(now, seen)

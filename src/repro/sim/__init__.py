@@ -18,13 +18,6 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .periodic import Periodic, Polling
 from .process import Process
 from .reconciler import Reconciler, WatchSource, WorkQueue
-from .shard import (
-    BoundaryMessage,
-    ShardPort,
-    ShardSlot,
-    ShardedKernel,
-    merged_digest,
-)
 from .timeseries import TimeSeries, TimeSeriesStore
 from .tracing import (
     NULL_SPAN,
@@ -41,7 +34,6 @@ from .tracing import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BoundaryMessage",
     "Channel",
     "ChannelClosed",
     "Counter",
@@ -58,9 +50,6 @@ __all__ = [
     "Process",
     "ProcessKilled",
     "Reconciler",
-    "ShardPort",
-    "ShardSlot",
-    "ShardedKernel",
     "SimError",
     "SimTimeout",
     "Span",
@@ -73,7 +62,6 @@ __all__ = [
     "WorkQueue",
     "extract_context",
     "inject_context",
-    "merged_digest",
     "render_critical_path",
     "render_span_tree",
 ]

@@ -67,9 +67,8 @@ class Kernel:
     """Discrete-event simulation kernel with generator-based processes.
 
     Every piece of kernel state — clock, heap, RNG streams, perf
-    counters, debug flag, shard binding — is owned by the instance.
-    Nothing lives at module or class level, so any number of kernels
-    (one per shard, or back-to-back scenarios in one process) coexist
+    counters, debug flag — is owned by the instance. Nothing lives at
+    module or class level, so back-to-back kernels in one process coexist
     without bleeding state into each other; ``scripts/
     lint_shared_state.py`` enforces this structurally.
     """
@@ -85,9 +84,6 @@ class Kernel:
         # default: the f-string formatting alone is measurable at scale.
         # Per instance — flipping one kernel's flag never outlives it.
         self.debug = debug
-        # Bound by ShardPort when this kernel is one shard of a
-        # partitioned simulation (see repro.sim.shard); None otherwise.
-        self.shard = None
         # Perf counters (exposed as kernel_* metrics by the monitoring
         # scraper; see MetricsScraper). Instance-owned: a fresh kernel
         # always starts from zero, however many ran before it.
@@ -203,32 +199,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def peek_time(self):
-        """Time of the next scheduled entry, or None when the heap is
-        empty. Dead (cancelled) entries count: they still occupy heap
-        slots and their pop order is part of the deterministic timeline."""
-        queue = self._queue
-        return queue[0][0] if queue else None
-
-    def run_window(self, end):
-        """Run every event with ``time < end``; return how many ran.
-
-        Unlike :meth:`run`, the clock is *not* fast-forwarded to
-        ``end`` — it stays at the last executed event, so the shard
-        coordinator can read the true local frontier. This is the
-        per-window execution primitive of ``repro.sim.shard``.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        ran = 0
-        while queue and queue[0][0] < end:
-            when, _seq, callback = pop(queue)
-            self._now = when
-            self.events_processed += 1
-            ran += 1
-            callback()
-        return ran
 
     def step(self):
         """Execute the next scheduled callback; returns False when empty."""

@@ -20,7 +20,7 @@ ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples", "scripts")
 DEFINITION = REPO_ROOT / "src" / "repro" / "core" / "platform.py"
 
 MAX_FIELDS = 37  # ratchet: lower it when a field goes, never raise it
-MAX_NEVER_PASSED = 90  # ratchet: the same, for never_passed_parameters()
+MAX_NEVER_PASSED = 87  # ratchet: the same, for never_passed_parameters()
 
 # Deployment sizes and credentials stay configurable although no caller
 # varies them today — siblings of the ``lcm_replicas`` that perfbench

@@ -69,7 +69,8 @@ class TestInlinePlainHandler:
         assert not server._inflight
 
     def test_a_waiter_on_the_settled_event_still_wakes(self, kernel, network):
-        """What ``Network._serve_remote`` relies on across shards."""
+        """A generator caller that yields the already-settled
+        ``dispatch`` event is resumed with its value."""
         server = Server(kernel, network, "svc").start()
         server.add_method("echo", lambda request: request)
 

@@ -199,9 +199,7 @@ class TestDeadlines:
         assert run_call(kernel, caller()) == {"echo": 1}
 
     def test_deadline_is_counted_as_deadline_exceeded(self, kernel):
-        """A locally expired call is labelled like a cross-shard one:
-        ``DeadlineExceeded``, not the ``ProcessKilled`` of the
-        generator that used to carry it."""
+        """A locally expired call is labelled ``DeadlineExceeded``."""
         registry = MetricsRegistry()
         network = Network(kernel, latency=LatencyModel(0.001, 0.0),
                           metrics=registry)

@@ -15,9 +15,10 @@ def series_value(out, endpoint, signal):
 
 
 def feed(store, endpoint, method, calls, mean_latency, errors=0, handled=None,
-         start=0.0, end=10.0):
+         start=0.0, end=10.0, code="Unavailable"):
     """Two cumulative counter samples bracketing the window: ``calls``
-    requests at ``mean_latency`` each, ``errors`` of them failing."""
+    requests at ``mean_latency`` each, ``errors`` of them failing with
+    ``code``."""
     store.add("rpc_endpoint_requests_total",
               {"endpoint": endpoint, "method": method, "code": "ok"},
               start, 0.0)
@@ -27,10 +28,10 @@ def feed(store, endpoint, method, calls, mean_latency, errors=0, handled=None,
     if errors:
         store.add("rpc_endpoint_requests_total",
                   {"endpoint": endpoint, "method": method,
-                   "code": "Unavailable"}, start, 0.0)
+                   "code": code}, start, 0.0)
         store.add("rpc_endpoint_requests_total",
                   {"endpoint": endpoint, "method": method,
-                   "code": "Unavailable"}, end, float(errors))
+                   "code": code}, end, float(errors))
     store.add("rpc_endpoint_latency_seconds_total",
               {"endpoint": endpoint, "method": method}, start, 0.0)
     store.add("rpc_endpoint_latency_seconds_total",
@@ -104,6 +105,23 @@ class TestDifferentialDetector:
         out = self.detector().eval(store, 10.0, None)
         assert series_value(out, "mongo-1", "link") > 3.0
         assert series_value(out, "mongo-2", "link") == 0.0
+
+    @pytest.mark.parametrize("code, scores", [
+        ("ServiceError", False),
+        ("Unavailable", True),
+        ("DeadlineExceeded", True),
+    ])
+    def test_link_counts_transport_failures_only(self, code, scores):
+        """An ex-leader answering every call "not leader" is reachable:
+        only calls that never got an answer are link failures."""
+        store = TimeSeriesStore()
+        feed(store, "etcd-0", "propose", calls=40, mean_latency=0.002,
+             errors=40, code=code)
+        for ep in ("etcd-1", "etcd-2"):
+            feed(store, ep, "propose", calls=40, mean_latency=0.002)
+        score = series_value(self.detector().eval(store, 10.0, None),
+                             "etcd-0", "link")
+        assert (score > 3.0) if scores else (score == 0.0)
 
     def test_flow_anomaly_scores_link_without_peers(self):
         store = TimeSeriesStore()

@@ -1,4 +1,4 @@
-"""Kernel instances never share state (the sharding prerequisite).
+"""Kernel instances never share state.
 
 Regression tests for the per-instance ownership rules: perf counters,
 timer-cancellation accounting, the debug flag, and
