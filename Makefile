@@ -1,7 +1,7 @@
 WORKLOAD ?= steady
 PAIRS ?= 10
 
-.PHONY: check test lint bench perf pairs perf-serving perf-gray perf-audit audit profile
+.PHONY: check test lint bench perf pairs perf-gray perf-audit audit profile
 
 check:
 	scripts/check.sh
@@ -24,9 +24,6 @@ perf:
 #   make pairs PARENT=/root/scratch/parent WORKLOAD=scale SEED=<unused> PAIRS=5
 pairs:
 	python3 scripts/pairs.py --parent $(PARENT) --change . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
-
-perf-serving:
-	PYTHONPATH=src python benchmarks/bench_serving.py
 
 perf-gray:
 	PYTHONPATH=src python benchmarks/bench_gray_failures.py

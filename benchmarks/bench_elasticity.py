@@ -4,11 +4,6 @@ The paper's platform goals include elasticity. A burst of jobs beyond
 the fixed pool's capacity either queues (fixed cluster) or triggers
 node provisioning (autoscaled cluster, paying a realistic VM boot
 delay). Measures per-job queue time and burst makespan.
-
-The same fixed-vs-elastic comparison is re-run for the serving side's
-batch-inference jobs (``repro.serving.batch``): a worker Deployment
-scaled out mid-run finishes the shard table sooner than one pinned at
-its initial size, with every shard still completed exactly once.
 """
 
 from conftest import seed_buckets, training_manifest
@@ -68,45 +63,6 @@ def run_burst(autoscaled, jobs=6):
     }
 
 
-BATCH_COLUMNS = ["workers", "shards", "completed", "requeues",
-                 "makespan s", "max completions/shard"]
-
-
-def run_batch_infer(elastic):
-    from repro.serving import BatchInferJob, BatchInferManifest
-
-    platform = DlaasPlatform(
-        seed=21,
-        config=PlatformConfig(gpu_nodes=2, gpus_per_node=4,
-                              management_nodes=2, serving=True),
-    ).start()
-    manifest = BatchInferManifest.from_dict({
-        "name": "score", "framework": "tensorflow", "model": "resnet50",
-        "gpu_type": "k80", "items": 6000, "shard_size": 100,
-        "workers": 2, "max_workers": 8, "item_time": 0.01,
-    })
-    job = BatchInferJob(platform, "bench-batch", manifest).start()
-
-    def scenario():
-        if elastic:
-            # Mid-run scale-out: the harness's "burst" is a deadline
-            # pull-in rather than extra offered load.
-            yield platform.kernel.sleep(10.0)
-            job.scale(8)
-        summary = yield from job.wait(timeout=10_000.0)
-        return summary
-
-    summary = platform.run_process(scenario(), limit=100_000)
-    return {
-        "workers": "2 -> 8 (elastic)" if elastic else "2 (fixed)",
-        "shards": summary["shards"],
-        "completed": summary["completed"],
-        "requeues": summary["requeues"],
-        "makespan s": summary["makespan_s"],
-        "max completions/shard": summary["max_completions_per_shard"],
-    }
-
-
 def test_elasticity(benchmark, record_table):
     def run_both():
         return [run_burst(False), run_burst(True)]
@@ -126,23 +82,3 @@ def test_elasticity(benchmark, record_table):
     assert elastic["burst makespan s"] < fixed["burst makespan s"]
     assert elastic["max wait s"] < fixed["max wait s"]
 
-
-def test_batch_infer_elasticity(benchmark, record_table):
-    def run_both():
-        return [run_batch_infer(False), run_batch_infer(True)]
-
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    table = render_table(
-        "Batch-inference elasticity: 60-shard job, workers scaled 2 -> 8",
-        BATCH_COLUMNS, rows,
-    )
-    record_table("batch_infer_elasticity", table)
-
-    fixed, elastic = rows
-    assert fixed["completed"] == fixed["shards"]
-    assert elastic["completed"] == elastic["shards"]
-    # Scaling out mid-run shortens the makespan without re-scoring:
-    # exactly-once accounting holds in both configurations.
-    assert elastic["makespan s"] < fixed["makespan s"]
-    assert fixed["max completions/shard"] == 1
-    assert elastic["max completions/shard"] == 1

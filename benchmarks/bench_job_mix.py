@@ -1,8 +1,9 @@
 """Day-in-the-life bench: a stochastic job mix on a shared cluster.
 
 Poisson job arrivals drawn from a realistic mix (mostly small jobs,
-some multi-GPU, a few distributed) run against one platform while the
-cluster monitor samples utilization — the shared-hardware economics of
+some multi-GPU, a few distributed) run against one platform, and GPU
+utilization is read back from the monitoring store's scraped
+``cluster_gpus_allocated`` series — the shared-hardware economics of
 the paper's §I, measured. Assertions pin the dependable-by-default
 behaviour: everything completes, nothing leaks, utilization is real.
 """
@@ -22,7 +23,16 @@ def run_day(jobs=14, rate=0.05, seed=12):
         platform, data_bucket="bench-data", results_bucket="bench-results",
         credentials=CREDENTIALS,
     )
-    monitor = platform.monitor(interval=10.0)
+    store = platform.monitoring.store
+    (allocated,) = store.series("cluster_gpus_allocated")
+    (total,) = store.series("cluster_gpus_total")
+    samples = {}
+
+    def read_back():
+        # The store keeps 600 s of samples: collect them twice as often.
+        while True:
+            samples.update(allocated.window(start))
+            yield platform.kernel.sleep(300.0)
 
     def scenario():
         job_ids = yield from generator.poisson_arrivals(client, jobs, rate)
@@ -33,22 +43,25 @@ def run_day(jobs=14, rate=0.05, seed=12):
         return docs
 
     start = platform.kernel.now
+    reader = platform.kernel.spawn(read_back())
     docs = platform.run_process(scenario(), limit=500_000)
     makespan = platform.kernel.now - start
-    monitor.stop()
+    reader.kill()
+    samples.update(allocated.window(start))
 
     waits = []
     for doc in docs:
         history = {h["status"]: h["time"] for h in doc["status_history"]}
         if "PROCESSING" in history:
             waits.append(history["PROCESSING"] - history["QUEUED"])
-    summary = monitor.summary()
+    gpus = total.latest_value()
+    util = [value / gpus for value in samples.values()]
     return {
         "jobs": jobs,
         "arrival rate /s": rate,
         "completed": sum(1 for d in docs if d["status"] == "COMPLETED"),
-        "mean util %": summary["mean_utilization"] * 100,
-        "peak util %": summary["peak_utilization"] * 100,
+        "mean util %": sum(util) / len(util) * 100,
+        "peak util %": max(util) * 100,
         "mean wait s": sum(waits) / len(waits),
         "makespan s": makespan,
     }, platform

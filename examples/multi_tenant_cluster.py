@@ -12,6 +12,7 @@ Run:  python examples/multi_tenant_cluster.py
 
 from repro import DlaasPlatform
 from repro.core import PlatformConfig
+from repro.monitoring import sparkline
 
 CREDENTIALS = {"access_key": "AK", "secret": "SK"}
 
@@ -40,7 +41,6 @@ def main():
     platform.ensure_results_bucket("shared-results", CREDENTIALS)
 
     clients = {tenant: platform.client(tenant) for tenant in WORKLOADS}
-    monitor = platform.monitor(interval=5.0)
 
     def submit_all():
         submitted = []  # (tenant, job_id)
@@ -92,7 +92,9 @@ def main():
 
     print(f"{'tenant':<14} {'job':<10} {'name':<22} {'status':<10} {'makespan':>9}")
     for tenant, job_id, doc in results:
-        makespan = doc["completed_at"] - doc["created_at"]
+        # The terminal status time: ``completed_at`` is written at the
+        # Guardian's teardown, after the status a waiter returns on.
+        makespan = doc["status_history"][-1]["time"] - doc["created_at"]
         print(f"{tenant:<14} {job_id:<10} {doc['name']:<22} "
               f"{doc['status']:<10} {makespan:>8.0f}s")
 
@@ -114,9 +116,12 @@ def main():
               f"gpu_seconds={report.get('gpu_seconds', 0):9.0f} "
               f"api_calls={report['api_calls_total']}")
 
-    monitor.stop()
-    print()
-    print(monitor.report())
+    # The scraper's GPU gauge over the store's retained window.
+    (allocated,) = platform.monitoring.store.series("cluster_gpus_allocated")
+    points = allocated.values()
+    print(f"\nGPUs allocated over the last {len(points)} scrapes "
+          f"(peak {max(points):g} of {total_gpus})")
+    print(f"[{sparkline(points, width=50, maximum=total_gpus)}]")
 
 
 if __name__ == "__main__":

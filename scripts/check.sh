@@ -33,7 +33,7 @@ stage shared-state-lint python scripts/lint_shared_state.py
 stage tier-1 env PYTHONPATH=src python -m pytest -q "$@"
 stage perfbench-tests python -m pytest perfbench/tests -q
 stage perfbench-quick python3 perfbench/run.py --quick
-# Serving, gray-failure and consistency gates: simulated-clock and
-# exact assertions, so every one runs and reports even if another fails.
+# Gray-failure and consistency gates: simulated-clock and exact
+# assertions, so each runs and reports even if the other fails.
 stage bench-smoke env PYTHONPATH=src python -m pytest benchmarks -q -k smoke \
     --durations=0

@@ -148,11 +148,13 @@ class KubernetesCluster:
         )
 
     # ------------------------------------------------------------------
-    # Capacity overview (for benchmarks)
+    # Capacity overview (benchmarks, the scraper's GPU gauges)
     # ------------------------------------------------------------------
 
     def capacity_summary(self):
-        nodes = self.api.list("Node", namespace="")
+        # Straight off the store, not list(): the scraper reads this
+        # every tick and must not add to the API server's list traffic.
+        nodes = self.api._store("Node").values()
         return {
             "nodes": len(nodes),
             "gpus_total": sum(n.capacity.gpus for n in nodes),

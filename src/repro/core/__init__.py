@@ -23,7 +23,6 @@ from .errors import (
 from .events import EVENT_NORMAL, EVENT_WARNING, EventRecorder, PlatformEvent
 from .faults import ComponentCrasher, GrayFailureInjector
 from .manifest import DataStoreRef, TrainingManifest
-from .observability import ClusterMonitor
 from .platform import DlaasPlatform, PlatformConfig
 from .rest import RestClient, RestGateway
 from .timeline import job_timeline, render_timeline, timeline_digest
@@ -48,7 +47,6 @@ __all__ = [
     "ALL_STATUSES",
     "AuthError",
     "COMPLETED",
-    "ClusterMonitor",
     "ComponentCrasher",
     "GrayFailureInjector",
     "DEPLOYING",

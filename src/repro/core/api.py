@@ -19,7 +19,7 @@ from ..sim.tracing import extract_context
 from . import layout
 from .admission import AdmissionController
 from .auth import Metering, RateLimiter
-from .errors import JobNotFound, ModelNotFound, ServingDisabled
+from .errors import JobNotFound
 from .manifest import TrainingManifest
 from .states import QUEUED, is_terminal
 
@@ -43,19 +43,10 @@ class ApiService:
         self.admission = AdmissionController(self)
         self.lcm = Client(self.kernel, platform.network, platform.lcm_balancer,
                           caller=address, retries=1, retry_backoff=0.2)
-        if platform.serving_balancer is not None:
-            self.serving_manager = Client(self.kernel, platform.network,
-                                          platform.serving_balancer,
-                                          caller=address, retries=1,
-                                          retry_backoff=0.2)
-        else:
-            self.serving_manager = None
         self.server = Server(self.kernel, platform.network, address,
                              service_time=API_SERVICE_TIME)
         for method in ("submit", "status", "list_jobs", "halt", "logs", "usage",
-                       "events", "job_events",
-                       "create_model", "get_model", "list_models",
-                       "delete_model"):
+                       "events", "job_events"):
             self.server.add_method(method, getattr(self, f"_on_{method}"))
         # The RESTful surface shares the same handlers (§III.c: "both a
         # RESTful API as well as a GRPC API endpoint").
@@ -124,20 +115,20 @@ class ApiService:
         span.end("ok")
         return {"job_id": job_id, "status": QUEUED}
 
-    def _next_sequence(self, counter="job-seq"):
+    def _next_sequence(self):
+        counter = {"_id_name": "job-seq"}
         doc = yield from self.mongo.find_one_and_update(
-            "counters", {"_id_name": counter}, {"$inc": {"seq": 1}}, return_new=True
+            "counters", counter, {"$inc": {"seq": 1}}, return_new=True
         )
         if doc is None:
             try:
                 yield from self.mongo.insert_one(
-                    "counters", {"_id_name": counter, "seq": 0}
+                    "counters", {**counter, "seq": 0}
                 )
             except Exception:
                 pass  # another API instance won the race
             doc = yield from self.mongo.find_one_and_update(
-                "counters", {"_id_name": counter}, {"$inc": {"seq": 1}},
-                return_new=True,
+                "counters", counter, {"$inc": {"seq": 1}}, return_new=True,
             )
         return doc["seq"]
 
@@ -261,105 +252,3 @@ class ApiService:
         response = yield from self.lcm.call("kill_job", {"job_id": doc["job_id"]},
                                             deadline=2.0)
         return {"job_id": doc["job_id"], "halt": response["halted"]}
-
-    # ------------------------------------------------------------------
-    # Serving models (the second workload class, repro.serving)
-    # ------------------------------------------------------------------
-
-    def _require_serving(self):
-        if self.serving_manager is None:
-            raise ServingDisabled(
-                "serving endpoints need PlatformConfig(serving=True)")
-
-    def _notify_serving(self, model_id):
-        # Best-effort like the LCM notify; the ServingManager's resync
-        # relist is the safety net for a lost RPC.
-        try:
-            yield from self.serving_manager.call(
-                "reconcile_model", {"model_id": model_id}, deadline=1.0)
-        except RpcError:
-            pass
-
-    def _load_model(self, tenant, model_id, projection=None):
-        doc = yield from self.mongo.find_one(
-            "models", {"model_id": model_id, "tenant": tenant},
-            projection=projection)
-        if doc is None:
-            raise ModelNotFound(f"{model_id} (tenant {tenant})")
-        return doc
-
-    def _on_create_model(self, request):
-        self._require_serving()
-        tenant = yield from self._authenticate(request, "create_model")
-        from ..serving import MODEL_ACTIVE, ServingManifest
-
-        manifest = ServingManifest.from_dict(request.get("manifest"))
-        seq = yield from self._next_sequence("model-seq")
-        model_id = f"model-{seq:04d}"
-        document = {
-            "model_id": model_id,
-            "tenant": tenant,
-            "name": manifest.name,
-            "manifest": manifest.to_dict(),
-            "replicas": manifest.min_replicas,
-            "status": MODEL_ACTIVE,
-            "created_at": self.kernel.now,
-            "deleted_at": None,
-        }
-        # Same durability rule as jobs: the registry entry is in
-        # MongoDB before the request is acknowledged.
-        yield from self.mongo.insert_one("models", document)
-        yield from self._notify_serving(model_id)
-        return {"model_id": model_id, "status": MODEL_ACTIVE}
-
-    def _on_get_model(self, request):
-        self._require_serving()
-        tenant = yield from self._authenticate(request, "get_model")
-        doc = yield from self._load_model(
-            tenant, request["model_id"],
-            projection=["model_id", "name", "status", "replicas",
-                        "created_at", "deleted_at"])
-        response = {
-            "model_id": doc["model_id"],
-            "name": doc["name"],
-            "status": doc["status"],
-            "replicas": doc.get("replicas"),
-            "created_at": doc["created_at"],
-            "deleted_at": doc.get("deleted_at"),
-        }
-        runtime = self.platform.serving
-        if runtime is not None and doc["model_id"] in runtime.model_ids():
-            stats = runtime.stats(doc["model_id"])
-            response["ready_replicas"] = stats["replicas"]
-            response["queue_depth"] = stats["queue_depth"]
-            response["window_p99"] = stats["window_p99"]
-        return response
-
-    def _on_list_models(self, request):
-        self._require_serving()
-        tenant = yield from self._authenticate(request, "list_models")
-        docs = yield from self.mongo.find(
-            "models", {"tenant": tenant}, sort=[("created_at", 1)],
-            projection=["model_id", "name", "status", "replicas"])
-        return [{"model_id": d["model_id"], "name": d["name"],
-                 "status": d["status"], "replicas": d.get("replicas")}
-                for d in docs]
-
-    def _on_delete_model(self, request):
-        self._require_serving()
-        tenant = yield from self._authenticate(request, "delete_model")
-        from ..serving import MODEL_ACTIVE, MODEL_DELETING
-
-        doc = yield from self.mongo.find_one_and_update(
-            "models",
-            {"model_id": request["model_id"], "tenant": tenant,
-             "status": MODEL_ACTIVE},
-            {"$set": {"status": MODEL_DELETING}}, return_new=True)
-        if doc is None:
-            # Not ACTIVE: distinguish "never existed / wrong tenant"
-            # from "already deleting/deleted" (idempotent delete).
-            doc = yield from self._load_model(
-                tenant, request["model_id"], projection=["model_id", "status"])
-            return {"model_id": doc["model_id"], "status": doc["status"]}
-        yield from self._notify_serving(doc["model_id"])
-        return {"model_id": doc["model_id"], "status": doc["status"]}

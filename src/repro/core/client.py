@@ -70,41 +70,6 @@ class DlaasClient:
         return response
 
     # ------------------------------------------------------------------
-    # Serving models (repro.serving; needs PlatformConfig(serving=True))
-    # ------------------------------------------------------------------
-
-    def create_model(self, manifest):
-        """Register an inference model; returns its model id."""
-        response = yield from self._call("create_model", manifest=manifest)
-        return response["model_id"]
-
-    def get_model(self, model_id):
-        response = yield from self._call("get_model", model_id=model_id)
-        return response
-
-    def list_models(self):
-        response = yield from self._call("list_models")
-        return response
-
-    def delete_model(self, model_id):
-        response = yield from self._call("delete_model", model_id=model_id)
-        return response
-
-    def wait_for_model_ready(self, model_id, replicas=1, timeout=600.0,
-                             poll_interval=1.0):
-        """Poll until at least ``replicas`` replicas report ready."""
-        deadline = self.kernel.now + timeout
-        while True:
-            doc = yield from self.get_model(model_id)
-            if doc.get("ready_replicas", 0) >= replicas:
-                return doc
-            if self.kernel.now >= deadline:
-                raise TimeoutError(
-                    f"{model_id} has {doc.get('ready_replicas', 0)}/"
-                    f"{replicas} replicas after {timeout}s")
-            yield self.kernel.sleep(poll_interval)
-
-    # ------------------------------------------------------------------
 
     def wait_for_status(self, job_id, statuses=None, timeout=3600.0,
                         poll_interval=2.0):

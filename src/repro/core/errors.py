@@ -19,15 +19,6 @@ class JobNotFound(DlaasError):
     """Unknown job id (or not visible to this tenant)."""
 
 
-class ModelNotFound(DlaasError):
-    """Unknown serving model id (or not visible to this tenant)."""
-
-
-class ServingDisabled(DlaasError):
-    """Serving endpoints called on a platform without the serving
-    subsystem enabled (``PlatformConfig(serving=True)``)."""
-
-
 class AuthError(DlaasError):
     """Missing, invalid, or insufficient credentials."""
 

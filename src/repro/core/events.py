@@ -75,16 +75,6 @@ REASONS = frozenset({
     "Unschedulable",
     "Preempted",
     "ContainerRestarted",
-    # Serving (repro.serving)
-    "ServingModelCreated",
-    "ServingModelDeleted",
-    "ServingScaleUp",
-    "ServingScaleDown",
-    "ServingSLOBreach",
-    "ServingDown",
-    "BatchShardRequeued",
-    "BatchInferCompleted",
-    "BatchInferStalled",
     # Gray failures (repro.sim.faults / repro.monitoring.differential)
     "FaultInjected",
     "GrayFailureSlow",

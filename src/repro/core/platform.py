@@ -38,16 +38,13 @@ from .services import make_api_workload, make_lcm_workload
 NETWORK_LATENCY = 0.0008
 NETWORK_JITTER = 0.0006
 
-SERVING_LATENCY_WINDOW = 20.0  # rolling p99 window, seconds
-
-# Platform image sizes, MB (dlaas/serving only with serving on).
+# Platform image sizes, MB.
 IMAGE_SIZES = {
     "dlaas/api": 60.0,
     "dlaas/lcm": 55.0,
     "dlaas/guardian": 45.0,
     "dlaas/helper": 120.0,
 }
-SERVING_IMAGE_SIZE = 55.0
 
 
 @dataclass
@@ -115,14 +112,6 @@ class PlatformConfig:
     history_recording: bool = False
     audit_interval: float = 5.0  # seconds between auditor passes
 
-    # Serving subsystem (repro.serving): inference Deployments with an
-    # SLO-driven replica autoscaler, plus elastic batch inference. Off
-    # by default — nothing serving-related is constructed, no extra
-    # processes run, and the simulated training timeline is
-    # bit-identical to a tree without the subsystem (the default row
-    # of test_timeline_pin.py).
-    serving: bool = False
-
     # Sharded control plane (ISSUE 10): every knob defaults to the
     # unsharded platform, and with the defaults none of the sharding
     # machinery runs a single extra simulation event — the timeline is
@@ -133,8 +122,8 @@ class PlatformConfig:
     # ring and clients route by tenant, so one tenant's requests (and
     # its admission state) land on one replica with stable fail-over.
     api_ring_routing: bool = False
-    # mongo_shards: N independent replica sets; ``jobs``/``models``
-    # documents are hash-placed by their id, point ops hit one shard,
+    # mongo_shards: N independent replica sets; ``jobs`` documents are
+    # hash-placed by their id, point ops hit one shard,
     # cross-shard queries scatter-gather (repro.docstore.sharding).
     mongo_shards: int = 1
     # lcm_slices: partition the job-id space into this many slices;
@@ -218,19 +207,6 @@ class DlaasPlatform:
         self.api_balancer = LoadBalancer("dlaas-api",
                                          ring=self.config.api_ring_routing)
         self.lcm_balancer = LoadBalancer("dlaas-lcm")
-        # The serving data plane is platform-owned (it outlives manager
-        # pods) and exists only when the subsystem is enabled — with the
-        # flag off the training timeline must be bit-identical.
-        if self.config.serving:
-            from ..serving import ServingRuntime
-
-            self.serving_balancer = LoadBalancer("dlaas-serving")
-            self.serving = ServingRuntime(
-                self.kernel, self.metrics, self.events,
-                latency_window=SERVING_LATENCY_WINDOW)
-        else:
-            self.serving_balancer = None
-            self.serving = None
         self.health = HealthRegistry()
         register_platform_probes(self, self.health)
         self.monitoring = MonitoringStack(self) if self.config.monitoring else None
@@ -255,17 +231,14 @@ class DlaasPlatform:
                                   gpu_type=gpu_type, labels={"pool": "gpu"})
 
     def _register_images(self):
-        image_sizes = dict(IMAGE_SIZES)
-        if self.config.serving:
-            image_sizes["dlaas/serving"] = SERVING_IMAGE_SIZE
-        for image, size in image_sizes.items():
+        for image, size in IMAGE_SIZES.items():
             self.k8s.registry.register(image, size)
         for framework in FRAMEWORKS.values():
             self.k8s.registry.register(framework.image, framework.image_size_mb)
         # DaemonSet-style pre-pull of the small platform images on every
         # node: core services must restart fast (Fig. 4).
         for node_name in self.k8s.kubelets:
-            for image in image_sizes:
+            for image in IMAGE_SIZES:
                 self.k8s.registry.prewarm(node_name, image)
 
     def framework_image(self, framework_name):
@@ -321,11 +294,6 @@ class DlaasPlatform:
             events.create_index("job")
             events.create_index("event_key")
             member.database.collection("metering").create_index("tenant")
-            if self.config.serving:
-                models = member.database.collection("models")
-                models.create_index("model_id", unique=True)
-                models.create_index("tenant")
-                models.create_index("status")
 
     def _deploy_core_services(self):
         self.k8s.api.create(Deployment(
@@ -338,15 +306,6 @@ class DlaasPlatform:
             PodTemplate(self._lcm_pod_spec, labels={"dlaas": "core", "app": "lcm"}),
             replicas=self.config.lcm_replicas,
         ))
-        if self.config.serving:
-            from ..serving import SERVING_REPLICAS
-
-            self.k8s.api.create(Deployment(
-                "dlaas-serving",
-                PodTemplate(self._serving_pod_spec,
-                            labels={"dlaas": "core", "app": "serving"}),
-                replicas=SERVING_REPLICAS,
-            ))
 
     def _api_pod_spec(self):
         return PodSpec(
@@ -360,16 +319,6 @@ class DlaasPlatform:
         return PodSpec(
             containers=[ContainerSpec("lcm", "dlaas/lcm",
                                       workload=make_lcm_workload(self))],
-            restart_policy=RESTART_ALWAYS,
-            node_selector={"pool": "management"},
-        )
-
-    def _serving_pod_spec(self):
-        from .services import make_serving_workload
-
-        return PodSpec(
-            containers=[ContainerSpec("serving", "dlaas/serving",
-                                      workload=make_serving_workload(self))],
             restart_policy=RESTART_ALWAYS,
             node_selector={"pool": "management"},
         )
@@ -420,12 +369,6 @@ class DlaasPlatform:
         token = self.tokens.create_tenant(tenant)
         route_key = tenant if self.config.api_ring_routing else None
         return DlaasClient(self, token, route_key=route_key)
-
-    def monitor(self, interval=5.0):
-        """Start a :class:`ClusterMonitor` sampling utilization."""
-        from .observability import ClusterMonitor
-
-        return ClusterMonitor(self, interval=interval).start()
 
     def admin_report(self):
         """Process generator: cross-tenant platform rollup (admin view).

@@ -13,15 +13,12 @@ from .errors import (
     DlaasError,
     InvalidManifest,
     JobNotFound,
-    ModelNotFound,
     QuotaExceeded,
     RateLimited,
-    ServingDisabled,
 )
 
 # ``/v1/models`` is the paper's name for *training jobs* (FfDL's
-# historical route); the serving workload class lives under the
-# unversioned ``/models`` prefix.
+# historical route).
 _ROUTES = (
     ("POST", re.compile(r"^/v1/models$"), "submit"),
     ("GET", re.compile(r"^/v1/models$"), "list_jobs"),
@@ -32,10 +29,6 @@ _ROUTES = (
     ("GET", re.compile(r"^/jobs/(?P<job_id>[^/]+)/events$"), "job_events"),
     ("GET", re.compile(r"^/events$"), "events"),
     ("GET", re.compile(r"^/v1/usage$"), "usage"),
-    ("POST", re.compile(r"^/models$"), "create_model"),
-    ("GET", re.compile(r"^/models$"), "list_models"),
-    ("GET", re.compile(r"^/models/(?P<model_id>[^/]+)$"), "get_model"),
-    ("DELETE", re.compile(r"^/models/(?P<model_id>[^/]+)$"), "delete_model"),
 )
 
 _STATUS_FOR = (
@@ -44,8 +37,6 @@ _STATUS_FOR = (
     (QuotaExceeded, 429),
     (InvalidManifest, 400),
     (JobNotFound, 404),
-    (ModelNotFound, 404),
-    (ServingDisabled, 503),
     (DlaasError, 500),
 )
 
@@ -98,14 +89,14 @@ class RestGateway:
             if match is None:
                 continue
             payload.update(match.groupdict())
-            if handler_name in ("submit", "create_model"):
+            if handler_name == "submit":
                 payload["manifest"] = request.get("body")
             handler = getattr(self.api_service, f"_on_{handler_name}")
             try:
                 body = yield from handler(payload)
             except DlaasError as exc:
                 return self._error_response(exc)
-            created = handler_name in ("submit", "create_model")
+            created = handler_name == "submit"
             return {"status": 201 if created else 200, "body": body}
         return {"status": 404, "body": {"error": f"no route {method} {path}"}}
 

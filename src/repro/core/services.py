@@ -14,7 +14,6 @@ from .lcm import LcmService
 # Service boot times (drive the Fig. 4 recovery bands).
 API_INIT_TIME = 2.9
 LCM_INIT_TIME = 4.1
-SERVING_INIT_TIME = 3.2  # serving manager pod boot
 
 
 def _emit_exit_event(platform, ctx, component):
@@ -49,48 +48,6 @@ def make_api_workload(platform):
             platform.api_balancer.remove(address)
             service.server.stop()
             _emit_exit_event(platform, ctx, "api")
-        return 0
-
-    return workload
-
-
-def make_serving_workload(platform):
-    """The ServingManager pod: model-registry reconciler + autoscaler.
-
-    Mirrors the LCM workload: boot, serve, run the reconcilers, and on
-    any exit (graceful or crash) stop them so a dead manager leaks no
-    loops — the replacement pod rebuilds everything from MongoDB.
-    """
-
-    def workload(ctx):
-        from ..serving import ServingManager
-
-        kernel = ctx.kernel
-        address = f"serving:{ctx.pod.metadata.name}"
-        yield kernel.sleep(SERVING_INIT_TIME)
-        service = ServingManager(platform, address)
-        reconciler = autoscaler = None
-        try:
-            service.server.start()
-            platform.serving_balancer.add(address)
-            reconciler = service.make_reconciler().start()
-            autoscaler = service.make_autoscaler().start()
-            platform.tracer.emit("serving", "component-ready",
-                                 pod=ctx.pod.metadata.name)
-            platform.events.emit_event("Normal", "ComponentReady", "Pod",
-                                       ctx.pod.metadata.name,
-                                       message="serving manager ready")
-            yield ctx.stop_event
-        except ProcessKilled:
-            raise
-        finally:
-            platform.serving_balancer.remove(address)
-            service.server.stop()
-            if reconciler is not None:
-                reconciler.stop()
-            if autoscaler is not None:
-                autoscaler.stop()
-            _emit_exit_event(platform, ctx, "serving")
         return 0
 
     return workload

@@ -31,7 +31,6 @@ from .service import MongoClient, MongoReplicaSet
 # collection -> shard-key field; everything else is pinned to shard 0.
 SHARD_KEYS = {
     "jobs": "job_id",
-    "models": "model_id",
 }
 
 

@@ -285,8 +285,7 @@ class AlertEngine(Polling):
 
     def _involved(self, rule, labels):
         labels = dict(labels)
-        for key, kind in (("component", "Component"), ("model", "Model"),
-                          ("batch", "BatchInfer"), ("key", "EtcdKey"),
+        for key, kind in (("component", "Component"), ("key", "EtcdKey"),
                           ("name", "Component")):
             if labels.get(key):
                 return kind, labels[key]
@@ -339,7 +338,6 @@ class AlertEngine(Polling):
 ALERT_SERVICE_FOR = 1.0
 ALERT_POD_FOR = 0.2
 GRAY_DIVERGENCE_THRESHOLD = 3.0  # robust z-score that alerts
-BATCHINFER_STALL_THRESHOLD = 60.0  # seconds without batch progress
 
 
 def default_rule_pack(config):
@@ -435,24 +433,4 @@ def default_rule_pack(config):
             description="the linearizability checker found a key whose "
                         "recorded client history admits no legal "
                         "serialization (stale read / lost write)"))
-    if config.serving:
-        rules.append(AlertRule(
-            "ServingDown",
-            Metric("up", component="serving") == 0,
-            for_=ALERT_SERVICE_FOR, severity="critical",
-            description="up{component=serving} == 0"))
-        # The autoscaler exports each model's p99/SLO ratio; above 1.0
-        # the model is out of SLO. ``for_`` rides out the scale-up lag
-        # an autoscaler is *expected* to incur on a burst edge.
-        rules.append(AlertRule(
-            "ServingSLOBreach",
-            Metric("serving_slo_breach") > 1.0,
-            for_=ALERT_SERVICE_FOR, severity="warning",
-            description="a serving model's windowed p99 exceeds its SLO"))
-        rules.append(AlertRule(
-            "BatchInferStalled",
-            Metric("batchinfer_stalled_seconds") > BATCHINFER_STALL_THRESHOLD,
-            for_=0.0, severity="warning",
-            description="a batch-inference job has made no progress for "
-                        "longer than the stall threshold"))
     return rules

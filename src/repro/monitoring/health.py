@@ -197,13 +197,6 @@ def register_platform_probes(platform, registry):
     registry.register("lcm",
                       balancer_check(platform.lcm_balancer, config.lcm_replicas),
                       latch=True)
-    if config.serving:
-        from ..serving import SERVING_REPLICAS
-
-        registry.register(
-            "serving",
-            balancer_check(platform.serving_balancer, SERVING_REPLICAS),
-            latch=True)
 
     def etcd_check():
         alive = platform.etcd.alive_count()

@@ -49,6 +49,28 @@ class EventFlusher(Polling):
         return len(dirty)
 
 
+class PlatformScraper(MetricsScraper):
+    """The platform's scraper: each pass also sets the cluster's GPU
+    gauges from the API server's nodes, a pure read like the kernel's
+    counters, so the dashboard's GPU row needs no second sampler."""
+
+    def __init__(self, platform, store):
+        super().__init__(platform.kernel, store,
+                         interval=platform.config.scrape_interval,
+                         registry=platform.metrics, health=platform.health)
+        self.cluster = platform.k8s
+        self._g_gpus_total = platform.metrics.gauge(
+            "cluster_gpus_total", help="GPUs in the cluster")
+        self._g_gpus_allocated = platform.metrics.gauge(
+            "cluster_gpus_allocated", help="GPUs currently allocated to pods")
+
+    def scrape_once(self):
+        capacity = self.cluster.capacity_summary()
+        self._g_gpus_total.set(capacity["gpus_total"])
+        self._g_gpus_allocated.set(capacity["gpus_allocated"])
+        super().scrape_once()
+
+
 class MonitoringStack:
     """Scraper + series store + alert engine + event flusher."""
 
@@ -56,9 +78,7 @@ class MonitoringStack:
         config = platform.config
         self.platform = platform
         self.store = TimeSeriesStore()
-        self.scraper = MetricsScraper(
-            platform.kernel, self.store, interval=config.scrape_interval,
-            registry=platform.metrics, health=platform.health)
+        self.scraper = PlatformScraper(platform, self.store)
         self.engine = AlertEngine(
             platform.kernel, self.store, events=platform.events,
             metrics=platform.metrics, interval=config.alert_eval_interval,

@@ -2,10 +2,9 @@
 
 Every polling component of the platform — scraper, alert engine, event
 flusher, auditor, scheduler, workload controllers, kubelet heartbeat
-and sync, serving autoscaler, slice manager, cluster monitor, the
-reconciler's resync ticker — holds a :class:`Periodic` and keeps only
-its ``*_once()`` body. What "poll on an interval" and what ``stop()``
-mean live here and nowhere else.
+and sync, slice manager, the reconciler's resync ticker — holds a
+:class:`Periodic` and keeps only its ``*_once()`` body. What "poll on
+an interval" and what ``stop()`` mean live here and nowhere else.
 """
 
 

@@ -1,11 +1,11 @@
 """DeploymentController under replica crash and node drain.
 
-The serving data plane (repro.serving) leans on the Deployment
-abstraction for replica fleets, so the controller's failure behaviour
-is load-bearing: a killed replica pod must be re-created promptly, a
-drained node's replicas must land elsewhere, and neither path may
-strand orphaned pods (non-terminal pods the controller no longer
-counts toward the replica goal).
+The platform's core services, API and LCM, run as Deployments (paper
+§III.b), so the controller's failure behaviour is load-bearing: a
+killed replica pod must be re-created promptly, a drained node's
+replicas must land elsewhere, and neither path may strand orphaned
+pods (non-terminal pods the controller no longer counts toward the
+replica goal).
 """
 
 from repro.cluster import (
@@ -18,7 +18,7 @@ from repro.cluster import (
 from repro.cluster.resources.pod import RUNNING
 
 
-def serving_like_deployment(name, replicas, labels=None):
+def core_service_like_deployment(name, replicas, labels=None):
     def spec_factory():
         def workload(ctx):
             yield ctx.stop_event
@@ -48,7 +48,7 @@ SELECTOR = {"app": "fleet"}
 
 class TestDeploymentFailures:
     def test_replica_crash_recreated_promptly(self, kernel, cluster):
-        deployment = serving_like_deployment("fleet", 3, labels=SELECTOR)
+        deployment = core_service_like_deployment("fleet", 3, labels=SELECTOR)
         cluster.api.create(deployment)
         kernel.run(until=30.0)
         running, live, _ = fleet(cluster, SELECTOR)
@@ -74,7 +74,7 @@ class TestDeploymentFailures:
         assert victim not in {p.metadata.name for p in running}
 
     def test_node_drain_reschedules_replicas(self, kernel, cluster):
-        deployment = serving_like_deployment("fleet", 3, labels=SELECTOR)
+        deployment = core_service_like_deployment("fleet", 3, labels=SELECTOR)
         cluster.api.create(deployment)
         kernel.run(until=30.0)
         running, _live, _ = fleet(cluster, SELECTOR)
@@ -99,7 +99,7 @@ class TestDeploymentFailures:
             assert pod.is_terminal() or pod.deletion_requested
 
     def test_node_crash_no_orphaned_pods(self, kernel, cluster):
-        deployment = serving_like_deployment("fleet", 3, labels=SELECTOR)
+        deployment = core_service_like_deployment("fleet", 3, labels=SELECTOR)
         cluster.api.create(deployment)
         kernel.run(until=30.0)
         running, _live, _ = fleet(cluster, SELECTOR)
@@ -118,7 +118,7 @@ class TestDeploymentFailures:
             assert pod.is_terminal() or pod.deletion_requested
 
     def test_scale_down_leaves_no_strays(self, kernel, cluster):
-        deployment = serving_like_deployment("fleet", 4, labels=SELECTOR)
+        deployment = core_service_like_deployment("fleet", 4, labels=SELECTOR)
         cluster.api.create(deployment)
         kernel.run(until=30.0)
         running, _live, _ = fleet(cluster, SELECTOR)

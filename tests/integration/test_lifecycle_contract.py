@@ -28,18 +28,14 @@ from repro.cluster.controllers import (DeploymentController, JobController,
 from repro.cluster.kubelet import Kubelet
 from repro.cluster.resources.node import Node, NodeResources
 from repro.cluster.scheduler import Scheduler
-from repro.core import ClusterMonitor, PlatformConfig
+from repro.core import PlatformConfig
 from repro.core.events import EventRecorder
 from repro.core.partitions import SliceManager
 from repro.monitoring import AlertEngine, MetricsScraper
 from repro.monitoring.stack import EventFlusher
 from repro.nfs import NfsServer
-from repro.serving import ServingRuntime
-from repro.serving.autoscaler import ServingAutoscaler
 from repro.sim import Kernel, MetricsRegistry, Reconciler, WatchSource
 from repro.sim.timeseries import TimeSeriesStore
-
-from tests.serving.conftest import model_manifest
 
 RPC_TIME = 0.01  # what one call to a SlowStore suspends its caller for
 
@@ -91,11 +87,11 @@ class Passes:
 
 
 class SlowStore:
-    """Stands in for a Mongo or etcd client: every method is a process
+    """Stands in for an etcd client: every method is a process
     generator that suspends ``RPC_TIME`` and then answers."""
 
-    ANSWERS = {"find": [], "get_range": [], "lease_keepalive": {"ok": True},
-               "cas": {"ok": True}, "update_one": (0, 0)}
+    ANSWERS = {"get_range": [], "lease_keepalive": {"ok": True},
+               "cas": {"ok": True}}
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -122,10 +118,8 @@ class Case:
 
 
 def stub_platform(kernel, **extra):
-    metrics = MetricsRegistry()
-    return SimpleNamespace(
-        kernel=kernel, metrics=metrics, events=EventRecorder(kernel),
-        mongo_client=lambda _caller: SlowStore(kernel), **extra)
+    return SimpleNamespace(kernel=kernel, metrics=MetricsRegistry(),
+                           events=EventRecorder(kernel), **extra)
 
 
 def bare_cluster(kernel):
@@ -155,23 +149,6 @@ def auditor(kernel, passes):
     holder = passes.spy(ConsistencyAuditor, "audit_once")(
         kernel, HistoryRecorder(kernel), interval=1.0)
     return Case(holder, ["consistency-auditor"], 1.0, first_pass=1.0)
-
-
-def serving_autoscaler(kernel, passes):
-    platform = stub_platform(kernel)
-    platform.serving = ServingRuntime(kernel, platform.metrics,
-                                      platform.events)
-    platform.serving.ensure_model("m1", model_manifest())
-    manager = SimpleNamespace(platform=platform, kernel=kernel,
-                              address="serving-0", mongo=SlowStore(kernel))
-    holder = passes.spy(ServingAutoscaler, "evaluate_once")(manager)
-    return Case(holder, ["serving-autoscaler:serving-0"], 2.0)
-
-
-def cluster_monitor(kernel, passes):
-    platform = stub_platform(kernel, k8s=bare_cluster(kernel))
-    holder = passes.spy(ClusterMonitor, "sample_once")(platform, interval=1.0)
-    return Case(holder, ["cluster-monitor"], 1.0)
 
 
 def slice_manager(kernel, passes):
@@ -226,8 +203,6 @@ CASES = {
     "EventFlusher": flusher,
     "AlertEngine": alert_engine,
     "ConsistencyAuditor": auditor,
-    "ServingAutoscaler": serving_autoscaler,
-    "ClusterMonitor": cluster_monitor,
     "SliceManager": slice_manager,
     "JobController": controller(JobController),
     "StatefulSetController": controller(StatefulSetController),
@@ -243,8 +218,7 @@ CASES = {
 
 # Bodies that suspend on calls, and the one holder that starts once (a
 # stopped reconciler has closed its queue for good).
-SUSPENDING = ["ClusterMonitor", "Reconciler", "ServingAutoscaler",
-              "SliceManager"]
+SUSPENDING = ["Reconciler", "SliceManager"]
 RESTARTABLE = sorted(set(CASES) - {"Reconciler"})
 
 

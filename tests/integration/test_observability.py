@@ -1,84 +1,44 @@
-"""Cluster monitor tests: utilization sampling and reporting."""
+"""Cluster GPU utilization, as the monitoring store serves it.
 
-import pytest
+The scraper sets ``cluster_gpus_allocated`` / ``cluster_gpus_total``
+from the cluster's capacity on every pass (a pure read), so every
+platform with monitoring on has the series, and nothing has to start a
+second sampler to get them.
+"""
+
+from repro.monitoring import render_dashboard
 
 from .conftest import manifest
 
 
-class TestClusterMonitor:
-    def test_samples_capture_job_lifecycle(self, platform, client):
-        monitor = platform.monitor(interval=5.0)
+def gpu_series(platform, name="cluster_gpus_allocated"):
+    (series,) = platform.monitoring.store.series(name)
+    return series.values()
+
+
+class TestGpuUtilization:
+    def test_peak_during_a_job_and_zero_after(self, platform, client):
         platform.run_process(client.run_to_completion(manifest()), limit=50_000)
         platform.run_for(10.0)
-        monitor.stop()
 
-        assert monitor.samples
-        # At some point a GPU was allocated; at the end none are.
-        peaks = [s["gpus_allocated"] for s in monitor.samples]
-        assert max(peaks) >= 1
-        assert peaks[-1] == 0
-        # Job-state series saw the terminal state.
-        assert any(s["jobs"].get("COMPLETED") for s in monitor.samples)
+        allocated = gpu_series(platform)
+        assert max(allocated) >= 1
+        assert allocated[-1] == 0
+        assert set(gpu_series(platform, "cluster_gpus_total")) == {8}  # 2 x 4
 
-    def test_utilization_summary(self, platform, client):
-        monitor = platform.monitor(interval=5.0)
-        platform.run_process(client.run_to_completion(manifest()), limit=50_000)
-        monitor.stop()
-        summary = monitor.summary()
-        assert summary["samples"] > 3
-        assert 0.0 < summary["mean_utilization"] <= 1.0
-        assert summary["peak_utilization"] >= summary["mean_utilization"]
-
-    def test_report_renders(self, platform, client):
-        monitor = platform.monitor(interval=5.0)
-        platform.run_process(client.run_to_completion(manifest()), limit=50_000)
-        monitor.stop()
-        report = monitor.report()
-        assert "GPU utilization" in report
-        assert "[" in report and "]" in report
-
-    def test_empty_monitor_reports_gracefully(self, platform):
-        monitor = platform.monitor(interval=5.0)
-        monitor.stop()
-        assert monitor.report() == "no samples"
-        assert monitor.summary()["samples"] == 0
-
-    def test_invalid_interval(self, platform):
-        from repro.core import ClusterMonitor
-
-        with pytest.raises(ValueError):
-            ClusterMonitor(platform, interval=0)
-
-    def test_samples_published_to_registry(self, platform, client):
-        monitor = platform.monitor(interval=5.0)
+    def test_gauges_reach_the_exposition(self, platform, client):
         platform.run_process(client.run_to_completion(manifest()), limit=50_000)
         platform.run_for(10.0)
-        monitor.stop()
 
         metrics = platform.metrics
-        assert metrics.get("cluster_gpus_total").value == 8  # 2 nodes x 4
-        # The job is done: its GPU freed, the count written back to 0
-        # (not stuck at its peak).
+        assert metrics.get("cluster_gpus_total").value == 8
         assert metrics.get("cluster_gpus_allocated").value == 0
-        assert metrics.get("cluster_nodes").value >= 2
-        jobs = metrics.get("cluster_jobs")
-        assert jobs.labels(status="COMPLETED").value == 1
-        # Gauges reach the exposition the REST endpoint serves.
-        assert 'cluster_jobs{status="COMPLETED"} 1' in metrics.expose()
+        exposition = metrics.expose()
+        assert "cluster_gpus_total 8" in exposition
+        assert "cluster_gpus_allocated 0" in exposition
 
-    def test_transient_label_values_reset_to_zero(self, platform):
-        from repro.core import ClusterMonitor
+    def test_dashboard_shows_the_gpu_row_on_a_default_platform(self, platform):
+        platform.run_for(10.0)
 
-        monitor = ClusterMonitor(platform, interval=1.0)
-        capacity = {"gpus_total": 8, "gpus_allocated": 2, "nodes": 2}
-        monitor._publish(capacity, {"Pending": 2, "Running": 3},
-                         {"PROCESSING": 1})
-        monitor._publish(capacity, {"Running": 3}, {"COMPLETED": 1})
-        # A label value that disappears from a sample reads 0, not its
-        # last nonzero count.
-        pods = platform.metrics.get("cluster_pods")
-        assert pods.labels(phase="Pending").value == 0
-        assert pods.labels(phase="Running").value == 3
-        jobs = platform.metrics.get("cluster_jobs")
-        assert jobs.labels(status="PROCESSING").value == 0
-        assert jobs.labels(status="COMPLETED").value == 1
+        assert len(platform.monitoring.store.series("cluster_gpus_allocated")) == 1
+        assert "cluster_gpus_allocated" in render_dashboard(platform)

@@ -73,8 +73,8 @@ def chaos_runs():
 class TestTimelinePin:
     @pytest.mark.parametrize("digest_key, partitions, overrides", [
         # One partition is the stock platform: a subsystem that is on
-        # by default (the gray detector) or off by default (serving,
-        # sharding) and leaks into the timeline moves this digest.
+        # by default (the gray detector) or off by default (sharding)
+        # and leaks into the timeline moves this digest.
         pytest.param("digest", 1, {}, id="default"),
         # Recording is direct appends (no RPCs, RNG or sleeps), so the
         # flight recorder must not move the default timeline.

@@ -24,8 +24,6 @@ ALLOWED = {
         "a protocol timer: lives for one leadership term and ends with it",
     ("raftkv/cluster.py", "EtcdCluster", "wait_for_leader"):
         "a caller's deadline wait, not a component's loop",
-    ("serving/batch.py", "BatchInferJob", "wait"):
-        "a caller's deadline wait, not a component's loop",
     ("cluster/kubelet.py", "Kubelet", "_provision_volumes"):
         "one pod worker waiting for its claim to bind, then moving on",
 }
