@@ -23,7 +23,7 @@ section of ``BENCH_perf.json`` and prints the EXPERIMENTS.md table)::
     PYTHONPATH=src python benchmarks/bench_gray_failures.py
 
 ``make check`` runs two of the scenarios under the same assertions
-(with the detector on, the default, and no fault injected the training
+(the detector always runs, and with no fault injected the training
 smoke timeline is pinned by ``tests/integration/test_timeline_pin.py``)::
 
     PYTHONPATH=src python -m pytest benchmarks -k smoke

@@ -78,18 +78,10 @@ class NemesisSoak:
             node.disk_stall = 0.0
         platform.run_for(grace)
 
-        auditor = (platform.monitoring.auditor
-                   if platform.monitoring is not None else None)
-        if auditor is not None:
-            auditor.audit_once()
-            summary = auditor.summary()
-            violations = auditor.violations
-        else:
-            from .checker import check_history
-            result = check_history(platform.history)
-            summary = {"ops_checked": result.ops_checked,
-                       "violations": len(result.violations)}
-            violations = result.violations
+        auditor = platform.monitoring.auditor
+        auditor.audit_once()
+        summary = auditor.summary()
+        violations = auditor.violations
         counts = platform.history.counts()
         return {
             "ok": not violations,

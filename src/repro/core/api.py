@@ -17,9 +17,8 @@ from ..grpcnet.errors import RpcError
 from ..raftkv import EtcdClient
 from ..sim.tracing import extract_context
 from . import layout
-from .admission import AdmissionController
 from .auth import Metering, RateLimiter
-from .errors import JobNotFound
+from .errors import JobNotFound, RateLimited
 from .manifest import TrainingManifest
 from .states import QUEUED, is_terminal
 
@@ -40,7 +39,16 @@ class ApiService:
         self.ratelimiter = RateLimiter(self.kernel,
                                        rate=platform.config.api_rate_limit,
                                        burst=platform.config.api_rate_burst)
-        self.admission = AdmissionController(self)
+        # Admission is the per-tenant token bucket: every request is
+        # counted, and every throttle counted and reported as an event.
+        metrics = platform.metrics
+        self._m_requests = metrics.counter(
+            "api_requests_total", ("tenant", "method"),
+            help="API requests received, by tenant and method")
+        self._m_rejected = metrics.counter(
+            "admission_rejected_total", ("tenant", "reason"),
+            help="submissions rejected at admission "
+                 "(reason: rate|quota|queue_full|queue_timeout)")
         self.lcm = Client(self.kernel, platform.network, platform.lcm_balancer,
                           caller=address, retries=1, retry_backoff=0.2)
         self.server = Server(self.kernel, platform.network, address,
@@ -56,7 +64,15 @@ class ApiService:
 
     def _authenticate(self, request, method):
         tenant = self.platform.tokens.authenticate(request.get("token"))
-        self.admission.check_call(tenant, method)
+        self._m_requests.labels(tenant=tenant, method=method).inc()
+        try:
+            self.ratelimiter.check(tenant)
+        except RateLimited:
+            self._m_rejected.labels(tenant=tenant, reason="rate").inc()
+            self.platform.events.emit_event(
+                "Warning", "TenantThrottled", "Tenant", tenant,
+                message=f"tenant {tenant} over its request rate limit")
+            raise
         yield from self.metering.record_api_call(tenant, method)
         return tenant
 
@@ -74,34 +90,27 @@ class ApiService:
             tenant = yield from self._authenticate(request, "submit")
             manifest = TrainingManifest.from_dict(request.get("manifest"))
 
-            # Quota/fair-queue gate: raises QuotaExceeded, or returns
-            # holding one reservation that the finally below settles
-            # once the job document is durable (or the insert failed).
-            yield from self.admission.admit_submission(tenant)
-            try:
-                seq = yield from self._next_sequence()
-                job_id = f"job-{seq:05d}"
-                span.set_attribute("job", job_id)
-                self.platform.tracer.bind(("job", job_id), span.context)
-                document = {
-                    "job_id": job_id,
-                    "tenant": tenant,
-                    "name": manifest.name,
-                    "manifest": manifest.to_dict(),
-                    "status": QUEUED,
-                    "status_history": [{"status": QUEUED,
-                                        "time": self.kernel.now}],
-                    "created_at": self.kernel.now,
-                    "completed_at": None,
-                }
-                # Metadata is durable in MongoDB BEFORE the request is
-                # acknowledged — submitted jobs are never lost.
-                yield from self.mongo.insert_one("jobs", document,
-                                                 ctx=span.context)
-                yield from self.metering.record_submission(
-                    tenant, manifest.total_gpus)
-            finally:
-                self.admission.settle(tenant)
+            seq = yield from self._next_sequence()
+            job_id = f"job-{seq:05d}"
+            span.set_attribute("job", job_id)
+            self.platform.tracer.bind(("job", job_id), span.context)
+            document = {
+                "job_id": job_id,
+                "tenant": tenant,
+                "name": manifest.name,
+                "manifest": manifest.to_dict(),
+                "status": QUEUED,
+                "status_history": [{"status": QUEUED,
+                                    "time": self.kernel.now}],
+                "created_at": self.kernel.now,
+                "completed_at": None,
+            }
+            # Metadata is durable in MongoDB BEFORE the request is
+            # acknowledged — submitted jobs are never lost.
+            yield from self.mongo.insert_one("jobs", document,
+                                             ctx=span.context)
+            yield from self.metering.record_submission(
+                tenant, manifest.total_gpus)
 
             # Best-effort LCM notify; the reconcile loop is the safety net.
             try:

@@ -27,15 +27,6 @@ class RateLimited(DlaasError):
     """Tenant exceeded its request budget."""
 
 
-class QuotaExceeded(DlaasError):
-    """Tenant at its concurrent-job quota (and the admission queue,
-    if one is configured, could not absorb the submission)."""
-
-    def __init__(self, message, reason="quota"):
-        super().__init__(message)
-        self.reason = reason  # "quota" | "queue_full" | "queue_timeout"
-
-
 class IllegalTransition(DlaasError):
     """Job status update violated the lifecycle state machine."""
 

@@ -59,9 +59,8 @@ REASONS = frozenset({
     # Partitioned LCM pool (repro.core.partitions)
     "SliceAssigned",
     "SliceAdopted",
-    # Admission control (repro.core.admission)
+    # Admission: the API tier's per-tenant rate limit (repro.core.api)
     "TenantThrottled",
-    "AdmissionSaturated",
     # Core-service pods
     "ComponentReady",
     "ComponentStopped",

@@ -37,6 +37,7 @@ from .states import COMPLETED, FAILED, HALTED, PROCESSING
 WAITING_DATA = "WAITING_DATA"
 
 COS_BIND_TIME = 2.5  # object-store bind (drives the Fig. 4 learner band)
+PROGRESS_EVERY = 20  # steps between status-file progress reports
 
 
 def write_learner_status(mount, ordinal, status, step, time, loss=None):
@@ -154,7 +155,7 @@ def make_learner_workload(platform, job_id, manifest):
             checkpoint_policy=CheckpointPolicy(interval=manifest.checkpoint_interval),
             checkpoint_store=checkpoints,
             progress_callback=on_progress,
-            progress_every=platform.config.progress_every,
+            progress_every=PROGRESS_EVERY,
             on_started=on_started,
         )
 

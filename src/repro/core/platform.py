@@ -76,17 +76,16 @@ class PlatformConfig:
     # the Guardian. 0 disables.
     stall_timeout: float = 90.0
     stall_restart_cooldown: float = 60.0
-    progress_every: int = 20
 
     # Observability: causal span collection (flat trace records and
     # metrics stay on — they are load-bearing for tests and benchmarks).
     span_tracing: bool = True
 
     # Monitoring subsystem (scrape pipeline + health probes + SLO
-    # alerting). Collection is pure in-memory observation and event
-    # persistence bypasses the RPC fabric, so the simulated job
-    # timeline is bit-identical with monitoring on or off.
-    monitoring: bool = True
+    # alerting + gray-failure detection), always built. Collection is
+    # pure in-memory observation and event persistence bypasses the RPC
+    # fabric, so the simulated job timeline is bit-identical with the
+    # stack running or stopped.
     scrape_interval: float = 1.0
     alert_eval_interval: float = 1.0
     event_flush_interval: float = 2.0
@@ -99,9 +98,6 @@ class PlatformConfig:
     # median of its role peers (median + MAD robust z-score) and
     # publishes ``gray_divergence`` recording series that the
     # GrayFailure{Slow,Partition,DiskStall} alert rules threshold.
-    # Pure consumer of scraped series — the simulated timeline is
-    # bit-identical with detection on or off.
-    gray_detection: bool = True
     gray_window: float = 8.0  # trailing stats window, seconds
     gray_alert_for: float = 1.0  # GrayFailure* hold before firing
     # Consistency audit (repro.audit): record every raftkv client
@@ -120,7 +116,7 @@ class PlatformConfig:
     #
     # api_ring_routing: the dlaas-api balancer grows a consistent-hash
     # ring and clients route by tenant, so one tenant's requests (and
-    # its admission state) land on one replica with stable fail-over.
+    # its rate-limit bucket) land on one replica with stable fail-over.
     api_ring_routing: bool = False
     # mongo_shards: N independent replica sets; ``jobs`` documents are
     # hash-placed by their id, point ops hit one shard,
@@ -135,20 +131,6 @@ class PlatformConfig:
     lcm_lease_ttl: float = 3.0
     lcm_slice_tick: float = 0.5  # keepalive + claim-reconcile cadence
 
-    # Admission control at the API tier (per-tenant isolation). The
-    # token-bucket rate limit above (api_rate_limit/burst) is already
-    # per tenant; these add a concurrent-job quota and a weighted-fair
-    # queue for over-quota submissions. 0 quota = unlimited (off).
-    tenant_quota_jobs: int = 0
-    # Over-quota submissions: with a queue limit, up to this many per
-    # tenant wait in the fair queue (granted in weighted deficit
-    # round-robin order as capacity frees); 0 = reject immediately.
-    admission_queue_limit: int = 0
-    # Cap on queue wait — must stay under the client RPC deadline
-    # (5 s) or a queued submit turns into client retry + duplicate.
-    admission_max_wait: float = 3.0
-    tenant_weights: dict = None  # tenant -> fair-share weight (default 1)
-
 
 class DlaasPlatform:
     """The running platform: substrates + core services + user client."""
@@ -161,7 +143,7 @@ class DlaasPlatform:
         self.metrics = MetricsRegistry()
         # The event recorder is always on: recording is pure in-memory
         # bookkeeping, so it cannot perturb the timeline, and tests can
-        # assert on events regardless of the monitoring flag.
+        # assert on events whether or not the monitoring stack runs.
         self.events = EventRecorder(self.kernel, metrics=self.metrics)
         self.faults = FaultInjector(self.kernel, tracer=self.tracer,
                                     metrics=self.metrics, events=self.events)
@@ -209,7 +191,7 @@ class DlaasPlatform:
         self.lcm_balancer = LoadBalancer("dlaas-lcm")
         self.health = HealthRegistry()
         register_platform_probes(self, self.health)
-        self.monitoring = MonitoringStack(self) if self.config.monitoring else None
+        self.monitoring = MonitoringStack(self)
         self._build_topology()
         self._register_images()
         self._started = False
@@ -268,8 +250,7 @@ class DlaasPlatform:
             self.mongo.start()
         self._create_indexes()
         self._deploy_core_services()
-        if self.monitoring is not None:
-            self.monitoring.start()
+        self.monitoring.start()
         if settle:
             self.kernel.run(until=self.kernel.now + 15.0)
         return self

@@ -13,7 +13,6 @@ from .errors import (
     DlaasError,
     InvalidManifest,
     JobNotFound,
-    QuotaExceeded,
     RateLimited,
 )
 
@@ -34,7 +33,6 @@ _ROUTES = (
 _STATUS_FOR = (
     (AuthError, 401),
     (RateLimited, 429),
-    (QuotaExceeded, 429),
     (InvalidManifest, 400),
     (JobNotFound, 404),
     (DlaasError, 500),

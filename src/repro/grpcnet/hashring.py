@@ -1,8 +1,8 @@
 """Consistent-hash ring for per-key endpoint routing (FfDL-style).
 
 The sharded API tier routes every tenant's requests to one replica so
-per-tenant state (admission buckets, fair queues, quota reservations)
-lives on a single instance instead of being sliced across the pool.
+per-tenant state (its rate-limit token bucket) lives on a single
+instance instead of being sliced across the pool.
 The ring is the standard construction: each node is hashed onto the
 unit circle at ``vnodes`` points, a key is owned by the first node
 clockwise of its hash, and adding or removing one node moves only the

@@ -381,46 +381,34 @@ def default_rule_pack(config):
         description="keys are piling up across the work queues of one "
                     "kind (all Guardians, all controllers) or in one "
                     "run-long queue (an LCM's deploy or gc)"))
-    if config.gray_detection:
-        # Gray failures: the differential detector's gray_divergence
-        # recording series score each endpoint against its role peers
-        # (repro.monitoring.differential). The three signals map to the
-        # three injectable gray fault families; the shared ``for_``
-        # hold rides out a single-window statistical blip.
-        threshold = GRAY_DIVERGENCE_THRESHOLD
-        gray_for = config.gray_alert_for
-        rules.append(AlertRule(
-            "GrayFailureSlow",
-            Metric("gray_divergence", signal="latency") > threshold,
-            for_=gray_for, severity="warning",
-            description="an endpoint's windowed mean RPC latency diverges "
-                        "from its role peers while its health probe stays "
-                        "up (slow node / degraded NIC)"))
-        rules.append(AlertRule(
-            "GrayFailurePartition",
-            Metric("gray_divergence", signal="link") > threshold,
-            for_=gray_for, severity="warning",
-            description="an endpoint's error rate diverges from its role "
-                        "peers or it serves more requests than callers "
-                        "sent (asymmetric partition / loss / duplication)"))
-        rules.append(AlertRule(
-            "GrayFailureDiskStall",
-            Metric("gray_divergence", signal="write_latency") > threshold,
-            for_=gray_for, severity="warning",
-            description="an endpoint's write/replication latency diverges "
-                        "from its role peers (stalling disk under a "
-                        "member that still answers reads)"))
-    if config.admission_queue_limit > 0:
-        # A tenant pinned at its admission-queue limit means quota
-        # capacity is not freeing fast enough for its offered load;
-        # sustained saturation turns queue waits into 429s.
-        rules.append(AlertRule(
-            "AdmissionSaturated",
-            Metric("admission_queue_depth") >= config.admission_queue_limit,
-            for_=ALERT_SERVICE_FOR, severity="warning",
-            description="a tenant's admission queue is pinned at its "
-                        "limit; over-quota submissions are being "
-                        "rejected instead of queued"))
+    # Gray failures: the differential detector's gray_divergence
+    # recording series score each endpoint against its role peers
+    # (repro.monitoring.differential). The three signals map to the
+    # three injectable gray fault families; the shared ``for_``
+    # hold rides out a single-window statistical blip.
+    threshold = GRAY_DIVERGENCE_THRESHOLD
+    gray_for = config.gray_alert_for
+    rules.append(AlertRule(
+        "GrayFailureSlow",
+        Metric("gray_divergence", signal="latency") > threshold,
+        for_=gray_for, severity="warning",
+        description="an endpoint's windowed mean RPC latency diverges "
+                    "from its role peers while its health probe stays "
+                    "up (slow node / degraded NIC)"))
+    rules.append(AlertRule(
+        "GrayFailurePartition",
+        Metric("gray_divergence", signal="link") > threshold,
+        for_=gray_for, severity="warning",
+        description="an endpoint's error rate diverges from its role "
+                    "peers or it serves more requests than callers "
+                    "sent (asymmetric partition / loss / duplication)"))
+    rules.append(AlertRule(
+        "GrayFailureDiskStall",
+        Metric("gray_divergence", signal="write_latency") > threshold,
+        for_=gray_for, severity="warning",
+        description="an endpoint's write/replication latency diverges "
+                    "from its role peers (stalling disk under a "
+                    "member that still answers reads)"))
     if config.history_recording:
         # The consistency auditor latches one counter bump per
         # non-linearizable key; any bump at all is a platform-integrity

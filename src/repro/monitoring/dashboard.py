@@ -24,10 +24,8 @@ def sparkline(values, width=40, maximum=None):
 
 
 def render_dashboard(platform, width=40, events_tail=10):
-    """The full text dashboard for a platform with monitoring enabled."""
+    """The full text dashboard for a platform's monitoring stack."""
     stack = platform.monitoring
-    if stack is None:
-        return "monitoring disabled (PlatformConfig(monitoring=False))"
     now = platform.kernel.now
     store = stack.store
     lines = [f"== DLaaS monitoring dashboard @ t={now:.1f}s =="]

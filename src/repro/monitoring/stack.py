@@ -1,9 +1,9 @@
 """Assembly of the monitoring subsystem for a DlaasPlatform.
 
 One object owning the series store, the scraper, the alert engine
-(loaded with the default rule pack) and the event flusher. Constructed
-by ``DlaasPlatform`` when ``PlatformConfig(monitoring=True)`` and
-started alongside the core services.
+(loaded with the default rule pack and the gray-failure detector) and
+the event flusher. Always constructed by ``DlaasPlatform`` and started
+alongside the core services.
 
 Everything here observes without perturbing: scraping and rule
 evaluation are pure in-memory reads, and event persistence writes
@@ -11,7 +11,7 @@ evaluation are pure in-memory reads, and event persistence writes
 index creation uses) rather than through the RPC fabric. An RPC would
 consume draws from the shared network-jitter RNG stream and shift
 every subsequent call's latency — the simulated job timeline must be
-bit-identical with monitoring on or off.
+bit-identical with the stack running or stopped.
 """
 
 from .alerts import AlertEngine, default_rule_pack
@@ -86,11 +86,8 @@ class MonitoringStack:
         # Gray-failure detection: the detector runs as a recording rule
         # (pure series-store reads) so divergence scores land in the
         # store before the GrayFailure* alert rules of the same pass.
-        if config.gray_detection:
-            self.detector = DifferentialDetector(window=config.gray_window)
-            self.engine.add_recording_rule("gray_divergence", self.detector)
-        else:
-            self.detector = None
+        self.detector = DifferentialDetector(window=config.gray_window)
+        self.engine.add_recording_rule("gray_divergence", self.detector)
         for rule in default_rule_pack(config):
             self.engine.add_rule(rule)
         # Consistency audit: periodic linearizability checking of the

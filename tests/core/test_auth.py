@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import AuthError, RateLimited, RateLimiter, TokenRegistry
+from repro import DlaasPlatform
+from repro.core import (
+    AuthError,
+    PlatformConfig,
+    RateLimited,
+    RateLimiter,
+    TokenRegistry,
+)
+from repro.core.api import ApiService
 from repro.sim import Kernel
 
 
@@ -65,3 +73,40 @@ class TestRateLimiter:
             RateLimiter(kernel, rate=0)
         with pytest.raises(ValueError):
             RateLimiter(kernel, rate=1, burst=0)
+
+
+def make_api(**overrides):
+    """A live platform plus one extra API instance to drive directly."""
+    defaults = dict(gpu_nodes=1, gpus_per_node=2, management_nodes=1)
+    defaults.update(overrides)
+    platform = DlaasPlatform(seed=31, config=PlatformConfig(**defaults))
+    platform.start()
+    return platform, ApiService(platform, "api:unit-test")
+
+
+def call_gate(platform, api, tenant, method):
+    """Pass one request for ``tenant`` through the API's gate."""
+    request = {"token": platform.tokens.create_tenant(tenant)}
+    return platform.run_process(api._authenticate(request, method),
+                                limit=600)
+
+
+class TestCallGate:
+    def test_requests_counted_per_tenant_and_method(self):
+        platform, api = make_api()
+        call_gate(platform, api, "team-a", "submit")
+        call_gate(platform, api, "team-a", "submit")
+        call_gate(platform, api, "team-b", "status")
+        counter = platform.metrics.get("api_requests_total")
+        assert counter.labels(tenant="team-a", method="submit").value == 2
+        assert counter.labels(tenant="team-b", method="status").value == 1
+
+    def test_rate_rejection_instrumented(self):
+        platform, api = make_api(api_rate_limit=1.0, api_rate_burst=2.0)
+        call_gate(platform, api, "greedy", "list_jobs")
+        call_gate(platform, api, "greedy", "list_jobs")
+        with pytest.raises(RateLimited):
+            call_gate(platform, api, "greedy", "list_jobs")
+        rejected = platform.metrics.get("admission_rejected_total")
+        assert rejected.labels(tenant="greedy", reason="rate").value == 1
+        assert platform.events.events(reason="TenantThrottled")

@@ -19,7 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples", "scripts")
 DEFINITION = REPO_ROOT / "src" / "repro" / "core" / "platform.py"
 
-MAX_FIELDS = 36  # ratchet: lower it when a field goes, never raise it
+MAX_FIELDS = 29  # ratchet: lower it when a field goes, never raise it
 MAX_NEVER_PASSED = 83  # ratchet: the same, for never_passed_parameters()
 
 # Deployment sizes and credentials stay configurable although no caller

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import RateLimited, layout
 
-from .conftest import make_platform, manifest
+from .conftest import make_platform, manifest, submit_and_wait_running
 
 
 class TestLogsFallback:
@@ -83,6 +83,38 @@ class TestRateLimiting:
             return True
 
         assert platform.run_process(paced(), limit=600)
+
+    def test_throttled_tenant_does_not_block_another(self):
+        # Each API replica keeps its own per-tenant bucket; the hammer
+        # drains the greedy tenant's bucket on both of them.
+        platform = make_platform(api_rate_limit=5.0, api_rate_burst=10.0)
+        greedy = platform.client("greedy")
+        patient = platform.client("patient")
+
+        def hammer():
+            throttled = 0
+            for _ in range(40):
+                try:
+                    yield from greedy.list_jobs()
+                except RateLimited:
+                    throttled += 1
+            return throttled
+
+        throttled = platform.run_process(hammer(), limit=600)
+        assert throttled
+        replicas = platform.api_balancer.endpoints
+        assert len(replicas) == 2
+        requests = platform.metrics.get("rpc_endpoint_requests_total")
+        for replica in replicas:
+            assert requests.labels(endpoint=replica, method="list_jobs",
+                                   code="ServiceError").value > 0, replica
+
+        job_id = submit_and_wait_running(platform, patient, manifest())
+        assert job_id
+        rejected = {labels: child.value for labels, child in
+                    platform.metrics.get("admission_rejected_total")
+                    .children()}
+        assert rejected == {("greedy", "rate"): throttled}
 
 
 class TestUsageReport:

@@ -2,8 +2,8 @@
 
 The scraper sets ``cluster_gpus_allocated`` / ``cluster_gpus_total``
 from the cluster's capacity on every pass (a pure read), so every
-platform with monitoring on has the series, and nothing has to start a
-second sampler to get them.
+platform has the series, and nothing has to start a second sampler to
+get them.
 """
 
 from repro.monitoring import render_dashboard

@@ -14,7 +14,6 @@ from ..integration.conftest import (
     make_platform,
     manifest,
     submit_and_wait_running,
-    wait_terminal,
 )
 
 # Tight monitoring cadence plus a short divergence window / alert hold
@@ -234,24 +233,3 @@ class TestGrayFaultMatrix:
                              "GrayFailureDiskStall", "disk-stall",
                              inject_time)
 
-
-class TestDetectorDoesNotPerturb:
-    """The differential detector is a pure consumer of scraped series:
-    with detection enabled and no gray fault injected, the simulated
-    job timeline is bit-identical to a run with it disabled."""
-
-    @staticmethod
-    def _timeline(gray_detection):
-        platform = make_platform(gray_detection=gray_detection)
-        client = platform.client("team-a")
-        job_id = submit_and_wait_running(platform, client,
-                                         manifest(target_steps=120))
-        doc = wait_terminal(platform, client, job_id)
-        return (doc["status"], doc["status_history"], doc["completed_at"],
-                platform.kernel.now)
-
-    def test_job_timeline_bit_identical(self):
-        enabled = self._timeline(gray_detection=True)
-        disabled = self._timeline(gray_detection=False)
-        assert enabled == disabled
-        assert enabled[0] == "COMPLETED"
