@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo gate: lint (when ruff is available), the tier-1 test suite, the
 # benchmark's own tests and quick run (outside tier 1: testpaths is
-# tests/), and the bench smoke tests. Every stage prints its own wall
-# seconds; the last line, pass or fail, repeats them all.
+# tests/), the bench smoke tests and the paper-facing benches. Every
+# stage prints its own wall seconds; the last line, pass or fail,
+# repeats them all.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -37,3 +38,6 @@ stage perfbench-quick python3 perfbench/run.py --quick
 # assertions, so each runs and reports even if the other fails.
 stage bench-smoke env PYTHONPATH=src python -m pytest benchmarks -q -k smoke \
     --durations=0
+# The paper's figures and claims (`make bench` holds the list); their
+# tables are deterministic, so a run leaves bench_results/ as committed.
+stage paper make --no-print-directory bench

@@ -23,7 +23,6 @@ class JobClass:
     min_steps: int = 50
     max_steps: int = 400
     checkpoint_interval: float = 60.0
-    priority: int = 0
 
 
 # A plausible shared-cluster mix: mostly small single-GPU jobs, some
@@ -79,7 +78,6 @@ class WorkloadGenerator:
             "gpu_type": self.gpu_type,
             "target_steps": steps,
             "checkpoint_interval": job_class.checkpoint_interval,
-            "priority": job_class.priority,
             "dataset_size_mb": 200,
             "data": {"bucket": self.data_bucket, "credentials": dict(self.credentials)},
             "results": {"bucket": self.results_bucket,

@@ -48,7 +48,6 @@ class Kubectl:
             f"Labels:       {pod.metadata.labels}",
             f"Node:         {pod.node_name or '<unscheduled>'}",
             f"Phase:        {pod.phase}",
-            f"Priority:     {pod.spec.priority}",
             f"Restarts:     {pod.restart_count}",
             "Containers:",
         ]

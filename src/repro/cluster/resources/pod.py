@@ -54,8 +54,7 @@ class PodSpec:
     """What to run and where it may run."""
 
     def __init__(self, containers, restart_policy=RESTART_ALWAYS, volumes=None,
-                 node_selector=None, gpu_type=None, priority=0,
-                 gang=None, gang_size=0):
+                 node_selector=None, gpu_type=None, gang=None, gang_size=0):
         if not containers:
             raise InvalidResource("a pod needs at least one container")
         names = [c.name for c in containers]
@@ -69,7 +68,6 @@ class PodSpec:
         self.volumes = dict(volumes or {})
         self.node_selector = dict(node_selector or {})
         self.gpu_type = gpu_type
-        self.priority = priority
         # Gang scheduling: pods sharing a gang name are placed
         # all-or-nothing when gang_size of them are pending together —
         # partial placement of a synchronous distributed job would hold

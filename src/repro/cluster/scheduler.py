@@ -20,7 +20,7 @@ class Scheduler(Polling):
     STRATEGIES = ("binpack", "spread")
 
     def __init__(self, kernel, api, interval=0.1, tracer=None, strategy="binpack",
-                 preemption=True, metrics=None, events=None):
+                 metrics=None, events=None):
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.kernel = kernel
@@ -30,9 +30,7 @@ class Scheduler(Polling):
                               interval)
         self.tracer = tracer
         self.strategy = strategy
-        self.preemption = preemption
         self.scheduled_count = 0
-        self.preemptions = 0
         # The unschedulable set: uid of a pod no pass could place (a
         # gang: of its first member) -> when that was last reported.
         self.parked = {}
@@ -45,11 +43,8 @@ class Scheduler(Polling):
                 help="Pod creation to node binding")
             self._m_scheduled = metrics.counter(
                 "scheduler_scheduled_pods_total", help="Pods bound to nodes")
-            self._m_preempted = metrics.counter(
-                "scheduler_preemptions_total", help="Pods evicted by priority")
         else:
-            self._m_pending = self._m_placement = None
-            self._m_scheduled = self._m_preempted = None
+            self._m_pending = self._m_placement = self._m_scheduled = None
 
     def start(self):
         if not self._loop.running:
@@ -60,6 +55,8 @@ class Scheduler(Polling):
     def schedule_once(self):
         """One reconcile pass; returns how many pods were bound.
 
+        Pods are tried in the order the API server lists them, oldest
+        first (ties by name): placement is first come, first served.
         Gang-aware: pods sharing ``spec.gang`` are bound all-or-nothing
         when a full gang (``gang_size`` members) is pending together.
         A partially-pending gang (e.g. one crashed learner being
@@ -76,7 +73,6 @@ class Scheduler(Polling):
                             if uid in listed}
         if not pending:
             return 0
-        pending.sort(key=lambda p: (-p.spec.priority, p.metadata.creation_time or 0.0))
         nodes = self.api.list("Node", namespace="")
         gang_members = {}
         for pod in pending:
@@ -138,8 +134,6 @@ class Scheduler(Polling):
     def _bind_one(self, pod, nodes, no_room):
         node = self._find_node(pod, nodes, no_room)
         if node is None:
-            if self.preemption and pod.spec.priority > 0:
-                self._try_preempt(pod, nodes)
             self._report_unschedulable(pod, "no node with sufficient resources")
             return 0
         node.allocate(pod.spec)
@@ -149,11 +143,11 @@ class Scheduler(Polling):
     def _report_unschedulable(self, pod, message):
         """Park ``pod``; say so once per ``UNSCHEDULABLE_REPORT_INTERVAL``.
 
-        Every pass still tries a parked pod (and preempts for it): what
-        is parked is the report, as in kube-scheduler's unschedulable
-        set. One ``FailedScheduling`` when the pod parks, one per
-        interval while it stays; the entry goes when it binds or leaves
-        the pending list, so whatever fails after that parks anew.
+        Every pass still tries a parked pod: what is parked is the
+        report, as in kube-scheduler's unschedulable set. One
+        ``FailedScheduling`` when the pod parks, one per interval while
+        it stays; the entry goes when it binds or leaves the pending
+        list, so whatever fails after that parks anew.
         """
         now = self.kernel.now
         reported = self.parked.get(pod.metadata.uid)
@@ -166,82 +160,6 @@ class Scheduler(Polling):
             self.events.emit_event(
                 "Warning", "Unschedulable", "Pod", pod.metadata.name,
                 message=message, job=pod.metadata.labels.get("dlaas-job"))
-
-    # ------------------------------------------------------------------
-    # Preemption
-    # ------------------------------------------------------------------
-
-    def _try_preempt(self, pod, nodes):
-        """Evict lower-priority GPU pods to make room for ``pod``.
-
-        Chooses the feasible node needing the fewest victims; victims
-        are the node's lowest-priority GPU pods. Eviction only requests
-        deletion — the pod binds on a later pass once the victims have
-        actually terminated (and they resume elsewhere/later from their
-        checkpoints, which is why preemption is safe on this platform).
-        """
-        best = None  # (victim_count, node, victims)
-        for node in nodes:
-            if node.condition != "Ready" or node.unschedulable:
-                continue
-            if pod.spec.gpu_type and pod.spec.gpu_type != node.capacity.gpu_type:
-                continue
-            if not all(node.metadata.labels.get(k) == v
-                       for k, v in pod.spec.node_selector.items()):
-                continue
-            if pod.spec.total_gpus > node.capacity.gpus:
-                continue
-            victims = self._victims_on(node, pod)
-            if victims is None:
-                continue
-            if best is None or len(victims) < len(best[2]):
-                best = (len(victims), node, victims)
-        if best is None:
-            return False
-        _count, node, victims = best
-        for victim in victims:
-            victim.deletion_requested = True
-            self.api.update(victim)
-            self.api.record_event("Pod", victim.metadata.name, "Preempted",
-                                  f"by {pod.metadata.name} "
-                                  f"(priority {pod.spec.priority})")
-            if self.events is not None:
-                self.events.emit_event(
-                    "Warning", "Preempted", "Pod", victim.metadata.name,
-                    message=f"evicted by {pod.metadata.name} "
-                            f"(priority {pod.spec.priority})",
-                    job=victim.metadata.labels.get("dlaas-job"))
-            self.preemptions += 1
-            if self._m_preempted is not None:
-                self._m_preempted.inc()
-        return True
-
-    def _victims_on(self, node, pod):
-        """Cheapest set of lower-priority GPU pods freeing enough room,
-        or None if even evicting all of them would not fit."""
-        residents = []
-        terminating_gpus = 0
-        for p in self.api.list("Pod", node_name=node.metadata.name):
-            if p.is_terminal():
-                continue
-            if p.deletion_requested:
-                # Already on its way out (e.g. a previous preemption
-                # pass): count its GPUs as freeing, evict nothing new.
-                terminating_gpus += p.spec.total_gpus
-            elif p.spec.priority < pod.spec.priority and p.spec.total_gpus > 0:
-                residents.append(p)
-        residents.sort(key=lambda p: (p.spec.priority,
-                                      -p.spec.total_gpus))
-        freed = node.free_gpus + terminating_gpus
-        victims = []
-        for resident in residents:
-            if freed >= pod.spec.total_gpus:
-                break
-            victims.append(resident)
-            freed += resident.spec.total_gpus
-        if freed < pod.spec.total_gpus:
-            return None
-        return victims
 
     def _pick_node(self, pod, nodes):
         """Feasible node per strategy, or None (does not allocate)."""

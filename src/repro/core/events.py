@@ -72,7 +72,6 @@ REASONS = frozenset({
     "ResultsStored",
     # Cluster layer
     "Unschedulable",
-    "Preempted",
     "ContainerRestarted",
     # Gray failures (repro.sim.faults / repro.monitoring.differential)
     "FaultInjected",

@@ -386,7 +386,6 @@ class Guardian:
                 restart_policy=RESTART_ALWAYS,
                 volumes={"job": layout.pvc_name(job_id)},
                 gpu_type=manifest.gpu_type,
-                priority=manifest.priority,
                 # Synchronous distributed training blocks at MPI wire-up
                 # until every learner exists: place all or none.
                 gang=job_id if gang_scheduled else None,

@@ -51,7 +51,6 @@ class TrainingManifest:
     data: DataStoreRef
     results: DataStoreRef
     batch_per_gpu: int = 0  # 0 -> model default
-    priority: int = 0  # 0-100; higher may preempt lower-priority learners
     checkpoint_interval: float = 300.0
     dataset_size_mb: float = 1000.0
     learning_rate: float = 0.01
@@ -110,10 +109,6 @@ class TrainingManifest:
         if not isinstance(batch, int) or batch < 0:
             problems.append("batch_per_gpu: must be an integer >= 0 (0 = default)")
 
-        priority = raw.get("priority", 0)
-        if not isinstance(priority, int) or not 0 <= priority <= 100:
-            problems.append("priority: must be an integer in [0, 100]")
-
         dataset_size_mb = raw.get("dataset_size_mb", 1000.0)
         if not isinstance(dataset_size_mb, (int, float)) or dataset_size_mb <= 0:
             problems.append("dataset_size_mb: must be a positive number")
@@ -149,7 +144,6 @@ class TrainingManifest:
             data=data,
             results=results,
             batch_per_gpu=batch,
-            priority=priority,
             checkpoint_interval=float(checkpoint_interval),
             dataset_size_mb=float(dataset_size_mb),
             learning_rate=float(raw.get("learning_rate", 0.01)),
@@ -168,7 +162,6 @@ class TrainingManifest:
             "gpu_type": self.gpu_type,
             "target_steps": self.target_steps,
             "batch_per_gpu": self.batch_per_gpu,
-            "priority": self.priority,
             "checkpoint_interval": self.checkpoint_interval,
             "dataset_size_mb": self.dataset_size_mb,
             "learning_rate": self.learning_rate,

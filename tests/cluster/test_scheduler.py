@@ -1,8 +1,8 @@
 """Scheduler placement tests: plain pods, one pass at a time.
 
-Gang placement and preemption have their own files; this one drives
-``schedule_once`` by hand against a bare API server (no kubelets, no
-controllers), so every binding below is the scheduler's alone.
+Gang placement has its own file; this one drives ``schedule_once`` by
+hand against a bare API server (no kubelets, no controllers), so every
+binding below is the scheduler's alone.
 """
 
 import pytest
@@ -15,13 +15,12 @@ from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
 from repro.sim import Kernel
 
 
-def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None, priority=0,
+def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None,
         gang=None, gang_size=0):
     spec = PodSpec(
         containers=[ContainerSpec("c", "tiny", gpus=gpus, cpu_millicores=cpu)],
         restart_policy=RESTART_NEVER, gpu_type=gpu_type,
-        node_selector=selector, priority=priority,
-        gang=gang, gang_size=gang_size,
+        node_selector=selector, gang=gang, gang_size=gang_size,
     )
     return Pod(name, spec)
 
@@ -42,10 +41,6 @@ def scheduler(api, **kwargs):
 
 def failed(api):
     return [e.name for e in api.events if e.reason == "FailedScheduling"]
-
-
-def preempted(api):
-    return [e.name for e in api.events if e.reason == "Preempted"]
 
 
 def run_pass(sched, at=None):
@@ -82,8 +77,6 @@ class TestPodSpecShape:
                       pod("b", gpu_type="v100"),
                       pod("b", selector={"zone": "x"})):
             assert other.spec.shape != base.shape
-        # Priority orders the queue; it does not change what fits.
-        assert pod("b", priority=9).spec.shape == base.shape
 
 
 class TestPlacement:
@@ -117,14 +110,23 @@ class TestPlacement:
         with pytest.raises(ValueError):
             scheduler(api, strategy="random")
 
-    def test_priority_then_age_orders_the_queue(self, api):
+    def test_age_then_name_orders_the_queue(self, api):
         add_node(api, "node-0", gpus=1)
-        sched = scheduler(api, preemption=False)
-        api.create(pod("old-low"))
-        api.create(pod("young-high", priority=5))
+        sched = scheduler(api)
+        # Created in the same instant, "b" before "a": the name that
+        # sorts first takes the one slot.
+        api.create(pod("b"))
+        api.create(pod("a"))
         sched.schedule_once()
-        assert api.get("Pod", "young-high").node_name == "node-0"
-        assert api.get("Pod", "old-low").node_name is None
+        assert api.get("Pod", "a").node_name == "node-0"
+        assert api.get("Pod", "b").node_name is None
+        # Age comes before the name: "b" outranks a younger "0".
+        remove(api, api.get("Pod", "a"))
+        sched.kernel.run(until=1.0)
+        api.create(pod("0"))
+        sched.schedule_once()
+        assert api.get("Pod", "b").node_name == "node-0"
+        assert api.get("Pod", "0").node_name is None
 
 
 class TestInfeasibleNodes:
@@ -327,40 +329,6 @@ class TestParkEpisodes:
         api.create(pod("third"))
         assert run_pass(sched) == 0
         assert failed(api) == ["second", "third"]
-
-    def test_parked_pod_with_priority_still_preempts_on_a_later_pass(
-            self, api):
-        add_node(api, "node-0", gpus=3)
-        sched = scheduler(api)
-        peer = api.create(pod("peer", priority=5))
-        assert run_pass(sched) == 1
-        # An equal-priority resident is no victim: urgent parks.
-        urgent = api.create(pod("urgent", gpus=3, priority=5))
-        assert run_pass(sched, at=0.1) == 0
-        assert failed(api) == ["urgent"] and preempted(api) == []
-        # Lower-priority residents appear; evicting them is not enough
-        # while peer stays.
-        for name in ("low-a", "low-b"):
-            api.create(pod(name))
-        assert run_pass(sched, at=0.2) == 2
-        assert run_pass(sched, at=0.3) == 0
-        assert preempted(api) == []
-        # peer leaves: now the two are worth evicting, and the parked
-        # pod's pass says so, one Preempted per victim.
-        remove(api, peer)
-        assert run_pass(sched, at=0.4) == 0
-        assert preempted(api) == ["low-a", "low-b"]
-        assert sched.preemptions == 2
-        # Victims on their way out are not evicted twice.
-        assert run_pass(sched, at=0.5) == 0
-        assert preempted(api) == ["low-a", "low-b"]
-        for name in ("low-a", "low-b"):
-            remove(api, api.get("Pod", name))
-        assert run_pass(sched, at=0.6) == 1
-        assert urgent.node_name == "node-0"
-        # One episode from parking to binding: one report.
-        assert failed(api) == ["urgent"]
-        assert sched.parked == {}
 
     def test_a_restarted_scheduler_reports_afresh(self, api):
         add_node(api, "node-0", gpus=1)

@@ -280,3 +280,22 @@ class TestConcurrentJobs:
         doc1, doc2 = platform.run_process(scenario(), limit=20_000)
         assert doc1["status"] == "COMPLETED"
         assert doc2["status"] == "COMPLETED"
+
+    def test_waiting_jobs_run_in_submission_order(self):
+        # One 2-GPU node, two 2-GPU jobs: the second waits for the
+        # first's learner to leave, first come, first served.
+        platform = make_platform(gpu_nodes=1, gpus_per_node=2)
+        client = platform.client("team")
+
+        def scenario():
+            first = yield from client.submit(manifest(
+                name="first", gpus_per_learner=2, target_steps=120))
+            second = yield from client.submit(manifest(
+                name="second", gpus_per_learner=2, target_steps=120))
+            doc1 = yield from client.wait_for_status(first, timeout=30_000)
+            doc2 = yield from client.wait_for_status(second, timeout=30_000)
+            return doc1, doc2
+
+        doc1, doc2 = platform.run_process(scenario(), limit=200_000)
+        assert doc1["status"] == doc2["status"] == "COMPLETED"
+        assert doc1["completed_at"] < doc2["completed_at"]

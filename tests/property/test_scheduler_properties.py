@@ -1,13 +1,12 @@
 """Property test: the memoising, parking scheduler against brute force.
 
 Two identical worlds receive the same random operations: pods of mixed
-shapes and priorities, gangs (some fit, some fit partly and roll back),
-passes, releases, cordons, clock advances short and long. One world
-runs the real ``Scheduler``; the other a reference that asks
-``_pick_node`` about every single pod and reports every failed pod on
-every pass. After every operation they must agree on bindings,
-allocations and preemptions; at the end on the ``Scheduled`` /
-``Preempted`` event sequence, and the real scheduler's
+shapes, gangs (some fit, some fit partly and roll back), passes,
+releases, cordons, clock advances short and long. One world runs the
+real ``Scheduler``; the other a reference that asks ``_pick_node``
+about every single pod and reports every failed pod on every pass.
+After every operation they must agree on bindings and allocations; at
+the end on the ``Scheduled`` event sequence, and the real scheduler's
 ``FailedScheduling`` log must be the reference's with the repeats of a
 still-parked pod inside one report interval taken out.
 """
@@ -58,8 +57,7 @@ node_specs = st.lists(
               st.sampled_from(ZONES[1:])),
     min_size=1, max_size=4)
 request = st.tuples(st.integers(0, 3), st.sampled_from(CPUS),
-                    st.sampled_from(GPU_TYPES), st.sampled_from(ZONES),
-                    st.sampled_from((0, 0, 0, 5, 9)))
+                    st.sampled_from(GPU_TYPES), st.sampled_from(ZONES))
 # Each example draws from a few request kinds only, so shapes repeat
 # within a pass (that is what the memo feeds on) and a gang's members
 # often share a shape with the plain pods queued behind it.
@@ -71,7 +69,6 @@ operations = st.lists(st.one_of(
     st.tuples(st.just("pass")),
     st.tuples(st.just("pass")),
     st.tuples(st.just("release"), st.integers(0, 50)),
-    st.tuples(st.just("reap")),
     st.tuples(st.just("cordon"), st.integers(0, 3), st.booleans()),
     st.tuples(st.just("strategy"), st.sampled_from(Scheduler.STRATEGIES)),
     # A pass interval, a third of the report interval (three in a row
@@ -95,13 +92,12 @@ class World:
         self.made = 0
 
     def _create(self, kind, gang=None, gang_size=0):
-        gpus, cpu, gpu_type, zone, priority = \
-            self.palette[kind % len(self.palette)]
+        gpus, cpu, gpu_type, zone = self.palette[kind % len(self.palette)]
         spec = PodSpec(
             containers=[ContainerSpec("c", "img", gpus=gpus, cpu_millicores=cpu)],
             restart_policy=RESTART_NEVER, gpu_type=gpu_type,
             node_selector={"zone": zone} if zone else None,
-            priority=priority, gang=gang, gang_size=gang_size)
+            gang=gang, gang_size=gang_size)
         self.api.create(Pod(f"pod-{self.made}", spec))
         self.made += 1
 
@@ -120,10 +116,6 @@ class World:
             bound = [p for p in self.api.list("Pod") if p.node_name]
             if bound:
                 self._remove(bound[operation[1] % len(bound)])
-        elif verb == "reap":  # what kubelets do with preemption victims
-            for pod in self.api.list("Pod"):
-                if pod.deletion_requested:
-                    self._remove(pod)
         elif verb == "cordon":
             nodes = self.api.list("Node", namespace="")
             nodes[operation[1] % len(nodes)].unschedulable = operation[2]
@@ -142,11 +134,10 @@ class World:
     def decisions(self):
         return (self.bindings(),
                 [(n.allocated_gpus, n.allocated_cpu, n.allocated_memory)
-                 for n in self.api.list("Node", namespace="")],
-                self.scheduler.preemptions)
+                 for n in self.api.list("Node", namespace="")])
 
     def event_log(self, failed):
-        """The ``FailedScheduling`` events, or all the others."""
+        """The ``FailedScheduling`` events, or the others (``Scheduled``)."""
         return [(e.time, e.name, e.reason) for e in self.api.events
                 if (e.reason == "FailedScheduling") == failed]
 
