@@ -39,5 +39,18 @@ stage perfbench-quick python3 perfbench/run.py --quick
 stage bench-smoke env PYTHONPATH=src python -m pytest benchmarks -q -k smoke \
     --durations=0
 # The paper's figures and claims (`make bench` holds the list); their
-# tables are deterministic, so a run leaves bench_results/ as committed.
-stage paper make --no-print-directory bench
+# tables are deterministic, so a run must leave bench_results/ as it
+# found it. Hashes, not `git diff`, so an uncommitted tree is checked too.
+bench_tables() { sha256sum bench_results/*.txt; }
+paper() {
+    local before after
+    before=$(bench_tables)
+    make --no-print-directory bench
+    after=$(bench_tables)
+    if [[ "$after" != "$before" ]]; then
+        echo "make bench changed bench_results/ (a paper number moved):"
+        diff <(echo "$before") <(echo "$after") || true
+        return 1
+    fi
+}
+stage paper paper

@@ -14,8 +14,7 @@ _SECTIONS = (
     ("Paper claims", ("guardian_creation", "detection_latency", "scalability")),
     ("Ablations", ("checkpoint_tradeoff", "atomic_deploy", "atomic_deploy_e2e",
                    "etcd_vs_direct", "scheduler")),
-    ("Extensions", ("gang_scheduling", "elasticity", "chaos_soak",
-                    "job_mix")),
+    ("Extensions", ("gang_scheduling", "chaos_soak", "job_mix")),
 )
 
 

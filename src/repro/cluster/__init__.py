@@ -9,7 +9,6 @@ controller evicts pods from dead machines.
 """
 
 from .apiserver import ApiServer, ClusterEvent
-from .autoscaler import ClusterAutoscaler, NodeTemplate
 from .cluster import KubernetesCluster
 from .controllers import (
     DeploymentController,
@@ -56,10 +55,8 @@ from .scheduler import Scheduler
 
 __all__ = [
     "ApiServer",
-    "ClusterAutoscaler",
     "ClusterError",
     "ClusterEvent",
-    "NodeTemplate",
     "ConflictError",
     "ContainerContext",
     "ContainerSpec",

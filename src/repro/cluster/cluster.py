@@ -51,11 +51,9 @@ class KubernetesCluster:
     # Topology
     # ------------------------------------------------------------------
 
-    def add_node(self, name, gpus=0, gpu_type=None, cpu_millicores=16000,
-                 memory_mb=65536, labels=None):
-        node = Node(name, NodeResources(gpus=gpus, gpu_type=gpu_type,
-                                        cpu_millicores=cpu_millicores,
-                                        memory_mb=memory_mb), labels=labels)
+    def add_node(self, name, gpus=0, gpu_type=None, labels=None):
+        node = Node(name, NodeResources(gpus=gpus, gpu_type=gpu_type),
+                    labels=labels)
         self.api.create(node)
         kubelet = Kubelet(self.kernel, self.api, node, self.nfs, self.registry,
                           self, config=self.kubelet_config)
@@ -66,18 +64,6 @@ class KubernetesCluster:
 
     def kubelet_for(self, node_name):
         return self.kubelets.get(node_name)
-
-    def remove_node(self, name):
-        """Retire an empty node: stop its kubelet, drop the resource.
-
-        Only safe for nodes without running pods (the autoscaler checks
-        before retiring); any stragglers are killed like a shutdown.
-        """
-        kubelet = self.kubelets.pop(name, None)
-        if kubelet is not None:
-            kubelet.crash()
-        if self.api.exists("Node", name, namespace=""):
-            self.api.delete("Node", name, namespace="")
 
     def start(self):
         if self._started:

@@ -13,6 +13,8 @@ from .resources.node import NOT_READY, READY
 from .resources.pod import FAILED, Pod
 
 PVC_BIND_DELAY = 0.2  # provisioning a volume for a claim, simulated seconds
+NODE_CHECK_INTERVAL = 0.5  # between node-heartbeat checks, simulated seconds
+PVC_CHECK_INTERVAL = 0.1  # between scans for unbound claims, simulated seconds
 
 
 class Controller(Polling):
@@ -208,8 +210,8 @@ class NodeController(Controller):
 
     name = "node-controller"
 
-    def __init__(self, kernel, api, interval=0.5, eviction_timeout=3.0):
-        super().__init__(kernel, api, interval=interval)
+    def __init__(self, kernel, api, eviction_timeout=3.0):
+        super().__init__(kernel, api, interval=NODE_CHECK_INTERVAL)
         self.eviction_timeout = eviction_timeout
 
     def reconcile(self):
@@ -264,8 +266,8 @@ class PvcController(Controller):
 
     name = "pvc-controller"
 
-    def __init__(self, kernel, api, nfs_server, interval=0.1):
-        super().__init__(kernel, api, interval=interval)
+    def __init__(self, kernel, api, nfs_server):
+        super().__init__(kernel, api, interval=PVC_CHECK_INTERVAL)
         self.nfs = nfs_server
         self._binding = set()
 

@@ -4,16 +4,18 @@ from .meta import ObjectMeta
 
 READY = "Ready"
 NOT_READY = "NotReady"
+NODE_CPU_MILLICORES = 16000  # every node's allocatable CPU
+NODE_MEMORY_MB = 65536  # every node's allocatable memory
 
 
 class NodeResources:
     """Allocatable capacity of a node."""
 
-    def __init__(self, gpus=0, gpu_type=None, cpu_millicores=16000, memory_mb=65536):
+    def __init__(self, gpus=0, gpu_type=None):
         self.gpus = gpus
         self.gpu_type = gpu_type
-        self.cpu_millicores = cpu_millicores
-        self.memory_mb = memory_mb
+        self.cpu_millicores = NODE_CPU_MILLICORES
+        self.memory_mb = NODE_MEMORY_MB
 
 
 class Node:

@@ -308,28 +308,6 @@ class DlaasPlatform:
     # User-facing conveniences
     # ------------------------------------------------------------------
 
-    def enable_autoscaler(self, min_nodes=0, max_nodes=8, boot_time=90.0,
-                          idle_timeout=300.0, gpus=None, gpu_type=None):
-        """Turn on GPU-pool elasticity (the paper's elasticity goal).
-
-        New nodes match the platform's GPU pool shape unless overridden.
-        Returns the started :class:`ClusterAutoscaler`.
-        """
-        from ..cluster import ClusterAutoscaler, NodeTemplate
-
-        template = NodeTemplate(
-            gpus=gpus or self.config.gpus_per_node,
-            gpu_type=gpu_type or self.config.gpu_type,
-        )
-        autoscaler = ClusterAutoscaler(
-            self.kernel, self.k8s, template=template, min_nodes=min_nodes,
-            max_nodes=max_nodes, boot_time=boot_time, idle_timeout=idle_timeout,
-        )
-        self.k8s.controllers.append(autoscaler)
-        if self._started:
-            autoscaler.start()
-        return autoscaler
-
     def mongo_client(self, caller, tracer=None, **kwargs):
         """A docstore client for ``caller`` — shard-routing when the
         platform runs with ``mongo_shards > 1``, the classic replica-set

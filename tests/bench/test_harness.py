@@ -1,5 +1,7 @@
 """Unit tests for the benchmark harness itself."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -92,3 +94,12 @@ class TestReportBuilder:
         assert "Fig2 table" in text
         assert "## Other results" in text
         assert "Extra table" in text
+
+    def test_committed_report_is_rendered_from_committed_tables(self, tmp_path):
+        from repro.bench.report import build_report
+
+        root = Path(__file__).resolve().parents[2]
+        out = build_report(root / "bench_results", tmp_path / "REPORT.md")
+        assert out.read_text() == (root / "REPORT.md").read_text(), (
+            "REPORT.md is stale: regenerate it with "
+            "`PYTHONPATH=src python -m repro.bench.report`")

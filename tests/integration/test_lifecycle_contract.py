@@ -21,7 +21,6 @@ import pytest
 
 from repro.audit import ConsistencyAuditor, HistoryRecorder
 from repro.cluster import KubernetesCluster
-from repro.cluster.autoscaler import ClusterAutoscaler
 from repro.cluster.controllers import (DeploymentController, JobController,
                                        NodeController, PvcController,
                                        StatefulSetController)
@@ -163,9 +162,8 @@ def slice_manager(kernel, passes):
 def controller(cls):
     def build(kernel, passes):
         cluster = bare_cluster(kernel)
-        target = cluster if cls is ClusterAutoscaler else cluster.api
         extra = (cluster.nfs,) if cls is PvcController else ()
-        holder = passes.spy(cls, "reconcile_once")(kernel, target, *extra)
+        holder = passes.spy(cls, "reconcile_once")(kernel, cluster.api, *extra)
         return Case(holder, [cls.name], holder._loop.interval)
 
     return build
@@ -209,7 +207,6 @@ CASES = {
     "DeploymentController": controller(DeploymentController),
     "NodeController": controller(NodeController),
     "PvcController": controller(PvcController),
-    "ClusterAutoscaler": controller(ClusterAutoscaler),
     "Scheduler": scheduler,
     "Kubelet": kubelet,
     "Reconciler": reconciler,
