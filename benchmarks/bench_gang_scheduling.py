@@ -3,10 +3,12 @@
 Multi-learner jobs block at MPI wire-up (paper §II: deployment involves
 "setting up network (MPI) interconnections") until every learner runs.
 Scenario on a 4-GPU node: job A (3 learners) trains; job B (3 learners)
-queues; one of A's learners is crashed. Without gang scheduling, B's
-first learner holds the freed GPU at the barrier and A's replacement
-can never place — a cross-job deadlock. With gang scheduling, partial
-placement is refused and both jobs complete.
+queues; one of A's learners is crashed. Placed pod by pod, B's first
+learner would hold the freed GPU at the barrier and A's replacement
+could never place — a cross-job deadlock
+(``tests/cluster/test_gang_scheduling.py`` shows it at the scheduler).
+The Guardian gang-labels every multi-learner job, so partial placement
+is refused and both jobs complete.
 """
 
 from conftest import seed_buckets, training_manifest
@@ -22,11 +24,10 @@ def _distributed_manifest(name, steps):
                              target_steps=steps)
 
 
-def run_scenario(gang_scheduling):
+def run_scenario():
     platform = DlaasPlatform(
         seed=7,
-        config=PlatformConfig(gpu_nodes=1, gpus_per_node=4, management_nodes=2,
-                              gang_scheduling=gang_scheduling),
+        config=PlatformConfig(gpu_nodes=1, gpus_per_node=4, management_nodes=2),
     ).start()
     seed_buckets(platform)
     client = platform.client("bench")
@@ -50,7 +51,7 @@ def run_scenario(gang_scheduling):
 
     status_a, status_b = platform.run_process(statuses(), limit=600)
     return {
-        "gang scheduling": "on" if gang_scheduling else "off",
+        "gang scheduling": "on",
         "job A": status_a,
         "job B": status_b,
         "GPUs stuck allocated": platform.k8s.capacity_summary()["gpus_allocated"],
@@ -58,19 +59,13 @@ def run_scenario(gang_scheduling):
 
 
 def test_gang_scheduling_prevents_deadlock(benchmark, record_table):
-    def run_both():
-        return [run_scenario(False), run_scenario(True)]
-
-    rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    row = benchmark.pedantic(run_scenario, rounds=1, iterations=1)
     table = render_table(
         "Gang scheduling extension: crash + queued distributed job (4 GPUs)",
-        COLUMNS, rows,
+        COLUMNS, [row],
     )
     record_table("gang_scheduling", table)
 
-    without, with_gang = rows
-    assert without["job A"] != "COMPLETED" and without["job B"] != "COMPLETED"
-    assert without["GPUs stuck allocated"] == 4  # deadlocked forever
-    assert with_gang["job A"] == "COMPLETED"
-    assert with_gang["job B"] == "COMPLETED"
-    assert with_gang["GPUs stuck allocated"] == 0
+    assert row["job A"] == "COMPLETED"
+    assert row["job B"] == "COMPLETED"
+    assert row["GPUs stuck allocated"] == 0

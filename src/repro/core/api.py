@@ -23,6 +23,9 @@ from .manifest import TrainingManifest
 from .states import QUEUED, is_terminal
 
 API_SERVICE_TIME = 0.002  # handler cost per request
+# Per-tenant admission token bucket: refill per second, and capacity.
+API_RATE_LIMIT = 50.0
+API_RATE_BURST = 200.0
 
 
 class ApiService:
@@ -36,9 +39,8 @@ class ApiService:
         self.etcd = EtcdClient(self.kernel, platform.network, platform.etcd,
                                client_id=address, history=platform.history)
         self.metering = Metering(self.mongo)
-        self.ratelimiter = RateLimiter(self.kernel,
-                                       rate=platform.config.api_rate_limit,
-                                       burst=platform.config.api_rate_burst)
+        self.ratelimiter = RateLimiter(self.kernel, rate=API_RATE_LIMIT,
+                                       burst=API_RATE_BURST)
         # Admission is the per-tenant token bucket: every request is
         # counted, and every throttle counted and reported as an event.
         metrics = platform.metrics

@@ -12,7 +12,7 @@ The recorder is pure in-memory bookkeeping on the simulation kernel's
 clock; it never issues RPCs, so recording (or not recording) events
 cannot perturb the simulated timeline. Persistence to the docstore is
 a separate concern (``repro.monitoring.stack.EventFlusher``), as is
-querying over REST (``GET /events``, ``GET /jobs/{id}/events``).
+querying over REST (``GET /events``, ``GET /v1/models/{id}/events``).
 
 ``reason`` strings are a closed, static vocabulary: CamelCase tokens
 registered below (or via :meth:`EventRecorder.register_reason`).

@@ -6,7 +6,7 @@ then performs the multi-step deployment (volume claim, network policy,
 helper pod, learner StatefulSet). Because it runs as a K8S Job,
 Kubernetes guarantees to restart it on any crash; the restarted
 Guardian rolls back the partially deployed job (using a write-ahead
-record in ETCD) and deploys afresh, up to a configurable number of
+record in ETCD) and deploys afresh, up to ``MAX_DEPLOY_ATTEMPTS``
 attempts, after which it marks the job FAILED in MongoDB.
 
 Once deployment succeeds, the Guardian monitors: it aggregates the
@@ -64,6 +64,11 @@ GUARDIAN_EVENT_COALESCE = 0.25
 # Level-triggered fallback cadences of the rollback/teardown waits.
 GUARDIAN_ROLLBACK_RESYNC = 0.2
 GUARDIAN_TEARDOWN_RESYNC = 0.5
+# Deployment attempts before the job is marked FAILED (§III.d).
+MAX_DEPLOY_ATTEMPTS = 3
+# A learner the controller reports STALLED is restarted at most once
+# per this many seconds.
+STALL_RESTART_COOLDOWN = 60.0
 
 
 def _is_transition_event(event):
@@ -209,12 +214,11 @@ class Guardian:
         attempt += 1
         yield from self.etcd.put(layout.guardian_attempt_key(self.job_id), attempt)
         self.platform.metrics.counter("guardian_deploy_attempts_total").inc()
-        if attempt > self.platform.config.max_deploy_attempts:
+        if attempt > MAX_DEPLOY_ATTEMPTS:
             self.ctx.log(f"deployment attempt {attempt} exceeds limit; job FAILED")
             self.platform.events.emit_event(
                 "Warning", "DeployAttemptsExhausted", "Job", self.job_id,
-                message=f"attempt {attempt} exceeds limit "
-                        f"{self.platform.config.max_deploy_attempts}",
+                message=f"attempt {attempt} exceeds limit {MAX_DEPLOY_ATTEMPTS}",
                 job=self.job_id)
             yield from self._set_status(FAILED,
                                         reason="deployment attempts exhausted")
@@ -372,7 +376,7 @@ class Guardian:
         platform, job_id, manifest = self.platform, self.job_id, self.manifest
         framework_image = platform.framework_image(manifest.framework)
 
-        gang_scheduled = manifest.learners > 1 and platform.config.gang_scheduling
+        gang_scheduled = manifest.learners > 1
 
         def spec_factory():
             return PodSpec(
@@ -484,13 +488,12 @@ class Guardian:
         reports STALLED. The pod deletion is exactly the Fig. 4 learner
         recovery path — StatefulSet recreation + checkpoint resume —
         so a hang costs one learner-restart, not a lost job."""
-        cooldown = self.platform.config.stall_restart_cooldown
         for key, report in statuses:
             if not isinstance(report, dict) or report.get("status") != "STALLED":
                 continue
             ordinal = int(key.rsplit("/", 2)[-2].rsplit("-", 1)[1])
             last = self._stall_restarts.get(ordinal)
-            if last is not None and self.kernel.now - last < cooldown:
+            if last is not None and self.kernel.now - last < STALL_RESTART_COOLDOWN:
                 continue
             pod_name = layout.learner_pod_name(self.job_id, ordinal)
             if not self.k8s.exists("Pod", pod_name):

@@ -33,6 +33,9 @@ HELPER_INIT_TIME = 1.8  # container boot (drives the Fig. 4 recovery band)
 CONTROLLER_POLL = 0.5  # progress coalescing window; STALLED re-report cadence
 CONTROLLER_RESYNC = 10.0  # level-triggered relist behind the NFS notifications
 LOG_COLLECT_INTERVAL = 1.0  # log-collector resync behind the subscription
+# Hang detection (extension): a PROCESSING learner whose status file has
+# not changed for this long is reported STALLED.
+STALL_TIMEOUT = 90.0
 
 
 def _idle_until_stopped(ctx):
@@ -107,7 +110,6 @@ def make_controller_workload(platform, job_id, manifest):
         # — worst case the stall clock restarts, which only delays
         # detection by one timeout.
         freshness = {}
-        stall_timeout = platform.config.stall_timeout
         learner_keys = [f"learner-{i}" for i in range(manifest.learners)]
         all_keys = learner_keys + ["load-data", "store-results", "store-trigger"]
 
@@ -128,7 +130,7 @@ def make_controller_workload(platform, job_id, manifest):
                 if report is None:
                     return
                 report, recheck_in = _apply_stall_detection(
-                    report, ordinal, freshness, kernel.now, stall_timeout
+                    report, ordinal, freshness, kernel.now, STALL_TIMEOUT
                 )
                 if last_reported.get(ordinal) != report:
                     yield from etcd.put(
@@ -280,8 +282,6 @@ def _apply_stall_detection(report, ordinal, freshness, now, stall_timeout):
     growing ``stalled_for`` re-put is what lets the Guardian retry a
     restart once its cooldown has passed.
     """
-    if stall_timeout <= 0:
-        return report, None
     fingerprint = (report.get("status"), report.get("step"))
     seen_fingerprint, since = freshness.get(ordinal, (None, now))
     if fingerprint != seen_fingerprint:

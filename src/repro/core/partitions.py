@@ -4,7 +4,7 @@ With ``PlatformConfig(lcm_slices=N)`` the job-id space is hashed into
 N slices and every LCM instance runs a :class:`SliceManager` that
 leases a subset of them through raftkv:
 
-* each manager holds one lease (TTL ``lcm_lease_ttl``) and registers a
+* each manager holds one lease (TTL ``LEASE_TTL``) and registers a
   member key under it;
 * slice ownership is a ``cas(slice_key, None, address, lease=...)`` —
   winning the swap and binding the lease is one atomic Raft command,
@@ -36,6 +36,8 @@ from ..sim.periodic import Periodic, Polling
 
 SLICE_PREFIX = "/lcm/slices/"
 MEMBER_PREFIX = "/lcm/members/"
+LEASE_TTL = 3.0  # a crashed partition's slices are orphaned this long
+SLICE_TICK = 0.5  # keepalive + claim-reconcile cadence
 
 
 def slice_of(job_id, slices):
@@ -60,13 +62,12 @@ class SliceManager(Polling):
         self.address = address
         self.etcd = etcd
         self.slices = platform.config.lcm_slices
-        self.ttl = platform.config.lcm_lease_ttl
         self.lease_id = f"lcm-slices:{address}"
         self.owned = set()
         self._owners = {}  # slice index -> address, as of the last tick
         self._loop = Periodic(
             self.kernel, f"slices:{address}", self._tick,
-            platform.config.lcm_slice_tick, sleep_first=True,
+            SLICE_TICK, sleep_first=True,
             setup=self._register)
         self._g_owned = platform.metrics.gauge(
             "lcm_slices_owned", ("lcm",),
@@ -102,7 +103,7 @@ class SliceManager(Polling):
     # ------------------------------------------------------------------
 
     def _register(self):
-        yield from self.etcd.lease_grant(self.lease_id, self.ttl)
+        yield from self.etcd.lease_grant(self.lease_id, LEASE_TTL)
         yield from self.etcd.put(member_key(self.address), True,
                                  lease=self.lease_id)
 

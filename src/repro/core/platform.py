@@ -50,9 +50,9 @@ IMAGE_SIZES = {
 @dataclass
 class PlatformConfig:
     """What callers vary about the assembled platform (simulated
-    seconds). A field exists only while two callers pass different
-    values (or it is a deployment size/credential); one-valued tunables
-    are constants beside the code that reads them —
+    seconds). A field exists only while two callers outside the tests
+    pass different values (or it is a deployment size/credential);
+    one-valued tunables are constants beside the code that reads them —
     ``tests/core/test_config_surface.py`` holds the line."""
 
     # Topology
@@ -60,26 +60,10 @@ class PlatformConfig:
     gpus_per_node: int = 4
     gpu_type: str = "k80"
     management_nodes: int = 3
-    extra_gpu_pools: tuple = ()  # extra (count, gpus, gpu_type) pools
     api_replicas: int = 2
     lcm_replicas: int = 1
     etcd_size: int = 3
     mongo_size: int = 3
-
-    # Core-service behaviour
-    api_rate_limit: float = 50.0
-    api_rate_burst: float = 200.0
-    max_deploy_attempts: int = 3
-    gang_scheduling: bool = True
-    # Hang detection (extension): a PROCESSING learner whose status file
-    # has not changed for this long is reported STALLED and restarted by
-    # the Guardian. 0 disables.
-    stall_timeout: float = 90.0
-    stall_restart_cooldown: float = 60.0
-
-    # Observability: causal span collection (flat trace records and
-    # metrics stay on — they are load-bearing for tests and benchmarks).
-    span_tracing: bool = True
 
     # Monitoring subsystem (scrape pipeline + health probes + SLO
     # alerting + gray-failure detection), always built. Collection is
@@ -123,13 +107,12 @@ class PlatformConfig:
     # cross-shard queries scatter-gather (repro.docstore.sharding).
     mongo_shards: int = 1
     # lcm_slices: partition the job-id space into this many slices;
-    # each LCM instance leases a subset via raftkv (TTL below) and
+    # each LCM instance leases a subset via raftkv
+    # (``repro.core.partitions.LEASE_TTL``) and
     # deploys/GCs only its own slice. A crashed partition's leases
     # expire and a survivor adopts the orphaned slice. 0 = every LCM
     # sees every job (today's behaviour).
     lcm_slices: int = 0
-    lcm_lease_ttl: float = 3.0
-    lcm_slice_tick: float = 0.5  # keepalive + claim-reconcile cadence
 
 
 class DlaasPlatform:
@@ -138,8 +121,7 @@ class DlaasPlatform:
     def __init__(self, config=None, seed=0):
         self.config = config or PlatformConfig()
         self.kernel = Kernel(seed=seed)
-        self.tracer = Tracer(self.kernel,
-                             span_tracing=self.config.span_tracing)
+        self.tracer = Tracer(self.kernel)
         self.metrics = MetricsRegistry()
         # The event recorder is always on: recording is pure in-memory
         # bookkeeping, so it cannot perturb the timeline, and tests can
@@ -207,10 +189,6 @@ class DlaasPlatform:
             self.k8s.add_node(f"gpu-{i}", gpus=self.config.gpus_per_node,
                               gpu_type=self.config.gpu_type,
                               labels={"pool": "gpu"})
-        for pool_index, (count, gpus, gpu_type) in enumerate(self.config.extra_gpu_pools):
-            for i in range(count):
-                self.k8s.add_node(f"{gpu_type}-{pool_index}-{i}", gpus=gpus,
-                                  gpu_type=gpu_type, labels={"pool": "gpu"})
 
     def _register_images(self):
         for image, size in IMAGE_SIZES.items():

@@ -6,6 +6,7 @@ token, JSON body) onto the same service handlers the GRPC surface uses,
 and maps platform errors onto HTTP status codes.
 """
 
+import hmac
 import re
 
 from .errors import (
@@ -25,7 +26,6 @@ _ROUTES = (
     ("DELETE", re.compile(r"^/v1/models/(?P<job_id>[^/]+)$"), "halt"),
     ("GET", re.compile(r"^/v1/models/(?P<job_id>[^/]+)/logs$"), "logs"),
     ("GET", re.compile(r"^/v1/models/(?P<job_id>[^/]+)/events$"), "job_events"),
-    ("GET", re.compile(r"^/jobs/(?P<job_id>[^/]+)/events$"), "job_events"),
     ("GET", re.compile(r"^/events$"), "events"),
     ("GET", re.compile(r"^/v1/usage$"), "usage"),
 )
@@ -67,7 +67,9 @@ class RestGateway:
             required = platform.config.metrics_auth
             if required is not None:
                 supplied = self._bearer_token(request.get("headers") or {})
-                if supplied != required:
+                # Constant-time compare: the token is a shared secret.
+                if supplied is None or not hmac.compare_digest(
+                        supplied.encode(), required.encode()):
                     return {"status": 401, "body": {"error": "unauthorized"}}
             if path == "/metrics":
                 return {"status": 200,

@@ -20,7 +20,6 @@ from .process import Process
 from .reconciler import Reconciler, WatchSource, WorkQueue
 from .timeseries import TimeSeries, TimeSeriesStore
 from .tracing import (
-    NULL_SPAN,
     Span,
     SpanContext,
     TraceRecord,
@@ -44,7 +43,6 @@ __all__ = [
     "Interrupt",
     "Kernel",
     "MetricsRegistry",
-    "NULL_SPAN",
     "Periodic",
     "Polling",
     "Process",

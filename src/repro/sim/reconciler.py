@@ -443,7 +443,7 @@ class Reconciler:
             yield from self._relist(source)
 
     def _start_reconcile_span(self, key):
-        if self.tracer is None or not getattr(self.tracer, "span_tracing", False):
+        if self.tracer is None:
             return None
         parent = self.key_context(key) if self.key_context is not None else None
         if parent is None:

@@ -156,51 +156,13 @@ class Span:
                 f"{self.start:.3f}->{end} {self.status}>")
 
 
-class _NullSpan:
-    """No-op span handed out while span tracing is disabled."""
-
-    __slots__ = ()
-    context = None
-    ended = True
-    status = "ok"
-
-    @property
-    def attributes(self):
-        # A fresh dict per read: the shared NULL_SPAN must never carry
-        # mutable class-level state a caller could scribble on (the
-        # shared-state lint bans the class-attr-dict it replaced).
-        return {}
-
-    def duration(self, at=None):
-        return 0.0
-
-    def set_attribute(self, key, value):
-        return self
-
-    def end(self, status="ok"):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb):
-        return False
-
-    def __bool__(self):
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Append-only trace with spans and simple query helpers."""
 
-    def __init__(self, kernel, span_tracing=True):
+    def __init__(self, kernel):
         self._kernel = kernel
         self.records = []
         self.spans = []
-        self.span_tracing = span_tracing
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._bindings = {}
@@ -278,13 +240,9 @@ class Tracer:
     def start_span(self, name, component=None, parent=None, **attributes):
         """Open a span; ``parent`` is a Span, SpanContext, or None.
 
-        With no parent the span roots a fresh trace. Returns
-        :data:`NULL_SPAN` while span tracing is disabled, so
-        instrumented code needs no conditionals.
+        With no parent the span roots a fresh trace.
         """
-        if not self.span_tracing:
-            return NULL_SPAN
-        if isinstance(parent, (Span, _NullSpan)):
+        if isinstance(parent, Span):
             parent = parent.context
         if parent is None:
             trace_id, parent_id = next(self._trace_ids), None

@@ -1,7 +1,15 @@
 """Gang scheduling tests: all-or-nothing placement of distributed jobs."""
 
-from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
+from repro.cluster import (
+    ContainerSpec,
+    KubernetesCluster,
+    Pod,
+    PodSpec,
+    RESTART_NEVER,
+)
 from repro.cluster.errors import InvalidResource
+from repro.nfs import NfsServer
+from repro.sim import Kernel
 
 import pytest
 
@@ -105,3 +113,31 @@ class TestGangPlacement:
         cluster.scheduler.schedule_once()
         nodes = {p.node_name for p in cluster.kubectl.get_pods()}
         assert len(nodes) == 3
+
+
+class TestCrossJobDeadlock:
+    @staticmethod
+    def queue_second_job(gang):
+        """One 4-GPU node running job A's three learners; job B's three
+        are queued. Returns how many of B's learners bound."""
+        kernel = Kernel(seed=11)
+        cluster = KubernetesCluster(kernel, NfsServer(kernel))
+        cluster.registry.register("tiny", 10)
+        cluster.add_node("node-0", gpus=4, gpu_type="k80")
+        cluster.start()
+        for i in range(3):
+            cluster.api.create(single_pod(f"a-{i}"))
+        cluster.scheduler.schedule_once()
+        for i in range(3):
+            cluster.api.create(gang_pod(f"b-{i}", gang, 3 if gang else 0))
+        cluster.scheduler.schedule_once()
+        return sum(1 for p in cluster.kubectl.get_pods()
+                   if p.metadata.name.startswith("b-") and p.node_name)
+
+    def test_only_a_gang_leaves_the_last_gpu_free(self):
+        # Pod by pod, B's first learner takes the last GPU and waits at
+        # the MPI barrier for two that never bind: the GPU a crashed
+        # A learner's replacement needs is gone, and neither job ends.
+        assert self.queue_second_job(gang=None) == 1
+        # As a gang, B binds nothing until all three fit.
+        assert self.queue_second_job(gang="job-b") == 0

@@ -75,11 +75,10 @@ class TestRateLimiter:
             RateLimiter(kernel, rate=1, burst=0)
 
 
-def make_api(**overrides):
+def make_api():
     """A live platform plus one extra API instance to drive directly."""
-    defaults = dict(gpu_nodes=1, gpus_per_node=2, management_nodes=1)
-    defaults.update(overrides)
-    platform = DlaasPlatform(seed=31, config=PlatformConfig(**defaults))
+    config = PlatformConfig(gpu_nodes=1, gpus_per_node=2, management_nodes=1)
+    platform = DlaasPlatform(seed=31, config=config)
     platform.start()
     return platform, ApiService(platform, "api:unit-test")
 
@@ -101,8 +100,10 @@ class TestCallGate:
         assert counter.labels(tenant="team-a", method="submit").value == 2
         assert counter.labels(tenant="team-b", method="status").value == 1
 
-    def test_rate_rejection_instrumented(self):
-        platform, api = make_api(api_rate_limit=1.0, api_rate_burst=2.0)
+    def test_rate_rejection_instrumented(self, monkeypatch):
+        monkeypatch.setattr("repro.core.api.API_RATE_LIMIT", 1.0)
+        monkeypatch.setattr("repro.core.api.API_RATE_BURST", 2.0)
+        platform, api = make_api()
         call_gate(platform, api, "greedy", "list_jobs")
         call_gate(platform, api, "greedy", "list_jobs")
         with pytest.raises(RateLimited):

@@ -174,9 +174,12 @@ class TestQuietLearner:
 
 class TestStallDeadline:
     def test_stalled_is_reported_at_the_deadline_without_polling(
-            self, puts, passes):
+            self, monkeypatch, puts, passes):
+        # Short enough that the whole stall window fits between two
+        # resync ticks.
         stall_timeout = 8.0
-        platform = make_platform(stall_timeout=stall_timeout)
+        monkeypatch.setattr(helpers, "STALL_TIMEOUT", stall_timeout)
+        platform = make_platform()
         started = platform.kernel.now
         mount, _ctx = start_controller(platform)
         # Just behind the first resync tick, so that the whole stall
@@ -205,8 +208,9 @@ class TestStallDeadline:
         assert all(b[1] > a[1] for a, b in zip(stalled, stalled[1:]))
         assert stalled[1][0] - stalled[0][0] >= CONTROLLER_POLL
 
-    def test_progress_moves_the_deadline(self, puts):
-        platform = make_platform(stall_timeout=4.0)
+    def test_progress_moves_the_deadline(self, monkeypatch, puts):
+        monkeypatch.setattr(helpers, "STALL_TIMEOUT", 4.0)
+        platform = make_platform()
         mount, _ctx = start_controller(platform)
         platform.run_for(HELPER_INIT_TIME + 1.0)
         for step in range(8):  # progress every 3 s, under the timeout

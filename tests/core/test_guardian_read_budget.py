@@ -51,10 +51,11 @@ class TestQuiescentPass:
             return plain_pass(self, done)
 
         monkeypatch.setattr(Guardian, "_reconcile_status", counted_pass)
-        # A learner that hangs with detection off: PROCESSING for good,
-        # and quiescent in etcd (the controller publishes a report only
-        # when it changes), so the passes left are the 1 Hz resync's.
-        platform = make_platform(stall_timeout=0.0)
+        # A learner that hangs, watched before STALL_TIMEOUT runs out:
+        # PROCESSING and quiescent in etcd (the controller publishes a
+        # report only when it changes), so the passes left are the 1 Hz
+        # resync's.
+        platform = make_platform()
         job_id = submit_and_wait_running(
             platform, platform.client("team"),
             manifest(target_steps=200, extra={"hang_at_step": 20}))
@@ -232,7 +233,7 @@ class TestLostCas:
         both read PROCESSING and both try PROCESSING -> STORING. One
         update matches; the other must neither claim the transition in
         the trace nor remember a status it did not write."""
-        platform = make_platform(stall_timeout=0.0)
+        platform = make_platform()
         job_id = submit_and_wait_running(
             platform, platform.client("team"),
             manifest(target_steps=200, extra={"hang_at_step": 20}))

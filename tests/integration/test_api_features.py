@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RateLimited, layout
+from repro.core import RateLimited, api, layout
 
 from .conftest import make_platform, manifest, submit_and_wait_running
 
@@ -60,9 +60,17 @@ class TestJobMetrics:
         assert doc["metrics"] is None
 
 
+@pytest.fixture
+def tight_budget(monkeypatch):
+    """A 5 req/s bucket of 10, so a short hammer drains it."""
+    monkeypatch.setattr(api, "API_RATE_LIMIT", 5.0)
+    monkeypatch.setattr(api, "API_RATE_BURST", 10.0)
+
+
+@pytest.mark.usefixtures("tight_budget")
 class TestRateLimiting:
     def test_burst_beyond_budget_rejected(self):
-        platform = make_platform(api_rate_limit=5.0, api_rate_burst=10.0)
+        platform = make_platform()
         client = platform.client("greedy")
 
         def hammer():
@@ -73,7 +81,7 @@ class TestRateLimiting:
             platform.run_process(hammer(), limit=600)
 
     def test_budget_refills(self):
-        platform = make_platform(api_rate_limit=5.0, api_rate_burst=10.0)
+        platform = make_platform()
         client = platform.client("patient")
 
         def paced():
@@ -87,7 +95,7 @@ class TestRateLimiting:
     def test_throttled_tenant_does_not_block_another(self):
         # Each API replica keeps its own per-tenant bucket; the hammer
         # drains the greedy tenant's bucket on both of them.
-        platform = make_platform(api_rate_limit=5.0, api_rate_burst=10.0)
+        platform = make_platform()
         greedy = platform.client("greedy")
         patient = platform.client("patient")
 

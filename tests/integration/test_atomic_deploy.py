@@ -69,8 +69,8 @@ class TestRollbackAndRetry:
 class TestPersistentFailure:
     def test_exhausted_attempts_mark_job_failed(self):
         # Make EVERY deployment attempt crash: the Guardian must give
-        # up after max_deploy_attempts and mark the job FAILED.
-        platform = make_platform(max_deploy_attempts=2)
+        # up after MAX_DEPLOY_ATTEMPTS and mark the job FAILED.
+        platform = make_platform()
         client = platform.client("team-a")
         from repro.core import guardian as guardian_module
 
@@ -95,7 +95,7 @@ class TestPersistentFailure:
         assert platform.k8s.capacity_summary()["gpus_allocated"] == 0
 
     def test_failed_deployment_leaves_no_k8s_resources(self):
-        platform = make_platform(max_deploy_attempts=1)
+        platform = make_platform()
         client = platform.client("team-a")
         from repro.core import guardian as guardian_module
 

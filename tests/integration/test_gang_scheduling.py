@@ -1,15 +1,16 @@
 """End-to-end gang scheduling: distributed jobs on a tight cluster.
 
 A synchronous multi-learner job blocks at MPI wire-up until every
-learner is placed. Without gang scheduling, a waiting job's first
-learner can grab the GPU a crashed learner's replacement needs,
-deadlocking both jobs; gang scheduling refuses partial placement and
-both jobs complete.
+learner is placed. Placed learner by learner, a waiting job's first
+learner could grab the GPU a crashed learner's replacement needs,
+deadlocking both jobs (``tests/cluster/test_gang_scheduling.py`` shows
+that at the scheduler). The Guardian gang-labels every multi-learner
+job, so placement is all-or-nothing and both jobs complete.
 """
 
 from repro.core import ComponentCrasher
 
-from .conftest import CREDS, make_platform, manifest
+from .conftest import make_platform, manifest
 
 
 def distributed_manifest(name, steps=120):
@@ -17,10 +18,9 @@ def distributed_manifest(name, steps=120):
                     target_steps=steps, checkpoint_interval=15.0)
 
 
-def start_scenario(gang_scheduling):
+def start_scenario():
     # One node, 4 GPUs: job A (3 learners) fits, job B (3 learners) must wait.
-    platform = make_platform(gpu_nodes=1, gpus_per_node=4,
-                             gang_scheduling=gang_scheduling)
+    platform = make_platform(gpu_nodes=1, gpus_per_node=4)
     client = platform.client("team")
 
     def submit():
@@ -31,31 +31,15 @@ def start_scenario(gang_scheduling):
         return job_a, job_b
 
     job_a, job_b = platform.run_process(submit(), limit=10_000)
-    platform.run_for(30.0)  # let job B's partial placement (if any) happen
+    platform.run_for(30.0)  # job B's learners stay pending, none bound
     # Crash one of A's learners: its replacement needs a free GPU.
     ComponentCrasher(platform).crash_learner(job_a, ordinal=1)
     return platform, client, job_a, job_b
 
 
 class TestGangScheduling:
-    def test_without_gang_scheduling_jobs_deadlock(self):
-        platform, client, job_a, job_b = start_scenario(gang_scheduling=False)
-        platform.run_for(900.0)  # far beyond any legitimate recovery time
-
-        def statuses():
-            a = yield from client.status(job_a)
-            b = yield from client.status(job_b)
-            return a["status"], b["status"]
-
-        status_a, status_b = platform.run_process(statuses(), limit=600)
-        # B's first learner holds the 4th GPU at the MPI barrier; A's
-        # replacement learner can never place: neither job finishes.
-        assert status_a not in ("COMPLETED",)
-        assert status_b not in ("COMPLETED",)
-        assert platform.k8s.capacity_summary()["gpus_allocated"] == 4
-
     def test_with_gang_scheduling_both_jobs_complete(self):
-        platform, client, job_a, job_b = start_scenario(gang_scheduling=True)
+        platform, client, job_a, job_b = start_scenario()
 
         def wait_both():
             a = yield from client.wait_for_status(job_a, timeout=30_000)

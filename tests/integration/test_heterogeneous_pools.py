@@ -1,15 +1,16 @@
 """Heterogeneous GPU pools: K80 and P100 jobs on one platform."""
 
-from .conftest import CREDS, make_platform, manifest
+from .conftest import make_platform, manifest
 
 
 class TestHeterogeneousPools:
     def make_mixed_platform(self):
-        # 2 K80 nodes plus an extra pool of 2 P100 nodes.
-        return make_platform(
-            gpu_nodes=2, gpus_per_node=4, gpu_type="k80",
-            extra_gpu_pools=((2, 2, "p100-pcie"),),
-        )
+        # 2 K80 nodes plus a pool of 2 P100 nodes.
+        platform = make_platform(gpu_nodes=2, gpus_per_node=4, gpu_type="k80")
+        for i in range(2):
+            platform.k8s.add_node(f"p100-pcie-{i}", gpus=2,
+                                  gpu_type="p100-pcie", labels={"pool": "gpu"})
+        return platform
 
     def test_jobs_land_on_matching_gpu_type(self):
         platform = self.make_mixed_platform()

@@ -29,7 +29,7 @@ from repro.cluster.resources.node import Node, NodeResources
 from repro.cluster.scheduler import Scheduler
 from repro.core import PlatformConfig
 from repro.core.events import EventRecorder
-from repro.core.partitions import SliceManager
+from repro.core.partitions import SLICE_TICK, SliceManager
 from repro.monitoring import AlertEngine, MetricsScraper
 from repro.monitoring.stack import EventFlusher
 from repro.nfs import NfsServer
@@ -151,12 +151,12 @@ def auditor(kernel, passes):
 
 
 def slice_manager(kernel, passes):
-    platform = stub_platform(kernel, config=PlatformConfig(
-        lcm_slices=4, lcm_lease_ttl=5.0, lcm_slice_tick=1.0))
+    platform = stub_platform(kernel, config=PlatformConfig(lcm_slices=4))
     holder = passes.spy(SliceManager, "_tick")(
         platform, "lcm-0", SlowStore(kernel))
     # Registration is two calls (grant the lease, put the member key).
-    return Case(holder, ["slices:lcm-0"], 1.0, first_pass=2 * RPC_TIME + 1.0)
+    return Case(holder, ["slices:lcm-0"], SLICE_TICK,
+                first_pass=2 * RPC_TIME + SLICE_TICK)
 
 
 def controller(cls):

@@ -173,12 +173,16 @@ class TestRestSurface:
         assert {"GuardianCreated", "Deployed", "JobCompleted"} <= reasons
         assert all("event_key" not in event for event in response["body"])
 
-        for path in (f"/jobs/{job_id}/events", f"/v1/models/{job_id}/events"):
-            response = platform.run_process(rest.get(path), limit=10_000)
-            assert response["status"] == 200
-            events = response["body"]
-            assert events and all(e["job"] == job_id for e in events)
-            assert any(e["reason"] == "JobCompleted" for e in events)
+        response = platform.run_process(
+            rest.get(f"/v1/models/{job_id}/events"), limit=10_000)
+        assert response["status"] == 200
+        events = response["body"]
+        assert events and all(e["job"] == job_id for e in events)
+        assert any(e["reason"] == "JobCompleted" for e in events)
+        # Only the versioned route exists.
+        response = platform.run_process(
+            rest.get(f"/jobs/{job_id}/events"), limit=10_000)
+        assert response["status"] == 404
 
         # Reason filtering on the firehose endpoint.
         response = platform.run_process(
@@ -188,7 +192,7 @@ class TestRestSurface:
         # Another tenant cannot read this job's events.
         stranger = RestClient(platform, platform.tokens.create_tenant("team-b"))
         response = platform.run_process(
-            stranger.get(f"/jobs/{job_id}/events"), limit=10_000)
+            stranger.get(f"/v1/models/{job_id}/events"), limit=10_000)
         assert response["status"] == 404
 
     def test_metrics_auth_off_by_default(self):

@@ -12,7 +12,7 @@ of the job-id space. Killing a replica mid-flight must:
 from repro.core.faults import ComponentCrasher
 from repro.core.partitions import SLICE_PREFIX
 
-from .conftest import CREDS, make_platform, manifest
+from .conftest import make_platform, manifest
 
 JOBS = 6
 
@@ -22,8 +22,6 @@ def sharded_platform(**overrides):
         gpu_nodes=3,
         lcm_replicas=2,
         lcm_slices=4,
-        lcm_lease_ttl=2.0,
-        lcm_slice_tick=0.5,
     )
     defaults.update(overrides)
     return make_platform(**defaults)

@@ -87,15 +87,6 @@ class TestJobTrace:
         path = render_critical_path(tracer, trace_id)
         assert path.startswith("critical path")
 
-    def test_span_tracing_can_be_disabled(self):
-        from .conftest import make_platform
-
-        platform = make_platform(span_tracing=False)
-        client = platform.client("team-a")
-        _job_id, doc = run_one_job(platform, client)
-        assert doc["status"] == "COMPLETED"
-        assert platform.tracer.spans == []
-
     def test_halted_job_trace_records_error_status(self, platform, client):
         from .conftest import submit_and_wait_running
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Kernel,
-    NULL_SPAN,
     SpanContext,
     Tracer,
     extract_context,
@@ -80,23 +79,6 @@ class TestSpanLifecycle:
         span.set_attribute("code", 200)
         assert span.attributes == {"job": "j-1", "code": 200}
         assert tracer.find_spans(job="j-1") == [span]
-
-
-class TestDisabledTracing:
-    def test_null_span_when_disabled(self, kernel):
-        tracer = Tracer(kernel, span_tracing=False)
-        span = tracer.start_span("s", parent=None)
-        assert span is NULL_SPAN
-        assert not span  # falsy: "did we collect?" checks stay cheap
-        # The full Span surface is a no-op, so call sites need no guards.
-        span.set_attribute("k", "v").end("error")
-        assert span.context is None
-        assert span.duration() == 0.0
-        assert tracer.spans == []
-
-    def test_null_span_as_parent_roots_fresh_trace(self, tracer):
-        span = tracer.start_span("s", parent=NULL_SPAN)
-        assert span.parent_id is None
 
 
 class TestContextPropagation:
