@@ -1,7 +1,7 @@
 WORKLOAD ?= steady
 PAIRS ?= 10
 
-.PHONY: check test lint bench perf pairs perf-gray perf-audit audit profile
+.PHONY: check test lint bench perf pairs perf-gray perf-audit audit profile reach
 
 check:
 	scripts/check.sh
@@ -16,7 +16,7 @@ lint:
 # and asserts the paper's claim on the simulated clock.
 PAPER_BENCHES = bench_fig2_overhead bench_fig3_dgx1 bench_fig4_recovery \
 	bench_guardian_creation bench_detection_latency bench_atomic_deploy \
-	bench_etcd_vs_direct
+	bench_etcd_vs_direct bench_chaos_soak
 
 bench:
 	PYTHONPATH=src python -m pytest -q $(PAPER_BENCHES:%=benchmarks/%.py)
@@ -42,3 +42,8 @@ audit:
 
 profile:
 	PYTHONPATH=src python scripts/profile.py
+
+# Rewrite reach.txt: the src/repro functions no non-test entry point
+# enters (tests/core/test_reach.py holds its total).
+reach:
+	python scripts/reach.py

@@ -101,14 +101,6 @@ class KubernetesCluster:
         buffer = self._logs.setdefault(key, [])
         return lambda time, line: buffer.append((time, line))
 
-    def container_logs_for(self, pod_name, container=None, namespace="default"):
-        out = []
-        for (ns, name, ctr), lines in self._logs.items():
-            if ns == namespace and name == pod_name and (container is None or ctr == container):
-                out.extend(lines)
-        out.sort(key=lambda entry: entry[0])
-        return out
-
     # ------------------------------------------------------------------
     # Network policy evaluation
     # ------------------------------------------------------------------

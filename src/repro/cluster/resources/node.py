@@ -27,7 +27,6 @@ class Node:
         self.metadata = ObjectMeta(name, namespace="", labels=labels)
         self.capacity = resources or NodeResources()
         self.condition = READY
-        self.unschedulable = False  # cordon
         self.last_heartbeat = 0.0
         # name -> pod resource totals currently bound here
         self.allocated_gpus = 0
@@ -35,7 +34,7 @@ class Node:
         self.allocated_memory = 0
 
     def can_fit(self, pod_spec):
-        if self.condition != READY or self.unschedulable:
+        if self.condition != READY:
             return False
         if pod_spec.gpu_type and pod_spec.gpu_type != self.capacity.gpu_type:
             return False

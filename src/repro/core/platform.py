@@ -307,28 +307,6 @@ class DlaasPlatform:
         route_key = tenant if self.config.api_ring_routing else None
         return DlaasClient(self, token, route_key=route_key)
 
-    def admin_report(self):
-        """Process generator: cross-tenant platform rollup (admin view).
-
-        Uses the document store's aggregation pipeline: jobs by tenant
-        and status, plus total GPU-seconds from metering.
-        """
-        mongo = self.mongo_client("admin-report")
-        jobs = yield from mongo.aggregate("jobs", [
-            {"$group": {"_id": "$tenant",
-                        "jobs": {"$count": 1},
-                        "statuses": {"$push": "$status"}}},
-            {"$sort": {"jobs": -1}},
-        ])
-        usage = yield from mongo.aggregate("metering", [
-            {"$group": {"_id": "$tenant",
-                        "gpu_seconds": {"$sum": "$gpu_seconds"},
-                        "api_calls": {"$sum": "$api_calls_total"}}},
-            {"$sort": {"gpu_seconds": -1}},
-        ])
-        return {"jobs_by_tenant": jobs, "usage_by_tenant": usage,
-                "capacity": self.k8s.capacity_summary()}
-
     def seed_training_data(self, bucket, credentials, size_mb):
         """Create a bucket with a dataset object (what users stage to COS)."""
         if bucket not in self.object_store.bucket_names():

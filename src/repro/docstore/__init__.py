@@ -6,7 +6,6 @@ This package provides collections with Mongo-style queries and updates,
 unique indexes, and a majority-write replica set over the RPC fabric.
 """
 
-from .aggregate import aggregate
 from .collection import Collection
 from .database import Database
 from .errors import DocstoreError, DuplicateKeyError, InvalidQuery, InvalidUpdate, NoPrimary
@@ -31,7 +30,6 @@ __all__ = [
     "ObjectId",
     "SHARD_KEYS",
     "ShardedMongoClient",
-    "aggregate",
     "apply_update",
     "is_update_document",
     "matches",

@@ -379,12 +379,6 @@ class Collection:
     def count_documents(self, query=None):
         return len(self._find_docs(query or {}))
 
-    def aggregate(self, pipeline):
-        """Run a Mongo-style aggregation pipeline over this collection."""
-        from .aggregate import aggregate
-
-        return aggregate(list(self._documents.values()), pipeline)
-
     def distinct(self, field, query=None):
         seen = []
         for doc in self._find_docs(query or {}):

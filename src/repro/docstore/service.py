@@ -151,8 +151,6 @@ class MongoMember:
             return {"deleted": coll.delete_many(request["query"])}
         if op == "count":
             return {"count": coll.count_documents(request.get("query"))}
-        if op == "aggregate":
-            return {"documents": coll.aggregate(request["pipeline"])}
         if op == "create_index":
             coll.create_index(request["field"], unique=request.get("unique", False))
             return {"ok": True}
@@ -350,12 +348,6 @@ class MongoClient:
             {"op": "count", "collection": collection, "query": query or {}}
         )
         return response["count"]
-
-    def aggregate(self, collection, pipeline):
-        response = yield from self._command(
-            {"op": "aggregate", "collection": collection, "pipeline": pipeline}
-        )
-        return response["documents"]
 
     def create_index(self, collection, field, unique=False):
         yield from self._command({

@@ -9,10 +9,9 @@ routes each operation:
 * shard-key point operations (the control plane's hot path — job
   insert, status read, the QUEUED->DEPLOYING claim) go straight to the
   owning shard: one primary round-trip, exactly like today;
-* cross-shard queries (tenant listings, status resyncs, admin
-  aggregation) scatter to every shard and merge client-side — the only
-  queries that pay for the fan-out are the ones that genuinely span
-  the job space;
+* cross-shard queries (tenant listings, status resyncs) scatter to
+  every shard and merge client-side — the only queries that pay for
+  the fan-out are the ones that genuinely span the job space;
 * unsharded collections (``counters``, ``events``, ``metering`` — low
   write volume, no per-job hot path) are pinned to shard 0, so the
   sequence counter stays a single document and the event flusher keeps
@@ -23,7 +22,6 @@ chaos hooks, health probes and flusher wiring stay valid; shard k>0
 members are ``mongo-s<k>-<i>``.
 """
 
-from .aggregate import aggregate as run_pipeline
 from .errors import InvalidQuery
 from .query import _MISSING, get_path
 from .service import MongoClient, MongoReplicaSet
@@ -88,43 +86,6 @@ def _merge_sort(documents, sort):
             reverse=direction == -1,
         )
     return out
-
-
-def _merge_groups(spec, partials):
-    """Combine per-shard ``$group`` partials into global groups.
-
-    ``$count``/``$sum`` add, ``$push`` concatenates, ``$min``/``$max``
-    re-reduce. ``$avg`` is not mergeable from per-shard averages (the
-    counts are gone) — callers that need it must target one shard.
-    """
-    merged = {}
-    order = []
-    for doc in partials:
-        marker = repr(doc["_id"])
-        if marker not in merged:
-            merged[marker] = dict(doc)
-            order.append(marker)
-            continue
-        into = merged[marker]
-        for name, accumulator in spec.items():
-            if name == "_id":
-                continue
-            op = next(iter(accumulator))
-            value = doc.get(name)
-            if op in ("$count", "$sum"):
-                into[name] = into[name] + value
-            elif op == "$push":
-                into[name] = into[name] + value
-            elif op == "$min":
-                values = [v for v in (into[name], value) if v is not None]
-                into[name] = min(values) if values else None
-            elif op == "$max":
-                values = [v for v in (into[name], value) if v is not None]
-                into[name] = max(values) if values else None
-            else:
-                raise InvalidQuery(
-                    f"accumulator {op!r} cannot be merged across shards")
-    return [merged[marker] for marker in order]
 
 
 class ShardedMongoClient:
@@ -261,32 +222,6 @@ class ShardedMongoClient:
             n = yield from client.count(collection, query)
             total += n
         return total
-
-    def aggregate(self, collection, pipeline):
-        if SHARD_KEYS.get(collection) is None:
-            docs = yield from self._clients[0].aggregate(collection, pipeline)
-            return docs
-        # Split the pipeline at the stage that needs global state: each
-        # shard runs the prefix, the suffix replays client-side on the
-        # merged partials.
-        split = len(pipeline)
-        group_spec = None
-        for i, stage in enumerate(pipeline):
-            op = next(iter(stage)) if isinstance(stage, dict) and stage else None
-            if op == "$group":
-                split, group_spec = i + 1, stage["$group"]
-                break
-            if op in ("$sort", "$skip", "$limit"):
-                split = i
-                break
-        prefix, suffix = list(pipeline[:split]), list(pipeline[split:])
-        partials = []
-        for client in self._clients:
-            docs = yield from client.aggregate(collection, prefix)
-            partials.extend(docs)
-        merged = (_merge_groups(group_spec, partials)
-                  if group_spec is not None else partials)
-        return run_pipeline(merged, suffix) if suffix else merged
 
     def create_index(self, collection, field, unique=False):
         for client in self._clients:

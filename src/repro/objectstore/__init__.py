@@ -6,9 +6,7 @@ from .errors import (
     NoSuchBucket,
     NoSuchKey,
     ObjectStoreError,
-    UploadNotFound,
 )
-from .multipart import MultipartUpload, create_multipart_upload
 from .store import GBIT, Bucket, ObjectStore, StoredObject
 
 __all__ = [
@@ -16,12 +14,9 @@ __all__ = [
     "Bucket",
     "BucketExists",
     "GBIT",
-    "MultipartUpload",
     "NoSuchBucket",
     "NoSuchKey",
     "ObjectStore",
     "ObjectStoreError",
     "StoredObject",
-    "UploadNotFound",
-    "create_multipart_upload",
 ]

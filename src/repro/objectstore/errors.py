@@ -19,7 +19,3 @@ class BucketExists(ObjectStoreError):
 
 class AccessDenied(ObjectStoreError):
     """Credentials do not grant access to the bucket."""
-
-
-class UploadNotFound(ObjectStoreError):
-    """Multipart upload id is unknown or already completed/aborted."""

@@ -2,11 +2,11 @@
 
 The paper evaluates recovery by *manually crashing* components with
 kubectl (Fig. 4) and argues resilience to random node/process failures.
-This module provides both — one-shot scheduled crashes and Poisson
-crash processes with a given MTBF — plus the *gray* fault class the
-paper never tested: impairments applied and later reverted while the
-target keeps passing its health probe (slow endpoints, asymmetric
-partitions, packet loss/duplication, disk stalls).
+This module schedules one-shot crashes (the random, Poisson-timed
+ones are ``repro.bench.chaos``'s soak actor) plus the *gray* fault
+class the paper never tested: impairments applied and later reverted
+while the target keeps passing its health probe (slow endpoints,
+asymmetric partitions, packet loss/duplication, disk stalls).
 
 Every injection is recorded three ways: a bounded in-memory ring
 (``injected``, the most recent entries only — a long chaos soak must
@@ -60,30 +60,6 @@ class FaultInjector:
     def crash_after(self, delay, name, crash, reason="scheduled"):
         """Crash ``name`` after ``delay`` seconds from now."""
         self.crash_at(self._kernel.now + delay, name, crash, reason)
-
-    def poisson_crashes(self, name, crash, mtbf, until=None, alive=None):
-        """Repeatedly crash ``name`` with exponential inter-arrival times.
-
-        ``mtbf`` is the mean time between failures in simulated seconds.
-        ``alive`` (optional) is a predicate consulted before each crash;
-        a dead target is skipped but the process keeps ticking, modeling
-        a flaky machine that can fail again once restarted.
-        """
-        if mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {mtbf}")
-        rng = self._kernel.rng(f"faults:{name}")
-
-        def driver():
-            while True:
-                delay = rng.expovariate(1.0 / mtbf)
-                if until is not None and self._kernel.now + delay > until:
-                    return
-                yield self._kernel.sleep(delay)
-                if alive is not None and not alive():
-                    continue
-                self._fire(name, crash, "poisson")
-
-        return self._kernel.spawn(driver(), name=f"faults:{name}")
 
     # ------------------------------------------------------------------
     # Gray faults

@@ -1,4 +1,4 @@
-"""Unit tests for the API server, image registry and kubectl extras."""
+"""Unit tests for the API server and the image registry."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,6 @@ from repro.cluster import (
     NotFoundError,
     Pod,
     PodSpec,
-    RESTART_ALWAYS,
     RESTART_NEVER,
 )
 from repro.cluster.apiserver import ApiServer
@@ -304,32 +303,3 @@ class TestImageRegistry:
             registry.size_of("ghost")
         with pytest.raises(ValueError):
             registry.register("bad", 0)
-
-
-class TestKubectlNodeOps:
-    def test_cordon_blocks_scheduling(self, kernel, cluster):
-        for name in ("node-0", "node-1", "node-2"):
-            cluster.kubectl.cordon(name)
-        pod = make_pod("p")
-        cluster.api.create(pod)
-        kernel.run(until=2.0)
-        assert pod.node_name is None
-        cluster.kubectl.uncordon("node-0")
-        kernel.run(until=4.0)
-        assert pod.node_name == "node-0"
-
-    def test_drain_evicts_and_cordons(self, kernel, cluster):
-        def forever(ctx):
-            yield ctx.kernel.sleep(10_000)
-            return 0
-
-        spec = PodSpec(containers=[ContainerSpec("c", "tiny", workload=forever)],
-                       restart_policy=RESTART_ALWAYS)
-        pod = Pod("victim", spec)
-        cluster.api.create(pod)
-        kernel.run(until=3.0)
-        node = pod.node_name
-        cluster.kubectl.drain(node)
-        kernel.run(until=8.0)
-        assert not cluster.api.exists("Pod", "victim")
-        assert cluster.api.get("Node", node, namespace="").unschedulable

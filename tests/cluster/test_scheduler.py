@@ -10,7 +10,7 @@ import pytest
 from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
-from repro.cluster.resources.node import NOT_READY, Node, NodeResources
+from repro.cluster.resources.node import NOT_READY, READY, Node, NodeResources
 from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
 from repro.sim import Kernel
 
@@ -130,21 +130,15 @@ class TestPlacement:
 
 
 class TestInfeasibleNodes:
-    def test_cordoned_node_takes_nothing(self, api):
-        node = add_node(api, "node-0")
-        node.unschedulable = True
-        sched = scheduler(api)
-        api.create(pod("p"))
-        assert sched.schedule_once() == 0
-        node.unschedulable = False
-        assert sched.schedule_once() == 1
-
     def test_not_ready_node_takes_nothing(self, api):
         node = add_node(api, "node-0")
         node.condition = NOT_READY
+        sched = scheduler(api)
         api.create(pod("p"))
-        assert scheduler(api).schedule_once() == 0
+        assert sched.schedule_once() == 0
         assert failed(api) == ["p"]
+        node.condition = READY
+        assert sched.schedule_once() == 1
 
     def test_gpu_type_mismatch(self, api):
         add_node(api, "node-0", gpu_type="k80")

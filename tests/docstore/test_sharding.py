@@ -155,23 +155,6 @@ class TestScatterGather:
             return deleted, remaining
         assert run(kernel, work()) == (15, 15)
 
-    def test_group_aggregate_merges_partials(self, kernel, client):
-        seed_jobs(kernel, client)
-
-        def work():
-            rollup = yield from client.aggregate("jobs", [
-                {"$group": {"_id": "$tenant",
-                            "jobs": {"$count": 1},
-                            "ids": {"$push": "$job_id"}}},
-                {"$sort": {"_id": 1}},
-            ])
-            return rollup
-        rollup = run(kernel, work())
-        assert [g["_id"] for g in rollup] == ["tenant-0", "tenant-1",
-                                              "tenant-2"]
-        assert all(g["jobs"] == 10 for g in rollup)
-        assert sorted(rollup[0]["ids"]) == JOB_IDS[::3]
-
     def test_create_index_reaches_every_shard(self, kernel, client,
                                               shard_set):
         def work():

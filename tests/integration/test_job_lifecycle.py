@@ -77,12 +77,16 @@ class TestHappyPath:
         platform.run_process(client.run_to_completion(manifest()), limit=10_000)
 
         def usage():
+            # The Guardian meters GPU-seconds during teardown, after the
+            # job reports COMPLETED.
+            yield platform.kernel.sleep(5.0)
             return (yield from client.usage())
 
         report = platform.run_process(usage(), limit=600)
         assert report["jobs_submitted"] == 1
         assert report["gpus_requested"] == 1
         assert report["api_calls_total"] > 1
+        assert report["gpu_seconds"] > 0
 
 
 class TestDistributedJob:

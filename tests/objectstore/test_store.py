@@ -8,8 +8,6 @@ from repro.objectstore import (
     NoSuchBucket,
     NoSuchKey,
     ObjectStore,
-    UploadNotFound,
-    create_multipart_upload,
 )
 from repro.sim import Kernel
 
@@ -125,34 +123,3 @@ class TestTransfers:
             return kernel.now
 
         assert run(kernel, scenario()) == pytest.approx(1.0)
-
-
-class TestMultipart:
-    def test_parts_assemble(self, kernel, store):
-        upload = create_multipart_upload(store, "training-data", "model.tar", CREDS)
-
-        def scenario():
-            yield from upload.upload_part(1, size=100)
-            yield from upload.upload_part(2, size=200)
-            return upload.complete()
-
-        obj = run(kernel, scenario())
-        assert obj.size == 300
-        assert store.head_object("training-data", "model.tar", CREDS).size == 300
-
-    def test_abort_discards(self, kernel, store):
-        upload = create_multipart_upload(store, "training-data", "model.tar", CREDS)
-
-        def scenario():
-            yield from upload.upload_part(1, size=100)
-            upload.abort()
-
-        run(kernel, scenario())
-        with pytest.raises(NoSuchKey):
-            store.head_object("training-data", "model.tar", CREDS)
-        with pytest.raises(UploadNotFound):
-            upload.complete()
-
-    def test_multipart_requires_credentials(self, store):
-        with pytest.raises(AccessDenied):
-            create_multipart_upload(store, "training-data", "k", BAD_CREDS)

@@ -132,49 +132,3 @@ class TestCollectionProperties:
         assert deleted == expected
         assert coll.count_documents({field: value}) == 0
         assert len(coll) == len(docs) - deleted
-
-
-class TestAggregationProperties:
-    @settings(max_examples=30)
-    @given(st.lists(st.fixed_dictionaries({
-        "tenant": st.sampled_from(["a", "b", "c"]),
-        "seconds": st.integers(0, 1000),
-    }), max_size=20))
-    def test_group_sum_matches_manual(self, docs):
-        from repro.docstore import aggregate
-
-        out = aggregate(docs, [
-            {"$group": {"_id": "$tenant", "total": {"$sum": "$seconds"}}},
-        ])
-        manual = {}
-        for doc in docs:
-            manual[doc["tenant"]] = manual.get(doc["tenant"], 0) + doc["seconds"]
-        assert {row["_id"]: row["total"] for row in out} == manual
-
-    @settings(max_examples=30)
-    @given(st.lists(st.fixed_dictionaries({
-        "n": st.integers(-50, 50),
-    }), max_size=20))
-    def test_match_then_count_matches_filter(self, docs):
-        from repro.docstore import aggregate
-
-        out = aggregate(docs, [
-            {"$match": {"n": {"$gte": 0}}},
-            {"$group": {"_id": None, "count": {"$count": 1}}},
-        ])
-        expected = sum(1 for doc in docs if doc["n"] >= 0)
-        if expected == 0:
-            assert out == []
-        else:
-            assert out[0]["count"] == expected
-
-    @settings(max_examples=30)
-    @given(st.lists(st.fixed_dictionaries({
-        "v": st.integers(-100, 100),
-    }), min_size=1, max_size=20))
-    def test_sort_limit_agree_with_python(self, docs):
-        from repro.docstore import aggregate
-
-        out = aggregate(docs, [{"$sort": {"v": 1}}, {"$limit": 3}])
-        expected = sorted(doc["v"] for doc in docs)[:3]
-        assert [row["v"] for row in out] == expected

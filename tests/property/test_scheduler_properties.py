@@ -2,9 +2,10 @@
 
 Two identical worlds receive the same random operations: pods of mixed
 shapes, gangs (some fit, some fit partly and roll back), passes,
-releases, cordons, clock advances short and long. One world runs the
-real ``Scheduler``; the other a reference that asks ``_pick_node``
-about every single pod and reports every failed pod on every pass.
+releases, nodes going NotReady and back, clock advances short and
+long. One world runs the real ``Scheduler``; the other a reference
+that asks ``_pick_node`` about every single pod and reports every
+failed pod on every pass.
 After every operation they must agree on bindings and allocations; at
 the end on the ``Scheduled`` event sequence, and the real scheduler's
 ``FailedScheduling`` log must be the reference's with the repeats of a
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
-from repro.cluster.resources.node import Node, NodeResources
+from repro.cluster.resources.node import NOT_READY, READY, Node, NodeResources
 from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
 from repro.sim import Kernel
 
@@ -69,7 +70,7 @@ operations = st.lists(st.one_of(
     st.tuples(st.just("pass")),
     st.tuples(st.just("pass")),
     st.tuples(st.just("release"), st.integers(0, 50)),
-    st.tuples(st.just("cordon"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("not_ready"), st.integers(0, 3), st.booleans()),
     st.tuples(st.just("strategy"), st.sampled_from(Scheduler.STRATEGIES)),
     # A pass interval, a third of the report interval (three in a row
     # land exactly on it), and past it.
@@ -116,9 +117,10 @@ class World:
             bound = [p for p in self.api.list("Pod") if p.node_name]
             if bound:
                 self._remove(bound[operation[1] % len(bound)])
-        elif verb == "cordon":
+        elif verb == "not_ready":
             nodes = self.api.list("Node", namespace="")
-            nodes[operation[1] % len(nodes)].unschedulable = operation[2]
+            nodes[operation[1] % len(nodes)].condition = (
+                NOT_READY if operation[2] else READY)
         elif verb == "strategy":
             self.scheduler.strategy = operation[1]
         elif verb == "tick":

@@ -283,35 +283,6 @@ class TestFaultInjector:
         assert crashes == [5.0]
         assert list(injector.injected) == [(5.0, "svc", "scheduled")]
 
-    def test_poisson_crashes_respect_mtbf(self, kernel):
-        crashes = []
-        injector = FaultInjector(kernel)
-        injector.poisson_crashes("svc", lambda: crashes.append(kernel.now),
-                                 mtbf=10.0, until=2000.0)
-        kernel.run(until=2000.0)
-        # ~200 expected; very loose bounds.
-        assert 100 < len(crashes) < 320
-        gaps = [b - a for a, b in zip(crashes, crashes[1:])]
-        mean_gap = sum(gaps) / len(gaps)
-        assert 7.0 < mean_gap < 14.0
-
-    def test_poisson_skips_dead_targets(self, kernel):
-        crashes = []
-        alive = {"up": True}
-        injector = FaultInjector(kernel)
-        injector.poisson_crashes("svc", lambda: crashes.append(kernel.now),
-                                 mtbf=5.0, until=100.0,
-                                 alive=lambda: alive["up"])
-        kernel.run(until=50.0)
-        seen = len(crashes)
-        alive["up"] = False
-        kernel.run(until=100.0)
-        assert len(crashes) == seen
-
-    def test_invalid_mtbf(self, kernel):
-        with pytest.raises(ValueError):
-            FaultInjector(kernel).poisson_crashes("x", lambda: None, mtbf=0)
-
     def test_tracer_records_injections(self, kernel):
         tracer = Tracer(kernel)
         injector = FaultInjector(kernel, tracer=tracer)
