@@ -8,10 +8,11 @@ numbers"): the contract run
 in two checkouts, one pair after another, the side that goes first
 flipped each pair so that drift of the box lands on both. Prints every
 run, each side's median and quartiles, in how many pairs the change
-read lower, and whether the simulated side of the result — every
-``*_s`` metric but ``setup_s``, and the timeline digest — was equal in
-every run. Standard library only; reads nothing of either checkout but
-what ``perfbench/run.py`` prints.
+read lower, whether that gain is claimable (:func:`verdict`), and
+whether the simulated side of the result — every ``*_s`` metric but
+``setup_s``, and the timeline digest — was equal in every run.
+Standard library only; reads nothing of either checkout but what
+``perfbench/run.py`` prints.
 
 Usage::
 
@@ -57,6 +58,30 @@ def quartiles(values):
     return low, median, high
 
 
+def verdict(parent, change):
+    """Whether a lower-is-better metric's gain is claimable, and why.
+
+    ``parent`` and ``change`` are one column each, run ``i`` of both
+    sides being pair ``i``. The rule (choosing-metrics §8): the change
+    reads lower in at least nine tenths of the pairs, a tie counting
+    for neither side, and the parent's median exceeds the change's by
+    more than the parent's interquartile range. Returns
+    ``(claimable, reason)``.
+    """
+    pairs = len(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    low, _median, high = quartiles(parent)
+    spread = high - low
+    gap = statistics.median(parent) - statistics.median(change)
+    if wins * 10 < pairs * 9:
+        return False, f"lower in {wins} / {pairs} pairs, 9 / 10 needed"
+    if gap <= spread:
+        return False, (f"median gap {gap:.4f} is not above the parent's "
+                       f"interquartile range {spread:.4f}")
+    return True, (f"lower in {wins} / {pairs} pairs, median gap {gap:.4f} "
+                  f"above the parent's interquartile range {spread:.4f}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="DIR")
@@ -100,6 +125,9 @@ def main(argv=None):
         print(f"{name:12} change lower in {wins} / {args.pairs} pairs"
               f"{f' ({ties} ties)' if ties else ''}, median {shift:+.1%} "
               f"of the parent's {parent_median:.4f}")
+        claimable, reason = verdict(columns["parent"], columns["change"])
+        print(f"{name:12} {'claimable' if claimable else 'not claimable'}: "
+              f"{reason}")
 
     everything = runs["parent"] + runs["change"]
     first = everything[0]

@@ -35,6 +35,13 @@ class TimeSeries:
         return dict(self.labels)
 
     def add(self, time, value):
+        """Append a sample. Samples arrive in time order and
+        :meth:`window` relies on it; equal times are legal, since two
+        passes can run at one simulated instant."""
+        if self.samples and time < self.samples[-1][0]:
+            raise ValueError(
+                f"{self!r}: sample at {time} is older than the newest, "
+                f"at {self.samples[-1][0]}")
         self._trim(time)
         self.samples.append((time, value))
 
@@ -70,9 +77,23 @@ class TimeSeries:
         return value
 
     def window(self, start, end=None):
-        """Real samples with ``start <= time <= end`` (markers skipped)."""
-        return [(t, v) for t, v in self.samples
-                if v is not None and t >= start and (end is None or t <= end)]
+        """Real samples with ``start <= time <= end`` (markers skipped),
+        oldest first.
+
+        Walks back from the newest sample and stops at the first one
+        older than ``start``, so a read costs the window, not the
+        retention: the rule engine reads an 8 s window of 600 s series
+        every tick.
+        """
+        out = []
+        for sample in reversed(self.samples):
+            time, value = sample
+            if time < start:
+                break
+            if value is not None and (end is None or time <= end):
+                out.append(sample)
+        out.reverse()
+        return out
 
     def values(self):
         return [v for _t, v in self.samples if v is not None]

@@ -6,6 +6,8 @@ from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import EtcdClient, EtcdCluster, LEADER
 from repro.sim import Kernel
 
+from .oracles import applied_states_agree, logs_consistent
+
 
 def make_cluster(size=3, seed=7):
     kernel = Kernel(seed=seed)
@@ -134,8 +136,8 @@ class TestReplication:
 
         run(kernel, scenario())
         kernel.run(until=kernel.now + 1.0)
-        assert cluster.logs_consistent()
-        assert cluster.applied_states_agree()
+        assert logs_consistent(cluster)
+        assert applied_states_agree(cluster)
 
 
 class TestCrashRecovery:
@@ -237,7 +239,7 @@ class TestPartitions:
         run(kernel, scenario(), limit=30.0)
         network.heal_all()
         kernel.run(until=kernel.now + 3.0)
-        assert cluster.logs_consistent()
+        assert logs_consistent(cluster)
         assert leader.state_machine.get("post-partition") == "v"
 
 

@@ -13,6 +13,8 @@ from repro.raftkv import (
 )
 from repro.sim import Kernel
 
+from .oracles import logs_consistent
+
 
 def make_cluster(size=3, seed=21):
     kernel = Kernel(seed=seed)
@@ -126,7 +128,7 @@ class TestChurn:
 
         values = kernel.run_until_complete(kernel.spawn(scenario()), limit=300)
         assert values == [0, 1, 2]
-        assert cluster.logs_consistent()
+        assert logs_consistent(cluster)
 
     def test_client_exhausts_attempts_without_quorum(self):
         kernel, network, cluster = make_cluster()
@@ -189,4 +191,4 @@ class TestLossyNetwork:
         values = kernel.run_until_complete(kernel.spawn(scenario()), limit=600)
         assert values == [24, 25, 26, 27, 28, 29]
         kernel.run(until=kernel.now + 3.0)
-        assert cluster.logs_consistent()
+        assert logs_consistent(cluster)
