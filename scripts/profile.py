@@ -13,11 +13,14 @@ a retention leak is flat in the cProfile table; here it is the top
 row of the type census. No profiler runs in this mode.
 
 ``--events`` reads the same cProfile run another way: who puts the
-kernel's events on its heap. Every timer is a ``Kernel.sleep``, every
+kernel's events in its queues. Every timer is a ``Kernel.sleep``, every
 process a ``Kernel.spawn`` and every bare callback entry a
-``Kernel.call_later`` or ``call_soon``, so their callers, as shares of
-``events_processed``, say whether a kernel-cost idea (fewer poll ticks,
-fewer RPC timers) is aimed at a tenth of the events or at half.
+``Kernel.call_later``, ``call_soon`` or ``_schedule_at``, so their
+callers, as shares of ``events_processed``, say whether a kernel-cost
+idea (fewer poll ticks, fewer RPC timers) is aimed at a tenth of the
+events or at half. Each row also splits its entries between the heap
+(due later) and the ready queue (due now): the kernel's ready queue is
+swapped for one that counts who appends to it.
 
 ``--rpcs`` is the companion of ``--events`` one layer up: who issues
 the network's calls, as caller kind × endpoint × method with shares of
@@ -64,13 +67,19 @@ import pstats  # noqa: E402
 import re  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
-from collections import Counter  # noqa: E402
+from collections import Counter, deque  # noqa: E402
 
+import repro.sim.kernel as kernel_module  # noqa: E402
 from repro.bench import run_scale_scenario  # noqa: E402
 
 PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned", "chaos")
-# The Kernel methods that push a heap entry on a caller's behalf.
-SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon")
+# The Kernel methods that queue an entry on a caller's behalf.
+SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon", "_schedule_at")
+# Of those, the ones whose entry goes to the heap or to the ready
+# queue depending on whether it is due now; ``spawn`` and
+# ``call_soon`` always go to the ready queue.
+ROUTED = {getattr(kernel_module.Kernel, name).__code__: name
+          for name in ("sleep", "call_later", "_schedule_at")}
 HEAP_TOP_TYPES = 15
 # Reconciler-runtime functions whose frame on the stack of a
 # ``WorkQueue.add`` says why the key was enqueued (innermost wins).
@@ -299,28 +308,55 @@ def module_name(filename):
     return path.name
 
 
-def event_census(stats, events_processed, lines):
-    """Callers of ``Kernel.sleep``, ``spawn``, ``call_later`` and
-    ``call_soon`` from a cProfile run, by module and by function, as
-    shares of ``events_processed``. The rest of the events are the
-    zero-delay callbacks those timers and processes trigger (event
-    callbacks, process resumptions)."""
+class ReadyCensus(deque):
+    """The kernel's ready queue, counting the entries that ``ROUTED``
+    schedulers put on it, by scheduler and by the scheduler's caller
+    (keyed like cProfile's callers: file, first line, name)."""
+
+    appended = Counter()
+
+    def append(self, callback):
+        frame = sys._getframe(1)
+        via = ROUTED.get(frame.f_code)
+        if via is not None:
+            caller = frame.f_back.f_code
+            self.appended[caller.co_filename, caller.co_firstlineno,
+                          caller.co_name, via] += 1
+        deque.append(self, callback)
+
+
+def event_census(stats, events_processed, ready, lines):
+    """Callers of the ``SCHEDULERS`` from a cProfile run, by module and
+    by function, as shares of ``events_processed``, each split into
+    heap and ready-queue entries (``ready`` is ``ReadyCensus.appended``).
+    The rest of the events are the zero-delay callbacks those timers and
+    processes trigger (event callbacks, process resumptions)."""
     kernel_py = str(Path("repro", "sim", "kernel.py"))
     by_function = Counter()
+    to_ready = Counter()
     for (filename, _line, name), entry in stats.stats.items():
         if name in SCHEDULERS and filename.endswith(kernel_py):
             for (caller_file, caller_line, caller), counts in entry[4].items():
                 module = module_name(caller_file)
                 if name == "call_soon" and module.startswith("repro.sim."):
-                    # ``_schedule_now`` is the same function: the hops
-                    # of events and processes, not somebody's entry.
+                    # A callback added to a settled event, an empty
+                    # ``AllOf``: hops of events, not somebody's entry.
                     continue
-                by_function[module, f"{caller}:{caller_line}", name] += counts[0]
+                key = module, f"{caller}:{caller_line}", name
+                by_function[key] += counts[0]
+                to_ready[key] += (
+                    ready[caller_file, caller_line, caller, name]
+                    if name in ROUTED.values() else counts[0])
     totals = Counter()
+    ready_totals = Counter()
     by_module = Counter()
-    for (module, _function, via), calls in by_function.items():
+    ready_by_module = Counter()
+    for key, calls in by_function.items():
+        module, _function, via = key
         totals[via] += calls
+        ready_totals[via] += to_ready[key]
         by_module[module, via] += calls
+        ready_by_module[module, via] += to_ready[key]
 
     def share(calls):
         return f"{100.0 * calls / events_processed:5.1f} %"
@@ -329,13 +365,19 @@ def event_census(stats, events_processed, lines):
           f"({events_processed} processed) ---")
     for via in SCHEDULERS:
         print(f"Kernel.{via}: {totals[via]} calls, {share(totals[via])} "
-              "of events_processed")
-    print("\n    calls    share  via         module")
-    for (module, via), calls in by_module.most_common():
-        print(f"{calls:>9}  {share(calls)}  {via:10}  {module}")
-    print(f"\n    calls    share  via         function:line (top {lines})")
-    for (module, function, via), calls in by_function.most_common(lines):
-        print(f"{calls:>9}  {share(calls)}  {via:10}  {module}.{function}")
+              f"of events_processed; heap {totals[via] - ready_totals[via]}, "
+              f"ready {ready_totals[via]}")
+    print("\n    calls    share       heap      ready  via           module")
+    for key, calls in by_module.most_common():
+        module, via = key
+        print(f"{calls:>9}  {share(calls)}  {calls - ready_by_module[key]:>9}  "
+              f"{ready_by_module[key]:>9}  {via:12}  {module}")
+    print("\n    calls    share       heap      ready  via           "
+          f"function:line (top {lines})")
+    for key, calls in by_function.most_common(lines):
+        module, function, via = key
+        print(f"{calls:>9}  {share(calls)}  {calls - to_ready[key]:>9}  "
+              f"{to_ready[key]:>9}  {via:12}  {module}.{function}")
 
 
 def main(argv=None):
@@ -357,9 +399,10 @@ def main(argv=None):
                              "live types and ru_maxrss (needs --workload)")
     parser.add_argument("--events", action="store_true",
                         help="instead of the function tables: callers of "
-                             "Kernel.sleep, spawn, call_later and call_soon "
-                             "by module and function, as shares of "
-                             "events_processed")
+                             "Kernel.sleep, spawn, call_later, call_soon and "
+                             "_schedule_at by module and function, as shares "
+                             "of events_processed, split into heap and "
+                             "ready-queue entries")
     parser.add_argument("--rpcs", action="store_true",
                         help="instead of cProfile: who issues the network's "
                              "calls, as caller kind x endpoint x method with "
@@ -392,6 +435,9 @@ def main(argv=None):
         pass_census(run)
         return 0
 
+    if args.events:
+        # Kernel.__init__ reads the name when it builds its ready queue.
+        kernel_module.deque = ReadyCensus
     profiler = cProfile.Profile()
     profiler.enable()
     result = run()
@@ -400,7 +446,8 @@ def main(argv=None):
     print_result(result)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.events:
-        event_census(stats, result["events_processed"], args.lines)
+        event_census(stats, result["events_processed"],
+                     ReadyCensus.appended, args.lines)
     else:
         stats.strip_dirs()
         for sort in ("tottime", "cumulative"):

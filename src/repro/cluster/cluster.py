@@ -43,7 +43,6 @@ class KubernetesCluster:
             PvcController(kernel, self.api, nfs_server),
         ]
         self.kubelets = {}
-        self._logs = {}
         self.kubectl = Kubectl(self)
         self._started = False
 
@@ -91,15 +90,6 @@ class KubernetesCluster:
         kubelet = self.kubelets[node_name]
         kubelet.restart()
         return kubelet
-
-    # ------------------------------------------------------------------
-    # Container logs (docker log driver)
-    # ------------------------------------------------------------------
-
-    def log_sink(self, pod, container_name):
-        key = (pod.metadata.namespace, pod.metadata.name, container_name)
-        buffer = self._logs.setdefault(key, [])
-        return lambda time, line: buffer.append((time, line))
 
     # ------------------------------------------------------------------
     # Network policy evaluation

@@ -40,7 +40,7 @@ class KubeletConfig:
 class ContainerContext:
     """What a container workload sees: its little world."""
 
-    def __init__(self, kernel, pod, container, node_name, mounts, log_sink):
+    def __init__(self, kernel, pod, container, node_name, mounts):
         self.kernel = kernel
         self.pod = pod
         self.container = container
@@ -48,14 +48,10 @@ class ContainerContext:
         self.mounts = mounts
         self.env = dict(container.env)
         self.stop_event = kernel.event(name=f"stop:{pod.metadata.name}/{container.name}")
-        self._log_sink = log_sink
 
     @property
     def stopping(self):
         return self.stop_event.triggered
-
-    def log(self, line):
-        self._log_sink(self.kernel.now, line)
 
 
 def release_pod_resources(api, pod):
@@ -227,7 +223,6 @@ class Kubelet:
         while True:
             ctx = ContainerContext(
                 self.kernel, pod, container, self.node.metadata.name, mounts,
-                self.cluster.log_sink(pod, container.name),
             )
             status.state = "running"
             status.started_at = self.kernel.now
@@ -290,8 +285,7 @@ class Kubelet:
             result = yield from container.workload(ctx)
         except ProcessKilled:
             raise
-        except Exception as exc:
-            ctx.log(f"container crashed: {exc!r}")
+        except Exception:
             return 1
         if result is None:
             return 0

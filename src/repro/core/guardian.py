@@ -155,7 +155,6 @@ class Guardian:
         doc = yield from self.mongo.find_one("jobs", {"job_id": self.job_id},
                                              projection=["status", "manifest"])
         if doc is None:
-            self.ctx.log(f"no metadata for {self.job_id}; giving up")
             return 1
         if is_terminal(doc["status"]):
             return 0
@@ -201,7 +200,6 @@ class Guardian:
             layout.guardian_deployed_prefix(self.job_id)
         )
         if leftovers:
-            self.ctx.log(f"rolling back partial deployment ({len(leftovers)} resources)")
             self.platform.metrics.counter("guardian_deploy_rollbacks_total").inc()
             self.platform.events.emit_event(
                 "Warning", "DeployRollback", "Job", self.job_id,
@@ -215,7 +213,6 @@ class Guardian:
         yield from self.etcd.put(layout.guardian_attempt_key(self.job_id), attempt)
         self.platform.metrics.counter("guardian_deploy_attempts_total").inc()
         if attempt > MAX_DEPLOY_ATTEMPTS:
-            self.ctx.log(f"deployment attempt {attempt} exceeds limit; job FAILED")
             self.platform.events.emit_event(
                 "Warning", "DeployAttemptsExhausted", "Job", self.job_id,
                 message=f"attempt {attempt} exceeds limit {MAX_DEPLOY_ATTEMPTS}",
@@ -507,7 +504,6 @@ class Guardian:
                 "Warning", "LearnerStalled", "Pod", pod_name,
                 message=f"no progress for {report.get('stalled_for')}s; restarting",
                 job=self.job_id)
-            self.ctx.log(f"restarted stalled learner-{ordinal}")
 
     def _aggregate(self, learner_reports, load_done, store_done):
         reports = {r["status"] for r in learner_reports if isinstance(r, dict)}
@@ -528,7 +524,6 @@ class Guardian:
         return DOWNLOADING
 
     def _finish(self, final_status):
-        self.ctx.log(f"job {self.job_id} reached {final_status}; tearing down")
         teardown_span = self.platform.tracer.start_span(
             "guardian.teardown", component="guardian", parent=self.span,
             job=self.job_id, final_status=final_status)

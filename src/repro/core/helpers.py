@@ -60,7 +60,6 @@ def make_load_data_workload(platform, job_id, manifest):
             yield from _idle_until_stopped(ctx)
             return 0
         mount.write_file("/helper/load-data.status", HELPER_RUNNING)
-        ctx.log(f"staging {manifest.dataset_size_mb:.0f} MB of training data")
         yield from platform.object_store.download(
             manifest.data.bucket, "dataset", manifest.data.credentials
         )
@@ -69,7 +68,6 @@ def make_load_data_workload(platform, job_id, manifest):
                          json.dumps({"size_mb": manifest.dataset_size_mb}))
         mount.write_file(layout.DATA_READY, "ok")
         mount.write_file("/helper/load-data.status", HELPER_DONE)
-        ctx.log("training data ready")
         yield from _idle_until_stopped(ctx)
         return 0
 
@@ -431,7 +429,6 @@ def make_store_results_workload(platform, job_id, manifest):
         if mount.exists(layout.COMBINED_LOG):
             log_text = mount.read_file(layout.COMBINED_LOG)
         model_mb = platform.model_size_mb(manifest)
-        ctx.log(f"uploading trained model ({model_mb:.0f} MB) and logs")
         yield from platform.object_store.upload(
             manifest.results.bucket, f"{job_id}/model",
             manifest.results.credentials, size=int(model_mb * 1_000_000),

@@ -79,7 +79,6 @@ def make_learner_workload(platform, job_id, manifest):
 
         def log(line):
             mount.append_line(log_path, f"[{kernel.now:10.2f}] {line}")
-            ctx.log(line)
 
         # A learner restarted (restart policy Always) after an orderly
         # zero exit has nothing left to do; idle until teardown.

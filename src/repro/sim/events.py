@@ -9,8 +9,8 @@ throws the event's exception into it).
 Cancellation: a pending event that nobody will ever wait on again can be
 defused with :meth:`Event.cancel` — it drops its callbacks and will
 never trigger. Timers (see :class:`repro.sim.kernel.Timer`) extend this
-with lazy heap deletion: the cancelled entry stays in the kernel's heap
-and is skipped (counted, not dispatched) when it pops. Cancelling an
+with lazy deletion: the cancelled entry stays in the kernel's queue and
+is skipped (counted, not dispatched) when it is reached. Cancelling an
 event another process still waits on would strand that process, so only
 cancel events you own exclusively — e.g. the losing timer of a
 deadline race.
@@ -61,7 +61,12 @@ class Event:
             raise RuntimeError(f"event {self.name!r} already {self.state}")
         self.state = SUCCEEDED
         self.value = value
-        self._dispatch()
+        # _dispatch, inlined: this is the wake-up every waiter takes.
+        callbacks = self._callbacks
+        self._callbacks = ()
+        if callbacks:
+            self._pending_dispatch = callbacks
+            self._kernel._ready.append(self._run_dispatch)
         return self
 
     def fail(self, exception):
@@ -97,7 +102,7 @@ class Event:
         elif self.state is CANCELLED:
             raise RuntimeError(f"event {self.name!r} was cancelled")
         else:
-            self._kernel._schedule_now(lambda: callback(self))
+            self._kernel.call_soon(lambda: callback(self))
 
     def remove_callback(self, callback):
         """Unregister a pending callback; ignores unknown callbacks."""
@@ -117,7 +122,7 @@ class Event:
         self._callbacks = ()
         if callbacks:
             self._pending_dispatch = callbacks
-            self._kernel._schedule_now(self._run_dispatch)
+            self._kernel._ready.append(self._run_dispatch)
 
     def _run_dispatch(self):
         callbacks = self._pending_dispatch
@@ -179,7 +184,7 @@ class AllOf(Event):
         if not self.events:
             # Vacuously complete; trigger via the scheduler so waiters
             # registered after construction still wake up.
-            kernel._schedule_now(lambda: self.succeed([]))
+            kernel.call_soon(lambda: self.succeed([]))
             return
         for event in self.events:
             event.add_callback(self._on_child)

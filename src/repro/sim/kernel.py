@@ -11,27 +11,45 @@ Determinism: with a fixed seed, every run produces an identical trace.
 Ties in time are broken by insertion order, and all randomness flows
 through named, independently seeded RNG streams (:meth:`Kernel.rng`).
 
-Timers are cancellable with lazy heap deletion: :meth:`Kernel.sleep`
-returns a :class:`Timer` that is its own heap entry (no per-sleep
-closure). Cancelling it leaves the entry in the heap marked dead; when
-it pops, the kernel counts it (``dead_entries_skipped``) and does
-nothing else — the surviving timeline is bit-identical to the one where
-the timer fired into zero callbacks.
+Two queues, one order. An entry is a callback due at a time, and the
+kernel runs entries in ``(when, seq)`` order, ``seq`` being the order
+they were scheduled in. Entries due *later* than now go on a heap of
+``(when, seq, callback)`` tuples. Entries due *now* — a zero-delay
+hop: an event's dispatch, a process start or kill, :meth:`call_soon`,
+a sleep or :meth:`call_later` whose ``when`` equals now — are appended
+to a FIFO ready queue and never touch the heap. The run loops drain
+the ready queue, and only when it is empty pop the heap's top and
+advance the clock to it; the other heap entries due at that instant
+move to the (empty) ready queue at once, in heap order, so they run
+before anything the instant schedules. That is the single heap's
+order exactly: a heap entry due at ``t`` was pushed while the clock
+was still before ``t``, so its ``seq`` is below that of every entry
+scheduled during ``t``, and entries scheduled during one instant
+keep their scheduling order in the FIFO. ``events_processed`` counts
+both queues' entries.
+
+Timers are cancellable with lazy deletion: :meth:`Kernel.sleep`
+returns a :class:`Timer` that is its own queue entry (no per-sleep
+closure). Cancelling it leaves the entry queued and marked dead; when
+it is reached, the kernel counts it (``dead_entries_skipped``) and
+does nothing else — the surviving timeline is bit-identical to the one
+where the timer fired into zero callbacks.
 """
 
 import heapq
 import random
+from collections import deque
 
 from .errors import SimError
-from .events import AllOf, AnyOf, CANCELLED, Event, PENDING
+from .events import AllOf, AnyOf, CANCELLED, Event, PENDING, SUCCEEDED
 from .process import Process
 
 
 class Timer(Event):
-    """A cancellable sleep: the event and its heap callback fused into
+    """A cancellable sleep: the event and its queue entry fused into
     one object, so ``sleep()`` allocates nothing beyond the event.
 
-    The kernel heap holds the timer itself as the entry's callback;
+    The kernel's queue holds the timer itself as the entry's callback;
     :meth:`__call__` fires it, or skips it when it was cancelled.
     Cancellation accounting (``timers_cancelled`` / ``_dead_pending``)
     lives on the owning kernel *instance* — two kernels in one process
@@ -41,20 +59,34 @@ class Timer(Event):
     __slots__ = ("_value",)
 
     def __init__(self, kernel, value=None):
-        Event.__init__(self, kernel)
+        # Event.__init__'s assignments, without its frame.
+        self._kernel = kernel
+        self.name = ""
+        self.state = PENDING
+        self.value = None
+        self.exception = None
+        self._callbacks = []
+        self._pending_dispatch = None
         self._value = value
 
     def __call__(self):
         state = self.state
         if state is PENDING:
-            self.succeed(self._value)
+            # Event.succeed, inlined: the state cannot be anything else.
+            self.state = SUCCEEDED
+            self.value = self._value
+            callbacks = self._callbacks
+            self._callbacks = ()
+            if callbacks:
+                self._pending_dispatch = callbacks
+                self._kernel._ready.append(self._run_dispatch)
         elif state is CANCELLED:
             kernel = self._kernel
             kernel.dead_entries_skipped += 1
             kernel._dead_pending -= 1
 
     def cancel(self):
-        """Defuse the timer; its heap entry is lazily skipped on pop."""
+        """Defuse the timer; its queue entry is lazily skipped."""
         if self.state is PENDING:
             self.state = CANCELLED
             self._callbacks = None
@@ -66,7 +98,7 @@ class Timer(Event):
 class Kernel:
     """Discrete-event simulation kernel with generator-based processes.
 
-    Every piece of kernel state — clock, heap, RNG streams, perf
+    Every piece of kernel state — clock, queues, RNG streams, perf
     counters, debug flag — is owned by the instance. Nothing lives at
     module or class level, so back-to-back kernels in one process coexist
     without bleeding state into each other; ``scripts/
@@ -75,7 +107,10 @@ class Kernel:
 
     def __init__(self, seed=0, debug=False):
         self._now = 0.0
+        # Entries due later than now, as (when, seq, callback).
         self._queue = []
+        # Callbacks due now, in scheduling order (module docstring).
+        self._ready = deque()
         self._sequence = 0
         self._seed = seed
         self._rngs = {}
@@ -103,41 +138,44 @@ class Kernel:
 
     @property
     def dead_entry_ratio(self):
-        """Fraction of heap pops that were cancelled timers."""
+        """Fraction of processed entries that were cancelled timers."""
         if not self.events_processed:
             return 0.0
         return self.dead_entries_skipped / self.events_processed
 
     @property
     def dead_entries_pending(self):
-        """Cancelled timers still sitting in the heap (lazy deletion)."""
+        """Cancelled timers still queued (lazy deletion)."""
         return self._dead_pending
 
     def _schedule_at(self, when, callback):
-        if when < self._now:
-            raise SimError(f"cannot schedule in the past ({when} < {self._now})")
-        self._sequence += 1
-        heapq.heappush(self._queue, (when, self._sequence, callback))
+        now = self._now
+        if when < now:
+            raise SimError(f"cannot schedule in the past ({when} < {now})")
+        if when == now:
+            self._ready.append(callback)
+        else:
+            self._sequence += 1
+            heapq.heappush(self._queue, (when, self._sequence, callback))
 
     def call_soon(self, callback):
         """Run ``callback()`` at the current instant, after everything
-        already queued for it: a bare heap entry, no event."""
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now, self._sequence, callback))
-
-    # The kernel's own zero-delay hops (event dispatch, process start)
-    # are the same entry; an alias, not a wrapper, so they pay no frame.
-    _schedule_now = call_soon
+        already queued for it: a bare ready-queue entry, no event."""
+        self._ready.append(callback)
 
     def call_later(self, delay, callback):
         """Run ``callback()`` ``delay`` seconds from now. Unlike
         :meth:`sleep` there is no :class:`Timer` to wait on or cancel
-        and no dispatch hop: the callback *is* the heap entry."""
+        and no dispatch hop: the callback *is* the queue entry."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._sequence += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, self._sequence, callback))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(callback)
+        else:
+            self._sequence += 1
+            heapq.heappush(self._queue, (when, self._sequence, callback))
 
     # ------------------------------------------------------------------
     # Waitables
@@ -154,8 +192,13 @@ class Kernel:
         if delay < 0:
             raise ValueError(f"negative sleep: {delay}")
         timer = Timer(self, value)
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, timer))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(timer)
+        else:
+            self._sequence += 1
+            heapq.heappush(self._queue, (when, self._sequence, timer))
         return timer
 
     def timeout(self, delay, value=None):
@@ -199,63 +242,70 @@ class Kernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def step(self):
-        """Execute the next scheduled callback; returns False when empty."""
-        queue = self._queue
-        if not queue:
-            return False
-        when, _seq, callback = heapq.heappop(queue)
-        self._now = when
-        self.events_processed += 1
-        callback()
-        return True
+    # Both loops pick the next entry the same way (module docstring):
+    # the ready queue while it holds anything, else the heap's top,
+    # which advances the clock and moves the other heap entries due at
+    # that instant to the ready queue.
 
     def run(self, until=None):
-        """Run until the queue drains, or simulated time passes ``until``.
+        """Run until the queues drain, or simulated time passes ``until``.
 
         If ``until`` is given, time is advanced exactly to ``until`` on
-        return (even if the queue drained earlier), so repeated
+        return (even if the queues drained earlier), so repeated
         ``run(until=...)`` calls observe a monotone clock.
         """
         if until is not None and until < self._now:
             raise SimError(f"run(until={until}) is in the past (now={self._now})")
+        horizon = float("inf") if until is None else until
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
+        append = ready.append
         pop = heapq.heappop
-        if until is None:
-            while queue:
+        while True:
+            if ready:
+                callback = popleft()
+            elif queue and queue[0][0] <= horizon:
                 when, _seq, callback = pop(queue)
                 self._now = when
-                self.events_processed += 1
-                callback()
-        else:
-            while queue and queue[0][0] <= until:
-                when, _seq, callback = pop(queue)
-                self._now = when
-                self.events_processed += 1
-                callback()
+                while queue and queue[0][0] == when:
+                    append(pop(queue)[2])
+            else:
+                break
+            self.events_processed += 1
+            callback()
+        if until is not None:
             self._now = until
 
     def run_until_complete(self, process, limit=None):
         """Run until ``process`` finishes; return its value.
 
         Raises the process's exception if it failed, and
-        :class:`SimError` if the queue drains (or ``limit`` simulated
+        :class:`SimError` if the queues drain (or ``limit`` simulated
         seconds pass) before the process completes.
         """
-        deadline = None if limit is None else self._now + limit
+        deadline = float("inf") if limit is None else self._now + limit
+        if process.state is PENDING and self._now > deadline:
+            raise SimError(f"process {process.name!r} did not finish within {limit}s")
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
+        append = ready.append
         pop = heapq.heappop
+        # The clock moves only below, after the deadline check, so it is
+        # never past the deadline inside the loop.
         while process.state is PENDING:
-            if deadline is not None and (
-                self._now > deadline
-                or (queue and queue[0][0] > deadline)
-            ):
-                raise SimError(f"process {process.name!r} did not finish within {limit}s")
-            if not queue:
+            if ready:
+                callback = popleft()
+            elif queue:
+                if queue[0][0] > deadline:
+                    raise SimError(f"process {process.name!r} did not finish within {limit}s")
+                when, _seq, callback = pop(queue)
+                self._now = when
+                while queue and queue[0][0] == when:
+                    append(pop(queue)[2])
+            else:
                 raise SimError(f"deadlock: queue drained before {process.name!r} finished")
-            when, _seq, callback = pop(queue)
-            self._now = when
             self.events_processed += 1
             callback()
         if process.state == "failed":

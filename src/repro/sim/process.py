@@ -13,7 +13,7 @@ current suspension point.
 """
 
 from .errors import Interrupt, ProcessKilled
-from .events import FAILED, Event
+from .events import FAILED, PENDING, Event
 
 
 class Process(Event):
@@ -31,7 +31,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on = None
         self._pending_kill = None
-        kernel._schedule_now(self._start)
+        kernel._ready.append(self._start)
 
     def _start(self):
         self._resume(None)
@@ -61,7 +61,7 @@ class Process(Event):
         if self._waiting_on is not None:
             self._waiting_on.remove_callback(self._on_wait_done)
             self._waiting_on = None
-        self._kernel._schedule_now(self._fire_pending)
+        self._kernel._ready.append(self._fire_pending)
 
     def _fire_pending(self):
         exc, self._pending_kill = self._pending_kill, None
@@ -73,13 +73,13 @@ class Process(Event):
 
     def _on_wait_done(self, event):
         self._waiting_on = None
-        if event.state == FAILED:
+        if event.state is FAILED:
             self._resume(None, throw=event.exception)
         else:
             self._resume(event.value)
 
     def _resume(self, value, throw=None):
-        if self.triggered:
+        if self.state is not PENDING:
             return
         try:
             if throw is not None:

@@ -443,9 +443,6 @@ class TestEventEdgeCases:
         with pytest.raises(TypeError):
             kernel.event().fail("not an exception")
 
-    def test_step_returns_false_when_empty(self, kernel):
-        assert kernel.step() is False
-
     def test_run_until_complete_respects_limit(self, kernel):
         def slow():
             yield kernel.sleep(100.0)
