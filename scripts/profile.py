@@ -37,6 +37,13 @@ with how many adds coalesced into a key already queued and how many
 became a pass. ``WorkQueue.add`` / ``add_after`` and the watch sources'
 ``subscribe`` / ``keys_of`` are wrapped from here; no profiler runs.
 
+``--lists`` asks it of the cluster's API server: which functions call
+``ApiServer.list`` and through which pod index (``owner``, ``node``,
+``unscheduled``, or ``none``: a full list of the kind, narrowed by
+namespace or selector at most), with shares of all lists. It sizes the
+terms a watch could replace. ``ApiServer.list`` is wrapped from here;
+no profiler runs.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
@@ -46,6 +53,7 @@ Usage::
     PYTHONPATH=src python scripts/profile.py --events --workload scale
     PYTHONPATH=src python scripts/profile.py --rpcs --workload scale
     PYTHONPATH=src python scripts/profile.py --passes --workload chaos
+    PYTHONPATH=src python scripts/profile.py --lists --workload scale
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -298,6 +306,59 @@ def pass_census(run):
             row(count, coalesced[kind, cause], "", cause)
 
 
+def list_census(run, lines):
+    """Count every ``ApiServer.list`` of ``run()`` by its calling
+    function and by the pod index it is served from."""
+    from repro.cluster.apiserver import ApiServer
+
+    calls = Counter()  # (caller, index) -> lists
+    plain_list = ApiServer.list
+
+    def counted_list(self, kind, namespace=None, selector=None, owner=None,
+                     node_name=None, unscheduled=False):
+        code = sys._getframe(1).f_code
+        caller = f"{module_name(code.co_filename)}.{code.co_qualname}"
+        index = "none"
+        if kind == "Pod":  # list()'s own precedence among the indexes
+            if unscheduled:
+                index = "unscheduled"
+            elif node_name is not None:
+                index = "node"
+            elif owner is not None:
+                index = "owner"
+        calls[caller, index] += 1
+        return plain_list(self, kind, namespace=namespace, selector=selector,
+                          owner=owner, node_name=node_name,
+                          unscheduled=unscheduled)
+
+    ApiServer.list = counted_list
+    try:
+        result = run()
+    finally:
+        ApiServer.list = plain_list
+    print_result(result)
+    total = sum(calls.values())
+    by_caller = Counter()
+    by_index = Counter()
+    for (caller, index), count in calls.items():
+        by_caller[caller] += count
+        by_index[index] += count
+
+    def share(count):
+        return f"{100.0 * count / total:5.1f} %"
+
+    print(f"--- who lists the API server's resources ({total} lists) ---")
+    print("    lists    share  index")
+    for index, count in by_index.most_common():
+        print(f"{count:>9}  {share(count)}  {index}")
+    print(f"\n    lists    share  caller (top {lines})")
+    for caller, count in by_caller.most_common(lines):
+        print(f"{count:>9}  {share(count)}  {caller}")
+    print(f"\n    lists    share  caller . index (top {lines})")
+    for (caller, index), count in calls.most_common(lines):
+        print(f"{count:>9}  {share(count)}  {caller} . {index}")
+
+
 def module_name(filename):
     """``repro.grpcnet.network`` for ``…/src/repro/grpcnet/network.py``,
     whichever checkout ``PYTHONPATH`` points at."""
@@ -411,6 +472,11 @@ def main(argv=None):
                         help="instead of cProfile: what enqueues the "
                              "reconcilers' keys, as reconciler kind x cause "
                              "with coalesced adds and passes")
+    parser.add_argument("--lists", action="store_true",
+                        help="instead of cProfile: who calls ApiServer.list, "
+                             "by calling function and pod index (owner, "
+                             "node, unscheduled, none) with shares of all "
+                             "lists")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:
@@ -433,6 +499,9 @@ def main(argv=None):
         return 0
     if args.passes:
         pass_census(run)
+        return 0
+    if args.lists:
+        list_census(run, args.lines)
         return 0
 
     if args.events:

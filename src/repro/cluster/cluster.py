@@ -43,6 +43,10 @@ class KubernetesCluster:
             PvcController(kernel, self.api, nfs_server),
         ]
         self.kubelets = {}
+        # One Pod watch for every kubelet: a pod event marks its node
+        # for that node's next sync pass (``pods_changed``).
+        self._pod_watch = self.api.watch("Pod")
+        self.dirty_nodes = set()
         self.kubectl = Kubectl(self)
         self._started = False
 
@@ -63,6 +67,17 @@ class KubernetesCluster:
 
     def kubelet_for(self, node_name):
         return self.kubelets.get(node_name)
+
+    def pods_changed(self, node_name):
+        """Whether ``node_name`` was marked dirty since it last asked;
+        clears the mark."""
+        dirty = self.dirty_nodes
+        for _type, pod in iter(self._pod_watch.get_nowait, None):
+            dirty.add(pod.node_name)
+        if node_name not in dirty:
+            return False
+        dirty.remove(node_name)
+        return True
 
     def start(self):
         if self._started:

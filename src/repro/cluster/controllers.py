@@ -40,7 +40,47 @@ class Controller(Polling):
         raise NotImplementedError
 
 
-class JobController(Controller):
+class OwnerController(Controller):
+    """The loop over one owner ``kind`` and its pods. A pass visits only
+    the owners written, or whose pods were written, since the last pass,
+    in ``api.list`` order (DESIGN.md "A pass visits what changed").
+    """
+
+    kind = None
+    _watches = ()  # (owner-kind watch, Pod watch) while subscribed
+
+    def start(self):
+        if not self._watches:
+            self._watches = (self.api.watch(self.kind), self.api.watch("Pod"))
+            # The store keys of the owners the next pass visits; the
+            # relist at subscribe makes the first pass visit them all.
+            self._dirty = {o.metadata.key for o in self.api.list(self.kind)}
+        return super().start()
+
+    def stop(self):
+        for watch in self._watches:
+            watch.cancel()
+        self._watches = ()
+        return super().stop()
+
+    def reconcile(self):
+        owners, pods = self._watches
+        dirty = self._dirty
+        for _type, owner in iter(owners.get_nowait, None):
+            dirty.add(owner.metadata.key)
+        for _type, pod in iter(pods.get_nowait, None):
+            ref = pod.metadata.owner
+            if ref is not None and ref[0] == self.kind:
+                dirty.add((pod.metadata.namespace, ref[1]))
+        if dirty:
+            for owner in self.api.list(self.kind):
+                if owner.metadata.key in dirty:
+                    self.reconcile_owner(owner)
+        # Not reached if an owner raised: then every owner stays dirty.
+        dirty.clear()
+
+
+class JobController(OwnerController):
     """K8S Jobs: run each to completion exactly once, with retries.
 
     This is the abstraction that guarantees Guardian restart (paper
@@ -50,34 +90,33 @@ class JobController(Controller):
     """
 
     name = "job-controller"
+    kind = "Job"
 
-    def reconcile(self):
-        for job in self.api.list("Job"):
-            if job.complete:
-                continue
-            pod = None
-            if job.active_pod is not None:
-                pod = self.api.get_or_none("Pod", job.active_pod,
-                                           job.metadata.namespace)
-            if pod is None:
-                self._create_pod(job)
-                continue
-            if pod.phase == "Succeeded":
-                job.succeeded = True
+    def reconcile_owner(self, job):
+        if job.complete:
+            return
+        pod = None
+        if job.active_pod is not None:
+            pod = self.api.get_or_none("Pod", job.active_pod,
+                                       job.metadata.namespace)
+        if pod is None:
+            self._create_pod(job)
+        elif pod.phase == "Succeeded":
+            job.succeeded = True
+            job.completion_time = self.kernel.now
+            self.api.update(job)
+            self.api.record_event("Job", job.metadata.name, "Completed")
+        elif pod.phase == "Failed":
+            job.failures += 1
+            if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
+                pod.deletion_requested = True
+                self.api.update(pod)
+            job.active_pod = None
+            if job.failures > job.backoff_limit:
+                job.failed = True
                 job.completion_time = self.kernel.now
-                self.api.update(job)
-                self.api.record_event("Job", job.metadata.name, "Completed")
-            elif pod.phase == "Failed":
-                job.failures += 1
-                if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
-                    pod.deletion_requested = True
-                    self.api.update(pod)
-                job.active_pod = None
-                if job.failures > job.backoff_limit:
-                    job.failed = True
-                    job.completion_time = self.kernel.now
-                    self.api.record_event("Job", job.metadata.name, "BackoffLimitExceeded")
-                self.api.update(job)
+                self.api.record_event("Job", job.metadata.name, "BackoffLimitExceeded")
+            self.api.update(job)
 
     def _create_pod(self, job):
         pod_name = f"{job.metadata.name}-r{job.failures}"
@@ -95,7 +134,7 @@ class JobController(Controller):
         self.api.record_event("Job", job.metadata.name, "PodCreated", pod_name)
 
 
-class StatefulSetController(Controller):
+class StatefulSetController(OwnerController):
     """Stable-identity replicas: learner-0..learner-(n-1).
 
     A failed or lost ordinal pod is replaced by a new pod *with the same
@@ -104,29 +143,29 @@ class StatefulSetController(Controller):
     """
 
     name = "statefulset-controller"
+    kind = "StatefulSet"
 
-    def reconcile(self):
-        for sset in self.api.list("StatefulSet"):
-            if sset.deletion_requested:
-                self._tear_down(sset)
-                continue
-            for ordinal in range(sset.replicas):
-                pod_name = sset.pod_name(ordinal)
-                pod = self.api.get_or_none("Pod", pod_name, sset.metadata.namespace)
-                if pod is None:
-                    self._create_pod(sset, ordinal)
-                elif pod.is_terminal() and not pod.deletion_requested:
-                    # Replace: request deletion; next pass recreates.
-                    pod.deletion_requested = True
-                    self.api.update(pod)
-            # Scale down: remove ordinals >= replicas.
-            for pod in self.api.list("Pod", namespace=sset.metadata.namespace,
-                                     owner=("StatefulSet", sset.metadata.name)):
-                ordinal = self._ordinal_of(sset, pod.metadata.name)
-                if ordinal is not None and ordinal >= sset.replicas \
-                        and not pod.deletion_requested:
-                    pod.deletion_requested = True
-                    self.api.update(pod)
+    def reconcile_owner(self, sset):
+        if sset.deletion_requested:
+            self._tear_down(sset)
+            return
+        for ordinal in range(sset.replicas):
+            pod_name = sset.pod_name(ordinal)
+            pod = self.api.get_or_none("Pod", pod_name, sset.metadata.namespace)
+            if pod is None:
+                self._create_pod(sset, ordinal)
+            elif pod.is_terminal() and not pod.deletion_requested:
+                # Replace: request deletion; next pass recreates.
+                pod.deletion_requested = True
+                self.api.update(pod)
+        # Scale down: remove ordinals >= replicas.
+        for pod in self.api.list("Pod", namespace=sset.metadata.namespace,
+                                 owner=("StatefulSet", sset.metadata.name)):
+            ordinal = self._ordinal_of(sset, pod.metadata.name)
+            if ordinal is not None and ordinal >= sset.replicas \
+                    and not pod.deletion_requested:
+                pod.deletion_requested = True
+                self.api.update(pod)
 
     @staticmethod
     def _ordinal_of(sset, pod_name):
@@ -164,35 +203,35 @@ class StatefulSetController(Controller):
             self.api.delete("StatefulSet", sset.metadata.name, sset.metadata.namespace)
 
 
-class DeploymentController(Controller):
+class DeploymentController(OwnerController):
     """Interchangeable replicas for services and helper pods."""
 
     name = "deployment-controller"
+    kind = "Deployment"
 
-    def reconcile(self):
-        for deployment in self.api.list("Deployment"):
-            owned = self.api.list(
-                "Pod", namespace=deployment.metadata.namespace,
-                owner=("Deployment", deployment.metadata.name))
-            if deployment.deletion_requested:
-                for pod in owned:
-                    if not pod.deletion_requested:
-                        pod.deletion_requested = True
-                        self.api.update(pod)
-                if not owned:
-                    self.api.delete("Deployment", deployment.metadata.name,
-                                    deployment.metadata.namespace)
-                continue
-            live = [p for p in owned if not p.is_terminal() and not p.deletion_requested]
+    def reconcile_owner(self, deployment):
+        owned = self.api.list(
+            "Pod", namespace=deployment.metadata.namespace,
+            owner=("Deployment", deployment.metadata.name))
+        if deployment.deletion_requested:
             for pod in owned:
-                if pod.is_terminal() and not pod.deletion_requested:
+                if not pod.deletion_requested:
                     pod.deletion_requested = True
                     self.api.update(pod)
-            for _ in range(deployment.replicas - len(live)):
-                self._create_pod(deployment)
-            for pod in live[deployment.replicas:]:
+            if not owned:
+                self.api.delete("Deployment", deployment.metadata.name,
+                                deployment.metadata.namespace)
+            return
+        live = [p for p in owned if not p.is_terminal() and not p.deletion_requested]
+        for pod in owned:
+            if pod.is_terminal() and not pod.deletion_requested:
                 pod.deletion_requested = True
                 self.api.update(pod)
+        for _ in range(deployment.replicas - len(live)):
+            self._create_pod(deployment)
+        for pod in live[deployment.replicas:]:
+            pod.deletion_requested = True
+            self.api.update(pod)
 
     def _create_pod(self, deployment):
         labels = dict(deployment.template.labels)
@@ -220,10 +259,12 @@ class NodeController(Controller):
             stale = now - node.last_heartbeat > self.eviction_timeout
             if stale and node.condition == READY:
                 node.condition = NOT_READY
+                self.api.update(node)
                 self.api.record_event("Node", node.metadata.name, "NodeNotReady")
                 self._evict_pods(node)
             elif not stale and node.condition == NOT_READY:
                 node.condition = READY
+                self.api.update(node)
                 self.api.record_event("Node", node.metadata.name, "NodeReady")
         self._gc_orphaned_deletions()
 

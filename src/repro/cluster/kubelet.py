@@ -74,7 +74,7 @@ class Kubelet:
         self.node = node
         self.nfs = nfs_server
         self.registry = registry
-        self.cluster = cluster  # for the shared container-log sink
+        self.cluster = cluster  # its ``events`` and the shared pod watch
         self.config = config or KubeletConfig()
         self.alive = False
         # Spawned through the kubelet like everything else on the node:
@@ -99,6 +99,7 @@ class Kubelet:
         if self.alive:
             return self
         self.alive = True
+        self._changed()
         self.node.last_heartbeat = self.kernel.now
         for loop in self._loops:
             loop.start()
@@ -138,7 +139,18 @@ class Kubelet:
     def _heartbeat(self):
         self.node.last_heartbeat = self.kernel.now
 
+    def _changed(self):
+        """Mark this node for the next sync: ``sync_once`` reads
+        ``_pod_workers`` and ``_terminating``, so dropping a uid from
+        either is a change, as a write to one of its pods is."""
+        self.cluster.dirty_nodes.add(self.node.metadata.name)
+
     def sync_once(self):
+        # A pass is a function of the node's pods and the two sets
+        # above: with neither changed since the last pass it does
+        # nothing (DESIGN.md "A pass visits what changed").
+        if not self.cluster.pods_changed(self.node.metadata.name):
+            return
         for pod in self.api.list("Pod", node_name=self.node.metadata.name):
             uid = pod.metadata.uid
             if pod.deletion_requested:
@@ -200,6 +212,7 @@ class Kubelet:
             self.api.record_event("Pod", pod.metadata.name, pod.phase)
         finally:
             self._pod_workers.pop(uid, None)
+            self._changed()
 
     def _provision_volumes(self, pod):
         mounts = {}
@@ -307,6 +320,7 @@ class Kubelet:
             self._finalize_deletion(pod)
         finally:
             self._terminating.discard(uid)
+            self._changed()
         return None
 
     def kill_pod_containers(self, pod):
@@ -314,6 +328,7 @@ class Kubelet:
         uid = pod.metadata.uid
         worker = self._pod_workers.pop(uid, None)
         if worker is not None:
+            self._changed()
             worker.kill("pod terminated")
         for (pod_uid, name), supervisor in list(self._supervisors.items()):
             if pod_uid == uid:

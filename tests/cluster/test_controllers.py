@@ -152,6 +152,7 @@ class TestStatefulSetController:
         cluster.api.create(sset)
         kernel.run(until=5.0)
         sset.replicas = 1
+        cluster.api.update(sset)
         kernel.run(until=15.0)
         names = sorted(p.metadata.name for p in cluster.kubectl.get_pods())
         assert names == ["learner-0"]
@@ -168,6 +169,7 @@ class TestStatefulSetController:
         cluster.api.create(sset)
         kernel.run(until=5.0)
         sset.deletion_requested = True
+        cluster.api.update(sset)
         kernel.run(until=20.0)
         assert cluster.kubectl.get_pods() == []
         assert not cluster.api.exists("StatefulSet", "learner")
@@ -218,9 +220,11 @@ class TestDeploymentController:
         cluster.api.create(deployment)
         kernel.run(until=5.0)
         deployment.replicas = 3
+        cluster.api.update(deployment)
         kernel.run(until=10.0)
         assert len(cluster.kubectl.get_pods(selector={"deployment": "api"})) == 3
         deployment.replicas = 1
+        cluster.api.update(deployment)
         kernel.run(until=20.0)
         live = [p for p in cluster.kubectl.get_pods(selector={"deployment": "api"})
                 if not p.deletion_requested]
@@ -257,6 +261,23 @@ class TestNodeFailure:
         cluster.restart_node("node-0")
         kernel.run(until=15.0)
         assert cluster.api.get("Node", "node-0", namespace="").condition == READY
+
+    def test_readiness_flips_are_api_writes(self, kernel, cluster):
+        watch = cluster.api.watch("Node")
+        seen = []
+
+        def watcher():
+            while True:
+                event_type, node = yield watch.get()
+                seen.append((event_type, node.metadata.name, node.condition))
+
+        kernel.spawn(watcher())
+        cluster.crash_node("node-0")
+        kernel.run(until=10.0)
+        cluster.restart_node("node-0")
+        kernel.run(until=15.0)
+        assert seen == [("MODIFIED", "node-0", NOT_READY),
+                        ("MODIFIED", "node-0", READY)]
 
     def test_statefulset_pod_moves_off_dead_node(self, kernel, cluster):
         def make_workload():

@@ -10,12 +10,14 @@ class TestApiScaling:
         deployment = platform.k8s.api.get("Deployment", "dlaas-api")
         assert len(platform.api_balancer.endpoints) == 2
         deployment.replicas = 4
+        platform.k8s.api.update(deployment)
         platform.run_for(15.0)
         assert len(platform.api_balancer.endpoints) == 4
 
     def test_scale_down_removes_endpoints(self, platform):
         deployment = platform.k8s.api.get("Deployment", "dlaas-api")
         deployment.replicas = 1
+        platform.k8s.api.update(deployment)
         platform.run_for(15.0)
         assert len(platform.api_balancer.endpoints) == 1
 
