@@ -44,6 +44,14 @@ namespace or selector at most), with shares of all lists. It sizes the
 terms a watch could replace. ``ApiServer.list`` is wrapped from here;
 no profiler runs.
 
+``--wakes`` asks who the kernel resumes: every process resume, by the
+generator function it resumes in (the innermost of a ``yield from``
+chain, so a Guardian's teardown wait is ``Guardian._await_cluster``,
+not ``Guardian.run``) and by process name with ids collapsed, as shares
+of all resumes. A wait woken by events it does not wait on shows up
+here as a large row. ``Process._resume`` is wrapped from here; no
+profiler runs.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
@@ -54,6 +62,7 @@ Usage::
     PYTHONPATH=src python scripts/profile.py --rpcs --workload scale
     PYTHONPATH=src python scripts/profile.py --passes --workload chaos
     PYTHONPATH=src python scripts/profile.py --lists --workload scale
+    PYTHONPATH=src python scripts/profile.py --wakes --workload scale
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -359,6 +368,49 @@ def list_census(run, lines):
         print(f"{count:>9}  {share(count)}  {caller} . {index}")
 
 
+def wake_census(run, lines):
+    """Count every process resume of ``run()`` by the generator function
+    it resumes in and by process name, ids collapsed."""
+    from repro.sim.events import PENDING
+    from repro.sim.process import Process
+
+    resumes = Counter()  # (function, process) -> resumes
+    plain_resume = Process._resume
+
+    def counted_resume(self, value, throw=None):
+        if self.state is PENDING:  # else _resume returns at once
+            generator = self._generator
+            inner = generator.gi_yieldfrom
+            while inner is not None and hasattr(inner, "gi_code"):
+                generator, inner = inner, inner.gi_yieldfrom
+            code = generator.gi_code
+            function = f"{module_name(code.co_filename)}.{code.co_qualname}"
+            resumes[function, re.sub(r"\d+", "*", self.name)] += 1
+        return plain_resume(self, value, throw)
+
+    Process._resume = counted_resume
+    try:
+        result = run()
+    finally:
+        Process._resume = plain_resume
+    print_result(result)
+    total = sum(resumes.values())
+    by_function = Counter()
+    for (function, _process), count in resumes.items():
+        by_function[function] += count
+
+    def share(count):
+        return f"{100.0 * count / total:5.1f} %"
+
+    print(f"--- who the kernel resumes ({total} resumes) ---")
+    print(f"  resumes    share  generator function (top {lines})")
+    for function, count in by_function.most_common(lines):
+        print(f"{count:>9}  {share(count)}  {function}")
+    print(f"\n  resumes    share  generator function [process] (top {lines})")
+    for (function, process), count in resumes.most_common(lines):
+        print(f"{count:>9}  {share(count)}  {function} [{process}]")
+
+
 def module_name(filename):
     """``repro.grpcnet.network`` for ``…/src/repro/grpcnet/network.py``,
     whichever checkout ``PYTHONPATH`` points at."""
@@ -477,6 +529,10 @@ def main(argv=None):
                              "by calling function and pod index (owner, "
                              "node, unscheduled, none) with shares of all "
                              "lists")
+    parser.add_argument("--wakes", action="store_true",
+                        help="instead of cProfile: process resumes by "
+                             "generator function and process name, with "
+                             "shares of all resumes")
     args = parser.parse_args(argv)
     if args.heap:
         if not args.workload:
@@ -502,6 +558,9 @@ def main(argv=None):
         return 0
     if args.lists:
         list_census(run, args.lines)
+        return 0
+    if args.wakes:
+        wake_census(run, args.lines)
         return 0
 
     if args.events:

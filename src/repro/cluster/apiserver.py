@@ -50,13 +50,16 @@ class ResourceWatch(Channel):
     Behaves exactly like a :class:`Channel` (so existing drain-style
     consumers keep working) but knows how to deregister itself —
     watchers that die without cancelling used to leak in the API
-    server's ``_watchers`` list forever.
+    server's ``_watchers`` list forever. ``owner`` scopes it to the
+    resources of ``kind`` that ``owner`` made, and to the owner object
+    itself when ``owner`` is of ``kind``.
     """
 
-    def __init__(self, api, kind):
+    def __init__(self, api, kind, owner=None):
         super().__init__(api.kernel, name=f"watch:{kind}")
         self._api = api
         self.kind = kind
+        self.owner = owner
 
     def cancel(self):
         """Deregister and close; idempotent."""
@@ -106,6 +109,11 @@ class ApiServer:
         # order}, like ``_filtered``; dropped when the group changes.
         self._pod_group_views = {}
         self._pod_filed = {}  # store key -> groups the pod is filed under
+        # Bumped whenever the unscheduled group gains or loses a pod:
+        # its members' sort keys and scheduling fields are immutable, so
+        # an equal version is the same pending list in the same order.
+        self.unscheduled_version = 0
+        # kind -> {owner, or None for kind-wide -> [ResourceWatch]}
         self._watchers = {}
         self.events = []
 
@@ -204,10 +212,14 @@ class ApiServer:
                 if not members:
                     del self._pod_groups[group]
                 self._pod_group_views.pop(group, None)
+                if group is _UNSCHEDULED:
+                    self.unscheduled_version += 1
         for group in groups:
             if group not in filed:
                 self._pod_groups.setdefault(group, {})[key] = pod
                 self._pod_group_views.pop(group, None)
+                if group is _UNSCHEDULED:
+                    self.unscheduled_version += 1
         if groups:
             self._pod_filed[key] = groups
         else:
@@ -248,39 +260,67 @@ class ApiServer:
     # Watches & events
     # ------------------------------------------------------------------
 
-    def watch(self, kind):
+    def watch(self, kind, owner=None):
         """A :class:`ResourceWatch` receiving (event_type, resource)
-        for ``kind``; call ``cancel()`` when done watching."""
-        channel = ResourceWatch(self, kind)
-        self._watchers.setdefault(kind, []).append(channel)
+        for ``kind``; call ``cancel()`` when done watching.
+
+        With ``owner`` (a ``(kind, name)`` pair) it receives only the
+        events of resources whose ``metadata.owner`` is ``owner``, and
+        of the owner itself: ``watch("Pod", owner=("StatefulSet", "s"))``
+        sees the set's pods, ``watch("StatefulSet",
+        owner=("StatefulSet", "s"))`` the set.
+        """
+        channel = ResourceWatch(self, kind, owner)
+        self._watchers.setdefault(kind, {}).setdefault(owner, []).append(channel)
         return channel
 
     def unwatch(self, channel):
         """Deregister a watch channel and close it; idempotent."""
-        registered = self._watchers.get(getattr(channel, "kind", None), [])
-        try:
+        kind = getattr(channel, "kind", None)
+        owner = getattr(channel, "owner", None)
+        by_owner = self._watchers.get(kind)
+        registered = by_owner.get(owner) if by_owner else None
+        if registered and channel in registered:
             registered.remove(channel)
-        except ValueError:
-            pass
+            if not registered:
+                del by_owner[owner]
+                if not by_owner:
+                    del self._watchers[kind]
         if not channel.closed:
             channel.close()
 
     def watcher_count(self, kind=None):
-        """Live watch registrations (observability + leak tests)."""
-        if kind is not None:
-            return len(self._watchers.get(kind, []))
-        return sum(len(channels) for channels in self._watchers.values())
+        """Live watch registrations, kind-wide and owner-scoped
+        (observability + leak tests)."""
+        kinds = [kind] if kind is not None else list(self._watchers)
+        return sum(len(channels) for k in kinds
+                   for channels in self._watchers.get(k, {}).values())
 
     def _notify(self, kind, event_type, resource):
-        channels = self._watchers.get(kind)
-        if not channels:
+        by_owner = self._watchers.get(kind)
+        if not by_owner:
             return
-        live = [c for c in channels if not c.closed]
-        if len(live) != len(channels):
-            # Prune channels closed without cancel() (crashed watchers).
-            self._watchers[kind] = live
-        for channel in live:
-            channel.put((event_type, resource))
+        event = (event_type, resource)
+        metadata = resource.metadata
+        # The kind-wide watchers, the owner's, and the resource's own.
+        itself = (kind, metadata.name)
+        keys = ((None, itself) if metadata.owner is None
+                else (None, metadata.owner, itself))
+        for owner in keys:
+            channels = by_owner.get(owner)
+            if not channels:
+                continue
+            live = [c for c in channels if not c.closed]
+            if len(live) != len(channels):
+                # Prune channels closed without cancel() (crashed watchers).
+                if live:
+                    by_owner[owner] = live
+                else:
+                    del by_owner[owner]
+            for channel in live:
+                channel.put(event)
+        if not by_owner:
+            del self._watchers[kind]
 
     def record_event(self, kind, name, reason, message=""):
         event = ClusterEvent(self.kernel.now, kind, name, reason, message)

@@ -14,6 +14,15 @@ from ..sim.periodic import Periodic, Polling
 UNSCHEDULABLE_REPORT_INTERVAL = 30.0
 
 
+def _fit_state(nodes):
+    """Everything about ``nodes`` a placement reads that can change:
+    which nodes there are, their readiness and what is allocated on
+    them (``Node.release`` is an in-memory write no watch sees)."""
+    return tuple((node, node.condition, node.allocated_gpus,
+                  node.allocated_cpu, node.allocated_memory)
+                 for node in nodes)
+
+
 class Scheduler(Polling):
     """Binds pending pods to nodes."""
 
@@ -34,6 +43,12 @@ class Scheduler(Polling):
         # The unschedulable set: uid of a pod no pass could place (a
         # gang: of its first member) -> when that was last reported.
         self.parked = {}
+        # Set by a pass that bound nothing and parked every pod it
+        # tried: (the API server's unscheduled version, the nodes' fit
+        # state, the pending count, the earliest report among those
+        # pods). While the version and the fit state stand and no
+        # report is due, a pass would do nothing (see ``_quiet``).
+        self._quiet_state = None
         if metrics is not None:
             self._m_pending = metrics.gauge(
                 "scheduler_pending_pods",
@@ -49,6 +64,7 @@ class Scheduler(Polling):
     def start(self):
         if not self._loop.running:
             self.parked = {}  # a restarted scheduler reports afresh
+            self._quiet_state = None
             self._loop.start()
         return self
 
@@ -62,6 +78,10 @@ class Scheduler(Polling):
         A partially-pending gang (e.g. one crashed learner being
         replaced while its siblings run) schedules member-by-member.
         """
+        if self._quiet():
+            return 0
+        self._quiet_state = None
+        version = self.api.unscheduled_version
         pending = self.api.list("Pod", unscheduled=True)
         if self._m_pending is not None:
             self._m_pending.set(len(pending))
@@ -87,16 +107,46 @@ class Scheduler(Polling):
         # and the node scan is skipped for every later pod of that
         # shape.
         no_room = set()
+        tried = []  # the pod each bind attempt reports under
         for pod in pending:
             gang = pod.spec.gang
             if gang is not None and len(gang_members[gang]) >= pod.spec.gang_size:
                 if gang in scheduled_gangs:
                     continue
                 scheduled_gangs.add(gang)
+                tried.append(gang_members[gang][0].metadata.uid)
                 bound += self._bind_gang(gang_members[gang], nodes, no_room)
                 continue
+            tried.append(pod.metadata.uid)
             bound += self._bind_one(pod, nodes, no_room)
+        reported = [self.parked.get(uid) for uid in tried]
+        if not bound and None not in reported:
+            self._quiet_state = (version, _fit_state(nodes), len(pending),
+                                 min(reported))
         return bound
+
+    def _quiet(self):
+        """Would a pass now bind nothing and report nothing?
+
+        True when the last pass bound nothing and parked every pod it
+        tried, and since then the pending list (the API server's
+        unscheduled version) and every node's fit state are unchanged
+        and no parked pod's report is due: the pass would try the same
+        pods on the same nodes, fail the same way and stay silent. Sets
+        ``scheduler_pending_pods`` as the pass would. Costs the nodes,
+        not the pods.
+        """
+        quiet = self._quiet_state
+        if quiet is None:
+            return False
+        version, fit, count, reported = quiet
+        if (version != self.api.unscheduled_version
+                or self.kernel.now - reported >= UNSCHEDULABLE_REPORT_INTERVAL
+                or fit != _fit_state(self.api.list("Node", namespace=""))):
+            return False
+        if self._m_pending is not None:
+            self._m_pending.set(count)
+        return True
 
     def _find_node(self, pod, nodes, no_room, tentative=False):
         """``_pick_node`` behind the pass's ``no_room`` memo.

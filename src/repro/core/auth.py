@@ -80,13 +80,6 @@ class Metering:
             upsert=True,
         )
 
-    def record_gpu_seconds(self, tenant, gpu_seconds):
-        yield from self.mongo.update_one(
-            "metering", {"tenant": tenant},
-            {"$inc": {"gpu_seconds": gpu_seconds}},
-            upsert=True,
-        )
-
     def report(self, tenant):
         doc = yield from self.mongo.find_one("metering", {"tenant": tenant})
         return doc or {"tenant": tenant, "api_calls_total": 0}

@@ -246,41 +246,61 @@ class Guardian:
 
         Teardown only *requests* deletion; redeploying same-named
         resources before the old ones finish terminating would conflict
-        and burn a deployment attempt for no reason. Wakes on API-server
-        deletion events; ``GUARDIAN_ROLLBACK_RESYNC`` is the periodic
-        fallback cadence.
+        and burn a deployment attempt for no reason. Wakes on the
+        API-server events of the job's StatefulSet, Deployment and their
+        pods; ``GUARDIAN_ROLLBACK_RESYNC`` is the periodic fallback
+        cadence.
         """
-        job_id = self.job_id
+        owners = self._workload_owners()
 
         def gone():
-            return not (
-                self.k8s.exists("StatefulSet", layout.learner_set_name(job_id))
-                or self.k8s.exists("Deployment", layout.helper_deployment_name(job_id))
-                or self._workload_pods()
-            )
+            return not (any(self.k8s.exists(kind, name) for kind, name in owners)
+                        or self._workload_pods())
 
-        yield from self._await_cluster(
-            gone, kinds=("Pod", "StatefulSet", "Deployment"),
-            resync=GUARDIAN_ROLLBACK_RESYNC,
-        )
+        pods = [("Pod", owner) for owner in owners]
+        themselves = [(owner[0], owner) for owner in owners]
+        return (yield from self._await_cluster(
+            gone, pods + themselves, resync=GUARDIAN_ROLLBACK_RESYNC))
+
+    def _await_pods_gone(self):
+        """Wait for the job's pods to actually terminate before cleaning
+        ETCD: a still-running controller would otherwise re-publish
+        statuses into keys we just deleted. Wakes on the job's own Pod
+        events, with ``GUARDIAN_TEARDOWN_RESYNC`` as the fallback."""
+
+        def pods_gone():
+            return not self._workload_pods()
+
+        pods = [("Pod", owner) for owner in self._workload_owners()]
+        return (yield from self._await_cluster(
+            pods_gone, pods, resync=GUARDIAN_TEARDOWN_RESYNC))
+
+    def _workload_owners(self):
+        """The (kind, name) of the job's learner StatefulSet and helper
+        Deployment: the owners of every pod the job runs."""
+        job_id = self.job_id
+        return (("StatefulSet", layout.learner_set_name(job_id)),
+                ("Deployment", layout.helper_deployment_name(job_id)))
 
     def _workload_pods(self):
         """The job's learner and helper pods still in the API server:
         everything labelled with the job except this Guardian's own pod,
         read from the owner index rather than a label scan."""
-        job_id = self.job_id
-        return (
-            self.k8s.list("Pod", owner=("StatefulSet",
-                                        layout.learner_set_name(job_id)))
-            + self.k8s.list("Pod", owner=("Deployment",
-                                          layout.helper_deployment_name(job_id)))
-        )
+        pods = []
+        for owner in self._workload_owners():
+            pods += self.k8s.list("Pod", owner=owner)
+        return pods
 
-    def _await_cluster(self, cond, kinds, resync, timeout=60.0):
-        """Wait (bounded) until ``cond()`` holds, waking on API-server
-        watch events for ``kinds``; ``resync`` is the level-triggered
-        fallback. Returns ``cond()`` at exit."""
-        watches = [self.k8s.watch(kind) for kind in kinds]
+    def _await_cluster(self, cond, watched, resync, timeout=60.0):
+        """Wait (bounded) until ``cond()`` holds, waking on the
+        API-server events of ``watched``, ``(kind, owner)`` pairs as
+        :meth:`ApiServer.watch` scopes them; ``resync`` is the
+        level-triggered fallback. Returns ``cond()`` at exit.
+
+        ``cond`` must read only what those watches report: a pod leaves
+        its owner's index only by an API delete, which its owner's
+        watch sees, so no other event can make ``cond`` true."""
+        watches = [self.k8s.watch(kind, owner=owner) for kind, owner in watched]
         deadline = self.kernel.now + timeout
         try:
             while not cond() and self.kernel.now < deadline:
@@ -528,18 +548,7 @@ class Guardian:
             "guardian.teardown", component="guardian", parent=self.span,
             job=self.job_id, final_status=final_status)
         yield from self._teardown()
-
-        # Wait for the job's pods to actually terminate before cleaning
-        # ETCD: a still-running controller would otherwise re-publish
-        # statuses into keys we just deleted. Wakes on Pod deletion
-        # events, with ``GUARDIAN_TEARDOWN_RESYNC`` as the fallback.
-        def pods_gone():
-            return not self._workload_pods()
-
-        yield from self._await_cluster(
-            pods_gone, kinds=("Pod",),
-            resync=GUARDIAN_TEARDOWN_RESYNC,
-        )
+        yield from self._await_pods_gone()
         yield from self._cleanup_etcd()
         yield from self.mongo.update_one(
             "jobs", {"job_id": self.job_id},

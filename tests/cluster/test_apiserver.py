@@ -6,20 +6,23 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import (
     ConflictError,
     ContainerSpec,
+    Deployment,
     ImageRegistry,
     NotFoundError,
     Pod,
     PodSpec,
+    PodTemplate,
     RESTART_NEVER,
+    StatefulSet,
 )
 from repro.cluster.apiserver import ApiServer
 from repro.sim import Kernel
 
 
-def make_pod(name, labels=None):
+def make_pod(name, labels=None, owner=None):
     spec = PodSpec(containers=[ContainerSpec("c", "img")],
                    restart_policy=RESTART_NEVER)
-    return Pod(name, spec, labels=labels)
+    return Pod(name, spec, labels=labels, owner=owner)
 
 
 @pytest.fixture
@@ -146,6 +149,8 @@ class TestPodIndexes:
         kernel = Kernel(seed=0)
         api = ApiServer(kernel)
         for operation in operations:
+            pending = api.list("Pod", unscheduled=True)
+            version = api.unscheduled_version
             verb = operation[0]
             if verb == "tick":
                 kernel.run(until=kernel.now + 1.0)
@@ -172,6 +177,10 @@ class TestPodIndexes:
                 else:
                     api.update(pod)
             assert_indexes_match_full_list(api)
+            # The scheduler's quiet pass rests on this: an equal version
+            # is an equal pending list.
+            assert ((api.unscheduled_version == version)
+                    == (api.list("Pod", unscheduled=True) == pending))
 
     def test_same_name_same_instant_orders_by_namespace(self, api):
         # (creation_time, name) ties only across namespaces; the
@@ -238,6 +247,56 @@ class TestWatches:
         api.create(make_pod("p"))
         assert api.watcher_count("Pod") == 1
         assert len(kept) == 1
+
+    def test_owner_scoped_watch_sees_its_owner_and_its_pods(self, api):
+        owner = ("StatefulSet", "s")
+        pods = api.watch("Pod", owner=owner)
+        itself = api.watch("StatefulSet", owner=owner)
+        everything = api.watch("Pod")
+        api.create(make_pod("s-0", owner=owner))
+        api.create(make_pod("t-0", owner=("StatefulSet", "t")))
+        api.create(make_pod("bare"))
+        api.create(StatefulSet("t", PodTemplate(lambda: None), 1))
+        api.create(StatefulSet("s", PodTemplate(lambda: None), 1))
+        api.delete("Pod", "s-0")
+        api.delete("StatefulSet", "s")
+
+        def drain(channel):
+            return [(event, resource.metadata.name)
+                    for event, resource in iter(channel.get_nowait, None)]
+
+        assert drain(pods) == [("ADDED", "s-0"), ("DELETED", "s-0")]
+        assert drain(itself) == [("ADDED", "s"), ("DELETED", "s")]
+        assert len(drain(everything)) == 4
+        assert api.watcher_count("Pod") == 2
+        assert api.watcher_count("StatefulSet") == 1
+        assert api.watcher_count() == 3
+
+    def test_owner_scoped_watches_leave_no_registration(self, api):
+        owner = ("Deployment", "d")
+        watches = [api.watch("Pod", owner=owner), api.watch("Pod", owner=owner),
+                   api.watch("Deployment", owner=owner)]
+        assert api.watcher_count() == 3
+        for watch in watches:
+            watch.cancel()
+            watch.cancel()  # idempotent
+        assert api.watcher_count() == 0
+        assert api._watchers == {}
+        # A watcher that died without cancelling is pruned by the next
+        # event of its key, and its key goes with it.
+        kept = api.watch("Pod", owner=owner)
+        leaked = api.watch("Pod", owner=owner)
+        crashed = api.watch("Deployment", owner=owner)
+        leaked.close()
+        crashed.close()
+        api.create(make_pod("d-0", owner=owner))
+        assert api.watcher_count() == 2
+        assert len(kept) == 1
+        api.create(Deployment("d", PodTemplate(lambda: None), 1))
+        assert api.watcher_count() == 1
+        kept.cancel()
+        assert api.watcher_count() == 0
+        assert api._watchers == {}
 
     def test_unwatch_tolerates_foreign_channel(self, api):
         other = ApiServer(api.kernel)

@@ -23,8 +23,11 @@ from repro.sim import Kernel
 
 
 class BruteForceScheduler(Scheduler):
-    """No memo, no parking: every pod gets its own node scan and every
-    failure its report."""
+    """No memo, no parking, no quiet pass: every pod gets its own node
+    scan and every failure its report."""
+
+    def _quiet(self):
+        return False
 
     def _find_node(self, pod, nodes, no_room, tentative=False):
         return self._pick_node(pod, nodes)
