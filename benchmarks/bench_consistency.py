@@ -39,8 +39,7 @@ from repro.bench import build_platform, render_table
 # Tight monitoring cadence so the online auditor gets many passes per
 # soak; recording itself is timeline-neutral regardless.
 FAST = dict(history_recording=True, audit_interval=2.0,
-            scrape_interval=0.25, alert_eval_interval=0.25,
-            event_flush_interval=1.0)
+            scrape_interval=0.25, alert_eval_interval=0.25)
 
 SOAK = dict(clients=4, keys=6, duration=40.0)
 SOAK_SMOKE = dict(clients=3, keys=4, duration=15.0)

@@ -41,7 +41,7 @@ from repro.raftkv import EtcdClient
 # Tight cadence + short divergence window: the bench measures detector
 # latency, not scrape cadence.
 FAST = dict(scrape_interval=0.05, alert_eval_interval=0.05,
-            event_flush_interval=0.5, gray_window=2.0, gray_alert_for=0.4)
+            gray_window=2.0, gray_alert_for=0.4)
 
 BASELINE_S = 3.0       # healthy traffic before the injection
 FAULT_DURATION = 6.0

@@ -23,8 +23,7 @@ from repro.audit.nemesis import NemesisSoak, seeded_stale_read_scenario  # noqa:
 from repro.bench import build_platform  # noqa: E402
 
 CONFIG = dict(history_recording=True, audit_interval=2.0,
-              scrape_interval=0.25, alert_eval_interval=0.25,
-              event_flush_interval=1.0)
+              scrape_interval=0.25, alert_eval_interval=0.25)
 
 
 def report_soak(seed, duration):

@@ -55,8 +55,7 @@ class ApiService:
                           caller=address, retries=1, retry_backoff=0.2)
         self.server = Server(self.kernel, platform.network, address,
                              service_time=API_SERVICE_TIME)
-        for method in ("submit", "status", "list_jobs", "halt", "logs", "usage",
-                       "events", "job_events"):
+        for method in ("submit", "status", "list_jobs", "halt", "logs", "usage"):
             self.server.add_method(method, getattr(self, f"_on_{method}"))
         # The RESTful surface shares the same handlers (§III.c: "both a
         # RESTful API as well as a GRPC API endpoint").
@@ -218,31 +217,6 @@ class ApiService:
         if tail is not None:
             lines = lines[-int(tail):]
         return {"lines": lines}
-
-    @staticmethod
-    def _event_body(doc):
-        return {k: v for k, v in doc.items() if k not in ("_id", "event_key")}
-
-    def _on_events(self, request):
-        """Platform-wide event log (operator view), read from MongoDB
-        where the monitoring stack's flusher persists it."""
-        yield from self._authenticate(request, "events")
-        query = {}
-        for field in ("reason", "type", "kind"):
-            if request.get(field) is not None:
-                query[field] = request[field]
-        docs = yield from self.mongo.find("events", query,
-                                          sort=[("first_time", 1)])
-        return [self._event_body(d) for d in docs]
-
-    def _on_job_events(self, request):
-        """Events involving one job, tenancy-checked like status."""
-        tenant = yield from self._authenticate(request, "job_events")
-        doc = yield from self._load_job(tenant, request["job_id"],
-                                        projection=["job_id"])
-        docs = yield from self.mongo.find("events", {"job": doc["job_id"]},
-                                          sort=[("first_time", 1)])
-        return [self._event_body(d) for d in docs]
 
     def _on_usage(self, request):
         tenant = yield from self._authenticate(request, "usage")

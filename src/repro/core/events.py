@@ -10,9 +10,9 @@ not thousands.
 
 The recorder is pure in-memory bookkeeping on the simulation kernel's
 clock; it never issues RPCs, so recording (or not recording) events
-cannot perturb the simulated timeline. Persistence to the docstore is
-a separate concern (``repro.monitoring.stack.EventFlusher``), as is
-querying over REST (``GET /events``, ``GET /v1/models/{id}/events``).
+cannot perturb the simulated timeline. It is the platform's only event
+log: the alert engine writes to it, and the dashboard and tests read
+it. Nothing persists it (DESIGN.md "A write needs a reader").
 
 ``reason`` strings are a closed, static vocabulary: CamelCase tokens
 registered below (or via :meth:`EventRecorder.register_reason`).
@@ -93,9 +93,9 @@ class PlatformEvent:
     """One (deduplicated) event record."""
 
     __slots__ = ("type", "reason", "kind", "name", "message", "job",
-                 "count", "first_time", "last_time", "seq")
+                 "count", "first_time", "last_time")
 
-    def __init__(self, type, reason, kind, name, message, job, time, seq):
+    def __init__(self, type, reason, kind, name, message, job, time):
         self.type = type
         self.reason = reason
         self.kind = kind
@@ -105,26 +105,10 @@ class PlatformEvent:
         self.count = 1
         self.first_time = time
         self.last_time = time
-        self.seq = seq
 
     @property
     def key(self):
         return (self.type, self.reason, self.kind, self.name)
-
-    def to_doc(self):
-        """Plain-dict form for docstore persistence and REST responses."""
-        return {
-            "event_key": "/".join(self.key),
-            "type": self.type,
-            "reason": self.reason,
-            "kind": self.kind,
-            "name": self.name,
-            "message": self.message,
-            "job": self.job,
-            "count": self.count,
-            "first_time": self.first_time,
-            "last_time": self.last_time,
-        }
 
     def __repr__(self):
         return (f"<{self.type} {self.reason} {self.kind}/{self.name} "
@@ -139,8 +123,6 @@ class EventRecorder:
         self._events = []  # insertion order
         self._by_key = {}
         self._reasons = set(REASONS)
-        self._dirty = {}  # key -> event, touched since last drain
-        self._seq = 0
         if metrics is not None:
             self._m_events = metrics.counter(
                 "platform_events_total", ("type", "reason"),
@@ -179,14 +161,11 @@ class EventRecorder:
             event.count += 1
             event.last_time = self.kernel.now
             event.message = message or event.message
-            self._dirty[key] = event
             return event
-        self._seq += 1
         event = PlatformEvent(type, reason, kind, name, message, job,
-                              self.kernel.now, self._seq)
+                              self.kernel.now)
         self._events.append(event)
         self._by_key[key] = event
-        self._dirty[key] = event
         return event
 
     # ------------------------------------------------------------------
@@ -218,13 +197,3 @@ class EventRecorder:
 
     def __len__(self):
         return len(self._events)
-
-    # ------------------------------------------------------------------
-    # Persistence hook (drained by the monitoring stack's flusher)
-    # ------------------------------------------------------------------
-
-    def drain_dirty(self):
-        """Events created or re-counted since the last drain."""
-        dirty = sorted(self._dirty.values(), key=lambda e: e.seq)
-        self._dirty = {}
-        return dirty

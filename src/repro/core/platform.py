@@ -67,12 +67,10 @@ class PlatformConfig:
 
     # Monitoring subsystem (scrape pipeline + health probes + SLO
     # alerting + gray-failure detection), always built. Collection is
-    # pure in-memory observation and event persistence bypasses the RPC
-    # fabric, so the simulated job timeline is bit-identical with the
-    # stack running or stopped.
+    # pure in-memory observation that issues no RPC, so the simulated
+    # job timeline is bit-identical with the stack running or stopped.
     scrape_interval: float = 1.0
     alert_eval_interval: float = 1.0
-    event_flush_interval: float = 2.0
     # Optional bearer token gating GET /metrics and GET /healthz
     # (None = unauthenticated, the current behaviour).
     metrics_auth: str = None
@@ -153,7 +151,7 @@ class DlaasPlatform:
                                 metrics=self.metrics, events=self.events)
         # mongo_shards=1 keeps the plain replica set (no shard-set
         # object at all); sharded platforms expose shard 0 as
-        # ``self.mongo`` so member-level hooks (chaos, flusher, health)
+        # ``self.mongo`` so member-level hooks (chaos, health)
         # keep their classic ``mongo-<i>`` targets.
         if self.config.mongo_shards > 1:
             from ..docstore import MongoShardSet
@@ -244,14 +242,10 @@ class DlaasPlatform:
             jobs = member.database.collection("jobs")
             jobs.create_index("job_id", unique=True)
             # Secondary equality indexes on the fields the LCM resync
-            # ({status: QUEUED}), API listing ({tenant: ...}) and the
-            # monitoring flusher/event queries ({job: ...}) hammer.
+            # ({status: QUEUED}) and API listing ({tenant: ...}) hammer.
             jobs.create_index("status")
             jobs.create_index("tenant")
             member.database.collection("counters").create_index("_id_name", unique=True)
-            events = member.database.collection("events")
-            events.create_index("job")
-            events.create_index("event_key")
             member.database.collection("metering").create_index("tenant")
 
     def _deploy_core_services(self):

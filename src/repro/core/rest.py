@@ -25,8 +25,6 @@ _ROUTES = (
     ("GET", re.compile(r"^/v1/models/(?P<job_id>[^/]+)$"), "status"),
     ("DELETE", re.compile(r"^/v1/models/(?P<job_id>[^/]+)$"), "halt"),
     ("GET", re.compile(r"^/v1/models/(?P<job_id>[^/]+)/logs$"), "logs"),
-    ("GET", re.compile(r"^/v1/models/(?P<job_id>[^/]+)/events$"), "job_events"),
-    ("GET", re.compile(r"^/events$"), "events"),
     ("GET", re.compile(r"^/v1/usage$"), "usage"),
 )
 

@@ -12,14 +12,13 @@ routes each operation:
 * cross-shard queries (tenant listings, status resyncs) scatter to
   every shard and merge client-side — the only queries that pay for
   the fan-out are the ones that genuinely span the job space;
-* unsharded collections (``counters``, ``events``, ``metering`` — low
-  write volume, no per-job hot path) are pinned to shard 0, so the
-  sequence counter stays a single document and the event flusher keeps
-  one target.
+* unsharded collections (``counters``, ``metering`` — low write
+  volume, no per-job hot path) are pinned to shard 0, so the sequence
+  counter stays a single document.
 
 Shard 0 keeps the classic ``mongo-<i>`` member names so existing
-chaos hooks, health probes and flusher wiring stay valid; shard k>0
-members are ``mongo-s<k>-<i>``.
+chaos hooks and health probes stay valid; shard k>0 members are
+``mongo-s<k>-<i>``.
 """
 
 from .errors import InvalidQuery

@@ -25,14 +25,13 @@ from .dashboard import render_dashboard, sparkline
 from .differential import DifferentialDetector, robust_score, role_of
 from .health import HealthRegistry, PodGroupProbe, Probe, register_platform_probes
 from .scraper import MetricsScraper
-from .stack import EventFlusher, MonitoringStack
+from .stack import MonitoringStack
 
 __all__ = [
     "AlertEngine",
     "AlertRule",
     "Condition",
     "DifferentialDetector",
-    "EventFlusher",
     "FIRING",
     "HealthRegistry",
     "INACTIVE",

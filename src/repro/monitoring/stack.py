@@ -1,14 +1,13 @@
 """Assembly of the monitoring subsystem for a DlaasPlatform.
 
 One object owning the series store, the scraper, the alert engine
-(loaded with the default rule pack and the gray-failure detector) and
-the event flusher. Always constructed by ``DlaasPlatform`` and started
-alongside the core services.
+(loaded with the default rule pack and the gray-failure detector) and,
+when history recording is on, the consistency auditor. Always
+constructed by ``DlaasPlatform`` and started alongside the core
+services.
 
-Everything here observes without perturbing: scraping and rule
-evaluation are pure in-memory reads, and event persistence writes
-*directly* into the Mongo members' databases (the same path bootstrap
-index creation uses) rather than through the RPC fabric. An RPC would
+Everything here observes without perturbing: scraping, rule evaluation
+and auditing are pure in-memory reads that issue no RPC. An RPC would
 consume draws from the shared network-jitter RNG stream and shift
 every subsequent call's latency — the simulated job timeline must be
 bit-identical with the stack running or stopped.
@@ -17,36 +16,7 @@ bit-identical with the stack running or stopped.
 from .alerts import AlertEngine, default_rule_pack
 from .differential import DifferentialDetector
 from .scraper import MetricsScraper
-from ..sim.periodic import Periodic, Polling
 from ..sim.timeseries import TimeSeriesStore
-
-
-class EventFlusher(Polling):
-    """Periodically persists dirty platform events to the docstore."""
-
-    def __init__(self, kernel, recorder, replica_set, interval=1.0):
-        self.kernel = kernel
-        self.recorder = recorder
-        self.replica_set = replica_set
-        self._loop = Periodic(kernel, "event-flusher", self.flush_once,
-                              interval)
-
-    def flush_once(self):
-        """Upsert every event touched since the last flush into each
-        alive member. A member that is down misses the write and
-        catches up through its restart initial sync."""
-        dirty = self.recorder.drain_dirty()
-        if not dirty:
-            return 0
-        for event in dirty:
-            doc = event.to_doc()
-            for member in self.replica_set.members.values():
-                if not member.alive:
-                    continue
-                member.database.collection("events").update_one(
-                    {"event_key": doc["event_key"]}, {"$set": dict(doc)},
-                    upsert=True)
-        return len(dirty)
 
 
 class PlatformScraper(MetricsScraper):
@@ -72,7 +42,7 @@ class PlatformScraper(MetricsScraper):
 
 
 class MonitoringStack:
-    """Scraper + series store + alert engine + event flusher."""
+    """Scraper + series store + alert engine + auditor."""
 
     def __init__(self, platform):
         config = platform.config
@@ -103,16 +73,12 @@ class MonitoringStack:
                 interval=config.audit_interval)
         else:
             self.auditor = None
-        self.flusher = EventFlusher(
-            platform.kernel, platform.events, platform.mongo,
-            interval=config.event_flush_interval)
 
     def start(self):
         self.scraper.start()
         self.engine.start()
         if self.auditor is not None:
             self.auditor.start()
-        self.flusher.start()
         return self
 
     def stop(self):
@@ -120,5 +86,4 @@ class MonitoringStack:
         self.engine.stop()
         if self.auditor is not None:
             self.auditor.stop()
-        self.flusher.stop()
         return self

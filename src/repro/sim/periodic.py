@@ -1,8 +1,8 @@
 """The fixed-interval control loop, written once.
 
-Every polling component of the platform — scraper, alert engine, event
-flusher, auditor, scheduler, workload controllers, kubelet heartbeat
-and sync, slice manager, the reconciler's resync ticker — holds a
+Every polling component of the platform — scraper, alert engine,
+auditor, scheduler, workload controllers, kubelet heartbeat and sync,
+slice manager, the reconciler's resync ticker — holds a
 :class:`Periodic` and keeps only its ``*_once()`` body. What "poll on
 an interval" and what ``stop()`` mean live here and nowhere else.
 """

@@ -22,7 +22,7 @@ ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples", "scripts")
 SETTER_ROOTS = tuple(root for root in ROOTS if root != "tests")
 DEFINITION = REPO_ROOT / "src" / "repro" / "core" / "platform.py"
 
-MAX_FIELDS = 19  # ratchet: lower it when a field goes, never raise it
+MAX_FIELDS = 18  # ratchet: lower it when a field goes, never raise it
 MAX_NEVER_PASSED = 69  # ratchet: the same, for never_passed_parameters()
 
 # Deployment sizes and credentials stay configurable although no caller

@@ -68,7 +68,10 @@ def passes(monkeypatch):
 
 def start_controller(platform, uid="uid-a", learners=1):
     """The controller container of ``JOB`` over a volume of its own,
-    without the rest of the job: the test plays the learner."""
+    without the rest of the job: the test plays the learner. Hold the
+    returned context as the kubelet does: a controller waiting on a
+    stop event nothing references is garbage, and collecting it runs
+    its ``finally``, which stops its reconciler."""
     platform.nfs.create_volume("vol", exist_ok=True)
     mount = platform.nfs.mount("vol")
     ctx = SimpleNamespace(
@@ -161,7 +164,7 @@ class TestQuietLearner:
         platform.run_for(1.0)
         del puts[:]
 
-        start_controller(platform, uid="uid-b", learners=2)
+        _mount, _ctx = start_controller(platform, uid="uid-b", learners=2)
         platform.run_for(30.0)
         # Nothing is remembered across incarnations, so each key that
         # has a file is written once, and then stands.

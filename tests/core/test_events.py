@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import EventRecorder, PlatformEvent, REASONS
+from repro.core.events import EventRecorder, REASONS
 from repro.sim import Kernel, MetricsRegistry
 
 
@@ -94,23 +94,3 @@ class TestQueries:
         counter = registry.counter("platform_events_total", ("type", "reason"))
         # Dedup folds the record but the counter sees every emission.
         assert counter.labels(type="Warning", reason="NfsOutage").value == 2
-
-
-class TestDrainDirty:
-    def test_drain_returns_touched_and_clears(self, recorder):
-        recorder.emit_event("Normal", "Deployed", "Job", "job-1")
-        recorder.emit_event("Warning", "LearnerFailed", "Pod", "p")
-        first = recorder.drain_dirty()
-        assert [e.reason for e in first] == ["Deployed", "LearnerFailed"]
-        assert recorder.drain_dirty() == []
-        # A dedup re-count marks the record dirty again.
-        recorder.emit_event("Normal", "Deployed", "Job", "job-1")
-        assert [e.reason for e in recorder.drain_dirty()] == ["Deployed"]
-
-    def test_to_doc_roundtrip(self, recorder):
-        event = recorder.emit_event("Warning", "JobFailed", "Job", "job-9",
-                                    message="boom", job="job-9")
-        doc = event.to_doc()
-        assert doc["event_key"] == "Warning/JobFailed/Job/job-9"
-        assert doc["count"] == 1 and doc["job"] == "job-9"
-        assert isinstance(event, PlatformEvent)

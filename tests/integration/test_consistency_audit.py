@@ -10,8 +10,7 @@ from repro.audit.nemesis import NemesisSoak, seeded_stale_read_scenario
 from .conftest import make_platform
 
 AUDIT = dict(history_recording=True, audit_interval=1.0,
-             scrape_interval=0.25, alert_eval_interval=0.25,
-             event_flush_interval=1.0)
+             scrape_interval=0.25, alert_eval_interval=0.25)
 
 
 def audit_platform(seed=7, **overrides):

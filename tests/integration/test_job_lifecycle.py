@@ -62,6 +62,9 @@ class TestHappyPath:
         assert leader.state_machine.range(f"jobs/{job_id}/") == []
         # And the GPUs are free again.
         assert platform.k8s.capacity_summary()["gpus_allocated"] == 0
+        # The in-memory event log records the lifecycle against the job.
+        reasons = {e.reason for e in platform.events.events(job=job_id)}
+        assert {"GuardianCreated", "Deployed", "JobCompleted"} <= reasons
 
     def test_guardian_creation_under_three_seconds(self, platform, client):
         # Paper §III.d: Guardian creation is "a very quick (less than

@@ -31,7 +31,6 @@ from repro.core import PlatformConfig
 from repro.core.events import EventRecorder
 from repro.core.partitions import SLICE_TICK, SliceManager
 from repro.monitoring import AlertEngine, MetricsScraper
-from repro.monitoring.stack import EventFlusher
 from repro.nfs import NfsServer
 from repro.sim import Kernel, MetricsRegistry, Reconciler, WatchSource
 from repro.sim.timeseries import TimeSeriesStore
@@ -131,13 +130,6 @@ def scraper(kernel, passes):
     return Case(holder, ["metrics-scraper"], 1.0)
 
 
-def flusher(kernel, passes):
-    holder = passes.spy(EventFlusher, "flush_once")(
-        kernel, EventRecorder(kernel), SimpleNamespace(members={}),
-        interval=1.0)
-    return Case(holder, ["event-flusher"], 1.0)
-
-
 def alert_engine(kernel, passes):
     holder = passes.spy(AlertEngine, "evaluate_once")(
         kernel, TimeSeriesStore(), interval=1.0)
@@ -198,7 +190,6 @@ def reconciler(kernel, passes):
 
 CASES = {
     "MetricsScraper": scraper,
-    "EventFlusher": flusher,
     "AlertEngine": alert_engine,
     "ConsistencyAuditor": auditor,
     "SliceManager": slice_manager,

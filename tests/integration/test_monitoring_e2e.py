@@ -1,7 +1,7 @@
 """End-to-end monitoring: the paper's fault matrix through the full
 scrape -> series -> alert -> event pipeline, the non-perturbation
 guarantee (bit-identical job timeline with the stack stopped), and the
-REST operational surface (/healthz, /events, metrics auth).
+REST operational surface (/healthz, /metrics, metrics auth).
 """
 
 from repro.core import ComponentCrasher
@@ -17,8 +17,7 @@ from .conftest import (
 
 # Tight monitoring cadence so detection latency, not scrape cadence,
 # dominates each scenario's runtime.
-FAST = dict(scrape_interval=0.05, alert_eval_interval=0.05,
-            event_flush_interval=0.5)
+FAST = dict(scrape_interval=0.05, alert_eval_interval=0.05)
 
 
 def assert_fault_detected(platform, component, rule, crash_time):
@@ -157,43 +156,6 @@ class TestRestSurface:
         assert response["status"] == 503
         assert response["body"]["status"] == "degraded"
         assert response["body"]["components"]["etcd"]["status"] == "degraded"
-
-    def test_events_endpoints_and_tenancy(self):
-        platform = make_platform(**FAST)
-        client = platform.client("team-a")
-        job_id = submit_and_wait_running(platform, client, manifest())
-        doc = wait_terminal(platform, client, job_id)
-        assert doc["status"] == "COMPLETED"
-        platform.run_for(2.0)  # let the flusher persist the tail
-
-        rest = RestClient(platform, client.token)
-        response = platform.run_process(rest.get("/events"), limit=10_000)
-        assert response["status"] == 200
-        reasons = {event["reason"] for event in response["body"]}
-        assert {"GuardianCreated", "Deployed", "JobCompleted"} <= reasons
-        assert all("event_key" not in event for event in response["body"])
-
-        response = platform.run_process(
-            rest.get(f"/v1/models/{job_id}/events"), limit=10_000)
-        assert response["status"] == 200
-        events = response["body"]
-        assert events and all(e["job"] == job_id for e in events)
-        assert any(e["reason"] == "JobCompleted" for e in events)
-        # Only the versioned route exists.
-        response = platform.run_process(
-            rest.get(f"/jobs/{job_id}/events"), limit=10_000)
-        assert response["status"] == 404
-
-        # Reason filtering on the firehose endpoint.
-        response = platform.run_process(
-            rest.get("/events", query={"reason": "Deployed"}), limit=10_000)
-        assert {e["reason"] for e in response["body"]} == {"Deployed"}
-
-        # Another tenant cannot read this job's events.
-        stranger = RestClient(platform, platform.tokens.create_tenant("team-b"))
-        response = platform.run_process(
-            stranger.get(f"/v1/models/{job_id}/events"), limit=10_000)
-        assert response["status"] == 404
 
     def test_metrics_auth_off_by_default(self):
         platform = make_platform()

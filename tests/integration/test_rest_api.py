@@ -1,5 +1,7 @@
 """REST surface tests: routes, status codes, parity with the GRPC path."""
 
+import pytest
+
 from repro.core import RestClient
 
 from .conftest import manifest
@@ -103,11 +105,17 @@ class TestRestErrors:
 
         assert platform.run_process(scenario(), limit=600)["status"] == 404
 
-    def test_unknown_route_is_404(self, platform):
+    # Platform events live only in memory, so no route serves them.
+    @pytest.mark.parametrize("path", [
+        "/v2/nonsense", "/events", "/v1/models/{job_id}/events",
+    ], ids=["nonsense", "events", "job-events"])
+    def test_unknown_route_is_404(self, platform, path):
         rest = rest_client(platform)
 
         def scenario():
-            return (yield from rest.get("/v2/nonsense"))
+            response = yield from rest.post("/v1/models", manifest())
+            job_id = response["body"]["job_id"]
+            return (yield from rest.get(path.format(job_id=job_id)))
 
         assert platform.run_process(scenario(), limit=600)["status"] == 404
 

@@ -20,7 +20,7 @@ from ..integration.conftest import (
 # so each scenario detects, fires and resolves within a few simulated
 # seconds of the injection.
 GRAY = dict(scrape_interval=0.05, alert_eval_interval=0.05,
-            event_flush_interval=0.5, gray_window=2.0, gray_alert_for=0.4)
+            gray_window=2.0, gray_alert_for=0.4)
 
 FAULT_DURATION = 6.0
 
@@ -219,8 +219,7 @@ class TestGrayFaultMatrix:
         # The stock 8 s window and 1 s hold; only the scrape cadence is
         # tightened to keep the run short.
         platform = make_platform(scrape_interval=0.25,
-                                 alert_eval_interval=0.25,
-                                 event_flush_interval=0.5)
+                                 alert_eval_interval=0.25)
         drive_etcd_puts(platform, period=1.0)
         platform.run_for(10.0)
 
