@@ -31,6 +31,7 @@ stage metric-name-lint python scripts/lint_metric_names.py
 stage event-reason-lint python scripts/lint_event_reasons.py
 stage deepcopy-lint python scripts/lint_deepcopy.py
 stage shared-state-lint python scripts/lint_shared_state.py
+stage metric-write-lint python scripts/lint_metric_writes.py
 stage tier-1 env PYTHONPATH=src python -m pytest -q "$@"
 stage perfbench-tests python -m pytest perfbench/tests -q
 stage perfbench-quick python3 perfbench/run.py --quick

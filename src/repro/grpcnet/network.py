@@ -252,12 +252,11 @@ class Network:
             self._m_calls = self._m_duration = None
             self._m_endpoint_calls = self._m_endpoint_latency = None
             self._m_handled = None
-        # labels() resolved once per (method, code) / method — the
+        # labels() resolved once per outcome: (address, method, code) ->
+        # the four children a finished call writes (per (method, code),
+        # per method, per endpoint outcome, per endpoint method). The
         # children are stable, and the per-RPC lookup cost is measurable.
-        self._call_children = {}
-        self._duration_children = {}
-        self._endpoint_children = {}
-        self._endpoint_latency_children = {}
+        self._call_records = {}
         self._handled_children = {}
 
     # ------------------------------------------------------------------
@@ -280,14 +279,14 @@ class Network:
         self._servers.pop(address, None)
         if self._m_endpoint_calls is None:
             return
-        for key in [k for k in self._endpoint_children if k[0] == address]:
-            del self._endpoint_children[key]
-            self._m_endpoint_calls.remove(endpoint=key[0], method=key[1],
+        methods = set()
+        for key in [k for k in self._call_records if k[0] == address]:
+            del self._call_records[key]
+            self._m_endpoint_calls.remove(endpoint=address, method=key[1],
                                           code=key[2])
-        for key in [k for k in self._endpoint_latency_children
-                    if k[0] == address]:
-            del self._endpoint_latency_children[key]
-            self._m_endpoint_latency.remove(endpoint=key[0], method=key[1])
+            methods.add(key[1])
+        for method in methods:
+            self._m_endpoint_latency.remove(endpoint=address, method=method)
         if self._handled_children.pop(address, None) is not None:
             self._m_handled.remove(endpoint=address)
 
@@ -413,33 +412,26 @@ class Network:
         return _Call(self, address, method, request, caller, deadline)
 
     def _observe_call(self, method, code, started, address):
-        """Record one finished call into the cached per-(method, code)
-        and per-endpoint metric children."""
+        """Record one finished call into its outcome's bound children."""
         if self._m_calls is None:
             return
-        counter = self._call_children.get((method, code))
-        if counter is None:
-            counter = self._call_children[(method, code)] = \
-                self._m_calls.labels(method=method, code=code)
-        counter.inc()
-        histogram = self._duration_children.get(method)
-        if histogram is None:
-            histogram = self._duration_children[method] = \
-                self._m_duration.labels(method=method)
-        histogram.observe(self.kernel.now - started)
         key = (address, method, code)
-        endpoint_counter = self._endpoint_children.get(key)
-        if endpoint_counter is None:
-            endpoint_counter = self._endpoint_children[key] = \
-                self._m_endpoint_calls.labels(endpoint=address, method=method,
-                                              code=code)
-        endpoint_counter.inc()
-        latency_counter = self._endpoint_latency_children.get(key[:2])
-        if latency_counter is None:
-            latency_counter = self._endpoint_latency_children[key[:2]] = \
+        record = self._call_records.get(key)
+        if record is None:
+            record = self._call_records[key] = (
+                self._m_calls.labels(method=method, code=code),
+                self._m_duration.labels(method=method),
+                self._m_endpoint_calls.labels(endpoint=address,
+                                              method=method, code=code),
                 self._m_endpoint_latency.labels(endpoint=address,
-                                                method=method)
-        latency_counter.inc(self.kernel.now - started)
+                                                method=method),
+            )
+        calls, duration, endpoint_calls, endpoint_latency = record
+        elapsed = self.kernel.now - started
+        calls.inc()
+        duration.observe(elapsed)
+        endpoint_calls.inc()
+        endpoint_latency.inc(elapsed)
 
     def observe_dispatch(self, address):
         """Server-side tally of one handler dispatch at ``address``."""

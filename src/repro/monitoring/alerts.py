@@ -27,7 +27,6 @@ cannot perturb the simulated job timeline.
 """
 
 from ..sim.periodic import Periodic, Polling
-from ..sim.timeseries import counter_increase
 
 PENDING = "pending"
 FIRING = "firing"
@@ -94,9 +93,9 @@ class Increase(_Expr):
         del staleness  # windows read history; instant staleness n/a
         out = {}
         for series in store.series(self.name, **self.match):
-            points = series.window(now - self.window, now)
-            if len(points) >= 2:
-                out[series.labels] = counter_increase(points)
+            increase = series.increase(now - self.window, now)
+            if increase is not None:
+                out[series.labels] = increase
         return out
 
     def __repr__(self):

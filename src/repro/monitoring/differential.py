@@ -42,8 +42,6 @@ draws, no scheduled events — with detection enabled and no gray fault
 injected the simulated timeline is bit-identical.
 """
 
-from ..sim.timeseries import counter_increase
-
 # Methods that are disk writes on the serving member: a stalled disk
 # shows up here first, while the member's read path stays competitive.
 # Raft's empty appends are ``heartbeat`` calls and deliberately not in
@@ -93,14 +91,6 @@ def robust_score(value, peers, abs_floor, rel_floor=0.0):
     return max(0.0, (value - med) / scale)
 
 
-def _counter_delta(series, start, end):
-    """Counter increase across the window, or None without two samples."""
-    points = series.window(start, end)
-    if len(points) < 2:
-        return None
-    return counter_increase(points)
-
-
 class DifferentialDetector:
     """Scores endpoint divergence from role peers; a recording-rule
     expression (``eval(store, now, staleness)`` -> labels -> score).
@@ -120,7 +110,7 @@ class DifferentialDetector:
 
         requests = {}  # (endpoint, method) -> [total, transport-failure delta]
         for series in store.series("rpc_endpoint_requests_total"):
-            delta = _counter_delta(series, start, now)
+            delta = series.increase(start, now)
             if not delta:
                 continue
             labels = series.labels_dict
@@ -132,7 +122,7 @@ class DifferentialDetector:
 
         latency_sums = {}  # (endpoint, method) -> duration-sum delta
         for series in store.series("rpc_endpoint_latency_seconds_total"):
-            delta = _counter_delta(series, start, now)
+            delta = series.increase(start, now)
             if delta is None:
                 continue
             labels = series.labels_dict
@@ -188,7 +178,7 @@ class DifferentialDetector:
         # excess means the link is duplicating deliveries.
         served = {}
         for series in store.series("rpc_server_handled_total"):
-            delta = _counter_delta(series, start, now)
+            delta = series.increase(start, now)
             if delta is not None:
                 served[series.labels_dict["endpoint"]] = delta
         for endpoint, total in client_totals.items():

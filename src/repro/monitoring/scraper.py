@@ -1,9 +1,17 @@
-"""The scrape pipeline: registry snapshots -> bounded time series.
+"""The scrape pipeline: registry changes -> bounded time series.
 
 A simulated Prometheus: every ``interval`` simulated seconds the
-scraper walks the platform's :class:`MetricsRegistry` and health
-probes and appends one sample per series to the
-:class:`~repro.sim.timeseries.TimeSeriesStore`.
+scraper reads the platform's :class:`MetricsRegistry` and health
+probes into the :class:`~repro.sim.timeseries.TimeSeriesStore`. Each
+pass is a tick of the scraper's :class:`~repro.sim.timeseries.TickLog`.
+
+A pass stores what changed. The registry hands over the metric
+children created, written or removed since the previous pass
+(:meth:`MetricsRegistry.changes`); each created or written child gets
+a sample at this tick, and every other live series is *held*: its last
+value stands for this tick too (:meth:`TimeSeries.hold`), as a sample
+per series per tick would have repeated it. Health probes are sampled
+every pass. A series reads the same either way, sample for sample.
 
 Collection is pure in-memory reading — no RPCs, no RNG — so enabling
 the scraper cannot perturb the simulated job timeline.
@@ -15,21 +23,18 @@ are *estimated from the cumulative buckets* (Prometheus'
 re-sort the observation list, which is far too expensive to pay per
 scrape tick on hot RPC histograms.
 
-Series that existed on the previous scrape but are absent from this
-one (a label set that vanished, a probe with no data) receive a
-staleness marker, so downstream alert rules stop seeing their last
-value.
+A series whose source went away (a removed metric child, a probe with
+no data) receives a staleness marker at the next pass, so downstream
+alert rules stop seeing its last value.
 
-Each (metric child -> series) emission runs thousands of times per
-simulated minute, so its plan — the derived series names, the label
+Each child's emission plan — the derived series names, the label
 dict, the canonical staleness key, and eventually the series object
-itself — is computed once per child and cached on a
-:class:`_SeriesHandle`; a scrape tick then reduces to value reads and
-ring-buffer appends.
+itself — is computed once, when the child is first seen, and cached on
+:class:`_SeriesHandle` objects; a removed child drops its plan.
 """
 
 from ..sim.periodic import Periodic, Polling
-from ..sim.timeseries import canonical_labels
+from ..sim.timeseries import TickLog, canonical_labels
 
 
 class _SeriesHandle:
@@ -44,15 +49,17 @@ class _SeriesHandle:
         self.series = None  # resolved on first emission
 
 
+def _handles(plan):
+    if isinstance(plan, _SeriesHandle):
+        return (plan,)
+    count_handle, sum_handle, quantile_plan = plan
+    return (count_handle, sum_handle) + tuple(h for _q, h in quantile_plan)
+
+
 class MetricsScraper(Polling):
     """Periodic collector of metrics + health into the series store."""
 
     QUANTILES = (("p50", 50), ("p95", 95), ("p99", 99))
-
-    # One registry-vs-plan-cache sweep per this many scrapes: plans of
-    # pruned metric children are dead weight, but walking the registry
-    # to find them is not free, so do it rarely.
-    PLAN_GC_EVERY = 64
 
     def __init__(self, kernel, store, interval=1.0, registry=None,
                  health=None, prune_after=None):
@@ -69,11 +76,12 @@ class MetricsScraper(Polling):
             else store.retention
         self.series_pruned = 0
         self.scrape_count = 0
-        self._last_keys = set()
+        self.ticks = TickLog()
+        self._live = set()  # keys sampled and not stale since
         self._stale_since = {}  # (name, labels) -> time marked stale
-        self._plans = {}  # (family name, labelvalues) -> emit plan
-        self._quantile_cache = {}  # plan key -> (count, [q values])
+        self._plans = {}  # metric child -> emit plan
         self._up_handles = {}  # component -> _SeriesHandle
+        self._up_components = set()  # components sampled last pass
         if registry is not None:
             self._m_scrapes = registry.counter(
                 "monitoring_scrapes_total", help="Completed scrape passes")
@@ -96,18 +104,28 @@ class MetricsScraper(Polling):
 
     # ------------------------------------------------------------------
 
-    def _emit(self, handle, now, value, seen):
+    def _emit(self, handle, now, value):
         series = handle.series
         if series is None:
             series = handle.series = self.store._get_or_create(
                 handle.name, handle.labels)
-        series.add(now, value)
-        seen.add(handle.key)
+        series.hold(now, value, self.ticks)
+        key = handle.key
+        if key not in self._live:
+            self._live.add(key)
+            self._stale_since.pop(key, None)  # the source came back
+
+    def _leave(self, key, gone):
+        """A live key lost its source; it is marked stale after the
+        pass unless something samples it again first."""
+        if key in self._live:
+            self._live.discard(key)
+            gone.append(key)
 
     def scrape_once(self):
         """One scrape pass; safe to call directly from tests."""
         now = self.kernel.now
-        seen = set()
+        gone = []
 
         if self._g_events is not None:
             kernel = self.kernel
@@ -116,126 +134,102 @@ class MetricsScraper(Polling):
             self._g_dead_ratio.set(kernel.dead_entry_ratio)
 
         if self.registry is not None:
-            self._collect_registry(now, seen)
+            self._collect_registry(now, gone)
         if self.health is not None:
-            handles = self._up_handles
-            for component, up in self.health.up_samples():
-                handle = handles.get(component)
-                if handle is None:
-                    handle = handles[component] = _SeriesHandle(
-                        "up", {"component": component})
-                self._emit(handle, now, up, seen)
+            self._collect_health(now, gone)
 
-        for key in self._last_keys - seen:
-            self.store.mark_stale(key[0], key[1], now)
-            self._stale_since.setdefault(key, now)
-        self._last_keys = seen
-        self._prune_stale(now, seen)
+        for key in gone:
+            if key not in self._live:
+                self.store.mark_stale(key[0], key[1], now)
+                self._stale_since.setdefault(key, now)
+        self.ticks.append(now, self.store.horizon())
+        self._prune_stale(now)
         self.scrape_count += 1
-        if self.registry is not None \
-                and self.scrape_count % self.PLAN_GC_EVERY == 0:
-            self._gc_plans()
         if self._m_scrapes is not None:
             self._m_scrapes.inc()
             self._m_series.set(len(self.store))
 
-    def _prune_stale(self, now, seen):
+    def _collect_health(self, now, gone):
+        handles = self._up_handles
+        components = set()
+        for component, up in self.health.up_samples():
+            handle = handles.get(component)
+            if handle is None:
+                handle = handles[component] = _SeriesHandle(
+                    "up", {"component": component})
+            self._emit(handle, now, up)
+            components.add(component)
+        for component in self._up_components - components:
+            self._leave(handles[component].key, gone)
+        self._up_components = components
+
+    def _prune_stale(self, now):
         """Forget series whose source stayed gone past ``prune_after``.
 
         A staleness marker already hides a vanished series from rule
         evaluation; this goes further and reclaims the series (and the
         tracking entry) once it is clear the label set is not coming
         back, so endpoint churn cannot grow the store without bound. A
-        source that *does* come back before the deadline simply drops
-        its tracking entry and keeps its history."""
+        source that *does* come back before the deadline has already
+        dropped its tracking entry and kept its history."""
         stale = self._stale_since
         if not stale:
             return
-        for key in [k for k in stale if k in seen]:
-            del stale[key]
         cutoff = now - self.prune_after
-        pruned = set()
         for key in [k for k, since in stale.items() if since <= cutoff]:
             del stale[key]
             if self.store.remove(key[0], key[1]):
                 self.series_pruned += 1
-                pruned.add(key)
-        if pruned:
-            # A cached handle still pointing at a pruned series would
-            # write into an orphaned ring buffer if the source came
-            # back much later; drop the resolution so the next emission
-            # re-creates the series in the store.
-            self._invalidate_handles(pruned)
+                if key[0] == "up":
+                    # A cached handle still pointing at the pruned
+                    # series would write into an orphaned ring buffer
+                    # if the component came back; let the next
+                    # emission re-create the series in the store. A
+                    # metric child's handles went with its plan.
+                    for handle in self._up_handles.values():
+                        if handle.key == key:
+                            handle.series = None
 
-    def _invalidate_handles(self, pruned):
-        def invalidate(handle):
-            if handle.key in pruned:
-                handle.series = None
-
-        for plan in self._plans.values():
-            if isinstance(plan, _SeriesHandle):
-                invalidate(plan)
-            else:
-                count_handle, sum_handle, quantile_plan = plan
-                invalidate(count_handle)
-                invalidate(sum_handle)
-                for _q, handle in quantile_plan:
-                    invalidate(handle)
-        for handle in self._up_handles.values():
-            invalidate(handle)
-
-    def _gc_plans(self):
-        """Drop emission plans for metric children that no longer
-        exist (pruned via ``_Family.remove``); their series went stale
-        and will be pruned by ``_prune_stale`` independently."""
-        live = set()
-        for name in self.registry.names():
-            metric = self.registry.get(name)
-            for labelvalues, _child in metric.children():
-                live.add((name, labelvalues))
-        for plan_key in [k for k in self._plans if k not in live]:
-            del self._plans[plan_key]
-            self._quantile_cache.pop(plan_key, None)
-
-    def _collect_registry(self, now, seen):
+    def _collect_registry(self, now, gone):
+        born, written, removed = self.registry.changes()
         plans = self._plans
-        for name in self.registry.names():
-            metric = self.registry.get(name)
-            is_histogram = metric.kind == "histogram"
-            for labelvalues, child in metric.children():
-                plan_key = (name, labelvalues)
-                plan = plans.get(plan_key)
-                if plan is None:
-                    labels = dict(zip(metric.labelnames, labelvalues))
-                    if is_histogram:
-                        plan = (
-                            _SeriesHandle(f"{name}_count", labels),
-                            _SeriesHandle(f"{name}_sum", labels),
-                            tuple(
-                                (q, _SeriesHandle(
-                                    name, {**labels, "quantile": quantile}))
-                                for quantile, q in self.QUANTILES
-                            ),
-                        )
-                    else:
-                        plan = _SeriesHandle(name, labels)
-                    plans[plan_key] = plan
-                if is_histogram:
-                    count_handle, sum_handle, quantile_plan = plan
-                    count = child.count
-                    self._emit(count_handle, now, float(count), seen)
-                    self._emit(sum_handle, now, child.total, seen)
-                    if count:
-                        # No new observations since the last scrape means
-                        # identical buckets, hence identical quantiles —
-                        # skip the percentile walk for idle histograms.
-                        cached = self._quantile_cache.get(plan_key)
-                        if cached is None or cached[0] != count:
-                            cached = (count, [child.bucket_percentile(q)
-                                              for q, _h in quantile_plan])
-                            self._quantile_cache[plan_key] = cached
-                        values = cached[1]
-                        for i, (_q, handle) in enumerate(quantile_plan):
-                            self._emit(handle, now, values[i], seen)
-                else:
-                    self._emit(plan, now, child.value, seen)
+        for child in removed:
+            plan = plans.pop(child, None)
+            if plan is not None:
+                for handle in _handles(plan):
+                    self._leave(handle.key, gone)
+        for metric, labelvalues, child in born:
+            if metric._children.get(labelvalues) is not child:
+                continue  # removed before any pass saw it
+            labels = dict(zip(metric.labelnames, labelvalues))
+            name = metric.name
+            if metric.kind == "histogram":
+                plan = (
+                    _SeriesHandle(f"{name}_count", labels),
+                    _SeriesHandle(f"{name}_sum", labels),
+                    tuple(
+                        (q, _SeriesHandle(
+                            name, {**labels, "quantile": quantile}))
+                        for quantile, q in self.QUANTILES
+                    ),
+                )
+            else:
+                plan = _SeriesHandle(name, labels)
+            plans[child] = plan
+            self._sample(plan, child, now)
+        for child in written:
+            plan = plans.get(child)
+            if plan is not None:  # None: removed since it was written
+                self._sample(plan, child, now)
+
+    def _sample(self, plan, child, now):
+        if isinstance(plan, _SeriesHandle):
+            self._emit(plan, now, child.value)
+            return
+        count_handle, sum_handle, quantile_plan = plan
+        count = child.count
+        self._emit(count_handle, now, float(count))
+        self._emit(sum_handle, now, child.total)
+        if count:
+            for q, handle in quantile_plan:
+                self._emit(handle, now, child.bucket_percentile(q))

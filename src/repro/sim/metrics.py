@@ -12,6 +12,17 @@ in names, or the series namespace becomes unbounded and unaggregable.
 Benchmarks read these to produce the paper's tables, and
 :meth:`MetricsRegistry.expose` renders the Prometheus text format the
 REST layer serves.
+
+A registry also records what changed for its scraper
+(:meth:`MetricsRegistry.changes`). A child goes on the registry's born
+list when ``labels()`` creates it, and on its written list at its
+first ``inc``/``set``/``dec``/``observe`` after the scraper read it;
+``remove`` puts it on the removed list. A scrape then costs the
+children written since the last one, not every child.
+This rests on one contract: a child's ``value``, ``total``,
+``samples`` and ``_deltas`` change only through those methods
+(``scripts/lint_metric_writes.py`` rejects an assignment anywhere
+else), or the scrape would not see the change.
 """
 
 import math
@@ -40,8 +51,9 @@ def _check_name(name):
 class _Family:
     """Shared machinery: a named family of label-keyed children."""
 
-    def __init__(self, name, labelnames=(), help=""):
+    def __init__(self, name, labelnames=(), help="", registry=None):
         self.name = _check_name(name)
+        self._registry = registry
         self.labelnames = tuple(labelnames)
         self.help = help
         for label in self.labelnames:
@@ -67,6 +79,9 @@ class _Family:
             child = self._new_child()
             self._children[key] = child
             self._sorted_children = None
+            registry = self._registry
+            if registry is not None and registry._born is not None:
+                registry._born.append((self, key, child))
         return child
 
     def remove(self, **labelvalues):
@@ -88,8 +103,12 @@ class _Family:
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        if self._children.pop(key, None) is not None:
+        child = self._children.pop(key, None)
+        if child is not None:
             self._sorted_children = None
+            registry = self._registry
+            if registry is not None and registry._removed is not None:
+                registry._removed.append(child)
 
     def _default(self):
         if self.labelnames:
@@ -110,16 +129,30 @@ class _Family:
         return self._sorted_children
 
 
+def _mark_written(child):
+    """Put a child on its registry's written list, once per scrape.
+
+    ``_sink`` is the written list while the child is clean and None
+    while it is listed (or belongs to no scraped registry);
+    :meth:`MetricsRegistry.changes` re-arms it when it hands the child
+    to the scraper."""
+    child._sink.append(child)
+    child._sink = None
+
+
 class _CounterChild:
-    __slots__ = ("value",)
+    __slots__ = ("value", "_sink")
 
     def __init__(self):
         self.value = 0.0
+        self._sink = None
 
     def inc(self, amount=1.0):
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
+        if self._sink is not None:
+            _mark_written(self)
 
 
 class Counter(_Family):
@@ -137,19 +170,24 @@ class Counter(_Family):
 
 
 class _GaugeChild:
-    __slots__ = ("value",)
+    __slots__ = ("value", "_sink")
 
     def __init__(self):
         self.value = 0.0
+        self._sink = None
 
     def set(self, value):
         self.value = value
+        if self._sink is not None:
+            _mark_written(self)
 
     def inc(self, amount=1.0):
         self.value += amount
+        if self._sink is not None:
+            _mark_written(self)
 
     def dec(self, amount=1.0):
-        self.value -= amount
+        self.inc(-amount)
 
 
 class Gauge(_Family):
@@ -183,7 +221,7 @@ class _HistogramChild:
     """
 
     __slots__ = ("buckets", "samples", "total", "_sorted", "_deltas",
-                 "_cumulative")
+                 "_cumulative", "_sink")
 
     def __init__(self, buckets=DEFAULT_BUCKETS):
         self.buckets = tuple(buckets)
@@ -195,6 +233,7 @@ class _HistogramChild:
         self.samples = []
         self.total = 0.0
         self._sorted = None
+        self._sink = None
 
     def observe(self, value):
         self.samples.append(value)
@@ -202,6 +241,8 @@ class _HistogramChild:
         self._sorted = None
         self._cumulative = None
         self._deltas[bisect_left(self.buckets, value)] += 1
+        if self._sink is not None:
+            _mark_written(self)
 
     @property
     def bucket_counts(self):
@@ -277,8 +318,9 @@ class Histogram(_Family):
 
     kind = "histogram"
 
-    def __init__(self, name, labelnames=(), help="", buckets=DEFAULT_BUCKETS):
-        super().__init__(name, labelnames, help)
+    def __init__(self, name, labelnames=(), help="", buckets=DEFAULT_BUCKETS,
+                 registry=None):
+        super().__init__(name, labelnames, help, registry)
         self.buckets = tuple(buckets)
 
     def _new_child(self):
@@ -351,6 +393,12 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics = {}
+        # What changed since the scraper's last call to changes(). The
+        # born and removed lists stay None until that first call, so a
+        # registry nobody scrapes records nothing.
+        self._born = None
+        self._written = []
+        self._removed = None
 
     def counter(self, name, labelnames=(), help=""):
         return self._get(name, Counter, labelnames, help)
@@ -361,7 +409,8 @@ class MetricsRegistry:
     def histogram(self, name, labelnames=(), help="", buckets=None):
         metric = self._metrics.get(name)
         if metric is None and buckets is not None:
-            metric = Histogram(name, labelnames, help, buckets=buckets)
+            metric = Histogram(name, labelnames, help, buckets=buckets,
+                               registry=self)
             self._metrics[name] = metric
             return metric
         return self._get(name, Histogram, labelnames, help)
@@ -369,7 +418,7 @@ class MetricsRegistry:
     def _get(self, name, kind, labelnames=(), help=""):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = kind(name, labelnames, help)
+            metric = kind(name, labelnames, help, registry=self)
             self._metrics[name] = metric
             return metric
         if not isinstance(metric, kind):
@@ -385,6 +434,38 @@ class MetricsRegistry:
 
     def names(self):
         return sorted(self._metrics)
+
+    def changes(self):
+        """What changed since the previous call, for the one scraper
+        that reads this registry: ``(born, written, removed)``.
+
+        ``born`` holds a ``(family, labelvalues, child)`` triple per
+        child created, ``written`` every child written at least once,
+        ``removed`` every child ``remove`` dropped; a child can be in
+        more than one. Recording starts at the first call, which
+        returns every existing child as born. Each child handed over
+        is re-armed, so its next write lists it again, except a
+        removed one, which no scrape reads any more."""
+        if self._born is None:
+            born = [(metric, key, child)
+                    for metric in self._metrics.values()
+                    for key, child in metric._children.items()]
+            removed = []
+        else:
+            born, removed = self._born, self._removed
+        # Armed children keep a reference to the written list, so it is
+        # emptied in place, never replaced.
+        sink = self._written
+        written = sink[:]
+        sink.clear()
+        self._born, self._removed = [], []
+        for _family, _key, child in born:
+            child._sink = sink
+        for child in written:
+            child._sink = sink
+        for child in removed:
+            child._sink = None
+        return born, written, removed
 
     def get(self, name):
         return self._metrics.get(name)

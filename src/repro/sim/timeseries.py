@@ -10,7 +10,37 @@ evaluation then treats the series as absent instead of acting forever
 on its last value, exactly Prometheus' staleness semantics.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import islice
+
+
+class TickLog:
+    """The instants of one scraper's passes, oldest first.
+
+    A pass's tick has an absolute index that never changes; ``base`` is
+    the index of ``times[0]``. The log keeps the ticks of the longest
+    retention of the store it feeds (``horizon``), which is all a held
+    series (:meth:`TimeSeries.hold`) can still show."""
+
+    __slots__ = ("times", "base")
+
+    def __init__(self):
+        self.times = []
+        self.base = 0
+
+    @property
+    def next(self):
+        """The index the next appended tick gets."""
+        return self.base + len(self.times)
+
+    def append(self, time, horizon):
+        times = self.times
+        times.append(time)
+        cut = bisect_left(times, time - horizon)
+        if cut >= 64:  # drop expired ticks in chunks, not one a pass
+            del times[:cut]
+            self.base += cut
 
 
 class TimeSeries:
@@ -20,15 +50,36 @@ class TimeSeries:
     stopped being observed at that time. Markers terminate the series
     for instant lookups but are skipped by :meth:`values` /
     :meth:`window` so historical analysis sees only real samples.
+
+    A series the scraper writes is *held* (:meth:`hold`): every later
+    tick of the scraper's :class:`TickLog` reads as a repeat of the last
+    value, which is what an unchanged source would have been sampled
+    as, without storing a tuple per tick. :meth:`latest`,
+    :meth:`latest_value`, :meth:`window` and :meth:`increase` read that
+    tail in place, with the ring's retention and ``max_samples``
+    bounds applied to it. The next write or staleness marker, and any
+    read of :attr:`samples`, ``len`` or :meth:`values`, first appends
+    the tail through the same trimming path as any sample, so the
+    stored ring is exactly the one a sample per tick would have built.
     """
 
-    __slots__ = ("name", "labels", "retention", "samples")
+    __slots__ = ("name", "labels", "retention", "_samples", "_ticks",
+                 "_held_index", "_held_value")
 
     def __init__(self, name, labels=(), retention=600.0, max_samples=2048):
         self.name = name
         self.labels = canonical_labels(labels)
         self.retention = retention
-        self.samples = deque(maxlen=max_samples)
+        self._samples = deque(maxlen=max_samples)
+        self._ticks = None  # the TickLog of a held series, else None
+        self._held_index = 0  # the tick of the last held write
+        self._held_value = None
+
+    @property
+    def samples(self):
+        """The stored ring, held tail included."""
+        self._materialize()
+        return self._samples
 
     @property
     def labels_dict(self):
@@ -38,27 +89,81 @@ class TimeSeries:
         """Append a sample. Samples arrive in time order and
         :meth:`window` relies on it; equal times are legal, since two
         passes can run at one simulated instant."""
-        if self.samples and time < self.samples[-1][0]:
+        ticks = self._ticks
+        if ticks is not None \
+                and self._held_index < ticks.base + len(ticks.times) - 1:
+            self._materialize()
+        samples = self._samples
+        if samples and time < samples[-1][0]:
             raise ValueError(
                 f"{self!r}: sample at {time} is older than the newest, "
-                f"at {self.samples[-1][0]}")
+                f"at {samples[-1][0]}")
         self._trim(time)
-        self.samples.append((time, value))
+        samples.append((time, value))
+
+    def hold(self, time, value, ticks):
+        """Add the scraper's sample for its tick ``ticks.next`` (the
+        pass under way) and hold ``value`` for the ticks after it."""
+        self.add(time, value)
+        self._ticks = ticks
+        self._held_index = ticks.base + len(ticks.times)
+        self._held_value = value
 
     def mark_stale(self, time):
         """Record that the series stopped being observed at ``time``."""
-        if self.samples and self.samples[-1][1] is None:
+        self._materialize()
+        self._ticks = None
+        if self._samples and self._samples[-1][1] is None:
             return  # already stale; one marker is enough
         self.add(time, None)
 
+    def _materialize(self):
+        """Append the held tail as samples; the series stays held."""
+        ticks = self._ticks
+        if ticks is None:
+            return
+        times = ticks.times
+        first = self._held_index + 1 - ticks.base
+        if first >= len(times):
+            return
+        value = self._held_value
+        samples = self._samples
+        for time in times[max(first, 0):]:
+            self._trim(time)
+            samples.append((time, value))
+        self._held_index = ticks.next - 1
+
+    def _tail(self):
+        """``(times, kept, room)`` for a held tail that has ticks, else
+        None: the tail's surviving ticks are ``times[kept:]``, and
+        ``room`` stored samples survive beside them."""
+        ticks = self._ticks
+        if ticks is None:
+            return None
+        times = ticks.times
+        first = self._held_index + 1 - ticks.base
+        end = len(times)
+        if first >= end:
+            return None
+        # What the ring would hold after appending the tail: nothing
+        # older than the newest tick minus the retention, and at most
+        # max_samples samples (deque maxlen).
+        maxlen = self._samples.maxlen
+        kept = max(bisect_left(times, times[-1] - self.retention,
+                               max(first, 0), end), end - maxlen)
+        return times, kept, maxlen - (end - kept)
+
     def _trim(self, now):
         cutoff = now - self.retention
-        while self.samples and self.samples[0][0] < cutoff:
-            self.samples.popleft()
+        while self._samples and self._samples[0][0] < cutoff:
+            self._samples.popleft()
 
     def latest(self):
         """The last ``(time, value)`` sample (may be a staleness marker)."""
-        return self.samples[-1] if self.samples else None
+        ticks = self._ticks
+        if ticks is not None and self._held_index < ticks.next - 1:
+            return (ticks.times[-1], self._held_value)
+        return self._samples[-1] if self._samples else None
 
     def latest_value(self, now=None, staleness=None):
         """The freshest real value, or ``None`` if the series is stale.
@@ -67,9 +172,10 @@ class TimeSeries:
         or (when ``staleness`` is given) the last sample is older than
         ``now - staleness``.
         """
-        if not self.samples:
+        sample = self.latest()
+        if sample is None:
             return None
-        time, value = self.samples[-1]
+        time, value = sample
         if value is None:
             return None
         if staleness is not None and now is not None and now - time > staleness:
@@ -83,17 +189,54 @@ class TimeSeries:
         Walks back from the newest sample and stops at the first one
         older than ``start``, so a read costs the window, not the
         retention: the rule engine reads an 8 s window of 600 s series
-        every tick.
+        every tick. A held tail is cut out of the tick log by bisection.
         """
+        return self._window(start, end, self._tail())
+
+    def _window(self, start, end, tail):
         out = []
-        for sample in reversed(self.samples):
+        stored = reversed(self._samples)
+        cutoff = start
+        if tail is not None:
+            times, kept, room = tail
+            cutoff = max(start, times[-1] - self.retention)
+            stored = islice(stored, max(room, 0))
+        for sample in stored:
             time, value = sample
-            if time < start:
+            if time < cutoff:
                 break
             if value is not None and (end is None or time <= end):
                 out.append(sample)
         out.reverse()
+        if tail is not None:
+            lo = bisect_left(times, start, kept)
+            hi = len(times) if end is None else bisect_right(times, end, lo)
+            held = self._held_value
+            out.extend([(time, held) for time in times[lo:hi]])
         return out
+
+    def increase(self, start, end=None):
+        """:func:`counter_increase` of ``window(start, end)``, or None
+        under two samples.
+
+        A held series whose stored samples all predate ``start`` has
+        only repeats of one value in the window: two of them already
+        give the exact sum, so the ticks are counted by bisection and
+        the window is never built."""
+        tail = self._tail()
+        samples = self._samples
+        if tail is not None and (not samples or samples[-1][0] < start):
+            times, kept, _room = tail
+            lo = bisect_left(times, start, kept)
+            hi = len(times) if end is None else bisect_right(times, end, lo)
+            if hi - lo < 2:
+                return None
+            held = self._held_value
+            return counter_increase(((times[lo], held), (times[lo], held)))
+        points = self._window(start, end, tail)
+        if len(points) < 2:
+            return None
+        return counter_increase(points)
 
     def values(self):
         return [v for _t, v in self.samples if v is not None]
@@ -104,7 +247,7 @@ class TimeSeries:
     def __repr__(self):
         labels = "{" + ",".join(f"{k}={v}" for k, v in self.labels) + "}" \
             if self.labels else ""
-        return f"<TimeSeries {self.name}{labels} n={len(self.samples)}>"
+        return f"<TimeSeries {self.name}{labels} n={len(self)}>"
 
 
 def counter_increase(points):
@@ -151,6 +294,11 @@ class TimeSeriesStore:
         self._by_name = {}
         self._sorted_by_name = {}
         self._overrides = {}  # name -> (retention, max_samples)
+
+    def horizon(self):
+        """The longest retention of any series, present or future."""
+        return max([self.retention]
+                   + [retention for retention, _n in self._overrides.values()])
 
     def configure(self, name, retention=None, max_samples=None):
         """Per-series-name retention override for series created later."""

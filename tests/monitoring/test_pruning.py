@@ -177,17 +177,18 @@ class TestScraperPruning:
         scraper.scrape_once()
         assert store.get("up", {"component": "api-0"}).values() == [1.0]
 
-    def test_plan_gc_drops_dead_children(self, kernel, store):
+    def test_removed_child_drops_its_plan(self, kernel, store):
         registry, scraper = self.make(kernel, store)
         family = registry.counter("calls_total", ("ep",))
-        family.labels(ep="a").inc()
-        family.labels(ep="b").inc()
+        a, b = family.labels(ep="a"), family.labels(ep="b")
+        a.inc()
+        b.inc()
         scraper.scrape_once()
-        assert ("calls_total", ("a",)) in scraper._plans
+        assert a in scraper._plans and b in scraper._plans
         family.remove(ep="a")
-        scraper._gc_plans()
-        assert ("calls_total", ("a",)) not in scraper._plans
-        assert ("calls_total", ("b",)) in scraper._plans
+        scraper.scrape_once()
+        assert a not in scraper._plans
+        assert b in scraper._plans
 
 
 class TestNetworkEndpointPruning:

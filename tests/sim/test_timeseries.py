@@ -101,7 +101,7 @@ class TestTimeSeries:
         # A 600 s retention scraped every 0.5 s: 1,200 samples, of
         # which an 8 s window holds 17.
         series = TimeSeries("c", retention=600.0)
-        series.samples = _CountingDeque(maxlen=series.samples.maxlen)
+        series._samples = _CountingDeque(maxlen=series.samples.maxlen)
         for i in range(1, 1201):
             series.add(i * 0.5, float(i))
         assert len(series) == 1200
