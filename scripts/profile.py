@@ -20,7 +20,11 @@ callers, as shares of ``events_processed``, say whether a kernel-cost
 idea (fewer poll ticks, fewer RPC timers) is aimed at a tenth of the
 events or at half. Each row also splits its entries between the heap
 (due later) and the ready queue (due now): the kernel's ready queue is
-swapped for one that counts who appends to it.
+swapped for one that counts who appends to it. A timer that fires
+with nothing else due wakes its waiters in its own entry; the dispatch
+hops saved that way get a row of their own, as a share of
+``events_processed``, so the rows of a run still add up against the
+count a hop per timer would have reached.
 
 ``--rpcs`` is the companion of ``--events`` one layer up: who issues
 the network's calls, as caller kind × endpoint × method with shares of
@@ -49,8 +53,8 @@ generator function it resumes in (the innermost of a ``yield from``
 chain, so a Guardian's teardown wait is ``Guardian._await_cluster``,
 not ``Guardian.run``) and by process name with ids collapsed, as shares
 of all resumes. A wait woken by events it does not wait on shows up
-here as a large row. ``Process._resume`` is wrapped from here; no
-profiler runs.
+here as a large row. ``Process._resume`` and ``Process._on_wait_done``
+are wrapped from here; no profiler runs.
 
 Usage::
 
@@ -118,6 +122,7 @@ def run_workload(name, seed):
     events = platform.kernel.events_processed
     return {"jobs": len(outcome.docs), "wall_s": round(wall, 3),
             "events_processed": events,
+            "dispatches_inlined": platform.kernel.dispatches_inlined,
             "events_per_sec": round(events / wall, 1)}, platform
 
 
@@ -371,28 +376,39 @@ def list_census(run, lines):
 def wake_census(run, lines):
     """Count every process resume of ``run()`` by the generator function
     it resumes in and by process name, ids collapsed."""
-    from repro.sim.events import PENDING
+    from repro.sim.events import FAILED, PENDING
     from repro.sim.process import Process
 
     resumes = Counter()  # (function, process) -> resumes
     plain_resume = Process._resume
+    plain_wake = Process._on_wait_done
 
-    def counted_resume(self, value, throw=None):
-        if self.state is PENDING:  # else _resume returns at once
-            generator = self._generator
+    def count(process):
+        if process.state is PENDING:  # else the step returns at once
+            generator = process._generator
             inner = generator.gi_yieldfrom
             while inner is not None and hasattr(inner, "gi_code"):
                 generator, inner = inner, inner.gi_yieldfrom
             code = generator.gi_code
             function = f"{module_name(code.co_filename)}.{code.co_qualname}"
-            resumes[function, re.sub(r"\d+", "*", self.name)] += 1
+            resumes[function, re.sub(r"\d+", "*", process.name)] += 1
+
+    def counted_resume(self, value, throw=None):
+        count(self)
         return plain_resume(self, value, throw)
 
+    def counted_wake(self, event):
+        if event.state is not FAILED:  # a failed wait goes via _resume
+            count(self)
+        return plain_wake(self, event)
+
     Process._resume = counted_resume
+    Process._on_wait_done = counted_wake
     try:
         result = run()
     finally:
         Process._resume = plain_resume
+        Process._on_wait_done = plain_wake
     print_result(result)
     total = sum(resumes.values())
     by_function = Counter()
@@ -438,12 +454,14 @@ class ReadyCensus(deque):
         deque.append(self, callback)
 
 
-def event_census(stats, events_processed, ready, lines):
+def event_census(stats, events_processed, inlined, ready, lines):
     """Callers of the ``SCHEDULERS`` from a cProfile run, by module and
     by function, as shares of ``events_processed``, each split into
     heap and ready-queue entries (``ready`` is ``ReadyCensus.appended``).
     The rest of the events are the zero-delay callbacks those timers and
-    processes trigger (event callbacks, process resumptions)."""
+    processes trigger (event callbacks, process resumptions); the timer
+    dispatch hops run inline (``inlined``) are not events and are
+    reported on their own row."""
     kernel_py = str(Path("repro", "sim", "kernel.py"))
     by_function = Counter()
     to_ready = Counter()
@@ -480,6 +498,9 @@ def event_census(stats, events_processed, ready, lines):
         print(f"Kernel.{via}: {totals[via]} calls, {share(totals[via])} "
               f"of events_processed; heap {totals[via] - ready_totals[via]}, "
               f"ready {ready_totals[via]}")
+    print(f"Timer dispatches run inline: {inlined}, {share(inlined)} "
+          "of events_processed, not in it; with them "
+          f"{events_processed + inlined} entries")
     print("\n    calls    share       heap      ready  via           module")
     for key, calls in by_module.most_common():
         module, via = key
@@ -575,7 +596,8 @@ def main(argv=None):
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.events:
         event_census(stats, result["events_processed"],
-                     ReadyCensus.appended, args.lines)
+                     result["dispatches_inlined"], ReadyCensus.appended,
+                     args.lines)
     else:
         stats.strip_dirs()
         for sort in ("tottime", "cumulative"):

@@ -106,6 +106,7 @@ def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
         "wall_s": round(wall, 3),
         "sim_s": round(kernel.now, 3),
         "events_processed": kernel.events_processed,
+        "dispatches_inlined": kernel.dispatches_inlined,
         "events_per_sec": round(kernel.events_processed / wall, 1),
         "jobs_per_sec": round(jobs / wall, 3),
         "guardian_p50_s": round(pct(0.50), 3),

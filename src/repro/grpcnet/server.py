@@ -1,10 +1,12 @@
-"""Simulated RPC server: named methods, run inline when they cannot
-suspend and as kernel processes when they can."""
+"""Simulated RPC server: named methods, run inline at request arrival,
+and as kernel processes from the moment they suspend."""
 
 import inspect
+from types import GeneratorType
 
 from ..sim.errors import ProcessKilled
-from ..sim.events import Event
+from ..sim.events import PENDING, Event
+from ..sim.process import step
 from .errors import MethodNotFound, ServiceError
 from .payload import deep_copy_payload
 
@@ -14,9 +16,10 @@ class Server:
 
     Handlers may be plain callables (instantaneous in simulated time) or
     generator functions (which may sleep, call other services, etc.).
-    A request whose handler can suspend runs as its own kernel process,
-    so a slow handler never blocks the server; a plain one takes no
-    simulated time and is run where it is dispatched.
+    Every handler starts where the request is dispatched. One that
+    suspends becomes its own kernel process at that point, so a slow
+    handler never blocks the server; one that finishes first takes no
+    simulated time and costs no process.
 
     Stopping the server models a process crash: in-flight handlers are
     killed (callers see ``Unavailable``) and new calls are refused until
@@ -39,9 +42,7 @@ class Server:
         self.requests_served = 0
 
     def add_method(self, name, handler):
-        # Whether the handler is a generator function is a property of
-        # the handler, not of the request: resolved here, once.
-        self._methods[name] = (handler, inspect.isgeneratorfunction(handler))
+        self._methods[name] = handler
         return self
 
     def add_service(self, obj, prefix=""):
@@ -77,37 +78,40 @@ class Server:
 
     def dispatch(self, method, request):
         """Run ``method`` for one request; returns the event of its
-        completion. A plain handler runs here, inline, and the event
-        comes back already settled; only a handler that can suspend
-        gets a process, which :meth:`stop` can kill."""
+        completion. The handler runs here, inline: the request's
+        arrival is an instant the call owns alone (DESIGN.md, "An RPC
+        is one event"). One that finishes without suspending — a
+        plain handler, a generator that never yields — comes back as
+        an event settled already. Only one that suspends (or a server
+        with a ``service_time``) gets a process, adopting the handler
+        where it stopped; :meth:`stop` can kill it."""
         # Server-side delivery count: a duplicated message shows up here
         # twice while the caller's request counter moves once — the flow
         # anomaly the differential detector keys on.
         self.network.observe_dispatch(self.address)
-        registered = self._methods.get(method)
-        if registered is None:
+        handler = self._methods.get(method)
+        if handler is None:
             return Event(self.kernel).fail(
                 MethodNotFound(f"{self.address} has no method {method!r}"))
-        handler, is_generator_function = registered
-        if not is_generator_function and not self.service_time:
+        if not self.service_time:
             try:
                 response = handler(request)
             except Exception as exc:
                 error = ServiceError(method, exc)
                 error.__cause__ = exc
                 return Event(self.kernel).fail(error)
-            if not inspect.isgenerator(response):
+            if not isinstance(response, GeneratorType):
                 return Event(self.kernel).succeed(self._respond(response))
-            handler = response  # it can suspend after all
-        process = self.kernel.spawn(
-            self._serve(handler, method, request),
-            name=f"{self.address}/{method}" if self.kernel.debug else "serve",
-        )
-        self._inflight.add(process)
-        # The completion callback receives the process itself, so the
-        # bound discard needs no per-call closure.
-        process.add_callback(self._inflight.discard)
-        return process
+            handler = response  # it can suspend
+        kernel = self.kernel
+        handled = step(kernel, self._serve(handler, method, request),
+                       f"{self.address}/{method}" if kernel.debug else "serve")
+        if handled.state is PENDING:
+            self._inflight.add(handled)
+            # The completion callback receives the process itself, so
+            # the bound discard needs no per-call closure.
+            handled.add_callback(self._inflight.discard)
+        return handled
 
     def _serve(self, handler, method, request):
         """Process body: ``handler`` is a callable, or the generator a

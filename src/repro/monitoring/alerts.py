@@ -155,11 +155,35 @@ class Condition:
 
 
 class RecordingRule:
-    """Precompute an expression into a named derived series."""
+    """Precompute an expression into a named derived series.
+
+    Each label set is written through the series its first write
+    returned (:meth:`~repro.sim.timeseries.TimeSeriesStore.add`). The
+    bindings hold while the store's membership of ``name`` is what
+    this rule left it as: the view
+    :meth:`~repro.sim.timeseries.TimeSeriesStore.series` returns stays
+    the same object until a series of that name is created or removed,
+    and a pass that finds another view binds afresh.
+    """
 
     def __init__(self, name, expr):
         self.name = name
         self.expr = expr
+        self._view = None
+        self._bound = {}  # labels -> series
+
+    def record(self, store, now, staleness):
+        name = self.name
+        if store.series(name) is not self._view:
+            self._bound = {}
+        bound = self._bound
+        for labels, value in self.expr.eval(store, now, staleness).items():
+            series = bound.get(labels)
+            if series is None:
+                bound[labels] = store.add(name, labels, now, value)
+            else:
+                series.add(now, value)
+        self._view = store.series(name)
 
 
 class AlertRule:
@@ -237,9 +261,7 @@ class AlertEngine(Polling):
         # Recording rules run first so alert rules can use their output
         # in the same pass.
         for rec in self.recording_rules:
-            for labels, value in rec.expr.eval(self.store, now,
-                                               self.staleness).items():
-                self.store.add(rec.name, labels, now, value)
+            rec.record(self.store, now, self.staleness)
         for rule in self.rules:
             satisfied = rule.condition.eval(self.store, now, self.staleness)
             self._step_rule(rule, satisfied, now)

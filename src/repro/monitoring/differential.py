@@ -71,6 +71,27 @@ def role_of(endpoint):
     return endpoint.rsplit("-", 1)[0]
 
 
+# Codes of calls the transport failed; a ServiceError is the server's
+# answer, not a link failure.
+TRANSPORT_FAILURES = frozenset({"Unavailable", "DeadlineExceeded"})
+
+
+def _request_plan(series):
+    labels = series.labels_dict
+    endpoint = labels["endpoint"]
+    return (series, (endpoint, labels["method"]), role_of(endpoint),
+            labels["code"] in TRANSPORT_FAILURES)
+
+
+def _latency_plan(series):
+    labels = series.labels_dict
+    return series, (labels["endpoint"], labels["method"])
+
+
+def _handled_plan(series):
+    return series, series.labels_dict["endpoint"]
+
+
 def _median(values):
     ordered = sorted(values)
     mid = len(ordered) // 2
@@ -103,30 +124,42 @@ class DifferentialDetector:
             raise ValueError(f"min_count must be >= 1: {min_count}")
         self.window = window
         self.min_count = min_count
+        self._plans = {}  # series name -> (store view, parsed labels)
+
+    def _planned(self, store, name, plan):
+        """``plan(series)`` for each series of ``name``, parsed again
+        only when the store's view of ``name`` changed."""
+        view = store.series(name)
+        cached = self._plans.get(name)
+        if cached is None or cached[0] is not view:
+            cached = self._plans[name] = (view, [plan(s) for s in view])
+        return cached[1]
 
     def eval(self, store, now, staleness):
         del staleness  # windowed deltas, not instant samples
         start = now - self.window
 
         requests = {}  # (endpoint, method) -> [total, transport-failure delta]
-        for series in store.series("rpc_endpoint_requests_total"):
+        roles = {}  # endpoint -> role
+        for series, key, role, transport in self._planned(
+                store, "rpc_endpoint_requests_total", _request_plan):
             delta = series.increase(start, now)
             if not delta:
                 continue
-            labels = series.labels_dict
-            entry = requests.setdefault(
-                (labels["endpoint"], labels["method"]), [0.0, 0.0])
+            entry = requests.get(key)
+            if entry is None:
+                entry = requests[key] = [0.0, 0.0]
+                roles[key[0]] = role
             entry[0] += delta
-            if labels["code"] in ("Unavailable", "DeadlineExceeded"):
+            if transport:
                 entry[1] += delta
 
         latency_sums = {}  # (endpoint, method) -> duration-sum delta
-        for series in store.series("rpc_endpoint_latency_seconds_total"):
+        for series, key in self._planned(
+                store, "rpc_endpoint_latency_seconds_total", _latency_plan):
             delta = series.increase(start, now)
-            if delta is None:
-                continue
-            labels = series.labels_dict
-            latency_sums[(labels["endpoint"], labels["method"])] = delta
+            if delta is not None:
+                latency_sums[key] = delta
 
         means = {}  # (endpoint, method) -> windowed mean latency
         rates = {}  # (endpoint, method) -> windowed error rate
@@ -146,7 +179,7 @@ class DifferentialDetector:
         def publish(endpoint, signal, score):
             # Label tuples are already canonically sorted:
             # component < role < signal.
-            labels = (("component", endpoint), ("role", role_of(endpoint)),
+            labels = (("component", endpoint), ("role", roles[endpoint]),
                       ("signal", signal))
             if score > out.get(labels, -1.0):
                 out[labels] = score
@@ -154,7 +187,7 @@ class DifferentialDetector:
         def score_groups(values, signal_of, abs_floor, rel_floor=0.0):
             groups = {}
             for (endpoint, method), value in values.items():
-                groups.setdefault((role_of(endpoint), method),
+                groups.setdefault((roles[endpoint], method),
                                   []).append((endpoint, value))
             for (_role, method), members in groups.items():
                 if len(members) < 2:
@@ -177,10 +210,11 @@ class DifferentialDetector:
         # serves each sent request exactly once, so any sustained
         # excess means the link is duplicating deliveries.
         served = {}
-        for series in store.series("rpc_server_handled_total"):
+        for series, endpoint in self._planned(
+                store, "rpc_server_handled_total", _handled_plan):
             delta = series.increase(start, now)
             if delta is not None:
-                served[series.labels_dict["endpoint"]] = delta
+                served[endpoint] = delta
         for endpoint, total in client_totals.items():
             if total < self.min_count:
                 continue

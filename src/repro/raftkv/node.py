@@ -337,10 +337,17 @@ class RaftNode:
                                 voter_id=self.node_id)
 
     def _on_append_entries(self, request):
-        # A generator that yields nothing while disk_stall is 0, so the
-        # healthy replication timeline is untouched.
+        # Plain while the disk is healthy; a stalled disk makes a
+        # log-carrying append wait out the stall first.
         if self.disk_stall and request.entries:
-            yield self.kernel.sleep(self.disk_stall)
+            return self._stalled_append(request)
+        return self._append(request)
+
+    def _stalled_append(self, request):
+        yield self.kernel.sleep(self.disk_stall)
+        return self._append(request)
+
+    def _append(self, request):
         if request.term < self.current_term:
             return AppendEntriesReply(
                 term=self.current_term, success=False, follower_id=self.node_id,

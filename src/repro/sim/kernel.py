@@ -28,6 +28,21 @@ scheduled during ``t``, and entries scheduled during one instant
 keep their scheduling order in the FIFO. ``events_processed`` counts
 both queues' entries.
 
+A lone timer wakes inline. A :class:`Timer` that fires while the ready
+queue is empty runs its waiters in its own entry instead of queueing
+the dispatch hop an :class:`~repro.sim.events.Event` takes. With
+nothing due now, that hop would have been the very next entry — the
+ready queue runs before the heap, and the heap entries due at the
+timer's instant sit in the ready queue already when it fires — so
+nothing can run between the two and the order is the single heap's.
+A timer that fires with entries waiting keeps its hop, behind them.
+The inlined hops are counted in ``dispatches_inlined``, so
+``events_processed + dispatches_inlined`` is the count the kernel
+would have reached with a hop per timer. One thing tells: when the
+timer is itself the target of :meth:`Kernel.run_until_complete`, its
+waiters have run by the time the call returns, where a queued hop
+would have run in the next ``run``.
+
 Timers are cancellable with lazy deletion: :meth:`Kernel.sleep`
 returns a :class:`Timer` that is its own queue entry (no per-sleep
 closure). Cancelling it leaves the entry queued and marked dead; when
@@ -78,8 +93,16 @@ class Timer(Event):
             callbacks = self._callbacks
             self._callbacks = ()
             if callbacks:
-                self._pending_dispatch = callbacks
-                self._kernel._ready.append(self._run_dispatch)
+                kernel = self._kernel
+                if kernel._ready:
+                    self._pending_dispatch = callbacks
+                    kernel._ready.append(self._run_dispatch)
+                else:
+                    # A lone timer: its dispatch hop would be the very
+                    # next entry, so it runs here (module docstring).
+                    kernel.dispatches_inlined += 1
+                    for callback in callbacks:
+                        callback(self)
         elif state is CANCELLED:
             kernel = self._kernel
             kernel.dead_entries_skipped += 1
@@ -123,6 +146,9 @@ class Kernel:
         # scraper; see MetricsScraper). Instance-owned: a fresh kernel
         # always starts from zero, however many ran before it.
         self.events_processed = 0
+        # Timer dispatch hops run inside the timer's own entry, each
+        # one event fewer (module docstring).
+        self.dispatches_inlined = 0
         self.timers_cancelled = 0
         self.dead_entries_skipped = 0
         self._dead_pending = 0

@@ -177,9 +177,17 @@ class _GaugeChild:
         self._sink = None
 
     def set(self, value):
-        self.value = value
+        # Set to what it holds already, the gauge is not written: the
+        # scrape holds its series instead of sampling the same value.
+        # The same value means the same type and, for a zero, the same
+        # sign (0.0 and -0.0 print differently); a NaN is never equal.
         if self._sink is not None:
-            _mark_written(self)
+            old = self.value
+            if type(value) is not type(old) or value != old or (
+                    value == 0
+                    and math.copysign(1.0, value) != math.copysign(1.0, old)):
+                _mark_written(self)
+        self.value = value
 
     def inc(self, amount=1.0):
         self.value += amount

@@ -287,10 +287,11 @@ class TimeSeriesStore:
         self.retention = retention
         self.max_samples = max_samples
         self._series = {}
-        # name -> sorted [(labels, series)] cache: series() is on the
-        # alert engine's per-tick path, and without the index every rule
-        # evaluation re-sorted the whole store. The cache invalidates
-        # only on series creation and removal.
+        # name -> {canonical match: sorted tuple of series} cache:
+        # series() is on the alert engine's per-tick path, and without
+        # it every rule evaluation re-sorted and re-filtered the whole
+        # group. A name's views invalidate only on creation and removal
+        # of one of its series; ``()`` keys the unfiltered group.
         self._by_name = {}
         self._sorted_by_name = {}
         self._overrides = {}  # name -> (retention, max_samples)
@@ -321,7 +322,12 @@ class TimeSeriesStore:
         return series
 
     def add(self, name, labels, time, value):
-        self._get_or_create(name, labels).add(time, value)
+        """Add a sample to the series of ``(name, labels)``, created if
+        absent, and return that series: a writer that keeps it skips
+        the lookup on later samples, until :meth:`remove` drops it."""
+        series = self._get_or_create(name, labels)
+        series.add(time, value)
+        return series
 
     def mark_stale(self, name, labels, time):
         series = self._series.get((name, canonical_labels(labels)))
@@ -346,33 +352,31 @@ class TimeSeriesStore:
     def get(self, name, labels=()):
         return self._series.get((name, canonical_labels(labels)))
 
-    def _sorted_group(self, name):
-        group = self._sorted_by_name.get(name)
-        if group is None:
+    def series(self, name=None, **match):
+        """Series filtered by name and label-subset match, sorted.
+
+        A tuple; for a name, the same tuple while none of that name's
+        series is created or removed, so a reader may key what it
+        derives from the matched series on the tuple's identity."""
+        wanted = canonical_labels(match) if match else ()
+        if name is None:
+            return tuple(series for series_name in sorted(self._by_name)
+                         for series in self.series(series_name, **match))
+        views = self._sorted_by_name.get(name)
+        if views is None:
             by_labels = self._by_name.get(name)
             if not by_labels:
-                return []
-            group = [series for _labels, series in sorted(by_labels.items())]
-            self._sorted_by_name[name] = group
-        return group
-
-    def series(self, name=None, **match):
-        """Series filtered by name and label-subset match, sorted."""
-        wanted = canonical_labels(match)
-        if name is not None:
-            group = self._sorted_group(name)
-            if not wanted:
-                return list(group)
+                return ()
+            views = self._sorted_by_name[name] = {
+                (): tuple(series for _labels, series
+                          in sorted(by_labels.items()))}
+        view = views.get(wanted)
+        if view is None:
             wanted_set = set(wanted)
-            return [series for series in group
-                    if wanted_set <= set(series.labels)]
-        out = []
-        for series_name in sorted(self._by_name):
-            for series in self._sorted_group(series_name):
-                if wanted and not set(wanted) <= set(series.labels):
-                    continue
-                out.append(series)
-        return out
+            view = views[wanted] = tuple(
+                series for series in views[()]
+                if wanted_set <= set(series.labels))
+        return view
 
     def names(self):
         return sorted({name for name, _labels in self._series})

@@ -38,10 +38,15 @@ def network(kernel):
         return request
         yield  # a generator function that never suspends
 
+    def generator_sleep(request):
+        yield kernel.sleep(0.5)
+        return request
+
     def boom(_request):
         raise ValueError("boom")
 
     server.add_method("generator_echo", generator_echo)
+    server.add_method("generator_sleep", generator_sleep)
     server.add_method("boom", boom)
     server.start()
     return network
@@ -76,10 +81,24 @@ class TestSuccessBudget:
         assert kernel.timers_cancelled == 0
 
     def test_generator_handler_that_never_suspends(self, kernel, network):
+        """It runs to completion at arrival, as a plain handler does:
+        no process, no start hop."""
         events, call = events_for(kernel, network, "svc", "generator_echo",
                                   "x", deadline=DEADLINE)
         assert call.value == "x"
-        assert events <= 6
+        assert events == 5
+        assert kernel.dispatches_inlined == 0
+
+    def test_generator_handler_that_suspends(self, kernel, network):
+        """``_send``, ``_arrive`` (the handler runs to its sleep and a
+        process adopts it there), the sleep's timer (which wakes the
+        process inline: nothing else is due), the process's completion
+        hop (``_served``), ``_deliver``, the dead deadline."""
+        events, call = events_for(kernel, network, "svc", "generator_sleep",
+                                  "x", deadline=DEADLINE)
+        assert call.value == "x"
+        assert events == 6
+        assert kernel.dispatches_inlined == 1
 
     def test_a_waiting_caller_adds_only_its_own_start(self, kernel, network):
         """The waiter is resumed inside the delivery entry: a process

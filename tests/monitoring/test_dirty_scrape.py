@@ -14,6 +14,7 @@ import importlib.util
 import pathlib
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.monitoring import MetricsScraper, stack as stack_module
@@ -167,7 +168,7 @@ def materialised(store):
 # ----------------------------------------------------------------------
 
 LABELS = ("a", "b", "c")
-GAUGE_VALUES = (0.0, 1.0, 2.5, -1.0)
+GAUGE_VALUES = (0.0, -0.0, 0, 1.0, 1, 2.5, -1.0)
 OBSERVATIONS = (0.003, 0.2, 0.7, 40.0, 500.0)
 
 write = st.one_of(
@@ -374,12 +375,57 @@ def test_second_scrape_adds_only_the_written_children(monkeypatch):
         child.inc()
         child.inc()  # a second write lists the child once
     scraper.scrape_once()
-    # The scraper's own series: the kernel gauges it sets, the pass
-    # counter and the series gauge set after the previous pass.
-    own = {"kernel_events_processed_total", "kernel_dead_entries_total",
-           "kernel_dead_entry_ratio", "monitoring_scrapes_total",
-           "monitoring_series"}
+    # The scraper's own series: the pass counter and the series gauge
+    # set after the previous pass. The kernel gauges are set again to
+    # the values they hold (the kernel ran nothing), so they are held.
+    own = {"monitoring_scrapes_total", "monitoring_series"}
     assert sorted(adds) == sorted(["calls"] * 7 + ["up"] * 2 + list(own))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("held, value, written", [
+    (1.0, 1.0, False),
+    (-0.0, -0.0, False),
+    (7, 7, False),
+    (1.0, 1, True),  # equal, but an int prints differently
+    (1, 1.0, True),
+    (True, 1, True),
+    (0.0, -0.0, True),  # equal, but the sign prints
+    (-0.0, 0.0, True),
+    (0, -0.0, True),
+    (NAN, NAN, True),  # never equal to itself
+    (1.0, 2.0, True),
+])
+def test_a_gauge_set_to_the_value_it_holds_is_not_written(held, value,
+                                                          written):
+    registry = MetricsRegistry()
+    gauge = registry.gauge("level")
+    gauge.set(held)
+    registry.changes()
+    gauge.set(value)
+    _born, listed, _removed = registry.changes()
+    assert bool(listed) == written
+    assert gauge.value is value
+
+
+def test_held_gauge_keeps_type_sign_and_nan():
+    """Sets that repeat a value, change only its type or sign, or are
+    NaN: the held series stores what the eager one samples, value for
+    value by ``repr``, since ``==`` cannot tell these apart."""
+    sides = (Side(EagerScraper, EagerStore, 600.0, 2048, 600.0),
+             Side(MetricsScraper, TimeSeriesStore, 600.0, 2048, 600.0))
+    for value in (0.0, 0.0, -0.0, -0.0, 0, 0, 0.0, NAN, NAN, 1.0, 1, 1):
+        for side in sides:
+            side.gauge.labels(ep="a").set(value)
+            side.scraper.scrape_once()
+            side.kernel.run(until=side.kernel.now + 1.0)
+    eager, dirty = (
+        [repr(v) for _t, v in side.store.get("level", {"ep": "a"}).samples]
+        for side in sides)
+    assert dirty == eager
+    assert dirty[:4] == ["0.0", "0.0", "-0.0", "-0.0"]
 
 
 def test_increase_on_an_idle_held_series_never_builds_a_window(monkeypatch):

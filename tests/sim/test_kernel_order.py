@@ -7,11 +7,17 @@ run at the same instants in the same order, ``events_processed``
 counts the same entries, and the same errors are raised at the same
 point. ``SingleHeapKernel`` below is the kernel as it was before the
 split — every entry a ``(when, seq, callback)`` tuple on one heap — and
-serves only as the oracle here. Hypothesis generates nested programs
+serves only as the oracle here, with ``HopTimer``, a timer that always
+queues its dispatch hop. Hypothesis generates nested programs
 of every way to schedule (``call_soon``, ``call_later``, ``sleep``,
 ``_schedule_at``, ``spawn``, ``kill``, ``succeed``, ``cancel``) with
 delays that tie often, and runs each on both kernels under ``run()``,
 ``run(until=)`` and ``run_until_complete(limit=)``.
+
+A lone timer runs its waiters in its own entry (the kernel module
+docstring), so the kernel processes one entry fewer per such timer:
+``events_processed + dispatches_inlined`` must equal the oracle's
+``events_processed`` exactly.
 """
 
 import heapq
@@ -19,8 +25,25 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Kernel, SimError
-from repro.sim.events import PENDING
+from repro.sim.events import CANCELLED, PENDING, SUCCEEDED
 from repro.sim.kernel import Timer
+
+
+class HopTimer(Timer):
+    """The timer as it was: a firing always queues its dispatch hop."""
+
+    __slots__ = ()
+
+    def __call__(self):
+        state = self.state
+        if state is PENDING:
+            self.state = SUCCEEDED
+            self.value = self._value
+            self._dispatch()
+        elif state is CANCELLED:
+            kernel = self._kernel
+            kernel.dead_entries_skipped += 1
+            kernel._dead_pending -= 1
 
 
 class _HeapPush:
@@ -61,7 +84,7 @@ class SingleHeapKernel(Kernel):
     def sleep(self, delay, value=None):
         if delay < 0:
             raise ValueError(f"negative sleep: {delay}")
-        timer = Timer(self, value)
+        timer = HopTimer(self, value)
         self._push(self._now + delay, timer)
         return timer
 
@@ -217,7 +240,9 @@ def outcome(interpreter, error):
     kernel = interpreter.kernel
     return {
         "trace": interpreter.trace,
-        "events_processed": kernel.events_processed,
+        # The oracle never inlines, so its count is the whole identity.
+        "events_processed": kernel.events_processed
+        + kernel.dispatches_inlined,
         "now": kernel.now,
         "error": error,
         "timers_cancelled": kernel.timers_cancelled,
@@ -308,6 +333,76 @@ def test_run_until_complete_matches_the_single_heap(program, waits, limit, fail)
     assert kernel == oracle
 
 
+@ORDER
+@given(programs, delays, st.one_of(st.none(), st.sampled_from([0.0, 0.5, 3.0])))
+def test_run_until_complete_on_a_timer_matches_the_single_heap(
+        program, delay, limit):
+    """The target is a timer, with a callback and a process waiting on
+    it. A lone one runs them before ``run_until_complete`` returns,
+    where the oracle's hop runs them in the ``run()`` after: the trace
+    after that ``run()`` is the same, and so is the count."""
+    def waiter(interpreter, timer):
+        value = yield timer
+        interpreter.note(f"waiter:{value}")
+
+    def drive(interpreter):
+        kernel = interpreter.kernel
+        interpreter.do("p", program)
+        timer = kernel.sleep(delay, value="target")
+        timer.add_callback(interpreter.later("target", [("mark",)]))
+        kernel.spawn(waiter(interpreter, timer), name="waiter")
+        returned = "raised"
+        try:
+            returned = kernel.run_until_complete(timer, limit=limit)
+        finally:
+            kernel.run()
+            interpreter.note(f"returned:{returned}")
+
+    oracle, kernel = both(drive)
+    assert kernel == oracle
+
+
+@ORDER
+@given(programs, delays)
+def test_run_until_ending_on_a_timer_matches_the_single_heap(program, delay):
+    """The horizon is the timer's instant: its waiters run before
+    ``run(until=)`` returns, inline or after the oracle's hop."""
+    def drive(interpreter):
+        kernel = interpreter.kernel
+        interpreter.do("p", program)
+        timer = kernel.sleep(delay, value="edge")
+        timer.add_callback(interpreter.later("edge", [("mark",)]))
+        kernel.run(until=kernel.now + delay)
+        interpreter.note("returned")
+        kernel.run()
+
+    oracle, kernel = both(drive)
+    assert kernel == oracle
+
+
+def test_a_lone_timer_wakes_inline():
+    """A timer that fires with nothing else due runs its waiters in its
+    own entry; one that fires behind other entries keeps its hop."""
+    kernel = Kernel()
+    woke = []
+
+    def sleeper():
+        yield kernel.sleep(1.0)
+        woke.append(kernel.now)
+
+    kernel.spawn(sleeper())
+    kernel.run()
+    # The start and the timer; the timer's hop ran inline.
+    assert (kernel.events_processed, kernel.dispatches_inlined) == (2, 1)
+
+    timer = kernel.sleep(1.0)
+    timer.add_callback(lambda _t: woke.append(kernel.now))
+    kernel.call_later(1.0, lambda: None)  # due at the timer's instant
+    kernel.run()
+    assert woke == [1.0, 2.0]
+    assert (kernel.events_processed, kernel.dispatches_inlined) == (5, 1)
+
+
 def test_zero_delay_hops_skip_the_heap():
     """A thousand process starts, their zero-delay sleeps and dispatch
     hops, and a thousand ``call_soon``s leave the heap holding only the
@@ -329,5 +424,7 @@ def test_zero_delay_hops_skip_the_heap():
     kernel.run()
     assert heap_sizes == [1] * 3000
     assert fired == [1.0]
-    # Per process: its start, its timer and the timer's dispatch hop.
+    # Per process: its start, its timer and the timer's dispatch hop,
+    # which no timer inlines: each fires with the next one queued.
     assert kernel.events_processed == 3 * 1000 + 1000 + 1
+    assert kernel.dispatches_inlined == 0
