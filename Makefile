@@ -18,7 +18,7 @@ PAPER_BENCHES = bench_fig2_overhead bench_fig3_dgx1 bench_fig4_recovery \
 	bench_guardian_creation bench_detection_latency bench_atomic_deploy \
 	bench_etcd_vs_direct bench_chaos_soak bench_scheduler bench_job_mix \
 	bench_gang_scheduling bench_consistency bench_gray_failures \
-	bench_checkpoint_tradeoff
+	bench_checkpoint_tradeoff bench_scalability
 
 bench:
 	PYTHONPATH=src python -m pytest -q $(PAPER_BENCHES:%=benchmarks/%.py)

@@ -9,25 +9,18 @@ costs the host at 192 jobs, stock and partitioned, is perfbench's
 ``scale`` and ``partitioned`` workloads; the 6-job smoke timelines are
 pinned in ``tests/integration/test_timeline_pin.py``.
 
-Invocations::
+Run it with the other paper benches (``make bench``)::
 
-    # the 4/12/24-job table (needs pytest-benchmark)
     PYTHONPATH=src python -m pytest benchmarks/bench_scalability.py
 
-    # one parameterized run (prints the row as JSON)
-    PYTHONPATH=src python benchmarks/bench_scalability.py \\
-        --jobs 128 --partitions 4 --tenants 8 --steps 30
+Every column is on the simulated clock, so the table is the same on any
+host; the host-clock cost of a scale run is perfbench's.
 """
-
-import argparse
-import json
-import sys
 
 from repro.bench import render_table, run_scale_scenario
 
-COLUMNS = ["jobs", "partitions", "completed", "wall_s",
-           "events_per_sec", "guardian_p95_s", "guardian_max_s",
-           "gpus_leaked"]
+COLUMNS = ["jobs", "partitions", "completed", "sim_s", "guardian_p95_s",
+           "guardian_max_s", "gpus_leaked"]
 
 
 def test_scalability(benchmark, record_table):
@@ -59,28 +52,3 @@ def test_scalability(benchmark, record_table):
     # (longer makespan), never fail.
     assert rows[2]["sim_s"] > rows[0]["sim_s"] * 1.2
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, required=True,
-                        help="run one parameterized row with this many jobs")
-    parser.add_argument("--partitions", type=int, default=1,
-                        help="control-plane partitions for the single row")
-    parser.add_argument("--tenants", type=int, default=1,
-                        help="tenant mix for the single row")
-    parser.add_argument("--steps", type=int, default=30,
-                        help="training steps per job for the single row")
-    parser.add_argument("--gpus-per-job", type=int, default=1)
-    parser.add_argument("--gpu-nodes", type=int, default=8)
-    args = parser.parse_args(argv)
-    row = run_scale_scenario(
-        jobs=args.jobs, partitions=args.partitions,
-        tenants=args.tenants, steps=args.steps,
-        gpus_per_node=4, gpu_nodes=args.gpu_nodes,
-        gpus_per_job=args.gpus_per_job, seed=2)
-    print(json.dumps(row, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,7 @@ from .figures import (
 )
 from .platform_runner import bench_manifest, build_platform, measure_dlaas
 from .scale_runner import partition_overrides, run_scale_scenario
-from .reporting import render_table, shape_check
+from .reporting import render_table
 
 __all__ = [
     "FIG2_PAPER",
@@ -54,5 +54,4 @@ __all__ = [
     "render_table",
     "run_scale_scenario",
     "scheduler_rows",
-    "shape_check",
 ]

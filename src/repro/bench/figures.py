@@ -8,6 +8,7 @@ paper's reported value so reports can show them side by side.
 from ..core import ComponentCrasher
 from .baremetal import build_config, dgx1_config, measure_bare_metal, measure_dgx1
 from .platform_runner import bench_manifest, build_platform, measure_dlaas
+from .scale_runner import guardian_latencies
 
 # ---------------------------------------------------------------------------
 # Fig. 2 — DLaaS vs IBM Cloud bare metal, K80
@@ -169,15 +170,7 @@ def guardian_creation_rows(jobs=8, seed=0):
 
     platform.run_process(submit_all(), limit=500_000)
 
-    latencies = []
-    created = {r.fields["job"]: r.time
-               for r in platform.tracer.query(component="lcm",
-                                              kind="guardian-created")}
-    for record in platform.tracer.query(component="guardian",
-                                        kind="component-ready"):
-        job = record.fields["job"]
-        if job in created:
-            latencies.append(record.time - created.pop(job))
+    latencies = guardian_latencies(platform)
     return [{
         "jobs": jobs,
         "min s": min(latencies),

@@ -25,9 +25,3 @@ def _fmt(value):
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def shape_check(label, measured, low, high):
-    """One-line verdict on whether a measured value falls in the paper's band."""
-    verdict = "OK " if low <= measured <= high else "OUT"
-    return f"  [{verdict}] {label}: measured {measured:.2f} vs paper band [{low}, {high}]"

@@ -84,9 +84,6 @@ class WorkloadGenerator:
                         "credentials": dict(self.credentials)},
         }
 
-    def manifests(self, count):
-        return [self.next_manifest() for _ in range(count)]
-
     def poisson_arrivals(self, client, count, rate):
         """Process generator: submit ``count`` jobs at ``rate`` jobs/sec
         (exponential inter-arrivals); returns the submitted job ids."""

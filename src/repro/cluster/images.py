@@ -33,9 +33,6 @@ class ImageRegistry:
             raise NotFoundError(f"image {name!r} not in registry")
         return self._images[name]
 
-    def is_cached(self, node_name, image):
-        return image in self._node_caches.get(node_name, set())
-
     def pull(self, node_name, image):
         """Process generator: pull (or confirm cached) an image."""
         size = self.size_of(image)
@@ -47,10 +44,6 @@ class ImageRegistry:
         self.pulls += 1
         yield self.kernel.sleep(self.cached_check_time + size / self.pull_bandwidth_mb)
         cache.add(image)
-
-    def evict_node_cache(self, node_name):
-        """E.g. after a machine re-image, pulls start cold again."""
-        self._node_caches.pop(node_name, None)
 
     def prewarm(self, node_name, image):
         """Mark an image already present (DaemonSet-style pre-pull)."""

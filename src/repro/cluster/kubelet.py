@@ -361,6 +361,3 @@ class Kubelet:
     def _safe_update(self, pod):
         if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
             self.api.update(pod)
-
-    def has_worker_for(self, pod):
-        return pod.metadata.uid in self._pod_workers

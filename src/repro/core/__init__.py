@@ -37,8 +37,7 @@ from .states import (
     QUEUED,
     STORING,
     TERMINAL_STATUSES,
-    StatusHistory,
-    aggregate_learner_statuses,
+    aggregate_job_status,
     is_terminal,
     validate_transition,
 )
@@ -74,11 +73,10 @@ __all__ = [
     "RestClient",
     "RestGateway",
     "STORING",
-    "StatusHistory",
     "TERMINAL_STATUSES",
     "TokenRegistry",
     "TrainingManifest",
-    "aggregate_learner_statuses",
+    "aggregate_job_status",
     "is_terminal",
     "job_timeline",
     "timeline_digest",

@@ -26,15 +26,10 @@ class TokenRegistry:
         self._by_tenant[tenant] = token
         return token
 
-    def revoke(self, tenant):
-        token = self._by_tenant.pop(tenant, None)
-        if token is not None:
-            del self._by_token[token]
-
     def authenticate(self, token):
         tenant = self._by_token.get(token)
         if tenant is None:
-            raise AuthError("invalid or revoked API token")
+            raise AuthError("invalid API token")
         return tenant
 
 

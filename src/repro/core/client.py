@@ -87,22 +87,6 @@ class DlaasClient:
                 )
             yield self.kernel.sleep(poll_interval)
 
-    def watch_job(self, job_id, callback, poll_interval=2.0, timeout=3600.0):
-        """Poll the job, invoking ``callback(doc)`` on each status change;
-        returns the terminal status document."""
-        deadline = self.kernel.now + timeout
-        last_status = None
-        while True:
-            doc = yield from self.status(job_id)
-            if doc["status"] != last_status:
-                last_status = doc["status"]
-                callback(doc)
-            if doc["status"] in TERMINAL_STATUSES:
-                return doc
-            if self.kernel.now >= deadline:
-                raise TimeoutError(f"{job_id} still {doc['status']} after {timeout}s")
-            yield self.kernel.sleep(poll_interval)
-
     def run_to_completion(self, manifest, timeout=3600.0):
         """Submit and wait for a terminal status; returns (job_id, doc)."""
         job_id = yield from self.submit(manifest)

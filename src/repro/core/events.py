@@ -106,10 +106,6 @@ class PlatformEvent:
         self.first_time = time
         self.last_time = time
 
-    @property
-    def key(self):
-        return (self.type, self.reason, self.kind, self.name)
-
     def __repr__(self):
         return (f"<{self.type} {self.reason} {self.kind}/{self.name} "
                 f"x{self.count} @{self.last_time:.2f}>")
@@ -191,9 +187,6 @@ class EventRecorder:
 
     def warnings(self, **filters):
         return self.events(type=EVENT_WARNING, **filters)
-
-    def get(self, type, reason, kind, name):
-        return self._by_key.get((type, reason, kind, name))
 
     def __len__(self):
         return len(self._events)

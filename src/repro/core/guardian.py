@@ -41,12 +41,12 @@ from .manifest import TrainingManifest
 from .states import (
     COMPLETED,
     DEPLOYING,
-    DOWNLOADING,
     FAILED,
     HALTED,
     PROCESSING,
     STORING,
     TERMINAL_EVENT_FOR,
+    aggregate_job_status,
     is_terminal,
     validate_transition,
 )
@@ -486,13 +486,12 @@ class Guardian:
         statuses = [kv for kv in snapshot if kv[0].startswith(learners)]
         halted = state.get(halt)
         store_done = state.get(store) == HELPER_DONE
-        load_done = state.get(load) == HELPER_DONE
 
         reports = [value for _key, value in statuses]
         if reports:
             self._last_reports = reports
         self._restart_stalled_learners(statuses)
-        job_status = self._aggregate(reports, load_done, store_done)
+        job_status = aggregate_job_status(reports, store_done)
         if halted:
             job_status = HALTED
 
@@ -524,24 +523,6 @@ class Guardian:
                 "Warning", "LearnerStalled", "Pod", pod_name,
                 message=f"no progress for {report.get('stalled_for')}s; restarting",
                 job=self.job_id)
-
-    def _aggregate(self, learner_reports, load_done, store_done):
-        reports = {r["status"] for r in learner_reports if isinstance(r, dict)}
-        # A stalled learner is being restarted; the job keeps PROCESSING.
-        if "STALLED" in reports:
-            reports.discard("STALLED")
-            reports.add(PROCESSING)
-        if FAILED in reports:
-            return FAILED
-        if store_done:
-            return COMPLETED
-        if reports and reports == {COMPLETED}:
-            return STORING
-        if PROCESSING in reports or COMPLETED in reports:
-            return PROCESSING
-        # Learners exist but are still waiting on data / binding stores,
-        # or have not reported at all: the job is still staging.
-        return DOWNLOADING
 
     def _finish(self, final_status):
         teardown_span = self.platform.tracer.start_span(

@@ -23,11 +23,10 @@ from ..sim import Reconciler, WatchSource
 from . import layout
 from .fswatch import wait_for_file
 from .learner import read_learner_status
-from .states import COMPLETED, FAILED, HALTED
+from .states import COMPLETED, FAILED, HALTED, STALLED
 
 HELPER_RUNNING = "RUNNING"
 HELPER_DONE = "DONE"
-STALLED = "STALLED"
 
 HELPER_INIT_TIME = 1.8  # container boot (drives the Fig. 4 recovery band)
 CONTROLLER_POLL = 0.5  # progress coalescing window; STALLED re-report cadence

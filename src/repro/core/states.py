@@ -20,6 +20,10 @@ HALTED = "HALTED"
 ALL_STATUSES = (QUEUED, DEPLOYING, DOWNLOADING, PROCESSING, STORING,
                 COMPLETED, FAILED, HALTED)
 
+# A learner report, never a job status: the controller saw no progress
+# for too long, and the Guardian is restarting the learner.
+STALLED = "STALLED"
+
 TERMINAL_STATUSES = frozenset({COMPLETED, FAILED, HALTED})
 
 # Forward edges of the lifecycle. FAILED/HALTED are reachable from any
@@ -36,8 +40,6 @@ _TRANSITIONS = {
     FAILED: set(),
     HALTED: set(),
 }
-
-_RANK = {status: index for index, status in enumerate(ALL_STATUSES)}
 
 
 def validate_transition(current, requested):
@@ -66,47 +68,30 @@ TERMINAL_EVENT_FOR = {
 }
 
 
-def aggregate_learner_statuses(statuses):
-    """Combine per-learner statuses into a job-level status (§III.f).
+def aggregate_job_status(learner_reports, store_done):
+    """The job status the Guardian records for its learners' reports
+    (§III.f).
 
-    The Guardian reads each learner's status from ETCD and records the
-    overall job status in MongoDB. A job is only as far along as its
-    slowest learner; any failed learner fails the aggregate.
+    ``learner_reports`` are the controller's per-learner dicts in etcd
+    (anything else is ignored); ``store_done`` is whether the
+    store-results helper has finished. A failed learner fails the job; a
+    stalled one is being restarted, so it counts as PROCESSING. The job
+    is not held back by its slowest learner: one learner PROCESSING or
+    COMPLETED makes it PROCESSING (``[DOWNLOADING, COMPLETED]`` gives
+    PROCESSING), and it is STORING only once every learner COMPLETED.
     """
-    if not statuses:
-        return DEPLOYING
-    if any(s == FAILED for s in statuses):
+    reports = {r["status"] for r in learner_reports if isinstance(r, dict)}
+    if STALLED in reports:
+        reports.discard(STALLED)
+        reports.add(PROCESSING)
+    if FAILED in reports:
         return FAILED
-    if any(s == HALTED for s in statuses):
-        return HALTED
-    return min(statuses, key=lambda s: _RANK[s])
-
-
-class StatusHistory:
-    """An ordered status trail with timestamps (what users see)."""
-
-    def __init__(self, initial=QUEUED, time=0.0):
-        self.entries = [(initial, time)]
-
-    @property
-    def current(self):
-        return self.entries[-1][0]
-
-    def advance(self, status, time):
-        """Record a transition (validated); no-op on same status."""
-        if status == self.current:
-            return False
-        validate_transition(self.current, status)
-        self.entries.append((status, time))
-        return True
-
-    def time_in(self, status):
-        """Total time spent in ``status`` (until the next transition)."""
-        total = 0.0
-        for (state, start), (_next_state, end) in zip(self.entries, self.entries[1:]):
-            if state == status:
-                total += end - start
-        return total
-
-    def as_documents(self):
-        return [{"status": status, "time": time} for status, time in self.entries]
+    if store_done:
+        return COMPLETED
+    if reports == {COMPLETED}:
+        return STORING
+    if PROCESSING in reports or COMPLETED in reports:
+        return PROCESSING
+    # Learners exist but are still waiting on data / binding stores,
+    # or have not reported at all: the job is still staging.
+    return DOWNLOADING

@@ -256,9 +256,6 @@ class Collection:
         self._index_doc(doc)
         return doc["_id"]
 
-    def insert_many(self, documents):
-        return [self.insert_one(doc) for doc in documents]
-
     def update_one(self, query, update, upsert=False):
         """Update the first match; returns (matched, modified)."""
         doc = self._find_first(query)
@@ -270,14 +267,6 @@ class Collection:
                 return (0, 1)
             return (0, 0)
         return (1, self._apply_to(doc, update))
-
-    def update_many(self, query, update):
-        docs = self._find_docs(query)
-        modified = sum(self._apply_to(doc, update) for doc in docs)
-        return (len(docs), modified)
-
-    def replace_one(self, query, replacement, upsert=False):
-        return self.update_one(query, replacement, upsert=upsert)
 
     def _apply_to(self, doc, update):
         new_doc = apply_update(doc, update)
@@ -302,33 +291,9 @@ class Collection:
         # document wholesale, they never mutate it in place.
         return _deep_copy(result) if copy else result
 
-    def delete_one(self, query):
-        doc = self._find_first(query)
-        if doc is None:
-            return 0
-        self._remove(doc)
-        return 1
-
-    def delete_many(self, query):
-        docs = self._find_docs(query)
-        for doc in docs:
-            self._remove(doc)
-        return len(docs)
-
-    def _remove(self, doc):
-        del self._documents[doc["_id"]]
-        del self._seqs[doc["_id"]]
-        self._unindex_doc(doc)
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-
-    def _iter_docs(self):
-        # Dict order is insertion order: updates replace values in
-        # place, and a delete + reinsert of the same _id re-appends —
-        # exactly the order the old explicit insertion-order list kept.
-        return iter(self._documents.values())
 
     def find_one(self, query=None, projection=None, copy=True):
         doc = self._find_first(query or {})
@@ -378,11 +343,3 @@ class Collection:
 
     def count_documents(self, query=None):
         return len(self._find_docs(query or {}))
-
-    def distinct(self, field, query=None):
-        seen = []
-        for doc in self._find_docs(query or {}):
-            value = get_path(doc, field)
-            if value is not _MISSING and value not in seen:
-                seen.append(value)
-        return seen

@@ -17,15 +17,6 @@ class Database:
             self._collections[name] = coll
         return coll
 
-    def __getitem__(self, name):
-        return self.collection(name)
-
-    def collection_names(self):
-        return sorted(self._collections)
-
-    def drop_collection(self, name):
-        self._collections.pop(name, None)
-
     def clone(self, new_name=None):
         """Deep copy of every collection (replica state transfer)."""
         copy = Database(new_name or self.name)
@@ -35,7 +26,7 @@ class Database:
                 target.create_index(field, unique=True)
             for field in coll._indexes:
                 target.create_index(field)
-            for doc in coll._iter_docs():
+            for doc in coll._documents.values():
                 target.insert_one(doc)
         return copy
 

@@ -11,7 +11,7 @@ _counter = itertools.count(1)
 
 
 class ObjectId:
-    """Opaque, totally ordered document identifier."""
+    """Opaque, hashable document identifier."""
 
     __slots__ = ("_value",)
 
@@ -26,11 +26,6 @@ class ObjectId:
 
     def __eq__(self, other):
         return isinstance(other, ObjectId) and self._value == other._value
-
-    def __lt__(self, other):
-        if not isinstance(other, ObjectId):
-            return NotImplemented
-        return self._value < other._value
 
     def __hash__(self):
         return hash(("ObjectId", self._value))

@@ -134,9 +134,6 @@ class MongoMember:
                 request["query"], request["update"], upsert=request.get("upsert", False)
             )
             return {"matched": matched, "modified": modified}
-        if op == "update_many":
-            matched, modified = coll.update_many(request["query"], request["update"])
-            return {"matched": matched, "modified": modified}
         if op == "find_one_and_update":
             return {
                 "document": coll.find_one_and_update(
@@ -145,21 +142,9 @@ class MongoMember:
                     copy=False,
                 )
             }
-        if op == "delete_one":
-            return {"deleted": coll.delete_one(request["query"])}
-        if op == "delete_many":
-            return {"deleted": coll.delete_many(request["query"])}
-        if op == "count":
-            return {"count": coll.count_documents(request.get("query"))}
-        if op == "create_index":
-            coll.create_index(request["field"], unique=request.get("unique", False))
-            return {"ok": True}
         raise ValueError(f"unknown docstore op {op!r}")
 
-    _WRITE_OPS = frozenset({
-        "insert_one", "update_one", "update_many", "find_one_and_update",
-        "delete_one", "delete_many", "create_index",
-    })
+    _WRITE_OPS = frozenset({"insert_one", "update_one", "find_one_and_update"})
 
     def _on_command(self, request):
         if not self.is_primary:
@@ -336,21 +321,3 @@ class MongoClient:
             "query": query, "update": update, "return_new": return_new,
         }, ctx=ctx)
         return response["document"]
-
-    def delete_many(self, collection, query):
-        response = yield from self._command(
-            {"op": "delete_many", "collection": collection, "query": query}
-        )
-        return response["deleted"]
-
-    def count(self, collection, query=None):
-        response = yield from self._command(
-            {"op": "count", "collection": collection, "query": query or {}}
-        )
-        return response["count"]
-
-    def create_index(self, collection, field, unique=False):
-        yield from self._command({
-            "op": "create_index", "collection": collection,
-            "field": field, "unique": unique,
-        })

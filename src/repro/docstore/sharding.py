@@ -60,18 +60,10 @@ class MongoShardSet:
             shard.start()
         return self
 
-    def replica_set(self, index):
-        return self.shards[index]
-
     def all_members(self):
         """Every member of every shard (health probes, index setup)."""
         for shard in self.shards:
             yield from shard.members.values()
-
-    def shard_for(self, collection, key_value):
-        if SHARD_KEYS.get(collection) is None:
-            return self.shards[0]
-        return self.shards[shard_index(key_value, self.shard_count)]
 
 
 def _merge_sort(documents, sort):
@@ -199,29 +191,3 @@ class ShardedMongoClient:
             if doc is not None:
                 return doc
         return None
-
-    def delete_many(self, collection, query):
-        client = self._routed(collection, query)
-        if client is not None:
-            deleted = yield from client.delete_many(collection, query)
-            return deleted
-        total = 0
-        for client in self._clients:
-            deleted = yield from client.delete_many(collection, query)
-            total += deleted
-        return total
-
-    def count(self, collection, query=None):
-        client = self._routed(collection, query)
-        if client is not None:
-            n = yield from client.count(collection, query)
-            return n
-        total = 0
-        for client in self._clients:
-            n = yield from client.count(collection, query)
-            total += n
-        return total
-
-    def create_index(self, collection, field, unique=False):
-        for client in self._clients:
-            yield from client.create_index(collection, field, unique=unique)

@@ -55,7 +55,6 @@ from .perfmodel import (
     compute_time,
     images_per_sec,
     input_time,
-    overhead_percent,
     step_time,
 )
 from .trainer import CheckpointPolicy, CheckpointStore, TrainingRun, synthetic_loss
@@ -105,7 +104,6 @@ __all__ = [
     "get_model",
     "images_per_sec",
     "input_time",
-    "overhead_percent",
     "step_time",
     "synthetic_loss",
 ]

@@ -116,11 +116,6 @@ def training_memory_mb(model, batch_per_gpu):
     return weights_mb + batch * model.activation_mb_per_image
 
 
-def fits_on_gpu(model, batch_per_gpu, gpu):
-    """True if the training process fits in ``gpu``'s memory."""
-    return training_memory_mb(model, batch_per_gpu) <= gpu.memory_gb * 1024.0
-
-
 def get_model(name):
     try:
         return MODEL_ZOO[name.lower()]

@@ -133,10 +133,3 @@ def step_time(config, platform):
 def images_per_sec(config, platform):
     """Aggregate training throughput (the paper's metric)."""
     return config.batch * config.total_gpus / step_time(config, platform)
-
-
-def overhead_percent(config, platform, baseline_platform, baseline_config=None):
-    """Fig. 2/3 metric: % throughput lost vs a baseline platform."""
-    base = images_per_sec(baseline_config or config, baseline_platform)
-    ours = images_per_sec(config, platform)
-    return (base - ours) / base * 100.0

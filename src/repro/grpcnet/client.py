@@ -49,10 +49,6 @@ class LoadBalancer:
     def endpoints(self):
         return tuple(self._endpoints)
 
-    @property
-    def ring(self):
-        return self._ring
-
     def pick_order(self, key=None):
         """Endpoints to try for one call.
 

@@ -42,13 +42,6 @@ class ConsistentHashRing:
     def __len__(self):
         return len(self._nodes)
 
-    def __contains__(self, node):
-        return node in self._nodes
-
-    @property
-    def nodes(self):
-        return sorted(self._nodes)
-
     def _points(self, node):
         return [stable_hash(f"{node}#{i}") for i in range(self.vnodes)]
 
@@ -70,16 +63,6 @@ class ConsistentHashRing:
         self._nodes.discard(node)
         self._positions = [(p, n) for p, n in self._positions if n != node]
         return self
-
-    def owner(self, key):
-        """The node owning ``key``, or None on an empty ring."""
-        if not self._positions:
-            return None
-        index = bisect.bisect_right(self._positions,
-                                    (stable_hash(str(key)), ""))
-        if index == len(self._positions):
-            index = 0
-        return self._positions[index][1]
 
     def ordered(self, key):
         """Every node, in ring order from ``key``'s position.
@@ -104,7 +87,3 @@ class ConsistentHashRing:
                 if len(out) == len(self._nodes):
                     break
         return out
-
-    def assignments(self, keys):
-        """Map ``keys`` to owners — handy for movement accounting."""
-        return {key: self.owner(key) for key in keys}

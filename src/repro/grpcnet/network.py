@@ -293,9 +293,6 @@ class Network:
     def lookup(self, address):
         return self._servers.get(address)
 
-    def addresses(self):
-        return sorted(self._servers)
-
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
@@ -310,9 +307,6 @@ class Network:
     def heal_all(self):
         self._partitions.clear()
         self._oneway.clear()
-
-    def is_partitioned(self, a, b):
-        return frozenset((a, b)) in self._partitions
 
     def partition_oneway(self, src, dst):
         """Block messages from ``src`` to ``dst`` only (asymmetric
@@ -392,9 +386,6 @@ class Network:
             arrive_once *= 1.0 - layer.duplicate
         self._impaired[address] = EndpointImpairment(
             extra, 1.0 - keep, 1.0 - arrive_once)
-
-    def impairment(self, address):
-        return self._impaired.get(address)
 
     # ------------------------------------------------------------------
     # Calls

@@ -38,23 +38,11 @@ class Server:
         self.copy_responses = copy_responses
         self.running = False
         self._methods = {}
-        self._inflight = set()
+        self._inflight = {}  # handler process -> None, in arrival order
         self.requests_served = 0
 
     def add_method(self, name, handler):
         self._methods[name] = handler
-        return self
-
-    def add_service(self, obj, prefix=""):
-        """Register every public method of ``obj`` ending in ``_rpc``.
-
-        The RPC method name is the Python name minus the ``_rpc``
-        suffix, optionally prefixed (``prefix="Trainer."``).
-        """
-        for attr in dir(obj):
-            if attr.startswith("_") or not attr.endswith("_rpc"):
-                continue
-            self.add_method(prefix + attr[: -len("_rpc")], getattr(obj, attr))
         return self
 
     def start(self):
@@ -66,12 +54,13 @@ class Server:
         return self
 
     def stop(self):
-        """Crash/stop: kill in-flight handlers, refuse new calls."""
+        """Crash/stop: kill in-flight handlers in arrival order, refuse
+        new calls."""
         if not self.running:
             return self
         self.running = False
         self.network.unregister(self.address)
-        inflight, self._inflight = self._inflight, set()
+        inflight, self._inflight = self._inflight, {}
         for process in inflight:
             process.kill(f"server {self.address} stopped")
         return self
@@ -107,11 +96,14 @@ class Server:
         handled = step(kernel, self._serve(handler, method, request),
                        f"{self.address}/{method}" if kernel.debug else "serve")
         if handled.state is PENDING:
-            self._inflight.add(handled)
+            self._inflight[handled] = None
             # The completion callback receives the process itself, so
-            # the bound discard needs no per-call closure.
-            handled.add_callback(self._inflight.discard)
+            # a bound method needs no per-call closure.
+            handled.add_callback(self._forget)
         return handled
+
+    def _forget(self, process):
+        self._inflight.pop(process, None)
 
     def _serve(self, handler, method, request):
         """Process body: ``handler`` is a callable, or the generator a

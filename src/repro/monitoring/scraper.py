@@ -142,7 +142,7 @@ class MetricsScraper(Polling):
             if key not in self._live:
                 self.store.mark_stale(key[0], key[1], now)
                 self._stale_since.setdefault(key, now)
-        self.ticks.append(now, self.store.horizon())
+        self.ticks.append(now, self.store.retention)
         self._prune_stale(now)
         self.scrape_count += 1
         if self._m_scrapes is not None:

@@ -120,18 +120,6 @@ class SharedFilesystem:
             return
         self._lookup_dir(path, create=True)
 
-    def listdir(self, path="/"):
-        node = self._lookup(path) if _split(path) else self._root
-        if not isinstance(node, _Directory):
-            raise NotADirectory(path)
-        return sorted(node.entries)
-
-    def is_dir(self, path):
-        try:
-            return isinstance(self._lookup(path), _Directory)
-        except (NotFound, NotADirectory):
-            return False
-
     # ------------------------------------------------------------------
     # Files
     # ------------------------------------------------------------------
@@ -173,36 +161,5 @@ class SharedFilesystem:
         except (NotFound, NotADirectory):
             return False
 
-    def size(self, path):
-        return len(self.read_file(path))
-
     def mtime(self, path):
         return self._lookup(path).mtime
-
-    def delete(self, path, recursive=False):
-        parent_path, _slash, name = path.rstrip("/").rpartition("/")
-        parent = self._lookup_dir(parent_path)
-        node = parent.entries.get(name)
-        if node is None:
-            raise NotFound(path)
-        if isinstance(node, _Directory) and node.entries and not recursive:
-            raise IsADirectory(f"directory not empty: {path}")
-        del parent.entries[name]
-        self._notify_change(path)
-
-    def walk(self, path="/"):
-        """Yield (dirpath, dirnames, filenames), like ``os.walk``."""
-        start = self._lookup_dir(path) if _split(path) else self._root
-        stack = [(path.rstrip("/") or "/", start)]
-        while stack:
-            dirpath, node = stack.pop()
-            dirnames = sorted(
-                n for n, e in node.entries.items() if isinstance(e, _Directory)
-            )
-            filenames = sorted(
-                n for n, e in node.entries.items() if isinstance(e, _File)
-            )
-            yield dirpath, dirnames, filenames
-            for name in reversed(dirnames):
-                child = f"{dirpath}/{name}" if dirpath != "/" else f"/{name}"
-                stack.append((child, node.entries[name]))

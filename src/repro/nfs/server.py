@@ -2,8 +2,8 @@
 
 Volumes outlive every container and pod; a crashed controller rereads
 current and previous statuses from NFS after restart (paper §III.f).
-Mounts are per-container views; crashing the container invalidates its
-mounts, but never the volume.
+Mounts are per-container views that check the server is up on every
+operation.
 """
 
 from .errors import AlreadyExists, FsError, VolumeNotFound
@@ -11,46 +11,30 @@ from .filesystem import SharedFilesystem
 
 
 class Mount:
-    """A container's handle on a volume; dies with the container."""
+    """A container's handle on a volume; every operation fails while
+    the server is down."""
 
     def __init__(self, server, volume_name, filesystem):
         self._server = server
         self.volume_name = volume_name
         self._filesystem = filesystem
-        self.active = True
-        self._subscriptions = []
 
     def _fs(self, op=None):
         if op is not None:
-            self._server.record_op(op, ok=self.active and self._server.available)
-        if not self.active:
-            raise FsError(f"mount of {self.volume_name!r} is stale")
+            self._server.record_op(op, ok=self._server.available)
         if not self._server.available:
             raise FsError("NFS server unavailable")
         return self._filesystem
 
-    def unmount(self):
-        self.active = False
-        subscriptions, self._subscriptions = self._subscriptions, []
-        for subscription in subscriptions:
-            subscription.cancel()
-
     def subscribe(self, prefix, callback):
-        """Change notifications under ``prefix``; cancelled on unmount."""
-        subscription = self._fs().subscribe(prefix, callback)
-        self._subscriptions.append(subscription)
-        return subscription
+        """Change notifications under ``prefix``; the holder cancels the
+        subscription when its container stops."""
+        return self._fs().subscribe(prefix, callback)
 
     # Delegate the filesystem API through the liveness checks.
 
     def mkdir(self, path, parents=True):
         return self._fs("mkdir").mkdir(path, parents=parents)
-
-    def listdir(self, path="/"):
-        return self._fs("listdir").listdir(path)
-
-    def is_dir(self, path):
-        return self._fs("stat").is_dir(path)
 
     def write_file(self, path, content, append=False):
         return self._fs("write").write_file(path, content, append=append)
@@ -67,17 +51,8 @@ class Mount:
     def exists(self, path):
         return self._fs("stat").exists(path)
 
-    def size(self, path):
-        return self._fs("stat").size(path)
-
     def mtime(self, path):
         return self._fs("stat").mtime(path)
-
-    def delete(self, path, recursive=False):
-        return self._fs("delete").delete(path, recursive=recursive)
-
-    def walk(self, path="/"):
-        return self._fs("listdir").walk(path)
 
 
 class NfsServer:
@@ -117,18 +92,10 @@ class NfsServer:
         self._volumes[name] = volume
         return volume
 
-    def delete_volume(self, name):
-        if name not in self._volumes:
-            raise VolumeNotFound(name)
-        del self._volumes[name]
-
     def volume(self, name):
         if name not in self._volumes:
             raise VolumeNotFound(name)
         return self._volumes[name]
-
-    def volume_names(self):
-        return sorted(self._volumes)
 
     def mount(self, name):
         return Mount(self, name, self.volume(name))

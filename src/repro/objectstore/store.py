@@ -71,11 +71,6 @@ class ObjectStore:
         self._buckets[name] = bucket
         return bucket
 
-    def delete_bucket(self, name, credentials):
-        bucket = self._bucket(name)
-        bucket.authorize(credentials)
-        del self._buckets[name]
-
     def bucket_names(self):
         return sorted(self._buckets)
 
@@ -106,13 +101,6 @@ class ObjectStore:
         if obj is None:
             raise NoSuchKey(f"{bucket_name}/{key}")
         return obj
-
-    def delete_object(self, bucket_name, key, credentials):
-        bucket = self._bucket(bucket_name)
-        bucket.authorize(credentials)
-        if key not in bucket.objects:
-            raise NoSuchKey(f"{bucket_name}/{key}")
-        del bucket.objects[key]
 
     def list_objects(self, bucket_name, credentials, prefix=""):
         bucket = self._bucket(bucket_name)

@@ -90,9 +90,6 @@ class EtcdClient:
         return self._propose({"op": "lease_keepalive", "lease_id": lease_id,
                               "now": self.kernel.now})
 
-    def lease_revoke(self, lease_id):
-        return self._propose({"op": "lease_revoke", "lease_id": lease_id})
-
     def get(self, key):
         """Linearizable read via the leader; returns value or None."""
         op_id = self._next_seq()

@@ -28,10 +28,6 @@ class RaftLog:
         return len(self._entries)
 
     @property
-    def first_index(self):
-        return self.offset + 1
-
-    @property
     def last_index(self):
         return self.offset + len(self._entries)
 

@@ -144,7 +144,6 @@ class RaftNode:
         self.server.add_method("propose", self._on_propose)
         self.server.add_method("read", self._on_read)
         self.server.add_method("range", self._on_range)
-        self.server.add_method("status", self._on_status)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -425,16 +424,6 @@ class RaftNode:
         if not (self.stale_reads or self._read_lease_valid()):
             raise NotLeader(self.node_id, None)
         return {"kvs": self.state_machine.range(request["prefix"])}
-
-    def _on_status(self, _request):
-        return {
-            "node": self.node_id,
-            "role": self.role,
-            "term": self.current_term,
-            "leader": self.leader_id,
-            "commit_index": self.commit_index,
-            "log_length": self.log.last_index,
-        }
 
     # ------------------------------------------------------------------
     # Leader: replication, commit, leases

@@ -135,9 +135,6 @@ class KvStateMachine:
         lease["expires_at"] = command["now"] + lease["ttl"]
         return {"ok": True}
 
-    def _apply_lease_revoke(self, command):
-        return self._revoke(command["lease_id"])
-
     def _apply_lease_expire(self, command):
         # Proposed by the leader's lease sweeper; replay-safe because
         # the decision to expire was made once, at proposal time.
@@ -169,9 +166,6 @@ class KvStateMachine:
     # ------------------------------------------------------------------
     # Reads (leader-local; not part of the replicated command stream)
     # ------------------------------------------------------------------
-
-    def get(self, key):
-        return self.data.get(key)
 
     def get_with_revision(self, key):
         if key not in self.data:

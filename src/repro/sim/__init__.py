@@ -10,7 +10,7 @@ one, and its ``start()``/``stop()`` contract is theirs).
 """
 
 from .channels import Channel
-from .errors import ChannelClosed, Interrupt, ProcessKilled, SimError, SimTimeout
+from .errors import ChannelClosed, ProcessKilled, SimError, SimTimeout
 from .events import AllOf, AnyOf, Event
 from .faults import FaultInjector
 from .kernel import Kernel
@@ -40,7 +40,6 @@ __all__ = [
     "FaultInjector",
     "Gauge",
     "Histogram",
-    "Interrupt",
     "Kernel",
     "MetricsRegistry",
     "Periodic",

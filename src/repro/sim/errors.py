@@ -18,14 +18,6 @@ class ProcessKilled(SimError):
         self.reason = reason
 
 
-class Interrupt(SimError):
-    """Thrown into a process to interrupt a wait without killing it."""
-
-    def __init__(self, cause=None):
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause
-
-
 class ChannelClosed(SimError):
     """Raised when getting from (or putting to) a closed channel."""
 

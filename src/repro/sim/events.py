@@ -6,14 +6,13 @@ exception. Processes wait on events by yielding them from their
 generator; the kernel resumes the process with the event's value (or
 throws the event's exception into it).
 
-Cancellation: a pending event that nobody will ever wait on again can be
-defused with :meth:`Event.cancel` — it drops its callbacks and will
-never trigger. Timers (see :class:`repro.sim.kernel.Timer`) extend this
-with lazy deletion: the cancelled entry stays in the kernel's queue and
-is skipped (counted, not dispatched) when it is reached. Cancelling an
-event another process still waits on would strand that process, so only
-cancel events you own exclusively — e.g. the losing timer of a
-deadline race.
+Cancellation: a pending timer (see :class:`repro.sim.kernel.Timer`)
+that nobody will ever wait on again can be defused with
+:meth:`~repro.sim.kernel.Timer.cancel` — it drops its callbacks and
+will never trigger; its entry stays in the kernel's queue and is skipped
+(counted, not dispatched) when it is reached. Cancelling a timer another
+process still waits on would strand that process, so only cancel timers
+you own exclusively — e.g. the losing timer of a deadline race.
 """
 
 PENDING = "pending"
@@ -51,10 +50,6 @@ class Event:
     def ok(self):
         return self.state is SUCCEEDED
 
-    @property
-    def cancelled(self):
-        return self.state is CANCELLED
-
     def succeed(self, value=None):
         """Trigger the event successfully, waking all waiters."""
         if self.state is not PENDING:
@@ -79,17 +74,6 @@ class Event:
         self.exception = exception
         self._dispatch()
         return self
-
-    def cancel(self):
-        """Defuse a pending event: it will never trigger, and its
-        callbacks are dropped.
-
-        Only the exclusive owner of an event may cancel it — a waiter
-        added later would never wake. No-op once triggered.
-        """
-        if self.state is PENDING:
-            self.state = CANCELLED
-            self._callbacks = None
 
     def add_callback(self, callback):
         """Register ``callback(event)``; runs at trigger time.

@@ -22,7 +22,7 @@ step's outcomes are :meth:`Process._resume`'s: a return succeeds, an
 exception fails, a non-event yield fails with ``TypeError``.
 """
 
-from .errors import Interrupt, ProcessKilled
+from .errors import ProcessKilled
 from .events import FAILED, PENDING, Event
 
 
@@ -69,10 +69,6 @@ class Process(Event):
         current suspension point, at the current simulated instant.
         """
         self._deliver(ProcessKilled(reason))
-
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process without killing it."""
-        self._deliver(Interrupt(cause))
 
     def _deliver(self, exc):
         if self.triggered or self._pending_kill is not None:

@@ -19,9 +19,9 @@ class TickLog:
     """The instants of one scraper's passes, oldest first.
 
     A pass's tick has an absolute index that never changes; ``base`` is
-    the index of ``times[0]``. The log keeps the ticks of the longest
-    retention of the store it feeds (``horizon``), which is all a held
-    series (:meth:`TimeSeries.hold`) can still show."""
+    the index of ``times[0]``. The log keeps the ticks of the retention
+    of the store it feeds, which is all a held series
+    (:meth:`TimeSeries.hold`) can still show."""
 
     __slots__ = ("times", "base")
 
@@ -278,9 +278,7 @@ def canonical_labels(labels):
 class TimeSeriesStore:
     """All scraped series, keyed by (name, canonical labels).
 
-    ``retention``/``max_samples`` are the store-wide bounds; per-series
-    overrides (keyed by metric name) let an operator keep e.g. ``up``
-    history longer than high-cardinality RPC quantiles.
+    ``retention``/``max_samples`` bound every series.
     """
 
     def __init__(self, retention=600.0, max_samples=2048):
@@ -294,28 +292,13 @@ class TimeSeriesStore:
         # of one of its series; ``()`` keys the unfiltered group.
         self._by_name = {}
         self._sorted_by_name = {}
-        self._overrides = {}  # name -> (retention, max_samples)
-
-    def horizon(self):
-        """The longest retention of any series, present or future."""
-        return max([self.retention]
-                   + [retention for retention, _n in self._overrides.values()])
-
-    def configure(self, name, retention=None, max_samples=None):
-        """Per-series-name retention override for series created later."""
-        self._overrides[name] = (
-            retention if retention is not None else self.retention,
-            max_samples if max_samples is not None else self.max_samples,
-        )
 
     def _get_or_create(self, name, labels):
         key = (name, canonical_labels(labels))
         series = self._series.get(key)
         if series is None:
-            retention, max_samples = self._overrides.get(
-                name, (self.retention, self.max_samples))
-            series = TimeSeries(name, key[1], retention=retention,
-                                max_samples=max_samples)
+            series = TimeSeries(name, key[1], retention=self.retention,
+                                max_samples=self.max_samples)
             self._series[key] = series
             self._by_name.setdefault(name, {})[key[1]] = series
             self._sorted_by_name.pop(name, None)
@@ -377,9 +360,6 @@ class TimeSeriesStore:
                 series for series in views[()]
                 if wanted_set <= set(series.labels))
         return view
-
-    def names(self):
-        return sorted({name for name, _labels in self._series})
 
     def __len__(self):
         return len(self._series)

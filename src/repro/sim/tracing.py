@@ -142,13 +142,6 @@ class Span:
 
     # Context-manager use for synchronous sections: ends with status
     # "ok", or "error" if the block raised.
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb):
-        self.end("error" if exc_type is not None else "ok")
-        return False
-
     def __repr__(self):
         end = f"{self.end_time:.3f}" if self.ended else "…"
         return (f"<span {self.name} [{self.component}] "
@@ -204,35 +197,6 @@ class Tracer:
         matches = self.query(**kwargs)
         return matches[-1] if matches else None
 
-    def intervals(self, start_kind, end_kind, component=None, key=None):
-        """Pair up start/end records and return their durations.
-
-        ``key`` extracts a correlation id from a record's fields (e.g.
-        ``lambda r: r.fields["pod"]``); without it, each end record
-        pairs with the *earliest still-unmatched* start (FIFO), so
-        interleaved unkeyed start/end sequences pair correctly instead
-        of silently dropping ends.
-        """
-        if key is not None:
-            starts = {}
-            durations = []
-            for record in self.query(component=component):
-                if record.kind == start_kind:
-                    starts[key(record)] = record.time
-                elif record.kind == end_kind:
-                    ident = key(record)
-                    if ident in starts:
-                        durations.append(record.time - starts.pop(ident))
-            return durations
-        pending = []
-        durations = []
-        for record in self.query(component=component):
-            if record.kind == start_kind:
-                pending.append(record.time)
-            elif record.kind == end_kind and pending:
-                durations.append(record.time - pending.pop(0))
-        return durations
-
     # ------------------------------------------------------------------
     # Spans
     # ------------------------------------------------------------------
@@ -277,9 +241,6 @@ class Tracer:
         spans = [s for s in self.spans if s.trace_id == trace_id]
         spans.sort(key=lambda s: (s.start, s.span_id))
         return spans
-
-    def trace_ids(self):
-        return sorted({s.trace_id for s in self.spans})
 
     def find_spans(self, name=None, component=None, trace_id=None, **attrs):
         out = []

@@ -13,7 +13,6 @@ from repro.bench import (
     measure_dgx1,
     render_table,
     scheduler_rows,
-    shape_check,
 )
 
 
@@ -32,10 +31,6 @@ class TestReporting:
     def test_render_empty_table(self):
         text = render_table("Empty", ["col"], [])
         assert "col" in text
-
-    def test_shape_check_verdicts(self):
-        assert "[OK ]" in shape_check("x", 5.0, 3.0, 6.0)
-        assert "[OUT]" in shape_check("x", 9.0, 3.0, 6.0)
 
 
 class TestBaselineRunners:

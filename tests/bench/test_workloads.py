@@ -20,21 +20,25 @@ def generator(seed=0, mix=DEFAULT_MIX):
     return WorkloadGenerator(FakePlatform(seed), "in", "out", CREDS, mix=mix)
 
 
+def draw(gen, count):
+    return [gen.next_manifest() for _ in range(count)]
+
+
 class TestWorkloadGenerator:
     def test_manifests_are_valid(self):
-        for raw in generator().manifests(20):
+        for raw in draw(generator(), 20):
             manifest = TrainingManifest.from_dict(raw)
             assert manifest.target_steps > 0
 
     def test_deterministic_per_seed(self):
-        first = generator(seed=5).manifests(10)
-        second = generator(seed=5).manifests(10)
+        first = draw(generator(seed=5), 10)
+        second = draw(generator(seed=5), 10)
         assert first == second
-        different = generator(seed=6).manifests(10)
+        different = draw(generator(seed=6), 10)
         assert different != first
 
     def test_names_unique(self):
-        names = [m["name"] for m in generator().manifests(30)]
+        names = [m["name"] for m in draw(generator(), 30)]
         assert len(set(names)) == 30
 
     def test_weights_respected(self):
@@ -42,14 +46,14 @@ class TestWorkloadGenerator:
             JobClass("common", 9.0, "resnet50", "tensorflow"),
             JobClass("rare", 1.0, "vgg16", "caffe"),
         )
-        drawn = generator(mix=mix).manifests(200)
+        drawn = draw(generator(mix=mix), 200)
         common = sum(1 for m in drawn if m["name"].startswith("common"))
         assert 150 < common < 200
 
     def test_steps_within_class_bounds(self):
         mix = (JobClass("only", 1.0, "resnet50", "tensorflow",
                         min_steps=10, max_steps=20),)
-        for manifest in generator(mix=mix).manifests(50):
+        for manifest in draw(generator(mix=mix), 50):
             assert 10 <= manifest["target_steps"] <= 20
 
     def test_invalid_rate_rejected(self):

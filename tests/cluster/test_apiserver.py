@@ -346,15 +346,13 @@ class TestImageRegistry:
         registry = ImageRegistry(kernel)
         registry.register("img", 100)
         registry.prewarm("node-a", "img")
-        assert registry.is_cached("node-a", "img")
-        assert not registry.is_cached("node-b", "img")
 
-    def test_evict_forces_repull(self, kernel):
-        registry = ImageRegistry(kernel)
-        registry.register("img", 100)
-        registry.prewarm("node", "img")
-        registry.evict_node_cache("node")
-        assert not registry.is_cached("node", "img")
+        def pull_on_both():
+            yield from registry.pull("node-a", "img")
+            yield from registry.pull("node-b", "img")
+
+        kernel.run_until_complete(kernel.spawn(pull_on_both()))
+        assert registry.cache_hits == 1 and registry.pulls == 1
 
     def test_unknown_image_rejected(self, kernel):
         registry = ImageRegistry(kernel)

@@ -226,14 +226,14 @@ class TestSyncReadsNodeIndex:
         pod = cluster.api.create(Pod("late", spec))
         kernel.run(until=2.0)
         kubelet = cluster.kubelet_for("node-1")
-        assert pod.node_name is None and not kubelet.has_worker_for(pod)
+        assert pod.node_name is None and not pod.metadata.uid in kubelet._pod_workers
         assert cluster.api.list("Pod", node_name="node-1") == []
 
         assert cluster.scheduler._bind_one(
             pod, [cluster.api.get("Node", "node-1", namespace="")], set()) == 1
         assert cluster.api.list("Pod", node_name="node-1") == [pod]
         kernel.run(until=kernel.now + 2 * SYNC_INTERVAL)
-        assert kubelet.has_worker_for(pod)
+        assert pod.metadata.uid in kubelet._pod_workers
         kernel.run(until=6.0)
         assert pod.phase == "Running"
 
@@ -249,5 +249,5 @@ class TestSyncReadsNodeIndex:
         kernel.run(until=6.0)
         assert not cluster.api.exists("Pod", "doomed")
         assert cluster.api.list("Pod", node_name=node_name) == []
-        assert not cluster.kubelet_for(node_name).has_worker_for(pod)
+        assert not pod.metadata.uid in cluster.kubelet_for(node_name)._pod_workers
         assert cluster.capacity_summary()["gpus_allocated"] == 0

@@ -290,7 +290,7 @@ class TestVolumes:
 
         def writer(ctx):
             ctx.mounts["work"].write_file("/hello.txt", "hi")
-            seen["files"] = ctx.mounts["work"].listdir("/")
+            seen["files"] = ctx.mounts["work"].read_file("/hello.txt")
             yield ctx.kernel.sleep(0.1)
             return 0
 
@@ -302,7 +302,7 @@ class TestVolumes:
         )
         cluster.api.create(Pod("vol-pod", spec))
         kernel.run(until=10.0)
-        assert seen["files"] == ["hello.txt"]
+        assert seen["files"] == "hi"
         volume = nfs.volume("pv-default-job-claim")
         assert volume.read_file("/hello.txt") == "hi"
 

@@ -246,7 +246,6 @@ class TestWhatCountsAsStatus:
         fs.append_line(layout.learner_log_file(0), "step 1")
         fs.write_file(f"{layout.learner_dir(0)}/joined", "1")
         fs.write_file(f"{layout.learner_dir(0)}/hang-injected", "1")
-        fs.delete(f"{layout.learner_dir(0)}/joined")
         assert queue.added == []
         fs.write_file(layout.learner_status_file(0), "{}")
         fs.write_file(layout.learner_exit_file(0), "0")

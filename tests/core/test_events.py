@@ -21,7 +21,8 @@ class TestEmit:
         event = recorder.emit_event("Warning", "ComponentCrashed", "Pod",
                                     "dlaas-api-1", message="endpoint lost")
         assert event.count == 1
-        assert event.key == ("Warning", "ComponentCrashed", "Pod", "dlaas-api-1")
+        assert (event.type, event.reason, event.kind, event.name) == (
+            "Warning", "ComponentCrashed", "Pod", "dlaas-api-1")
         assert len(recorder) == 1
 
     def test_rejects_unknown_type(self, recorder):
@@ -84,7 +85,6 @@ class TestQueries:
         assert len(recorder.events(job="job-1")) == 2
         assert len(recorder.warnings(job="job-1")) == 1
         assert recorder.events(reason="Deployed", job="job-2")[0].name == "job-2"
-        assert recorder.get("Normal", "Deployed", "Job", "job-1") is not None
 
     def test_metrics_counter(self, kernel):
         registry = MetricsRegistry()

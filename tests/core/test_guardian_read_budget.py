@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ComponentCrasher, layout
+from repro.core import ComponentCrasher, aggregate_job_status, layout
 from repro.core.guardian import MONITOR_INTERVAL, Guardian
 from repro.core.helpers import HELPER_DONE
 
@@ -108,10 +108,8 @@ def four_reads(guardian, kvs):
     statuses = sorted(kv for kv in kvs.items() if kv[0].startswith(prefix))
     store_done = kvs.get(
         layout.helper_status_key(job_id, "store-results")) == HELPER_DONE
-    load_done = kvs.get(
-        layout.helper_status_key(job_id, "load-data")) == HELPER_DONE
-    status = guardian._aggregate([value for _key, value in statuses],
-                                 load_done, store_done)
+    status = aggregate_job_status([value for _key, value in statuses],
+                                  store_done)
     return statuses, "HALTED" if halted else status
 
 

@@ -129,9 +129,9 @@ class TestGpuMemoryFit:
 
     def test_memory_estimate_helpers(self):
         from repro.frameworks import K80
-        from repro.frameworks.models import VGG16, fits_on_gpu, training_memory_mb
+        from repro.frameworks.models import VGG16, training_memory_mb
 
         required = training_memory_mb(VGG16, 32)
         assert 7000 < required < 10000  # ~1.7GB weights + 32x220MB
-        assert fits_on_gpu(VGG16, 32, K80)
-        assert not fits_on_gpu(VGG16, 64, K80)
+        assert required <= K80.memory_gb * 1024.0
+        assert training_memory_mb(VGG16, 64) > K80.memory_gb * 1024.0

@@ -12,11 +12,11 @@ from repro.core import (
     QUEUED,
     STORING,
     IllegalTransition,
-    StatusHistory,
-    aggregate_learner_statuses,
+    aggregate_job_status,
     is_terminal,
     validate_transition,
 )
+from repro.core.states import STALLED
 
 
 class TestTransitions:
@@ -57,60 +57,32 @@ class TestTransitions:
         assert not is_terminal(PROCESSING)
 
 
+def reports(*statuses):
+    return [{"status": status} for status in statuses]
+
+
 class TestAggregation:
-    def test_empty_is_deploying(self):
-        assert aggregate_learner_statuses([]) == DEPLOYING
+    """Pinned cases of the rule the Guardian runs; the properties are in
+    tests/property/test_platform_properties.py."""
+
+    def test_no_reports_is_downloading(self):
+        assert aggregate_job_status([], store_done=False) == DOWNLOADING
 
     def test_any_failed_fails_job(self):
-        assert aggregate_learner_statuses([PROCESSING, FAILED, COMPLETED]) == FAILED
+        assert aggregate_job_status(reports(PROCESSING, FAILED, COMPLETED),
+                                    store_done=True) == FAILED
 
-    def test_slowest_learner_wins(self):
-        assert aggregate_learner_statuses([PROCESSING, DOWNLOADING]) == DOWNLOADING
-        assert aggregate_learner_statuses([COMPLETED, PROCESSING]) == PROCESSING
+    def test_one_learner_ahead_makes_the_job_processing(self):
+        # Not "as far along as the slowest learner".
+        assert aggregate_job_status(reports(DOWNLOADING, COMPLETED),
+                                    store_done=False) == PROCESSING
 
     def test_all_completed(self):
-        assert aggregate_learner_statuses([COMPLETED, COMPLETED]) == COMPLETED
+        assert aggregate_job_status(reports(COMPLETED, COMPLETED),
+                                    store_done=False) == STORING
+        assert aggregate_job_status(reports(COMPLETED, COMPLETED),
+                                    store_done=True) == COMPLETED
 
-    def test_halt_propagates(self):
-        assert aggregate_learner_statuses([PROCESSING, HALTED]) == HALTED
-
-
-class TestStatusHistory:
-    def test_initial_entry(self):
-        history = StatusHistory(time=1.0)
-        assert history.current == QUEUED
-        assert history.entries == [(QUEUED, 1.0)]
-
-    def test_advance_records_timestamps(self):
-        history = StatusHistory(time=0.0)
-        assert history.advance(DEPLOYING, 2.0)
-        assert history.advance(DOWNLOADING, 5.0)
-        assert history.current == DOWNLOADING
-
-    def test_advance_same_status_is_noop(self):
-        history = StatusHistory(time=0.0)
-        history.advance(DEPLOYING, 1.0)
-        assert not history.advance(DEPLOYING, 2.0)
-        assert len(history.entries) == 2
-
-    def test_illegal_advance_raises(self):
-        history = StatusHistory(time=0.0)
-        with pytest.raises(IllegalTransition):
-            history.advance(COMPLETED, 1.0)
-
-    def test_time_in_status(self):
-        history = StatusHistory(time=0.0)
-        history.advance(DEPLOYING, 10.0)
-        history.advance(DOWNLOADING, 16.0)
-        assert history.time_in(QUEUED) == 10.0
-        assert history.time_in(DEPLOYING) == 6.0
-        assert history.time_in(DOWNLOADING) == 0.0  # still open
-
-    def test_as_documents(self):
-        history = StatusHistory(time=0.0)
-        history.advance(DEPLOYING, 3.0)
-        docs = history.as_documents()
-        assert docs == [
-            {"status": QUEUED, "time": 0.0},
-            {"status": DEPLOYING, "time": 3.0},
-        ]
+    def test_stalled_learner_keeps_the_job_processing(self):
+        assert aggregate_job_status(reports(STALLED, DOWNLOADING),
+                                    store_done=False) == PROCESSING

@@ -65,12 +65,11 @@ def test_planner_matches_full_scan(query):
     assert strip(indexed.find(query)) == strip(scan.find(query))
 
 
-def test_planner_after_update_and_delete():
+def test_planner_after_update():
     indexed, scan = make_pair()
     for coll in (indexed, scan):
         coll.update_one({"job_id": "j-1"}, {"$set": {"status": "RUNNING"}})
         coll.update_one({"job_id": "j-2"}, {"$set": {"tenant": "zeta"}})
-        coll.delete_one({"job_id": "j-3"})
     for query in ({"status": "RUNNING"}, {"tenant": "zeta"},
                   {"status": "RUNNING", "tenant": "acme"}):
         assert strip(indexed.find(query)) == strip(scan.find(query))

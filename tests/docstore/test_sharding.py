@@ -136,30 +136,3 @@ class TestScatterGather:
         docs = run(kernel, work())
         assert [d["job_id"] for d in docs] == ["job-00027", "job-00026",
                                                "job-00025"]
-
-    def test_count_sums_shards(self, kernel, client):
-        seed_jobs(kernel, client)
-
-        def work():
-            total = yield from client.count("jobs", {"status": "QUEUED"})
-            return total
-        assert run(kernel, work()) == 15
-
-    def test_delete_many_sums_shards(self, kernel, client):
-        seed_jobs(kernel, client)
-
-        def work():
-            deleted = yield from client.delete_many("jobs",
-                                                    {"status": "COMPLETED"})
-            remaining = yield from client.count("jobs", {})
-            return deleted, remaining
-        assert run(kernel, work()) == (15, 15)
-
-    def test_create_index_reaches_every_shard(self, kernel, client,
-                                              shard_set):
-        def work():
-            yield from client.create_index("jobs", "job_id", unique=True)
-        run(kernel, work())
-        for shard in shard_set.shards:
-            coll = shard.primary().database.collection("jobs")
-            assert "job_id" in coll._unique_indexes

@@ -26,7 +26,6 @@ from repro.frameworks import (
     get_gpu,
     get_model,
     images_per_sec,
-    overhead_percent,
     step_time,
 )
 
@@ -34,6 +33,12 @@ from repro.frameworks import (
 def k80_config(model, framework, gpus):
     return WorkloadConfig(model=model, framework=framework, gpu=K80,
                           gpus_per_learner=gpus, intra_node=PCIE3)
+
+
+def overhead_percent(config, platform, baseline_platform, baseline_config=None):
+    """Fig. 2/3 metric: % throughput lost against a baseline platform."""
+    base = images_per_sec(baseline_config or config, baseline_platform)
+    return (base - images_per_sec(config, platform)) / base * 100.0
 
 
 class TestCatalogues:

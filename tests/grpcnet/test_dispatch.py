@@ -91,7 +91,7 @@ class TestSuspendableHandlers:
         server.add_method("slow", slow)
         process = server.dispatch("slow", "x")
         assert isinstance(process, Process)
-        assert server._inflight == {process}
+        assert list(server._inflight) == [process]
         kernel.run()
         assert process.value == "x" and not server._inflight
         assert server.requests_served == 1
@@ -108,7 +108,7 @@ class TestSuspendableHandlers:
 
         server.add_method("wrapped", lambda request: body(request))
         first = server.dispatch("wrapped", "a")
-        assert isinstance(first, Process) and server._inflight == {first}
+        assert isinstance(first, Process) and list(server._inflight) == [first]
         kernel.run()
         assert first.value == "a" and finished == ["a"]
 

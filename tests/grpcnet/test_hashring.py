@@ -9,53 +9,57 @@ ring built from a shuffled node list must route identically.
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.grpcnet import ConsistentHashRing, LoadBalancer, stable_hash
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 KEYS = [f"tenant-{i:04d}" for i in range(2000)]
 NODES = [f"api:dlaas-api-{i}" for i in range(1, 6)]
+
+
+def owners(ring, keys):
+    """Each key's owner: the first node of its ring order."""
+    return {key: ring.ordered(key)[0] for key in keys}
 
 
 class TestStableAssignment:
     def test_same_key_same_owner(self):
         ring = ConsistentHashRing(NODES)
         for key in KEYS[:200]:
-            owners = {ring.owner(key) for _ in range(5)}
-            assert len(owners) == 1
+            seen = {ring.ordered(key)[0] for _ in range(5)}
+            assert len(seen) == 1
 
     def test_every_key_owned_by_member(self):
         ring = ConsistentHashRing(NODES)
         for key in KEYS:
-            assert ring.owner(key) in NODES
+            assert ring.ordered(key)[0] in NODES
 
     def test_distribution_is_roughly_even(self):
         ring = ConsistentHashRing(NODES, vnodes=128)
         counts = {node: 0 for node in NODES}
         for key in KEYS:
-            counts[ring.owner(key)] += 1
+            counts[ring.ordered(key)[0]] += 1
         expected = len(KEYS) / len(NODES)
         for node, count in counts.items():
             assert 0.5 * expected <= count <= 1.6 * expected, (node, counts)
 
     def test_empty_ring(self):
         ring = ConsistentHashRing()
-        assert ring.owner("anything") is None
         assert ring.ordered("anything") == []
 
-    def test_ordered_starts_with_owner_and_covers_all(self):
+    def test_ordered_covers_every_node_once(self):
         ring = ConsistentHashRing(NODES)
         for key in KEYS[:100]:
-            order = ring.ordered(key)
-            assert order[0] == ring.owner(key)
-            assert sorted(order) == sorted(NODES)
+            assert sorted(ring.ordered(key)) == sorted(NODES)
 
 
 class TestBoundedMovement:
     def test_add_moves_at_most_slice(self):
         ring = ConsistentHashRing(NODES, vnodes=128)
-        before = ring.assignments(KEYS)
+        before = owners(ring, KEYS)
         ring.add("api:dlaas-api-6")
-        after = ring.assignments(KEYS)
+        after = owners(ring, KEYS)
         moved = [k for k in KEYS if before[k] != after[k]]
         # Ideal movement is K/(n+1); allow 2x slack for vnode variance.
         assert len(moved) <= 2 * len(KEYS) / 6, len(moved)
@@ -64,19 +68,19 @@ class TestBoundedMovement:
 
     def test_remove_moves_only_victims_keys(self):
         ring = ConsistentHashRing(NODES, vnodes=128)
-        before = ring.assignments(KEYS)
+        before = owners(ring, KEYS)
         ring.remove(NODES[2])
-        after = ring.assignments(KEYS)
+        after = owners(ring, KEYS)
         moved = [k for k in KEYS if before[k] != after[k]]
         assert moved == [k for k in KEYS if before[k] == NODES[2]]
         assert len(moved) <= 2 * len(KEYS) / len(NODES), len(moved)
 
     def test_add_then_remove_is_identity(self):
         ring = ConsistentHashRing(NODES)
-        before = ring.assignments(KEYS)
+        before = owners(ring, KEYS)
         ring.add("api:dlaas-api-9")
         ring.remove("api:dlaas-api-9")
-        assert ring.assignments(KEYS) == before
+        assert owners(ring, KEYS) == before
 
 
 class TestDeterminism:
@@ -85,7 +89,7 @@ class TestDeterminism:
         random.Random(7).shuffle(shuffled)
         a = ConsistentHashRing(NODES)
         b = ConsistentHashRing(shuffled)
-        assert a.assignments(KEYS) == b.assignments(KEYS)
+        assert owners(a, KEYS) == owners(b, KEYS)
         for key in KEYS[:50]:
             assert a.ordered(key) == b.ordered(key)
 
@@ -103,15 +107,16 @@ class TestDeterminism:
             "ring = ConsistentHashRing(["
             + ", ".join(repr(n) for n in NODES)
             + "])\n"
-            "print(';'.join(ring.owner(f'tenant-{i:04d}') "
+            "print(';'.join(ring.ordered(f'tenant-{i:04d}')[0] "
             "for i in range(100)))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True,
-            text=True, check=True, cwd="/root/repo",
+            text=True, check=True, cwd=REPO_ROOT,
         ).stdout.strip()
         ring = ConsistentHashRing(NODES)
-        local = ";".join(ring.owner(f"tenant-{i:04d}") for i in range(100))
+        local = ";".join(ring.ordered(f"tenant-{i:04d}")[0]
+                         for i in range(100))
         assert out == local
 
 
@@ -139,8 +144,8 @@ class TestRingBalancer:
     def test_membership_tracks_add_remove(self):
         lb = LoadBalancer("api", endpoints=NODES[:2], ring=True)
         lb.add(NODES[2])
-        assert sorted(lb.ring.nodes) == sorted(NODES[:3])
+        assert sorted(lb.pick_order(key="tenant-a")) == sorted(NODES[:3])
         lb.remove(NODES[0])
-        assert sorted(lb.ring.nodes) == sorted(NODES[1:3])
+        assert sorted(lb.pick_order(key="tenant-a")) == sorted(NODES[1:3])
         for key in KEYS[:50]:
             assert lb.pick_order(key=key)[0] in NODES[1:3]

@@ -52,8 +52,8 @@ class SpawningServer(Server):
             handler = response
         process = self.kernel.spawn(self._serve(handler, method, request),
                                     name="serve")
-        self._inflight.add(process)
-        process.add_callback(self._inflight.discard)
+        self._inflight[process] = None
+        process.add_callback(self._forget)
         return process
 
 

@@ -104,29 +104,6 @@ class TestBasicCalls:
         with pytest.raises(Unavailable):
             run_call(kernel, caller())
 
-    def test_add_service_registers_rpc_methods(self, kernel, network):
-        class Svc:
-            def ping_rpc(self, _request):
-                return "pong"
-
-            def _private_rpc(self, _request):  # pragma: no cover
-                return "hidden"
-
-        server = Server(kernel, network, "svc").start()
-        server.add_service(Svc())
-
-        def caller():
-            response = yield network.call("svc", "ping", None)
-            return response
-
-        assert run_call(kernel, caller()) == "pong"
-
-        def caller_private():
-            yield network.call("svc", "_private", None)
-
-        with pytest.raises(MethodNotFound):
-            run_call(kernel, caller_private())
-
 
 class TestCrashSemantics:
     def test_stopped_server_is_unavailable(self, kernel, network):
@@ -365,20 +342,6 @@ class TestServiceTimeAndPrefix:
             return kernel.now
 
         assert run_call(kernel, caller()) == pytest.approx(0.502)
-
-    def test_add_service_with_prefix(self, kernel, network):
-        class Trainer:
-            def start_rpc(self, _request):
-                return "started"
-
-        server = Server(kernel, network, "svc").start()
-        server.add_service(Trainer(), prefix="Trainer.")
-
-        def caller():
-            response = yield network.call("svc", "Trainer.start", None)
-            return response
-
-        assert run_call(kernel, caller()) == "started"
 
 
 class TestSingleSerializationBoundary:

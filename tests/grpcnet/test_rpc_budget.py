@@ -19,6 +19,7 @@ from repro.grpcnet import (
     Unavailable,
 )
 from repro.sim import Kernel
+from repro.sim.events import CANCELLED
 
 DEADLINE = 5.0
 
@@ -71,7 +72,8 @@ class TestSuccessBudget:
         # The deadline is a real timer, cancelled on settle and counted
         # as a dead entry — and the dead entry pins nothing of the call.
         assert kernel.timers_cancelled == kernel.dead_entries_skipped == 1
-        assert call._timer.cancelled and call._timer._callbacks is None
+        assert call._timer.state is CANCELLED
+        assert call._timer._callbacks is None
         assert call._request is None
 
     def test_without_a_deadline(self, kernel, network):

@@ -173,7 +173,7 @@ class TestDeadlineAtEveryStage:
 
         kernel.spawn(probe())
         self.run_call(kernel, network, "slow")
-        assert waiting_on_orphan == [server._inflight]
+        assert waiting_on_orphan == [server]
         # The orphaned handler ran on; its response was never sent.
         assert finished == [pytest.approx(self.T0 + 0.010 + 1.0)]
         assert server.requests_served == 1

@@ -91,10 +91,8 @@ class EagerStore(TimeSeriesStore):
         key = (name, canonical_labels(labels))
         series = self._series.get(key)
         if series is None:
-            retention, max_samples = self._overrides.get(
-                name, (self.retention, self.max_samples))
-            series = EagerSeries(name, key[1], retention=retention,
-                                 max_samples=max_samples)
+            series = EagerSeries(name, key[1], retention=self.retention,
+                                 max_samples=self.max_samples)
             self._series[key] = series
             self._by_name.setdefault(name, {})[key[1]] = series
             self._sorted_by_name.pop(name, None)

@@ -30,18 +30,18 @@ class TestImpairmentLayers:
     def test_latency_layers_add(self, network):
         l1 = network.degrade("svc", extra_latency=0.1)
         l2 = network.degrade("svc", extra_latency=0.25)
-        assert network.impairment("svc").extra_latency == pytest.approx(0.35)
+        assert network._impaired.get("svc").extra_latency == pytest.approx(0.35)
         network.restore("svc", l1)
-        assert network.impairment("svc").extra_latency == pytest.approx(0.25)
+        assert network._impaired.get("svc").extra_latency == pytest.approx(0.25)
         network.restore("svc", l2)
         assert pristine(network)
 
     def test_loss_layers_compose_as_independent_events(self, network):
         l1 = network.degrade("svc", loss=0.5)
         l2 = network.degrade("svc", loss=0.5)
-        assert network.impairment("svc").loss == pytest.approx(0.75)
+        assert network._impaired.get("svc").loss == pytest.approx(0.75)
         network.restore("svc", l2)
-        assert network.impairment("svc").loss == pytest.approx(0.5)
+        assert network._impaired.get("svc").loss == pytest.approx(0.5)
         network.restore("svc", l1)
         assert pristine(network)
 
@@ -51,7 +51,7 @@ class TestImpairmentLayers:
         # Revert in injection order this time; the reversed order is
         # covered by the cases above.
         network.restore("svc", slow)
-        composed = network.impairment("svc")
+        composed = network._impaired.get("svc")
         assert composed.extra_latency == 0.0
         assert composed.loss == pytest.approx(0.3)
         assert composed.duplicate == pytest.approx(0.1)
@@ -110,12 +110,12 @@ class TestOverlappingInjections:
 
         samples = {}
         platform.run_for(0.5)  # t=1.5: everything live
-        samples["peak_latency"] = network.impairment(address).extra_latency
-        samples["peak_loss"] = network.impairment(address).loss
+        samples["peak_latency"] = network._impaired.get(address).extra_latency
+        samples["peak_loss"] = network._impaired.get(address).loss
         samples["peak_stall"] = node.disk_stall
         platform.run_for(1.7)  # t=3.2: loss, slow 1 and stall 1 reverted
-        samples["mid_latency"] = network.impairment(address).extra_latency
-        samples["mid_loss"] = network.impairment(address).loss
+        samples["mid_latency"] = network._impaired.get(address).extra_latency
+        samples["mid_loss"] = network._impaired.get(address).loss
         samples["mid_stall"] = node.disk_stall
         platform.run_for(2.5)  # t=5.7: everything reverted
         samples["network_pristine"] = pristine(network)

@@ -120,15 +120,3 @@ class TestCollectionProperties:
             coll.insert_one(doc)
         values = [d["n"] for d in coll.find({}, sort=[("n", 1)])]
         assert values == sorted(values)
-
-    @settings(max_examples=30)
-    @given(st.lists(documents, max_size=10), field_names, scalars)
-    def test_delete_many_removes_exactly_matches(self, docs, field, value):
-        coll = Collection("t")
-        for doc in docs:
-            coll.insert_one(doc)
-        expected = coll.count_documents({field: value})
-        deleted = coll.delete_many({field: value})
-        assert deleted == expected
-        assert coll.count_documents({field: value}) == 0
-        assert len(coll) == len(docs) - deleted

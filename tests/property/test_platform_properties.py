@@ -1,5 +1,5 @@
 """Property-based tests: scheduler invariants, filesystem model,
-performance-model monotonicity, lifecycle aggregation."""
+performance-model monotonicity, job-status aggregation."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +16,10 @@ from repro.core import (
     FAILED,
     HALTED,
     PROCESSING,
-    aggregate_learner_statuses,
+    STORING,
+    aggregate_job_status,
 )
+from repro.core.states import STALLED
 from repro.frameworks import (
     BARE_METAL,
     DLAAS,
@@ -85,7 +87,7 @@ class TestSchedulerProperties:
 
 fs_ops = st.lists(
     st.tuples(
-        st.sampled_from(["write", "append", "delete"]),
+        st.sampled_from(["write", "append"]),
         st.sampled_from(["/a", "/b", "/d/x", "/d/y"]),
         st.text(alphabet="xyz\n", max_size=5),
     ),
@@ -103,13 +105,9 @@ class TestFilesystemModel:
             if op == "write":
                 fs.write_file(path, payload)
                 model[path] = payload
-            elif op == "append":
+            else:
                 fs.write_file(path, payload, append=True)
                 model[path] = model.get(path, "") + payload
-            elif op == "delete":
-                if path in model:
-                    fs.delete(path)
-                    del model[path]
         for path, content in model.items():
             assert fs.read_file(path) == content
         for path in ("/a", "/b", "/d/x", "/d/y"):
@@ -143,21 +141,46 @@ class TestPerfModelProperties:
 
 
 class TestAggregationProperties:
-    statuses = st.sampled_from([DOWNLOADING, PROCESSING, COMPLETED, FAILED, HALTED])
+    """The rule the Guardian runs (``aggregate_job_status``) over any
+    reports a job's controller can publish, in any order."""
 
-    @given(st.lists(statuses, min_size=1, max_size=8))
-    def test_aggregate_is_order_insensitive(self, learner_statuses):
-        assert aggregate_learner_statuses(learner_statuses) == \
-            aggregate_learner_statuses(list(reversed(learner_statuses)))
+    learner_reports = st.lists(
+        st.one_of(
+            st.builds(lambda status: {"status": status}, st.sampled_from(
+                [DOWNLOADING, PROCESSING, STALLED, COMPLETED, FAILED, HALTED])),
+            st.sampled_from([None, "garbage"]),  # not a report: ignored
+        ),
+        max_size=8)
 
-    @given(st.lists(statuses, min_size=1, max_size=8))
-    def test_failed_dominates(self, learner_statuses):
-        assert aggregate_learner_statuses(learner_statuses + [FAILED]) == FAILED
+    @given(learner_reports, st.booleans())
+    def test_failed_dominates(self, reports, store_done):
+        assert aggregate_job_status(reports + [{"status": FAILED}],
+                                    store_done) == FAILED
 
-    @given(st.lists(statuses, min_size=1, max_size=8))
-    def test_aggregate_never_exceeds_fastest_learner(self, learner_statuses):
-        rank = {DOWNLOADING: 0, PROCESSING: 1, COMPLETED: 2, FAILED: 2, HALTED: 2}
-        aggregate = aggregate_learner_statuses(learner_statuses)
-        if aggregate in (FAILED, HALTED):
-            return
-        assert rank[aggregate] <= max(rank[s] for s in learner_statuses)
+    @given(learner_reports, st.booleans(), st.randoms(use_true_random=False))
+    def test_aggregate_is_order_insensitive(self, reports, store_done, rng):
+        shuffled = list(reports)
+        rng.shuffle(shuffled)
+        assert aggregate_job_status(shuffled, store_done) == \
+            aggregate_job_status(reports, store_done)
+
+    @given(learner_reports, st.booleans())
+    def test_stalled_counts_as_processing(self, reports, store_done):
+        as_processing = [
+            {"status": PROCESSING}
+            if isinstance(r, dict) and r["status"] == STALLED else r
+            for r in reports]
+        assert aggregate_job_status(reports, store_done) == \
+            aggregate_job_status(as_processing, store_done)
+
+    @given(learner_reports)
+    def test_store_done_completes_unless_a_learner_failed(self, reports):
+        failed = any(isinstance(r, dict) and r["status"] == FAILED
+                     for r in reports)
+        assert aggregate_job_status(reports, store_done=True) == \
+            (FAILED if failed else COMPLETED)
+
+    @given(st.integers(1, 8))
+    def test_all_completed_is_storing(self, learners):
+        assert aggregate_job_status([{"status": COMPLETED}] * learners,
+                                    store_done=False) == STORING

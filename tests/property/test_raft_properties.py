@@ -146,4 +146,4 @@ class TestClusterSafety:
         leader = cluster.leader()
         assert leader is not None
         for key, value in final.items():
-            assert leader.state_machine.get(key) == value
+            assert leader.state_machine.data.get(key) == value

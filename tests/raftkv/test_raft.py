@@ -96,7 +96,7 @@ class TestReplication:
         run(kernel, scenario())
         kernel.run(until=kernel.now + 1.0)  # let followers apply
         for node in cluster.nodes.values():
-            assert node.state_machine.get("k5") == 5
+            assert node.state_machine.data.get("k5") == 5
 
     def test_cas_through_consensus(self):
         kernel, network, cluster = make_cluster()
@@ -188,7 +188,7 @@ class TestCrashRecovery:
         self_kernel = kernel
         victim = run(kernel, scenario())
         node = cluster.node(victim)
-        assert node.state_machine.get("k4") == 4
+        assert node.state_machine.data.get("k4") == 4
 
     def test_session_dedup_across_retries(self):
         # A write retried across a leader crash must not apply twice.
@@ -240,7 +240,7 @@ class TestPartitions:
         network.heal_all()
         kernel.run(until=kernel.now + 3.0)
         assert logs_consistent(cluster)
-        assert leader.state_machine.get("post-partition") == "v"
+        assert leader.state_machine.data.get("post-partition") == "v"
 
 
 class TestWatches:

@@ -86,7 +86,7 @@ class TestReadLease:
         run(kernel, newer_write())
         kernel.run(until=kernel.now + 2 * cluster.timings.election_min)
         assert leader.is_leader  # still *believes* it leads
-        assert leader.state_machine.get("/k") == "v1"  # stale state
+        assert leader.state_machine.data.get("/k") == "v1"  # stale state
         # Lease on: the stale copy is unreachable through the read path.
         with pytest.raises(NotLeader):
             leader._on_read({"key": "/k"})

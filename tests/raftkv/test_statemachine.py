@@ -15,7 +15,7 @@ class TestPutGetDelete:
     def test_put_and_get(self, sm):
         result = sm.apply({"op": "put", "key": "a", "value": 1})
         assert result["ok"]
-        assert sm.get("a") == 1
+        assert sm.data.get("a") == 1
 
     def test_revision_increments(self, sm):
         r1 = sm.apply({"op": "put", "key": "a", "value": 1})["revision"]
@@ -26,7 +26,7 @@ class TestPutGetDelete:
         sm.apply({"op": "put", "key": "a", "value": 1})
         result = sm.apply({"op": "delete", "key": "a"})
         assert result["deleted"] == 1
-        assert sm.get("a") is None
+        assert sm.data.get("a") is None
 
     def test_delete_missing_is_ok(self, sm):
         result = sm.apply({"op": "delete", "key": "ghost"})
@@ -37,7 +37,7 @@ class TestPutGetDelete:
             sm.apply({"op": "put", "key": key, "value": "x"})
         result = sm.apply({"op": "delete_prefix", "prefix": "jobs/1/"})
         assert result["deleted"] == 2
-        assert sm.get("jobs/2/s0") == "x"
+        assert sm.data.get("jobs/2/s0") == "x"
 
     def test_range_sorted(self, sm):
         sm.apply({"op": "put", "key": "b", "value": 2})
@@ -56,19 +56,19 @@ class TestCas:
         sm.apply({"op": "put", "key": "a", "value": 1})
         result = sm.apply({"op": "cas", "key": "a", "expected": 1, "value": 2})
         assert result["ok"]
-        assert sm.get("a") == 2
+        assert sm.data.get("a") == 2
 
     def test_cas_failure_keeps_value(self, sm):
         sm.apply({"op": "put", "key": "a", "value": 1})
         result = sm.apply({"op": "cas", "key": "a", "expected": 99, "value": 2})
         assert not result["ok"]
         assert result["actual"] == 1
-        assert sm.get("a") == 1
+        assert sm.data.get("a") == 1
 
     def test_cas_on_missing_key(self, sm):
         result = sm.apply({"op": "cas", "key": "a", "expected": None, "value": 1})
         assert result["ok"]
-        assert sm.get("a") == 1
+        assert sm.data.get("a") == 1
 
 
 class TestSessions:
@@ -83,12 +83,12 @@ class TestSessions:
         sm.apply({"op": "put", "key": "a", "value": 1, "client_id": "c", "seq": 1})
         sm.apply({"op": "put", "key": "a", "value": 2, "client_id": "c", "seq": 2})
         sm.apply({"op": "put", "key": "a", "value": 1, "client_id": "c", "seq": 1})
-        assert sm.get("a") == 2
+        assert sm.data.get("a") == 2
 
     def test_distinct_clients_independent(self, sm):
         sm.apply({"op": "put", "key": "a", "value": 1, "client_id": "c1", "seq": 1})
         sm.apply({"op": "put", "key": "a", "value": 2, "client_id": "c2", "seq": 1})
-        assert sm.get("a") == 2
+        assert sm.data.get("a") == 2
 
 
 class TestLeases:
@@ -100,14 +100,14 @@ class TestLeases:
     def test_put_with_unknown_lease_fails(self, sm):
         result = sm.apply({"op": "put", "key": "a", "value": 1, "lease": "nope"})
         assert not result["ok"]
-        assert sm.get("a") is None
+        assert sm.data.get("a") is None
 
-    def test_revoke_deletes_keys(self, sm):
+    def test_expiry_deletes_keys(self, sm):
         sm.apply({"op": "lease_grant", "lease_id": "L1", "ttl": 5.0, "now": 0.0})
         sm.apply({"op": "put", "key": "a", "value": 1, "lease": "L1"})
-        result = sm.apply({"op": "lease_revoke", "lease_id": "L1"})
+        result = sm.apply({"op": "lease_expire", "lease_id": "L1", "now": 5.0})
         assert result["deleted"] == 1
-        assert sm.get("a") is None
+        assert sm.data.get("a") is None
 
     def test_expire_respects_keepalive(self, sm):
         sm.apply({"op": "lease_grant", "lease_id": "L1", "ttl": 5.0, "now": 0.0})

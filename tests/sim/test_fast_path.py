@@ -4,6 +4,7 @@ callback detachment, and the run_until_complete deadline check."""
 import pytest
 
 from repro.sim.errors import SimError
+from repro.sim.events import CANCELLED
 from repro.sim.kernel import Kernel
 
 
@@ -16,7 +17,7 @@ class TestTimerCancellation:
         timer.cancel()
         kernel.run()
         assert fired == []
-        assert timer.cancelled
+        assert timer.state is CANCELLED
         assert kernel.timers_cancelled == 1
 
     def test_lazy_deletion_counts_dead_pops(self):

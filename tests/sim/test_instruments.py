@@ -229,50 +229,6 @@ class TestTracer:
         assert tracer.first(kind="e").fields["n"] == 1
         assert tracer.last(kind="e").fields["n"] == 2
 
-    def test_intervals_with_key(self, kernel):
-        tracer = Tracer(kernel)
-
-        def proc():
-            tracer.emit("k", "start", id="a")
-            yield kernel.sleep(2.0)
-            tracer.emit("k", "start", id="b")
-            yield kernel.sleep(3.0)
-            tracer.emit("k", "end", id="a")
-            yield kernel.sleep(1.0)
-            tracer.emit("k", "end", id="b")
-
-        kernel.spawn(proc())
-        kernel.run()
-        durations = tracer.intervals("start", "end", component="k",
-                                     key=lambda r: r.fields["id"])
-        assert durations == [5.0, 4.0]
-
-    def test_intervals_unkeyed_interleaved(self, kernel):
-        # Without a key, ends pair FIFO with the earliest unmatched
-        # start, so interleaved records yield every interval instead of
-        # silently dropping ends.
-        tracer = Tracer(kernel)
-
-        def proc():
-            tracer.emit("k", "start")        # t=0
-            yield kernel.sleep(2.0)
-            tracer.emit("k", "start")        # t=2
-            yield kernel.sleep(1.0)
-            tracer.emit("k", "end")          # t=3 -> pairs with t=0
-            yield kernel.sleep(4.0)
-            tracer.emit("k", "end")          # t=7 -> pairs with t=2
-
-        kernel.spawn(proc())
-        kernel.run()
-        assert tracer.intervals("start", "end", component="k") == [3.0, 5.0]
-
-    def test_intervals_unkeyed_ignores_unmatched_end(self, kernel):
-        tracer = Tracer(kernel)
-        tracer.emit("k", "end")
-        tracer.emit("k", "start")
-        tracer.emit("k", "end")
-        assert tracer.intervals("start", "end", component="k") == [0.0]
-
 
 class TestFaultInjector:
     def test_crash_after_fires_once(self, kernel):

@@ -10,7 +10,6 @@ from repro.sim import (
     AnyOf,
     ChannelClosed,
     Channel,
-    Interrupt,
     Kernel,
     ProcessKilled,
     SimError,
@@ -159,25 +158,6 @@ class TestProcesses:
         process.kill()
         kernel.run()
         assert process.ok and process.value == "ok"
-
-    def test_interrupt_resumes_process(self, kernel):
-        log = []
-
-        def proc():
-            try:
-                yield kernel.sleep(100.0)
-            except Interrupt as intr:
-                log.append(intr.cause)
-            yield kernel.sleep(1.0)
-            return "survived"
-
-        process = kernel.spawn(proc())
-        kernel.run(until=2.0)
-        process.interrupt("wake")
-        result = kernel.run_until_complete(process)
-        assert result == "survived"
-        assert log == ["wake"]
-        assert kernel.now == 3.0
 
     def test_spawn_requires_generator(self, kernel):
         def not_a_generator():

@@ -155,8 +155,8 @@ class TestTimeSeriesStore:
         store.add("up", {"component": "lcm"}, 1.0, 1.0)
         store.add("depth", {}, 1.0, 4.0)
         assert len(store) == 3
-        assert store.names() == ["depth", "up"]
         assert len(store.series("up")) == 2
+        assert len(store.series("depth")) == 1
 
     def test_label_subset_match(self):
         store = TimeSeriesStore()
@@ -174,16 +174,3 @@ class TestTimeSeriesStore:
 
     def test_mark_stale_missing_series_is_noop(self):
         TimeSeriesStore().mark_stale("nope", {}, 1.0)
-
-    def test_per_name_retention_override(self):
-        store = TimeSeriesStore(retention=600.0, max_samples=100)
-        store.configure("up", retention=5.0, max_samples=2)
-        store.add("up", {}, 0.0, 1.0)
-        store.add("up", {}, 1.0, 1.0)
-        store.add("up", {}, 2.0, 1.0)  # max_samples=2 evicts the first
-        assert store.get("up").values() == [1.0, 1.0]
-        store.add("up", {}, 20.0, 0.0)  # retention=5 evicts the rest
-        assert store.get("up").values() == [0.0]
-        # Other names keep the store-wide defaults.
-        series = store._get_or_create("other", {})
-        assert series.retention == 600.0
