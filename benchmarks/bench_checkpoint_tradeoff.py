@@ -15,12 +15,8 @@ COLUMNS = ["ckpt interval s", "crashes", "checkpoints", "steps executed",
 
 
 def test_checkpoint_tradeoff(benchmark, record_table):
-    rows = benchmark.pedantic(
-        checkpoint_tradeoff_rows,
-        kwargs={"intervals": (0.0, 30.0, 120.0, 600.0), "mtbf": 1200.0,
-                "steps": 4000},
-        rounds=1, iterations=1,
-    )
+    rows = benchmark.pedantic(checkpoint_tradeoff_rows, rounds=1,
+                              iterations=1)
     table = render_table(
         "§III.g ablation: checkpoint interval vs lost work (MTBF 1200s)",
         COLUMNS, rows,

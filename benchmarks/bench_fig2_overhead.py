@@ -16,8 +16,7 @@ COLUMNS = ["benchmark", "framework", "gpus", "bare-metal img/s", "dlaas img/s",
 
 
 def test_fig2_overhead(benchmark, record_table):
-    rows = benchmark.pedantic(fig2_rows, kwargs={"steps": 100}, rounds=1,
-                              iterations=1)
+    rows = benchmark.pedantic(fig2_rows, rounds=1, iterations=1)
     table = render_table(
         "Fig. 2: DLaaS vs IBM Cloud bare metal (K80, images/sec)", COLUMNS, rows
     )

@@ -16,8 +16,7 @@ COLUMNS = ["benchmark", "framework", "gpus", "gpu type", "dgx-1 img/s",
 
 
 def test_fig3_dgx1(benchmark, record_table):
-    rows = benchmark.pedantic(fig3_rows, kwargs={"steps": 100}, rounds=1,
-                              iterations=1)
+    rows = benchmark.pedantic(fig3_rows, rounds=1, iterations=1)
     table = render_table(
         "Fig. 3: DLaaS vs NVidia DGX-1 (TensorFlow, P100, images/sec)",
         COLUMNS, rows,

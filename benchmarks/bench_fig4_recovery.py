@@ -19,8 +19,7 @@ COLUMNS = ["component", "trials", "min s", "mean s", "max s", "paper"]
 
 
 def test_fig4_recovery(benchmark, record_table):
-    rows = benchmark.pedantic(fig4_rows, kwargs={"trials": 5}, rounds=1,
-                              iterations=1)
+    rows = benchmark.pedantic(fig4_rows, rounds=1, iterations=1)
     table = render_table(
         "Fig. 4: time to recover from crash failures, by component", COLUMNS, rows
     )

@@ -12,8 +12,7 @@ COLUMNS = ["jobs", "min s", "mean s", "max s", "paper"]
 
 
 def test_guardian_creation(benchmark, record_table):
-    rows = benchmark.pedantic(guardian_creation_rows, kwargs={"jobs": 8},
-                              rounds=1, iterations=1)
+    rows = benchmark.pedantic(guardian_creation_rows, rounds=1, iterations=1)
     table = render_table("§III.d: Guardian creation latency", COLUMNS, rows)
     record_table("guardian_creation", table)
     assert rows[0]["max s"] < 3.0

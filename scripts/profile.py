@@ -44,7 +44,7 @@ became a pass. ``WorkQueue.add`` / ``add_after`` and the watch sources'
 ``--lists`` asks it of the cluster's API server: which functions call
 ``ApiServer.list`` and through which pod index (``owner``, ``node``,
 ``unscheduled``, or ``none``: a full list of the kind, narrowed by
-namespace or selector at most), with shares of all lists. It sizes the
+selector at most), with shares of all lists. It sizes the
 terms a watch could replace. ``ApiServer.list`` is wrapped from here;
 no profiler runs.
 
@@ -328,8 +328,8 @@ def list_census(run, lines):
     calls = Counter()  # (caller, index) -> lists
     plain_list = ApiServer.list
 
-    def counted_list(self, kind, namespace=None, selector=None, owner=None,
-                     node_name=None, unscheduled=False):
+    def counted_list(self, kind, selector=None, owner=None, node_name=None,
+                     unscheduled=False):
         code = sys._getframe(1).f_code
         caller = f"{module_name(code.co_filename)}.{code.co_qualname}"
         index = "none"
@@ -341,9 +341,8 @@ def list_census(run, lines):
             elif owner is not None:
                 index = "owner"
         calls[caller, index] += 1
-        return plain_list(self, kind, namespace=namespace, selector=selector,
-                          owner=owner, node_name=node_name,
-                          unscheduled=unscheduled)
+        return plain_list(self, kind, selector=selector, owner=owner,
+                          node_name=node_name, unscheduled=unscheduled)
 
     ApiServer.list = counted_list
     try:

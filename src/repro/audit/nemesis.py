@@ -201,7 +201,10 @@ class NemesisSoak:
 # Seeded bug: deterministic stale read the checker must catch
 # ----------------------------------------------------------------------
 
-def seeded_stale_read_scenario(platform, key="/audit/seeded"):
+SEEDED_KEY = "/audit/seeded"  # the key the seeded scenario writes and reads
+
+
+def seeded_stale_read_scenario(platform):
     """Manufacture a stale read via the ``stale_reads`` node toggle.
 
     Sequence: write v1 through the current leader, partition that
@@ -211,7 +214,7 @@ def seeded_stale_read_scenario(platform, key="/audit/seeded"):
     ``stale_reads=True`` the deposed leader serves v1 from its frozen
     state machine — after v2's write completed — which is exactly the
     non-linearizable history the checker exists to catch. Returns the
-    check result for ``key``; with the toggle off the same sequence
+    check result for ``SEEDED_KEY``; with the toggle off the same sequence
     passes (the lease turns the final read into a redirect to the new
     leader).
     """
@@ -226,7 +229,7 @@ def seeded_stale_read_scenario(platform, key="/audit/seeded"):
         writer = EtcdClient(kernel, network, cluster,
                             client_id="seeded-writer",
                             history=platform.history)
-        yield from writer.put(key, "v1")
+        yield from writer.put(SEEDED_KEY, "v1")
         old_leader = cluster.leader().node_id
         for peer in cluster.node_ids:
             if peer != old_leader:
@@ -239,16 +242,16 @@ def seeded_stale_read_scenario(platform, key="/audit/seeded"):
                     and leader.is_leader:
                 break
             yield kernel.sleep(0.05)
-        yield from writer.put(key, "v2")
+        yield from writer.put(SEEDED_KEY, "v2")
         # A second client whose hint still points at the deposed
         # leader: with stale_reads it answers v1 from frozen state.
         reader = EtcdClient(kernel, network, cluster,
                             client_id="seeded-reader",
                             history=platform.history)
         reader._leader_hint = old_leader
-        return (yield from reader.get(key))
+        return (yield from reader.get(SEEDED_KEY))
 
     observed = platform.run_process(run(), limit=100_000)
     from .checker import check_operations
-    outcome = check_operations(platform.history.ops_for_key(key))
+    outcome = check_operations(platform.history.ops_for_key(SEEDED_KEY))
     return observed, outcome

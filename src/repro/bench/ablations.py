@@ -28,34 +28,50 @@ from .baremetal import build_config
 
 CREDS = {"k": "bench"}
 
+# Checkpoint-interval tradeoff: one training job of CHECKPOINT_STEPS
+# steps under exponential crashes, restarted RESTART_COST after each.
+CHECKPOINT_INTERVALS = (0.0, 30.0, 120.0, 600.0)
+CRASH_MTBF = 1200.0
+CHECKPOINT_STEPS = 4000
+RESTART_COST = 15.0
+CHECKPOINT_SEED = 3
+ATOMIC_DEPLOY_SEED = 5
+ETCD_VS_DIRECT_SEED = 9
+SCHEDULER_SEED = 11
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint-interval tradeoff (§III.g)
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_tradeoff_rows(intervals=(0.0, 30.0, 120.0, 600.0),
-                             mtbf=1800.0, steps=4000, seed=3,
-                             restart_cost=15.0):
+def checkpoint_tradeoff_rows():
     """Makespan of a fixed training job under random crashes, by
     checkpoint interval. Interval 0 disables checkpointing (every crash
     restarts from step zero)."""
     rows = []
-    for interval in intervals:
-        result = _run_with_crashes(interval, mtbf, steps, seed, restart_cost)
+    for interval in CHECKPOINT_INTERVALS:
+        result = _run_with_crashes(interval)
         rows.append({
             "ckpt interval s": interval if interval else "off",
             "crashes": result["crashes"],
             "checkpoints": result["checkpoints"],
             "steps executed": result["steps_executed"],
-            "wasted steps": result["steps_executed"] - steps,
+            "wasted steps": result["steps_executed"] - CHECKPOINT_STEPS,
             "makespan s": result["makespan"],
         })
     return rows
 
 
-def _run_with_crashes(interval, mtbf, steps, seed, restart_cost):
-    kernel = Kernel(seed=seed)
+def _race(kernel, process, timer):
+    """Whether ``process`` finishes before ``timer`` fires."""
+    winner, _ = yield kernel.any_of([process, timer])
+    timer.cancel()
+    return winner is process
+
+
+def _run_with_crashes(interval):
+    kernel = Kernel(seed=CHECKPOINT_SEED)
     store = ObjectStore(kernel)
     store.create_bucket("ckpt", CREDS)
     checkpoints = CheckpointStore(store, "ckpt", "job", CREDS)
@@ -67,20 +83,15 @@ def _run_with_crashes(interval, mtbf, steps, seed, restart_cost):
 
     while True:
         training = TrainingRun(
-            kernel, config, BARE_METAL, target_steps=steps,
+            kernel, config, BARE_METAL, target_steps=CHECKPOINT_STEPS,
             checkpoint_policy=CheckpointPolicy(interval=interval),
             checkpoint_store=checkpoints if interval else None,
         )
         process = kernel.spawn(training.run())
-        crash_in = rng.expovariate(1.0 / mtbf)
+        crash_in = rng.expovariate(1.0 / CRASH_MTBF)
         timer = kernel.sleep(crash_in)
-
-        def race(process=process, timer=timer):
-            winner, _ = yield kernel.any_of([process, timer])
-            timer.cancel()
-            return winner is process
-
-        finished = kernel.run_until_complete(kernel.spawn(race()))
+        finished = kernel.run_until_complete(
+            kernel.spawn(_race(kernel, process, timer)))
         executed += training.steps_executed
         written += training.checkpoints_written
         if finished:
@@ -91,7 +102,7 @@ def _run_with_crashes(interval, mtbf, steps, seed, restart_cost):
                 "steps_executed": executed,
             }
         process.kill("injected crash")
-        kernel.run(until=kernel.now + restart_cost)
+        kernel.run(until=kernel.now + RESTART_COST)
         crashes += 1
 
 
@@ -100,7 +111,7 @@ def _run_with_crashes(interval, mtbf, steps, seed, restart_cost):
 # ---------------------------------------------------------------------------
 
 
-def atomic_deploy_rows(crash_probability=0.35, trials=30, seed=5,
+def atomic_deploy_rows(crash_probability=0.35, trials=30,
                        attempt_budgets=(1, 3)):
     """Probability a job ever deploys when each Guardian deployment
     attempt crashes with probability p, with and without retries.
@@ -109,7 +120,7 @@ def atomic_deploy_rows(crash_probability=0.35, trials=30, seed=5,
     comes from Monte Carlo draws with the simulation's RNG streams so
     the deterministic-retry machinery's accounting is exercised.
     """
-    kernel = Kernel(seed=seed)
+    kernel = Kernel(seed=ATOMIC_DEPLOY_SEED)
     rng = kernel.rng("atomic-deploy")
     rows = []
     for budget in attempt_budgets:
@@ -137,11 +148,11 @@ def atomic_deploy_rows(crash_probability=0.35, trials=30, seed=5,
 # ---------------------------------------------------------------------------
 
 
-def etcd_vs_direct_rows(updates=40, downtime=(20.0, 50.0), seed=9):
+def etcd_vs_direct_rows(updates=40, downtime=(20.0, 50.0)):
     """Learner status updates stream while the consumer (Guardian) is
     down for a window. Durable ETCD retains every update for the
     restarted consumer; a direct push pipeline loses the window."""
-    kernel = Kernel(seed=seed)
+    kernel = Kernel(seed=ETCD_VS_DIRECT_SEED)
     network = Network(kernel, latency=LatencyModel(0.002, 0.001))
     cluster = EtcdCluster(kernel, network, size=3).start()
     client = EtcdClient(kernel, network, cluster)
@@ -184,14 +195,14 @@ def etcd_vs_direct_rows(updates=40, downtime=(20.0, 50.0), seed=9):
 # ---------------------------------------------------------------------------
 
 
-def scheduler_rows(nodes=8, gpus_per_node=4, seed=11):
+def scheduler_rows(nodes=8, gpus_per_node=4):
     """Fragmentation resistance: fill the cluster with 1-GPU pods, then
     try to place 4-GPU pods. Bin-packing leaves whole nodes free;
     spreading fragments every node."""
     rows = []
     small_pods = nodes * gpus_per_node // 2  # half the cluster, 1 GPU each
     for strategy in ("binpack", "spread"):
-        kernel = Kernel(seed=seed)
+        kernel = Kernel(seed=SCHEDULER_SEED)
         cluster = KubernetesCluster(kernel, NfsServer(kernel))
         cluster.scheduler.strategy = strategy
         cluster.registry.register("img", 10)

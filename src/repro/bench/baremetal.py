@@ -23,27 +23,24 @@ from ..frameworks import (
 from ..sim import Kernel
 
 
-def build_config(model_name, framework_name, gpu_name, gpus, intra_node=PCIE3,
-                 batch_per_gpu=0):
+def build_config(model_name, framework_name, gpu_name, gpus):
     return WorkloadConfig(
         model=get_model(model_name),
         framework=get_framework(framework_name),
         gpu=get_gpu(gpu_name),
         gpus_per_learner=gpus,
-        batch_per_gpu=batch_per_gpu,
-        intra_node=intra_node if gpus > 1 else None,
+        intra_node=PCIE3 if gpus > 1 else None,
         inter_node=ETH_1G,
     )
 
 
-def dgx1_config(model_name, framework_name, gpus, batch_per_gpu=0):
+def dgx1_config(model_name, framework_name, gpus):
     """A DGX-1 slot: SXM2 P100s on NVLink."""
     return WorkloadConfig(
         model=get_model(model_name),
         framework=get_framework(framework_name),
         gpu=P100_SXM2,
         gpus_per_learner=gpus,
-        batch_per_gpu=batch_per_gpu,
         intra_node=NVLINK if gpus > 1 else None,
         inter_node=ETH_1G,
     )

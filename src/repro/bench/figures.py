@@ -10,6 +10,11 @@ from .baremetal import build_config, dgx1_config, measure_bare_metal, measure_dg
 from .platform_runner import bench_manifest, build_platform, measure_dlaas
 from .scale_runner import guardian_latencies
 
+SEED = 0  # every figure's platform and baseline kernel
+STEPS = 100  # training steps per Fig. 2 / Fig. 3 measurement
+FIG4_TRIALS = 5  # crashes per component
+GUARDIAN_CREATION_JOBS = 8
+
 # ---------------------------------------------------------------------------
 # Fig. 2 — DLaaS vs IBM Cloud bare metal, K80
 # ---------------------------------------------------------------------------
@@ -26,15 +31,15 @@ FIG2_PAPER = [
 ]
 
 
-def fig2_rows(steps=120, seed=0):
+def fig2_rows():
     """DLaaS (full platform, containerized, K80) vs bare metal."""
     rows = []
     for model, framework, gpus, paper_pct in FIG2_PAPER:
         config = build_config(model, framework, "k80", gpus)
-        baseline = measure_bare_metal(config, steps=steps, seed=seed)
-        platform = build_platform("k80", gpus_per_node=4, seed=seed)
+        baseline = measure_bare_metal(config, steps=STEPS, seed=SEED)
+        platform = build_platform("k80", gpus_per_node=4, seed=SEED)
         dlaas = measure_dlaas(
-            platform, bench_manifest(model, framework, gpus, "k80", steps)
+            platform, bench_manifest(model, framework, gpus, "k80", STEPS)
         )
         rows.append({
             "benchmark": model,
@@ -62,14 +67,14 @@ FIG3_PAPER = [
 ]
 
 
-def fig3_rows(steps=120, seed=0):
+def fig3_rows():
     rows = []
     for model, framework, gpus, paper_pct in FIG3_PAPER:
-        dgx = measure_dgx1(dgx1_config(model, framework, gpus), steps=steps,
-                           seed=seed)
-        platform = build_platform("p100-pcie", gpus_per_node=2, seed=seed)
+        dgx = measure_dgx1(dgx1_config(model, framework, gpus), steps=STEPS,
+                           seed=SEED)
+        platform = build_platform("p100-pcie", gpus_per_node=2, seed=SEED)
         dlaas = measure_dlaas(
-            platform, bench_manifest(model, framework, gpus, "p100-pcie", steps)
+            platform, bench_manifest(model, framework, gpus, "p100-pcie", STEPS)
         )
         rows.append({
             "benchmark": model,
@@ -97,10 +102,10 @@ FIG4_PAPER = {
 }
 
 
-def fig4_rows(trials=5, seed=0):
+def fig4_rows():
     """Crash each component repeatedly (kubectl-style) and measure the
     crash -> serving-again interval on the simulated clock."""
-    platform = build_platform("k80", gpus_per_node=4, seed=seed, gpu_nodes=3)
+    platform = build_platform("k80", gpus_per_node=4, seed=SEED, gpu_nodes=3)
     client = platform.client("fig4")
     crasher = ComponentCrasher(platform)
 
@@ -131,7 +136,7 @@ def fig4_rows(trials=5, seed=0):
     rows = []
     for label, crash, component, match in experiments:
         samples = []
-        for _trial in range(trials):
+        for _trial in range(FIG4_TRIALS):
             when, _target = crash()
             platform.run_for(45.0)  # let it recover and re-stabilize
             recovery = crasher.recovery_time(component, when, **match)
@@ -154,13 +159,13 @@ def fig4_rows(trials=5, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def guardian_creation_rows(jobs=8, seed=0):
-    platform = build_platform("k80", gpus_per_node=4, seed=seed, gpu_nodes=3)
+def guardian_creation_rows():
+    platform = build_platform("k80", gpus_per_node=4, seed=SEED, gpu_nodes=3)
     client = platform.client("gcl")
 
     def submit_all():
         ids = []
-        for i in range(jobs):
+        for i in range(GUARDIAN_CREATION_JOBS):
             manifest = bench_manifest("resnet50", "tensorflow", 1, "k80", steps=30)
             manifest["name"] = f"gcl-{i}"
             ids.append((yield from client.submit(manifest)))
@@ -172,7 +177,7 @@ def guardian_creation_rows(jobs=8, seed=0):
 
     latencies = guardian_latencies(platform)
     return [{
-        "jobs": jobs,
+        "jobs": GUARDIAN_CREATION_JOBS,
         "min s": min(latencies),
         "mean s": sum(latencies) / len(latencies),
         "max s": max(latencies),

@@ -29,8 +29,7 @@ def build_platform(gpu_type, gpus_per_node, seed=0, gpu_nodes=2,
     return platform
 
 
-def bench_manifest(model, framework, gpus, gpu_type, steps, learners=1,
-                   batch_per_gpu=0):
+def bench_manifest(model, framework, gpus, gpu_type, steps, learners=1):
     return {
         "name": f"bench-{model}-{framework}-{gpus}g",
         "framework": framework,
@@ -39,7 +38,7 @@ def bench_manifest(model, framework, gpus, gpu_type, steps, learners=1,
         "gpus_per_learner": gpus,
         "gpu_type": gpu_type,
         "target_steps": steps,
-        "batch_per_gpu": batch_per_gpu,
+        "batch_per_gpu": 0,  # the model's default
         # Benchmarks measure steady-state training; checkpointing off,
         # as in the paper's throughput comparisons.
         "checkpoint_interval": 0.0,

@@ -16,6 +16,7 @@ from .controllers import (
     NodeController,
     PvcController,
     StatefulSetController,
+    pv_name,
 )
 from .errors import (
     ClusterError,
@@ -48,7 +49,6 @@ from .resources.workloads import (
     NetworkPolicy,
     PersistentVolumeClaim,
     PodTemplate,
-    Service,
     StatefulSet,
 )
 from .scheduler import Scheduler
@@ -93,9 +93,9 @@ __all__ = [
     "RUNNING",
     "SUCCEEDED",
     "Scheduler",
-    "Service",
     "StatefulSet",
     "StatefulSetController",
     "UnschedulableError",
+    "pv_name",
     "selector_matches",
 ]

@@ -16,17 +16,14 @@ _UNSCHEDULED = ("unscheduled",)
 
 
 def _order_key(resource):
-    """list() order. (namespace, name) is the store key, so this is a
-    total order: any subset sorted by it equals the sorted whole,
-    filtered."""
+    """list() order. The name is the store key, so this is a total
+    order: any subset sorted by it equals the sorted whole, filtered."""
     metadata = resource.metadata
-    return (metadata.creation_time or 0.0, metadata.name, metadata.namespace)
+    return (metadata.creation_time or 0.0, metadata.name)
 
 
-def _matches(resource, namespace, selector, owner):
+def _matches(resource, selector, owner):
     metadata = resource.metadata
-    if namespace is not None and metadata.namespace != namespace:
-        return False
     if owner is not None and metadata.owner != owner:
         return False
     return selector is None or selector_matches(selector, metadata.labels)
@@ -83,7 +80,7 @@ class ClusterEvent:
 
 
 class ApiServer:
-    """Typed, namespaced resource stores with watch channels."""
+    """Typed resource stores, keyed by name, with watch channels."""
 
     def __init__(self, kernel, tracer=None):
         self.kernel = kernel
@@ -94,10 +91,10 @@ class ApiServer:
         # reorder it; creates append (monotone clock) and deletes remove
         # in place. None = rebuild on next list().
         self._sorted = {}
-        # (namespace, selector) list() results, cached per kind. Labels
-        # and namespace are set only at construction (no call site
-        # mutates them afterwards), so membership changes only on
-        # create/delete — updates leave every filtered list valid.
+        # (selector, owner) list() results, cached per kind. Labels and
+        # owner are set only at construction (no call site mutates them
+        # afterwards), so membership changes only on create/delete —
+        # updates leave every filtered list valid.
         self._filtered = {}
         # Pod field indexes: by owner, by node_name, and the unscheduled
         # set. A pod's groups are re-read from its fields on create and
@@ -105,8 +102,8 @@ class ApiServer:
         # through update) and dropped on delete, so an indexed list()
         # costs the size of its group, not of the cluster.
         self._pod_groups = {}  # group -> {store key: pod}
-        # group -> {(namespace, selector, owner): members in list()
-        # order}, like ``_filtered``; dropped when the group changes.
+        # group -> {(selector, owner): members in list() order}, like
+        # ``_filtered``; dropped when the group changes.
         self._pod_group_views = {}
         self._pod_filed = {}  # store key -> groups the pod is filed under
         # Bumped whenever the unscheduled group gains or loses a pod:
@@ -126,7 +123,7 @@ class ApiServer:
 
     def create(self, resource):
         store = self._store(resource.kind)
-        key = resource.metadata.key
+        key = resource.metadata.name
         if key in store:
             raise ConflictError(f"{resource.kind} {key} already exists")
         resource.metadata.creation_time = self.kernel.now
@@ -144,23 +141,23 @@ class ApiServer:
         self._notify(resource.kind, "ADDED", resource)
         return resource
 
-    def get(self, kind, name, namespace="default"):
-        resource = self._store(kind).get((namespace, name))
+    def get(self, kind, name):
+        resource = self._store(kind).get(name)
         if resource is None:
-            raise NotFoundError(f"{kind} {namespace}/{name}")
+            raise NotFoundError(f"{kind} {name}")
         return resource
 
-    def get_or_none(self, kind, name, namespace="default"):
-        return self._store(kind).get((namespace, name))
+    def get_or_none(self, kind, name):
+        return self._store(kind).get(name)
 
-    def list(self, kind, namespace=None, selector=None, owner=None,
-             node_name=None, unscheduled=False):
+    def list(self, kind, selector=None, owner=None, node_name=None,
+             unscheduled=False):
         """Resources of ``kind`` in (creation_time, name) order.
 
         For pods, ``owner``, ``node_name`` and ``unscheduled`` (Pending,
         unbound, not being deleted) are served from the field indexes
-        and narrow further by ``namespace`` and ``selector`` like any
-        other list. Always a fresh list; the caches are private.
+        and narrow further by ``selector`` like any other list. Always a
+        fresh list; the caches are private.
         """
         if kind == "Pod" and (unscheduled or node_name is not None
                               or owner is not None):
@@ -180,12 +177,11 @@ class ApiServer:
             if candidates is None:
                 candidates = sorted(self._store(kind).values(), key=_order_key)
                 self._sorted[kind] = candidates
-            if namespace is None and selector is None and owner is None:
+            if selector is None and owner is None:
                 return list(candidates)
             views = self._filtered.setdefault(kind, {})
         # Filtering a sorted list equals sorting the filtered list.
-        view_key = (namespace,
-                    tuple(sorted(selector.items())) if selector else None,
+        view_key = (tuple(sorted(selector.items())) if selector else None,
                     owner)
         out = views.get(view_key)
         if out is None:
@@ -193,7 +189,7 @@ class ApiServer:
                 candidates = sorted(members.values(), key=_order_key)
             out = views[view_key] = [
                 resource for resource in candidates
-                if _matches(resource, namespace, selector, owner)]
+                if _matches(resource, selector, owner)]
         if node_name is not None:
             # Narrowing another group by node: node_name changes on
             # bind, so this cut is not cached with the views.
@@ -227,7 +223,7 @@ class ApiServer:
 
     def update(self, resource):
         store = self._store(resource.kind)
-        key = resource.metadata.key
+        key = resource.metadata.name
         if key not in store:
             raise NotFoundError(f"{resource.kind} {key}")
         resource.metadata.resource_version += 1
@@ -236,11 +232,11 @@ class ApiServer:
         self._notify(resource.kind, "MODIFIED", resource)
         return resource
 
-    def delete(self, kind, name, namespace="default"):
+    def delete(self, kind, name):
         store = self._store(kind)
-        resource = store.pop((namespace, name), None)
+        resource = store.pop(name, None)
         if resource is None:
-            raise NotFoundError(f"{kind} {namespace}/{name}")
+            raise NotFoundError(f"{kind} {name}")
         cache = self._sorted.get(kind)
         if cache is not None:
             try:
@@ -249,12 +245,12 @@ class ApiServer:
                 self._sorted[kind] = None
         self._filtered.pop(kind, None)
         if kind == "Pod":
-            self._file_pod((namespace, name), resource, ())
+            self._file_pod(name, resource, ())
         self._notify(kind, "DELETED", resource)
         return resource
 
-    def exists(self, kind, name, namespace="default"):
-        return (namespace, name) in self._store(kind)
+    def exists(self, kind, name):
+        return name in self._store(kind)
 
     # ------------------------------------------------------------------
     # Watches & events

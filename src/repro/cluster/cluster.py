@@ -25,7 +25,7 @@ class KubernetesCluster:
     """The platform layer: nodes, control plane, image registry."""
 
     def __init__(self, kernel, nfs_server, tracer=None, kubelet_config=None,
-                 eviction_timeout=3.0, metrics=None, events=None):
+                 metrics=None, events=None):
         self.kernel = kernel
         self.nfs = nfs_server
         self.tracer = tracer
@@ -39,7 +39,7 @@ class KubernetesCluster:
             JobController(kernel, self.api),
             StatefulSetController(kernel, self.api),
             DeploymentController(kernel, self.api),
-            NodeController(kernel, self.api, eviction_timeout=eviction_timeout),
+            NodeController(kernel, self.api),
             PvcController(kernel, self.api, nfs_server),
         ]
         self.kubelets = {}
@@ -110,7 +110,7 @@ class KubernetesCluster:
     # Network policy evaluation
     # ------------------------------------------------------------------
 
-    def network_allowed(self, src_labels, dst_labels, namespace="default"):
+    def network_allowed(self, src_labels, dst_labels):
         """May a pod with ``src_labels`` talk to one with ``dst_labels``?
 
         Default-allow until some NetworkPolicy selects the destination;
@@ -119,7 +119,7 @@ class KubernetesCluster:
         to learner pods.
         """
         policies = [
-            p for p in self.api.list("NetworkPolicy", namespace=namespace)
+            p for p in self.api.list("NetworkPolicy")
             if selector_matches(p.pod_selector, dst_labels)
         ]
         if not policies:

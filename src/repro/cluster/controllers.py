@@ -14,7 +14,13 @@ from .resources.pod import FAILED, Pod
 
 PVC_BIND_DELAY = 0.2  # provisioning a volume for a claim, simulated seconds
 NODE_CHECK_INTERVAL = 0.5  # between node-heartbeat checks, simulated seconds
+EVICTION_TIMEOUT = 3.0  # heartbeat silence before a node is NotReady
 PVC_CHECK_INTERVAL = 0.1  # between scans for unbound claims, simulated seconds
+
+
+def pv_name(claim):
+    """The NFS volume the provisioner binds the claim ``claim`` to."""
+    return f"pv-{claim}"
 
 
 class Controller(Polling):
@@ -52,9 +58,9 @@ class OwnerController(Controller):
     def start(self):
         if not self._watches:
             self._watches = (self.api.watch(self.kind), self.api.watch("Pod"))
-            # The store keys of the owners the next pass visits; the
+            # The names of the owners the next pass visits; the
             # relist at subscribe makes the first pass visit them all.
-            self._dirty = {o.metadata.key for o in self.api.list(self.kind)}
+            self._dirty = {o.metadata.name for o in self.api.list(self.kind)}
         return super().start()
 
     def stop(self):
@@ -67,14 +73,14 @@ class OwnerController(Controller):
         owners, pods = self._watches
         dirty = self._dirty
         for _type, owner in iter(owners.get_nowait, None):
-            dirty.add(owner.metadata.key)
+            dirty.add(owner.metadata.name)
         for _type, pod in iter(pods.get_nowait, None):
             ref = pod.metadata.owner
             if ref is not None and ref[0] == self.kind:
-                dirty.add((pod.metadata.namespace, ref[1]))
+                dirty.add(ref[1])
         if dirty:
             for owner in self.api.list(self.kind):
-                if owner.metadata.key in dirty:
+                if owner.metadata.name in dirty:
                     self.reconcile_owner(owner)
         # Not reached if an owner raised: then every owner stays dirty.
         dirty.clear()
@@ -97,8 +103,7 @@ class JobController(OwnerController):
             return
         pod = None
         if job.active_pod is not None:
-            pod = self.api.get_or_none("Pod", job.active_pod,
-                                       job.metadata.namespace)
+            pod = self.api.get_or_none("Pod", job.active_pod)
         if pod is None:
             self._create_pod(job)
         elif pod.phase == "Succeeded":
@@ -108,7 +113,7 @@ class JobController(OwnerController):
             self.api.record_event("Job", job.metadata.name, "Completed")
         elif pod.phase == "Failed":
             job.failures += 1
-            if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
+            if self.api.exists("Pod", pod.metadata.name):
                 pod.deletion_requested = True
                 self.api.update(pod)
             job.active_pod = None
@@ -120,13 +125,12 @@ class JobController(OwnerController):
 
     def _create_pod(self, job):
         pod_name = f"{job.metadata.name}-r{job.failures}"
-        if self.api.exists("Pod", pod_name, job.metadata.namespace):
+        if self.api.exists("Pod", pod_name):
             # Previous incarnation still terminating; wait for it.
             return
         labels = dict(job.template.labels)
         labels.setdefault("job-name", job.metadata.name)
-        pod = Pod(pod_name, job.template.make_spec(),
-                  namespace=job.metadata.namespace, labels=labels,
+        pod = Pod(pod_name, job.template.make_spec(), labels=labels,
                   owner=("Job", job.metadata.name))
         self.api.create(pod)
         job.active_pod = pod_name
@@ -151,7 +155,7 @@ class StatefulSetController(OwnerController):
             return
         for ordinal in range(sset.replicas):
             pod_name = sset.pod_name(ordinal)
-            pod = self.api.get_or_none("Pod", pod_name, sset.metadata.namespace)
+            pod = self.api.get_or_none("Pod", pod_name)
             if pod is None:
                 self._create_pod(sset, ordinal)
             elif pod.is_terminal() and not pod.deletion_requested:
@@ -159,8 +163,7 @@ class StatefulSetController(OwnerController):
                 pod.deletion_requested = True
                 self.api.update(pod)
         # Scale down: remove ordinals >= replicas.
-        for pod in self.api.list("Pod", namespace=sset.metadata.namespace,
-                                 owner=("StatefulSet", sset.metadata.name)):
+        for pod in self.api.list("Pod", owner=("StatefulSet", sset.metadata.name)):
             ordinal = self._ordinal_of(sset, pod.metadata.name)
             if ordinal is not None and ordinal >= sset.replicas \
                     and not pod.deletion_requested:
@@ -182,8 +185,7 @@ class StatefulSetController(OwnerController):
         labels.setdefault("statefulset", sset.metadata.name)
         labels["ordinal"] = str(ordinal)
         spec = sset.template.make_spec()
-        pod = Pod(sset.pod_name(ordinal), spec,
-                  namespace=sset.metadata.namespace, labels=labels,
+        pod = Pod(sset.pod_name(ordinal), spec, labels=labels,
                   owner=("StatefulSet", sset.metadata.name))
         for container in spec.containers:
             container.env.setdefault("ORDINAL", str(ordinal))
@@ -193,14 +195,13 @@ class StatefulSetController(OwnerController):
 
     def _tear_down(self, sset):
         remaining = 0
-        for pod in self.api.list("Pod", namespace=sset.metadata.namespace,
-                                 owner=("StatefulSet", sset.metadata.name)):
+        for pod in self.api.list("Pod", owner=("StatefulSet", sset.metadata.name)):
             remaining += 1
             if not pod.deletion_requested:
                 pod.deletion_requested = True
                 self.api.update(pod)
         if remaining == 0:
-            self.api.delete("StatefulSet", sset.metadata.name, sset.metadata.namespace)
+            self.api.delete("StatefulSet", sset.metadata.name)
 
 
 class DeploymentController(OwnerController):
@@ -211,16 +212,14 @@ class DeploymentController(OwnerController):
 
     def reconcile_owner(self, deployment):
         owned = self.api.list(
-            "Pod", namespace=deployment.metadata.namespace,
-            owner=("Deployment", deployment.metadata.name))
+            "Pod", owner=("Deployment", deployment.metadata.name))
         if deployment.deletion_requested:
             for pod in owned:
                 if not pod.deletion_requested:
                     pod.deletion_requested = True
                     self.api.update(pod)
             if not owned:
-                self.api.delete("Deployment", deployment.metadata.name,
-                                deployment.metadata.namespace)
+                self.api.delete("Deployment", deployment.metadata.name)
             return
         live = [p for p in owned if not p.is_terminal() and not p.deletion_requested]
         for pod in owned:
@@ -237,8 +236,7 @@ class DeploymentController(OwnerController):
         labels = dict(deployment.template.labels)
         labels.setdefault("deployment", deployment.metadata.name)
         pod = Pod(deployment.next_pod_name(), deployment.template.make_spec(),
-                  namespace=deployment.metadata.namespace, labels=labels,
-                  owner=("Deployment", deployment.metadata.name))
+                  labels=labels, owner=("Deployment", deployment.metadata.name))
         self.api.create(pod)
         self.api.record_event("Deployment", deployment.metadata.name, "PodCreated",
                               pod.metadata.name)
@@ -249,14 +247,13 @@ class NodeController(Controller):
 
     name = "node-controller"
 
-    def __init__(self, kernel, api, eviction_timeout=3.0):
+    def __init__(self, kernel, api):
         super().__init__(kernel, api, interval=NODE_CHECK_INTERVAL)
-        self.eviction_timeout = eviction_timeout
 
     def reconcile(self):
         now = self.kernel.now
-        for node in self.api.list("Node", namespace=""):
-            stale = now - node.last_heartbeat > self.eviction_timeout
+        for node in self.api.list("Node"):
+            stale = now - node.last_heartbeat > EVICTION_TIMEOUT
             if stale and node.condition == READY:
                 node.condition = NOT_READY
                 self.api.update(node)
@@ -281,11 +278,11 @@ class NodeController(Controller):
             if pod.node_name is None:
                 orphaned = True
             else:
-                node = self.api.get_or_none("Node", pod.node_name, namespace="")
+                node = self.api.get_or_none("Node", pod.node_name)
                 orphaned = node is None or node.condition == NOT_READY
             if orphaned:
                 release_pod_resources(self.api, pod)
-                self.api.delete("Pod", pod.metadata.name, pod.metadata.namespace)
+                self.api.delete("Pod", pod.metadata.name)
                 self.api.record_event("Pod", pod.metadata.name, "ForceDeleted",
                                       "node unavailable")
 
@@ -321,12 +318,11 @@ class PvcController(Controller):
 
     def _bind(self, pvc):
         yield self.kernel.sleep(PVC_BIND_DELAY)
-        volume_name = f"pv-{pvc.metadata.namespace}-{pvc.metadata.name}"
+        volume_name = pv_name(pvc.metadata.name)
         self.nfs.create_volume(volume_name, exist_ok=True)
         pvc.bound_volume = volume_name
         self._binding.discard(pvc.metadata.uid)
-        if self.api.exists("PersistentVolumeClaim", pvc.metadata.name,
-                           pvc.metadata.namespace):
+        if self.api.exists("PersistentVolumeClaim", pvc.metadata.name):
             self.api.update(pvc)
             self.api.record_event("PersistentVolumeClaim", pvc.metadata.name, "Bound",
                                   volume_name)

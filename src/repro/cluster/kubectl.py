@@ -19,19 +19,19 @@ class Kubectl:
     # Reads
     # ------------------------------------------------------------------
 
-    def get_pods(self, namespace="default", selector=None):
-        return self.api.list("Pod", namespace=namespace, selector=selector)
+    def get_pods(self, selector=None):
+        return self.api.list("Pod", selector=selector)
 
-    def get_pod(self, name, namespace="default"):
-        return self.api.get("Pod", name, namespace)
+    def get_pod(self, name):
+        return self.api.get("Pod", name)
 
     # ------------------------------------------------------------------
     # Pod destruction (the Fig. 4 crash hammer)
     # ------------------------------------------------------------------
 
-    def delete_pod(self, name, namespace="default", force=False):
+    def delete_pod(self, name, force=False):
         """``kubectl delete pod``; ``force`` is --grace-period=0."""
-        pod = self.api.get("Pod", name, namespace)
+        pod = self.api.get("Pod", name)
         pod.deletion_requested = True
         self.api.update(pod)
         if force:
@@ -43,13 +43,13 @@ class Kubectl:
                 from .kubelet import release_pod_resources
 
                 release_pod_resources(self.api, pod)
-                if self.api.exists("Pod", name, namespace):
-                    self.api.delete("Pod", name, namespace)
+                if self.api.exists("Pod", name):
+                    self.api.delete("Pod", name)
         return pod
 
-    def crash_container(self, pod_name, container_name, namespace="default"):
+    def crash_container(self, pod_name, container_name):
         """Kill one container process in place (restart policy applies)."""
-        pod = self.api.get("Pod", pod_name, namespace)
+        pod = self.api.get("Pod", pod_name)
         kubelet = self.cluster.kubelet_for(pod.node_name)
         if kubelet is None or not kubelet.alive:
             raise NotFoundError(f"no live kubelet for pod {pod_name}")

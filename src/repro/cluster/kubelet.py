@@ -59,7 +59,7 @@ def release_pod_resources(api, pod):
     if getattr(pod, "_resources_released", False) or pod.node_name is None:
         return
     pod._resources_released = True
-    node = api.get_or_none("Node", pod.node_name, namespace="")
+    node = api.get_or_none("Node", pod.node_name)
     if node is not None:
         node.release(pod.spec)
 
@@ -220,9 +220,7 @@ class Kubelet:
             while True:
                 if pod.deletion_requested:
                     return None
-                pvc = self.api.get_or_none(
-                    "PersistentVolumeClaim", claim_name, pod.metadata.namespace
-                )
+                pvc = self.api.get_or_none("PersistentVolumeClaim", claim_name)
                 if pvc is not None and pvc.bound:
                     break
                 yield self.kernel.sleep(PVC_WAIT_INTERVAL)
@@ -355,9 +353,9 @@ class Kubelet:
 
     def _finalize_deletion(self, pod):
         release_pod_resources(self.api, pod)
-        if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
-            self.api.delete("Pod", pod.metadata.name, pod.metadata.namespace)
+        if self.api.exists("Pod", pod.metadata.name):
+            self.api.delete("Pod", pod.metadata.name)
 
     def _safe_update(self, pod):
-        if self.api.exists("Pod", pod.metadata.name, pod.metadata.namespace):
+        if self.api.exists("Pod", pod.metadata.name):
             self.api.update(pod)

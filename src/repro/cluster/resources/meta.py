@@ -6,27 +6,22 @@ _uid_counter = itertools.count(1)
 
 
 class ObjectMeta:
-    """Name/namespace/labels/uid for every cluster resource."""
+    """Name/labels/uid for every cluster resource; the name is the
+    store key. Tenants are isolated by network policy and per-job
+    volumes and prefixes (DESIGN.md "A parameter needs a caller")."""
 
-    def __init__(self, name, namespace="default", labels=None, annotations=None,
-                 owner=None):
+    def __init__(self, name, labels=None, owner=None):
         if not name:
             raise ValueError("resources need a name")
         self.name = name
-        self.namespace = namespace
         self.labels = dict(labels or {})
-        self.annotations = dict(annotations or {})
         self.owner = owner  # (kind, name) of the controller that made this
         self.uid = f"uid-{next(_uid_counter)}"
         self.creation_time = None  # stamped by the API server
         self.resource_version = 0
 
-    @property
-    def key(self):
-        return (self.namespace, self.name)
-
     def __repr__(self):
-        return f"<ObjectMeta {self.namespace}/{self.name}>"
+        return f"<ObjectMeta {self.name}>"
 
 
 def selector_matches(selector, labels):

@@ -24,7 +24,7 @@ class Node:
     kind = "Node"
 
     def __init__(self, name, resources=None, labels=None):
-        self.metadata = ObjectMeta(name, namespace="", labels=labels)
+        self.metadata = ObjectMeta(name, labels=labels)
         self.capacity = resources or NodeResources()
         self.condition = READY
         self.last_heartbeat = 0.0

@@ -26,7 +26,7 @@ class ContainerSpec:
     """
 
     def __init__(self, name, image, workload=None, gpus=0, cpu_millicores=100,
-                 memory_mb=256, env=None):
+                 memory_mb=256):
         if gpus < 0 or cpu_millicores < 0 or memory_mb < 0:
             raise InvalidResource(f"negative resource request on container {name!r}")
         self.name = name
@@ -35,7 +35,7 @@ class ContainerSpec:
         self.gpus = gpus
         self.cpu_millicores = cpu_millicores
         self.memory_mb = memory_mb
-        self.env = dict(env or {})
+        self.env = {}  # the StatefulSet controller sets ORDINAL
 
 
 class ContainerStatus:
@@ -93,8 +93,8 @@ class Pod:
 
     kind = "Pod"
 
-    def __init__(self, name, spec, namespace="default", labels=None, owner=None):
-        self.metadata = ObjectMeta(name, namespace=namespace, labels=labels, owner=owner)
+    def __init__(self, name, spec, labels=None, owner=None):
+        self.metadata = ObjectMeta(name, labels=labels, owner=owner)
         self.spec = spec
         self.phase = PENDING
         self.node_name = None
@@ -112,4 +112,4 @@ class Pod:
         return self.phase in (SUCCEEDED, FAILED)
 
     def __repr__(self):
-        return f"<Pod {self.metadata.namespace}/{self.metadata.name} {self.phase}>"
+        return f"<Pod {self.metadata.name} {self.phase}>"

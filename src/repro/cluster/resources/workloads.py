@@ -29,11 +29,10 @@ class Job:
 
     kind = "Job"
 
-    def __init__(self, name, template, namespace="default", backoff_limit=6,
-                 labels=None):
+    def __init__(self, name, template, backoff_limit=6, labels=None):
         if backoff_limit < 0:
             raise InvalidResource("backoff_limit must be >= 0")
-        self.metadata = ObjectMeta(name, namespace=namespace, labels=labels)
+        self.metadata = ObjectMeta(name, labels=labels)
         self.template = template
         self.backoff_limit = backoff_limit
         self.succeeded = False
@@ -52,10 +51,10 @@ class StatefulSet:
 
     kind = "StatefulSet"
 
-    def __init__(self, name, template, replicas, namespace="default", labels=None):
+    def __init__(self, name, template, replicas):
         if replicas < 0:
             raise InvalidResource("replicas must be >= 0")
-        self.metadata = ObjectMeta(name, namespace=namespace, labels=labels)
+        self.metadata = ObjectMeta(name)
         self.template = template
         self.replicas = replicas
         self.deletion_requested = False
@@ -69,10 +68,10 @@ class Deployment:
 
     kind = "Deployment"
 
-    def __init__(self, name, template, replicas=1, namespace="default", labels=None):
+    def __init__(self, name, template, replicas=1, labels=None):
         if replicas < 0:
             raise InvalidResource("replicas must be >= 0")
-        self.metadata = ObjectMeta(name, namespace=namespace, labels=labels)
+        self.metadata = ObjectMeta(name, labels=labels)
         self.template = template
         self.replicas = replicas
         self.deletion_requested = False
@@ -81,16 +80,6 @@ class Deployment:
     def next_pod_name(self):
         self._pod_counter += 1
         return f"{self.metadata.name}-{self._pod_counter}"
-
-
-class Service:
-    """A virtual name selecting pods by label; backs load balancing."""
-
-    kind = "Service"
-
-    def __init__(self, name, selector, namespace="default", labels=None):
-        self.metadata = ObjectMeta(name, namespace=namespace, labels=labels)
-        self.selector = dict(selector)
 
 
 class NetworkPolicy:
@@ -102,8 +91,8 @@ class NetworkPolicy:
 
     kind = "NetworkPolicy"
 
-    def __init__(self, name, pod_selector, allow_from_selectors=(), namespace="default"):
-        self.metadata = ObjectMeta(name, namespace=namespace)
+    def __init__(self, name, pod_selector, allow_from_selectors=()):
+        self.metadata = ObjectMeta(name)
         self.pod_selector = dict(pod_selector)
         self.allow_from_selectors = [dict(s) for s in allow_from_selectors]
 
@@ -113,9 +102,8 @@ class PersistentVolumeClaim:
 
     kind = "PersistentVolumeClaim"
 
-    def __init__(self, name, namespace="default", size_mb=10240):
-        self.metadata = ObjectMeta(name, namespace=namespace)
-        self.size_mb = size_mb
+    def __init__(self, name):
+        self.metadata = ObjectMeta(name)
         self.bound_volume = None  # NFS volume name once provisioned
 
     @property

@@ -93,7 +93,7 @@ class Scheduler(Polling):
                             if uid in listed}
         if not pending:
             return 0
-        nodes = self.api.list("Node", namespace="")
+        nodes = self.api.list("Node")
         gang_members = {}
         for pod in pending:
             if pod.spec.gang is not None:
@@ -142,7 +142,7 @@ class Scheduler(Polling):
         version, fit, count, reported = quiet
         if (version != self.api.unscheduled_version
                 or self.kernel.now - reported >= UNSCHEDULABLE_REPORT_INTERVAL
-                or fit != _fit_state(self.api.list("Node", namespace=""))):
+                or fit != _fit_state(self.api.list("Node"))):
             return False
         if self._m_pending is not None:
             self._m_pending.set(count)

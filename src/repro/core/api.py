@@ -12,6 +12,7 @@ This ensures that submitted jobs are never lost." The LCM notify after
 the store is best-effort; the LCM's reconcile loop covers its loss.
 """
 
+from ..cluster import pv_name
 from ..grpcnet import Client, Server
 from ..grpcnet.errors import RpcError
 from ..raftkv import EtcdClient
@@ -195,10 +196,9 @@ class ApiService:
                                         projection=["job_id", "manifest"])
         job_id = doc["job_id"]
         tail = request.get("tail")
-        volume_name = f"pv-default-{layout.pvc_name(job_id)}"
         text = None
         try:
-            volume = self.platform.nfs.volume(volume_name)
+            volume = self.platform.nfs.volume(pv_name(layout.pvc_name(job_id)))
             if volume.exists(layout.COMBINED_LOG):
                 text = volume.read_file(layout.COMBINED_LOG)
         except Exception:

@@ -81,16 +81,16 @@ class ComponentCrasher:
         self.kubectl.delete_pod(name, force=True)
         return when, name
 
-    def crash_learner_container(self, job_id, ordinal=0):
-        """In-place learner container crash (kubelet restarts it)."""
-        name = layout.learner_pod_name(job_id, ordinal)
+    def crash_learner_container(self, job_id):
+        """In-place crash of learner 0's container (kubelet restarts it)."""
+        name = layout.learner_pod_name(job_id, 0)
         when = self.platform.kernel.now
         self.kubectl.crash_container(name, "learner")
         return when, name
 
-    def crash_node_of(self, job_id, ordinal=0):
-        """Machine failure under a learner (paper §III.h)."""
-        pod = self.kubectl.get_pod(layout.learner_pod_name(job_id, ordinal))
+    def crash_node_of(self, job_id):
+        """Machine failure under learner 0 (paper §III.h)."""
+        pod = self.kubectl.get_pod(layout.learner_pod_name(job_id, 0))
         when = self.platform.kernel.now
         self.platform.k8s.crash_node(pod.node_name)
         return when, pod.node_name

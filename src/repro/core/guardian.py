@@ -58,6 +58,7 @@ _DEPLOY_ORDER = ("pvc", "networkpolicy", "helper", "learners")
 GUARDIAN_INIT_TIME = 0.55  # pod boot (drives the Fig. 4 recovery band)
 GUARDIAN_STEP_TIME = 0.15  # cost of one deployment step
 MONITOR_INTERVAL = 1.0  # status resync (watch-driven between ticks)
+CLUSTER_WAIT_TIMEOUT = 60.0  # bound on one teardown or rollback wait
 # Progress-only etcd events are batched over this window so a chatty
 # learner does not cost one snapshot read per step.
 GUARDIAN_EVENT_COALESCE = 0.25
@@ -291,7 +292,7 @@ class Guardian:
             pods += self.k8s.list("Pod", owner=owner)
         return pods
 
-    def _await_cluster(self, cond, watched, resync, timeout=60.0):
+    def _await_cluster(self, cond, watched, resync):
         """Wait (bounded) until ``cond()`` holds, waking on the
         API-server events of ``watched``, ``(kind, owner)`` pairs as
         :meth:`ApiServer.watch` scopes them; ``resync`` is the
@@ -301,7 +302,7 @@ class Guardian:
         its owner's index only by an API delete, which its owner's
         watch sees, so no other event can make ``cond`` true."""
         watches = [self.k8s.watch(kind, owner=owner) for kind, owner in watched]
-        deadline = self.kernel.now + timeout
+        deadline = self.kernel.now + CLUSTER_WAIT_TIMEOUT
         try:
             while not cond() and self.kernel.now < deadline:
                 gets = [watch.get() for watch in watches]
@@ -478,9 +479,8 @@ class Guardian:
         job_id = self.job_id
         halt = layout.halt_key(job_id)
         store = layout.helper_status_key(job_id, "store-results")
-        load = layout.helper_status_key(job_id, "load-data")
         snapshot = yield from self.etcd.get_range(
-            layout.job_prefix(job_id), also=(halt, store, load))
+            layout.job_prefix(job_id), also=(halt, store))
         state = dict(snapshot)
         learners = layout.learner_status_prefix(job_id)
         statuses = [kv for kv in snapshot if kv[0].startswith(learners)]

@@ -235,7 +235,7 @@ class LcmService:
             pod = api.get("Pod", job.active_pod)
             pod.deletion_requested = True
             api.update(pod)
-        api.delete("Job", job.metadata.name, job.metadata.namespace)
+        api.delete("Job", job.metadata.name)
         self.platform.events.emit_event(
             "Normal", "GuardianCollected", "Job", dlaas_job,
             message=f"guardian K8S job {name} garbage-collected", job=dlaas_job)

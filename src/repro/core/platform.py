@@ -138,7 +138,6 @@ class DlaasPlatform:
         self.network = Network(
             self.kernel,
             latency=LatencyModel(NETWORK_LATENCY, NETWORK_JITTER),
-            tracer=None,
             metrics=self.metrics,
         )
         self.nfs = NfsServer(self.kernel, metrics=self.metrics,

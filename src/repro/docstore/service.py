@@ -18,12 +18,13 @@ from .errors import NoPrimary
 # per-document copy cost, simulated seconds.
 SYNC_BASE_TIME = 0.2
 SYNC_PER_DOC = 0.0005
+SERVICE_TIME = 0.0005  # a member's per-request cost, simulated seconds
 
 
 class MongoMember:
     """One replica-set member: a Database behind an RPC server."""
 
-    def __init__(self, kernel, network, member_id, replica_set, service_time=0.0005):
+    def __init__(self, kernel, network, member_id, replica_set):
         self.kernel = kernel
         self.member_id = member_id
         self.replica_set = replica_set
@@ -39,7 +40,7 @@ class MongoMember:
         # server deep-copies the response once at the send boundary —
         # one copy per query instead of one per read plus implicit
         # sharing per hop.
-        self.server = Server(kernel, network, member_id, service_time=service_time,
+        self.server = Server(kernel, network, member_id, service_time=SERVICE_TIME,
                              copy_responses=True)
         self.server.add_method("command", self._on_command)
         self.server.add_method("replicate", self._on_replicate)
@@ -168,8 +169,7 @@ class MongoMember:
 class MongoReplicaSet:
     """A fixed-membership replica set with majority write concern."""
 
-    def __init__(self, kernel, network, size=3, prefix="mongo",
-                 service_time=0.0005, events=None):
+    def __init__(self, kernel, network, size=3, prefix="mongo", events=None):
         if size < 1:
             raise ValueError("replica set size must be >= 1")
         self.kernel = kernel
@@ -178,9 +178,8 @@ class MongoReplicaSet:
         self.members = {}
         for i in range(size):
             member_id = f"{prefix}-{i}"
-            self.members[member_id] = MongoMember(
-                kernel, network, member_id, self, service_time=service_time,
-            )
+            self.members[member_id] = MongoMember(kernel, network, member_id,
+                                                  self)
 
     def start(self):
         for member in self.members.values():

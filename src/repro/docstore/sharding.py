@@ -41,8 +41,7 @@ def shard_index(value, shard_count):
 class MongoShardSet:
     """N replica sets, each owning a hash slice of the sharded keys."""
 
-    def __init__(self, kernel, network, shards=2, size=3, prefix="mongo",
-                 service_time=0.0005, events=None):
+    def __init__(self, kernel, network, shards=2, size=3, events=None):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.kernel = kernel
@@ -50,10 +49,10 @@ class MongoShardSet:
         self.shard_count = shards
         self.shards = []
         for k in range(shards):
-            shard_prefix = prefix if k == 0 else f"{prefix}-s{k}"
+            # Shard 0 keeps the plain replica set's member names.
             self.shards.append(MongoReplicaSet(
-                kernel, network, size=size, prefix=shard_prefix,
-                service_time=service_time, events=events))
+                kernel, network, size=size,
+                prefix="mongo" if k == 0 else f"mongo-s{k}", events=events))
 
     def start(self):
         for shard in self.shards:

@@ -12,24 +12,28 @@ import math
 from .perfmodel import step_time
 
 
-def synthetic_loss(learning_rate, step, initial=2.5, floor=0.08,
-                   optimal_lr=0.05):
+INITIAL_LOSS = 2.5  # synthetic_loss at step 0
+LOSS_FLOOR = 0.08  # what synthetic_loss converges to
+OPTIMAL_LR = 0.05  # the learning rate that converges fastest
+
+
+def synthetic_loss(learning_rate, step):
     """Deterministic training-loss curve for a given learning rate.
 
     Captures the qualitative behaviour hyper-parameter sweeps explore:
-    the effective convergence rate peaks at ``optimal_lr`` and falls off
+    the effective convergence rate peaks at ``OPTIMAL_LR`` and falls off
     on both sides, and a grossly oversized learning rate diverges. Not a
     model of any real optimizer — just a reproducible, comparable
     quality signal for jobs in the simulation.
     """
     if learning_rate <= 0:
-        return initial
-    if learning_rate > 8 * optimal_lr:
+        return INITIAL_LOSS
+    if learning_rate > 8 * OPTIMAL_LR:
         # Divergence: loss grows with steps.
-        return initial * (1.0 + (learning_rate / optimal_lr) * step / 2000.0)
-    ratio = learning_rate / optimal_lr
+        return INITIAL_LOSS * (1.0 + (learning_rate / OPTIMAL_LR) * step / 2000.0)
+    ratio = learning_rate / OPTIMAL_LR
     rate = ratio * math.exp(1.0 - ratio)  # peaks at 1.0 when lr == optimal
-    return floor + (initial - floor) * math.exp(-rate * step / 400.0)
+    return LOSS_FLOOR + (INITIAL_LOSS - LOSS_FLOOR) * math.exp(-rate * step / 400.0)
 
 
 class CheckpointPolicy:

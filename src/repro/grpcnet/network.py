@@ -137,7 +137,9 @@ class _Call(Event):
         else:
             network.kernel.call_soon(self._served)
 
-    def _served(self, _handled=None):
+    def _served(self, *_event):
+        # A ready-queue entry (no argument) or the handler's callback
+        # (the handler's event, which is ``self._handled``).
         if self.state is not PENDING:
             return
         network, handled = self._network, self._handled
@@ -181,9 +183,6 @@ class _Call(Event):
             self.state = FAILED
             self.exception = error
         network._observe_call(self._method, code, self._started, self._address)
-        if network.tracer is not None:
-            network.tracer.emit("network", "rpc", caller=self._caller,
-                                address=self._address, method=self._method)
         if self._handled is not None and self._handled.state is PENDING:
             # A deadline beat a suspended handler: it runs on, but must
             # not keep this call alive until it finishes.
@@ -197,14 +196,13 @@ class _Call(Event):
 class Network:
     """Registry of endpoints plus the latency/partition/loss model."""
 
-    def __init__(self, kernel, latency=None, loss_rate=0.0, tracer=None,
-                 metrics=None, debug_freeze=False):
+    def __init__(self, kernel, latency=None, loss_rate=0.0, metrics=None,
+                 debug_freeze=False):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1): {loss_rate}")
         self.kernel = kernel
         self.latency = latency or LatencyModel()
         self.loss_rate = loss_rate
-        self.tracer = tracer
         # Debug mode for single-serialization RPC: payloads
         # travel by reference, which is only sound if no handler mutates
         # a request in place. When enabled, every request is snapshotted

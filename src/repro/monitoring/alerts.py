@@ -341,16 +341,10 @@ class AlertEngine(Polling):
     def firing_count(self, rule_name):
         return len(self.firing(rule_name))
 
-    def transitions(self, rule_name, labels=None):
-        """Ordered ``(from, to)`` pairs a rule instance went through."""
-        out = []
-        for record in self.history:
-            if record["rule"] != rule_name:
-                continue
-            if labels is not None and dict(record["labels"]) != dict(labels):
-                continue
-            out.append((record["from"], record["to"]))
-        return out
+    def transitions(self, rule_name):
+        """Ordered ``(from, to)`` pairs the rule's instances went through."""
+        return [(record["from"], record["to"]) for record in self.history
+                if record["rule"] == rule_name]
 
 
 # ``for_`` durations: service-level rules ride out one scrape hiccup,

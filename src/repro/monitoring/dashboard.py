@@ -7,6 +7,7 @@ platform event log. Pure rendering over the monitoring stack's state.
 """
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
+EVENTS_TAIL = 10  # platform events the dashboard lists
 
 
 def sparkline(values, width=40, maximum=None):
@@ -23,7 +24,7 @@ def sparkline(values, width=40, maximum=None):
     return "".join(cells[:width]).ljust(width)
 
 
-def render_dashboard(platform, width=40, events_tail=10):
+def render_dashboard(platform):
     """The full text dashboard for a platform's monitoring stack."""
     stack = platform.monitoring
     now = platform.kernel.now
@@ -40,7 +41,7 @@ def render_dashboard(platform, width=40, events_tail=10):
         current = series.latest_value(now, staleness=3 * stack.scraper.interval)
         state = "UP" if current == 1.0 else ("DOWN" if current == 0.0 else "STALE")
         values = series.values()
-        lines.append(f"  {component:<10} {state:<5} [{sparkline(values, width, maximum=1.0)}]")
+        lines.append(f"  {component:<10} {state:<5} [{sparkline(values, maximum=1.0)}]")
 
     gauges = [name for name in ("cluster_gpus_allocated", "scheduler_pending_pods",
                                 "monitoring_series") if store.series(name)]
@@ -51,7 +52,7 @@ def render_dashboard(platform, width=40, events_tail=10):
             for series in store.series(name):
                 values = series.values()
                 latest = values[-1] if values else 0.0
-                lines.append(f"  {name:<26} {latest:>8g} [{sparkline(values, width)}]")
+                lines.append(f"  {name:<26} {latest:>8g} [{sparkline(values)}]")
 
     gray = store.series("gray_divergence")
     if gray:
@@ -68,7 +69,7 @@ def render_dashboard(platform, width=40, events_tail=10):
             tag = (f"{labels.get('component', '?')}"
                    f"/{labels.get('signal', '?')}")
             lines.append(
-                f"  {tag:<32} {latest:>6.1f} [{sparkline(values, width)}]")
+                f"  {tag:<32} {latest:>6.1f} [{sparkline(values)}]")
         if quiet:
             lines.append(f"  ({quiet} series within peer baseline)")
 
@@ -81,7 +82,7 @@ def render_dashboard(platform, width=40, events_tail=10):
             values = series.values()
             latest = values[-1] if values else 0.0
             lines.append(f"  {'ops checked':<26} {latest:>8g} "
-                         f"[{sparkline(values, width)}]")
+                         f"[{sparkline(values)}]")
         if not checked:
             lines.append(f"  ops checked {auditor.ops_checked} "
                          f"over {auditor.passes} passes (not yet scraped)")
@@ -105,11 +106,11 @@ def render_dashboard(platform, width=40, events_tail=10):
             f"{labels:<24} since t={instance['since']:.1f}s")
 
     lines.append("")
-    lines.append(f"-- recent events (last {events_tail}) --")
+    lines.append(f"-- recent events (last {EVENTS_TAIL}) --")
     events = sorted(platform.events.events(), key=lambda e: e.last_time)
     if not events:
         lines.append("  (none)")
-    for event in events[-events_tail:]:
+    for event in events[-EVENTS_TAIL:]:
         count = f" x{event.count}" if event.count > 1 else ""
         lines.append(
             f"  [{event.last_time:8.2f}s] {event.type:<7} "

@@ -169,8 +169,7 @@ def _template_owners(api, kind, role):
         # The controller stamps the template's labels and itself as
         # owner on every pod it makes: the owner index is that selector.
         running = sum(
-            1 for pod in api.list("Pod", namespace=owner.metadata.namespace,
-                                  owner=(kind, owner.metadata.name))
+            1 for pod in api.list("Pod", owner=(kind, owner.metadata.name))
             if pod.phase == RUNNING and not pod.deletion_requested
         )
         out.append((owner.metadata.name, owner.replicas, running))

@@ -114,10 +114,10 @@ class ObjectStore:
     def transfer_time(self, size, bandwidth=None):
         return self.request_latency + size / (bandwidth or self.link_bandwidth)
 
-    def upload(self, bucket_name, key, credentials, size, payload=None, bandwidth=None):
+    def upload(self, bucket_name, key, credentials, size, payload=None):
         """Upload an object of ``size`` bytes; returns the StoredObject."""
         started = self.kernel.now
-        yield self.kernel.sleep(self.transfer_time(size, bandwidth))
+        yield self.kernel.sleep(self.transfer_time(size))
         obj = self.put_object(bucket_name, key, credentials, size, payload)
         self.bytes_uploaded += size
         self._record("upload", started, size)

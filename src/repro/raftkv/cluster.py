@@ -12,18 +12,17 @@ from .node import RaftNode, RaftTimings
 class EtcdCluster:
     """N Raft nodes plus test/experiment conveniences."""
 
-    def __init__(self, kernel, network, size=3, prefix="etcd", timings=None,
-                 tracer=None, snapshot_threshold=500, metrics=None,
-                 events=None):
+    def __init__(self, kernel, network, size=3, snapshot_threshold=500,
+                 metrics=None, events=None):
         if size < 1:
             raise ValueError("cluster size must be >= 1")
         self.kernel = kernel
         self.network = network
-        self.timings = timings or RaftTimings()
-        node_ids = [f"{prefix}-{i}" for i in range(size)]
+        self.timings = RaftTimings()
+        node_ids = [f"etcd-{i}" for i in range(size)]
         self.nodes = {
             node_id: RaftNode(kernel, network, node_id, node_ids,
-                              timings=self.timings, tracer=tracer,
+                              timings=self.timings,
                               snapshot_threshold=snapshot_threshold,
                               metrics=metrics, events=events)
             for node_id in node_ids

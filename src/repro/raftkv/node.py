@@ -57,14 +57,12 @@ class RaftNode:
     MAX_BATCH = 64
 
     def __init__(self, kernel, network, node_id, peer_ids, timings=None,
-                 tracer=None, snapshot_threshold=500, metrics=None,
-                 events=None):
+                 snapshot_threshold=500, metrics=None, events=None):
         self.kernel = kernel
         self.network = network
         self.node_id = node_id
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.timings = timings or RaftTimings()
-        self.tracer = tracer
         self.events = events
         if metrics is not None:
             # Children bound once: node_id is fixed for the node's life.
@@ -170,7 +168,6 @@ class RaftNode:
         self._last_heartbeat = self.kernel.now
         self.server.start()
         self._spawn(self._election_timer(), "election-timer")
-        self._trace("start", term=self.current_term)
         return self
 
     def crash(self):
@@ -178,7 +175,6 @@ class RaftNode:
         if not self.alive:
             return self
         self.alive = False
-        self._trace("crash", term=self.current_term, role=self.role)
         self.role = FOLLOWER
         self.leader_id = None
         self.server.stop()
@@ -198,10 +194,6 @@ class RaftNode:
         process.add_callback(lambda _ev: self._procs.discard(process))
         return process
 
-    def _trace(self, kind, **fields):
-        if self.tracer is not None:
-            self.tracer.emit(self.node_id, f"raft-{kind}", **fields)
-
     # ------------------------------------------------------------------
     # Role transitions
     # ------------------------------------------------------------------
@@ -219,7 +211,6 @@ class RaftNode:
         if leader_id is not None:
             self.leader_id = leader_id
         if stepping_down:
-            self._trace("step-down", term=self.current_term)
             self._fail_waiters()
 
     def _become_leader(self):
@@ -233,7 +224,6 @@ class RaftNode:
         # lease never lapses on a healthy cluster and the read path is
         # timeline-identical to the pre-lease behaviour.
         self._peer_acks = {p: self.kernel.now for p in self.peer_ids}
-        self._trace("elected", term=self.current_term)
         if self._m_elections is not None:
             self._m_elections.inc()
         if self.events is not None:
@@ -279,7 +269,6 @@ class RaftNode:
         self.voted_for = self.node_id
         self.leader_id = None
         term = self.current_term
-        self._trace("election-start", term=term)
         votes = {self.node_id}
         majority = (len(self.peer_ids) + 1) // 2 + 1
         if len(votes) >= majority:
@@ -302,7 +291,6 @@ class RaftNode:
             )
         except (RpcError, ProcessKilled):
             return
-        reply = self._unwrap(reply)
         if not self.alive or self.role != CANDIDATE or self.current_term != request.term:
             return
         if reply.term > self.current_term:
@@ -312,10 +300,6 @@ class RaftNode:
             votes.add(reply.voter_id)
             if len(votes) >= majority:
                 self._become_leader()
-
-    @staticmethod
-    def _unwrap(reply):
-        return reply
 
     # ------------------------------------------------------------------
     # RPC handlers (run on the server, possibly concurrently)
@@ -519,7 +503,6 @@ class RaftNode:
                                       reply.last_included_index)
         self._next_index[peer] = reply.last_included_index + 1
         self._advance_commit()
-        self._trace("snapshot-sent", peer=peer, index=reply.last_included_index)
         return True
 
     def _advance_commit(self):
@@ -567,8 +550,6 @@ class RaftNode:
             "state": self.state_machine.to_snapshot(),
         }
         self.log.compact(self.last_applied)
-        self._trace("snapshot", index=self.last_applied,
-                    log_entries=len(self.log))
 
     # ------------------------------------------------------------------
     # InstallSnapshot receiver (Raft §7)
@@ -598,7 +579,6 @@ class RaftNode:
                                            request.last_included_term)
         self.commit_index = request.last_included_index
         self.last_applied = request.last_included_index
-        self._trace("snapshot-installed", index=request.last_included_index)
         return InstallSnapshotReply(term=self.current_term,
                                     follower_id=self.node_id,
                                     last_included_index=request.last_included_index)

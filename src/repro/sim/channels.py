@@ -47,11 +47,11 @@ class Channel:
             self._getters.append(event)
         return event
 
-    def get_nowait(self, default=None):
-        """Dequeue immediately, or return ``default`` if empty."""
+    def get_nowait(self):
+        """Dequeue immediately, or return None if empty."""
         if self._items:
             return self._items.popleft()
-        return default
+        return None
 
     def cancel_get(self, event):
         """Withdraw a pending :meth:`get` event that was never consumed.

@@ -130,8 +130,8 @@ class AnyOf(Event):
 
     __slots__ = ("events",)
 
-    def __init__(self, kernel, events, name="any-of"):
-        super().__init__(kernel, name=name)
+    def __init__(self, kernel, events):
+        super().__init__(kernel, name="any-of")
         self.events = list(events)
         if not self.events:
             raise ValueError("AnyOf requires at least one event")
@@ -161,8 +161,8 @@ class AllOf(Event):
 
     __slots__ = ("events", "_remaining")
 
-    def __init__(self, kernel, events, name="all-of"):
-        super().__init__(kernel, name=name)
+    def __init__(self, kernel, events):
+        super().__init__(kernel, name="all-of")
         self.events = list(events)
         self._remaining = len(self.events)
         if not self.events:

@@ -53,13 +53,13 @@ class FaultInjector:
         self._record(name, "crash", reason)
         crash()
 
-    def crash_at(self, when, name, crash, reason="scheduled"):
+    def crash_at(self, when, name, crash):
         """Crash ``name`` (by calling ``crash()``) at absolute time ``when``."""
-        self._kernel._schedule_at(when, lambda: self._fire(name, crash, reason))
+        self._kernel._schedule_at(when, lambda: self._fire(name, crash, "scheduled"))
 
-    def crash_after(self, delay, name, crash, reason="scheduled"):
+    def crash_after(self, delay, name, crash):
         """Crash ``name`` after ``delay`` seconds from now."""
-        self.crash_at(self._kernel.now + delay, name, crash, reason)
+        self.crash_at(self._kernel.now + delay, name, crash)
 
     # ------------------------------------------------------------------
     # Gray faults

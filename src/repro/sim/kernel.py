@@ -227,10 +227,6 @@ class Kernel:
             heapq.heappush(self._queue, (when, self._sequence, timer))
         return timer
 
-    def timeout(self, delay, value=None):
-        """Alias of :meth:`sleep`, for SimPy familiarity."""
-        return self.sleep(delay, value)
-
     def any_of(self, events):
         """Event that fires when the first of ``events`` triggers."""
         return AnyOf(self, events)

@@ -203,18 +203,16 @@ class WatchSource:
     stream); ``keys_of`` maps one event to the work keys it dirties;
     ``list_keys`` enumerates every key for a full relist — run on
     (re)establishment and on every periodic resync, which is what makes
-    the runtime level-triggered. ``unsubscribe`` tears the watch down
+    the runtime level-triggered. ``unsubscribe`` cancels the watch
     (the channel-leak fix: sources must deregister, not just drop,
     their channels).
     """
 
-    def __init__(self, name, subscribe=None, keys_of=None, list_keys=None,
-                 unsubscribe=None):
+    def __init__(self, name, subscribe=None, keys_of=None, list_keys=None):
         self.name = name
         self._subscribe = subscribe
         self._keys_of = keys_of
         self._list_keys = list_keys
-        self._unsubscribe = unsubscribe
         self._current = None  # whatever subscribe returned, for teardown
 
     def subscribe(self):
@@ -248,9 +246,6 @@ class WatchSource:
         current, self._current = self._current, None
         if current is None:
             return
-        if self._unsubscribe is not None:
-            self._unsubscribe(current)
-            return
         cancel = getattr(current, "cancel", None)
         if cancel is not None:
             cancel()
@@ -277,14 +272,13 @@ class Reconciler:
     rather than lost.
     """
 
-    def __init__(self, kernel, name, reconcile, *, queue=None,
-                 resync_interval=0.0, rewatch_delay=0.2, tracer=None,
-                 metrics=None, kind=None, key_context=None):
+    def __init__(self, kernel, name, reconcile, *, resync_interval=0.0,
+                 rewatch_delay=0.2, tracer=None, metrics=None, kind=None,
+                 key_context=None):
         self.kernel = kernel
         self.name = name
         self.reconcile = reconcile
-        self.queue = queue or WorkQueue(kernel, name=name, metrics=metrics,
-                                        kind=kind)
+        self.queue = WorkQueue(kernel, name=name, metrics=metrics, kind=kind)
         self._resync = None  # the safety-net relist behind the watches
         if resync_interval > 0:
             self._resync = Periodic(
@@ -324,13 +318,10 @@ class Reconciler:
             self._spawn(self._pump(source), f"pump:{source.name}")
         return source
 
-    def watch_channel(self, name, subscribe, keys_of, list_keys=None,
-                      unsubscribe=None):
+    def watch_channel(self, name, subscribe, keys_of, list_keys=None):
         """Shorthand for :meth:`add_source` of a :class:`WatchSource`."""
         return self.add_source(WatchSource(
-            name, subscribe=subscribe, keys_of=keys_of, list_keys=list_keys,
-            unsubscribe=unsubscribe,
-        ))
+            name, subscribe=subscribe, keys_of=keys_of, list_keys=list_keys))
 
     def add_static_key(self, key):
         """A key enqueued at start and on every resync (level-trigger)."""

@@ -14,6 +14,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import islice
 
+RETENTION = 600.0  # simulated seconds of samples a series keeps
+MAX_SAMPLES = 2048  # samples a series keeps at most
+
 
 class TickLog:
     """The instants of one scraper's passes, oldest first.
@@ -66,7 +69,8 @@ class TimeSeries:
     __slots__ = ("name", "labels", "retention", "_samples", "_ticks",
                  "_held_index", "_held_value")
 
-    def __init__(self, name, labels=(), retention=600.0, max_samples=2048):
+    def __init__(self, name, labels=(), retention=RETENTION,
+                 max_samples=MAX_SAMPLES):
         self.name = name
         self.labels = canonical_labels(labels)
         self.retention = retention
@@ -278,12 +282,13 @@ def canonical_labels(labels):
 class TimeSeriesStore:
     """All scraped series, keyed by (name, canonical labels).
 
-    ``retention``/``max_samples`` bound every series.
+    ``retention``/``max_samples`` bound every series; a probe that needs
+    other bounds sets them on the store before its first sample.
     """
 
-    def __init__(self, retention=600.0, max_samples=2048):
-        self.retention = retention
-        self.max_samples = max_samples
+    def __init__(self):
+        self.retention = RETENTION
+        self.max_samples = MAX_SAMPLES
         self._series = {}
         # name -> {canonical match: sorted tuple of series} cache:
         # series() is on the alert engine's per-tick path, and without

@@ -122,11 +122,11 @@ class Span:
     def ended(self):
         return self.end_time is not None
 
-    def duration(self, at=None):
-        """Span length; open spans are measured up to ``at`` (or now)."""
+    def duration(self):
+        """Span length; open spans are measured up to now."""
         end = self.end_time
         if end is None:
-            end = self._clock() if at is None else at
+            end = self._clock()
         return max(0.0, end - self.start)
 
     def set_attribute(self, key, value):

@@ -76,14 +76,6 @@ class TestCrud:
         assert api.list("Pod", selector={"role": "learner", "job": "j1"})[0] \
             .metadata.name == "c"
 
-    def test_namespaces_isolate(self, api):
-        spec = PodSpec(containers=[ContainerSpec("c", "img")],
-                       restart_policy=RESTART_NEVER)
-        api.create(Pod("same", spec, namespace="ns1"))
-        api.create(Pod("same", spec, namespace="ns2"))
-        assert len(api.list("Pod")) == 2
-        assert len(api.list("Pod", namespace="ns1")) == 1
-
     def test_list_ordered_by_creation(self, kernel, api):
         api.create(make_pod("z"))
 
@@ -97,14 +89,13 @@ class TestCrud:
 
 
 NODES = ("node-0", "node-1", "node-2")
-NAMESPACES = ("default", "other")
 OWNERS = (None, ("StatefulSet", "s"), ("Deployment", "d"), ("Job", "j"))
 ROLES = ("learner", "helper")
 
 _pick = st.integers(min_value=0, max_value=40)
 OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("create"), st.sampled_from(("a", "b", "c", "d", "e")),
-              st.sampled_from(NAMESPACES), st.sampled_from(OWNERS),
+              st.sampled_from(OWNERS),
               st.sampled_from(ROLES)),
     st.tuples(st.just("bind"), _pick, st.sampled_from(NODES)),
     st.tuples(st.just("phase"), _pick,
@@ -128,14 +119,12 @@ def assert_indexes_match_full_list(api):
                    and not p.deletion_requested]
     assert api.list("Pod", unscheduled=True) == unscheduled
     assert api.list("Pod", unscheduled=True, node_name="node-0") == []
-    for namespace in NAMESPACES:
-        assert api.list("Pod", unscheduled=True, namespace=namespace) == \
-            [p for p in unscheduled if p.metadata.namespace == namespace]
+    for role in ROLES:
+        assert api.list("Pod", unscheduled=True, selector={"role": role}) == \
+            [p for p in unscheduled if p.metadata.labels["role"] == role]
     for owner in OWNERS[1:] + (("Job", "ghost"),):
         owned = [p for p in everything if p.metadata.owner == owner]
         assert api.list("Pod", owner=owner) == owned
-        assert api.list("Pod", owner=owner, namespace="other") == \
-            [p for p in owned if p.metadata.namespace == "other"]
         assert api.list("Pod", owner=owner, selector={"role": "helper"}) == \
             [p for p in owned if p.metadata.labels["role"] == "helper"]
         assert api.list("Pod", owner=owner, node_name="node-1") == \
@@ -155,12 +144,12 @@ class TestPodIndexes:
             if verb == "tick":
                 kernel.run(until=kernel.now + 1.0)
             elif verb == "create":
-                _verb, name, namespace, owner, role = operation
-                if not api.exists("Pod", name, namespace):
+                _verb, name, owner, role = operation
+                if not api.exists("Pod", name):
                     spec = PodSpec(containers=[ContainerSpec("c", "img")],
                                    restart_policy=RESTART_NEVER)
-                    api.create(Pod(name, spec, namespace=namespace,
-                                   labels={"role": role}, owner=owner))
+                    api.create(Pod(name, spec, labels={"role": role},
+                                   owner=owner))
             else:
                 pods = api.list("Pod")
                 if not pods:
@@ -173,7 +162,7 @@ class TestPodIndexes:
                 elif verb == "request-deletion":
                     pod.deletion_requested = True
                 if verb == "delete":
-                    api.delete("Pod", pod.metadata.name, pod.metadata.namespace)
+                    api.delete("Pod", pod.metadata.name)
                 else:
                     api.update(pod)
             assert_indexes_match_full_list(api)
@@ -181,18 +170,6 @@ class TestPodIndexes:
             # is an equal pending list.
             assert ((api.unscheduled_version == version)
                     == (api.list("Pod", unscheduled=True) == pending))
-
-    def test_same_name_same_instant_orders_by_namespace(self, api):
-        # (creation_time, name) ties only across namespaces; the
-        # namespace breaks them the same way in every view.
-        spec = PodSpec(containers=[ContainerSpec("c", "img")],
-                       restart_policy=RESTART_NEVER)
-        api.create(Pod("same", spec, namespace="zz", owner=("Job", "j")))
-        api.create(Pod("same", spec, namespace="aa", owner=("Job", "j")))
-        order = [p.metadata.namespace for p in api.list("Pod")]
-        assert order == ["aa", "zz"]
-        assert [p.metadata.namespace
-                for p in api.list("Pod", owner=("Job", "j"))] == order
 
     def test_indexed_list_is_a_fresh_list(self, api):
         pod = api.create(make_pod("p"))

@@ -247,7 +247,7 @@ class TestNodeFailure:
         node_name = pod.node_name
         cluster.crash_node(node_name)
         kernel.run(until=20.0)
-        node = cluster.api.get("Node", node_name, namespace="")
+        node = cluster.api.get("Node", node_name)
         assert node.condition == NOT_READY
         replacement = [p for p in cluster.kubectl.get_pods(selector={"deployment": "api"})
                        if not p.deletion_requested and not p.is_terminal()]
@@ -257,10 +257,10 @@ class TestNodeFailure:
     def test_restarted_node_becomes_ready(self, kernel, cluster):
         cluster.crash_node("node-0")
         kernel.run(until=10.0)
-        assert cluster.api.get("Node", "node-0", namespace="").condition == NOT_READY
+        assert cluster.api.get("Node", "node-0").condition == NOT_READY
         cluster.restart_node("node-0")
         kernel.run(until=15.0)
-        assert cluster.api.get("Node", "node-0", namespace="").condition == READY
+        assert cluster.api.get("Node", "node-0").condition == READY
 
     def test_readiness_flips_are_api_writes(self, kernel, cluster):
         watch = cluster.api.watch("Node")
@@ -318,7 +318,7 @@ class TestNodeFailure:
         cluster.api.create(sset)
         kernel.run(until=5.0)
         pod = cluster.kubectl.get_pod("learner-0")
-        node = cluster.api.get("Node", pod.node_name, namespace="")
+        node = cluster.api.get("Node", pod.node_name)
         assert node.allocated_cpu > 0
         cluster.crash_node(pod.node_name)
         kernel.run(until=30.0)

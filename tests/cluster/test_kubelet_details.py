@@ -230,7 +230,7 @@ class TestSyncReadsNodeIndex:
         assert cluster.api.list("Pod", node_name="node-1") == []
 
         assert cluster.scheduler._bind_one(
-            pod, [cluster.api.get("Node", "node-1", namespace="")], set()) == 1
+            pod, [cluster.api.get("Node", "node-1")], set()) == 1
         assert cluster.api.list("Pod", node_name="node-1") == [pod]
         kernel.run(until=kernel.now + 2 * SYNC_INTERVAL)
         assert pod.metadata.uid in kubelet._pod_workers

@@ -10,6 +10,7 @@ from repro.cluster import (
     RESTART_ALWAYS,
     RESTART_NEVER,
     RESTART_ON_FAILURE,
+    pv_name,
 )
 from repro.cluster.resources.pod import FAILED, RUNNING, SUCCEEDED
 
@@ -303,7 +304,7 @@ class TestVolumes:
         cluster.api.create(Pod("vol-pod", spec))
         kernel.run(until=10.0)
         assert seen["files"] == "hi"
-        volume = nfs.volume("pv-default-job-claim")
+        volume = nfs.volume(pv_name("job-claim"))
         assert volume.read_file("/hello.txt") == "hi"
 
     def test_volume_shared_between_pods(self, kernel, cluster):

@@ -23,7 +23,10 @@ SETTER_ROOTS = tuple(root for root in ROOTS if root != "tests")
 DEFINITION = REPO_ROOT / "src" / "repro" / "core" / "platform.py"
 
 MAX_FIELDS = 18  # ratchet: lower it when a field goes, never raise it
-MAX_NEVER_PASSED = 67  # ratchet: the same, for never_passed_parameters()
+MAX_NEVER_PASSED = 0  # ratchet: the same, for never_passed_parameters()
+# ...and for never_passed_outside_tests(): the parameters only a test
+# passes, the next ones to fold.
+MAX_NEVER_PASSED_OUTSIDE_TESTS = 42
 
 # Deployment sizes and credentials stay configurable although no caller
 # varies them today — siblings of the ``lcm_replicas`` that perfbench
@@ -64,7 +67,9 @@ def _bare_name(expr):
 def _calls(node, bases=()):
     """``(call, callee names)`` under ``node``. Calls are matched to
     definitions by bare name; ``super().__init__(...)`` inside a class
-    is a call of each of its bases."""
+    is a call of each of its bases, and pytest-benchmark's
+    ``benchmark.pedantic(f, kwargs={...})`` a call of ``f`` with the
+    dict's keys."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             yield from _calls(child, [_bare_name(b) for b in child.bases])
@@ -72,6 +77,13 @@ def _calls(node, bases=()):
         if isinstance(child, ast.Call):
             name = _bare_name(child.func)
             yield child, (bases if name == "__init__" else [name])
+            kwargs = [kw.value for kw in child.keywords if kw.arg == "kwargs"]
+            if (name == "pedantic" and child.args and kwargs
+                    and isinstance(kwargs[0], ast.Dict)):
+                yield (ast.Call(func=child.args[0], args=[], keywords=[
+                    ast.keyword(arg=key.value) for key in kwargs[0].keys
+                    if isinstance(key, ast.Constant)]),
+                    [_bare_name(child.args[0])])
         yield from _calls(child, bases)
 
 
@@ -93,8 +105,17 @@ def never_passed_parameters():
     passes, by keyword or by position. Name-based and conservative: a
     call that splats ``**kwargs`` or ``*args`` counts as passing
     everything, and so does any same-named callee elsewhere."""
+    return _never_passed(ROOTS)
+
+
+def never_passed_outside_tests():
+    """The same census with ``tests/`` not counted as a caller."""
+    return _never_passed(SETTER_ROOTS)
+
+
+def _never_passed(roots):
     passed = {}  # callee name -> [positional args seen, keywords seen]
-    for root in ROOTS:
+    for root in roots:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
             for call, names in _calls(ast.parse(path.read_text())):
                 starred = any(isinstance(a, ast.Starred) for a in call.args)
@@ -137,3 +158,11 @@ def test_never_passed_parameters_only_go_down():
         f"ratchet is {MAX_NEVER_PASSED}): a new one is a constant beside "
         "its reader, or comes with the caller that needs a second value. "
         "All of them:\n" + "\n".join(unpassed))
+
+
+def test_parameters_only_tests_pass_only_go_down():
+    unpassed = never_passed_outside_tests()
+    assert len(unpassed) <= MAX_NEVER_PASSED_OUTSIDE_TESTS, (
+        f"{len(unpassed)} keyword parameters no call outside tests/ passes "
+        f"(the ratchet is {MAX_NEVER_PASSED_OUTSIDE_TESTS}). All of them:\n"
+        + "\n".join(unpassed))

@@ -154,12 +154,11 @@ class TestSnapshotAggregation:
         assert guardian.captured["status"] == status
         prefix, also = guardian.captured["read"]
         assert prefix == layout.job_prefix("job-1")
-        # The three keys whose absence the pass acts on are named, so
-        # that the audit records them as read-absent.
-        assert set(also) == {
+        # Exactly the keys whose absence the pass acts on are named, so
+        # that the audit records them, and nothing else, as read-absent.
+        assert tuple(also) == (
             layout.halt_key("job-1"),
-            layout.helper_status_key("job-1", "store-results"),
-            layout.helper_status_key("job-1", "load-data")}
+            layout.helper_status_key("job-1", "store-results"))
 
     def test_no_point_read_is_left_in_the_pass(self):
         import inspect

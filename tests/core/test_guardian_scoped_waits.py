@@ -26,7 +26,11 @@ from repro.cluster import (
     StatefulSet,
 )
 from repro.core import layout
-from repro.core.guardian import GUARDIAN_TEARDOWN_RESYNC, Guardian
+from repro.core.guardian import (
+    CLUSTER_WAIT_TIMEOUT,
+    GUARDIAN_TEARDOWN_RESYNC,
+    Guardian,
+)
 from repro.nfs import NfsServer
 from repro.sim import Kernel
 
@@ -54,10 +58,10 @@ class EveryEventWaiter(Waiter):
     """The oracle: the wait as it was, one kind-wide watch per watched
     kind, re-checking ``cond()`` on every event of that kind."""
 
-    def _await_cluster(self, cond, watched, resync, timeout=60.0):
+    def _await_cluster(self, cond, watched, resync):
         kinds = list(dict.fromkeys(kind for kind, _owner in watched))
         watches = [self.k8s.watch(kind) for kind in kinds]
-        deadline = self.kernel.now + timeout
+        deadline = self.kernel.now + CLUSTER_WAIT_TIMEOUT
         try:
             while not cond() and self.kernel.now < deadline:
                 gets = [watch.get() for watch in watches]

@@ -16,7 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = REPO_ROOT / "src" / "repro"
 REACH = REPO_ROOT / "reach.txt"
 
-MAX_UNREACHED_LINES = 393  # ratchet: lower it when code goes, never raise it
+MAX_UNREACHED_LINES = 389  # ratchet: lower it when code goes, never raise it
 
 ROW = re.compile(r"^\s*(\d+) (\S+?):(\S+)$")
 TOTAL = re.compile(r"^total (\d+) unreached of \d+ function lines$")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import pv_name
 from repro.core import RateLimited, api, layout
 
 from .conftest import make_platform, manifest, submit_and_wait_running
@@ -14,8 +15,7 @@ class TestLogsFallback:
         )
         # Simulate volume reclamation after teardown (the platform never
         # reclaims one): logs must come from the archived object-store copy.
-        volume_name = f"pv-default-{layout.pvc_name(job_id)}"
-        del platform.nfs._volumes[volume_name]
+        del platform.nfs._volumes[pv_name(layout.pvc_name(job_id))]
 
         def tail():
             return (yield from client.logs(job_id, tail=3))

@@ -221,7 +221,9 @@ class Side:
                  prune_after):
         self.kernel = Kernel(seed=1)
         self.registry = MetricsRegistry()
-        self.store = store_class(retention=retention, max_samples=max_samples)
+        self.store = store_class()
+        self.store.retention = retention
+        self.store.max_samples = max_samples
         self.probes = Probes()
         self.scraper = scraper_class(self.kernel, self.store,
                                      registry=self.registry,

@@ -55,13 +55,13 @@ class TestSchedulerProperties:
             )
             cluster.api.create(Pod(f"p{i}", spec))
         cluster.scheduler.schedule_once()
-        for node in cluster.api.list("Node", namespace=""):
+        for node in cluster.api.list("Node"):
             assert 0 <= node.allocated_gpus <= node.capacity.gpus
         # Every bound pod's node could actually fit it at bind time.
         bound = [p for p in cluster.api.list("Pod") if p.node_name is not None]
         total_bound = sum(p.spec.total_gpus for p in bound)
         total_alloc = sum(n.allocated_gpus
-                          for n in cluster.api.list("Node", namespace=""))
+                          for n in cluster.api.list("Node"))
         assert total_bound == total_alloc
 
     @settings(max_examples=25)
@@ -79,7 +79,7 @@ class TestSchedulerProperties:
             )
             cluster.api.create(Pod(f"p{i}", spec))
         cluster.scheduler.schedule_once()
-        node = cluster.api.list("Node", namespace="")[0]
+        node = cluster.api.list("Node")[0]
         pending = [p for p in cluster.api.list("Pod") if p.node_name is None]
         for pod in pending:
             assert pod.spec.total_gpus > node.free_gpus

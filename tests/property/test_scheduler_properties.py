@@ -121,7 +121,7 @@ class World:
             if bound:
                 self._remove(bound[operation[1] % len(bound)])
         elif verb == "not_ready":
-            nodes = self.api.list("Node", namespace="")
+            nodes = self.api.list("Node")
             nodes[operation[1] % len(nodes)].condition = (
                 NOT_READY if operation[2] else READY)
         elif verb == "strategy":
@@ -139,7 +139,7 @@ class World:
     def decisions(self):
         return (self.bindings(),
                 [(n.allocated_gpus, n.allocated_cpu, n.allocated_memory)
-                 for n in self.api.list("Node", namespace="")])
+                 for n in self.api.list("Node")])
 
     def event_log(self, failed):
         """The ``FailedScheduling`` events, or the others (``Scheduled``)."""
