@@ -8,6 +8,7 @@ still converges to a COMPLETED job on the real (simulated) platform.
 """
 
 from repro.bench import atomic_deploy_rows, bench_manifest, build_platform, render_table
+from repro.core import ComponentCrasher
 
 COLUMNS = ["attempt budget", "crash prob", "deployed jobs", "trials",
            "success rate", "analytic"]
@@ -37,16 +38,24 @@ def test_atomic_deploy_end_to_end(benchmark, record_table):
         platform = build_platform("k80", gpus_per_node=4)
         client = platform.client("atomic")
         manifest = bench_manifest("resnet50", "tensorflow", 1, "k80", steps=40)
-        manifest["extra"] = {"guardian_crash_after": 2,
-                             "guardian_crash_on_attempt": 1}
-        return platform.run_process(
-            client.run_to_completion(manifest, timeout=50_000), limit=200_000
-        )
 
-    job_id, doc = benchmark.pedantic(run, rounds=1, iterations=1)
+        def scenario():
+            job_id = yield from client.submit(manifest)
+            # kubectl kills the Guardian once attempt 1 has deployed
+            # step 2 (the network policy).
+            ComponentCrasher(platform).crash_guardian_at(job_id, 2, 1)
+            doc = yield from client.wait_for_status(job_id, timeout=50_000)
+            deploys = platform.tracer.query(component="guardian",
+                                            kind="deployed", job=job_id)
+            return job_id, doc, [d.fields["attempt"] for d in deploys]
+
+        return platform.run_process(scenario(), limit=200_000)
+
+    job_id, doc, attempts = benchmark.pedantic(run, rounds=1, iterations=1)
     record_table(
         "atomic_deploy_e2e",
         f"mid-deployment Guardian crash on attempt 1 -> job {job_id} "
         f"ended {doc['status']} after rollback + redeploy",
     )
     assert doc["status"] == "COMPLETED"
+    assert attempts == [2]  # the crash fired and the redeploy took

@@ -14,6 +14,7 @@ actual latency is dominated by the Raft/Mongo commits (~tens of ms).
 """
 
 from repro.bench import bench_manifest, build_platform, render_table
+from repro.core import layout
 
 COLUMNS = ["terminal event", "runs", "min s", "mean s", "max s", "budget"]
 
@@ -24,14 +25,20 @@ def measure(kind, runs=4, seed=6):
         platform = build_platform("k80", gpus_per_node=4, seed=seed + index)
         client = platform.client("detect")
         manifest = bench_manifest("resnet50", "tensorflow", 1, "k80", steps=40)
-        if kind == "FAILED":
-            manifest["extra"] = {"fail_at_step": 20}
 
-        job_id, doc = platform.run_process(
-            client.run_to_completion(manifest, timeout=50_000), limit=200_000
-        )
+        def scenario():
+            job_id = yield from client.submit(manifest)
+            if kind == "FAILED":
+                # User code that exits 1 at step 20.
+                platform.faults.arm(layout.learner_pod_name(job_id, 0),
+                                    "fail", 20)
+            yield from client.wait_for_status(job_id, timeout=50_000)
+            return job_id
+
+        job_id = platform.run_process(scenario(), limit=200_000)
         exit_record = platform.tracer.first(component="learner-0",
                                             kind="learner-exit", job=job_id)
+        assert exit_record.fields["exit_code"] == (1 if kind == "FAILED" else 0)
         status_flip = next(
             r for r in platform.tracer.query(component="guardian",
                                              kind="status-update")

@@ -8,7 +8,8 @@ endpoint" (§III.c). This example drives the REST one with
 PROCESSING, halts it with `DELETE` and polls until HALTED, then reads
 the job's logs. It also scrapes the operational endpoints
 (`GET /metrics`, `GET /healthz`) and shows the error codes a forged
-token (401) and an unknown path (404) get.
+token (401), an unknown path (404) and a manifest with a field the
+platform does not have (400) get.
 
 Run:  python examples/rest_api.py
 """
@@ -91,10 +92,15 @@ def main():
         missing = yield from rest.get("/v1/nowhere")
         print(f"GET /v1/nowhere -> {missing['status']} "
               f"{missing['body']['error']}")
-        return denied["status"], missing["status"]
+        # Faults come from the operator, never from a tenant's manifest.
+        stale = dict(manifest, extra={"fail_at_step": 10})
+        rejected = yield from rest.post("/v1/models", stale)
+        print(f"POST with an unknown field -> {rejected['status']} "
+              f"{rejected['body']['error']}")
+        return denied["status"], missing["status"], rejected["status"]
 
-    denied, missing = platform.run_process(scenario(), limit=10_000)
-    assert (denied, missing) == (401, 404), (denied, missing)
+    codes = platform.run_process(scenario(), limit=10_000)
+    assert codes == (401, 404, 400), codes
 
 
 if __name__ == "__main__":

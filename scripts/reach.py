@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "repro"
 REPORT_SCRIPTS = ("audit_report.py", "trace_report.py", "dashboard.py")
+FAILURE_TAIL = 40  # lines of a failing entry point's output to show
 
 SITECUSTOMIZE = '''\
 import atexit
@@ -102,6 +103,20 @@ def entry_points():
     yield "repro.bench.report", [python, "-m", "repro.bench.report"]
 
 
+def run(label, argv, cwd, env):
+    """Run one entry point; if it fails, exit naming it, its argv and
+    the tail of what it printed."""
+    print(f"reach: {label}", flush=True)
+    done = subprocess.run(argv, cwd=cwd, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    if done.returncode:
+        tail = "\n".join(done.stdout.splitlines()[-FAILURE_TAIL:])
+        raise SystemExit(
+            f"reach: {label} exited {done.returncode}\n"
+            f"  argv: {' '.join(argv)}\n"
+            f"--- last {FAILURE_TAIL} lines of its output ---\n{tail}")
+
+
 def trace(copy, out):
     """Run every entry point in ``copy``; the set of ``path:line`` first
     lines of the ``src/repro`` code objects they entered."""
@@ -113,11 +128,7 @@ def trace(copy, out):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(site), str(copy / "src")]))
     for label, argv in entry_points():
-        print(f"reach: {label}", flush=True)
-        done = subprocess.run(argv, cwd=copy, env=env,
-                              stdout=subprocess.DEVNULL)
-        if done.returncode:
-            raise SystemExit(f"reach: {label} exited {done.returncode}")
+        run(label, argv, copy, env)
     entered = set()
     for dump in out.glob("*.txt"):
         for line in dump.read_text().splitlines():

@@ -19,6 +19,7 @@ record it.
 
 from . import layout
 from .errors import DlaasError
+from .guardian import DEPLOY_STEPS
 
 
 class ComponentCrasher:
@@ -58,6 +59,32 @@ class ComponentCrasher:
         when = self.platform.kernel.now
         self.kubectl.delete_pod(pod.metadata.name, force=True)
         return when, pod.metadata.name
+
+    def crash_guardian_at(self, job_id, step, attempt):
+        """Kill the Guardian's container once deployment attempt
+        ``attempt`` (read from the etcd leader) has created deploy step
+        ``step``'s resource (1-based, ``DEPLOY_STEPS`` order); the K8S
+        Job retries the failed pod (§III.d). Arm it before the step."""
+        _logged_as, kind, name_of = DEPLOY_STEPS[step - 1]
+        watch = self.platform.k8s.api.watch(kind, owner=(kind, name_of(job_id)))
+        key = layout.guardian_attempt_key(job_id)
+
+        def kill():
+            current = 0
+            try:
+                while current < attempt:
+                    event_type, _resource = yield watch.get()
+                    if event_type == "ADDED":
+                        current, _revision = (self.platform.etcd.leader()
+                                              .state_machine.get_with_revision(key))
+            finally:
+                watch.cancel()
+            if current == attempt:
+                pod = self._one_pod({"dlaas-job": job_id, "role": "guardian"},
+                                    f"guardian of {job_id}")
+                self.kubectl.crash_container(pod.metadata.name, "guardian")
+
+        self.platform.kernel.spawn(kill(), name=f"crash-guardian:{job_id}")
 
     def crash_helper(self, job_id):
         pod = self._one_pod({"dlaas-job": job_id, "role": "helper"},

@@ -51,9 +51,14 @@ from .states import (
     validate_transition,
 )
 
-# Resource kinds recorded in the write-ahead deployment log, in the
-# order they are deployed (and reverse-torn-down).
-_DEPLOY_ORDER = ("pvc", "networkpolicy", "helper", "learners")
+# The deployment steps in order (torn down in reverse): the step's name
+# in the write-ahead deployment log, and the resource it creates.
+DEPLOY_STEPS = (
+    ("pvc", "PersistentVolumeClaim", layout.pvc_name),
+    ("networkpolicy", "NetworkPolicy", layout.network_policy_name),
+    ("helper", "Deployment", layout.helper_deployment_name),
+    ("learners", "StatefulSet", layout.learner_set_name),
+)
 
 GUARDIAN_INIT_TIME = 0.55  # pod boot (drives the Fig. 4 recovery band)
 GUARDIAN_STEP_TIME = 0.15  # cost of one deployment step
@@ -323,32 +328,19 @@ class Guardian:
 
         Each step records its intent *before* creating the resource, so
         a crash at any point leaves enough information to roll back.
-        A deterministic crash hook (``extra.guardian_crash_after``)
-        supports the atomicity experiments.
         """
-        job_id, manifest = self.job_id, self.manifest
-        step_cost = GUARDIAN_STEP_TIME
-        crash_after = manifest.extra.get("guardian_crash_after")
-        crash_on_attempt = int(manifest.extra.get("guardian_crash_on_attempt", 1))
-
         steps = {
             "pvc": self._deploy_pvc,
             "networkpolicy": self._deploy_network_policy,
             "helper": self._deploy_helper,
             "learners": self._deploy_learners,
         }
-        for index, kind in enumerate(_DEPLOY_ORDER):
+        for step, _kind, _name in DEPLOY_STEPS:
             yield from self.etcd.put(
-                layout.guardian_deployed_key(job_id, kind), "pending"
+                layout.guardian_deployed_key(self.job_id, step), "pending"
             )
-            steps[kind]()
-            yield self.kernel.sleep(step_cost)
-            if crash_after is not None and index + 1 >= int(crash_after):
-                attempt = yield from self.etcd.get(layout.guardian_attempt_key(job_id))
-                if attempt == crash_on_attempt:
-                    raise RuntimeError(
-                        f"injected guardian crash after step {index + 1}"
-                    )
+            steps[step]()
+            yield self.kernel.sleep(GUARDIAN_STEP_TIME)
 
     def _deploy_pvc(self):
         self.k8s.create(PersistentVolumeClaim(layout.pvc_name(self.job_id)))
@@ -584,20 +576,17 @@ class Guardian:
     # ------------------------------------------------------------------
 
     def _teardown(self):
-        job_id = self.job_id
-        sset = self.k8s.get_or_none("StatefulSet", layout.learner_set_name(job_id))
-        if sset is not None:
-            sset.deletion_requested = True
-            self.k8s.update(sset)
-        helper = self.k8s.get_or_none("Deployment", layout.helper_deployment_name(job_id))
-        if helper is not None:
-            helper.deletion_requested = True
-            self.k8s.update(helper)
-        if self.k8s.exists("NetworkPolicy", layout.network_policy_name(job_id)):
-            self.k8s.delete("NetworkPolicy", layout.network_policy_name(job_id))
-        if self.k8s.exists("PersistentVolumeClaim", layout.pvc_name(job_id)):
-            self.k8s.delete("PersistentVolumeClaim", layout.pvc_name(job_id))
-        yield from self.etcd.delete_prefix(layout.guardian_deployed_prefix(job_id))
+        for _step, kind, name_of in reversed(DEPLOY_STEPS):
+            resource = self.k8s.get_or_none(kind, name_of(self.job_id))
+            if resource is None:
+                continue
+            if kind in ("StatefulSet", "Deployment"):
+                resource.deletion_requested = True
+                self.k8s.update(resource)
+            else:
+                self.k8s.delete(kind, resource.metadata.name)
+        yield from self.etcd.delete_prefix(
+            layout.guardian_deployed_prefix(self.job_id))
 
     def _cleanup_etcd(self):
         yield from self.etcd.delete_prefix(layout.job_prefix(self.job_id))

@@ -158,34 +158,22 @@ def make_learner_workload(platform, job_id, manifest):
             on_started=on_started,
         )
 
-        # Fault-injection hooks for the dependability experiments.
-        #
-        # Hang (once per job): train to the hang point, then freeze
-        # without updating status — the failure mode that produces
-        # neither an exit code nor a container crash. A marker on NFS
-        # makes the hang transient: the restarted incarnation runs
-        # clean, as with a wedged CUDA context cleared by restart.
-        hang_at = manifest.extra.get("hang_at_step")
-        hang_on = int(manifest.extra.get("hang_learner", 0))
-        hang_marker = f"{layout.learner_dir(ordinal)}/hang-injected"
-        fail_at = manifest.extra.get("fail_at_step")
-        fail_on = int(manifest.extra.get("fail_learner", 0))
-
-        if hang_at is not None and ordinal == hang_on \
-                and not mount.exists(hang_marker):
-            training.target_steps = min(training.target_steps, int(hang_at))
-            exit_code = yield from training.run(stop_event=ctx.stop_event)
-            if exit_code == 0 and training.step >= int(hang_at):
-                mount.write_file(hang_marker, "1")
+        # A fault the operator armed on this learner: train to its step,
+        # then hang (no status update, no exit code, no crash) or exit 1.
+        pod_name = layout.learner_pod_name(job_id, ordinal)
+        fault = platform.faults.armed.get(pod_name)
+        if fault is not None:
+            kind, at = fault
+            training.target_steps = min(training.target_steps, at)
+        exit_code = yield from training.run(stop_event=ctx.stop_event)
+        if fault is not None and exit_code == 0 and training.step >= at:
+            platform.faults.fired(pod_name)
+            if kind == "hang":
                 log(f"learner-{ordinal} hanging at step {training.step}")
-                yield ctx.stop_event  # wedged forever (until killed)
+                yield ctx.stop_event  # wedged until killed
                 span.end("error")
                 return 143
-        elif fail_at is not None and ordinal == fail_on:
-            exit_code = yield from _run_until_failure(kernel, training, int(fail_at),
-                                                      ctx.stop_event)
-        else:
-            exit_code = yield from training.run(stop_event=ctx.stop_event)
+            exit_code = 1
 
         if exit_code == 0:
             final = COMPLETED
@@ -205,16 +193,3 @@ def make_learner_workload(platform, job_id, manifest):
 
     return workload
 
-
-def _run_until_failure(kernel, training, fail_at, stop_event):
-    """Run training but fail (exit 1) once ``fail_at`` steps are reached.
-
-    Models deterministic user-code bugs — the "orderly failure" path of
-    §III.h where the learner writes a non-zero exit code to NFS.
-    """
-    original_target = training.target_steps
-    training.target_steps = min(original_target, fail_at)
-    exit_code = yield from training.run(stop_event=stop_event)
-    if exit_code == 0 and training.step >= fail_at and fail_at < original_target:
-        return 1
-    return exit_code

@@ -6,7 +6,7 @@ results and logs should be stored, learning rate, etc., are specified
 using a manifest file."
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from ..frameworks import FRAMEWORKS, GPU_CATALOGUE, MODEL_ZOO
 from ..frameworks.models import training_memory_mb
@@ -56,7 +56,6 @@ class TrainingManifest:
     learning_rate: float = 0.01
     memory_mb: int = 8192
     cpu_millicores: int = 4000
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw):
@@ -65,6 +64,12 @@ class TrainingManifest:
         if not isinstance(raw, dict):
             raise InvalidManifest("manifest must be an object")
         problems = []
+
+        # Name a key the platform does not read rather than run a job
+        # that silently ignores it.
+        known = {f.name for f in fields(cls)}
+        for key in sorted(set(raw) - known, key=str):
+            problems.append(f"{key}: unknown field")
 
         name = raw.get("name")
         if not name or not isinstance(name, str):
@@ -149,7 +154,6 @@ class TrainingManifest:
             learning_rate=float(raw.get("learning_rate", 0.01)),
             memory_mb=int(raw.get("memory_mb", 8192)),
             cpu_millicores=int(raw.get("cpu_millicores", 4000)),
-            extra=dict(raw.get("extra", {})),
         )
 
     def to_dict(self):
@@ -169,7 +173,6 @@ class TrainingManifest:
             "cpu_millicores": self.cpu_millicores,
             "data": self.data.to_dict(),
             "results": self.results.to_dict(),
-            "extra": dict(self.extra),
         }
 
     @property

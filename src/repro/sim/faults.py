@@ -2,11 +2,11 @@
 
 The paper evaluates recovery by *manually crashing* components with
 kubectl (Fig. 4) and argues resilience to random node/process failures.
-This module schedules one-shot crashes (the random, Poisson-timed
-ones are ``repro.bench.chaos``'s soak actor) plus the *gray* fault
-class the paper never tested: impairments applied and later reverted
-while the target keeps passing its health probe (slow endpoints,
-asymmetric partitions, packet loss/duplication, disk stalls).
+This module arms the faults a learner fires on itself at a training
+step (hang, fail) and applies the *gray* fault class the paper never
+tested: impairments applied and later reverted while the target keeps
+passing its health probe (slow endpoints, asymmetric partitions, packet
+loss/duplication, disk stalls). Crashes go through ``kubectl``.
 
 Every injection is recorded three ways: a bounded in-memory ring
 (``injected``, the most recent entries only — a long chaos soak must
@@ -20,7 +20,7 @@ from collections import deque
 
 
 class FaultInjector:
-    """Schedules crashes and gray faults against registered targets."""
+    """Applies gray faults and arms step faults, recording each one."""
 
     def __init__(self, kernel, tracer=None, metrics=None, events=None,
                  injected_cap=256):
@@ -28,6 +28,7 @@ class FaultInjector:
         self._tracer = tracer
         self._events = events
         self.injected = deque(maxlen=injected_cap)
+        self.armed = {}  # learner pod -> (kind, step), see arm()
         if metrics is not None:
             self._m_injected = metrics.counter(
                 "fault_injected_total", ("target", "kind"),
@@ -35,7 +36,7 @@ class FaultInjector:
         else:
             self._m_injected = None
 
-    def _record(self, name, kind, reason):
+    def _record(self, name, kind, reason, record_kind):
         self.injected.append((self._kernel.now, name, reason))
         if self._m_injected is not None:
             self._m_injected.labels(target=name, kind=kind).inc()
@@ -44,22 +45,26 @@ class FaultInjector:
                 "Warning", "FaultInjected", "Component", name,
                 message=f"{kind} fault injected ({reason})")
         if self._tracer is not None:
-            self._tracer.emit(
-                "fault-injector",
-                "crash-injected" if kind == "crash" else "gray-injected",
-                target=name, reason=reason, fault=kind)
+            self._tracer.emit("fault-injector", record_kind,
+                              target=name, reason=reason, fault=kind)
 
-    def _fire(self, name, crash, reason):
-        self._record(name, "crash", reason)
-        crash()
+    def arm(self, name, kind, step):
+        """Make learner pod ``name`` "hang" or "fail" (``kind``) once it
+        has trained to ``step``. A hang is spent when it fires, so the
+        restarted incarnation trains clean (a wedged CUDA context the
+        restart cleared); a failure fires on every incarnation (a bug
+        in user code). The learner reads its entry from ``armed`` and
+        calls :meth:`fired` on reaching the step."""
+        if kind not in ("hang", "fail"):
+            raise ValueError(f"unknown step fault {kind!r}")
+        self.armed[name] = (kind, step)
 
-    def crash_at(self, when, name, crash):
-        """Crash ``name`` (by calling ``crash()``) at absolute time ``when``."""
-        self._kernel._schedule_at(when, lambda: self._fire(name, crash, "scheduled"))
-
-    def crash_after(self, delay, name, crash):
-        """Crash ``name`` after ``delay`` seconds from now."""
-        self.crash_at(self._kernel.now + delay, name, crash)
+    def fired(self, name):
+        """``name`` reached its armed step and is hanging or failing."""
+        kind, step = self.armed[name]
+        if kind == "hang":
+            del self.armed[name]
+        self._record(name, kind, f"step {step}", f"{kind}-injected")
 
     # ------------------------------------------------------------------
     # Gray faults
@@ -89,7 +94,7 @@ class FaultInjector:
             revert()
 
         def fire():
-            self._record(name, kind, reason or kind)
+            self._record(name, kind, reason or kind, "gray-injected")
             apply()
             if revert is not None and duration is not None:
                 self._kernel._schedule_at(self._kernel.now + duration, clear)

@@ -245,7 +245,7 @@ class TestWhatCountsAsStatus:
         # The log belongs to the log collector; markers are not status.
         fs.append_line(layout.learner_log_file(0), "step 1")
         fs.write_file(f"{layout.learner_dir(0)}/joined", "1")
-        fs.write_file(f"{layout.learner_dir(0)}/hang-injected", "1")
+        fs.write_file(f"{layout.learner_dir(0)}/notes", "1")
         assert queue.added == []
         fs.write_file(layout.learner_status_file(0), "{}")
         fs.write_file(layout.learner_exit_file(0), "0")
@@ -260,7 +260,7 @@ STATUS_FILES = st.one_of(
               st.integers(0, 500), st.floats(0.0, 100.0),
               st.one_of(st.none(), st.floats(0.0, 10.0))))
 EXIT_FILES = st.sampled_from([None, "0", "1", "143"])
-HELPER_FILES = st.sets(st.sampled_from(["joined", "hang-injected",
+HELPER_FILES = st.sets(st.sampled_from(["joined", "notes",
                                         "training.log"]))
 
 

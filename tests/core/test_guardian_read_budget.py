@@ -19,12 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ComponentCrasher, aggregate_job_status, layout
 from repro.core.guardian import MONITOR_INTERVAL, Guardian
-from repro.core.helpers import HELPER_DONE
+from repro.core.helpers import HELPER_DONE, STALL_TIMEOUT
 
 from ..integration.conftest import (
     make_platform,
     manifest,
     submit_and_wait_running,
+    submit_with_fault,
     wait_terminal,
 )
 
@@ -56,9 +57,11 @@ class TestQuiescentPass:
         # report only when it changes), so the passes left are the 1 Hz
         # resync's.
         platform = make_platform()
-        job_id = submit_and_wait_running(
-            platform, platform.client("team"),
-            manifest(target_steps=200, extra={"hang_at_step": 20}))
+        client = platform.client("team")
+        job_id = submit_with_fault(platform, client, manifest(target_steps=200),
+                                   "hang", 20)
+        platform.run_process(client.wait_for_status(
+            job_id, statuses={"PROCESSING"}, poll_interval=1.0), limit=600)
         platform.run_for(60.0)
         del rpcs[:], passes[:]
         seconds = 20.0
@@ -71,6 +74,10 @@ class TestQuiescentPass:
         # Nothing woke them: the controller wrote nothing in that time.
         assert [method for caller, _address, method, _request in rpcs
                 if caller.startswith(f"controller-{job_id}-")] == []
+        # The silence was the hang's: the controller calls it a stall.
+        platform.run_for(STALL_TIMEOUT)
+        assert platform.tracer.query(component="guardian",
+                                     kind="stall-restart", job=job_id)
 
 
 class SnapshotGuardian(Guardian):
@@ -231,9 +238,8 @@ class TestLostCas:
         update matches; the other must neither claim the transition in
         the trace nor remember a status it did not write."""
         platform = make_platform()
-        job_id = submit_and_wait_running(
-            platform, platform.client("team"),
-            manifest(target_steps=200, extra={"hang_at_step": 20}))
+        job_id = submit_and_wait_running(platform, platform.client("team"),
+                                         manifest(target_steps=200))
         first = incarnation(platform, job_id, "uid-a")
         second = incarnation(platform, job_id, "uid-b")
         racers = [platform.kernel.spawn(g._set_status("STORING"))

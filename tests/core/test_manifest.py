@@ -42,11 +42,6 @@ class TestValidManifests:
         manifest = TrainingManifest.from_dict(valid_manifest(framework="TensorFlow"))
         assert manifest.framework == "tensorflow"
 
-    def test_extra_passthrough(self):
-        manifest = TrainingManifest.from_dict(
-            valid_manifest(extra={"fail_at_step": 10})
-        )
-        assert manifest.extra == {"fail_at_step": 10}
 
 
 class TestInvalidManifests:
@@ -72,6 +67,14 @@ class TestInvalidManifests:
         with pytest.raises(InvalidManifest) as excinfo:
             TrainingManifest.from_dict(valid_manifest(**mutation))
         assert any(fragment in problem for problem in excinfo.value.problems)
+
+    def test_unknown_keys_rejected_by_name(self):
+        # A fault hook in a tenant's manifest is refused, not run.
+        bad = valid_manifest(extra={"fail_at_step": 10}, priority=5)
+        with pytest.raises(InvalidManifest) as excinfo:
+            TrainingManifest.from_dict(bad)
+        assert excinfo.value.problems == ["extra: unknown field",
+                                          "priority: unknown field"]
 
     def test_all_problems_reported_at_once(self):
         bad = valid_manifest(name="", model="nope", target_steps=0)

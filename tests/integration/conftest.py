@@ -8,7 +8,7 @@ of wall-clock time.
 import pytest
 
 from repro import DlaasPlatform
-from repro.core import PlatformConfig
+from repro.core import PlatformConfig, layout
 
 CREDS = {"access_key": "AK", "secret": "SK"}
 
@@ -49,6 +49,14 @@ def manifest(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def submit_with_fault(platform, client, manifest_dict, kind, step):
+    """Submit a job and arm its learner 0 to ``kind`` ("hang" or
+    "fail") at training step ``step``; returns the job id."""
+    job_id = platform.run_process(client.submit(manifest_dict), limit=600)
+    platform.faults.arm(layout.learner_pod_name(job_id, 0), kind, step)
+    return job_id
 
 
 def submit_and_wait_running(platform, client, manifest_dict, timeout=300.0):

@@ -7,41 +7,58 @@ attempt, and persistent failures eventually mark the job FAILED —
 none".
 """
 
-from repro.core import layout
+import pytest
+
+from repro.core import ComponentCrasher, layout
+from repro.core.guardian import DEPLOY_STEPS
 
 from .conftest import make_platform, manifest, wait_terminal
 
 
-def crashy_manifest(crash_after_steps, crash_on_attempt=1, **overrides):
-    return manifest(
-        extra={"guardian_crash_after": crash_after_steps,
-               "guardian_crash_on_attempt": crash_on_attempt},
-        **overrides,
-    )
+def submit_with_crashes(platform, client, spec, *crashes):
+    """Submit ``spec``, then arm one Guardian kill per ``(step,
+    attempt)`` in ``crashes``."""
+    job_id = platform.run_process(client.submit(spec), limit=600)
+    crasher = ComponentCrasher(platform)
+    for step, attempt in crashes:
+        crasher.crash_guardian_at(job_id, step, attempt)
+    return job_id
+
+
+def incarnations(platform, job_id):
+    return len(platform.tracer.query(component="guardian",
+                                     kind="component-ready", job=job_id))
+
+
+def deployed_on(platform, job_id):
+    return [record.fields["attempt"] for record in platform.tracer.query(
+        component="guardian", kind="deployed", job=job_id)]
 
 
 class TestRollbackAndRetry:
-    def test_crash_mid_deploy_still_completes(self):
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_crash_mid_deploy_still_completes(self, step):
         platform = make_platform()
         client = platform.client("team-a")
-
-        def submit():
-            return (yield from client.submit(crashy_manifest(2, target_steps=80)))
-
-        job_id = platform.run_process(submit(), limit=600)
+        job_id = submit_with_crashes(platform, client,
+                                     manifest(target_steps=80), (step, 1))
         doc = wait_terminal(platform, client, job_id)
+        assert incarnations(platform, job_id) == 2  # the crash fired
+        assert deployed_on(platform, job_id) == [2]
         assert doc["status"] == "COMPLETED"
+        # Teardown after the redeploy leaves nothing either attempt made.
+        platform.run_for(30.0)
+        for _step, kind, name_of in DEPLOY_STEPS:
+            assert not platform.k8s.api.exists(kind, name_of(job_id)), kind
+        assert platform.k8s.capacity_summary()["gpus_allocated"] == 0
 
     def test_partial_resources_rolled_back(self):
         platform = make_platform()
         client = platform.client("team-a")
-
-        def submit():
-            # Crash after the helper step (3 of 4): PVC + netpol +
-            # helper exist, learners do not.
-            return (yield from client.submit(crashy_manifest(3, target_steps=80)))
-
-        job_id = platform.run_process(submit(), limit=600)
+        # Crash after the helper step (3 of 4): PVC + netpol +
+        # helper exist, learners do not.
+        job_id = submit_with_crashes(platform, client,
+                                     manifest(target_steps=80), (3, 1))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         # Exactly one learner StatefulSet existed at completion-time;
@@ -55,12 +72,10 @@ class TestRollbackAndRetry:
     def test_attempt_counter_in_etcd(self):
         platform = make_platform()
         client = platform.client("team-a")
-
-        def submit():
-            return (yield from client.submit(crashy_manifest(1, target_steps=60)))
-
-        job_id = platform.run_process(submit(), limit=600)
+        job_id = submit_with_crashes(platform, client,
+                                     manifest(target_steps=60), (1, 1))
         wait_terminal(platform, client, job_id)
+        assert deployed_on(platform, job_id) == [2]
         # After completion the guardian cleans its keys.
         leader = platform.etcd.leader()
         assert leader.state_machine.range(layout.guardian_prefix(job_id)) == []
@@ -126,14 +141,13 @@ class TestSecondAttemptCrash:
     def test_crash_on_retry_also_recovers(self):
         platform = make_platform()
         client = platform.client("team-a")
-
-        def submit():
-            spec = manifest(target_steps=80)
-            spec["extra"] = {"guardian_crash_after": 4,
-                             "guardian_crash_on_attempt": 2}
-            # Crash attempt 1 too, at a different point.
-            return (yield from client.submit(spec))
-
-        job_id = platform.run_process(submit(), limit=600)
+        # Attempt 1 dies after its network policy, attempt 2 after its
+        # learners; attempt 3 deploys.
+        job_id = submit_with_crashes(platform, client,
+                                     manifest(target_steps=80), (2, 1), (4, 2))
         doc = wait_terminal(platform, client, job_id, timeout=6000)
         assert doc["status"] == "COMPLETED"
+        assert incarnations(platform, job_id) == 3
+        assert deployed_on(platform, job_id) == [3]
+        platform.run_for(30.0)
+        assert platform.k8s.capacity_summary()["gpus_allocated"] == 0

@@ -1,6 +1,6 @@
 """Core-service management: scaling, endpoints, guardian write-ahead."""
 
-from repro.core import layout
+from repro.core import ComponentCrasher, layout
 
 from .conftest import make_platform, manifest
 
@@ -70,10 +70,8 @@ class TestGuardianWriteAhead:
         client = platform.client("team")
 
         def scenario():
-            spec = manifest(target_steps=40)
-            spec["extra"] = {"guardian_crash_after": 3,
-                             "guardian_crash_on_attempt": 1}
-            job_id = yield from client.submit(spec)
+            job_id = yield from client.submit(manifest(target_steps=40))
+            ComponentCrasher(platform).crash_guardian_at(job_id, 3, 1)
             doc = yield from client.wait_for_status(job_id, timeout=20_000)
             return job_id, doc
 

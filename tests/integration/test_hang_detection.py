@@ -7,44 +7,34 @@ controller's stall detector + the Guardian's restart close the gap.
 
 from repro.core.helpers import STALL_TIMEOUT
 
-from .conftest import make_platform, manifest, wait_terminal
+from .conftest import make_platform, manifest, submit_with_fault, wait_terminal
 
 
-def hang_manifest(**overrides):
-    return manifest(
-        target_steps=200,
-        checkpoint_interval=10.0,
-        extra={"hang_at_step": 60},
-        **overrides,
-    )
+def submit_hanging(platform, client):
+    spec = manifest(target_steps=200, checkpoint_interval=10.0)
+    return submit_with_fault(platform, client, spec, "hang", 60)
 
 
 class TestHangDetection:
     def test_hung_learner_detected_and_job_completes(self):
         platform = make_platform()
         client = platform.client("team")
-
-        def submit():
-            return (yield from client.submit(hang_manifest()))
-
-        job_id = platform.run_process(submit(), limit=600)
+        job_id = submit_hanging(platform, client)
         doc = wait_terminal(platform, client, job_id, timeout=10_000)
         assert doc["status"] == "COMPLETED"
         restarts = platform.tracer.query(component="guardian",
                                          kind="stall-restart", job=job_id)
-        assert len(restarts) >= 1
+        assert len(restarts) == 1  # the hang fired once, then trained clean
         assert restarts[0].fields["learner"] == 0
         assert restarts[0].fields["stalled_for"] >= STALL_TIMEOUT
 
     def test_restarted_learner_resumes_from_checkpoint(self):
         platform = make_platform()
         client = platform.client("team")
-
-        def submit():
-            return (yield from client.submit(hang_manifest()))
-
-        job_id = platform.run_process(submit(), limit=600)
+        job_id = submit_hanging(platform, client)
         wait_terminal(platform, client, job_id, timeout=10_000)
+        assert platform.tracer.query(component="guardian",
+                                     kind="stall-restart", job=job_id)
         ready = platform.tracer.query(component="learner-0",
                                       kind="component-ready", job=job_id)
         assert len(ready) >= 2

@@ -10,6 +10,7 @@ from .conftest import (
     make_platform,
     manifest,
     submit_and_wait_running,
+    submit_with_fault,
     wait_terminal,
 )
 
@@ -120,28 +121,30 @@ class TestDistributedJob:
         wait_terminal(platform, client, job_id)
 
 
+def run_failing(platform, client):
+    """A job whose learner 0 exits 1 at step 10; returns (job id, doc)."""
+    job_id = submit_with_fault(platform, client, manifest(target_steps=100),
+                               "fail", 10)
+    doc = wait_terminal(platform, client, job_id, timeout=10_000)
+    exit_record = platform.tracer.first(component="learner-0",
+                                        kind="learner-exit", job=job_id)
+    assert exit_record.fields["exit_code"] == 1  # the fault fired
+    return job_id, doc
+
+
 class TestFailingJob:
     def test_user_code_failure_marks_job_failed(self, platform, client):
-        spec = manifest(extra={"fail_at_step": 10}, target_steps=100)
-        job_id, doc = platform.run_process(
-            client.run_to_completion(spec), limit=20_000
-        )
+        _job_id, doc = run_failing(platform, client)
         assert doc["status"] == "FAILED"
 
     def test_failed_job_resources_cleaned(self, platform, client):
-        spec = manifest(extra={"fail_at_step": 10}, target_steps=100)
-        job_id, _doc = platform.run_process(
-            client.run_to_completion(spec), limit=20_000
-        )
+        run_failing(platform, client)
         platform.run_for(30.0)
         assert platform.k8s.capacity_summary()["gpus_allocated"] == 0
 
     def test_logs_survive_failure(self, platform, client):
         # Paper §II: reliable log streaming "even if it crashes/fails".
-        spec = manifest(extra={"fail_at_step": 10}, target_steps=100)
-        job_id, _doc = platform.run_process(
-            client.run_to_completion(spec), limit=20_000
-        )
+        job_id, _doc = run_failing(platform, client)
 
         def tail_logs():
             return (yield from client.logs(job_id))

@@ -231,40 +231,32 @@ class TestTracer:
 
 
 class TestFaultInjector:
-    def test_crash_after_fires_once(self, kernel):
-        crashes = []
-        injector = FaultInjector(kernel)
-        injector.crash_after(5.0, "svc", lambda: crashes.append(kernel.now))
-        kernel.run(until=20.0)
-        assert crashes == [5.0]
-        assert list(injector.injected) == [(5.0, "svc", "scheduled")]
-
     def test_tracer_records_injections(self, kernel):
         tracer = Tracer(kernel)
         injector = FaultInjector(kernel, tracer=tracer)
-        injector.crash_after(1.0, "svc", lambda: None)
-        kernel.run(until=2.0)
-        assert tracer.query(component="fault-injector", kind="crash-injected")
+        injector.inject_gray("ep", "slow", apply=lambda: None)
+        assert tracer.query(component="fault-injector", kind="gray-injected")
 
     def test_injected_ring_is_bounded(self, kernel):
         injector = FaultInjector(kernel, injected_cap=10)
         for i in range(25):
-            injector.crash_at(float(i), f"svc-{i}", lambda: None)
+            injector.inject_gray(f"ep-{i}", "slow", apply=lambda: None,
+                                 delay=float(i))
         kernel.run(until=30.0)
         assert len(injector.injected) == 10
         # The ring keeps the most recent injections.
-        assert list(injector.injected)[0] == (15.0, "svc-15", "scheduled")
-        assert list(injector.injected)[-1] == (24.0, "svc-24", "scheduled")
+        assert list(injector.injected)[0] == (15.0, "ep-15", "slow")
+        assert list(injector.injected)[-1] == (24.0, "ep-24", "slow")
 
     def test_injection_counter_metric(self, kernel):
         registry = MetricsRegistry()
         injector = FaultInjector(kernel, metrics=registry)
-        injector.crash_after(1.0, "svc", lambda: None)
         injector.inject_gray("ep", "slow", apply=lambda: None)
-        kernel.run(until=2.0)
+        injector.inject_gray("ep", "slow", apply=lambda: None)
+        injector.inject_gray("ep", "loss", apply=lambda: None)
         family = registry.get("fault_injected_total")
-        assert family.labels(target="svc", kind="crash").value == 1
-        assert family.labels(target="ep", kind="slow").value == 1
+        assert family.labels(target="ep", kind="slow").value == 2
+        assert family.labels(target="ep", kind="loss").value == 1
 
     def test_inject_gray_applies_and_reverts(self, kernel):
         state = {"degraded": False}
@@ -292,3 +284,27 @@ class TestFaultInjector:
             injector.inject_gray("ep", "slow", apply=lambda: None, duration=0)
         with pytest.raises(ValueError):
             injector.inject_gray("ep", "slow", apply=lambda: None, delay=-1)
+
+    def test_a_hang_fires_once_and_a_failure_every_time(self, kernel):
+        registry = MetricsRegistry()
+        tracer = Tracer(kernel)
+        injector = FaultInjector(kernel, tracer=tracer, metrics=registry)
+        injector.arm("learner-a", "hang", 20)
+        injector.arm("learner-b", "fail", 10)
+        for _incarnation in range(2):
+            if "learner-a" in injector.armed:
+                injector.fired("learner-a")
+            injector.fired("learner-b")
+        assert injector.armed == {"learner-b": ("fail", 10)}
+        assert list(injector.injected) == [
+            (0.0, "learner-a", "step 20"), (0.0, "learner-b", "step 10"),
+            (0.0, "learner-b", "step 10")]
+        family = registry.get("fault_injected_total")
+        assert family.labels(target="learner-a", kind="hang").value == 1
+        assert family.labels(target="learner-b", kind="fail").value == 2
+        assert [r.kind for r in tracer.query(component="fault-injector")] \
+            == ["hang-injected", "fail-injected", "fail-injected"]
+
+    def test_arm_takes_only_hang_or_fail(self, kernel):
+        with pytest.raises(ValueError):
+            FaultInjector(kernel).arm("learner-a", "crash", 1)
