@@ -115,21 +115,18 @@ def run_workload(name, seed):
     from perfbench.workloads import WORKLOADS, drive, make_platform
 
     workload = WORKLOADS[name]
-    start = time.perf_counter()
     platform = make_platform(workload, seed)
     outcome = drive(platform, workload, seed)
-    wall = time.perf_counter() - start
-    events = platform.kernel.events_processed
-    return {"jobs": len(outcome.docs), "wall_s": round(wall, 3),
-            "events_processed": events,
-            "dispatches_inlined": platform.kernel.dispatches_inlined,
-            "events_per_sec": round(events / wall, 1)}, platform
+    return {"jobs": len(outcome.docs),
+            "events_processed": platform.kernel.events_processed,
+            "dispatches_inlined": platform.kernel.dispatches_inlined}, platform
 
 
-def print_result(result):
-    print(f"jobs={result['jobs']} "
-          f"wall={result['wall_s']}s events={result['events_processed']} "
-          f"({result['events_per_sec']}/s)\n")
+def print_result(result, wall):
+    """The run's size and its host wall seconds."""
+    events = result["events_processed"]
+    print(f"jobs={result['jobs']} wall={wall:.3f}s events={events} "
+          f"({events / wall:.1f}/s)\n")
 
 
 class CollectorClock:
@@ -168,15 +165,17 @@ def heap_census(name, seed):
     alive while the platform still is."""
     clock = CollectorClock()
     gc.callbacks.append(clock)
+    start = time.perf_counter()
     try:
         # The platform is held, not used: the census counts what it
         # keeps alive.
         result, _platform = run_workload(name, seed)
     finally:
         gc.callbacks.remove(clock)
+    wall = time.perf_counter() - start
     # Read before the census allocates its own list of everything.
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print_result(result)
+    print_result(result, wall)
     clock.report()
     unreachable = gc.collect()
     live = gc.get_objects()
@@ -208,10 +207,10 @@ def rpc_census(run, lines):
 
     Network.call = counted_call
     try:
-        result = run()
+        result, wall = run()
     finally:
         Network.call = plain_call
-    print_result(result)
+    print_result(result, wall)
     total = sum(calls.values())
     by_caller = Counter()
     for (caller, _address, _method), count in calls.items():
@@ -294,11 +293,11 @@ def pass_census(run):
     WatchSource.subscribe = counted_subscribe
     WatchSource.keys_of = counted_keys_of
     try:
-        result = run()
+        result, wall = run()
     finally:
         (WorkQueue.add, WorkQueue.add_after, WatchSource.subscribe,
          WatchSource.keys_of) = plain
-    print_result(result)
+    print_result(result, wall)
     total = sum(adds.values())
     print(f"--- what enqueues the reconcilers' keys ({total} adds, "
           f"{total - sum(coalesced.values())} dispatched) ---")
@@ -346,10 +345,10 @@ def list_census(run, lines):
 
     ApiServer.list = counted_list
     try:
-        result = run()
+        result, wall = run()
     finally:
         ApiServer.list = plain_list
-    print_result(result)
+    print_result(result, wall)
     total = sum(calls.values())
     by_caller = Counter()
     by_index = Counter()
@@ -404,11 +403,11 @@ def wake_census(run, lines):
     Process._resume = counted_resume
     Process._on_wait_done = counted_wake
     try:
-        result = run()
+        result, wall = run()
     finally:
         Process._resume = plain_resume
         Process._on_wait_done = plain_wake
-    print_result(result)
+    print_result(result, wall)
     total = sum(resumes.values())
     by_function = Counter()
     for (function, _process), count in resumes.items():
@@ -566,9 +565,13 @@ def main(argv=None):
     scenario = committed["fast" if args.full else "smoke"]["scenario"]
 
     def run():
+        """The run's result row and its host wall seconds."""
+        start = time.perf_counter()
         if args.workload:
-            return run_workload(args.workload, args.seed)[0]
-        return run_scale_scenario(partitions=1, **scenario)
+            result = run_workload(args.workload, args.seed)[0]
+        else:
+            result = run_scale_scenario(partitions=1, **scenario)
+        return result, time.perf_counter() - start
 
     if args.rpcs:
         rpc_census(run, args.lines)
@@ -588,10 +591,10 @@ def main(argv=None):
         kernel_module.deque = ReadyCensus
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run()
+    result, wall = run()
     profiler.disable()
 
-    print_result(result)
+    print_result(result, wall)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.events:
         event_census(stats, result["events_processed"],

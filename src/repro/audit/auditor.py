@@ -28,8 +28,8 @@ bit-identical (same argument as the metrics scraper).
 """
 
 from ..sim.periodic import Periodic, Polling
-from .checker import (CheckBudgetExceeded, check_operations,
-                      render_witness)
+from .checker import (DEFAULT_MAX_CONFIGS, CheckBudgetExceeded,
+                      check_operations, render_witness)
 from .history import HistoryRecorder  # noqa: F401  (re-export context)
 
 __all__ = ["ConsistencyAuditor"]
@@ -54,14 +54,14 @@ def closed_prefix(ops):
 class ConsistencyAuditor(Polling):
     """Periodically check the recorded history key by key."""
 
-    def __init__(self, kernel, history, metrics=None, interval=5.0,
-                 max_configs=200_000):
+    def __init__(self, kernel, history, metrics=None, interval=5.0):
         self.kernel = kernel
         self.history = history
         self.interval = interval
         self._loop = Periodic(kernel, "consistency-auditor", self.audit_once,
                               interval, sleep_first=True)
-        self.max_configs = max_configs
+        # Search budget per key; a test lowers it to freeze a key.
+        self.max_configs = DEFAULT_MAX_CONFIGS
         self.ops_checked = 0
         self.passes = 0
         self.violations = []        # witness dicts, in discovery order

@@ -42,7 +42,9 @@ DEFAULT_MAX_CONFIGS = 200_000
 
 # Witnesses above this size skip the delta-debugging pass (quadratic
 # in history length); the failing key's history is reported whole.
+# A test sets MINIMIZE to False to see the unshrunk witness.
 _MINIMIZE_CAP = 200
+MINIMIZE = True
 
 
 class CheckBudgetExceeded(RuntimeError):
@@ -244,7 +246,7 @@ def _search(ops, initial_states, collect_final, max_configs):
 
 
 def check_operations(ops, initial_states=(None,), collect_final=False,
-                     max_configs=DEFAULT_MAX_CONFIGS, minimize=True):
+                     max_configs=DEFAULT_MAX_CONFIGS):
     """Check one key's operations against the register model.
 
     ``initial_states`` is the set of values the register may hold
@@ -264,7 +266,7 @@ def check_operations(ops, initial_states=(None,), collect_final=False,
     if ok:
         return KeyOutcome(True, final_states=finals,
                           ops_considered=considered)
-    if minimize and len(ops) <= _MINIMIZE_CAP:
+    if MINIMIZE and len(ops) <= _MINIMIZE_CAP:
         ops = _minimize(ops, initial_states, max_configs)
         _, _, best_path, best_state = _search(
             ops, initial_states, False, max_configs)
@@ -272,15 +274,14 @@ def check_operations(ops, initial_states=(None,), collect_final=False,
     return KeyOutcome(False, witness=witness, ops_considered=considered)
 
 
-def check_history(history, max_configs=DEFAULT_MAX_CONFIGS):
+def check_history(history):
     """Check every auditable key of a :class:`HistoryRecorder` (or any
     object with ``keys()`` / ``ops_for_key()`` / ``auditable()``)."""
     result = CheckResult()
     for key in sorted(history.keys()):
         if not history.auditable(key):
             continue
-        outcome = check_operations(history.ops_for_key(key),
-                                   max_configs=max_configs)
+        outcome = check_operations(history.ops_for_key(key))
         result.keys_checked += 1
         result.ops_checked += outcome.ops_considered
         if not outcome.ok:

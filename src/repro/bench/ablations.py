@@ -36,6 +36,7 @@ CHECKPOINT_STEPS = 4000
 RESTART_COST = 15.0
 CHECKPOINT_SEED = 3
 ATOMIC_DEPLOY_SEED = 5
+ATTEMPT_BUDGETS = (1, 3)  # Guardian attempts per job, one row each
 ETCD_VS_DIRECT_SEED = 9
 SCHEDULER_SEED = 11
 
@@ -111,8 +112,7 @@ def _run_with_crashes(interval):
 # ---------------------------------------------------------------------------
 
 
-def atomic_deploy_rows(crash_probability=0.35, trials=30,
-                       attempt_budgets=(1, 3)):
+def atomic_deploy_rows(crash_probability=0.35, trials=30):
     """Probability a job ever deploys when each Guardian deployment
     attempt crashes with probability p, with and without retries.
 
@@ -123,7 +123,7 @@ def atomic_deploy_rows(crash_probability=0.35, trials=30,
     kernel = Kernel(seed=ATOMIC_DEPLOY_SEED)
     rng = kernel.rng("atomic-deploy")
     rows = []
-    for budget in attempt_budgets:
+    for budget in ATTEMPT_BUDGETS:
         successes = 0
         total_attempts = 0
         for _trial in range(trials):

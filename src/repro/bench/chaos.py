@@ -104,5 +104,3 @@ def _chaos_actor(platform, crasher, rng, job_ids, mtbf, stop, crash_log):
             # Target not present right now (job finished, pod mid-restart):
             # the chaos monkey shrugs and moves on.
             continue
-        except Exception:
-            continue

@@ -16,8 +16,6 @@ tokens. With ``tenants == 1`` there is one client, token ``perf``: the
 shape of the committed ``BENCH_perf.json`` digests.
 """
 
-import time
-
 from ..core import timeline_digest
 from .platform_runner import bench_manifest, build_platform
 
@@ -85,10 +83,8 @@ def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
                 job_id, timeout=100_000)))
         return docs
 
-    start = time.perf_counter()
     docs = platform.run_process(drive(), limit=event_limit(jobs))
     platform.run_for(30.0)
-    wall = time.perf_counter() - start
 
     kernel = platform.kernel
     latencies = guardian_latencies(platform)
@@ -103,12 +99,9 @@ def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
         "partitions": partitions,
         "tenants": tenants,
         "completed": sum(1 for d in docs if d["status"] == "COMPLETED"),
-        "wall_s": round(wall, 3),
         "sim_s": round(kernel.now, 3),
         "events_processed": kernel.events_processed,
         "dispatches_inlined": kernel.dispatches_inlined,
-        "events_per_sec": round(kernel.events_processed / wall, 1),
-        "jobs_per_sec": round(jobs / wall, 3),
         "guardian_p50_s": round(pct(0.50), 3),
         "guardian_p95_s": round(pct(0.95), 3),
         "guardian_max_s": round(latencies[-1], 3) if latencies else 0.0,

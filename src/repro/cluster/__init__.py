@@ -27,7 +27,7 @@ from .errors import (
 )
 from .images import ImageRegistry
 from .kubectl import Kubectl
-from .kubelet import ContainerContext, Kubelet, KubeletConfig, KILLED_EXIT_CODE
+from .kubelet import ContainerContext, Kubelet, KILLED_EXIT_CODE
 from .resources.meta import ObjectMeta, selector_matches
 from .resources.node import NOT_READY, READY, Node, NodeResources
 from .resources.pod import (
@@ -71,7 +71,6 @@ __all__ = [
     "KILLED_EXIT_CODE",
     "Kubectl",
     "Kubelet",
-    "KubeletConfig",
     "KubernetesCluster",
     "NOT_READY",
     "NetworkPolicy",

@@ -285,12 +285,11 @@ class ApiServer:
         if not channel.closed:
             channel.close()
 
-    def watcher_count(self, kind=None):
+    def watcher_count(self):
         """Live watch registrations, kind-wide and owner-scoped
         (observability + leak tests)."""
-        kinds = [kind] if kind is not None else list(self._watchers)
-        return sum(len(channels) for k in kinds
-                   for channels in self._watchers.get(k, {}).values())
+        return sum(len(channels) for by_owner in self._watchers.values()
+                   for channels in by_owner.values())
 
     def _notify(self, kind, event_type, resource):
         by_owner = self._watchers.get(kind)

@@ -15,7 +15,7 @@ from .controllers import (
 )
 from .images import ImageRegistry
 from .kubectl import Kubectl
-from .kubelet import Kubelet, KubeletConfig
+from .kubelet import Kubelet
 from .resources.meta import selector_matches
 from .resources.node import Node, NodeResources
 from .scheduler import Scheduler
@@ -24,8 +24,8 @@ from .scheduler import Scheduler
 class KubernetesCluster:
     """The platform layer: nodes, control plane, image registry."""
 
-    def __init__(self, kernel, nfs_server, tracer=None, kubelet_config=None,
-                 metrics=None, events=None):
+    def __init__(self, kernel, nfs_server, tracer=None, metrics=None,
+                 events=None):
         self.kernel = kernel
         self.nfs = nfs_server
         self.tracer = tracer
@@ -34,7 +34,6 @@ class KubernetesCluster:
         self.registry = ImageRegistry(kernel)
         self.scheduler = Scheduler(kernel, self.api, tracer=tracer,
                                    metrics=metrics, events=events)
-        self.kubelet_config = kubelet_config or KubeletConfig()
         self.controllers = [
             JobController(kernel, self.api),
             StatefulSetController(kernel, self.api),
@@ -59,7 +58,7 @@ class KubernetesCluster:
                     labels=labels)
         self.api.create(node)
         kubelet = Kubelet(self.kernel, self.api, node, self.nfs, self.registry,
-                          self, config=self.kubelet_config)
+                          self)
         self.kubelets[name] = kubelet
         if self._started:
             kubelet.start()

@@ -9,14 +9,15 @@ node re-pulls a large image.
 
 from .errors import NotFoundError
 
+PULL_BANDWIDTH_MB = 200.0  # registry-to-node pull rate, MB per sim second
+CACHED_CHECK_TIME = 0.05  # a pull's manifest check, cached or not, sim s
+
 
 class ImageRegistry:
     """Image catalogue plus pull-time model and node caches."""
 
-    def __init__(self, kernel, pull_bandwidth_mb=200.0, cached_check_time=0.05):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.pull_bandwidth_mb = pull_bandwidth_mb
-        self.cached_check_time = cached_check_time
         self._images = {}
         self._node_caches = {}
         self.pulls = 0
@@ -39,10 +40,10 @@ class ImageRegistry:
         cache = self._node_caches.setdefault(node_name, set())
         if image in cache:
             self.cache_hits += 1
-            yield self.kernel.sleep(self.cached_check_time)
+            yield self.kernel.sleep(CACHED_CHECK_TIME)
             return
         self.pulls += 1
-        yield self.kernel.sleep(self.cached_check_time + size / self.pull_bandwidth_mb)
+        yield self.kernel.sleep(CACHED_CHECK_TIME + size / PULL_BANDWIDTH_MB)
         cache.add(image)
 
     def prewarm(self, node_name, image):

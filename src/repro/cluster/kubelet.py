@@ -27,14 +27,10 @@ CONTAINER_START_OVERHEAD = 0.4
 VOLUME_BIND_TIME = 0.8
 PVC_WAIT_INTERVAL = 0.1
 TERMINATION_GRACE = 0.5  # between a pod's stop signal and its SIGKILL
-
-
-class KubeletConfig:
-    """The crash-loop backoff bounds, simulated seconds."""
-
-    def __init__(self, restart_backoff_base=0.2, restart_backoff_max=10.0):
-        self.restart_backoff_base = restart_backoff_base
-        self.restart_backoff_max = restart_backoff_max
+# Crash-loop backoff: the first restart waits the base, each further
+# failure doubles the wait up to the max.
+RESTART_BACKOFF_BASE = 0.2
+RESTART_BACKOFF_MAX = 10.0
 
 
 class ContainerContext:
@@ -67,15 +63,13 @@ def release_pod_resources(api, pod):
 class Kubelet:
     """Node agent: one per cluster node."""
 
-    def __init__(self, kernel, api, node, nfs_server, registry, cluster,
-                 config=None):
+    def __init__(self, kernel, api, node, nfs_server, registry, cluster):
         self.kernel = kernel
         self.api = api
         self.node = node
         self.nfs = nfs_server
         self.registry = registry
         self.cluster = cluster  # its ``events`` and the shared pod watch
-        self.config = config or KubeletConfig()
         self.alive = False
         # Spawned through the kubelet like everything else on the node:
         # in ``_procs``, with its done-callback, as a pod worker is.
@@ -230,7 +224,7 @@ class Kubelet:
 
     def _container_supervisor(self, pod, container, mounts):
         status = pod.container_statuses[container.name]
-        backoff = self.config.restart_backoff_base
+        backoff = RESTART_BACKOFF_BASE
         while True:
             ctx = ContainerContext(
                 self.kernel, pod, container, self.node.metadata.name, mounts,
@@ -282,11 +276,11 @@ class Kubelet:
                     message=f"{container.name} exited {exit_code}",
                     job=pod.metadata.labels.get("dlaas-job"))
             if exit_code == 0 and policy == RESTART_ALWAYS:
-                yield self.kernel.sleep(self.config.restart_backoff_base)
-                backoff = self.config.restart_backoff_base
+                yield self.kernel.sleep(RESTART_BACKOFF_BASE)
+                backoff = RESTART_BACKOFF_BASE
             else:
                 yield self.kernel.sleep(backoff)
-                backoff = min(backoff * 2, self.config.restart_backoff_max)
+                backoff = min(backoff * 2, RESTART_BACKOFF_MAX)
 
     def _run_workload(self, container, ctx):
         if container.workload is None:

@@ -68,10 +68,10 @@ class Deployment:
 
     kind = "Deployment"
 
-    def __init__(self, name, template, replicas=1, labels=None):
+    def __init__(self, name, template, replicas=1):
         if replicas < 0:
             raise InvalidResource("replicas must be >= 0")
-        self.metadata = ObjectMeta(name, labels=labels)
+        self.metadata = ObjectMeta(name)
         self.template = template
         self.replicas = replicas
         self.deletion_requested = False

@@ -12,6 +12,7 @@ from ..sim.periodic import Periodic, Polling
 # A pod that stays parked (see ``Scheduler._report_unschedulable``) is
 # reported again this often, in simulated seconds.
 UNSCHEDULABLE_REPORT_INTERVAL = 30.0
+INTERVAL = 0.1  # between scheduling passes, simulated seconds
 
 
 def _fit_state(nodes):
@@ -28,17 +29,15 @@ class Scheduler(Polling):
 
     STRATEGIES = ("binpack", "spread")
 
-    def __init__(self, kernel, api, interval=0.1, tracer=None, strategy="binpack",
-                 metrics=None, events=None):
-        if strategy not in self.STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, kernel, api, tracer=None, metrics=None, events=None):
         self.kernel = kernel
         self.api = api
         self.events = events
         self._loop = Periodic(kernel, "scheduler", self.schedule_once,
-                              interval)
+                              INTERVAL)
         self.tracer = tracer
-        self.strategy = strategy
+        # One of STRATEGIES; the scheduler ablation sets "spread".
+        self.strategy = "binpack"
         self.scheduled_count = 0
         # The unschedulable set: uid of a pod no pass could place (a
         # gang: of its first member) -> when that was last reported.

@@ -50,8 +50,7 @@ class ApiService:
             help="API requests received, by tenant and method")
         self._m_rejected = metrics.counter(
             "admission_rejected_total", ("tenant", "reason"),
-            help="submissions rejected at admission "
-                 "(reason: rate|quota|queue_full|queue_timeout)")
+            help="submissions rejected at admission (reason: rate)")
         self.lcm = Client(self.kernel, platform.network, platform.lcm_balancer,
                           caller=address, retries=1, retry_backoff=0.2)
         self.server = Server(self.kernel, platform.network, address,

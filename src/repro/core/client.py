@@ -14,6 +14,9 @@ from .states import TERMINAL_STATUSES
 RPC_RETRIES = 6
 RPC_BACKOFF = 0.25
 RPC_DEADLINE = 5.0
+# Between two status reads of ``wait_for_status``, simulated seconds
+# (``DlaasClient.poll_interval``).
+POLL_INTERVAL = 2.0
 
 
 class DlaasClient:
@@ -23,6 +26,7 @@ class DlaasClient:
         self.platform = platform
         self.kernel = platform.kernel
         self.token = token
+        self.poll_interval = POLL_INTERVAL
         # With ring routing the tenant rides as the affinity key, so
         # every call of this client lands on the tenant's API replica.
         self._rpc = Client(self.kernel, platform.network, platform.api_balancer,
@@ -71,8 +75,7 @@ class DlaasClient:
 
     # ------------------------------------------------------------------
 
-    def wait_for_status(self, job_id, statuses=None, timeout=3600.0,
-                        poll_interval=2.0):
+    def wait_for_status(self, job_id, statuses=None, timeout=3600.0):
         """Poll until the job reaches one of ``statuses`` (default: any
         terminal status); returns the final status document."""
         targets = set(statuses) if statuses else set(TERMINAL_STATUSES)
@@ -85,7 +88,7 @@ class DlaasClient:
                 raise TimeoutError(
                     f"{job_id} still {doc['status']} after {timeout}s"
                 )
-            yield self.kernel.sleep(poll_interval)
+            yield self.kernel.sleep(self.poll_interval)
 
     def run_to_completion(self, manifest, timeout=3600.0):
         """Submit and wait for a terminal status; returns (job_id, doc)."""

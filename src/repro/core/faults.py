@@ -17,6 +17,7 @@ metric, the ``FaultInjected`` event and the bounded injection ring all
 record it.
 """
 
+from ..cluster import NotFoundError
 from . import layout
 from .errors import DlaasError
 from .guardian import DEPLOY_STEPS
@@ -101,23 +102,37 @@ class ComponentCrasher:
         self.kubectl.crash_container(pod.metadata.name, "controller")
         return when, pod.metadata.name
 
+    def _learner_pod(self, job_id, ordinal=0):
+        """A learner's pod; ``DlaasError`` when it is gone (the job
+        finished, or the pod is between incarnations)."""
+        name = layout.learner_pod_name(job_id, ordinal)
+        try:
+            return self.kubectl.get_pod(name)
+        except NotFoundError:
+            raise DlaasError(f"no pod {name}") from None
+
     def crash_learner(self, job_id, ordinal=0):
         """Kill a learner pod (StatefulSet recreates it by name)."""
-        name = layout.learner_pod_name(job_id, ordinal)
+        name = self._learner_pod(job_id, ordinal).metadata.name
         when = self.platform.kernel.now
         self.kubectl.delete_pod(name, force=True)
         return when, name
 
     def crash_learner_container(self, job_id):
         """In-place crash of learner 0's container (kubelet restarts it)."""
-        name = layout.learner_pod_name(job_id, 0)
+        pod = self._learner_pod(job_id)
+        kubelet = self.platform.k8s.kubelet_for(pod.node_name)
+        if kubelet is None or not kubelet.alive:
+            raise DlaasError(f"pod {pod.metadata.name} is on no live node")
         when = self.platform.kernel.now
-        self.kubectl.crash_container(name, "learner")
-        return when, name
+        self.kubectl.crash_container(pod.metadata.name, "learner")
+        return when, pod.metadata.name
 
     def crash_node_of(self, job_id):
         """Machine failure under learner 0 (paper §III.h)."""
-        pod = self.kubectl.get_pod(layout.learner_pod_name(job_id, 0))
+        pod = self._learner_pod(job_id)
+        if pod.node_name is None:
+            raise DlaasError(f"pod {pod.metadata.name} is on no node")
         when = self.platform.kernel.now
         self.platform.k8s.crash_node(pod.node_name)
         return when, pod.node_name

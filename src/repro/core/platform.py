@@ -37,6 +37,9 @@ from .services import make_api_workload, make_lcm_workload
 # RPC fabric: per-hop base latency and uniform jitter, seconds.
 NETWORK_LATENCY = 0.0008
 NETWORK_JITTER = 0.0006
+# ``start()`` advances the clock this far so the control plane is ready
+# (leader elected, API pods serving), simulated seconds.
+BOOT_SETTLE = 15.0
 
 # Platform image sizes, MB.
 IMAGE_SIZES = {
@@ -211,9 +214,8 @@ class DlaasPlatform:
     # Startup
     # ------------------------------------------------------------------
 
-    def start(self, settle=True):
-        """Boot every layer; with ``settle`` the clock advances until the
-        control plane is ready (leader elected, API pods serving)."""
+    def start(self):
+        """Boot every layer and advance the clock ``BOOT_SETTLE``."""
         if self._started:
             return self
         self._started = True
@@ -226,8 +228,7 @@ class DlaasPlatform:
         self._create_indexes()
         self._deploy_core_services()
         self.monitoring.start()
-        if settle:
-            self.kernel.run(until=self.kernel.now + 15.0)
+        self.kernel.run(until=self.kernel.now + BOOT_SETTLE)
         return self
 
     def _create_indexes(self):

@@ -341,5 +341,5 @@ class Collection:
             return [_deep_copy(doc) for doc in out]
         return out
 
-    def count_documents(self, query=None):
-        return len(self._find_docs(query or {}))
+    def count_documents(self):
+        return len(self._documents)

@@ -15,14 +15,8 @@ class ObjectId:
 
     __slots__ = ("_value",)
 
-    def __init__(self, value=None):
-        if value is None:
-            value = next(_counter)
-        if isinstance(value, ObjectId):
-            value = value._value
-        if not isinstance(value, int) or value < 0:
-            raise TypeError(f"ObjectId value must be a non-negative int: {value!r}")
-        self._value = value
+    def __init__(self):
+        self._value = next(_counter)
 
     def __eq__(self, other):
         return isinstance(other, ObjectId) and self._value == other._value

@@ -24,11 +24,11 @@ class LoadBalancer:
     keeps every existing call path bit-identical.
     """
 
-    def __init__(self, name, endpoints=(), ring=False):
+    def __init__(self, name, ring=False):
         self.name = name
-        self._endpoints = list(endpoints)
+        self._endpoints = []
         self._cursor = 0
-        self._ring = ConsistentHashRing(self._endpoints) if ring else None
+        self._ring = ConsistentHashRing() if ring else None
 
     def add(self, address):
         if address not in self._endpoints:

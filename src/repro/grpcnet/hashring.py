@@ -20,6 +20,10 @@ array — no dict-order dependence anywhere.
 import bisect
 import hashlib
 
+# Ring positions per node (``ConsistentHashRing.vnodes``); a test sets
+# the attribute on an empty ring to smooth its distribution.
+VNODES = 64
+
 
 def stable_hash(text):
     """A process-stable 64-bit hash of ``text`` (sha256 prefix)."""
@@ -30,14 +34,10 @@ def stable_hash(text):
 class ConsistentHashRing:
     """Hash ring over named nodes with virtual-node smoothing."""
 
-    def __init__(self, nodes=(), vnodes=64):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self):
+        self.vnodes = VNODES
         self._positions = []  # sorted list of (point, node)
         self._nodes = set()
-        for node in nodes:
-            self.add(node)
 
     def __len__(self):
         return len(self._nodes)

@@ -1,8 +1,9 @@
 """The simulated message fabric connecting microservices.
 
 Models what DLaaS gets from GRPC over the datacenter network: named
-endpoints, per-message latency with jitter, optional message loss, and
-network partitions for dependability experiments. Services register a
+endpoints, per-message latency with jitter, per-endpoint gray faults
+(added latency, loss, duplication), and network partitions for
+dependability experiments. Services register a
 :class:`~repro.grpcnet.server.Server` under an address; clients invoke
 ``network.call(address, method, request)``.
 """
@@ -11,6 +12,11 @@ from ..sim.errors import ProcessKilled
 from ..sim.events import FAILED, PENDING, SUCCEEDED, Event
 from .errors import DeadlineExceeded, Unavailable
 from .payload import deep_copy_payload
+
+
+# The request-mutation check (``Network.debug_freeze``); a test sets the
+# attribute on its network to switch it on.
+DEBUG_FREEZE = False
 
 
 class LatencyModel:
@@ -95,8 +101,6 @@ class _Call(Event):
         if self.state is not PENDING:
             return
         network, address = self._network, self._address
-        if network.loss_rate and network._rng.random() < network.loss_rate:
-            return self._settle(Unavailable(f"message to {address} lost"))
         # Gray impairments: only calls to a degraded endpoint pay for
         # them, so healthy traffic costs no extra RNG draws or heap
         # entries and the no-fault timeline stays bit-identical.
@@ -196,18 +200,14 @@ class _Call(Event):
 class Network:
     """Registry of endpoints plus the latency/partition/loss model."""
 
-    def __init__(self, kernel, latency=None, loss_rate=0.0, metrics=None,
-                 debug_freeze=False):
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1): {loss_rate}")
+    def __init__(self, kernel, latency=None, metrics=None):
         self.kernel = kernel
         self.latency = latency or LatencyModel()
-        self.loss_rate = loss_rate
         # Debug mode for single-serialization RPC: payloads
         # travel by reference, which is only sound if no handler mutates
-        # a request in place. When enabled, every request is snapshotted
+        # a request in place. When set, every request is snapshotted
         # at send time and verified unchanged after the handler ran.
-        self.debug_freeze = debug_freeze
+        self.debug_freeze = DEBUG_FREEZE
         self._servers = {}
         self._partitions = set()
         # Gray faults: (src, dst) directions blocked one-way (a count

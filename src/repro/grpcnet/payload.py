@@ -5,7 +5,7 @@ in-process stand-in for serialization. Instead of copying payloads at
 every hop (client, balancer, server, replica fan-out), a payload is
 deep-copied exactly once, at the boundary of the server that owns the
 data (``Server(copy_responses=True)``); everywhere else the reference
-travels untouched. ``Network(debug_freeze=True)`` verifies the
+travels untouched. Setting ``Network.debug_freeze`` verifies the
 contract that makes this safe: handlers must never mutate a request
 in place.
 

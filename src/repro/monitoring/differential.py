@@ -58,6 +58,8 @@ LATENCY_FLOOR = 0.002
 LATENCY_REL_FLOOR = 0.5
 ERROR_FLOOR = 0.05
 FLOW_FLOOR = 0.15
+# An endpoint with fewer calls than this in the window is not scored.
+MIN_COUNT = 4
 
 
 def role_of(endpoint):
@@ -117,13 +119,10 @@ class DifferentialDetector:
     expression (``eval(store, now, staleness)`` -> labels -> score).
     """
 
-    def __init__(self, window=8.0, min_count=4):
+    def __init__(self, window=8.0):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1: {min_count}")
         self.window = window
-        self.min_count = min_count
         self._plans = {}  # series name -> (store view, parsed labels)
 
     def _planned(self, store, name, plan):
@@ -167,7 +166,7 @@ class DifferentialDetector:
         for key, (total, errors) in requests.items():
             endpoint = key[0]
             client_totals[endpoint] = client_totals.get(endpoint, 0.0) + total
-            if total < self.min_count:
+            if total < MIN_COUNT:
                 continue  # too little traffic to judge this endpoint
             rates[key] = errors / total
             duration = latency_sums.get(key)
@@ -216,7 +215,7 @@ class DifferentialDetector:
             if delta is not None:
                 served[endpoint] = delta
         for endpoint, total in client_totals.items():
-            if total < self.min_count:
+            if total < MIN_COUNT:
                 continue
             handled = served.get(endpoint)
             if handled is None:

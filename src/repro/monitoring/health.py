@@ -56,12 +56,9 @@ class HealthRegistry:
     def __init__(self):
         self._probes = {}
 
-    def register(self, name, check, core=True, latch=False):
-        if name in self._probes:
-            raise ValueError(f"probe {name!r} already registered")
-        probe = Probe(name, check, core=core, latch=latch)
-        self._probes[name] = probe
-        return probe
+    def register(self, name, check, latch=False):
+        """A core probe around ``check``; see :meth:`register_probe`."""
+        return self.register_probe(Probe(name, check, latch=latch))
 
     def register_probe(self, probe):
         if probe.name in self._probes:

@@ -62,7 +62,7 @@ class MetricsScraper(Polling):
     QUANTILES = (("p50", 50), ("p95", 95), ("p99", 99))
 
     def __init__(self, kernel, store, interval=1.0, registry=None,
-                 health=None, prune_after=None):
+                 health=None):
         self.kernel = kernel
         self.store = store
         self.interval = interval
@@ -71,9 +71,9 @@ class MetricsScraper(Polling):
         self.registry = registry
         self.health = health
         # A series stale this long is dropped from the store entirely
-        # (its source endpoint is gone for good, not rebooting).
-        self.prune_after = prune_after if prune_after is not None \
-            else store.retention
+        # (its source endpoint is gone for good, not rebooting): what
+        # the store keeps of it anyway.
+        self.prune_after = store.retention
         self.series_pruned = 0
         self.scrape_count = 0
         self.ticks = TickLog()

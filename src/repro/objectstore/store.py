@@ -10,6 +10,10 @@ evaluation uses.
 from .errors import AccessDenied, BucketExists, NoSuchBucket, NoSuchKey
 
 GBIT = 125_000_000  # bytes/second for 1 Gbit/s
+# The store's link and per-request latency (``ObjectStore.link_bandwidth``
+# and ``.request_latency``, bytes per sim second and sim seconds).
+LINK_BANDWIDTH = GBIT
+REQUEST_LATENCY = 0.02
 
 
 class StoredObject:
@@ -41,11 +45,10 @@ class Bucket:
 class ObjectStore:
     """Buckets + objects + a transfer-time model."""
 
-    def __init__(self, kernel, link_bandwidth=GBIT, request_latency=0.02,
-                 metrics=None):
+    def __init__(self, kernel, metrics=None):
         self.kernel = kernel
-        self.link_bandwidth = link_bandwidth
-        self.request_latency = request_latency
+        self.link_bandwidth = LINK_BANDWIDTH
+        self.request_latency = REQUEST_LATENCY
         self._buckets = {}
         self._etag_counter = 0
         self.bytes_uploaded = 0
@@ -111,8 +114,8 @@ class ObjectStore:
     # Transfers (process generators: they take simulated time)
     # ------------------------------------------------------------------
 
-    def transfer_time(self, size, bandwidth=None):
-        return self.request_latency + size / (bandwidth or self.link_bandwidth)
+    def transfer_time(self, size):
+        return self.request_latency + size / self.link_bandwidth
 
     def upload(self, bucket_name, key, credentials, size, payload=None):
         """Upload an object of ``size`` bytes; returns the StoredObject."""
@@ -123,11 +126,11 @@ class ObjectStore:
         self._record("upload", started, size)
         return obj
 
-    def download(self, bucket_name, key, credentials, bandwidth=None):
+    def download(self, bucket_name, key, credentials):
         """Download an object; returns the StoredObject after the wait."""
         started = self.kernel.now
         obj = self.head_object(bucket_name, key, credentials)
-        yield self.kernel.sleep(self.transfer_time(obj.size, bandwidth))
+        yield self.kernel.sleep(self.transfer_time(obj.size))
         self.bytes_downloaded += obj.size
         self._record("download", started, obj.size)
         return obj

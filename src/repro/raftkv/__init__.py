@@ -11,7 +11,7 @@ from .client import EtcdClient
 from .cluster import EtcdCluster
 from .errors import CompareFailed, LeaseNotFound, NoLeader, NotLeader, RaftError
 from .log import RaftLog
-from .node import CANDIDATE, FOLLOWER, LEADER, RaftNode, RaftTimings
+from .node import CANDIDATE, FOLLOWER, LEADER, RaftNode
 from .rpc import AppendEntries, AppendEntriesReply, LogEntry, RequestVote, RequestVoteReply
 from .statemachine import KvEvent, KvStateMachine
 from .watch import Watch, WatchHub
@@ -34,7 +34,6 @@ __all__ = [
     "RaftError",
     "RaftLog",
     "RaftNode",
-    "RaftTimings",
     "RequestVote",
     "RequestVoteReply",
     "Watch",

@@ -25,20 +25,20 @@ from ..grpcnet.errors import RpcError, ServiceError
 from .errors import NoLeader, NotLeader
 
 _client_counter = itertools.count()
+RETRY_DELAY = 0.1  # pause before retrying a round with no leader, sim s
 
 
 class EtcdClient:
     """Leader-following, retrying KV client."""
 
     def __init__(self, kernel, network, cluster, client_id=None,
-                 max_attempts=60, retry_delay=0.1, rpc_deadline=0.5,
-                 history=None):
+                 max_attempts=60, rpc_deadline=0.5, history=None):
         self.kernel = kernel
         self.network = network
         self.cluster = cluster
         self.client_id = client_id or f"etcd-client-{next(_client_counter)}"
         self.max_attempts = max_attempts
-        self.retry_delay = retry_delay
+        self.retry_delay = RETRY_DELAY
         self.rpc_deadline = rpc_deadline
         self.history = history
         self._seq = 0
@@ -121,16 +121,15 @@ class EtcdClient:
             if token is not None:
                 history.complete_range(token, self.client_id, op_id, kvs, also)
 
-    def watch(self, prefix, node_id=None):
-        """Register a watch on a live node (default: any live node).
+    def watch(self, prefix):
+        """Register a watch on any live node.
 
         Watches are served from a single node's apply stream; if that
         node crashes the watch channel closes and the caller should
-        re-register, mirroring a dropped etcd watch stream.
+        re-register, mirroring a dropped etcd watch stream. To pin a
+        watch to one member, call ``cluster.node(id).watch(prefix)``.
         """
-        candidates = [node_id] if node_id else self.cluster.node_ids
-        for candidate in candidates:
-            node = self.cluster.node(candidate)
+        for node in self.cluster.nodes.values():
             if node.alive:
                 return node.watch(prefix)
         raise NoLeader("no live node to serve the watch")

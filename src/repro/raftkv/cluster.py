@@ -6,24 +6,22 @@ the leader, crash/restart members, and await stability — the operations
 the dependability experiments need.
 """
 
-from .node import RaftNode, RaftTimings
+from .node import HEARTBEAT, RaftNode
+
+LEADER_WAIT_TIMEOUT = 10.0  # wait_for_leader gives up after this, sim s
 
 
 class EtcdCluster:
     """N Raft nodes plus test/experiment conveniences."""
 
-    def __init__(self, kernel, network, size=3, snapshot_threshold=500,
-                 metrics=None, events=None):
+    def __init__(self, kernel, network, size=3, metrics=None, events=None):
         if size < 1:
             raise ValueError("cluster size must be >= 1")
         self.kernel = kernel
         self.network = network
-        self.timings = RaftTimings()
         node_ids = [f"etcd-{i}" for i in range(size)]
         self.nodes = {
             node_id: RaftNode(kernel, network, node_id, node_ids,
-                              timings=self.timings,
-                              snapshot_threshold=snapshot_threshold,
                               metrics=metrics, events=events)
             for node_id in node_ids
         }
@@ -49,14 +47,15 @@ class EtcdCluster:
         # one with the highest term is the real one.
         return max(leaders, key=lambda n: n.current_term)
 
-    def wait_for_leader(self, timeout=10.0):
+    def wait_for_leader(self):
         """Process generator: yields until a leader exists; returns it."""
+        timeout = LEADER_WAIT_TIMEOUT
         deadline = self.kernel.now + timeout
         while self.kernel.now < deadline:
             leader = self.leader()
             if leader is not None:
                 return leader
-            yield self.kernel.sleep(self.timings.heartbeat)
+            yield self.kernel.sleep(HEARTBEAT)
         raise TimeoutError(f"no leader within {timeout}s")
 
     def crash(self, node_id):

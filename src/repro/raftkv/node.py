@@ -35,20 +35,14 @@ LEADER = "leader"
 
 RPC_TIMEOUT = 0.06  # deadline of one peer RPC, simulated seconds
 LEASE_SWEEP = 0.5  # how often the leader expires overdue leases
-
-
-class RaftTimings:
-    """Election and heartbeat timing (simulated seconds)."""
-
-    def __init__(self, election_min=0.15, election_max=0.30,
-                 heartbeat=0.05):
-        if not 0 < election_min < election_max:
-            raise ValueError("need 0 < election_min < election_max")
-        if heartbeat >= election_min:
-            raise ValueError("heartbeat must be well below the election timeout")
-        self.election_min = election_min
-        self.election_max = election_max
-        self.heartbeat = heartbeat
+# Election timeout drawn from [ELECTION_MIN, ELECTION_MAX); the leader
+# sends an empty append every HEARTBEAT. Simulated seconds.
+ELECTION_MIN = 0.15
+ELECTION_MAX = 0.30
+HEARTBEAT = 0.05
+# Compact the log once this many entries are applied beyond the last
+# snapshot (``RaftNode.snapshot_threshold``; 0 disables compaction).
+SNAPSHOT_THRESHOLD = 500
 
 
 class RaftNode:
@@ -56,13 +50,12 @@ class RaftNode:
 
     MAX_BATCH = 64
 
-    def __init__(self, kernel, network, node_id, peer_ids, timings=None,
-                 snapshot_threshold=500, metrics=None, events=None):
+    def __init__(self, kernel, network, node_id, peer_ids, metrics=None,
+                 events=None):
         self.kernel = kernel
         self.network = network
         self.node_id = node_id
         self.peer_ids = [p for p in peer_ids if p != node_id]
-        self.timings = timings or RaftTimings()
         self.events = events
         if metrics is not None:
             # Children bound once: node_id is fixed for the node's life.
@@ -87,9 +80,7 @@ class RaftNode:
         else:
             self._m_elections = self._m_commit_dur = self._m_applied = None
             self._m_dup_applies = None
-        # Compact the log once this many entries have been applied
-        # beyond the last snapshot; 0 disables compaction.
-        self.snapshot_threshold = snapshot_threshold
+        self.snapshot_threshold = SNAPSHOT_THRESHOLD
         self._rng = kernel.rng(f"raft:{node_id}")
 
         # Persistent state (survives crash/restart).
@@ -250,8 +241,8 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def _election_deadline(self):
-        spread = self.timings.election_max - self.timings.election_min
-        return self._last_heartbeat + self.timings.election_min + self._rng.random() * spread
+        spread = ELECTION_MAX - ELECTION_MIN
+        return self._last_heartbeat + ELECTION_MIN + self._rng.random() * spread
 
     def _election_timer(self):
         while self.alive:
@@ -382,7 +373,7 @@ class RaftNode:
         """
         if not self.peer_ids:
             return True
-        horizon = self.kernel.now - self.timings.election_min
+        horizon = self.kernel.now - ELECTION_MIN
         fresh = 1 + sum(1 for t in self._peer_acks.values() if t > horizon)
         return fresh >= (len(self.peer_ids) + 1) // 2 + 1
 
@@ -445,7 +436,7 @@ class RaftNode:
                     deadline=RPC_TIMEOUT, caller=self.node_id,
                 )
             except RpcError:
-                yield self.kernel.sleep(self.timings.heartbeat)
+                yield self.kernel.sleep(HEARTBEAT)
                 continue
             if not self.alive or self.role != LEADER or self.current_term != term:
                 return
@@ -466,7 +457,7 @@ class RaftNode:
             # Caught up: idle until new entries or the heartbeat interval.
             poke = self.kernel.event()
             self._pokes[peer] = poke
-            timer = self.kernel.sleep(self.timings.heartbeat)
+            timer = self.kernel.sleep(HEARTBEAT)
             yield self.kernel.any_of([poke, timer])
             timer.cancel()
 
@@ -491,7 +482,7 @@ class RaftNode:
                 caller=self.node_id,
             )
         except RpcError:
-            yield self.kernel.sleep(self.timings.heartbeat)
+            yield self.kernel.sleep(HEARTBEAT)
             return self.alive and self.role == LEADER and self.current_term == term
         if not self.alive or self.role != LEADER or self.current_term != term:
             return False

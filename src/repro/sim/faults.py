@@ -18,16 +18,17 @@ the operational record alone.
 
 from collections import deque
 
+INJECTED_CAP = 256  # entries the ``injected`` ring keeps
+
 
 class FaultInjector:
     """Applies gray faults and arms step faults, recording each one."""
 
-    def __init__(self, kernel, tracer=None, metrics=None, events=None,
-                 injected_cap=256):
+    def __init__(self, kernel, tracer=None, metrics=None, events=None):
         self._kernel = kernel
         self._tracer = tracer
         self._events = events
-        self.injected = deque(maxlen=injected_cap)
+        self.injected = deque(maxlen=INJECTED_CAP)
         self.armed = {}  # learner pod -> (kind, step), see arm()
         if metrics is not None:
             self._m_injected = metrics.counter(
@@ -71,21 +72,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def inject_gray(self, name, kind, apply, revert=None, duration=None,
-                    delay=0.0, reason=None):
-        """Apply a gray fault to ``name`` and optionally schedule its end.
+                    reason=None):
+        """Apply a gray fault to ``name`` now and optionally schedule
+        its end.
 
         ``apply``/``revert`` are zero-argument callables — typically a
         ``Network.degrade``/``restore`` pair or a disk-stall setter.
         ``kind`` labels the injection record ("slow", "partition",
         "loss", "duplicate", "disk-stall", ...). With both ``revert``
         and ``duration`` given, the fault clears ``duration`` seconds
-        after it took effect; with ``delay`` the application itself is
-        deferred. Unlike a crash, the target keeps serving throughout.
+        after it took effect. Unlike a crash, the target keeps serving
+        throughout.
         """
         if duration is not None and duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
 
         def clear():
             if self._tracer is not None:
@@ -93,13 +93,7 @@ class FaultInjector:
                                   target=name, fault=kind)
             revert()
 
-        def fire():
-            self._record(name, kind, reason or kind, "gray-injected")
-            apply()
-            if revert is not None and duration is not None:
-                self._kernel._schedule_at(self._kernel.now + duration, clear)
-
-        if delay > 0:
-            self._kernel._schedule_at(self._kernel.now + delay, fire)
-        else:
-            fire()
+        self._record(name, kind, reason or kind, "gray-injected")
+        apply()
+        if revert is not None and duration is not None:
+            self._kernel._schedule_at(self._kernel.now + duration, clear)

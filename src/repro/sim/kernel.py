@@ -118,6 +118,11 @@ class Timer(Event):
             kernel._dead_pending += 1
 
 
+# ``Kernel.debug`` at construction; a test sets the attribute on its
+# kernel to name hot-path events.
+DEBUG = False
+
+
 class Kernel:
     """Discrete-event simulation kernel with generator-based processes.
 
@@ -128,7 +133,7 @@ class Kernel:
     lint_shared_state.py`` enforces this structurally.
     """
 
-    def __init__(self, seed=0, debug=False):
+    def __init__(self, seed=0):
         self._now = 0.0
         # Entries due later than now, as (when, seq, callback).
         self._queue = []
@@ -141,7 +146,7 @@ class Kernel:
         # hot-path events/processes (RPC calls, channel gets). Off by
         # default: the f-string formatting alone is measurable at scale.
         # Per instance — flipping one kernel's flag never outlives it.
-        self.debug = debug
+        self.debug = DEBUG
         # Perf counters (exposed as kernel_* metrics by the monitoring
         # scraper; see MetricsScraper). Instance-owned: a fresh kernel
         # always starts from zero, however many ran before it.

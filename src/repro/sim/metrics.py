@@ -51,7 +51,7 @@ def _check_name(name):
 class _Family:
     """Shared machinery: a named family of label-keyed children."""
 
-    def __init__(self, name, labelnames=(), help="", registry=None):
+    def __init__(self, name, labelnames, help, registry):
         self.name = _check_name(name)
         self._registry = registry
         self.labelnames = tuple(labelnames)
@@ -231,8 +231,8 @@ class _HistogramChild:
     __slots__ = ("buckets", "samples", "total", "_sorted", "_deltas",
                  "_cumulative", "_sink")
 
-    def __init__(self, buckets=DEFAULT_BUCKETS):
-        self.buckets = tuple(buckets)
+    def __init__(self, buckets):
+        self.buckets = buckets
         # Per-bucket (non-cumulative) counts; +Inf last. The Prometheus
         # cumulative view is derived lazily, so observe() is a single
         # bisect instead of a walk over every bucket.
@@ -325,11 +325,9 @@ class Histogram(_Family):
     """Records observations; exposes count/mean/percentiles/buckets."""
 
     kind = "histogram"
-
-    def __init__(self, name, labelnames=(), help="", buckets=DEFAULT_BUCKETS,
-                 registry=None):
-        super().__init__(name, labelnames, help, registry)
-        self.buckets = tuple(buckets)
+    # Bucket bounds of every child; a test sets the attribute on its
+    # histogram before the first child exists.
+    buckets = DEFAULT_BUCKETS
 
     def _new_child(self):
         return _HistogramChild(self.buckets)
@@ -414,13 +412,7 @@ class MetricsRegistry:
     def gauge(self, name, labelnames=(), help=""):
         return self._get(name, Gauge, labelnames, help)
 
-    def histogram(self, name, labelnames=(), help="", buckets=None):
-        metric = self._metrics.get(name)
-        if metric is None and buckets is not None:
-            metric = Histogram(name, labelnames, help, buckets=buckets,
-                               registry=self)
-            self._metrics[name] = metric
-            return metric
+    def histogram(self, name, labelnames=(), help=""):
         return self._get(name, Histogram, labelnames, help)
 
     def _get(self, name, kind, labelnames=(), help=""):

@@ -26,6 +26,14 @@ from collections import deque
 from .errors import ChannelClosed, ProcessKilled
 from .periodic import Periodic
 
+# A failed key waits BACKOFF_BASE * 2**(failures - 1), at most
+# BACKOFF_MAX (``WorkQueue.backoff_base`` / ``.backoff_max``); a pump
+# whose watch closed re-subscribes after REWATCH_DELAY
+# (``Reconciler.rewatch_delay``). Simulated seconds.
+BACKOFF_BASE = 0.1
+BACKOFF_MAX = 5.0
+REWATCH_DELAY = 0.2
+
 
 class WorkQueue:
     """Keyed FIFO work queue with coalescing and backoff requeue.
@@ -44,8 +52,7 @@ class WorkQueue:
     Queues of one kind share their metric children.
     """
 
-    def __init__(self, kernel, name="", backoff_base=0.1, backoff_max=5.0,
-                 metrics=None, kind=None):
+    def __init__(self, kernel, name="", metrics=None, kind=None):
         self._kernel = kernel
         self.name = name
         self.kind = kind or name
@@ -55,8 +62,8 @@ class WorkQueue:
         self._getters = deque()
         self._failures = {}
         self._timers = {}  # key -> earliest scheduled fire time
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
+        self.backoff_base = BACKOFF_BASE
+        self.backoff_max = BACKOFF_MAX
         # Observability: how much polling the coalescing saved.
         self.adds = 0
         self.coalesced = 0
@@ -273,8 +280,7 @@ class Reconciler:
     """
 
     def __init__(self, kernel, name, reconcile, *, resync_interval=0.0,
-                 rewatch_delay=0.2, tracer=None, metrics=None, kind=None,
-                 key_context=None):
+                 tracer=None, metrics=None, kind=None, key_context=None):
         self.kernel = kernel
         self.name = name
         self.reconcile = reconcile
@@ -284,7 +290,7 @@ class Reconciler:
             self._resync = Periodic(
                 kernel, f"reconciler:{name}:resync", self.resync_once,
                 resync_interval, sleep_first=True)
-        self.rewatch_delay = rewatch_delay
+        self.rewatch_delay = REWATCH_DELAY
         self.tracer = tracer
         # key_context(key) -> SpanContext | None: lets the owner link a
         # reconcile pass into the causal trace of the object it serves

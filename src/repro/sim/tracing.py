@@ -242,14 +242,10 @@ class Tracer:
         spans.sort(key=lambda s: (s.start, s.span_id))
         return spans
 
-    def find_spans(self, name=None, component=None, trace_id=None, **attrs):
+    def find_spans(self, name=None, **attrs):
         out = []
         for span in self.spans:
             if name is not None and span.name != name:
-                continue
-            if component is not None and span.component != component:
-                continue
-            if trace_id is not None and span.trace_id != trace_id:
                 continue
             if any(span.attributes.get(k) != v for k, v in attrs.items()):
                 continue

@@ -19,8 +19,8 @@ class Harness:
         self.history = HistoryRecorder(self.kernel)
         self.metrics = MetricsRegistry()
         self.auditor = ConsistencyAuditor(self.kernel, self.history,
-                                          metrics=self.metrics,
-                                          max_configs=max_configs)
+                                          metrics=self.metrics)
+        self.auditor.max_configs = max_configs
 
     def put(self, value, key="/k", client="c1"):
         record = self.history.invoke(client, "put", key, value)

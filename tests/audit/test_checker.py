@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit import checker
 from repro.audit import (
     CheckBudgetExceeded,
     HistoryRecorder,
@@ -259,19 +260,21 @@ class TestBudgetAndWitness:
         assert len(outcome.witness["ops"]) == 1
         assert outcome.witness["ops"][0]["op"] == "get"
 
-    def test_minimize_can_be_disabled(self, h):
+    def test_minimize_can_be_disabled(self, h, monkeypatch):
+        monkeypatch.setattr(checker, "MINIMIZE", False)
         h.put("v1")
         h.put("v2")
         h.get("v0")
-        outcome = check_operations(h.ops(), minimize=False)
+        outcome = check_operations(h.ops())
         assert not outcome.ok
         assert len(outcome.witness["ops"]) == 3
 
-    def test_witness_reports_prefix_and_stuck_reason(self, h):
+    def test_witness_reports_prefix_and_stuck_reason(self, h, monkeypatch):
+        monkeypatch.setattr(checker, "MINIMIZE", False)
         h.put("v1")
         h.put("v2")
         h.get("v1")
-        outcome = check_operations(h.ops(), minimize=False)
+        outcome = check_operations(h.ops())
         witness = outcome.witness
         assert witness["key"] == "/k"
         assert len(witness["linearized"]) == 2

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import ablations
 from repro.bench import (
     atomic_deploy_rows,
     build_config,
@@ -54,9 +55,9 @@ class TestBaselineRunners:
 
 
 class TestAblationFunctions:
-    def test_atomic_deploy_rows_match_analytic(self):
-        rows = atomic_deploy_rows(crash_probability=0.5, trials=400,
-                                  attempt_budgets=(1, 2, 4))
+    def test_atomic_deploy_rows_match_analytic(self, monkeypatch):
+        monkeypatch.setattr(ablations, "ATTEMPT_BUDGETS", (1, 2, 4))
+        rows = atomic_deploy_rows(crash_probability=0.5, trials=400)
         for row in rows:
             assert abs(row["success rate"] - row["analytic"]) < 0.1
         rates = [row["success rate"] for row in rows]

@@ -15,8 +15,14 @@ from repro.cluster import (
     RESTART_NEVER,
     StatefulSet,
 )
+from repro.cluster import images
 from repro.cluster.apiserver import ApiServer
 from repro.sim import Kernel
+
+
+def watchers_of(api, kind):
+    """Live watch registrations of one kind, kind-wide and owner-scoped."""
+    return sum(len(channels) for channels in api._watchers.get(kind, {}).values())
 
 
 def make_pod(name, labels=None, owner=None):
@@ -206,9 +212,9 @@ class TestWatches:
 
     def test_cancel_deregisters_and_closes(self, api):
         channel = api.watch("Pod")
-        assert api.watcher_count("Pod") == 1
+        assert watchers_of(api, "Pod") == 1
         channel.cancel()
-        assert api.watcher_count("Pod") == 0
+        assert watchers_of(api, "Pod") == 0
         assert channel.closed
         channel.cancel()  # idempotent
         api.create(make_pod("p"))  # no delivery to a cancelled watch
@@ -220,9 +226,9 @@ class TestWatches:
         kept = api.watch("Pod")
         leaked = api.watch("Pod")
         leaked.close()
-        assert api.watcher_count("Pod") == 2
+        assert watchers_of(api, "Pod") == 2
         api.create(make_pod("p"))
-        assert api.watcher_count("Pod") == 1
+        assert watchers_of(api, "Pod") == 1
         assert len(kept) == 1
 
     def test_owner_scoped_watch_sees_its_owner_and_its_pods(self, api):
@@ -245,8 +251,8 @@ class TestWatches:
         assert drain(pods) == [("ADDED", "s-0"), ("DELETED", "s-0")]
         assert drain(itself) == [("ADDED", "s"), ("DELETED", "s")]
         assert len(drain(everything)) == 4
-        assert api.watcher_count("Pod") == 2
-        assert api.watcher_count("StatefulSet") == 1
+        assert watchers_of(api, "Pod") == 2
+        assert watchers_of(api, "StatefulSet") == 1
         assert api.watcher_count() == 3
 
     def test_owner_scoped_watches_leave_no_registration(self, api):
@@ -290,9 +296,10 @@ class TestEvents:
 
 
 class TestImageRegistry:
-    def test_pull_time_scales_with_size(self, kernel):
-        registry = ImageRegistry(kernel, pull_bandwidth_mb=100.0,
-                                 cached_check_time=0.0)
+    def test_pull_time_scales_with_size(self, kernel, monkeypatch):
+        monkeypatch.setattr(images, "PULL_BANDWIDTH_MB", 100.0)
+        monkeypatch.setattr(images, "CACHED_CHECK_TIME", 0.0)
+        registry = ImageRegistry(kernel)
         registry.register("small", 100).register("big", 1000)
 
         def pull(image):
@@ -305,8 +312,9 @@ class TestImageRegistry:
         assert t_small == pytest.approx(1.0)
         assert t_big - start == pytest.approx(10.0)
 
-    def test_cache_hit_is_fast(self, kernel):
-        registry = ImageRegistry(kernel, pull_bandwidth_mb=100.0)
+    def test_cache_hit_is_fast(self, kernel, monkeypatch):
+        monkeypatch.setattr(images, "PULL_BANDWIDTH_MB", 100.0)
+        registry = ImageRegistry(kernel)
         registry.register("img", 1000)
 
         def pull_twice():

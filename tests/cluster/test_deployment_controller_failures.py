@@ -30,7 +30,7 @@ def core_service_like_deployment(name, replicas, labels=None):
         )
 
     return Deployment(name, PodTemplate(spec_factory, labels=labels),
-                      replicas=replicas, labels=labels)
+                      replicas=replicas)
 
 
 def fleet(cluster, selector):

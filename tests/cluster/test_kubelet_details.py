@@ -86,14 +86,12 @@ class TestMultiContainerPods:
 
 
 class TestBackoffCap:
-    def test_backoff_caps_at_configured_max(self, kernel, nfs):
-        from repro.cluster import KubernetesCluster, KubeletConfig
+    def test_backoff_caps_at_configured_max(self, kernel, nfs, monkeypatch):
+        from repro.cluster import KubernetesCluster, kubelet
 
-        cluster = KubernetesCluster(
-            kernel, nfs,
-            kubelet_config=KubeletConfig(restart_backoff_base=0.5,
-                                         restart_backoff_max=2.0),
-        )
+        monkeypatch.setattr(kubelet, "RESTART_BACKOFF_BASE", 0.5)
+        monkeypatch.setattr(kubelet, "RESTART_BACKOFF_MAX", 2.0)
+        cluster = KubernetesCluster(kernel, nfs)
         cluster.registry.register("tiny", 10)
         cluster.add_node("n0", gpus=0)
         cluster.start()

@@ -60,8 +60,9 @@ class TestQuiescentPass:
         client = platform.client("team")
         job_id = submit_with_fault(platform, client, manifest(target_steps=200),
                                    "hang", 20)
+        client.poll_interval = 1.0
         platform.run_process(client.wait_for_status(
-            job_id, statuses={"PROCESSING"}, poll_interval=1.0), limit=600)
+            job_id, statuses={"PROCESSING"}), limit=600)
         platform.run_for(60.0)
         del rpcs[:], passes[:]
         seconds = 20.0

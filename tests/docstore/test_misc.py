@@ -1,5 +1,7 @@
 """Edge-case tests: ObjectId, Database, find_one_and_update variants."""
 
+import copy
+
 import pytest
 
 from repro.docstore import Collection, Database, ObjectId
@@ -13,8 +15,9 @@ class TestObjectId:
 
     def test_hashable(self):
         oid = ObjectId()
-        assert ObjectId(oid) == oid
-        assert len({oid, ObjectId(oid)}) == 1
+        twin = copy.copy(oid)
+        assert twin is not oid and twin == oid
+        assert len({oid, twin}) == 1
 
     def test_str_is_24_hex(self):
         text = str(ObjectId())
@@ -22,10 +25,11 @@ class TestObjectId:
         int(text, 16)
 
     def test_invalid_value_rejected(self):
+        # Ids come only from the counter: none can be forged from a value.
         with pytest.raises(TypeError):
             ObjectId("not-an-int")
         with pytest.raises(TypeError):
-            ObjectId(-1)
+            ObjectId(1)
 
     def test_comparison_with_other_types(self):
         assert ObjectId() != "string"

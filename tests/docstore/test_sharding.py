@@ -50,7 +50,7 @@ class TestPlacement:
     def test_jobs_spread_across_shards(self, kernel, client, shard_set):
         seed_jobs(kernel, client)
         counts = [
-            shard.primary().database.collection("jobs").count_documents({})
+            shard.primary().database.collection("jobs").count_documents()
             for shard in shard_set.shards
         ]
         assert sum(counts) == len(JOB_IDS)
@@ -71,10 +71,10 @@ class TestPlacement:
                                          {"_id_name": "job-seq", "seq": 0})
         run(kernel, work())
         assert shard_set.shards[0].primary().database.collection(
-            "counters").count_documents({}) == 1
+            "counters").count_documents() == 1
         for shard in shard_set.shards[1:]:
             assert shard.primary().database.collection(
-                "counters").count_documents({}) == 0
+                "counters").count_documents() == 0
 
 
 class TestRoutedPointOps:

@@ -25,7 +25,9 @@ def kernel():
 
 @pytest.fixture
 def store(kernel):
-    store = ObjectStore(kernel, link_bandwidth=1_000_000_000, request_latency=0.01)
+    store = ObjectStore(kernel)
+    store.link_bandwidth = 1_000_000_000
+    store.request_latency = 0.01
     store.create_bucket("results", CREDS)
     return store
 

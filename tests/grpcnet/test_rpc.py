@@ -267,9 +267,16 @@ class TestClientRetries:
         assert len(attempts) == 1
 
 
+def balancer_of(endpoints):
+    balancer = LoadBalancer("api")
+    for address in endpoints:
+        balancer.add(address)
+    return balancer
+
+
 class TestLoadBalancer:
     def test_round_robin_rotation(self):
-        balancer = LoadBalancer("api", ["a", "b", "c"])
+        balancer = balancer_of(["a", "b", "c"])
         assert balancer.pick_order() == ["a", "b", "c"]
         assert balancer.pick_order() == ["b", "c", "a"]
         assert balancer.pick_order() == ["c", "a", "b"]
@@ -278,7 +285,7 @@ class TestLoadBalancer:
         make_echo_server(kernel, network, "api-0")
         dead = Server(kernel, network, "api-1")  # never started
         assert not dead.running
-        balancer = LoadBalancer("api", ["api-1", "api-0"])
+        balancer = balancer_of(["api-1", "api-0"])
         client = Client(kernel, network, balancer, retries=0)
 
         def caller():
@@ -298,7 +305,7 @@ class TestLoadBalancer:
 
     def test_spread_across_instances(self, kernel, network):
         servers = [make_echo_server(kernel, network, f"api-{i}") for i in range(3)]
-        balancer = LoadBalancer("api", [s.address for s in servers])
+        balancer = balancer_of([s.address for s in servers])
         client = Client(kernel, network, balancer, retries=0)
 
         def caller():
@@ -311,8 +318,9 @@ class TestLoadBalancer:
 
 class TestLossRate:
     def test_lossy_network_eventually_fails_calls(self, kernel):
-        network = Network(kernel, latency=LatencyModel(0.001, 0.0), loss_rate=0.5)
+        network = Network(kernel, latency=LatencyModel(0.001, 0.0))
         make_echo_server(kernel, network)
+        network.degrade("svc", loss=0.5)
         failures = 0
 
         def caller():
@@ -327,8 +335,9 @@ class TestLossRate:
         assert 5 < failures < 45  # ~50% loss, generous bounds
 
     def test_invalid_loss_rate(self, kernel):
+        network = Network(kernel)
         with pytest.raises(ValueError):
-            Network(kernel, loss_rate=1.5)
+            network.degrade("svc", loss=1.5)
 
 
 class TestServiceTimeAndPrefix:
@@ -367,8 +376,8 @@ class TestSingleSerializationBoundary:
     def test_freeze_check_catches_request_mutation(self, kernel):
         """debug_freeze snapshots each request and asserts the handler
         did not mutate it in place."""
-        network = Network(kernel, latency=LatencyModel(base=0.001, jitter=0.0),
-                          debug_freeze=True)
+        network = Network(kernel, latency=LatencyModel(base=0.001, jitter=0.0))
+        network.debug_freeze = True
         server = Server(kernel, network, "svc").start()
 
         def mutating(request):

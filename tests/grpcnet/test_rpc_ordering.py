@@ -331,7 +331,8 @@ class TestDegradedEndpoint:
 
 class TestDebugFreeze:
     def test_catches_a_suspending_handler_mutating_its_request(self, kernel):
-        network = make_network(kernel, 0.010, 0.001, debug_freeze=True)
+        network = make_network(kernel, 0.010, 0.001)
+        network.debug_freeze = True
 
         def mutating(request):
             yield kernel.sleep(0.1)

@@ -64,8 +64,12 @@ def submit_and_wait_running(platform, client, manifest_dict, timeout=300.0):
 
     def scenario():
         job_id = yield from client.submit(manifest_dict)
-        yield from client.wait_for_status(job_id, statuses={"PROCESSING"},
-                                          timeout=timeout, poll_interval=1.0)
+        interval, client.poll_interval = client.poll_interval, 1.0
+        try:
+            yield from client.wait_for_status(
+                job_id, statuses={"PROCESSING"}, timeout=timeout)
+        finally:
+            client.poll_interval = interval
         return job_id
 
     return platform.run_process(scenario(), limit=timeout * 2)
@@ -73,8 +77,7 @@ def submit_and_wait_running(platform, client, manifest_dict, timeout=300.0):
 
 def wait_terminal(platform, client, job_id, timeout=3000.0):
     def scenario():
-        doc = yield from client.wait_for_status(job_id, timeout=timeout,
-                                                poll_interval=2.0)
+        doc = yield from client.wait_for_status(job_id, timeout=timeout)
         return doc
 
     return platform.run_process(scenario(), limit=timeout * 2)

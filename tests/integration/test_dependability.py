@@ -9,7 +9,7 @@ updates across crashes.
 
 import pytest
 
-from repro.core import ComponentCrasher
+from repro.core import ComponentCrasher, DlaasError
 
 from .conftest import (
     CREDS,
@@ -237,3 +237,28 @@ class TestCompoundFailures:
         crasher.crash_learner(job_id)
         doc = wait_terminal(platform, client, job_id, timeout=8000)
         assert doc["status"] == "COMPLETED"
+
+
+class TestAbsentTarget:
+    def test_every_job_crash_of_a_finished_job_is_a_dlaas_error(
+            self, platform, client, crasher):
+        # A chaos driver picks jobs at random and must be able to tell
+        # "that target is gone" from a bug: every job-scoped crash of a
+        # job whose pods were torn down says so with a DlaasError.
+        job_id = submit_and_wait_running(platform, client, manifest())
+        assert wait_terminal(platform, client, job_id)["status"] == "COMPLETED"
+        platform.run_for(30.0)  # teardown
+        assert not platform.k8s.kubectl.get_pods(selector={"dlaas-job": job_id})
+        methods = ("crash_guardian", "crash_helper", "crash_controller_container",
+                   "crash_learner", "crash_learner_container", "crash_node_of")
+        escaped = {}
+        for method in methods:
+            try:
+                getattr(crasher, method)(job_id)
+            except DlaasError:
+                continue
+            except Exception as exc:
+                escaped[method] = repr(exc)
+            else:
+                escaped[method] = "no error"
+        assert escaped == {}

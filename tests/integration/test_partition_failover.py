@@ -45,7 +45,7 @@ class TestPartitionCrashFailover:
             docs = []
             for job_id in job_ids:
                 docs.append((yield from client.wait_for_status(
-                    job_id, timeout=4000.0, poll_interval=2.0)))
+                    job_id, timeout=4000.0)))
             yield platform.kernel.sleep(60.0)  # teardown settles
             return docs
 
@@ -72,8 +72,7 @@ class TestPartitionCrashFailover:
                 manifest(name="fo-single", target_steps=120))
             yield platform.kernel.sleep(8.0)
             crasher.crash_lcm()
-            yield from client.wait_for_status(job_id, timeout=4000.0,
-                                              poll_interval=2.0)
+            yield from client.wait_for_status(job_id, timeout=4000.0)
             # Give the survivor a few ticks beyond the lease TTL, then
             # read slice ownership straight from etcd.
             yield platform.kernel.sleep(10.0)

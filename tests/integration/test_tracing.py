@@ -41,8 +41,8 @@ class TestJobTrace:
                                 ("guardian.teardown", "guardian"),
                                 ("controller.run", "controller"),
                                 ("learner.run", "learner-0")):
-            spans = tracer.find_spans(name=name, component=component,
-                                      trace_id=trace_id)
+            spans = [s for s in tracer.trace_of(trace_id)
+                     if s.name == name and s.component == component]
             assert spans, f"missing span {name} [{component}]"
             assert all(s.ended for s in spans)
 

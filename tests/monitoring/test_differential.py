@@ -66,10 +66,8 @@ class TestHelpers:
 
 
 class TestDifferentialDetector:
-    def detector(self, **kwargs):
-        kwargs.setdefault("window", 10.0)
-        kwargs.setdefault("min_count", 4)
-        return DifferentialDetector(**kwargs)
+    def detector(self):
+        return DifferentialDetector(window=10.0)
 
     def test_healthy_peers_score_zero(self):
         store = TimeSeriesStore()
@@ -156,5 +154,3 @@ class TestDifferentialDetector:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             DifferentialDetector(window=0)
-        with pytest.raises(ValueError):
-            DifferentialDetector(min_count=0)

@@ -227,8 +227,8 @@ class Side:
         self.probes = Probes()
         self.scraper = scraper_class(self.kernel, self.store,
                                      registry=self.registry,
-                                     health=self.probes,
-                                     prune_after=prune_after)
+                                     health=self.probes)
+        self.scraper.prune_after = prune_after
         self.counter = self.registry.counter("calls", ("ep",))
         self.gauge = self.registry.gauge("level", ("ep",))
         self.histogram = self.registry.histogram("lat", ("ep",))

@@ -91,8 +91,8 @@ class TestFamilyRemove:
 class TestScraperPruning:
     def make(self, kernel, store, prune_after=5.0):
         registry = MetricsRegistry()
-        scraper = MetricsScraper(kernel, store, registry=registry,
-                                 prune_after=prune_after)
+        scraper = MetricsScraper(kernel, store, registry=registry)
+        scraper.prune_after = prune_after
         return registry, scraper
 
     def test_vanished_child_is_pruned_after_deadline(self, kernel, store):
@@ -160,8 +160,8 @@ class TestScraperPruning:
                 return [(c, 1.0) for c in self.components]
 
         health = FakeHealth()
-        scraper = MetricsScraper(kernel, store, health=health,
-                                 prune_after=5.0)
+        scraper = MetricsScraper(kernel, store, health=health)
+        scraper.prune_after = 5.0
         scraper.scrape_once()
         assert store.get("up", {"component": "api-0"}) is not None
         health.components = []

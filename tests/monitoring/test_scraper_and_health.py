@@ -3,6 +3,7 @@
 import pytest
 
 from repro.monitoring import HealthRegistry, MetricsScraper
+from repro.monitoring.health import Probe
 from repro.sim import Kernel, MetricsRegistry
 from repro.sim.timeseries import TimeSeriesStore
 
@@ -94,8 +95,8 @@ class TestHealthRegistry:
     def test_non_core_probe_does_not_gate_aggregate(self):
         registry = HealthRegistry()
         registry.register("core", lambda: {"live": True, "ready": True})
-        registry.register("job-group", lambda: {"live": False, "ready": False},
-                          core=False)
+        registry.register_probe(Probe(
+            "job-group", lambda: {"live": False, "ready": False}, core=False))
         assert registry.snapshot()["status"] == "ok"
 
     def test_unknown_probe_reports_no_up_sample(self):

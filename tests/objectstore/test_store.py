@@ -22,7 +22,9 @@ def kernel():
 
 @pytest.fixture
 def store(kernel):
-    store = ObjectStore(kernel, link_bandwidth=100, request_latency=0.0)
+    store = ObjectStore(kernel)
+    store.link_bandwidth = 100
+    store.request_latency = 0.0
     store.create_bucket("training-data", CREDS)
     return store
 
@@ -94,7 +96,9 @@ class TestTransfers:
         assert store.head_object("training-data", "out", CREDS).size == 300
 
     def test_request_latency_added(self, kernel):
-        store = ObjectStore(kernel, link_bandwidth=100, request_latency=1.0)
+        store = ObjectStore(kernel)
+        store.link_bandwidth = 100
+        store.request_latency = 1.0
         store.create_bucket("b", CREDS)
 
         def scenario():
@@ -106,8 +110,10 @@ class TestTransfers:
     def test_explicit_bandwidth_override(self, kernel, store):
         store.put_object("training-data", "k", CREDS, size=1000)
 
+        store.link_bandwidth = 1000
+
         def scenario():
-            yield from store.download("training-data", "k", CREDS, bandwidth=1000)
+            yield from store.download("training-data", "k", CREDS)
             return kernel.now
 
         assert run(kernel, scenario()) == pytest.approx(1.0)

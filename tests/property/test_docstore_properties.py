@@ -109,7 +109,7 @@ class TestCollectionProperties:
         coll = Collection("t")
         for doc in docs:
             coll.insert_one(doc)
-        assert coll.count_documents({}) == len(coll.find({})) == len(docs)
+        assert coll.count_documents() == len(coll.find({})) == len(docs)
 
     @settings(max_examples=30)
     @given(st.lists(st.dictionaries(st.just("n"), st.integers(0, 20), min_size=1),

@@ -129,7 +129,7 @@ class TestClusterSafety:
             kernel.spawn(delayed())
 
         def writer():
-            yield from cluster.wait_for_leader(timeout=30)
+            yield from cluster.wait_for_leader()
             for i in range(15):
                 yield from client.put(f"key-{i % 4}", i)
                 acknowledged.append((f"key-{i % 4}", i))

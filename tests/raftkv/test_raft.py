@@ -4,6 +4,7 @@ import pytest
 
 from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import EtcdClient, EtcdCluster, LEADER
+from repro.raftkv import node as raft
 from repro.sim import Kernel
 
 from .oracles import applied_states_agree, logs_consistent
@@ -250,7 +251,7 @@ class TestWatches:
 
         def scenario():
             leader = yield from cluster.wait_for_leader()
-            watch = client.watch("status/", node_id=leader.node_id)
+            watch = leader.watch("status/")
             yield from client.put("status/learner-0", "RUNNING")
             event = yield watch.channel.get()
             return event.type, event.key, event.value
@@ -270,8 +271,8 @@ class TestWatches:
             leader = yield from cluster.wait_for_leader()
             follower = next(n for n in cluster.node_ids
                             if n != leader.node_id)
-            on_leader = client.watch("status/", node_id=leader.node_id)
-            on_follower = client.watch("status/", node_id=follower)
+            on_leader = leader.watch("status/")
+            on_follower = cluster.node(follower).watch("status/")
             yield kernel.sleep(1.0)  # quiet: heartbeats only
             yield from client.put("status/learner-0", "FAILED")
             yield on_leader.channel.get()
@@ -280,15 +281,14 @@ class TestWatches:
             return kernel.now - committed
 
         lag = run(kernel, scenario())
-        assert 0.0 < lag <= cluster.timings.heartbeat + 0.01
+        assert 0.0 < lag <= raft.HEARTBEAT + 0.01
 
     def test_watch_channel_closes_on_node_crash(self):
-        kernel, network, cluster = make_cluster()
-        client = EtcdClient(kernel, network, cluster)
+        kernel, _network, cluster = make_cluster()
 
         def scenario():
             leader = yield from cluster.wait_for_leader()
-            watch = client.watch("x/", node_id=leader.node_id)
+            watch = leader.watch("x/")
             leader.crash()
             yield kernel.sleep(0.1)
             return watch.channel.closed

@@ -5,6 +5,7 @@ import pytest
 
 from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import EtcdClient, EtcdCluster, NotLeader
+from repro.raftkv import node as raft
 from repro.sim import Kernel, MetricsRegistry
 
 
@@ -56,7 +57,7 @@ class TestReadLease:
         # Once election_min passes with no peer acks, the lease is
         # gone: the old leader must step out of the read path even
         # though it still believes it leads.
-        kernel.run(until=kernel.now + 2 * cluster.timings.election_min)
+        kernel.run(until=kernel.now + 2 * raft.ELECTION_MIN)
         assert not leader._read_lease_valid()
         with pytest.raises(NotLeader) as excinfo:
             leader._on_read({"key": "/k"})
@@ -84,7 +85,7 @@ class TestReadLease:
             yield from client.put("/k", "v2")
 
         run(kernel, newer_write())
-        kernel.run(until=kernel.now + 2 * cluster.timings.election_min)
+        kernel.run(until=kernel.now + 2 * raft.ELECTION_MIN)
         assert leader.is_leader  # still *believes* it leads
         assert leader.state_machine.data.get("/k") == "v1"  # stale state
         # Lease on: the stale copy is unreachable through the read path.
@@ -98,7 +99,7 @@ class TestReadLease:
         kernel, network, cluster = make_cluster()
         leader = elect_and_write(kernel, network, cluster)
         isolate(network, cluster, leader.node_id)
-        kernel.run(until=kernel.now + 2 * cluster.timings.election_min)
+        kernel.run(until=kernel.now + 2 * raft.ELECTION_MIN)
         assert not leader._read_lease_valid()
         for other in cluster.node_ids:
             if other != leader.node_id:

@@ -13,8 +13,10 @@ from .oracles import logs_consistent
 def make_cluster(snapshot_threshold, size=3, seed=33):
     kernel = Kernel(seed=seed)
     network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-    cluster = EtcdCluster(kernel, network, size=size,
-                          snapshot_threshold=snapshot_threshold).start()
+    cluster = EtcdCluster(kernel, network, size=size)
+    for node in cluster.nodes.values():
+        node.snapshot_threshold = snapshot_threshold
+    cluster.start()
     client = EtcdClient(kernel, network, cluster)
     return kernel, network, cluster, client
 

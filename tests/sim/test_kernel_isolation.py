@@ -75,7 +75,8 @@ def test_cancel_accounts_to_the_owning_kernel_only():
 
 
 def test_debug_flag_is_per_instance():
-    noisy = Kernel(debug=True)
+    noisy = Kernel()
+    noisy.debug = True
     quiet = Kernel()
     assert noisy.debug is True
     assert quiet.debug is False

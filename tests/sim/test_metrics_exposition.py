@@ -64,7 +64,8 @@ class TestBucketPercentile:
         assert hist.labels().bucket_percentile(50) is None
 
     def test_interpolates_within_bucket(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
+        hist = MetricsRegistry().histogram("h")
+        hist.buckets = (1.0, 2.0, 4.0)
         child = hist.labels()
         for value in (1.5, 1.5, 1.5, 1.5):  # all in the (1, 2] bucket
             child.observe(value)
@@ -72,13 +73,15 @@ class TestBucketPercentile:
         assert 1.0 < p50 <= 2.0
 
     def test_first_bucket_interpolates_from_zero(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
+        hist = MetricsRegistry().histogram("h")
+        hist.buckets = (1.0, 2.0)
         child = hist.labels()
         child.observe(0.5)
         assert 0.0 < child.bucket_percentile(99) <= 1.0
 
     def test_inf_bucket_clamps_to_largest_bound(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
+        hist = MetricsRegistry().histogram("h")
+        hist.buckets = (1.0, 2.0)
         child = hist.labels()
         child.observe(100.0)
         assert child.bucket_percentile(99) == 2.0

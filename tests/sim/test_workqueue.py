@@ -95,12 +95,14 @@ class TestWorkQueueDelaysAndBackoff:
         assert got[0][0] == 0.0
 
     def test_requeue_backoff_is_exponential_and_capped(self, kernel):
-        queue = WorkQueue(kernel, backoff_base=0.1, backoff_max=0.5)
+        queue = WorkQueue(kernel)
+        queue.backoff_base, queue.backoff_max = 0.1, 0.5
         delays = [queue.requeue("a") for _ in range(5)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_forget_resets_backoff(self, kernel):
-        queue = WorkQueue(kernel, backoff_base=0.1, backoff_max=5.0)
+        queue = WorkQueue(kernel)
+        queue.backoff_base, queue.backoff_max = 0.1, 5.0
         queue.requeue("a")
         queue.requeue("a")
         queue.forget("a")
@@ -136,7 +138,9 @@ class TestWorkQueueClose:
 def test_get_event_is_named_only_under_debug():
     # Channel.get's convention: the f-string is paid for when asked.
     assert WorkQueue(Kernel(), name="q").get().name == ""
-    named = WorkQueue(Kernel(debug=True), name="q").get()
+    kernel = Kernel()
+    kernel.debug = True
+    named = WorkQueue(kernel, name="q").get()
     assert named.name == "workqueue.get(q)"
 
 
@@ -283,8 +287,8 @@ class TestReconciler:
             channels.append(channel)
             return channel
 
-        reconciler = Reconciler(kernel, "t", lambda key: seen.append(key),
-                                rewatch_delay=0.5)
+        reconciler = Reconciler(kernel, "t", lambda key: seen.append(key))
+        reconciler.rewatch_delay = 0.5
         reconciler.watch_channel("src", subscribe=subscribe,
                                  keys_of=lambda event: [event],
                                  list_keys=lambda: ["relisted"])
@@ -311,8 +315,8 @@ class TestReconciler:
             return channel
 
         reconciler = Reconciler(kernel, "t",
-                                lambda key: seen.append((kernel.now, key)),
-                                rewatch_delay=0.5)
+                                lambda key: seen.append((kernel.now, key)))
+        reconciler.rewatch_delay = 0.5
         reconciler.add_static_key("status")
         reconciler.watch_channel("src", subscribe=subscribe,
                                  keys_of=lambda event: [event])
