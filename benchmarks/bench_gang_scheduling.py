@@ -14,7 +14,7 @@ is refused and both jobs complete.
 from conftest import seed_buckets, training_manifest
 
 from repro.bench import render_table
-from repro.core import ComponentCrasher, DlaasPlatform, PlatformConfig
+from repro.core import DlaasPlatform, Fault, PlatformConfig, fire
 
 COLUMNS = ["gang scheduling", "job A", "job B", "GPUs stuck allocated"]
 
@@ -41,7 +41,7 @@ def run_scenario():
 
     job_a, job_b = platform.run_process(submit(), limit=10_000)
     platform.run_for(30.0)
-    ComponentCrasher(platform).crash_learner(job_a, ordinal=1)
+    fire(platform, Fault("learner-pod", (job_a, 1)))
     platform.run_for(1500.0)  # ample time for both jobs on a healthy path
 
     def statuses():

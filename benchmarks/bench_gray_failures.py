@@ -34,7 +34,7 @@ import sys
 from conftest import write_section
 
 from repro.bench import bench_manifest, build_platform, render_table
-from repro.core import ComponentCrasher, GrayFailureInjector
+from repro.core import Fault, fire
 from repro.docstore import MongoClient
 from repro.raftkv import EtcdClient
 
@@ -113,43 +113,38 @@ def drive_etcd_puts(platform, period=0.05):
 # Scenarios: one per injectable gray fault kind
 # ----------------------------------------------------------------------
 
+# Targets on the seed-17 platform: an API replica, the Mongo primary
+# (the lowest live id) and a secondary, an etcd follower (etcd-1 leads).
+API_REPLICA = "api:dlaas-api-1"
+MONGO_PRIMARY, MONGO_SECONDARY = "mongo-0", "mongo-1"
+ETCD_FOLLOWER = "etcd-0"
+
 SCENARIOS = {
     "slow-endpoint": dict(
         kind="slow", rule="GrayFailureSlow", role="api",
         drive=drive_status_polls,
-        inject=lambda p, inj: inj.slow_endpoint(
-            inj.api_endpoints()[0], extra_latency=0.05,
-            duration=FAULT_DURATION)),
+        fault=Fault("slow", API_REPLICA, 0.05, FAULT_DURATION)),
     "oneway-partition": dict(
         kind="partition", rule="GrayFailurePartition", role="mongo",
         drive=drive_mongo_writes,
-        inject=lambda p, inj: inj.oneway_partition(
-            p.mongo.primary_id(), inj.mongo_secondaries()[0],
-            duration=FAULT_DURATION)),
+        fault=Fault("oneway", (MONGO_PRIMARY, MONGO_SECONDARY),
+                    duration=FAULT_DURATION)),
     "packet-loss": dict(
         kind="loss", rule="GrayFailurePartition", role="mongo",
         drive=drive_mongo_writes,
-        inject=lambda p, inj: inj.lossy_endpoint(
-            inj.mongo_secondaries()[0], loss=0.5,
-            duration=FAULT_DURATION)),
+        fault=Fault("loss", MONGO_SECONDARY, 0.5, FAULT_DURATION)),
     "packet-duplication": dict(
         kind="duplicate", rule="GrayFailurePartition", role="etcd",
         drive=None,  # raft heartbeats are the traffic
-        inject=lambda p, inj: inj.lossy_endpoint(
-            inj.etcd_followers()[0], duplicate=0.9,
-            duration=FAULT_DURATION)),
+        fault=Fault("duplicate", ETCD_FOLLOWER, 0.9, FAULT_DURATION)),
     "disk-stall-mongo": dict(
         kind="disk-stall", rule="GrayFailureDiskStall", role="mongo",
         drive=drive_mongo_writes,
-        inject=lambda p, inj: inj.disk_stall_mongo(
-            inj.mongo_secondaries()[0], delay=0.15,
-            duration=FAULT_DURATION)),
+        fault=Fault("disk-stall", MONGO_SECONDARY, 0.15, FAULT_DURATION)),
     "disk-stall-etcd": dict(
         kind="disk-stall", rule="GrayFailureDiskStall", role="etcd",
         drive=drive_etcd_puts,
-        inject=lambda p, inj: inj.disk_stall_etcd(
-            inj.etcd_followers()[0], delay=0.04,
-            duration=FAULT_DURATION)),
+        fault=Fault("disk-stall", ETCD_FOLLOWER, 0.04, FAULT_DURATION)),
 }
 
 
@@ -169,8 +164,9 @@ def run_gray(name, seed=17):
         spec["drive"](platform)
     platform.run_for(BASELINE_S)
 
-    injector = GrayFailureInjector(platform)
-    target = spec["inject"](platform, injector)
+    assert platform.mongo.primary_id() == MONGO_PRIMARY
+    assert platform.etcd.leader().node_id != ETCD_FOLLOWER
+    target = fire(platform, spec["fault"])
     inject_time = platform.kernel.now
     platform.run_for(SETTLE_S)
 
@@ -200,7 +196,8 @@ def run_crash_reference(seed=17):
     ApiDown fires off a probe dip, no divergence window to fill."""
     platform = _build(seed)
     platform.run_for(BASELINE_S)
-    when, pod = ComponentCrasher(platform).crash_api()
+    when = platform.kernel.now
+    pod = fire(platform, Fault("api"))
     platform.run_for(SETTLE_S)
     engine = platform.monitoring.engine
     firing_at = _hop_time(engine, "ApiDown", "api", "firing", when)

@@ -4,17 +4,19 @@
 Reproduces the paper's dependability narrative (§IV): each component —
 API, LCM, Guardian, helper, learner, an ETCD member, a MongoDB member,
 even a whole node — fails independently while one training job runs,
-and the job still completes with a sane status history. Prints a
-recovery timeline built from trace events, the same measurement Fig. 4
-reports.
+and the job still completes with a sane status history. The failures
+are a list of ``Fault``s fired one by one (``repro.core.faults``).
+Prints a recovery timeline built from trace events, the same
+measurement Fig. 4 reports.
 
 Run:  python examples/chaos_day.py
 """
 
-from repro import ComponentCrasher, DlaasPlatform
-from repro.core import PlatformConfig
+from repro import DlaasPlatform, Fault, fire
+from repro.core import PlatformConfig, recovery_time
 
 CREDENTIALS = {"access_key": "AK", "secret": "SK"}
+SETTLE = 25.0  # simulated seconds between faults, and a reboot's length
 
 
 def main():
@@ -25,7 +27,6 @@ def main():
     platform.seed_training_data("train", CREDENTIALS, size_mb=300)
     platform.ensure_results_bucket("out", CREDENTIALS)
     client = platform.client("chaos-team")
-    crasher = ComponentCrasher(platform)
 
     manifest = {
         "name": "survivor",
@@ -50,49 +51,56 @@ def main():
     job_id = platform.run_process(submit(), limit=10_000)
     print(f"{job_id} is PROCESSING; beginning the chaos schedule\n")
 
+    # The day's schedule, one fault every SETTLE seconds. The machine,
+    # the ETCD leader and the MongoDB primary come back SETTLE seconds
+    # after they go down, so the job finishes on a full-strength platform.
+    schedule = [
+        ("API pod", Fault("api"), "api"),
+        ("LCM pod", Fault("lcm"), "lcm"),
+        ("Guardian pod", Fault("guardian", job_id), "guardian"),
+        ("helper pod", Fault("helper", job_id), "controller"),
+        ("controller container", Fault("controller-container", job_id),
+         "controller"),
+        ("learner pod", Fault("learner-pod", (job_id, 0)), "learner-0"),
+        ("learner's node", Fault("node", job_id, duration=SETTLE),
+         "learner-0"),
+        ("ETCD leader", Fault("etcd-member", platform.etcd.leader().node_id,
+                              duration=SETTLE), None),
+        ("MongoDB primary", Fault("mongo-member", platform.mongo.primary_id(),
+                                  duration=SETTLE), None),
+    ]
     timeline = []
-
-    def crash(label, fn, *args, settle=25.0):
-        when, target = fn(*args)
-        platform.run_for(settle)
-        timeline.append((when, label, target))
+    for label, fault, component in schedule:
+        when = platform.kernel.now
+        target = fire(platform, fault)
+        platform.run_for(SETTLE)
+        timeline.append((when, label, component))
         print(f"t={when:8.1f}s  crashed {label:<22} ({target})")
-
-    crash("API pod", crasher.crash_api)
-    crash("LCM pod", crasher.crash_lcm)
-    crash("Guardian pod", crasher.crash_guardian, job_id)
-    crash("helper pod", crasher.crash_helper, job_id)
-    crash("controller container", crasher.crash_controller_container, job_id)
-    crash("learner pod", crasher.crash_learner, job_id)
-    crash("ETCD leader", lambda: (platform.kernel.now,
-                                  platform.etcd.crash_leader().node_id))
-    crash("MongoDB primary", lambda: (platform.kernel.now,
-                                      platform.mongo.primary().crash().member_id))
 
     def finish():
         return (yield from client.wait_for_status(job_id, timeout=30_000))
 
     doc = platform.run_process(finish(), limit=200_000)
+    alive = {
+        "ETCD members": [n.alive for n in platform.etcd.nodes.values()],
+        "MongoDB members": [m.alive for m in platform.mongo.members.values()],
+        "nodes": [k.alive for k in platform.k8s.kubelets.values()],
+    }
+    print("\nback at full strength: " + ", ".join(
+        f"{sum(up)}/{len(up)} {what}" for what, up in alive.items()))
 
-    print(f"\n=== {job_id}: {doc['status']} despite 8 injected failures ===")
+    print(f"\n=== {job_id}: {doc['status']} despite {len(schedule)} "
+          "injected failures ===")
     print("status history:")
     for entry in doc["status_history"]:
         print(f"  {entry['time']:9.1f}s  {entry['status']}")
 
     print("\nrecovery timeline (crash -> component-ready):")
-    component_for = {
-        "API pod": ("api", {}),
-        "LCM pod": ("lcm", {}),
-        "Guardian pod": ("guardian", {"job": job_id}),
-        "helper pod": ("controller", {"job": job_id}),
-        "controller container": ("controller", {"job": job_id}),
-        "learner pod": ("learner-0", {"job": job_id}),
-    }
-    for when, label, _target in timeline:
-        if label not in component_for:
+    for when, label, component in timeline:
+        if component is None:
             continue
-        component, match = component_for[label]
-        recovery = crasher.recovery_time(component, when, **match)
+        match = {} if component in ("api", "lcm") else {"job": job_id}
+        recovery = recovery_time(platform, component, when, **match)
         shown = f"{recovery:6.1f}s" if recovery is not None else "   n/a"
         print(f"  {label:<22} {shown}")
 

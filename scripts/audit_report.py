@@ -37,8 +37,8 @@ def report_soak(seed, duration):
           f"(ok={counts['ok']} fail={counts['fail']} "
           f"info/maybe-applied={counts['info']})")
     print(f"  nemesis injected {len(out['faults_injected'])} faults:")
-    for when, kind, target in out["faults_injected"]:
-        print(f"    t={when:<8} {kind:<13} {target}")
+    for when, fault in out["faults_injected"]:
+        print(f"    t={when:<8} {fault.kind:<13} {fault.target}")
     audit = out["audit"]
     print(f"  auditor: {audit['passes']} passes, "
           f"{audit['ops_checked']} ops checked, "

@@ -23,7 +23,7 @@ Usage::
 import argparse
 
 from repro.bench import bench_manifest, build_platform
-from repro.core import ComponentCrasher, GrayFailureInjector
+from repro.core import Fault, fire
 from repro.monitoring import render_dashboard
 
 
@@ -63,15 +63,14 @@ def main(argv=None):
 
         platform.kernel.spawn(poll(), name="status-poller")
         platform.run_for(4.0)  # healthy peer baseline
-        injector = GrayFailureInjector(platform)
-        target = injector.api_endpoints()[0]
-        injector.slow_endpoint(target, extra_latency=0.05, duration=10.0)
+        target = fire(platform, Fault("slow", platform.api_balancer.endpoints[0],
+                                      0.05, 10.0))
         print(f"injected slow-endpoint gray fault on {target} "
               f"at t={platform.kernel.now:.1f}s (health probe stays up)\n")
         platform.run_for(18.0)  # divergence scored, alert fires, resolves
     elif not args.no_crash:
-        crasher = ComponentCrasher(platform)
-        when, pod = crasher.crash_api()
+        when = platform.kernel.now
+        pod = fire(platform, Fault("api"))
         print(f"injected API crash at t={when:.1f}s (pod {pod})\n")
         platform.run_for(15.0)  # outage detected, alert fires, pod recovers
 

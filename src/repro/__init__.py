@@ -21,24 +21,26 @@ Quickstart::
 """
 
 from .core import (
-    ComponentCrasher,
     DlaasClient,
     DlaasError,
     DlaasPlatform,
+    Fault,
     InvalidManifest,
     PlatformConfig,
     TrainingManifest,
+    fire,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentCrasher",
     "DlaasClient",
     "DlaasError",
     "DlaasPlatform",
+    "Fault",
     "InvalidManifest",
     "PlatformConfig",
     "TrainingManifest",
     "__version__",
+    "fire",
 ]

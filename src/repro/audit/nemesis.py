@@ -2,10 +2,10 @@
 
 The consistency-audit acceptance scenario: a handful of concurrent
 clients hammer a dedicated key range with put/get/cas/delete while a
-nemesis process mixes every gray impairment kind
-(:class:`repro.core.faults.GrayFailureInjector`) with node crashes and
-restarts — and the recorded client history must still pass the
-linearizability checker. The companion
+nemesis process fires a mix of every gray fault kind with etcd member
+crashes and restarts (``Fault``s of :mod:`repro.core.faults`) — and
+the recorded client history must still pass the linearizability
+checker. The companion
 :func:`seeded_stale_read_scenario` flips the ``stale_reads`` toggle on
 every node and deterministically manufactures a stale read, proving
 the checker actually fails on a real violation.
@@ -21,7 +21,8 @@ Fault envelope (why the soak is survivable by design, not by luck):
   indeterminacy handling.
 """
 
-from ..core.faults import GrayFailureInjector
+from ..core.errors import DlaasError
+from ..core.faults import Fault, fire
 from ..raftkv import EtcdClient, NoLeader
 
 __all__ = ["NemesisSoak", "seeded_stale_read_scenario"]
@@ -32,6 +33,14 @@ OP_PERIOD = 0.06
 NEMESIS_PERIOD = 3.0
 FAULT_DURATION = (1.0, 2.5)
 CRASH_RESTART_AFTER = 1.5
+GRACE = 6.0  # after the soak, for in-flight ops to drain
+# The mix, drawn uniformly; one-way partitions cut a peer link or a
+# client's link to a member.
+MIX = ("slow", "oneway-peer", "oneway-client", "loss", "duplicate",
+       "disk-stall", "crash")
+# Added latency (s), loss and duplication probabilities, and a stall
+# under the 0.06 s Raft RPC timeout: slow, not dead.
+AMOUNT = {"slow": 0.03, "loss": 0.3, "duplicate": 0.5, "disk-stall": 0.04}
 
 
 class NemesisSoak:
@@ -48,17 +57,17 @@ class NemesisSoak:
         self.keys = keys
         self.duration = duration
         self._deadline = None
-        self.faults_injected = []  # (time, kind, target)
+        self.faults_injected = []  # (time, Fault)
         self.ops_issued = 0
 
     # ------------------------------------------------------------------
 
-    def run(self, grace=6.0):
+    def run(self):
         """Drive the whole scenario; returns a summary dict.
 
         Runs load+nemesis for ``duration``, then heals everything,
         restarts any crashed node, lets in-flight ops drain for
-        ``grace``, and runs a final audit pass over the history.
+        ``GRACE``, and runs a final audit pass over the history.
         """
         platform = self.platform
         kernel = platform.kernel
@@ -76,7 +85,7 @@ class NemesisSoak:
             if not node.alive:
                 node.restart()
             node.disk_stall = 0.0
-        platform.run_for(grace)
+        platform.run_for(GRACE)
 
         auditor = platform.monitoring.auditor
         auditor.audit_once()
@@ -138,63 +147,37 @@ class NemesisSoak:
     def _nemesis(self):
         platform = self.platform
         kernel = platform.kernel
-        injector = GrayFailureInjector(platform)
         rng = kernel.rng("audit:nemesis")
         node_ids = list(platform.etcd.node_ids)
-        kinds = ("slow", "oneway-peer", "oneway-client", "loss",
-                 "duplicate", "disk-stall", "crash")
-        lo, hi = FAULT_DURATION
-        while kernel.now < self._deadline - hi:
+        while kernel.now < self._deadline - FAULT_DURATION[1]:
             yield kernel.sleep(NEMESIS_PERIOD * (0.5 + rng.random()))
-            kind = kinds[rng.randrange(len(kinds))]
-            duration = lo + rng.random() * (hi - lo)
-            target = node_ids[rng.randrange(len(node_ids))]
-            if kind == "slow":
-                injector.slow_endpoint(target, extra_latency=0.03,
-                                       duration=duration)
-            elif kind == "oneway-peer":
-                # One direction of one pair: replication detours, the
-                # cluster keeps committing.
-                peers = [n for n in node_ids if n != target]
-                dst = peers[rng.randrange(len(peers))]
-                injector.oneway_partition(target, dst, duration=duration)
-            elif kind == "oneway-client":
-                client = f"audit-client-{rng.randrange(self.clients)}"
-                injector.oneway_partition(client, target,
-                                          duration=duration)
-            elif kind == "loss":
-                injector.lossy_endpoint(target, loss=0.3,
-                                        duration=duration)
-            elif kind == "duplicate":
-                injector.lossy_endpoint(target, duplicate=0.5,
-                                        duration=duration)
-            elif kind == "disk-stall":
-                # Under the 0.06 s Raft rpc timeout: slow, not dead.
-                injector.disk_stall_etcd(target, delay=0.04,
-                                         duration=duration)
-            else:
-                if not self._crash(target):
-                    continue
-            self.faults_injected.append(
-                (round(kernel.now, 3), kind, target))
+            fault = self._draw(rng, node_ids)
+            try:
+                fire(platform, fault)
+            except DlaasError:
+                continue  # a crash that would cost the quorum
+            self.faults_injected.append((round(kernel.now, 3), fault))
 
-    def _crash(self, node_id):
-        """Crash one node if a majority stays up; restart it shortly."""
-        cluster = self.platform.etcd
-        node = cluster.node(node_id)
-        majority = len(cluster.node_ids) // 2 + 1
-        if not node.alive or cluster.alive_count() - 1 < majority:
-            return False
-        node.crash()
-        kernel = self.platform.kernel
-
-        def restart():
-            yield kernel.sleep(CRASH_RESTART_AFTER)
-            if not node.alive:
-                node.restart()
-
-        kernel.spawn(restart(), name=f"audit-restart-{node_id}")
-        return True
+    def _draw(self, rng, node_ids):
+        """The next fault of the mix, against a random member. Draws
+        the mix entry, the duration, the member, then a one-way
+        partition's other end."""
+        lo, hi = FAULT_DURATION
+        mix = MIX[rng.randrange(len(MIX))]
+        duration = lo + rng.random() * (hi - lo)
+        target = node_ids[rng.randrange(len(node_ids))]
+        if mix == "crash":
+            return Fault("etcd-member", target, duration=CRASH_RESTART_AFTER)
+        if mix == "oneway-peer":
+            # One direction of one pair: replication detours, the
+            # cluster keeps committing.
+            peers = [n for n in node_ids if n != target]
+            return Fault("oneway", (target, peers[rng.randrange(len(peers))]),
+                         duration=duration)
+        if mix == "oneway-client":
+            client = f"audit-client-{rng.randrange(self.clients)}"
+            return Fault("oneway", (client, target), duration=duration)
+        return Fault(mix, target, AMOUNT[mix], duration)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ evaluation (§IV), returning rows with both the measured value and the
 paper's reported value so reports can show them side by side.
 """
 
-from ..core import ComponentCrasher
+from ..core import Fault, fire, recovery_time
 from .baremetal import build_config, dgx1_config, measure_bare_metal, measure_dgx1
 from .platform_runner import bench_manifest, build_platform, measure_dlaas
 from .scale_runner import guardian_latencies
@@ -107,7 +107,6 @@ def fig4_rows():
     crash -> serving-again interval on the simulated clock."""
     platform = build_platform("k80", gpus_per_node=4, seed=SEED, gpu_nodes=3)
     client = platform.client("fig4")
-    crasher = ComponentCrasher(platform)
 
     # A long-running job gives the guardian/helper/learner crash targets.
     manifest = bench_manifest("inceptionv3", "tensorflow", 1, "k80",
@@ -123,23 +122,22 @@ def fig4_rows():
     job_id = platform.run_process(submit(), limit=20_000)
 
     experiments = [
-        ("API", lambda: crasher.crash_api(), "api", {}),
-        ("LCM", lambda: crasher.crash_lcm(), "lcm", {}),
-        ("Guardian", lambda: crasher.crash_guardian(job_id), "guardian",
-         {"job": job_id}),
-        ("Helper", lambda: crasher.crash_helper(job_id), "controller",
-         {"job": job_id}),
-        ("Learner", lambda: crasher.crash_learner(job_id), "learner-0",
+        ("API", Fault("api"), "api", {}),
+        ("LCM", Fault("lcm"), "lcm", {}),
+        ("Guardian", Fault("guardian", job_id), "guardian", {"job": job_id}),
+        ("Helper", Fault("helper", job_id), "controller", {"job": job_id}),
+        ("Learner", Fault("learner-pod", (job_id, 0)), "learner-0",
          {"job": job_id}),
     ]
 
     rows = []
-    for label, crash, component, match in experiments:
+    for label, fault, component, match in experiments:
         samples = []
         for _trial in range(FIG4_TRIALS):
-            when, _target = crash()
+            when = platform.kernel.now
+            fire(platform, fault)
             platform.run_for(45.0)  # let it recover and re-stabilize
-            recovery = crasher.recovery_time(component, when, **match)
+            recovery = recovery_time(platform, component, when, **match)
             if recovery is not None:
                 samples.append(recovery)
         low, high = FIG4_PAPER[label]

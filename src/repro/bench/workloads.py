@@ -9,6 +9,14 @@ deterministically and can submit them as a Poisson arrival process.
 
 from dataclasses import dataclass, field
 
+# Every class's training length is drawn from [MIN_STEPS, MAX_STEPS];
+# every job checkpoints each CHECKPOINT_INTERVAL s on GPU_TYPE.
+MIN_STEPS = 50
+MAX_STEPS = 400
+CHECKPOINT_INTERVAL = 60.0
+GPU_TYPE = "k80"
+RNG_STREAM = "workload-generator"
+
 
 @dataclass(frozen=True)
 class JobClass:
@@ -20,9 +28,6 @@ class JobClass:
     framework: str
     learners: int = 1
     gpus_per_learner: int = 1
-    min_steps: int = 50
-    max_steps: int = 400
-    checkpoint_interval: float = 60.0
 
 
 # A plausible shared-cluster mix: mostly small single-GPU jobs, some
@@ -45,13 +50,11 @@ class WorkloadGenerator:
     data_bucket: str
     results_bucket: str
     credentials: dict
-    mix: tuple = DEFAULT_MIX
-    gpu_type: str = "k80"
-    rng_stream: str = "workload-generator"
+    mix: tuple = field(default=DEFAULT_MIX, init=False)
     _counter: int = field(default=0, init=False)
 
     def _rng(self):
-        return self.platform.kernel.rng(self.rng_stream)
+        return self.platform.kernel.rng(RNG_STREAM)
 
     def _pick_class(self):
         rng = self._rng()
@@ -68,16 +71,16 @@ class WorkloadGenerator:
         job_class = self._pick_class()
         rng = self._rng()
         self._counter += 1
-        steps = rng.randint(job_class.min_steps, job_class.max_steps)
+        steps = rng.randint(MIN_STEPS, MAX_STEPS)
         return {
             "name": f"{job_class.name}-{self._counter}",
             "framework": job_class.framework,
             "model": job_class.model,
             "learners": job_class.learners,
             "gpus_per_learner": job_class.gpus_per_learner,
-            "gpu_type": self.gpu_type,
+            "gpu_type": GPU_TYPE,
             "target_steps": steps,
-            "checkpoint_interval": job_class.checkpoint_interval,
+            "checkpoint_interval": CHECKPOINT_INTERVAL,
             "dataset_size_mb": 200,
             "data": {"bucket": self.data_bucket, "credentials": dict(self.credentials)},
             "results": {"bucket": self.results_bucket,

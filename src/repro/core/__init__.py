@@ -5,7 +5,7 @@ Public entry points:
 * :class:`DlaasPlatform` — assemble and start the whole platform;
 * :class:`DlaasClient` — submit and manage training jobs;
 * :class:`TrainingManifest` — validated job specifications;
-* :class:`ComponentCrasher` — dependability fault injection;
+* :class:`Fault` and :func:`fire` — dependability fault injection;
 * job lifecycle statuses (QUEUED … COMPLETED/FAILED/HALTED).
 """
 
@@ -21,7 +21,7 @@ from .errors import (
     RateLimited,
 )
 from .events import EVENT_NORMAL, EVENT_WARNING, EventRecorder, PlatformEvent
-from .faults import ComponentCrasher, GrayFailureInjector
+from .faults import ComponentCrasher, Fault, GrayFailureInjector, fire, recovery_time
 from .manifest import DataStoreRef, TrainingManifest
 from .platform import DlaasPlatform, PlatformConfig
 from .rest import RestClient, RestGateway
@@ -47,6 +47,7 @@ __all__ = [
     "AuthError",
     "COMPLETED",
     "ComponentCrasher",
+    "Fault",
     "GrayFailureInjector",
     "DEPLOYING",
     "DOWNLOADING",
@@ -77,8 +78,10 @@ __all__ = [
     "TokenRegistry",
     "TrainingManifest",
     "aggregate_job_status",
+    "fire",
     "is_terminal",
     "job_timeline",
+    "recovery_time",
     "timeline_digest",
     "render_timeline",
     "validate_transition",

@@ -1,21 +1,22 @@
-"""Component crash and gray-fault injection for the dependability
-experiments.
+"""The fault vocabulary: every fault a soak, bench or example injects.
 
 The paper's Fig. 4 methodology: "manually crashing various components
 (using the kubectl tool of K8S) and measuring time taken for the
-component to restart." :class:`ComponentCrasher` provides those
-crashes; recovery is observed through ``component-ready`` trace events
-each component emits when it starts serving again.
+component to restart." A :class:`Fault` names one injection, :func:`fire`
+applies it, and :data:`KINDS` is the one table of what each kind
+breaks and how it comes back: crashes (pods through kubectl, containers
+in place, a machine, an etcd or MongoDB member) and the gray faults the
+paper never tested, which degrade a target while its health probe
+passes. Gray faults are recorded by ``platform.faults.inject_gray``;
+crashes record nothing of their own. Recovery is read from the
+``component-ready`` trace events (:func:`recovery_time`).
 
-:class:`GrayFailureInjector` covers the failure class the paper never
-tested — faults that degrade a component *without* failing its health
-probe: slow endpoints, asymmetric one-way partitions, probabilistic
-packet loss/duplication, and disk stalls on etcd/mongo members. Each
-helper maps a platform-level target to the fabric/member primitive and
-routes the injection through ``platform.faults`` so the counter
-metric, the ``FaultInjected`` event and the bounded injection ring all
-record it.
+The learner's ``hang``/``fail`` (``platform.faults.arm``) and
+:meth:`ComponentCrasher.crash_guardian_at` stay outside the table: they
+fire at a step the workload reaches, not when they are called.
 """
+
+from dataclasses import dataclass
 
 from ..cluster import NotFoundError
 from . import layout
@@ -23,51 +24,249 @@ from .errors import DlaasError
 from .guardian import DEPLOY_STEPS
 
 
+@dataclass(frozen=True)
+class Fault:
+    """One injection. ``target`` names what breaks (per kind, see
+    :data:`KINDS`); ``amount`` is a gray fault's added latency, stall or
+    probability; after ``duration`` seconds a gray fault reverts and a
+    crashed machine or member restarts (None: it stays broken)."""
+
+    kind: str
+    target: object = None
+    amount: float = None
+    duration: float = None
+
+
+def fire(platform, fault):
+    """Inject ``fault`` now and return the name of what it hit.
+    ``DlaasError`` when the target is absent (a finished job, a pod
+    between incarnations, an unknown id) or an etcd crash would cost
+    the quorum."""
+    return KINDS[fault.kind](platform, fault)
+
+
+def recovery_time(platform, component, crash_time, **match):
+    """Seconds from ``crash_time`` to the component's next ready event.
+
+    ``component`` is the tracer component name (``api``, ``lcm``,
+    ``guardian``, ``controller``, ``learner-<n>``); extra kwargs filter
+    on event fields (e.g. ``job=...``).
+    """
+    for record in platform.tracer.query(component=component,
+                                        kind="component-ready",
+                                        since=crash_time, **match):
+        if record.time > crash_time:
+            return record.time - crash_time
+    return None
+
+
+def _live_pod(platform, selector):
+    pods = [p for p in platform.k8s.kubectl.get_pods(selector=selector)
+            if not p.is_terminal() and not p.deletion_requested]
+    if not pods:
+        raise DlaasError(f"no live pod for {selector}")
+    return pods[0]
+
+
+def _learner_pod(platform, job_id, ordinal=0):
+    name = layout.learner_pod_name(job_id, ordinal)
+    try:
+        return platform.k8s.kubectl.get_pod(name)
+    except NotFoundError:
+        raise DlaasError(f"no pod {name}") from None
+
+
+def _member(members, member_id):
+    if member_id not in members:
+        raise DlaasError(f"no member {member_id!r}")
+    return members[member_id]
+
+
+def _restart_after(platform, fault, restart):
+    if fault.duration is not None:
+        platform.kernel.call_later(fault.duration, restart)
+
+
+def _delete(platform, pod):
+    platform.k8s.kubectl.delete_pod(pod.metadata.name, force=True)
+    return pod.metadata.name
+
+
+def _crash_service(app):
+    return lambda platform, fault: _delete(
+        platform, _live_pod(platform, {"app": app}))
+
+
+def _crash_job_pod(role):
+    return lambda platform, fault: _delete(
+        platform, _live_pod(platform, {"dlaas-job": fault.target, "role": role}))
+
+
+def _crash_learner_pod(platform, fault):
+    job_id, ordinal = fault.target
+    return _delete(platform, _learner_pod(platform, job_id, ordinal))
+
+
+def _crash_controller_container(platform, fault):
+    pod = _live_pod(platform, {"dlaas-job": fault.target, "role": "helper"})
+    platform.k8s.kubectl.crash_container(pod.metadata.name, "controller")
+    return pod.metadata.name
+
+
+def _crash_learner_container(platform, fault):
+    pod = _learner_pod(platform, fault.target)
+    kubelet = platform.k8s.kubelet_for(pod.node_name)
+    if kubelet is None or not kubelet.alive:
+        raise DlaasError(f"pod {pod.metadata.name} is on no live node")
+    platform.k8s.kubectl.crash_container(pod.metadata.name, "learner")
+    return pod.metadata.name
+
+
+def _crash_node(platform, fault):
+    pod = _learner_pod(platform, fault.target)
+    name = pod.node_name
+    if name is None:
+        raise DlaasError(f"pod {pod.metadata.name} is on no node")
+    platform.k8s.crash_node(name)
+    _restart_after(platform, fault, lambda: platform.k8s.restart_node(name))
+    return name
+
+
+def _crash_etcd_member(platform, fault):
+    cluster = platform.etcd
+    node = _member(cluster.nodes, fault.target)
+    majority = len(cluster.node_ids) // 2 + 1
+    if not node.alive or cluster.alive_count() - 1 < majority:
+        raise DlaasError(f"crashing {fault.target} would cost the quorum")
+    cluster.crash(fault.target)
+    _restart_after(platform, fault, lambda: cluster.restart(fault.target))
+    return fault.target
+
+
+def _crash_mongo_member(platform, fault):
+    member = _member(platform.mongo.members, fault.target)
+    member.crash()
+    _restart_after(platform, fault, member.restart)
+    return fault.target
+
+
+def _degrade(recorded_as, impairment):
+    """Stack one impairment layer on the target endpoint; the revert
+    removes exactly that layer, so overlapping injections unwind in
+    any order."""
+
+    def inject(platform, fault):
+        network, layer = platform.network, []
+        platform.faults.inject_gray(
+            fault.target, recorded_as,
+            apply=lambda: layer.append(network.degrade(
+                fault.target, **{impairment: fault.amount})),
+            revert=lambda: network.restore(fault.target, layer.pop()),
+            duration=fault.duration)
+        return fault.target
+
+    return inject
+
+
+def _oneway(platform, fault):
+    src, dst = fault.target
+    network = platform.network
+    platform.faults.inject_gray(
+        dst, "partition",
+        apply=lambda: network.partition_oneway(src, dst),
+        revert=lambda: network.heal_oneway(src, dst),
+        duration=fault.duration, reason=f"oneway:{src}")
+    return dst
+
+
+def _disk_stall(platform, fault):
+    """Every write on an etcd node or Mongo member hangs ``amount`` s
+    in "fsync". Keep it under the store's deadline (Raft's 0.06 s RPC
+    timeout, the replica set's 0.25 s replicate deadline), or the
+    stall turns into visible errors. Overlapping stalls on one holder
+    add up; each revert subtracts only its own delay."""
+    holders = {**platform.etcd.nodes, **platform.mongo.members}
+    holder = _member(holders, fault.target)
+    layers = platform.faults.stall_layers
+
+    def apply():
+        layers.setdefault(holder, []).append(fault.amount)
+        holder.disk_stall = sum(layers[holder])
+
+    def revert():
+        stalls = layers[holder]
+        stalls.remove(fault.amount)
+        holder.disk_stall = sum(stalls)
+        if not stalls:
+            del layers[holder]
+
+    platform.faults.inject_gray(fault.target, "disk-stall", apply=apply,
+                                revert=revert, duration=fault.duration)
+    return fault.target
+
+
+# Each kind, its target and what it does. Pod crashes go through
+# kubectl (the K8S controllers recreate the pod); container crashes
+# through the kubelet (the restart policy applies).
+KINDS = {
+    "api": _crash_service("api"),               # any live API pod
+    "lcm": _crash_service("lcm"),               # any live LCM pod
+    "guardian": _crash_job_pod("guardian"),     # job id
+    "helper": _crash_job_pod("helper"),         # job id
+    "learner-pod": _crash_learner_pod,          # (job id, ordinal)
+    "controller-container": _crash_controller_container,  # job id
+    "learner-container": _crash_learner_container,  # job id: learner 0
+    "node": _crash_node,                        # job id: learner 0's machine
+    "etcd-member": _crash_etcd_member,          # etcd node id
+    "mongo-member": _crash_mongo_member,        # Mongo member id
+    "slow": _degrade("slow", "extra_latency"),  # address; amount s
+    "oneway": _oneway,                          # (src, dst) addresses
+    "loss": _degrade("loss", "loss"),           # address; probability
+    "duplicate": _degrade("duplicate", "duplicate"),  # address; probability
+    "disk-stall": _disk_stall,                  # etcd or Mongo id; amount s
+}
+
+
 class ComponentCrasher:
-    """kubectl-driven crash injection against a running platform."""
+    """perfbench's crash surface, each method one :func:`fire`; and the
+    Guardian's step trigger."""
 
     def __init__(self, platform):
         self.platform = platform
-        self.kubectl = platform.k8s.kubectl
 
-    def _one_pod(self, selector, description):
-        pods = [p for p in self.kubectl.get_pods(selector=selector)
-                if not p.is_terminal() and not p.deletion_requested]
-        if not pods:
-            raise DlaasError(f"no live pod for {description} ({selector})")
-        return pods[0]
-
-    # ------------------------------------------------------------------
-    # Fig. 4's five components
-    # ------------------------------------------------------------------
+    def _fire(self, fault):
+        return self.platform.kernel.now, fire(self.platform, fault)
 
     def crash_api(self):
         """Kill one API pod; returns (crash_time, pod_name)."""
-        pod = self._one_pod({"app": "api"}, "API")
-        when = self.platform.kernel.now
-        self.kubectl.delete_pod(pod.metadata.name, force=True)
-        return when, pod.metadata.name
+        return self._fire(Fault("api"))
 
     def crash_lcm(self):
-        pod = self._one_pod({"app": "lcm"}, "LCM")
-        when = self.platform.kernel.now
-        self.kubectl.delete_pod(pod.metadata.name, force=True)
-        return when, pod.metadata.name
+        return self._fire(Fault("lcm"))
 
     def crash_guardian(self, job_id):
-        pod = self._one_pod({"dlaas-job": job_id, "role": "guardian"},
-                            f"guardian of {job_id}")
-        when = self.platform.kernel.now
-        self.kubectl.delete_pod(pod.metadata.name, force=True)
-        return when, pod.metadata.name
+        return self._fire(Fault("guardian", job_id))
+
+    def crash_helper(self, job_id):
+        return self._fire(Fault("helper", job_id))
+
+    def crash_learner(self, job_id):
+        return self._fire(Fault("learner-pod", (job_id, 0)))
+
+    def crash_learner_container(self, job_id):
+        return self._fire(Fault("learner-container", job_id))
+
+    def recovery_time(self, component, crash_time, **match):
+        return recovery_time(self.platform, component, crash_time, **match)
 
     def crash_guardian_at(self, job_id, step, attempt):
         """Kill the Guardian's container once deployment attempt
         ``attempt`` (read from the etcd leader) has created deploy step
         ``step``'s resource (1-based, ``DEPLOY_STEPS`` order); the K8S
         Job retries the failed pod (§III.d). Arm it before the step."""
+        platform = self.platform
         _logged_as, kind, name_of = DEPLOY_STEPS[step - 1]
-        watch = self.platform.k8s.api.watch(kind, owner=(kind, name_of(job_id)))
+        watch = platform.k8s.api.watch(kind, owner=(kind, name_of(job_id)))
         key = layout.guardian_attempt_key(job_id)
 
         def kill():
@@ -76,113 +275,23 @@ class ComponentCrasher:
                 while current < attempt:
                     event_type, _resource = yield watch.get()
                     if event_type == "ADDED":
-                        current, _revision = (self.platform.etcd.leader()
+                        current, _revision = (platform.etcd.leader()
                                               .state_machine.get_with_revision(key))
             finally:
                 watch.cancel()
             if current == attempt:
-                pod = self._one_pod({"dlaas-job": job_id, "role": "guardian"},
-                                    f"guardian of {job_id}")
-                self.kubectl.crash_container(pod.metadata.name, "guardian")
+                pod = _live_pod(platform, {"dlaas-job": job_id, "role": "guardian"})
+                platform.k8s.kubectl.crash_container(pod.metadata.name, "guardian")
 
-        self.platform.kernel.spawn(kill(), name=f"crash-guardian:{job_id}")
-
-    def crash_helper(self, job_id):
-        pod = self._one_pod({"dlaas-job": job_id, "role": "helper"},
-                            f"helper of {job_id}")
-        when = self.platform.kernel.now
-        self.kubectl.delete_pod(pod.metadata.name, force=True)
-        return when, pod.metadata.name
-
-    def crash_controller_container(self, job_id):
-        """In-place controller container crash (restart policy applies)."""
-        pod = self._one_pod({"dlaas-job": job_id, "role": "helper"},
-                            f"helper of {job_id}")
-        when = self.platform.kernel.now
-        self.kubectl.crash_container(pod.metadata.name, "controller")
-        return when, pod.metadata.name
-
-    def _learner_pod(self, job_id, ordinal=0):
-        """A learner's pod; ``DlaasError`` when it is gone (the job
-        finished, or the pod is between incarnations)."""
-        name = layout.learner_pod_name(job_id, ordinal)
-        try:
-            return self.kubectl.get_pod(name)
-        except NotFoundError:
-            raise DlaasError(f"no pod {name}") from None
-
-    def crash_learner(self, job_id, ordinal=0):
-        """Kill a learner pod (StatefulSet recreates it by name)."""
-        name = self._learner_pod(job_id, ordinal).metadata.name
-        when = self.platform.kernel.now
-        self.kubectl.delete_pod(name, force=True)
-        return when, name
-
-    def crash_learner_container(self, job_id):
-        """In-place crash of learner 0's container (kubelet restarts it)."""
-        pod = self._learner_pod(job_id)
-        kubelet = self.platform.k8s.kubelet_for(pod.node_name)
-        if kubelet is None or not kubelet.alive:
-            raise DlaasError(f"pod {pod.metadata.name} is on no live node")
-        when = self.platform.kernel.now
-        self.kubectl.crash_container(pod.metadata.name, "learner")
-        return when, pod.metadata.name
-
-    def crash_node_of(self, job_id):
-        """Machine failure under learner 0 (paper §III.h)."""
-        pod = self._learner_pod(job_id)
-        if pod.node_name is None:
-            raise DlaasError(f"pod {pod.metadata.name} is on no node")
-        when = self.platform.kernel.now
-        self.platform.k8s.crash_node(pod.node_name)
-        return when, pod.node_name
-
-    # ------------------------------------------------------------------
-    # Recovery observation
-    # ------------------------------------------------------------------
-
-    def recovery_time(self, component, crash_time, **match):
-        """Seconds from ``crash_time`` to the component's next ready event.
-
-        ``component`` is the tracer component name (``api``, ``lcm``,
-        ``guardian``, ``controller``, ``learner-<n>``); extra kwargs
-        filter on event fields (e.g. ``job=...``).
-        """
-        for record in self.platform.tracer.query(component=component,
-                                                 kind="component-ready",
-                                                 since=crash_time, **match):
-            if record.time > crash_time:
-                return record.time - crash_time
-        return None
+        platform.kernel.spawn(kill(), name=f"crash-guardian:{job_id}")
 
 
 class GrayFailureInjector:
-    """Gray faults against a running platform: degrade, don't crash.
-
-    Every injection goes through ``platform.faults.inject_gray`` so the
-    ``fault_injected_total{target,kind}`` counter, the ``FaultInjected``
-    Warning event and the bounded injection ring record it; with a
-    ``duration`` the fault reverts itself on schedule. Targets keep
-    passing their health probes throughout — detection is the
-    differential detector's job, not the liveness probes'.
-    """
+    """perfbench's gray-fault surface, each firing method one
+    :func:`fire`, and the target discovery it uses."""
 
     def __init__(self, platform):
         self.platform = platform
-        self.network = platform.network
-        self.faults = platform.faults
-        # Stacked disk stalls: holder (member/node) -> list of active
-        # delays; the effective stall is their sum, recomputed on every
-        # apply/revert so overlapping windows unwind cleanly.
-        self._stall_layers = {}
-
-    # ------------------------------------------------------------------
-    # Target discovery
-    # ------------------------------------------------------------------
-
-    def api_endpoints(self):
-        """Live API replica addresses, balancer order."""
-        return list(self.platform.api_balancer.endpoints)
 
     def mongo_secondaries(self):
         primary = self.platform.mongo.primary_id()
@@ -194,100 +303,8 @@ class GrayFailureInjector:
         leader_id = leader.node_id if leader is not None else None
         return [n for n in self.platform.etcd.node_ids if n != leader_id]
 
-    # ------------------------------------------------------------------
-    # The four gray fault kinds
-    # ------------------------------------------------------------------
-
     def slow_endpoint(self, address, extra_latency, duration=None):
-        """Every message to ``address`` pays ``extra_latency`` seconds.
-
-        The revert removes exactly the impairment layer this injection
-        pushed, so overlapping injections against the same endpoint
-        stack and unwind independently (in any revert order)."""
-        layer = []
-
-        def apply():
-            layer.append(self.network.degrade(address,
-                                              extra_latency=extra_latency))
-
-        def revert():
-            self.network.restore(address, layer.pop())
-
-        self.faults.inject_gray(address, "slow", apply=apply, revert=revert,
-                                duration=duration)
-        return address
-
-    def oneway_partition(self, src, dst, duration=None):
-        """Block the ``src -> dst`` direction only."""
-        self.faults.inject_gray(
-            dst, "partition",
-            apply=lambda: self.network.partition_oneway(src, dst),
-            revert=lambda: self.network.heal_oneway(src, dst),
-            duration=duration,
-            reason=f"oneway:{src}")
-        return dst
-
-    def lossy_endpoint(self, address, loss=0.0, duplicate=0.0, duration=None):
-        """Probabilistically drop and/or duplicate messages to ``address``.
-
-        Stacks with other impairments on the endpoint; the revert
-        removes only this injection's layer."""
-        layer = []
-
-        def apply():
-            layer.append(self.network.degrade(address, loss=loss,
-                                              duplicate=duplicate))
-
-        def revert():
-            self.network.restore(address, layer.pop())
-
-        self.faults.inject_gray(address, "loss" if loss else "duplicate",
-                                apply=apply, revert=revert, duration=duration)
-        return address
-
-    def _stall(self, holder, delay):
-        layers = self._stall_layers.setdefault(holder, [])
-        layers.append(delay)
-        holder.disk_stall = sum(layers)
-
-    def _unstall(self, holder, delay):
-        layers = self._stall_layers.get(holder)
-        if not layers:
-            return
-        if delay in layers:
-            layers.remove(delay)
-        holder.disk_stall = sum(layers)
-        if not layers:
-            del self._stall_layers[holder]
-
-    def disk_stall_mongo(self, member_id, delay, duration=None):
-        """Every write op on the member hangs ``delay`` s in "fsync".
-
-        Keep ``delay`` under the replica set's 0.25 s replicate
-        deadline or the stall degenerates into visible write errors.
-        Overlapping stalls on the same member add up; each revert
-        subtracts only its own delay.
-        """
-        member = self.platform.mongo.member(member_id)
-        self.faults.inject_gray(
-            member_id, "disk-stall",
-            apply=lambda: self._stall(member, delay),
-            revert=lambda: self._unstall(member, delay),
-            duration=duration)
-        return member_id
+        return fire(self.platform, Fault("slow", address, extra_latency, duration))
 
     def disk_stall_etcd(self, node_id, delay, duration=None):
-        """Every log-carrying append on the node hangs ``delay`` s.
-
-        Keep ``delay`` under the Raft ``RPC_TIMEOUT`` (0.06 s) so
-        the leader's appends still succeed — slowly — instead of
-        timing out into crash-style errors. Overlapping stalls add up;
-        each revert subtracts only its own delay.
-        """
-        node = self.platform.etcd.node(node_id)
-        self.faults.inject_gray(
-            node_id, "disk-stall",
-            apply=lambda: self._stall(node, delay),
-            revert=lambda: self._unstall(node, delay),
-            duration=duration)
-        return node_id
+        return fire(self.platform, Fault("disk-stall", node_id, delay, duration))

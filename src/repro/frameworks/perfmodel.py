@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 from .gpus import ETH_1G, achieved_tflops
 
+# Bytes/s available for streaming training data into each learner.
+INPUT_BANDWIDTH = 117_000_000.0  # ~1GbE payload rate
+
 
 @dataclass(frozen=True)
 class PlatformProfile:
@@ -57,8 +60,6 @@ class WorkloadConfig:
     batch_per_gpu: int = 0  # 0 -> model default
     intra_node: object = None  # InterconnectSpec; required if gpus > 1
     inter_node: object = ETH_1G
-    # Bytes/s available for streaming training data into each learner.
-    input_bandwidth: float = 117_000_000.0  # ~1GbE payload rate
 
     @property
     def batch(self):
@@ -117,7 +118,7 @@ def communication_time(config):
 def input_time(config, platform):
     """Seconds to stream one step's training data into a learner."""
     step_bytes = config.batch * config.gpus_per_learner * config.model.image_kb * 1024.0
-    return step_bytes * (1.0 + platform.input_tax) / config.input_bandwidth
+    return step_bytes * (1.0 + platform.input_tax) / INPUT_BANDWIDTH
 
 
 def step_time(config, platform):

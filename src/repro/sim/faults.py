@@ -1,12 +1,11 @@
-"""Fault injection for dependability experiments.
+"""The platform's fault record, and the faults it applies itself.
 
-The paper evaluates recovery by *manually crashing* components with
-kubectl (Fig. 4) and argues resilience to random node/process failures.
-This module arms the faults a learner fires on itself at a training
-step (hang, fail) and applies the *gray* fault class the paper never
-tested: impairments applied and later reverted while the target keeps
-passing its health probe (slow endpoints, asymmetric partitions, packet
-loss/duplication, disk stalls). Crashes go through ``kubectl``.
+What to break, and how, is ``repro.core.faults`` (``Fault`` and
+``fire``). This module arms the faults a learner fires on itself at a
+training step (hang, fail) and applies the *gray* faults ``fire``
+hands it: impairments applied and later reverted while the target
+keeps passing its health probe. Crashes are not recorded here; the
+crashed component's own trace and events say so.
 
 Every injection is recorded three ways: a bounded in-memory ring
 (``injected``, the most recent entries only — a long chaos soak must
@@ -30,6 +29,9 @@ class FaultInjector:
         self._events = events
         self.injected = deque(maxlen=INJECTED_CAP)
         self.armed = {}  # learner pod -> (kind, step), see arm()
+        # Disk stalls live on one etcd node or Mongo member: holder ->
+        # the delays of its live stalls, whose sum is its disk_stall.
+        self.stall_layers = {}
         if metrics is not None:
             self._m_injected = metrics.counter(
                 "fault_injected_total", ("target", "kind"),

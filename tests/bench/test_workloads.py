@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import workloads
 from repro.bench.workloads import DEFAULT_MIX, JobClass, WorkloadGenerator
 from repro.core import TrainingManifest
 
@@ -17,7 +18,9 @@ CREDS = {"k": "v"}
 
 
 def generator(seed=0, mix=DEFAULT_MIX):
-    return WorkloadGenerator(FakePlatform(seed), "in", "out", CREDS, mix=mix)
+    gen = WorkloadGenerator(FakePlatform(seed), "in", "out", CREDS)
+    gen.mix = mix
+    return gen
 
 
 def draw(gen, count):
@@ -50,10 +53,10 @@ class TestWorkloadGenerator:
         common = sum(1 for m in drawn if m["name"].startswith("common"))
         assert 150 < common < 200
 
-    def test_steps_within_class_bounds(self):
-        mix = (JobClass("only", 1.0, "resnet50", "tensorflow",
-                        min_steps=10, max_steps=20),)
-        for manifest in draw(generator(mix=mix), 50):
+    def test_steps_within_class_bounds(self, monkeypatch):
+        monkeypatch.setattr(workloads, "MIN_STEPS", 10)
+        monkeypatch.setattr(workloads, "MAX_STEPS", 20)
+        for manifest in draw(generator(), 50):
             assert 10 <= manifest["target_steps"] <= 20
 
     def test_invalid_rate_rejected(self):

@@ -12,6 +12,7 @@ down, for a keyword parameter of a function or constructor under
 import ast
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 from repro.core import PlatformConfig
@@ -64,27 +65,99 @@ def _bare_name(expr):
     return expr.attr if isinstance(expr, ast.Attribute) else None
 
 
-def _calls(node, bases=()):
-    """``(call, callee names)`` under ``node``. Calls are matched to
-    definitions by bare name; ``super().__init__(...)`` inside a class
-    is a call of each of its bases, and pytest-benchmark's
-    ``benchmark.pedantic(f, kwargs={...})`` a call of ``f`` with the
+def _module_name(path):
+    """``src/repro/core/faults.py`` -> ``repro.core.faults``; a
+    package's ``__init__.py`` is the package."""
+    parts = list(path.relative_to(REPO_ROOT).with_suffix("").parts)
+    parts = parts[1:] if parts[0] == "src" else parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+class _Scope:
+    """What a module's names refer to: ``from m import f`` makes ``f``
+    the ``f`` of ``m``, ``import m`` or ``from p import m`` make ``m.f``
+    the ``f`` of ``m``, and a name the module defines itself is its
+    own."""
+
+    def __init__(self, tree, module, is_package):
+        self.module = module
+        self.names = {}  # local name -> (module, name)
+        self.modules = {}  # local name -> module
+        package = module if is_package else module.rpartition(".")[0]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.modules[alias.asname] = alias.name
+                    else:
+                        top = alias.name.partition(".")[0]
+                        self.modules[top] = top
+            elif isinstance(node, ast.ImportFrom):
+                base = package
+                for _ in range(node.level - 1):
+                    base = base.rpartition(".")[0]
+                source = ".".join(p for p in (base if node.level else "",
+                                              node.module or "") if p)
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self.names[local] = (source, alias.name)
+                    self.modules[local] = f"{source}.{alias.name}"
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.names.setdefault(node.name, (module, node.name))
+
+    def callee(self, expr):
+        """``(module, name)`` of what ``expr`` calls; the module is None
+        where no import says which (a method, a parameter), and then
+        the call counts for every same-named definition."""
+        if isinstance(expr, ast.Name):
+            return self.names.get(expr.id, (None, expr.id))
+        if isinstance(expr, ast.Attribute):
+            owner = expr.value
+            if isinstance(owner, ast.Name) and owner.id in self.modules:
+                return self.modules[owner.id], expr.attr
+            return None, expr.attr
+        return None, None
+
+
+def _related(caller_module, definition_module):
+    """A call keyed by module ``m`` reaches definitions in ``m``, in its
+    submodules (a package re-exports them) and in a module ``m`` is an
+    attribute of (``Class.method``)."""
+    if caller_module is None:
+        return True
+    a, b = sorted((caller_module, definition_module), key=len)
+    return b == a or b.startswith(a + ".")
+
+
+def _calls(node, scope, bases=(), owner=None):
+    """``(call, callees)`` under ``node``, each callee a ``(module,
+    name)`` of :meth:`_Scope.callee`. Inside a class,
+    ``super().__init__(...)`` is a call of each of its bases and
+    ``cls(...)`` a call of the class; pytest-benchmark's
+    ``benchmark.pedantic(f, kwargs={...})`` is a call of ``f`` with the
     dict's keys."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from _calls(child, [_bare_name(b) for b in child.bases])
+            yield from _calls(child, scope,
+                              [scope.callee(b) for b in child.bases],
+                              (scope.module, child.name))
             continue
         if isinstance(child, ast.Call):
-            name = _bare_name(child.func)
-            yield child, (bases if name == "__init__" else [name])
+            callee = scope.callee(child.func)
+            if callee[1] == "__init__":
+                yield child, bases
+            elif callee == (None, "cls") and owner is not None:
+                yield child, [owner]
+            else:
+                yield child, [callee]
             kwargs = [kw.value for kw in child.keywords if kw.arg == "kwargs"]
-            if (name == "pedantic" and child.args and kwargs
+            if (callee[1] == "pedantic" and child.args and kwargs
                     and isinstance(kwargs[0], ast.Dict)):
                 yield (ast.Call(func=child.args[0], args=[], keywords=[
                     ast.keyword(arg=key.value) for key in kwargs[0].keys
                     if isinstance(key, ast.Constant)]),
-                    [_bare_name(child.args[0])])
-        yield from _calls(child, bases)
+                    [scope.callee(child.args[0])])
+        yield from _calls(child, scope, bases, owner)
 
 
 def _defaulted(func, is_method):
@@ -100,11 +173,37 @@ def _defaulted(func, is_method):
             yield arg.arg, None
 
 
+def _fields(cls):
+    """``(name, positional index)`` for every defaulted field of a
+    dataclass that its generated ``__init__`` takes."""
+    index = 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and any(
+                kw.arg == "init" and getattr(kw.value, "value", True) is False
+                for kw in value.keywords):
+            continue
+        if value is not None:
+            yield node.target.id, index
+        index += 1
+
+
+def _is_dataclass(cls):
+    return any(_bare_name(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in cls.decorator_list)
+
+
 def never_passed_parameters():
     """Keyword parameters under ``src/repro`` that no call in the repo
-    passes, by keyword or by position. Name-based and conservative: a
-    call that splats ``**kwargs`` or ``*args`` counts as passing
-    everything, and so does any same-named callee elsewhere."""
+    passes, by keyword or by position. A call reaches a definition
+    when their names match and, where the caller's imports say which
+    module it calls, the modules do too (``_related``); a call that
+    splats ``**kwargs`` or ``*args`` counts as passing everything.
+    A dataclass's defaulted fields count as its constructor's
+    parameters (``PlatformConfig``'s have a census of their own)."""
     return _never_passed(ROOTS)
 
 
@@ -114,40 +213,51 @@ def never_passed_outside_tests():
 
 
 def _never_passed(roots):
-    passed = {}  # callee name -> [positional args seen, keywords seen]
+    passed = {}  # callee name -> {caller module: [positional args, keywords]}
     for root in roots:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            for call, names in _calls(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            scope = _Scope(tree, _module_name(path), path.name == "__init__.py")
+            for call, callees in _calls(tree, scope):
                 starred = any(isinstance(a, ast.Starred) for a in call.args)
                 splat = any(kw.arg is None for kw in call.keywords)
-                for name in names:
-                    seen = passed.setdefault(name, [0, set()])
+                for module, name in callees:
+                    seen = passed.setdefault(name, {}).setdefault(
+                        module, [0, set()])
                     seen[0] = max(seen[0], 99 if starred or splat
                                   else len(call.args))
                     seen[1].update(kw.arg for kw in call.keywords)
     found = []
 
-    def visit(node, owner, path):
+    def check(name, module, parameters, where):
+        reaching = [seen for caller, seen in passed.get(name, {}).items()
+                    if _related(caller, module)]
+        count = max((seen[0] for seen in reaching), default=0)
+        keywords = set().union(*(seen[1] for seen in reaching))
+        for param, index in parameters:
+            if param not in keywords and not (
+                    index is not None and count > index):
+                found.append(f"{where}:{name}({param}=)")
+
+    def visit(node, owner, path, module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, child, path)
+                if _is_dataclass(child) and child.name != "PlatformConfig":
+                    check(child.name, module, _fields(child), path)
+                visit(child, child, path, module)
             elif isinstance(child, ast.FunctionDef):
                 name = child.name
                 if owner is not None and name == "__init__":
                     name = owner.name
-                count, keywords = passed.get(name, (0, ()))
-                for param, index in _defaulted(child, owner is not None):
-                    if param not in keywords and not (
-                            index is not None and count > index):
-                        found.append(f"{path}:{name}({param}=)")
-                visit(child, None, path)
+                check(name, module, _defaulted(child, owner is not None), path)
+                visit(child, None, path, module)
             else:
-                visit(child, owner, path)
+                visit(child, owner, path, module)
 
     source = REPO_ROOT / "src" / "repro"
     for path in sorted(source.rglob("*.py")):
         visit(ast.parse(path.read_text()), None,
-              path.relative_to(source).as_posix())
+              path.relative_to(source).as_posix(), _module_name(path))
     return found
 
 
@@ -166,3 +276,33 @@ def test_parameters_only_tests_pass_only_go_down():
         f"{len(unpassed)} keyword parameters no call outside tests/ passes "
         f"(the ratchet is {MAX_NEVER_PASSED_OUTSIDE_TESTS}). All of them:\n"
         + "\n".join(unpassed))
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_a_same_named_function_elsewhere_passes_nothing(tmp_path, monkeypatch):
+    # perfbench's own two-argument check_history once hid that no call
+    # passed the library's max_configs: a call reaches a definition
+    # only through the module its caller imported it from.
+    _tree(tmp_path, {
+        "src/repro/audit/checker.py":
+            "def check_history(history, max_configs=100):\n    return history\n",
+        "src/repro/audit/report.py":
+            "from .checker import check_history\n\ncheck_history([])\n",
+        "perfbench/measure.py":
+            "def check_history(doc, problems):\n    return problems\n\n\n"
+            "check_history({}, [])\n",
+    })
+    monkeypatch.setattr(sys.modules[__name__], "REPO_ROOT", tmp_path)
+    assert never_passed_parameters() == [
+        "audit/checker.py:check_history(max_configs=)"]
+    # Called through its module, the keyword does reach it.
+    _tree(tmp_path, {"scripts/audit.py":
+                     "from repro.audit import checker\n\n"
+                     "checker.check_history([], max_configs=5)\n"})
+    assert never_passed_parameters() == []

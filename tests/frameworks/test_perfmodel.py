@@ -26,6 +26,7 @@ from repro.frameworks import (
     get_gpu,
     get_model,
     images_per_sec,
+    perfmodel,
     step_time,
 )
 
@@ -181,19 +182,18 @@ class TestFig3Shape:
 
 
 class TestInputPipeline:
-    def test_streaming_can_bound_step(self):
+    def test_streaming_can_bound_step(self, monkeypatch):
         # Throttle the input link hard: throughput collapses to line rate.
-        cfg = WorkloadConfig(model=INCEPTIONV3, framework=TENSORFLOW, gpu=P100_PCIE,
-                             input_bandwidth=1_000_000.0)  # 1 MB/s
+        cfg = WorkloadConfig(model=INCEPTIONV3, framework=TENSORFLOW, gpu=P100_PCIE)
+        monkeypatch.setattr(perfmodel, "INPUT_BANDWIDTH", 1_000_000.0)  # 1 MB/s
         ips = images_per_sec(cfg, BARE_METAL)
         assert ips < 10  # 110KB/image at 1MB/s -> ~9 img/s
 
-    def test_dlaas_input_tax_only_matters_when_bound(self):
-        fast = WorkloadConfig(model=INCEPTIONV3, framework=TENSORFLOW, gpu=K80)
-        bound = WorkloadConfig(model=INCEPTIONV3, framework=TENSORFLOW, gpu=K80,
-                               input_bandwidth=500_000.0)
-        unbound_ratio = step_time(fast, DLAAS) / step_time(fast, BARE_METAL)
-        bound_ratio = step_time(bound, DLAAS) / step_time(bound, BARE_METAL)
+    def test_dlaas_input_tax_only_matters_when_bound(self, monkeypatch):
+        config = WorkloadConfig(model=INCEPTIONV3, framework=TENSORFLOW, gpu=K80)
+        unbound_ratio = step_time(config, DLAAS) / step_time(config, BARE_METAL)
+        monkeypatch.setattr(perfmodel, "INPUT_BANDWIDTH", 500_000.0)
+        bound_ratio = step_time(config, DLAAS) / step_time(config, BARE_METAL)
         assert bound_ratio > unbound_ratio
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.audit import check_history
 from repro.audit.nemesis import NemesisSoak, seeded_stale_read_scenario
+from repro.core.faults import KINDS, Fault
 
 from .conftest import make_platform
 
@@ -57,6 +58,8 @@ class TestNemesisSoak:
         out = soak.run()
         assert out["ops_issued"] > 50
         assert out["faults_injected"]
+        assert all(isinstance(fault, Fault) and fault.kind in KINDS
+                   for _when, fault in out["faults_injected"])
         assert out["history"]["ok"] > 0
         assert out["ok"], platform.monitoring.auditor.render_violations()
         store = platform.monitoring.store

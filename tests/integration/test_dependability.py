@@ -7,28 +7,15 @@ and so on" — plus checkpoint-bounded lost work and reliable status
 updates across crashes.
 """
 
-import pytest
+from repro.core import DlaasError, Fault, fire, recovery_time
 
-from repro.core import ComponentCrasher, DlaasError
-
-from .conftest import (
-    CREDS,
-    make_platform,
-    manifest,
-    submit_and_wait_running,
-    wait_terminal,
-)
-
-
-@pytest.fixture
-def crasher(platform):
-    return ComponentCrasher(platform)
+from .conftest import manifest, submit_and_wait_running, wait_terminal
 
 
 class TestApiCrash:
-    def test_requests_survive_api_pod_crash(self, platform, client, crasher):
+    def test_requests_survive_api_pod_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest())
-        crasher.crash_api()
+        fire(platform, Fault("api"))
 
         def status():
             return (yield from client.status(job_id))
@@ -37,20 +24,21 @@ class TestApiCrash:
         doc = platform.run_process(status(), limit=600)
         assert doc["job_id"] == job_id
 
-    def test_api_recovers_within_band(self, platform, client, crasher):
+    def test_api_recovers_within_band(self, platform, client):
         submit_and_wait_running(platform, client, manifest())
-        when, _pod = crasher.crash_api()
+        when = platform.kernel.now
+        fire(platform, Fault("api"))
         platform.run_for(20.0)
-        recovery = crasher.recovery_time("api", when)
+        recovery = recovery_time(platform, "api", when)
         assert recovery is not None
         assert 2.0 < recovery < 7.0
 
-    def test_submission_survives_total_api_outage(self, platform, crasher):
+    def test_submission_survives_total_api_outage(self, platform):
         # Kill ALL API pods; a client submitting retries until a pod
         # returns, and the accepted job is durable.
         client = platform.client("team-a")
         for _ in range(2):
-            crasher.crash_api()
+            fire(platform, Fault("api"))
 
         def scenario():
             job_id = yield from client.submit(manifest())
@@ -62,16 +50,16 @@ class TestApiCrash:
 
 
 class TestLcmCrash:
-    def test_job_completes_despite_lcm_crash_mid_run(self, platform, client, crasher):
+    def test_job_completes_despite_lcm_crash_mid_run(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest())
-        crasher.crash_lcm()
+        fire(platform, Fault("lcm"))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_queued_job_deployed_after_lcm_restart(self, platform, client, crasher):
+    def test_queued_job_deployed_after_lcm_restart(self, platform, client):
         # Submit while the LCM is down: the durable QUEUED record is
         # picked up by the restarted LCM's reconcile loop.
-        crasher.crash_lcm()
+        fire(platform, Fault("lcm"))
 
         def submit():
             return (yield from client.submit(manifest()))
@@ -80,32 +68,34 @@ class TestLcmCrash:
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_lcm_recovers_within_band(self, platform, client, crasher):
-        when, _pod = crasher.crash_lcm()
+    def test_lcm_recovers_within_band(self, platform, client):
+        when = platform.kernel.now
+        fire(platform, Fault("lcm"))
         platform.run_for(20.0)
-        recovery = crasher.recovery_time("lcm", when)
+        recovery = recovery_time(platform, "lcm", when)
         assert recovery is not None
         assert 3.0 < recovery < 8.0
 
 
 class TestGuardianCrash:
-    def test_job_completes_despite_guardian_crash(self, platform, client, crasher):
+    def test_job_completes_despite_guardian_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=120))
-        crasher.crash_guardian(job_id)
+        fire(platform, Fault("guardian", job_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_guardian_recovers_fast(self, platform, client, crasher):
+    def test_guardian_recovers_fast(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=5000))
-        when, _pod = crasher.crash_guardian(job_id)
+        when = platform.kernel.now
+        fire(platform, Fault("guardian", job_id))
         platform.run_for(10.0)
-        recovery = crasher.recovery_time("guardian", when, job=job_id)
+        recovery = recovery_time(platform, "guardian", when, job=job_id)
         assert recovery is not None
         assert 0.5 < recovery < 3.0
 
-    def test_status_updates_resume_after_guardian_crash(self, platform, client, crasher):
+    def test_status_updates_resume_after_guardian_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=400))
-        crasher.crash_guardian(job_id)
+        fire(platform, Fault("guardian", job_id))
         doc = wait_terminal(platform, client, job_id)
         statuses = [h["status"] for h in doc["status_history"]]
         assert statuses[-1] == "COMPLETED"
@@ -115,20 +105,21 @@ class TestGuardianCrash:
 
 
 class TestHelperCrash:
-    def test_job_completes_despite_helper_crash(self, platform, client, crasher):
+    def test_job_completes_despite_helper_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=150))
-        crasher.crash_helper(job_id)
+        fire(platform, Fault("helper", job_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_controller_restart_reconstructs_from_nfs(self, platform, client, crasher):
+    def test_controller_restart_reconstructs_from_nfs(self, platform, client):
         # §III.f: "Using NFS makes status updates resilient to
         # controller crashes; K8S will restart the controller which can
         # read current status and previous statuses from NFS."
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=300))
-        when, _pod = crasher.crash_controller_container(job_id)
+        when = platform.kernel.now
+        fire(platform, Fault("controller-container", job_id))
         platform.run_for(15.0)
-        recovery = crasher.recovery_time("controller", when, job=job_id)
+        recovery = recovery_time(platform, "controller", when, job=job_id)
         assert recovery is not None
 
         def status():
@@ -141,18 +132,18 @@ class TestHelperCrash:
 
 
 class TestLearnerCrash:
-    def test_learner_pod_crash_job_still_completes(self, platform, client, crasher):
+    def test_learner_pod_crash_job_still_completes(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(
             target_steps=300, checkpoint_interval=15.0))
-        crasher.crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_learner_resumes_from_checkpoint(self, platform, client, crasher):
+    def test_learner_resumes_from_checkpoint(self, platform, client):
         spec = manifest(target_steps=2000, checkpoint_interval=15.0)
         job_id = submit_and_wait_running(platform, client, spec)
         platform.run_for(60.0)  # accumulate checkpoints
-        crasher.crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         platform.run_for(60.0)
         ready = [r for r in platform.tracer.query(component="learner-0",
                                                   kind="component-ready", job=job_id)]
@@ -160,21 +151,21 @@ class TestLearnerCrash:
         # The restart resumed from a checkpoint, not from step zero.
         assert ready[-1].fields["resumed_step"] > 0
 
-    def test_learner_container_crash_restarts_in_place(self, platform, client, crasher):
+    def test_learner_container_crash_restarts_in_place(self, platform, client):
         spec = manifest(target_steps=2000, checkpoint_interval=15.0)
         job_id = submit_and_wait_running(platform, client, spec)
         platform.run_for(40.0)
-        when, name = crasher.crash_learner_container(job_id)
+        name = fire(platform, Fault("learner-container", job_id))
         platform.run_for(40.0)
         pod = platform.k8s.kubectl.get_pod(name)
         assert pod.restart_count >= 1
         assert pod.phase == "Running"
 
-    def test_node_crash_reschedules_learner(self, platform, client, crasher):
+    def test_node_crash_reschedules_learner(self, platform, client):
         spec = manifest(target_steps=1500, checkpoint_interval=15.0)
         job_id = submit_and_wait_running(platform, client, spec)
         platform.run_for(40.0)
-        _when, dead_node = crasher.crash_node_of(job_id)
+        fire(platform, Fault("node", job_id))
         doc = wait_terminal(platform, client, job_id, timeout=6000)
         assert doc["status"] == "COMPLETED"
         # And the replacement learner ran somewhere else.
@@ -182,11 +173,11 @@ class TestLearnerCrash:
                                                   kind="component-ready", job=job_id)]
         assert len(moved) >= 2
 
-    def test_lost_work_bounded_by_checkpoint_interval(self, platform, client, crasher):
+    def test_lost_work_bounded_by_checkpoint_interval(self, platform, client):
         spec = manifest(target_steps=5000, checkpoint_interval=20.0)
         job_id = submit_and_wait_running(platform, client, spec)
         platform.run_for(80.0)
-        crasher.crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         platform.run_for(60.0)
         ready = platform.tracer.query(component="learner-0", kind="component-ready",
                                       job=job_id)
@@ -202,63 +193,65 @@ class TestLearnerCrash:
 class TestEtcdNodeCrash:
     def test_status_pipeline_survives_etcd_member_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=200))
-        platform.etcd.crash_leader()
+        fire(platform, Fault("etcd-member", platform.etcd.leader().node_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
     def test_mongo_member_crash_survived(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=150))
-        platform.mongo.member("mongo-0").crash()
+        fire(platform, Fault("mongo-member", "mongo-0"))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
 
 class TestCompoundFailures:
-    def test_guardian_and_learner_crash_same_job(self, platform, client, crasher):
+    def test_guardian_and_learner_crash_same_job(self, platform, client):
         spec = manifest(target_steps=400, checkpoint_interval=15.0)
         job_id = submit_and_wait_running(platform, client, spec)
-        crasher.crash_guardian(job_id)
+        fire(platform, Fault("guardian", job_id))
         platform.run_for(5.0)
-        crasher.crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
 
-    def test_everything_crashes_once(self, platform, client, crasher):
+    def test_everything_crashes_once(self, platform, client):
         spec = manifest(target_steps=600, checkpoint_interval=15.0)
         job_id = submit_and_wait_running(platform, client, spec)
-        crasher.crash_api()
+        fire(platform, Fault("api"))
         platform.run_for(3.0)
-        crasher.crash_lcm()
+        fire(platform, Fault("lcm"))
         platform.run_for(3.0)
-        crasher.crash_guardian(job_id)
+        fire(platform, Fault("guardian", job_id))
         platform.run_for(3.0)
-        crasher.crash_helper(job_id)
+        fire(platform, Fault("helper", job_id))
         platform.run_for(3.0)
-        crasher.crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         doc = wait_terminal(platform, client, job_id, timeout=8000)
         assert doc["status"] == "COMPLETED"
 
 
 class TestAbsentTarget:
     def test_every_job_crash_of_a_finished_job_is_a_dlaas_error(
-            self, platform, client, crasher):
+            self, platform, client):
         # A chaos driver picks jobs at random and must be able to tell
-        # "that target is gone" from a bug: every job-scoped crash of a
+        # "that target is gone" from a bug: every job-scoped fault on a
         # job whose pods were torn down says so with a DlaasError.
         job_id = submit_and_wait_running(platform, client, manifest())
         assert wait_terminal(platform, client, job_id)["status"] == "COMPLETED"
         platform.run_for(30.0)  # teardown
         assert not platform.k8s.kubectl.get_pods(selector={"dlaas-job": job_id})
-        methods = ("crash_guardian", "crash_helper", "crash_controller_container",
-                   "crash_learner", "crash_learner_container", "crash_node_of")
+        faults = [Fault("guardian", job_id), Fault("helper", job_id),
+                  Fault("controller-container", job_id),
+                  Fault("learner-pod", (job_id, 0)),
+                  Fault("learner-container", job_id), Fault("node", job_id)]
         escaped = {}
-        for method in methods:
+        for fault in faults:
             try:
-                getattr(crasher, method)(job_id)
+                fire(platform, fault)
             except DlaasError:
                 continue
             except Exception as exc:
-                escaped[method] = repr(exc)
+                escaped[fault.kind] = repr(exc)
             else:
-                escaped[method] = "no error"
+                escaped[fault.kind] = "no error"
         assert escaped == {}

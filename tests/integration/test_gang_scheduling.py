@@ -8,7 +8,7 @@ that at the scheduler). The Guardian gang-labels every multi-learner
 job, so placement is all-or-nothing and both jobs complete.
 """
 
-from repro.core import ComponentCrasher
+from repro.core import Fault, fire
 
 from .conftest import make_platform, manifest
 
@@ -33,7 +33,7 @@ def start_scenario():
     job_a, job_b = platform.run_process(submit(), limit=10_000)
     platform.run_for(30.0)  # job B's learners stay pending, none bound
     # Crash one of A's learners: its replacement needs a free GPU.
-    ComponentCrasher(platform).crash_learner(job_a, ordinal=1)
+    fire(platform, Fault("learner-pod", (job_a, 1)))
     return platform, client, job_a, job_b
 
 

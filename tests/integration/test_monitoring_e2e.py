@@ -4,7 +4,7 @@ guarantee (bit-identical job timeline with the stack stopped), and the
 REST operational surface (/healthz, /metrics, metrics auth).
 """
 
-from repro.core import ComponentCrasher
+from repro.core import Fault, fire
 from repro.core.rest import RestClient
 
 from ..monitoring.test_gray_failures import GRAY
@@ -52,7 +52,8 @@ class TestFaultMatrix:
 
     def test_api_pod_crash_detected(self):
         platform = make_platform(**FAST)
-        when, pod = ComponentCrasher(platform).crash_api()
+        when = platform.kernel.now
+        pod = fire(platform, Fault("api"))
         platform.run_for(15.0)
         assert_fault_detected(platform, "api", "ApiDown", when)
         # The dying pod itself reported the crash on the way down.
@@ -60,7 +61,8 @@ class TestFaultMatrix:
 
     def test_lcm_pod_crash_detected(self):
         platform = make_platform(**FAST)
-        when, pod = ComponentCrasher(platform).crash_lcm()
+        when = platform.kernel.now
+        pod = fire(platform, Fault("lcm"))
         platform.run_for(15.0)
         assert_fault_detected(platform, "lcm", "LcmDown", when)
         assert platform.events.warnings(reason="ComponentCrashed", name=pod)
@@ -70,7 +72,8 @@ class TestFaultMatrix:
         client = platform.client("team-a")
         job_id = submit_and_wait_running(platform, client,
                                          manifest(target_steps=3000))
-        when, _pod = ComponentCrasher(platform).crash_guardian(job_id)
+        when = platform.kernel.now
+        fire(platform, Fault("guardian", job_id))
         platform.run_for(12.0)
         assert_fault_detected(platform, "guardian", "GuardianDown", when)
 
@@ -79,7 +82,8 @@ class TestFaultMatrix:
         client = platform.client("team-a")
         job_id = submit_and_wait_running(platform, client,
                                          manifest(target_steps=3000))
-        when, _pod = ComponentCrasher(platform).crash_helper(job_id)
+        when = platform.kernel.now
+        fire(platform, Fault("helper", job_id))
         platform.run_for(12.0)
         assert_fault_detected(platform, "helper", "HelperDown", when)
 
@@ -88,7 +92,8 @@ class TestFaultMatrix:
         client = platform.client("team-a")
         job_id = submit_and_wait_running(platform, client,
                                          manifest(target_steps=3000))
-        when, _pod = ComponentCrasher(platform).crash_learner(job_id)
+        when = platform.kernel.now
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         platform.run_for(12.0)
         assert_fault_detected(platform, "learner", "LearnerDown", when)
 
@@ -96,15 +101,14 @@ class TestFaultMatrix:
         platform = make_platform(**FAST)
         victim = non_leader_etcd_node(platform)
         when = platform.kernel.now
-        platform.etcd.crash(victim)
+        fire(platform, Fault("etcd-member", victim, duration=5.5))
         platform.run_for(5.0)
         # Quorum holds (the cluster is still live) but readiness is
         # degraded, so the alert fires while the member is down.
         assert platform.monitoring.engine.firing("EtcdDegraded")
         assert platform.health.snapshot()["components"]["etcd"]["status"] \
             == "degraded"
-        platform.etcd.restart(victim)
-        platform.run_for(8.0)
+        platform.run_for(8.5)  # the member restarts at 5.5 s
         assert_fault_detected(platform, "etcd", "EtcdDegraded", when)
 
 
@@ -124,7 +128,7 @@ class TestMonitoringDoesNotPerturb:
         client = platform.client("team-a")
         job_id = submit_and_wait_running(platform, client,
                                          manifest(target_steps=120))
-        ComponentCrasher(platform).crash_learner(job_id)
+        fire(platform, Fault("learner-pod", (job_id, 0)))
         doc = wait_terminal(platform, client, job_id)
         timeline = (doc["status"], doc["status_history"],
                     doc["completed_at"], platform.kernel.now)
@@ -151,7 +155,7 @@ class TestRestSurface:
         for component in ("api", "lcm", "etcd", "mongo", "nfs"):
             assert body["components"][component]["status"] == "ok"
 
-        platform.etcd.crash(non_leader_etcd_node(platform))
+        fire(platform, Fault("etcd-member", non_leader_etcd_node(platform)))
         response = platform.run_process(rest.get("/healthz"), limit=10_000)
         assert response["status"] == 503
         assert response["body"]["status"] == "degraded"

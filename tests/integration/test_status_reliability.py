@@ -6,7 +6,7 @@ statuses are timely, monotone, survive crashes of every stage, and the
 timestamps users rely on for profiling are consistent.
 """
 
-from repro.core import ComponentCrasher, layout
+from repro.core import Fault, fire, layout
 
 from .conftest import manifest, submit_and_wait_running, wait_terminal
 
@@ -61,21 +61,21 @@ class TestStatusPipeline:
 
     def test_history_sane_across_guardian_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=200))
-        ComponentCrasher(platform).crash_guardian(job_id)
+        fire(platform, Fault("guardian", job_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         assert_history_sane(doc["status_history"])
 
     def test_history_sane_across_controller_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=200))
-        ComponentCrasher(platform).crash_controller_container(job_id)
+        fire(platform, Fault("controller-container", job_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         assert_history_sane(doc["status_history"])
 
     def test_history_sane_across_etcd_leader_crash(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=200))
-        platform.etcd.crash_leader()
+        fire(platform, Fault("etcd-member", platform.etcd.leader().node_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         assert_history_sane(doc["status_history"])
@@ -105,9 +105,8 @@ class TestStatusPipeline:
     def test_status_survives_simultaneous_controller_and_guardian_crash(
             self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=300))
-        crasher = ComponentCrasher(platform)
-        crasher.crash_controller_container(job_id)
-        crasher.crash_guardian(job_id)
+        fire(platform, Fault("controller-container", job_id))
+        fire(platform, Fault("guardian", job_id))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         assert_history_sane(doc["status_history"])

@@ -3,18 +3,11 @@ crash-recovery contract): a watch broken by a server or client crash is
 re-registered with a full relist, so the control plane converges on the
 same final state it would have reached with no crash at all."""
 
-import pytest
-
-from repro.core import ComponentCrasher, layout
+from repro.core import Fault, fire, layout
 from repro.raftkv import EtcdClient
 from repro.sim import Reconciler
 
-from .conftest import (
-    make_platform,
-    manifest,
-    submit_and_wait_running,
-    wait_terminal,
-)
+from .conftest import manifest, submit_and_wait_running, wait_terminal
 
 
 def watchers_of(api, kind):
@@ -22,30 +15,22 @@ def watchers_of(api, kind):
     return sum(len(channels) for channels in api._watchers.get(kind, {}).values())
 
 
-@pytest.fixture
-def crasher(platform):
-    return ComponentCrasher(platform)
-
-
 class TestEtcdWatchReestablishment:
-    def test_job_converges_after_watch_serving_node_crash(
-        self, platform, client, crasher
-    ):
+    def test_job_converges_after_watch_serving_node_crash(self, platform, client):
         # The Guardian's etcd watch is served from the first live node;
         # crashing that node closes the watch channel mid-job. The
         # reconciler must re-register on a surviving member and relist
         # (via its static key), not miss the terminal transition.
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=120))
-        serving = platform.etcd.node_ids[0]
-        platform.etcd.crash(serving)
+        fire(platform, Fault("etcd-member", platform.etcd.node_ids[0]))
         doc = wait_terminal(platform, client, job_id)
         assert doc["status"] == "COMPLETED"
         statuses = [h["status"] for h in doc["status_history"]]
         assert statuses[-1] == "COMPLETED"
 
-    def test_rewatch_is_traced(self, platform, client, crasher):
+    def test_rewatch_is_traced(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=400))
-        platform.etcd.crash(platform.etcd.node_ids[0])
+        fire(platform, Fault("etcd-member", platform.etcd.node_ids[0]))
         wait_terminal(platform, client, job_id)
         rewatches = platform.tracer.query(
             component=f"reconciler:guardian:{job_id}", kind="watch-lost"
@@ -56,7 +41,7 @@ class TestEtcdWatchReestablishment:
         # Crash the watch-serving node, then halt: the signal arrives
         # only through the *re-registered* watch (or its resync).
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=5000))
-        platform.etcd.crash(platform.etcd.node_ids[0])
+        fire(platform, Fault("etcd-member", platform.etcd.node_ids[0]))
         platform.run_for(3.0)
 
         def halt():
@@ -95,7 +80,7 @@ class TestEtcdWatchReestablishment:
                                  keys_of=lambda event: ["status"])
         reconciler.start()
         platform.run_for(1.0)
-        platform.etcd.crash(serving)
+        fire(platform, Fault("etcd-member", serving))
         crashed = kernel.now
         platform.run_for(0.05)
         platform.run_process(
@@ -109,18 +94,18 @@ class TestEtcdWatchReestablishment:
 
 
 class TestApiServerWatchHygiene:
-    def test_lcm_crash_does_not_leak_job_watches(self, platform, client, crasher):
+    def test_lcm_crash_does_not_leak_job_watches(self, platform, client):
         api = platform.k8s.api
         submit_and_wait_running(platform, client, manifest(target_steps=400))
         before = watchers_of(api, "Job")
         assert before >= 1  # the LCM GC reconciler is watching
-        crasher.crash_lcm()
+        fire(platform, Fault("lcm"))
         platform.run_for(20.0)  # restart: old watch cancelled, new one up
         assert watchers_of(api, "Job") == before
 
-    def test_gc_still_collects_after_lcm_restart(self, platform, client, crasher):
+    def test_gc_still_collects_after_lcm_restart(self, platform, client):
         job_id = submit_and_wait_running(platform, client, manifest(target_steps=120))
-        crasher.crash_lcm()
+        fire(platform, Fault("lcm"))
         wait_terminal(platform, client, job_id)
         platform.run_for(30.0)  # LCM back up; GC relist collects the Job
         assert not platform.k8s.api.exists("Job", layout.guardian_job_name(job_id))

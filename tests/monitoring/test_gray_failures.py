@@ -6,7 +6,7 @@ regime the crash-oriented fault matrix in
 ``tests/integration/test_monitoring_e2e.py`` cannot see.
 """
 
-from repro.core import GrayFailureInjector
+from repro.core import Fault, GrayFailureInjector, fire
 from repro.docstore import MongoClient
 from repro.raftkv import EtcdClient
 
@@ -121,11 +121,9 @@ class TestGrayFaultMatrix:
         drive_status_polls(platform, client, job_id)
         platform.run_for(3.0)  # healthy peer baseline
 
-        injector = GrayFailureInjector(platform)
-        target = injector.api_endpoints()[0]
+        target = platform.api_balancer.endpoints[0]
         inject_time = platform.kernel.now
-        injector.slow_endpoint(target, extra_latency=0.05,
-                               duration=FAULT_DURATION)
+        fire(platform, Fault("slow", target, 0.05, FAULT_DURATION))
         platform.run_for(13.0)
         assert_gray_detected(platform, target, "api", "GrayFailureSlow",
                              "slow", inject_time)
@@ -135,11 +133,11 @@ class TestGrayFaultMatrix:
         drive_mongo_writes(platform)
         platform.run_for(3.0)
 
-        injector = GrayFailureInjector(platform)
         primary = platform.mongo.primary_id()
-        victim = injector.mongo_secondaries()[0]
+        victim = GrayFailureInjector(platform).mongo_secondaries()[0]
         inject_time = platform.kernel.now
-        injector.oneway_partition(primary, victim, duration=FAULT_DURATION)
+        fire(platform, Fault("oneway", (primary, victim),
+                             duration=FAULT_DURATION))
         platform.run_for(13.0)
         # Replication into the victim fails while everything else —
         # including the victim's own health — keeps working.
@@ -151,10 +149,9 @@ class TestGrayFaultMatrix:
         drive_mongo_writes(platform)
         platform.run_for(3.0)
 
-        injector = GrayFailureInjector(platform)
-        victim = injector.mongo_secondaries()[0]
+        victim = GrayFailureInjector(platform).mongo_secondaries()[0]
         inject_time = platform.kernel.now
-        injector.lossy_endpoint(victim, loss=0.5, duration=FAULT_DURATION)
+        fire(platform, Fault("loss", victim, 0.5, FAULT_DURATION))
         platform.run_for(13.0)
         assert_gray_detected(platform, victim, "mongo",
                              "GrayFailurePartition", "loss", inject_time)
@@ -163,11 +160,9 @@ class TestGrayFaultMatrix:
         platform = make_platform(**GRAY)
         platform.run_for(3.0)  # heartbeat traffic is the baseline
 
-        injector = GrayFailureInjector(platform)
-        victim = injector.etcd_followers()[0]
+        victim = GrayFailureInjector(platform).etcd_followers()[0]
         inject_time = platform.kernel.now
-        injector.lossy_endpoint(victim, duplicate=0.9,
-                                duration=FAULT_DURATION)
+        fire(platform, Fault("duplicate", victim, 0.9, FAULT_DURATION))
         platform.run_for(13.0)
         # The server handles ~1.9x the requests its callers sent — the
         # flow anomaly fires the link signal without any peer baseline.
@@ -179,13 +174,11 @@ class TestGrayFaultMatrix:
         drive_mongo_writes(platform)
         platform.run_for(3.0)
 
-        injector = GrayFailureInjector(platform)
-        victim = injector.mongo_secondaries()[0]
+        victim = GrayFailureInjector(platform).mongo_secondaries()[0]
         inject_time = platform.kernel.now
         # 0.15 s stays under the 0.25 s replicate deadline: writes
         # succeed, slowly — a gray fault, not an outage.
-        injector.disk_stall_mongo(victim, delay=0.15,
-                                  duration=FAULT_DURATION)
+        fire(platform, Fault("disk-stall", victim, 0.15, FAULT_DURATION))
         platform.run_for(13.0)
         assert_gray_detected(platform, victim, "mongo",
                              "GrayFailureDiskStall", "disk-stall",
@@ -196,13 +189,11 @@ class TestGrayFaultMatrix:
         drive_etcd_puts(platform)
         platform.run_for(3.0)
 
-        injector = GrayFailureInjector(platform)
-        victim = injector.etcd_followers()[0]
+        victim = GrayFailureInjector(platform).etcd_followers()[0]
         inject_time = platform.kernel.now
         # 0.04 s stays under the 0.06 s Raft rpc timeout, and empty
         # heartbeats skip the stall, so no election is triggered.
-        injector.disk_stall_etcd(victim, delay=0.04,
-                                 duration=FAULT_DURATION)
+        fire(platform, Fault("disk-stall", victim, 0.04, FAULT_DURATION))
         platform.run_for(13.0)
         assert_gray_detected(platform, victim, "etcd",
                              "GrayFailureDiskStall", "disk-stall",
@@ -223,10 +214,9 @@ class TestGrayFaultMatrix:
         drive_etcd_puts(platform, period=1.0)
         platform.run_for(10.0)
 
-        injector = GrayFailureInjector(platform)
-        victim = injector.etcd_followers()[0]
+        victim = GrayFailureInjector(platform).etcd_followers()[0]
         inject_time = platform.kernel.now
-        injector.disk_stall_etcd(victim, delay=0.04, duration=duration)
+        fire(platform, Fault("disk-stall", victim, 0.04, duration))
         platform.run_for(duration + 15.0)
         assert_gray_detected(platform, victim, "etcd",
                              "GrayFailureDiskStall", "disk-stall",

@@ -4,7 +4,7 @@ of revert order — each revert removes exactly its own layer."""
 
 import pytest
 
-from repro.core import GrayFailureInjector
+from repro.core import Fault, fire
 from repro.grpcnet import LatencyModel, Network
 from repro.sim import Kernel
 
@@ -92,21 +92,20 @@ class TestOverlappingInjections:
     @pytest.fixture(scope="class")
     def result(self):
         platform = make_platform(seed=13)
-        gray = GrayFailureInjector(platform)
         network = platform.network
-        address = gray.api_endpoints()[0]
+        address = platform.api_balancer.endpoints[0]
         node_id = platform.etcd.node_ids[0]
         node = platform.etcd.node(node_id)
 
         # Two slows overlapping on one API endpoint: [1, 4) and [2, 6).
-        gray.slow_endpoint(address, 0.01, duration=3.0)
+        fire(platform, Fault("slow", address, 0.01, 3.0))
         platform.run_for(1.0)
-        gray.slow_endpoint(address, 0.02, duration=4.0)
+        fire(platform, Fault("slow", address, 0.02, 4.0))
         # A lossy layer on the same endpoint inside the same window.
-        gray.lossy_endpoint(address, loss=0.05, duration=1.0)
+        fire(platform, Fault("loss", address, 0.05, 1.0))
         # Two overlapping disk stalls on one etcd node.
-        gray.disk_stall_etcd(node_id, 0.005, duration=2.0)
-        gray.disk_stall_etcd(node_id, 0.01, duration=4.0)
+        fire(platform, Fault("disk-stall", node_id, 0.005, 2.0))
+        fire(platform, Fault("disk-stall", node_id, 0.01, 4.0))
 
         samples = {}
         platform.run_for(0.5)  # t=1.5: everything live
@@ -120,7 +119,7 @@ class TestOverlappingInjections:
         platform.run_for(2.5)  # t=5.7: everything reverted
         samples["network_pristine"] = pristine(network)
         samples["end_stall"] = node.disk_stall
-        samples["stall_layers"] = dict(gray._stall_layers)
+        samples["stall_layers"] = dict(platform.faults.stall_layers)
         return samples
 
     def test_overlapping_slows_compose_then_unwind(self, result):
