@@ -13,16 +13,20 @@ a retention leak is flat in the cProfile table; here it is the top
 row of the type census. No profiler runs in this mode.
 
 ``--events`` reads the same cProfile run another way: who puts the
-kernel's events in its queues. Every timer is a ``Kernel.sleep``, every
-process a ``Kernel.spawn`` and every bare callback entry a
-``Kernel.call_later``, ``call_soon`` or ``_schedule_at``, so their
-callers, as shares of ``events_processed``, say whether a kernel-cost
-idea (fewer poll ticks, fewer RPC timers) is aimed at a tenth of the
-events or at half. Each row also splits its entries between the heap
+kernel's events in its queues. A ``Timer`` is a ``Kernel.sleep``, a
+spawned process a ``Kernel.spawn``, and every other entry a
+``Kernel.call_later``, ``call_soon`` or ``_schedule_at`` — among them
+the entries that are their own timer: a poll tick
+(``repro.sim.periodic``), an RPC's deadline (``repro.grpcnet.network``)
+and a Raft replicator's idle wait (``repro.raftkv.node``), all
+``call_later``. So their callers, as shares of ``events_processed``,
+say whether a kernel-cost idea (fewer poll ticks, fewer RPC deadlines)
+is aimed at a tenth of the events or at half. Each row also splits its entries between the heap
 (due later) and the ready queue (due now): the kernel's ready queue is
-swapped for one that counts who appends to it. A timer that fires
-with nothing else due wakes its waiters in its own entry; the dispatch
-hops saved that way get a row of their own, as a share of
+swapped for one that counts who appends to it. An entry that ends a
+wait (a timer, a tick, a deadline, an idle wait) and fires with nothing
+else due runs its hop in its own entry; the hops saved that way get a
+row of their own, as a share of
 ``events_processed``, so the rows of a run still add up against the
 count a hop per timer would have reached.
 
@@ -53,7 +57,10 @@ generator function it resumes in (the innermost of a ``yield from``
 chain, so a Guardian's teardown wait is ``Guardian._await_cluster``,
 not ``Guardian.run``) and by process name with ids collapsed, as shares
 of all resumes. A wait woken by events it does not wait on shows up
-here as a large row. ``Process._resume`` and ``Process._on_wait_done``
+here as a large row. A wake that needs no process is no resume: a poll
+tick runs its pass in the tick's own hop, and a pass (or an RPC
+handler) that never suspends never becomes a process, so only passes
+that suspended show up, under the loop's name. ``Process._resume`` and ``Process._on_wait_done``
 are wrapped from here; no profiler runs.
 
 Usage::
@@ -456,10 +463,10 @@ def event_census(stats, events_processed, inlined, ready, lines):
     """Callers of the ``SCHEDULERS`` from a cProfile run, by module and
     by function, as shares of ``events_processed``, each split into
     heap and ready-queue entries (``ready`` is ``ReadyCensus.appended``).
-    The rest of the events are the zero-delay callbacks those timers and
-    processes trigger (event callbacks, process resumptions); the timer
-    dispatch hops run inline (``inlined``) are not events and are
-    reported on their own row."""
+    The rest of the events are the zero-delay callbacks those entries
+    and processes trigger (event callbacks, process resumptions, the
+    hops of ticks, deadlines and idle waits); the hops run inline
+    (``inlined``) are not events and are reported on their own row."""
     kernel_py = str(Path("repro", "sim", "kernel.py"))
     by_function = Counter()
     to_ready = Counter()
@@ -467,7 +474,7 @@ def event_census(stats, events_processed, inlined, ready, lines):
         if name in SCHEDULERS and filename.endswith(kernel_py):
             for (caller_file, caller_line, caller), counts in entry[4].items():
                 module = module_name(caller_file)
-                if name == "call_soon" and module.startswith("repro.sim."):
+                if name == "call_soon" and module == "repro.sim.events":
                     # A callback added to a settled event, an empty
                     # ``AllOf``: hops of events, not somebody's entry.
                     continue
@@ -496,7 +503,7 @@ def event_census(stats, events_processed, inlined, ready, lines):
         print(f"Kernel.{via}: {totals[via]} calls, {share(totals[via])} "
               f"of events_processed; heap {totals[via] - ready_totals[via]}, "
               f"ready {ready_totals[via]}")
-    print(f"Timer dispatches run inline: {inlined}, {share(inlined)} "
+    print(f"Timer hops run inline: {inlined}, {share(inlined)} "
           "of events_processed, not in it; with them "
           f"{events_processed + inlined} entries")
     print("\n    calls    share       heap      ready  via           module")

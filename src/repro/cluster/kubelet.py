@@ -71,13 +71,12 @@ class Kubelet:
         self.registry = registry
         self.cluster = cluster  # its ``events`` and the shared pod watch
         self.alive = False
-        # Spawned through the kubelet like everything else on the node:
-        # in ``_procs``, with its done-callback, as a pod worker is.
+        # Stopped by crash(), with the node's containers.
         self._loops = (
-            Periodic(kernel, "heartbeat", self._heartbeat,
-                     HEARTBEAT_INTERVAL, spawn=self._spawn),
-            Periodic(kernel, "sync", self.sync_once, SYNC_INTERVAL,
-                     spawn=self._spawn),
+            Periodic(kernel, f"kubelet:{node.metadata.name}:heartbeat",
+                     self._heartbeat, HEARTBEAT_INTERVAL),
+            Periodic(kernel, f"kubelet:{node.metadata.name}:sync",
+                     self.sync_once, SYNC_INTERVAL),
         )
         self._procs = set()
         self._pod_workers = {}  # pod uid -> worker process

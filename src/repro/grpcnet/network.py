@@ -63,15 +63,17 @@ class _Call(Event):
     are kernel callbacks, not a process: the two latency legs are bare
     heap entries, the handler's completion costs one hop, and whichever
     stage settles the call resumes its waiters in the same kernel entry.
-    The deadline is a real :class:`~repro.sim.kernel.Timer` (cancelled
-    on settle, so the dead-entry counters stay true); it can win at any
-    stage, after which the later stages find the call settled and
-    return — an orphaned handler runs on. Which hops may go and which
-    order the ``network`` RNG stream: DESIGN.md, "An RPC is one event".
+    The call is its own deadline entry (:meth:`__call__`), queued where
+    a deadline timer would be and firing through the same hop
+    (``Kernel.timer_hop``); settling first leaves it queued and dead,
+    counted as a cancelled timer is. The deadline can win at any stage,
+    after which the later stages find the call settled and return — an
+    orphaned handler runs on. Which hops may go and which order the
+    ``network`` RNG stream: DESIGN.md, "An RPC is one event".
     """
 
     __slots__ = ("_network", "_address", "_method", "_request", "_caller",
-                 "_started", "_timer", "_snapshot", "_handled")
+                 "_started", "_deadline", "_snapshot", "_handled")
 
     def __init__(self, network, address, method, request, caller, deadline):
         kernel = network.kernel
@@ -84,12 +86,11 @@ class _Call(Event):
         self._caller = caller
         self._started = kernel.now
         self._snapshot = self._handled = None
+        # None once the deadline entry has fired, or when there is none.
+        self._deadline = deadline
         kernel.call_soon(self._send)
-        if deadline is None:
-            self._timer = None
-        else:
-            self._timer = kernel.sleep(deadline, deadline)
-            self._timer.add_callback(self._expire)
+        if deadline is not None:
+            kernel.call_later(deadline, self)
 
     def _send(self):
         network = self._network
@@ -168,15 +169,30 @@ class _Call(Event):
                 f"response from {self._address} dropped by partition"))
         self._settle(None, self._handled.value)
 
-    def _expire(self, timer):
+    def __call__(self):
+        """The deadline entry: expire the call through the timer hop,
+        or, when it settled first, count the dead entry."""
+        kernel = self._kernel
+        if self.state is PENDING:
+            deadline, self._deadline = self._deadline, None
+            kernel.timer_hop(lambda: self._expire(deadline))
+        else:
+            kernel.dead_entries_skipped += 1
+            kernel._dead_pending -= 1
+
+    def _expire(self, deadline):
         if self.state is PENDING:
             self._settle(DeadlineExceeded(
-                f"{self._address}/{self._method} after {timer.value}s"))
+                f"{self._address}/{self._method} after {deadline}s"))
 
     def _settle(self, error, value=None):
         network = self._network
-        if self._timer is not None:
-            self._timer.cancel()  # lazy heap deletion; no-op once fired
+        if self._deadline is not None:
+            # The deadline entry stays queued, dead (lazy deletion).
+            self._deadline = None
+            kernel = self._kernel
+            kernel.timers_cancelled += 1
+            kernel._dead_pending += 1
         if error is None:
             code = "ok"
             self.state = SUCCEEDED

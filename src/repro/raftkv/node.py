@@ -15,6 +15,8 @@ persistent state (term, vote, log) survives restart, as if fsynced.
 from ..grpcnet import Server
 from ..grpcnet.errors import RpcError
 from ..sim.errors import ProcessKilled
+from ..sim.events import PENDING, SUCCEEDED, Event
+from ..sim.periodic import Periodic
 from .errors import NotLeader
 from .log import RaftLog
 from .rpc import (
@@ -43,6 +45,58 @@ HEARTBEAT = 0.05
 # Compact the log once this many entries are applied beyond the last
 # snapshot (``RaftNode.snapshot_threshold``; 0 disables compaction).
 SNAPSHOT_THRESHOLD = 500
+
+
+class _Idle(Event):
+    """A caught-up replicator's wait: its ``HEARTBEAT`` timer and its
+    poke in one object, which is also the heartbeat's queue entry.
+
+    It takes the hops the three objects it stands for took (DESIGN.md,
+    "A quiet wake is one queue entry"): the heartbeat fires through the
+    timer hop (``Kernel.timer_hop``), a :meth:`poke` through a queued
+    one, and either then queues the wake that resumes the replicator.
+    A poked wait's heartbeat entry stays queued, dead, and is counted
+    as a cancelled timer's is.
+    """
+
+    __slots__ = ("_queued", "_dead")
+
+    def __init__(self, kernel):
+        Event.__init__(self, kernel)
+        self._queued = True  # the heartbeat entry has not been reached
+        self._dead = False
+        kernel.call_later(HEARTBEAT, self)
+
+    def __call__(self):
+        self._queued = False
+        kernel = self._kernel
+        if self._dead:
+            kernel.dead_entries_skipped += 1
+            kernel._dead_pending -= 1
+        elif self.state is PENDING:
+            self.state = SUCCEEDED
+            if self._callbacks:
+                kernel.timer_hop(self._relay)
+
+    def poke(self):
+        if self.state is PENDING:
+            self.state = SUCCEEDED
+            if self._callbacks:
+                self._kernel._ready.append(self._relay)
+
+    def _relay(self):
+        self._kernel._ready.append(self._wake)
+
+    def _wake(self):
+        callbacks, self._callbacks = self._callbacks, ()
+        if callbacks:
+            if self._queued:  # poked: the heartbeat entry is now dead
+                self._dead = True
+                kernel = self._kernel
+                kernel.timers_cancelled += 1
+                kernel._dead_pending += 1
+            for callback in callbacks:
+                callback(self)
 
 
 class RaftNode:
@@ -100,7 +154,7 @@ class RaftNode:
         self._next_index = {}
         self._match_index = {}
         self._waiters = {}  # log index -> (term, event)
-        self._pokes = {}  # peer -> event, to wake the replicator early
+        self._idle = {}  # peer -> its replicator's wait, to poke it
         self._last_heartbeat = 0.0
         # Check-quorum lease: when each peer last acknowledged this
         # node's leadership (send time of the acked RPC, which is the
@@ -116,6 +170,11 @@ class RaftNode:
         # set by production code paths.
         self.stale_reads = False
         self._procs = set()
+        # Expires overdue leases while this node leads, from one
+        # LEASE_SWEEP after it won the term.
+        self._sweeper = Periodic(kernel, f"{node_id}:lease-sweeper",
+                                 self._sweep_leases, LEASE_SWEEP,
+                                 sleep_first=True)
         # Gray fault: seconds every log-carrying append hangs in the
         # simulated disk before being applied. Pure heartbeats (no
         # entries) skip the stall, so elections don't trip — the node
@@ -171,7 +230,8 @@ class RaftNode:
         self.server.stop()
         self.watch_hub.close_all()
         self._waiters.clear()
-        self._pokes.clear()
+        self._idle.clear()
+        self._sweeper.stop()
         procs, self._procs = self._procs, set()
         for proc in procs:
             proc.kill(f"{self.node_id} crashed")
@@ -224,10 +284,11 @@ class RaftNode:
         # Barrier no-op: lets this term commit entries from prior terms
         # (Raft §5.4.2) without waiting for a client write.
         self.log.append(self.current_term, {"op": "noop"})
+        self._idle = {}
         for peer in self.peer_ids:
-            self._pokes[peer] = self.kernel.event()
             self._spawn(self._replicate(peer, self.current_term), f"repl:{peer}")
-        self._spawn(self._lease_sweeper(self.current_term), "lease-sweeper")
+        self._sweeper.stop()  # a sweep of an earlier term would drift
+        self._sweeper.start()
         self._advance_commit()
 
     def _fail_waiters(self):
@@ -405,9 +466,10 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def _poke_replicators(self):
-        for peer, event in list(self._pokes.items()):
-            if not event.triggered:
-                event.succeed()
+        idle = self._idle
+        for peer in self.peer_ids:  # peer order: the hops queue in it
+            if peer in idle:
+                idle[peer].poke()
 
     def _replicate(self, peer, term):
         while self.alive and self.role == LEADER and self.current_term == term:
@@ -455,11 +517,8 @@ class RaftNode:
                 self._next_index[peer] = max(1, min(reply.next_index_hint, next_index - 1))
                 continue
             # Caught up: idle until new entries or the heartbeat interval.
-            poke = self.kernel.event()
-            self._pokes[peer] = poke
-            timer = self.kernel.sleep(HEARTBEAT)
-            yield self.kernel.any_of([poke, timer])
-            timer.cancel()
+            idle = self._idle[peer] = _Idle(self.kernel)
+            yield idle
 
     def _send_snapshot(self, peer, term):
         """Ship the current snapshot to a lagging peer.
@@ -574,26 +633,25 @@ class RaftNode:
                                     follower_id=self.node_id,
                                     last_included_index=request.last_included_index)
 
-    def _lease_sweeper(self, term):
-        while self.alive and self.role == LEADER and self.current_term == term:
-            yield self.kernel.sleep(LEASE_SWEEP)
-            if not (self.alive and self.role == LEADER and self.current_term == term):
-                return
-            now = self.kernel.now
-            expired = [
-                lease_id
-                for lease_id, lease in self.state_machine.leases.items()
-                if lease["expires_at"] <= now
-            ]
-            for lease_id in expired:
-                index = self.log.append(
-                    self.current_term,
-                    {"op": "lease_expire", "lease_id": lease_id, "now": now},
-                )
-                self._waiters[index] = (self.current_term, self.kernel.event())
-            if expired:
-                self._poke_replicators()
-                self._advance_commit()
+    def _sweep_leases(self):
+        if not self.is_leader:  # the term it was started for is over
+            self._sweeper.stop()
+            return
+        now = self.kernel.now
+        expired = [
+            lease_id
+            for lease_id, lease in self.state_machine.leases.items()
+            if lease["expires_at"] <= now
+        ]
+        for lease_id in expired:
+            index = self.log.append(
+                self.current_term,
+                {"op": "lease_expire", "lease_id": lease_id, "now": now},
+            )
+            self._waiters[index] = (self.current_term, self.kernel.event())
+        if expired:
+            self._poke_replicators()
+            self._advance_commit()
 
     # ------------------------------------------------------------------
     # Local (non-RPC) watch registration

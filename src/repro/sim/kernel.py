@@ -36,6 +36,11 @@ ready queue runs before the heap, and the heap entries due at the
 timer's instant sit in the ready queue already when it fires — so
 nothing can run between the two and the order is the single heap's.
 A timer that fires with entries waiting keeps its hop, behind them.
+The rule has one owner, :meth:`Kernel.timer_hop`, and every entry that
+ends a wait hands it its hop: a :class:`Timer`, and the entries that
+are their own timer — an RPC's deadline (``repro.grpcnet.network``), a
+poll tick (``repro.sim.periodic``), a Raft replicator's idle wait
+(``repro.raftkv.node``), each queued by :meth:`call_later`.
 The inlined hops are counted in ``dispatches_inlined``, so
 ``events_processed + dispatches_inlined`` is the count the kernel
 would have reached with a hop per timer. One thing tells: when the
@@ -48,7 +53,9 @@ returns a :class:`Timer` that is its own queue entry (no per-sleep
 closure). Cancelling it leaves the entry queued and marked dead; when
 it is reached, the kernel counts it (``dead_entries_skipped``) and
 does nothing else — the surviving timeline is bit-identical to the one
-where the timer fired into zero callbacks.
+where the timer fired into zero callbacks. An RPC settled before its
+deadline and a replicator poked before its heartbeat leave their
+entries dead the same way, counted alike.
 """
 
 import heapq
@@ -71,9 +78,9 @@ class Timer(Event):
     never share counters.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, kernel, value=None):
+    def __init__(self, kernel):
         # Event.__init__'s assignments, without its frame.
         self._kernel = kernel
         self.name = ""
@@ -82,27 +89,17 @@ class Timer(Event):
         self.exception = None
         self._callbacks = []
         self._pending_dispatch = None
-        self._value = value
 
     def __call__(self):
         state = self.state
         if state is PENDING:
             # Event.succeed, inlined: the state cannot be anything else.
             self.state = SUCCEEDED
-            self.value = self._value
             callbacks = self._callbacks
             self._callbacks = ()
             if callbacks:
-                kernel = self._kernel
-                if kernel._ready:
-                    self._pending_dispatch = callbacks
-                    kernel._ready.append(self._run_dispatch)
-                else:
-                    # A lone timer: its dispatch hop would be the very
-                    # next entry, so it runs here (module docstring).
-                    kernel.dispatches_inlined += 1
-                    for callback in callbacks:
-                        callback(self)
+                self._pending_dispatch = callbacks
+                self._kernel.timer_hop(self._run_dispatch)
         elif state is CANCELLED:
             kernel = self._kernel
             kernel.dead_entries_skipped += 1
@@ -216,13 +213,13 @@ class Kernel:
         """Create a fresh pending :class:`Event`."""
         return Event(self, name=name)
 
-    def sleep(self, delay, value=None):
+    def sleep(self, delay):
         """Return a :class:`Timer` that succeeds ``delay`` seconds from
         now. The caller that owns it exclusively may ``cancel()`` it
         (e.g. after losing a deadline race)."""
         if delay < 0:
             raise ValueError(f"negative sleep: {delay}")
-        timer = Timer(self, value)
+        timer = Timer(self)
         now = self._now
         when = now + delay
         if when == now:
@@ -231,6 +228,18 @@ class Kernel:
             self._sequence += 1
             heapq.heappush(self._queue, (when, self._sequence, timer))
         return timer
+
+    def timer_hop(self, hop):
+        """Run ``hop``, the dispatch hop of the timer entry running now:
+        here when nothing else is due now, else queued behind what is
+        (module docstring). Every entry that ends a wait — a
+        :class:`Timer`, an RPC's deadline, a poll tick, a Raft
+        replicator's idle wait — hands its hop to this one method."""
+        if self._ready:
+            self._ready.append(hop)
+        else:
+            self.dispatches_inlined += 1
+            hop()
 
     def any_of(self, events):
         """Event that fires when the first of ``events`` triggers."""

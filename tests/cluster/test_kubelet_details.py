@@ -198,19 +198,31 @@ class TestBriefKubeletOutage:
         assert pod.phase == "Running"
         assert len(runs) == 2  # original start + post-outage restart
 
-    def test_both_loops_are_on_the_kubelets_books(self, kernel, cluster):
-        # Heartbeat and sync are spawned through the kubelet: they are in
-        # what crash() sweeps and leave it when they end, like any other
-        # process of the node.
+    def test_loops_stop_on_crash_and_resume(self, kernel, cluster):
+        # A crash stops heartbeat and sync at that instant: no pass of
+        # either runs while the machine is down, and a restart resumes
+        # both. A sync pass starts by asking the cluster what changed.
+        syncs = []
+        pods_changed = cluster.pods_changed
+
+        def spy(node_name):
+            if node_name == "node-1":
+                syncs.append(kernel.now)
+            return pods_changed(node_name)
+
+        cluster.pods_changed = spy
         kernel.run(until=1.0)
         kubelet = cluster.kubelet_for("node-1")
-        names = sorted(p.name for p in kubelet._procs)
-        assert names == ["kubelet:node-1:heartbeat", "kubelet:node-1:sync"]
+        node = kubelet.node
+        assert syncs and node.last_heartbeat > 0.0
         kubelet.crash()
-        kernel.run(until=1.0)
-        assert kubelet._procs == set()
+        beat, passes = node.last_heartbeat, len(syncs)
+        kernel.run(until=3.0)
+        assert (node.last_heartbeat, len(syncs)) == (beat, passes)
         kubelet.restart()
-        assert len(kubelet._procs) == 2
+        kernel.run(until=4.0)
+        assert syncs[passes] == 3.0 and len(syncs) - passes >= 10
+        assert node.last_heartbeat > 3.0
 
 
 class TestSyncReadsNodeIndex:

@@ -19,7 +19,6 @@ from repro.grpcnet import (
     Unavailable,
 )
 from repro.sim import Kernel
-from repro.sim.events import CANCELLED
 
 DEADLINE = 5.0
 
@@ -69,12 +68,12 @@ class TestSuccessBudget:
                                   deadline=DEADLINE)
         assert call.value == "x"
         assert events <= 5
-        # The deadline is a real timer, cancelled on settle and counted
-        # as a dead entry — and the dead entry pins nothing of the call.
+        # The call is its own deadline entry: settling first leaves it
+        # queued and dead, counted as a cancelled timer — and what it
+        # still holds of the request once settled is nothing.
         assert kernel.timers_cancelled == kernel.dead_entries_skipped == 1
-        assert call._timer.state is CANCELLED
-        assert call._timer._callbacks is None
-        assert call._request is None
+        assert kernel.dead_entries_pending == 0
+        assert call._request is None and call._handled is None
 
     def test_without_a_deadline(self, kernel, network):
         events, call = events_for(kernel, network, "svc", "echo", "x")

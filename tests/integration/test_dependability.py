@@ -7,7 +7,7 @@ and so on" — plus checkpoint-bounded lost work and reliable status
 updates across crashes.
 """
 
-from repro.core import DlaasError, Fault, fire, recovery_time
+from repro.core import DlaasError, Fault, fire, layout, recovery_time
 
 from .conftest import manifest, submit_and_wait_running, wait_terminal
 
@@ -174,20 +174,33 @@ class TestLearnerCrash:
         assert len(moved) >= 2
 
     def test_lost_work_bounded_by_checkpoint_interval(self, platform, client):
-        spec = manifest(target_steps=5000, checkpoint_interval=20.0)
+        interval = 20.0
+        spec = manifest(target_steps=5000, checkpoint_interval=interval)
         job_id = submit_and_wait_running(platform, client, spec)
-        platform.run_for(80.0)
+
+        def reported():
+            """Learner 0's last report in etcd (read off the leader's
+            state, no RPC): its step and its clock."""
+            key = layout.learner_status_key(job_id, 0)
+            report, _revision = \
+                platform.etcd.leader().state_machine.get_with_revision(key)
+            return report["step"], report["time"]
+
+        platform.run_for(40.0)
+        first_step, first_time = reported()
+        platform.run_for(40.0)
+        last_step, last_time = reported()
         fire(platform, Fault("learner-pod", (job_id, 0)))
         platform.run_for(60.0)
         ready = platform.tracer.query(component="learner-0", kind="component-ready",
                                       job=job_id)
         assert len(ready) >= 2
-        progress = platform.tracer.query(component="guardian", kind="status-update")
         resumed = ready[-1].fields["resumed_step"]
-        # Steps lost = last progress before crash minus resume point;
-        # bound it loosely by two checkpoint intervals of stepping.
-        from repro.core import layout  # noqa: F401  (documentation import)
-        assert resumed > 0
+        rate = (last_step - first_step) / (last_time - first_time)
+        assert rate > 0 and resumed > 0
+        # A checkpoint every interval: at most two intervals of steps
+        # lost. (A checkpoint after the last report makes it negative.)
+        assert last_step - resumed <= 2 * interval * rate
 
 
 class TestEtcdNodeCrash:

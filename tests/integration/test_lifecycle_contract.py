@@ -2,16 +2,16 @@
 
 Every class below polls on a fixed interval by holding one
 ``repro.sim.Periodic`` (DESIGN.md "Lifecycle"). The contract it
-inherits is checked here from the outside — kernel processes by name
-and passes of its ``*_once()`` body — so that it holds for the class,
-not just for the primitive:
+inherits is checked here through the class — its loops' ``running``
+and when passes of its ``*_once()`` body began, ended or were killed —
+so that it holds for the class, not just for the primitive:
 
-* ``start()`` twice leaves exactly one live loop process;
-* ``stop()`` kills it at the current instant, a second ``stop()`` is a
+* ``start()`` twice leaves exactly one live loop: one loop's passes;
+* ``stop()`` ends it at the current instant, a second ``stop()`` is a
   no-op, and no pass begins afterwards;
 * ``start()`` after ``stop()`` resumes on the class's phase: a pass at
   once (work-first) or one interval later (sleep-first);
-* a generator body suspended mid-pass dies with the loop.
+* a generator body suspended mid-pass dies with the loop, at once.
 """
 
 import inspect
@@ -32,35 +32,20 @@ from repro.core.events import EventRecorder
 from repro.core.partitions import SLICE_TICK, SliceManager
 from repro.monitoring import AlertEngine, MetricsScraper
 from repro.nfs import NfsServer
-from repro.sim import Kernel, MetricsRegistry, Reconciler, WatchSource
+from repro.sim import (Kernel, MetricsRegistry, ProcessKilled, Reconciler,
+                       WatchSource)
 from repro.sim.timeseries import TimeSeriesStore
 
 RPC_TIME = 0.01  # what one call to a SlowStore suspends its caller for
 
 
-class RecordingKernel(Kernel):
-    """A kernel that remembers what it spawned, so a test can count the
-    live processes of one name without asking the component."""
-
-    def __init__(self, seed=0):
-        super().__init__(seed=seed)
-        self.spawned = []
-
-    def spawn(self, generator, name=""):
-        process = super().spawn(generator, name=name)
-        self.spawned.append(process)
-        return process
-
-    def live(self, name):
-        return sum(1 for p in self.spawned if p.name == name and p.alive)
-
-
 class Passes:
-    """When the spied body's passes began and ended."""
+    """When the spied body's passes began, ended and were killed."""
 
     def __init__(self):
         self.began = []
         self.ended = []
+        self.killed = []
 
     def spy(self, cls, method):
         """``cls`` with ``method`` recording each pass around the real
@@ -76,7 +61,11 @@ class Passes:
 
         def suspending(self):
             passes.began.append(self.kernel.now)
-            result = yield from original(self)
+            try:
+                result = yield from original(self)
+            except ProcessKilled:
+                passes.killed.append(self.kernel.now)
+                raise
             passes.ended.append(self.kernel.now)
             return result
 
@@ -104,11 +93,11 @@ class SlowStore:
 
 class Case:
     """One holder under test. ``first_pass`` is when its first pass
-    begins after a ``start()`` at t; ``names`` its loop processes."""
+    begins after a ``start()`` at t; ``loops`` its ``Periodic``s."""
 
-    def __init__(self, holder, names, interval, first_pass=0.0, stop=None):
+    def __init__(self, holder, loops, interval, first_pass=0.0, stop=None):
         self.holder = holder
-        self.names = names
+        self.loops = loops
         self.interval = interval
         self.first_pass = first_pass
         self.start = holder.start
@@ -127,19 +116,19 @@ def bare_cluster(kernel):
 def scraper(kernel, passes):
     holder = passes.spy(MetricsScraper, "scrape_once")(
         kernel, TimeSeriesStore(), interval=1.0, registry=MetricsRegistry())
-    return Case(holder, ["metrics-scraper"], 1.0)
+    return Case(holder, [holder._loop], 1.0)
 
 
 def alert_engine(kernel, passes):
     holder = passes.spy(AlertEngine, "evaluate_once")(
         kernel, TimeSeriesStore(), interval=1.0)
-    return Case(holder, ["alert-engine"], 1.0)
+    return Case(holder, [holder._loop], 1.0)
 
 
 def auditor(kernel, passes):
     holder = passes.spy(ConsistencyAuditor, "audit_once")(
         kernel, HistoryRecorder(kernel), interval=1.0)
-    return Case(holder, ["consistency-auditor"], 1.0, first_pass=1.0)
+    return Case(holder, [holder._loop], 1.0, first_pass=1.0)
 
 
 def slice_manager(kernel, passes):
@@ -147,7 +136,7 @@ def slice_manager(kernel, passes):
     holder = passes.spy(SliceManager, "_tick")(
         platform, "lcm-0", SlowStore(kernel))
     # Registration is two calls (grant the lease, put the member key).
-    return Case(holder, ["slices:lcm-0"], SLICE_TICK,
+    return Case(holder, [holder._loop], SLICE_TICK,
                 first_pass=2 * RPC_TIME + SLICE_TICK)
 
 
@@ -156,7 +145,7 @@ def controller(cls):
         cluster = bare_cluster(kernel)
         extra = (cluster.nfs,) if cls is PvcController else ()
         holder = passes.spy(cls, "reconcile_once")(kernel, cluster.api, *extra)
-        return Case(holder, [cls.name], holder._loop.interval)
+        return Case(holder, [holder._loop], holder._loop.interval)
 
     return build
 
@@ -164,7 +153,7 @@ def controller(cls):
 def scheduler(kernel, passes):
     holder = passes.spy(Scheduler, "schedule_once")(
         kernel, bare_cluster(kernel).api)
-    return Case(holder, ["scheduler"], 0.1)
+    return Case(holder, [holder._loop], 0.1)
 
 
 def kubelet(kernel, passes):
@@ -173,8 +162,7 @@ def kubelet(kernel, passes):
     holder = passes.spy(Kubelet, "sync_once")(
         kernel, cluster.api, node, cluster.nfs, cluster.registry, cluster)
     # The machine dying is what stops a kubelet's loops.
-    return Case(holder, ["kubelet:n1:sync", "kubelet:n1:heartbeat"], 0.1,
-                stop=holder.crash)
+    return Case(holder, list(holder._loops), 0.1, stop=holder.crash)
 
 
 def reconciler(kernel, passes):
@@ -185,7 +173,7 @@ def reconciler(kernel, passes):
     holder = passes.spy(Reconciler, "resync_once")(
         kernel, "t", lambda key: None, resync_interval=1.0)
     holder.add_source(WatchSource("listed", list_keys=list_keys))
-    return Case(holder, ["reconciler:t:resync"], 1.0, first_pass=1.0)
+    return Case(holder, [holder._resync], 1.0, first_pass=1.0)
 
 
 CASES = {
@@ -212,7 +200,7 @@ RESTARTABLE = sorted(set(CASES) - {"Reconciler"})
 
 @pytest.fixture
 def case(request):
-    kernel = RecordingKernel(seed=3)
+    kernel = Kernel(seed=3)
     passes = Passes()
     built = CASES[request.param](kernel, passes)
     built.kernel, built.passes = kernel, passes
@@ -227,8 +215,8 @@ def run_for(case, intervals):
     case.kernel.run(until=case.kernel.now + intervals * case.interval)
 
 
-def live(case):
-    return [case.kernel.live(name) for name in case.names]
+def running(case):
+    return [loop.running for loop in case.loops]
 
 
 @every(sorted(CASES))
@@ -236,7 +224,7 @@ def test_start_twice_leaves_one_live_loop(case):
     case.start()
     case.start()
     run_for(case, 0)
-    assert live(case) == [1] * len(case.names)
+    assert running(case) == [True] * len(case.loops)
     # ... and one loop's worth of passes: a second loop would double
     # them (passes are short next to the interval, so whole intervals
     # count them).
@@ -251,11 +239,11 @@ def test_stop_kills_at_once_and_stays_stopped(case):
     assert len(case.passes.began) == 1
     case.stop()
     run_for(case, 0)
-    assert live(case) == [0] * len(case.names)
+    assert running(case) == [False] * len(case.loops)
     case.stop()  # a no-op, not an error
     run_for(case, 5)
     assert len(case.passes.began) == 1
-    assert live(case) == [0] * len(case.names)
+    assert running(case) == [False] * len(case.loops)
 
 
 @every(RESTARTABLE)
@@ -267,7 +255,7 @@ def test_restart_resumes_on_the_documented_phase(case):
     restarted_at = case.kernel.now
     case.start()
     run_for(case, case.first_pass / case.interval + 0.5)
-    assert live(case) == [1] * len(case.names)
+    assert running(case) == [True] * len(case.loops)
     assert case.passes.began[1:] == [
         pytest.approx(restarted_at + case.first_pass)]
 
@@ -277,8 +265,10 @@ def test_a_pass_suspended_mid_way_dies_with_the_loop(case):
     case.start()
     case.kernel.run(until=case.first_pass + RPC_TIME / 2)
     assert len(case.passes.began) == 1 and case.passes.ended == []
+    stopped_at = case.kernel.now
     case.stop()
     run_for(case, 0)
-    assert live(case) == [0] * len(case.names)
+    assert running(case) == [False] * len(case.loops)
+    assert case.passes.killed == [stopped_at]
     run_for(case, 5)
-    assert case.passes.ended == []
+    assert case.passes.ended == [] and len(case.passes.began) == 1

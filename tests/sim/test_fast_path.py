@@ -46,17 +46,6 @@ class TestTimerCancellation:
         with pytest.raises(RuntimeError):
             timer.add_callback(lambda ev: None)
 
-    def test_sleep_value_still_delivered(self):
-        kernel = Kernel()
-        got = []
-
-        def proc():
-            got.append((yield kernel.sleep(2.0, value="tick")))
-
-        kernel.spawn(proc())
-        kernel.run()
-        assert got == ["tick"]
-
 
 class TestAnyOfDetachment:
     def test_loser_callbacks_detached_after_race(self):

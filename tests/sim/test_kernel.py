@@ -21,6 +21,13 @@ def kernel():
     return Kernel(seed=42)
 
 
+def succeeds(kernel, delay, value):
+    """An event that succeeds with ``value`` ``delay`` seconds from now."""
+    event = kernel.event()
+    kernel.call_later(delay, lambda: event.succeed(value))
+    return event
+
+
 class TestClock:
     def test_starts_at_zero(self, kernel):
         assert kernel.now == 0.0
@@ -269,7 +276,8 @@ class TestEvents:
 
     def test_any_of_returns_first(self, kernel):
         def waiter():
-            winner, value = yield AnyOf(kernel, [kernel.sleep(5, "slow"), kernel.sleep(2, "fast")])
+            winner, value = yield AnyOf(kernel, [succeeds(kernel, 5, "slow"),
+                                                 succeeds(kernel, 2, "fast")])
             return value
 
         process = kernel.spawn(waiter())
@@ -278,7 +286,8 @@ class TestEvents:
 
     def test_all_of_collects_values(self, kernel):
         def waiter():
-            values = yield AllOf(kernel, [kernel.sleep(5, "a"), kernel.sleep(2, "b")])
+            values = yield AllOf(kernel, [succeeds(kernel, 5, "a"),
+                                          succeeds(kernel, 2, "b")])
             return values
 
         process = kernel.spawn(waiter())

@@ -6,9 +6,9 @@ that this changes nothing a simulation can observe: the same callbacks
 run at the same instants in the same order, ``events_processed``
 counts the same entries, and the same errors are raised at the same
 point. ``SingleHeapKernel`` below is the kernel as it was before the
-split — every entry a ``(when, seq, callback)`` tuple on one heap — and
-serves only as the oracle here, with ``HopTimer``, a timer that always
-queues its dispatch hop. Hypothesis generates nested programs
+split — every entry a ``(when, seq, callback)`` tuple on one heap, and
+every timer's dispatch hop queued (its ``timer_hop``) — and serves only
+as the oracle here. Hypothesis generates nested programs
 of every way to schedule (``call_soon``, ``call_later``, ``sleep``,
 ``_schedule_at``, ``spawn``, ``kill``, ``succeed``, ``cancel``) with
 delays that tie often, and runs each on both kernels under ``run()``,
@@ -24,26 +24,10 @@ import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Kernel, SimError
-from repro.sim.events import CANCELLED, PENDING, SUCCEEDED
-from repro.sim.kernel import Timer
-
-
-class HopTimer(Timer):
-    """The timer as it was: a firing always queues its dispatch hop."""
-
-    __slots__ = ()
-
-    def __call__(self):
-        state = self.state
-        if state is PENDING:
-            self.state = SUCCEEDED
-            self.value = self._value
-            self._dispatch()
-        elif state is CANCELLED:
-            kernel = self._kernel
-            kernel.dead_entries_skipped += 1
-            kernel._dead_pending -= 1
+from repro.grpcnet import Network, Server
+from repro.raftkv.node import HEARTBEAT, _Idle
+from repro.sim import Kernel, Periodic, SimError
+from repro.sim.events import PENDING
 
 
 class _HeapPush:
@@ -81,12 +65,9 @@ class SingleHeapKernel(Kernel):
             raise ValueError(f"negative delay: {delay}")
         self._push(self._now + delay, callback)
 
-    def sleep(self, delay, value=None):
-        if delay < 0:
-            raise ValueError(f"negative sleep: {delay}")
-        timer = HopTimer(self, value)
-        self._push(self._now + delay, timer)
-        return timer
+    def timer_hop(self, hop):
+        # The timer as it was: a firing always queues its dispatch hop.
+        self.call_soon(hop)
 
     def run(self, until=None):
         if until is not None and until < self._now:
@@ -194,7 +175,7 @@ class Interpreter:
                 kernel._schedule_at(kernel.now + action[1],
                                     self.later(label, action[2]))
             elif kind == "timer":
-                timer = kernel.sleep(action[1], value=label)
+                timer = kernel.sleep(action[1])
                 self.timers.append(timer)
                 timer.add_callback(self.later(label, action[2]))
             elif kind == "spawn":
@@ -348,7 +329,7 @@ def test_run_until_complete_on_a_timer_matches_the_single_heap(
     def drive(interpreter):
         kernel = interpreter.kernel
         interpreter.do("p", program)
-        timer = kernel.sleep(delay, value="target")
+        timer = kernel.sleep(delay)
         timer.add_callback(interpreter.later("target", [("mark",)]))
         kernel.spawn(waiter(interpreter, timer), name="waiter")
         returned = "raised"
@@ -370,7 +351,7 @@ def test_run_until_ending_on_a_timer_matches_the_single_heap(program, delay):
     def drive(interpreter):
         kernel = interpreter.kernel
         interpreter.do("p", program)
-        timer = kernel.sleep(delay, value="edge")
+        timer = kernel.sleep(delay)
         timer.add_callback(interpreter.later("edge", [("mark",)]))
         kernel.run(until=kernel.now + delay)
         interpreter.note("returned")
@@ -378,6 +359,69 @@ def test_run_until_ending_on_a_timer_matches_the_single_heap(program, delay):
 
     oracle, kernel = both(drive)
     assert kernel == oracle
+
+
+QUIET = ["deadline", "heartbeat", "poke", "tick", "other"]
+
+
+@ORDER
+@given(st.permutations(QUIET))
+def test_quiet_wakes_at_one_instant_match_the_single_heap(order):
+    """The three entries that end a quiet wait — an RPC's deadline, a
+    Raft replicator's idle wait (its heartbeat entry, and a poke) and a
+    poll tick — all due at ``HEARTBEAT``, beside a bare entry due then
+    too. They are set up one per hop, in ``order``, so their entries
+    are queued in that order; each runs its hop inline or queued by the
+    same rule a timer does, so both kernels run them alike."""
+    def drive(interpreter):
+        kernel = interpreter.kernel
+        network = Network(kernel)
+        server = Server(kernel, network, "svc")
+
+        def slow(_request):
+            yield kernel.sleep(1.0)
+
+        server.add_method("slow", slow).start()
+        idle = []
+
+        def waiter():
+            yield idle[0]
+            interpreter.note("idle-woke")
+
+        def set_up(item):
+            if item == "deadline":
+                call = network.call("svc", "slow", None, deadline=HEARTBEAT)
+                call.add_callback(lambda c: interpreter.note(
+                    f"deadline:{type(c.exception).__name__}"))
+            elif item == "heartbeat":
+                idle.append(_Idle(kernel))
+                kernel.spawn(waiter())
+            elif item == "poke":
+                def poke():
+                    interpreter.note("poke")
+                    idle[0].poke()
+                    kernel.call_soon(lambda: interpreter.note("after-poke"))
+
+                kernel.call_later(HEARTBEAT, poke)
+            elif item == "tick":
+                Periodic(kernel, "tick", lambda: interpreter.note("tick"),
+                         HEARTBEAT, sleep_first=True).start()
+            else:
+                kernel.call_later(HEARTBEAT, lambda: interpreter.note("other"))
+
+        def chain(items):
+            if items:
+                set_up(items[0])
+                kernel.call_soon(lambda: chain(items[1:]))
+
+        chain(order)
+        kernel.run(until=1.5 * HEARTBEAT)
+        kernel.run(until=2.0)
+
+    oracle, kernel = both(drive)
+    assert kernel == oracle
+    assert {label for label, _now in kernel["trace"]} >= {
+        "idle-woke", "poke", "tick", "other", "deadline:DeadlineExceeded"}
 
 
 def test_a_lone_timer_wakes_inline():

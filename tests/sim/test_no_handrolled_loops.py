@@ -20,8 +20,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 # it stays. (``RaftNode``'s election and replication loops and
 # ``Guardian._await_cluster`` sleep a computed remainder and never match.)
 ALLOWED = {
-    ("raftkv/node.py", "RaftNode", "_lease_sweeper"):
-        "a protocol timer: lives for one leadership term and ends with it",
     ("raftkv/cluster.py", "EtcdCluster", "wait_for_leader"):
         "a caller's deadline wait, not a component's loop",
     ("cluster/kubelet.py", "Kubelet", "_provision_volumes"):

@@ -7,7 +7,7 @@ only the primitive itself can get wrong.
 
 import pytest
 
-from repro.sim import Kernel, Periodic
+from repro.sim import Kernel, Periodic, ProcessKilled
 
 
 @pytest.fixture
@@ -121,44 +121,33 @@ def test_a_body_may_stop_its_own_loop(kernel):
 
 
 def test_stop_between_timer_fire_and_dispatch_runs_no_more_pass(kernel):
-    """The timer has fired (its dispatch entry is queued) when stop()
-    lands at the same instant: the pass must not run."""
+    """The tick has fired (its hop is queued) when stop() lands at the
+    same instant: the pass must not run."""
     loop, ticks = ticking(kernel)
     loop.start()
-    kernel.run(until=0.0)  # first pass done, the t=1.0 timer is queued
-    # Queued after that timer and so popped after it, but before the
-    # dispatch entry the timer queues when it fires.
+    kernel.run(until=0.0)  # first pass done, the t=1.0 tick is queued
+    # Queued after that tick and so popped after it, but before the
+    # hop the tick queues when it fires.
     kernel.call_later(1.0, loop.stop)
     kernel.run(until=3.0)
     assert ticks == [0.0]
 
 
 def test_stop_reason_reaches_the_killed_process(kernel):
-    loop, _ticks = ticking(kernel)
+    """A stop() that lands while a generator pass is suspended kills
+    the pass's process with the stop's reason, at that instant."""
+    killed = []
+
+    def body():
+        try:
+            yield kernel.sleep(1.0)
+        except ProcessKilled as exc:
+            killed.append((exc.reason, kernel.now))
+            raise
+
+    loop = Periodic(kernel, "loop", body, 1.0)
     loop.start()
-    proc = loop._proc
     kernel.run(until=0.5)
     loop.stop("node n1 crashed")
-    kernel.run(until=0.5)
-    assert not proc.alive and proc.exception.reason == "node n1 crashed"
-
-
-def test_spawn_hands_the_loop_process_to_its_holder(kernel):
-    """A holder that keeps books of its processes (the kubelet) spawns
-    the loop itself, at every start, under its own naming."""
-    owned = []
-
-    def spawn(generator, name):
-        owned.append(kernel.spawn(generator, name=f"holder:{name}"))
-        return owned[-1]
-
-    loop, ticks = ticking(kernel, spawn=spawn)
-    loop.start().start()
-    kernel.run(until=0.5)
-    assert [p.name for p in owned] == ["holder:loop"] and loop.running
-    owned[0].kill("holder died")  # the holder's own sweep, not stop()
-    kernel.run(until=1.5)
-    assert ticks == [0.0] and not loop.running
-    loop.start()
-    kernel.run(until=1.5)
-    assert len(owned) == 2 and ticks == [0.0, 1.5]
+    kernel.run(until=3.0)
+    assert killed == [("node n1 crashed", 0.5)] and not loop.running

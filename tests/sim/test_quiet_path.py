@@ -1,0 +1,115 @@
+"""What the control plane's quiet traffic costs the kernel, counted.
+
+An idle 3-member etcd cluster (Raft heartbeats, each RPC with its
+deadline) and a poll loop on a fixed interval are the traffic a quiet
+platform is made of. Each of their wakes is one queue entry (DESIGN.md
+"A quiet wake is one queue entry"): an idle replicator waits on one
+object that is its heartbeat timer and its poke, an RPC is its own
+deadline entry, and a tick runs its pass in the tick's hop. The counts
+below are exact for the seed and involve no host clock; a change that
+builds a timer, an ``AnyOf`` or a process on one of these paths again
+moves them.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.grpcnet import Network
+from repro.raftkv import EtcdCluster
+from repro.sim import Kernel, Periodic
+from repro.sim.events import AnyOf
+from repro.sim.process import Process
+
+
+class SleepCountingKernel(Kernel):
+    """Counts ``sleep`` calls by the function that made them."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.sleeps = Counter()
+
+    def sleep(self, delay):
+        self.sleeps[sys._getframe(1).f_code.co_qualname] += 1
+        return super().sleep(delay)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """How many ``AnyOf``s and ``Process``es were constructed."""
+    counts = Counter()
+    for cls in (AnyOf, Process):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_an_idle_etcd_cluster(built):
+    kernel = SleepCountingKernel(seed=0)
+    network = Network(kernel)
+    cluster = EtcdCluster(kernel, network, size=3).start()
+    kernel.run(until=10.0)
+    assert cluster.leader().current_term == 1
+    # Every heartbeat is an RPC whose deadline entry is reached dead.
+    assert network.calls_total == kernel.timers_cancelled == 382
+    assert kernel.dead_entries_skipped == 380
+    assert (kernel.events_processed, kernel.dispatches_inlined) == (2861, 565)
+    # The election timers are all that still sleeps: not the idle
+    # replicators, not the deadlines, not the lease sweep.
+    assert kernel.sleeps == {"RaftNode._election_timer": 171}
+    assert built["AnyOf"] == 0
+    # Three election timers, two vote requests, two replicators.
+    assert built["Process"] == 7
+
+
+def test_a_write_pokes_the_idle_replicators():
+    """A proposal at a quiet instant pokes both caught-up replicators:
+    each wakes two hops later, as it did through a poke ``Event`` and an
+    ``AnyOf``, and its heartbeat entry is reached dead, counted as the
+    timer it stands for was when cancelled."""
+    kernel = Kernel(seed=0)
+    network = Network(kernel)
+    cluster = EtcdCluster(kernel, network, size=3).start()
+    kernel.run(until=10.0)
+    counts = (kernel.events_processed, kernel.dispatches_inlined,
+              kernel.timers_cancelled, kernel.dead_entries_skipped)
+    assert counts == (2861, 565, 382, 380)
+    call = network.call(cluster.leader().node_id, "propose",
+                        {"op": "put", "key": "k", "value": 1})
+    kernel.run(until=10.2)
+    assert call.value == {"ok": True, "revision": 1}
+    assert (kernel.events_processed, kernel.dispatches_inlined,
+            kernel.timers_cancelled, kernel.dead_entries_skipped) == (
+        2928, 575, 392, 390)
+
+
+def test_a_plain_bodied_loop_spawns_nothing(built):
+    kernel = SleepCountingKernel(seed=0)
+    ticks = []
+    Periodic(kernel, "loop", lambda: ticks.append(kernel.now), 1.0).start()
+    kernel.run(until=99.5)
+    assert len(ticks) == 100
+    # The start hop, then one entry per tick whose hop runs inline.
+    assert (kernel.events_processed, kernel.dispatches_inlined) == (100, 99)
+    assert built["Process"] == 0 and not kernel.sleeps
+
+
+def test_a_generator_pass_gets_a_process_only_while_suspended(built):
+    kernel = Kernel(seed=0)
+    passes = []
+
+    def body():
+        passes.append(kernel.now)
+        if len(passes) % 2:
+            yield kernel.sleep(0.25)
+
+    Periodic(kernel, "loop", body, 1.0).start()
+    kernel.run(until=10.0)
+    assert len(passes) == 9
+    assert built["Process"] == 5  # the five passes that slept
