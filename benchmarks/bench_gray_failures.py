@@ -81,7 +81,7 @@ def drive_status_polls(platform, period=0.05):
 def drive_mongo_writes(platform, period=0.05):
     """Write stream giving each secondary a dense ``replicate`` series."""
     mongo = MongoClient(platform.kernel, platform.network, platform.mongo,
-                        caller="gray-write-driver")
+                        platform.tracer, caller="gray-write-driver")
 
     def writes():
         n = 0

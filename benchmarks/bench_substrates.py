@@ -7,10 +7,11 @@ All other benches in this directory measure simulated time; these
 measure real time.
 """
 
+from repro.core.events import EventRecorder
 from repro.docstore import Collection
 from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import EtcdClient, EtcdCluster
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 
 def test_kernel_event_dispatch(benchmark):
@@ -31,8 +32,10 @@ def test_kernel_event_dispatch(benchmark):
 def test_raft_commit_throughput(benchmark):
     def run():
         kernel = Kernel(seed=0)
-        network = Network(kernel, latency=LatencyModel(0.001, 0.0))
-        cluster = EtcdCluster(kernel, network, size=3).start()
+        metrics = MetricsRegistry()
+        network = Network(kernel, metrics, latency=LatencyModel(0.001, 0.0))
+        cluster = EtcdCluster(kernel, network, metrics,
+                              EventRecorder(kernel, metrics), size=3).start()
         client = EtcdClient(kernel, network, cluster)
 
         def writer():

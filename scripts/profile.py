@@ -15,7 +15,7 @@ row of the type census. No profiler runs in this mode.
 ``--events`` reads the same cProfile run another way: who puts the
 kernel's events in its queues. A ``Timer`` is a ``Kernel.sleep``, a
 spawned process a ``Kernel.spawn``, and every other entry a
-``Kernel.call_later``, ``call_soon`` or ``_schedule_at`` — among them
+``Kernel.call_later`` or ``call_soon`` — among them
 the entries that are their own timer: a poll tick
 (``repro.sim.periodic``), an RPC's deadline (``repro.grpcnet.network``)
 and a Raft replicator's idle wait (``repro.raftkv.node``), all
@@ -102,12 +102,12 @@ from repro.bench import run_scale_scenario  # noqa: E402
 
 PERFBENCH_WORKLOADS = ("steady", "scale", "partitioned", "chaos")
 # The Kernel methods that queue an entry on a caller's behalf.
-SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon", "_schedule_at")
+SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon")
 # Of those, the ones whose entry goes to the heap or to the ready
 # queue depending on whether it is due now; ``spawn`` and
 # ``call_soon`` always go to the ready queue.
 ROUTED = {getattr(kernel_module.Kernel, name).__code__: name
-          for name in ("sleep", "call_later", "_schedule_at")}
+          for name in ("sleep", "call_later")}
 HEAP_TOP_TYPES = 15
 # Reconciler-runtime functions whose frame on the stack of a
 # ``WorkQueue.add`` says why the key was enqueued (innermost wins).
@@ -538,9 +538,9 @@ def main(argv=None):
                              "live types and ru_maxrss (needs --workload)")
     parser.add_argument("--events", action="store_true",
                         help="instead of the function tables: callers of "
-                             "Kernel.sleep, spawn, call_later, call_soon and "
-                             "_schedule_at by module and function, as shares "
-                             "of events_processed, split into heap and "
+                             "Kernel.sleep, spawn, call_later and call_soon "
+                             "by module and function, as shares of "
+                             "events_processed, split into heap and "
                              "ready-queue entries")
     parser.add_argument("--rpcs", action="store_true",
                         help="instead of cProfile: who issues the network's "

@@ -54,7 +54,7 @@ def closed_prefix(ops):
 class ConsistencyAuditor(Polling):
     """Periodically check the recorded history key by key."""
 
-    def __init__(self, kernel, history, metrics=None, interval=5.0):
+    def __init__(self, kernel, history, metrics, interval=5.0):
         self.kernel = kernel
         self.history = history
         self.interval = interval
@@ -68,17 +68,14 @@ class ConsistencyAuditor(Polling):
         self.budget_exhausted = []  # keys whose search blew the budget
         self._cursor = {}   # key -> (next raw index, carried states)
         self._flagged = set()
-        self._m_checked = None
-        self._m_violations = None
-        if metrics is not None:
-            self._m_checked = metrics.counter(
-                "consistency_ops_checked_total",
-                help="Client operations examined by the linearizability "
-                     "checker")
-            self._m_violations = metrics.counter(
-                "consistency_violations_total", ("key",),
-                help="Keys whose recorded client history is not "
-                     "linearizable")
+        self._m_checked = metrics.counter(
+            "consistency_ops_checked_total",
+            help="Client operations examined by the linearizability "
+                 "checker")
+        self._m_violations = metrics.counter(
+            "consistency_violations_total", ("key",),
+            help="Keys whose recorded client history is not "
+                 "linearizable")
 
     # ------------------------------------------------------------------
     # One audit pass
@@ -96,7 +93,7 @@ class ConsistencyAuditor(Polling):
                 # invocation order: compacting now could cut past them.
                 continue
             examined += self._audit_key(key)
-        if examined and self._m_checked is not None:
+        if examined:
             self._m_checked.inc(examined)
         self.ops_checked += examined
         return examined
@@ -143,8 +140,7 @@ class ConsistencyAuditor(Polling):
         if not outcome.ok:
             self._flagged.add(key)
             self.violations.append(outcome.witness)
-            if self._m_violations is not None:
-                self._m_violations.labels(key=key).inc()
+            self._m_violations.labels(key=key).inc()
         return outcome
 
     # ------------------------------------------------------------------

@@ -19,11 +19,12 @@ from ..frameworks import (
     CheckpointStore,
     TrainingRun,
 )
+from ..core.events import EventRecorder
 from ..grpcnet import LatencyModel, Network
 from ..nfs import NfsServer
 from ..objectstore import ObjectStore
 from ..raftkv import EtcdClient, EtcdCluster
-from ..sim import Kernel
+from ..sim import Kernel, MetricsRegistry, Tracer
 from .baremetal import build_config
 
 CREDS = {"k": "bench"}
@@ -73,7 +74,7 @@ def _race(kernel, process, timer):
 
 def _run_with_crashes(interval):
     kernel = Kernel(seed=CHECKPOINT_SEED)
-    store = ObjectStore(kernel)
+    store = ObjectStore(kernel, MetricsRegistry())
     store.create_bucket("ckpt", CREDS)
     checkpoints = CheckpointStore(store, "ckpt", "job", CREDS)
     config = build_config("resnet50", "tensorflow", "k80", 1)
@@ -153,8 +154,10 @@ def etcd_vs_direct_rows(updates=40, downtime=(20.0, 50.0)):
     down for a window. Durable ETCD retains every update for the
     restarted consumer; a direct push pipeline loses the window."""
     kernel = Kernel(seed=ETCD_VS_DIRECT_SEED)
-    network = Network(kernel, latency=LatencyModel(0.002, 0.001))
-    cluster = EtcdCluster(kernel, network, size=3).start()
+    metrics = MetricsRegistry()
+    network = Network(kernel, metrics, latency=LatencyModel(0.002, 0.001))
+    cluster = EtcdCluster(kernel, network, metrics,
+                          EventRecorder(kernel, metrics), size=3).start()
     client = EtcdClient(kernel, network, cluster)
     pushed_seen = []
     consumer_down = lambda t: downtime[0] <= t < downtime[1]
@@ -203,7 +206,10 @@ def scheduler_rows(nodes=8, gpus_per_node=4):
     small_pods = nodes * gpus_per_node // 2  # half the cluster, 1 GPU each
     for strategy in ("binpack", "spread"):
         kernel = Kernel(seed=SCHEDULER_SEED)
-        cluster = KubernetesCluster(kernel, NfsServer(kernel))
+        metrics = MetricsRegistry()
+        events = EventRecorder(kernel, metrics)
+        cluster = KubernetesCluster(kernel, NfsServer(kernel, metrics, events),
+                                    Tracer(kernel), metrics, events)
         cluster.scheduler.strategy = strategy
         cluster.registry.register("img", 10)
         for i in range(nodes):

@@ -8,7 +8,7 @@ bin-packs GPU pods, kubelets enforce restart policies, and the node
 controller evicts pods from dead machines.
 """
 
-from .apiserver import ApiServer, ClusterEvent
+from .apiserver import ApiServer
 from .cluster import KubernetesCluster
 from .controllers import (
     DeploymentController,
@@ -56,7 +56,6 @@ from .scheduler import Scheduler
 __all__ = [
     "ApiServer",
     "ClusterError",
-    "ClusterEvent",
     "ConflictError",
     "ContainerContext",
     "ContainerSpec",

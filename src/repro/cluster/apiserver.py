@@ -1,8 +1,10 @@
-"""The cluster API server: resource stores, watches, events.
+"""The cluster API server: resource stores and watches.
 
 Controllers and kubelets coordinate exclusively through here, mirroring
 the real architecture: declarative resources in a store, reconciled by
-loops that never talk to each other directly.
+loops that never talk to each other directly. A Kubernetes event
+(``kubectl get events``) is one ``apiserver`` / ``k8s-event`` trace
+record (:meth:`ApiServer.record_event`); nothing else keeps it.
 """
 
 from ..sim.channels import Channel
@@ -63,26 +65,10 @@ class ResourceWatch(Channel):
         self._api.unwatch(self)
 
 
-class ClusterEvent:
-    """A recorded cluster event (kubectl get events)."""
-
-    __slots__ = ("time", "kind", "name", "reason", "message")
-
-    def __init__(self, time, kind, name, reason, message):
-        self.time = time
-        self.kind = kind
-        self.name = name
-        self.reason = reason
-        self.message = message
-
-    def __repr__(self):
-        return f"<Event {self.time:.2f} {self.kind}/{self.name} {self.reason}>"
-
-
 class ApiServer:
     """Typed resource stores, keyed by name, with watch channels."""
 
-    def __init__(self, kernel, tracer=None):
+    def __init__(self, kernel, tracer):
         self.kernel = kernel
         self.tracer = tracer
         self._stores = {}
@@ -112,7 +98,6 @@ class ApiServer:
         self.unscheduled_version = 0
         # kind -> {owner, or None for kind-wide -> [ResourceWatch]}
         self._watchers = {}
-        self.events = []
 
     def _store(self, kind):
         return self._stores.setdefault(kind, {})
@@ -318,9 +303,6 @@ class ApiServer:
             del self._watchers[kind]
 
     def record_event(self, kind, name, reason, message=""):
-        event = ClusterEvent(self.kernel.now, kind, name, reason, message)
-        self.events.append(event)
-        if self.tracer is not None:
-            self.tracer.emit("apiserver", "k8s-event", resource=kind, name=name,
-                             reason=reason, message=message)
-        return event
+        """Record a Kubernetes event about resource ``kind``/``name``."""
+        self.tracer.emit("apiserver", "k8s-event", resource=kind, name=name,
+                         reason=reason, message=message)

@@ -24,16 +24,13 @@ from .scheduler import Scheduler
 class KubernetesCluster:
     """The platform layer: nodes, control plane, image registry."""
 
-    def __init__(self, kernel, nfs_server, tracer=None, metrics=None,
-                 events=None):
+    def __init__(self, kernel, nfs_server, tracer, metrics, events):
         self.kernel = kernel
         self.nfs = nfs_server
-        self.tracer = tracer
         self.events = events
-        self.api = ApiServer(kernel, tracer=tracer)
+        self.api = ApiServer(kernel, tracer)
         self.registry = ImageRegistry(kernel)
-        self.scheduler = Scheduler(kernel, self.api, tracer=tracer,
-                                   metrics=metrics, events=events)
+        self.scheduler = Scheduler(kernel, self.api, tracer, metrics, events)
         self.controllers = [
             JobController(kernel, self.api),
             StatefulSetController(kernel, self.api),

@@ -267,7 +267,7 @@ class Kubelet:
             status.restart_count += 1
             self.api.record_event("Pod", pod.metadata.name, "ContainerRestart",
                                   f"{container.name} exited {exit_code}")
-            if self.cluster.events is not None and exit_code != 0:
+            if exit_code != 0:
                 # Crash-looping containers deduplicate into one record
                 # with a rising count (the helper/learner exit path).
                 self.cluster.events.emit_event(

@@ -29,7 +29,7 @@ class Scheduler(Polling):
 
     STRATEGIES = ("binpack", "spread")
 
-    def __init__(self, kernel, api, tracer=None, metrics=None, events=None):
+    def __init__(self, kernel, api, tracer, metrics, events):
         self.kernel = kernel
         self.api = api
         self.events = events
@@ -38,7 +38,6 @@ class Scheduler(Polling):
         self.tracer = tracer
         # One of STRATEGIES; the scheduler ablation sets "spread".
         self.strategy = "binpack"
-        self.scheduled_count = 0
         # The unschedulable set: uid of a pod no pass could place (a
         # gang: of its first member) -> when that was last reported.
         self.parked = {}
@@ -48,17 +47,14 @@ class Scheduler(Polling):
         # pods). While the version and the fit state stand and no
         # report is due, a pass would do nothing (see ``_quiet``).
         self._quiet_state = None
-        if metrics is not None:
-            self._m_pending = metrics.gauge(
-                "scheduler_pending_pods",
-                help="Unbound pending pods at the last scheduling pass")
-            self._m_placement = metrics.histogram(
-                "scheduler_placement_latency_seconds",
-                help="Pod creation to node binding")
-            self._m_scheduled = metrics.counter(
-                "scheduler_scheduled_pods_total", help="Pods bound to nodes")
-        else:
-            self._m_pending = self._m_placement = self._m_scheduled = None
+        self._m_pending = metrics.gauge(
+            "scheduler_pending_pods",
+            help="Unbound pending pods at the last scheduling pass")
+        self._m_placement = metrics.histogram(
+            "scheduler_placement_latency_seconds",
+            help="Pod creation to node binding")
+        self._m_scheduled = metrics.counter(
+            "scheduler_scheduled_pods_total", help="Pods bound to nodes")
 
     def start(self):
         if not self._loop.running:
@@ -82,8 +78,7 @@ class Scheduler(Polling):
         self._quiet_state = None
         version = self.api.unscheduled_version
         pending = self.api.list("Pod", unscheduled=True)
-        if self._m_pending is not None:
-            self._m_pending.set(len(pending))
+        self._m_pending.set(len(pending))
         if self.parked:
             # Deleted or terminal while parked: gone from the list, gone
             # from the set.
@@ -143,8 +138,7 @@ class Scheduler(Polling):
                 or self.kernel.now - reported >= UNSCHEDULABLE_REPORT_INTERVAL
                 or fit != _fit_state(self.api.list("Node"))):
             return False
-        if self._m_pending is not None:
-            self._m_pending.set(count)
+        self._m_pending.set(count)
         return True
 
     def _find_node(self, pod, nodes, no_room, tentative=False):
@@ -205,10 +199,9 @@ class Scheduler(Polling):
         self.parked[pod.metadata.uid] = now
         self.api.record_event("Pod", pod.metadata.name, "FailedScheduling",
                               message)
-        if self.events is not None:
-            self.events.emit_event(
-                "Warning", "Unschedulable", "Pod", pod.metadata.name,
-                message=message, job=pod.metadata.labels.get("dlaas-job"))
+        self.events.emit_event(
+            "Warning", "Unschedulable", "Pod", pod.metadata.name,
+            message=message, job=pod.metadata.labels.get("dlaas-job"))
 
     def _pick_node(self, pod, nodes):
         """Feasible node per strategy, or None (does not allocate)."""
@@ -241,12 +234,9 @@ class Scheduler(Polling):
         self.api.update(pod)
         self.api.record_event("Pod", pod.metadata.name, "Scheduled",
                               f"bound to {node.metadata.name}")
-        if self.tracer is not None:
-            self.tracer.emit("scheduler", "bind", pod=pod.metadata.name,
-                             node=node.metadata.name)
-        self.scheduled_count += 1
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
-            created = pod.metadata.creation_time
-            if created is not None:
-                self._m_placement.observe(self.kernel.now - created)
+        self.tracer.emit("scheduler", "bind", pod=pod.metadata.name,
+                         node=node.metadata.name)
+        self._m_scheduled.inc()
+        created = pod.metadata.creation_time
+        if created is not None:
+            self._m_placement.observe(self.kernel.now - created)

@@ -36,7 +36,7 @@ class ApiService:
         self.platform = platform
         self.kernel = platform.kernel
         self.address = address
-        self.mongo = platform.mongo_client(address, tracer=platform.tracer)
+        self.mongo = platform.mongo_client(address)
         self.etcd = EtcdClient(self.kernel, platform.network, platform.etcd,
                                client_id=address, history=platform.history)
         self.metering = Metering(self.mongo)

@@ -12,7 +12,10 @@ The recorder is pure in-memory bookkeeping on the simulation kernel's
 clock; it never issues RPCs, so recording (or not recording) events
 cannot perturb the simulated timeline. It is the platform's only event
 log: the alert engine writes to it, and the dashboard and tests read
-it. Nothing persists it (DESIGN.md "A write needs a reader").
+it. Nothing persists it (DESIGN.md "A write needs a reader"), and
+nothing keeps a second list: the simulated Kubernetes cluster's own
+events are ``apiserver`` / ``k8s-event`` trace records
+(``ApiServer.record_event``), which job timelines read.
 
 ``reason`` strings are a closed, static vocabulary: CamelCase tokens
 registered below (or via :meth:`EventRecorder.register_reason`).
@@ -114,17 +117,14 @@ class PlatformEvent:
 class EventRecorder:
     """In-memory event log with Kubernetes-style dedup."""
 
-    def __init__(self, kernel, metrics=None):
+    def __init__(self, kernel, metrics):
         self.kernel = kernel
         self._events = []  # insertion order
         self._by_key = {}
         self._reasons = set(REASONS)
-        if metrics is not None:
-            self._m_events = metrics.counter(
-                "platform_events_total", ("type", "reason"),
-                help="Platform events emitted, including deduplicated repeats")
-        else:
-            self._m_events = None
+        self._m_events = metrics.counter(
+            "platform_events_total", ("type", "reason"),
+            help="Platform events emitted, including deduplicated repeats")
 
     def register_reason(self, reason):
         """Admit a reason outside the built-in vocabulary (custom alert
@@ -149,8 +149,7 @@ class EventRecorder:
             raise ValueError(
                 f"unregistered event reason {reason!r}; add it to "
                 "repro.core.events.REASONS or call register_reason()")
-        if self._m_events is not None:
-            self._m_events.labels(type=type, reason=reason).inc()
+        self._m_events.labels(type=type, reason=reason).inc()
         key = (type, reason, kind, name)
         event = self._by_key.get(key)
         if event is not None:

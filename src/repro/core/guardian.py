@@ -120,8 +120,7 @@ class Guardian:
         self.etcd = EtcdClient(self.kernel, platform.network, platform.etcd,
                                client_id=f"guardian-{job_id}-{ctx.pod.metadata.uid}",
                                history=platform.history)
-        self.mongo = platform.mongo_client(f"guardian-{job_id}",
-                                           tracer=platform.tracer)
+        self.mongo = platform.mongo_client(f"guardian-{job_id}")
         self.manifest = None
         self.span = None
         self._last_reports = []

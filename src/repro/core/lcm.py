@@ -32,7 +32,7 @@ class LcmService:
         self.platform = platform
         self.kernel = platform.kernel
         self.address = address
-        self.mongo = platform.mongo_client(address, tracer=platform.tracer)
+        self.mongo = platform.mongo_client(address)
         self.etcd = EtcdClient(self.kernel, platform.network, platform.etcd,
                                client_id=address, history=platform.history)
         self.server = Server(self.kernel, platform.network, address)

@@ -127,7 +127,7 @@ class DlaasPlatform:
         # The event recorder is always on: recording is pure in-memory
         # bookkeeping, so it cannot perturb the timeline, and tests can
         # assert on events whether or not the monitoring stack runs.
-        self.events = EventRecorder(self.kernel, metrics=self.metrics)
+        self.events = EventRecorder(self.kernel, self.metrics)
         self.faults = FaultInjector(self.kernel, tracer=self.tracer,
                                     metrics=self.metrics, events=self.events)
         # Flight recorder for raftkv client histories; components pass
@@ -280,7 +280,7 @@ class DlaasPlatform:
     # User-facing conveniences
     # ------------------------------------------------------------------
 
-    def mongo_client(self, caller, tracer=None, **kwargs):
+    def mongo_client(self, caller):
         """A docstore client for ``caller`` — shard-routing when the
         platform runs with ``mongo_shards > 1``, the classic replica-set
         client otherwise. Every component goes through this factory so
@@ -289,12 +289,12 @@ class DlaasPlatform:
             from ..docstore import ShardedMongoClient
 
             return ShardedMongoClient(self.kernel, self.network,
-                                      self.mongo_shard_set, caller=caller,
-                                      tracer=tracer, **kwargs)
+                                      self.mongo_shard_set, self.tracer,
+                                      caller=caller)
         from ..docstore import MongoClient
 
-        return MongoClient(self.kernel, self.network, self.mongo,
-                           caller=caller, tracer=tracer, **kwargs)
+        return MongoClient(self.kernel, self.network, self.mongo, self.tracer,
+                           caller=caller)
 
     def client(self, tenant="default"):
         token = self.tokens.create_tenant(tenant)

@@ -4,8 +4,10 @@
 This module merges everything the platform knows about one job — status
 transitions, Kubernetes events for its pods, trace events from its
 Guardian/controller/learners, injected faults — into one ordered,
-human-readable timeline. :func:`timeline_digest` is the whole-platform
-counterpart: one fingerprint of every trace record and status flip.
+human-readable timeline. All but the status rows are trace records (a
+Kubernetes event is the API server's ``k8s-event`` record).
+:func:`timeline_digest` is the whole-platform counterpart: one
+fingerprint of every trace record and status flip.
 """
 
 import hashlib
@@ -34,20 +36,23 @@ def job_timeline(platform, job_id, status_doc=None):
         for item in status_doc.get("status_history", []):
             entries.append((item["time"], "status", item["status"]))
 
+    k8s = []  # after the trace rows: the sort keeps that order at a tie
     for record in platform.tracer.records:
-        if record.fields.get("job") == job_id:
-            detail = {k: v for k, v in record.fields.items() if k != "job"}
+        fields = record.fields
+        if fields.get("job") == job_id:
+            detail = {k: v for k, v in fields.items() if k != "job"}
             text = record.kind + (f" {detail}" if detail else "")
             entries.append((record.time, record.component, text))
         elif record.component == "fault-injector" and \
-                job_id in str(record.fields.get("target", "")):
-            entries.append((record.time, "fault", str(record.fields["target"])))
-
-    for event in platform.k8s.api.events:
-        if job_id in event.name or job_id in event.message:
-            entries.append((event.time, f"k8s:{event.kind.lower()}",
-                            f"{event.reason} {event.name}"
-                            + (f" ({event.message})" if event.message else "")))
+                job_id in str(fields.get("target", "")):
+            entries.append((record.time, "fault", str(fields["target"])))
+        elif record.kind == "k8s-event" and record.component == "apiserver":
+            name, message = fields["name"], fields["message"]
+            if job_id in name or job_id in message:
+                k8s.append((record.time, f"k8s:{fields['resource'].lower()}",
+                            f"{fields['reason']} {name}"
+                            + (f" ({message})" if message else "")))
+    entries += k8s
 
     entries.sort(key=lambda item: item[0])
     return entries

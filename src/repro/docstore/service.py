@@ -19,6 +19,11 @@ from .errors import NoPrimary
 SYNC_BASE_TIME = 0.2
 SYNC_PER_DOC = 0.0005
 SERVICE_TIME = 0.0005  # a member's per-request cost, simulated seconds
+# A client's failover budget: sweeps over the members before it gives
+# up, and the pause between sweeps. A test that wants a shorter budget
+# sets the client's attributes.
+MAX_ATTEMPTS = 40
+RETRY_DELAY = 0.05
 
 
 class MongoMember:
@@ -54,10 +59,9 @@ class MongoMember:
         if not self.alive:
             self.alive = True
             self.server.start()
-            if self.replica_set.events is not None:
-                self.replica_set.events.emit_event(
-                    "Normal", "MongoMemberUp", "MongoMember", self.member_id,
-                    message="member serving")
+            self.replica_set.events.emit_event(
+                "Normal", "MongoMemberUp", "MongoMember", self.member_id,
+                message="member serving")
         return self
 
     def crash(self, lose_data=False):
@@ -65,10 +69,9 @@ class MongoMember:
         if self.alive:
             self.alive = False
             self.server.stop()
-            if self.replica_set.events is not None:
-                self.replica_set.events.emit_event(
-                    "Warning", "MongoMemberDown", "MongoMember", self.member_id,
-                    message="data lost" if lose_data else "member crashed")
+            self.replica_set.events.emit_event(
+                "Warning", "MongoMemberDown", "MongoMember", self.member_id,
+                message="data lost" if lose_data else "member crashed")
         if lose_data:
             self.database = Database(self.member_id)
         return self
@@ -169,7 +172,7 @@ class MongoMember:
 class MongoReplicaSet:
     """A fixed-membership replica set with majority write concern."""
 
-    def __init__(self, kernel, network, size=3, prefix="mongo", events=None):
+    def __init__(self, kernel, network, events, size=3, prefix="mongo"):
         if size < 1:
             raise ValueError("replica set size must be >= 1")
         self.kernel = kernel
@@ -235,19 +238,19 @@ class MongoClient:
     All methods are process generators — call with ``yield from``.
     """
 
-    def __init__(self, kernel, network, replica_set, caller="mongo-client",
-                 max_attempts=40, retry_delay=0.05, tracer=None):
+    def __init__(self, kernel, network, replica_set, tracer,
+                 caller="mongo-client"):
         self.kernel = kernel
         self.network = network
         self.replica_set = replica_set
         self.caller = caller
-        self.max_attempts = max_attempts
-        self.retry_delay = retry_delay
+        self.max_attempts = MAX_ATTEMPTS
+        self.retry_delay = RETRY_DELAY
         self.tracer = tracer
 
     def _command(self, request, ctx=None):
         span = None
-        if self.tracer is not None and ctx is not None:
+        if ctx is not None:
             span = self.tracer.start_span(
                 f"mongo.{request['op']}", component=self.caller, parent=ctx,
                 collection=request.get("collection"))

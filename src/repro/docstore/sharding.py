@@ -41,7 +41,7 @@ def shard_index(value, shard_count):
 class MongoShardSet:
     """N replica sets, each owning a hash slice of the sharded keys."""
 
-    def __init__(self, kernel, network, shards=2, size=3, events=None):
+    def __init__(self, kernel, network, events, shards=2, size=3):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1: {shards}")
         self.kernel = kernel
@@ -51,8 +51,8 @@ class MongoShardSet:
         for k in range(shards):
             # Shard 0 keeps the plain replica set's member names.
             self.shards.append(MongoReplicaSet(
-                kernel, network, size=size,
-                prefix="mongo" if k == 0 else f"mongo-s{k}", events=events))
+                kernel, network, events, size=size,
+                prefix="mongo" if k == 0 else f"mongo-s{k}"))
 
     def start(self):
         for shard in self.shards:
@@ -86,14 +86,12 @@ class ShardedMongoClient:
     timeline) and merge results client-side.
     """
 
-    def __init__(self, kernel, network, shard_set, caller="mongo-client",
-                 max_attempts=40, retry_delay=0.05, tracer=None):
+    def __init__(self, kernel, network, shard_set, tracer,
+                 caller="mongo-client"):
         self.shard_set = shard_set
         self.caller = caller
         self._clients = [
-            MongoClient(kernel, network, shard, caller=caller,
-                        max_attempts=max_attempts, retry_delay=retry_delay,
-                        tracer=tracer)
+            MongoClient(kernel, network, shard, tracer, caller=caller)
             for shard in shard_set.shards
         ]
 

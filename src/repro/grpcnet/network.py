@@ -94,7 +94,6 @@ class _Call(Event):
 
     def _send(self):
         network = self._network
-        network.calls_total += 1
         network.kernel.call_later(network.latency.sample(network._rng),
                                   self._arrive)
 
@@ -198,7 +197,6 @@ class _Call(Event):
             self.state = SUCCEEDED
             self.value = value
         else:
-            network.calls_failed += 1
             code = type(error).__name__
             self.state = FAILED
             self.exception = error
@@ -216,7 +214,7 @@ class _Call(Event):
 class Network:
     """Registry of endpoints plus the latency/partition/loss model."""
 
-    def __init__(self, kernel, latency=None, metrics=None):
+    def __init__(self, kernel, metrics, latency=None):
         self.kernel = kernel
         self.latency = latency or LatencyModel()
         # Debug mode for single-serialization RPC: payloads
@@ -239,33 +237,26 @@ class Network:
         self._impaired = {}
         self._gray_rng = None
         self._rng = kernel.rng("network")
-        self.calls_total = 0
-        self.calls_failed = 0
-        if metrics is not None:
-            self._m_calls = metrics.counter(
-                "rpc_client_calls_total", ("method", "code"),
-                help="RPC invocations by method and outcome code")
-            self._m_duration = metrics.histogram(
-                "rpc_client_duration_seconds", ("method",),
-                help="RPC wall time from initiation to response")
-            # Per-endpoint families feeding the differential detector
-            # (repro.monitoring.differential): plain counters — a
-            # windowed mean needs only a count and a duration sum, at a
-            # fraction of a histogram's scrape cost per endpoint.
-            self._m_endpoint_calls = metrics.counter(
-                "rpc_endpoint_requests_total", ("endpoint", "method", "code"),
-                help="RPC invocations by target endpoint and outcome")
-            self._m_endpoint_latency = metrics.counter(
-                "rpc_endpoint_latency_seconds_total", ("endpoint", "method"),
-                help="Summed RPC wall time by target endpoint")
-            self._m_handled = metrics.counter(
-                "rpc_server_handled_total", ("endpoint",),
-                help="Handler dispatches at each endpoint (counts "
-                     "duplicate deliveries the caller never sees)")
-        else:
-            self._m_calls = self._m_duration = None
-            self._m_endpoint_calls = self._m_endpoint_latency = None
-            self._m_handled = None
+        self._m_calls = metrics.counter(
+            "rpc_client_calls_total", ("method", "code"),
+            help="RPC invocations by method and outcome code")
+        self._m_duration = metrics.histogram(
+            "rpc_client_duration_seconds", ("method",),
+            help="RPC wall time from initiation to response")
+        # Per-endpoint families feeding the differential detector
+        # (repro.monitoring.differential): plain counters — a
+        # windowed mean needs only a count and a duration sum, at a
+        # fraction of a histogram's scrape cost per endpoint.
+        self._m_endpoint_calls = metrics.counter(
+            "rpc_endpoint_requests_total", ("endpoint", "method", "code"),
+            help="RPC invocations by target endpoint and outcome")
+        self._m_endpoint_latency = metrics.counter(
+            "rpc_endpoint_latency_seconds_total", ("endpoint", "method"),
+            help="Summed RPC wall time by target endpoint")
+        self._m_handled = metrics.counter(
+            "rpc_server_handled_total", ("endpoint",),
+            help="Handler dispatches at each endpoint (counts "
+                 "duplicate deliveries the caller never sees)")
         # labels() resolved once per outcome: (address, method, code) ->
         # the four children a finished call writes (per (method, code),
         # per method, per endpoint outcome, per endpoint method). The
@@ -291,8 +282,6 @@ class Network:
         counter reset, which the windowed consumers
         (:func:`repro.sim.timeseries.counter_increase`) tolerate."""
         self._servers.pop(address, None)
-        if self._m_endpoint_calls is None:
-            return
         methods = set()
         for key in [k for k in self._call_records if k[0] == address]:
             del self._call_records[key]
@@ -418,8 +407,6 @@ class Network:
 
     def _observe_call(self, method, code, started, address):
         """Record one finished call into its outcome's bound children."""
-        if self._m_calls is None:
-            return
         key = (address, method, code)
         record = self._call_records.get(key)
         if record is None:
@@ -440,8 +427,6 @@ class Network:
 
     def observe_dispatch(self, address):
         """Server-side tally of one handler dispatch at ``address``."""
-        if self._m_handled is None:
-            return
         counter = self._handled_children.get(address)
         if counter is None:
             counter = self._handled_children[address] = \

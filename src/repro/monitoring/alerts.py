@@ -204,8 +204,8 @@ class AlertRule:
 class AlertEngine(Polling):
     """Evaluates recording + alert rules on a fixed simulated cadence."""
 
-    def __init__(self, kernel, store, events=None, metrics=None,
-                 interval=1.0, staleness=None):
+    def __init__(self, kernel, store, events, metrics, interval=1.0,
+                 staleness=None):
         self.kernel = kernel
         self.store = store
         self.events = events
@@ -218,14 +218,11 @@ class AlertEngine(Polling):
         self.recording_rules = []
         self.active = {}  # (rule_name, labels) -> instance dict
         self.history = []  # transition records, append-only
-        if metrics is not None:
-            self._g_firing = metrics.gauge(
-                "alerts_firing", ("alert",), help="Currently firing alerts")
-            self._c_transitions = metrics.counter(
-                "alert_transitions_total", ("alert", "state"),
-                help="Alert lifecycle transitions by target state")
-        else:
-            self._g_firing = self._c_transitions = None
+        self._g_firing = metrics.gauge(
+            "alerts_firing", ("alert",), help="Currently firing alerts")
+        self._c_transitions = metrics.counter(
+            "alert_transitions_total", ("alert", "state"),
+            help="Alert lifecycle transitions by target state")
 
     # ------------------------------------------------------------------
     # Rule management
@@ -233,12 +230,10 @@ class AlertEngine(Polling):
 
     def add_rule(self, rule):
         self.rules.append(rule)
-        if self.events is not None:
-            # A rule's name is its event reason; admit it so firing can
-            # always be recorded (built-in reasons are already known).
-            self.events.register_reason(rule.name)
-        if self._g_firing is not None:
-            self._g_firing.labels(alert=rule.name).set(0)
+        # A rule's name is its event reason; admit it so firing can
+        # always be recorded (built-in reasons are already known).
+        self.events.register_reason(rule.name)
+        self._g_firing.labels(alert=rule.name).set(0)
         return rule
 
     def add_recording_rule(self, name, expr):
@@ -299,10 +294,8 @@ class AlertEngine(Polling):
     def _record(self, rule, labels, old, new, now, value):
         self.history.append({"time": now, "rule": rule.name, "labels": labels,
                              "from": old, "to": new, "value": value})
-        if self._c_transitions is not None:
-            self._c_transitions.labels(alert=rule.name, state=new).inc()
-        if self._g_firing is not None:
-            self._g_firing.labels(alert=rule.name).set(self.firing_count(rule.name))
+        self._c_transitions.labels(alert=rule.name, state=new).inc()
+        self._g_firing.labels(alert=rule.name).set(self.firing_count(rule.name))
 
     def _involved(self, rule, labels):
         labels = dict(labels)
@@ -313,8 +306,6 @@ class AlertEngine(Polling):
         return "Component", rule.name
 
     def _on_firing(self, rule, labels, value):
-        if self.events is None:
-            return
         kind, name = self._involved(rule, labels)
         detail = ",".join(f"{k}={v}" for k, v in labels) or "-"
         self.events.emit_event(
@@ -322,8 +313,6 @@ class AlertEngine(Polling):
             message=f"alert {rule.name} firing ({detail}, value {value:g})")
 
     def _on_resolved(self, rule, labels):
-        if self.events is None:
-            return
         kind, name = self._involved(rule, labels)
         self.events.emit_event(
             "Normal", "AlertResolved", kind, name,

@@ -207,7 +207,7 @@ def register_platform_probes(platform, registry):
         # With docstore sharding, every shard must have a primary for
         # the store to be live (each owns part of the key space).
         shard_sets = ([shard for shard in platform.mongo_shard_set.shards]
-                      if getattr(platform, "mongo_shard_set", None) is not None
+                      if platform.mongo_shard_set is not None
                       else [platform.mongo])
         alive = total = 0
         primaries = 0

@@ -61,8 +61,7 @@ class MetricsScraper(Polling):
 
     QUANTILES = (("p50", 50), ("p95", 95), ("p99", 99))
 
-    def __init__(self, kernel, store, interval=1.0, registry=None,
-                 health=None):
+    def __init__(self, kernel, store, registry, health, interval=1.0):
         self.kernel = kernel
         self.store = store
         self.interval = interval
@@ -75,32 +74,27 @@ class MetricsScraper(Polling):
         # the store keeps of it anyway.
         self.prune_after = store.retention
         self.series_pruned = 0
-        self.scrape_count = 0
         self.ticks = TickLog()
         self._live = set()  # keys sampled and not stale since
         self._stale_since = {}  # (name, labels) -> time marked stale
         self._plans = {}  # metric child -> emit plan
         self._up_handles = {}  # component -> _SeriesHandle
         self._up_components = set()  # components sampled last pass
-        if registry is not None:
-            self._m_scrapes = registry.counter(
-                "monitoring_scrapes_total", help="Completed scrape passes")
-            self._m_series = registry.gauge(
-                "monitoring_series", help="Live series in the scrape store")
-            # Kernel perf counters, published like any other scraped
-            # family (setting gauges is pure bookkeeping — no events).
-            self._g_events = registry.gauge(
-                "kernel_events_processed_total",
-                help="Heap entries popped by the simulation kernel")
-            self._g_dead = registry.gauge(
-                "kernel_dead_entries_total",
-                help="Cancelled timers skipped at pop (lazy heap deletion)")
-            self._g_dead_ratio = registry.gauge(
-                "kernel_dead_entry_ratio",
-                help="Fraction of heap pops that were cancelled timers")
-        else:
-            self._m_scrapes = self._m_series = None
-            self._g_events = self._g_dead = self._g_dead_ratio = None
+        self._m_scrapes = registry.counter(
+            "monitoring_scrapes_total", help="Completed scrape passes")
+        self._m_series = registry.gauge(
+            "monitoring_series", help="Live series in the scrape store")
+        # Kernel perf counters, published like any other scraped
+        # family (setting gauges is pure bookkeeping — no events).
+        self._g_events = registry.gauge(
+            "kernel_events_processed_total",
+            help="Heap entries popped by the simulation kernel")
+        self._g_dead = registry.gauge(
+            "kernel_dead_entries_total",
+            help="Cancelled timers skipped at pop (lazy heap deletion)")
+        self._g_dead_ratio = registry.gauge(
+            "kernel_dead_entry_ratio",
+            help="Fraction of heap pops that were cancelled timers")
 
     # ------------------------------------------------------------------
 
@@ -127,16 +121,13 @@ class MetricsScraper(Polling):
         now = self.kernel.now
         gone = []
 
-        if self._g_events is not None:
-            kernel = self.kernel
-            self._g_events.set(float(kernel.events_processed))
-            self._g_dead.set(float(kernel.dead_entries_skipped))
-            self._g_dead_ratio.set(kernel.dead_entry_ratio)
+        kernel = self.kernel
+        self._g_events.set(float(kernel.events_processed))
+        self._g_dead.set(float(kernel.dead_entries_skipped))
+        self._g_dead_ratio.set(kernel.dead_entry_ratio)
 
-        if self.registry is not None:
-            self._collect_registry(now, gone)
-        if self.health is not None:
-            self._collect_health(now, gone)
+        self._collect_registry(now, gone)
+        self._collect_health(now, gone)
 
         for key in gone:
             if key not in self._live:
@@ -144,10 +135,8 @@ class MetricsScraper(Polling):
                 self._stale_since.setdefault(key, now)
         self.ticks.append(now, self.store.retention)
         self._prune_stale(now)
-        self.scrape_count += 1
-        if self._m_scrapes is not None:
-            self._m_scrapes.inc()
-            self._m_series.set(len(self.store))
+        self._m_scrapes.inc()
+        self._m_series.set(len(self.store))
 
     def _collect_health(self, now, gone):
         handles = self._up_handles

@@ -25,9 +25,9 @@ class PlatformScraper(MetricsScraper):
     counters, so the dashboard's GPU row needs no second sampler."""
 
     def __init__(self, platform, store):
-        super().__init__(platform.kernel, store,
-                         interval=platform.config.scrape_interval,
-                         registry=platform.metrics, health=platform.health)
+        super().__init__(platform.kernel, store, platform.metrics,
+                         platform.health,
+                         interval=platform.config.scrape_interval)
         self.cluster = platform.k8s
         self._g_gpus_total = platform.metrics.gauge(
             "cluster_gpus_total", help="GPUs in the cluster")
@@ -64,7 +64,7 @@ class MonitoringStack:
         # flight-recorded raftkv client history. Pure in-memory reads of
         # the recorder plus counter bumps — same non-perturbation
         # argument as the scraper.
-        if getattr(platform, "history", None) is not None:
+        if platform.history is not None:
             from ..audit import ConsistencyAuditor
 
             self.auditor = ConsistencyAuditor(

@@ -58,30 +58,26 @@ class Mount:
 class NfsServer:
     """Holds the volumes; hands out mounts."""
 
-    def __init__(self, kernel=None, metrics=None, events=None):
-        self._clock = (lambda: kernel.now) if kernel is not None else (lambda: 0.0)
+    def __init__(self, kernel, metrics, events):
+        self._clock = lambda: kernel.now
         self._volumes = {}
         self.available = True
         self.events = events
-        if metrics is not None:
-            self._m_ops = metrics.counter(
-                "nfs_ops_total", ("op",), help="NFS operations by kind")
-            self._m_errors = metrics.counter(
-                "nfs_op_errors_total", ("op",),
-                help="NFS operations refused (stale mount or outage)")
-        else:
-            self._m_ops = self._m_errors = None
+        self._m_ops = metrics.counter(
+            "nfs_ops_total", ("op",), help="NFS operations by kind")
+        self._m_errors = metrics.counter(
+            "nfs_op_errors_total", ("op",),
+            help="NFS operations refused (stale mount or outage)")
         self._op_children = {}
 
     def record_op(self, op, ok=True):
-        if self._m_ops is not None:
-            pair = self._op_children.get(op)
-            if pair is None:
-                pair = self._op_children[op] = (
-                    self._m_ops.labels(op=op), self._m_errors.labels(op=op))
-            pair[0].inc()
-            if not ok:
-                pair[1].inc()
+        pair = self._op_children.get(op)
+        if pair is None:
+            pair = self._op_children[op] = (
+                self._m_ops.labels(op=op), self._m_errors.labels(op=op))
+        pair[0].inc()
+        if not ok:
+            pair[1].inc()
 
     def create_volume(self, name, exist_ok=False):
         if name in self._volumes:
@@ -103,12 +99,10 @@ class NfsServer:
     def go_down(self):
         """Simulate an NFS outage; mounts raise until :meth:`come_up`."""
         self.available = False
-        if self.events is not None:
-            self.events.emit_event("Warning", "NfsOutage", "NfsServer", "nfs",
-                                   message="shared filesystem unavailable")
+        self.events.emit_event("Warning", "NfsOutage", "NfsServer", "nfs",
+                               message="shared filesystem unavailable")
 
     def come_up(self):
         self.available = True
-        if self.events is not None:
-            self.events.emit_event("Normal", "NfsRestored", "NfsServer", "nfs",
-                                   message="shared filesystem back")
+        self.events.emit_event("Normal", "NfsRestored", "NfsServer", "nfs",
+                               message="shared filesystem back")

@@ -45,23 +45,18 @@ class Bucket:
 class ObjectStore:
     """Buckets + objects + a transfer-time model."""
 
-    def __init__(self, kernel, metrics=None):
+    def __init__(self, kernel, metrics):
         self.kernel = kernel
         self.link_bandwidth = LINK_BANDWIDTH
         self.request_latency = REQUEST_LATENCY
         self._buckets = {}
         self._etag_counter = 0
-        self.bytes_uploaded = 0
-        self.bytes_downloaded = 0
-        if metrics is not None:
-            self._m_transfer = metrics.histogram(
-                "objectstore_transfer_duration_seconds", ("op",),
-                help="Object upload/download wall time incl. request latency")
-            self._m_bytes = metrics.counter(
-                "objectstore_transferred_bytes_total", ("op",),
-                help="Payload bytes moved over the store link")
-        else:
-            self._m_transfer = self._m_bytes = None
+        self._m_transfer = metrics.histogram(
+            "objectstore_transfer_duration_seconds", ("op",),
+            help="Object upload/download wall time incl. request latency")
+        self._m_bytes = metrics.counter(
+            "objectstore_transferred_bytes_total", ("op",),
+            help="Payload bytes moved over the store link")
 
     # ------------------------------------------------------------------
     # Buckets
@@ -122,7 +117,6 @@ class ObjectStore:
         started = self.kernel.now
         yield self.kernel.sleep(self.transfer_time(size))
         obj = self.put_object(bucket_name, key, credentials, size, payload)
-        self.bytes_uploaded += size
         self._record("upload", started, size)
         return obj
 
@@ -131,11 +125,9 @@ class ObjectStore:
         started = self.kernel.now
         obj = self.head_object(bucket_name, key, credentials)
         yield self.kernel.sleep(self.transfer_time(obj.size))
-        self.bytes_downloaded += obj.size
         self._record("download", started, obj.size)
         return obj
 
     def _record(self, op, started, size):
-        if self._m_transfer is not None:
-            self._m_transfer.labels(op=op).observe(self.kernel.now - started)
-            self._m_bytes.labels(op=op).inc(size)
+        self._m_transfer.labels(op=op).observe(self.kernel.now - started)
+        self._m_bytes.labels(op=op).inc(size)

@@ -14,7 +14,7 @@ LEADER_WAIT_TIMEOUT = 10.0  # wait_for_leader gives up after this, sim s
 class EtcdCluster:
     """N Raft nodes plus test/experiment conveniences."""
 
-    def __init__(self, kernel, network, size=3, metrics=None, events=None):
+    def __init__(self, kernel, network, metrics, events, size=3):
         if size < 1:
             raise ValueError("cluster size must be >= 1")
         self.kernel = kernel
@@ -22,7 +22,7 @@ class EtcdCluster:
         node_ids = [f"etcd-{i}" for i in range(size)]
         self.nodes = {
             node_id: RaftNode(kernel, network, node_id, node_ids,
-                              metrics=metrics, events=events)
+                              metrics, events)
             for node_id in node_ids
         }
 

@@ -104,36 +104,31 @@ class RaftNode:
 
     MAX_BATCH = 64
 
-    def __init__(self, kernel, network, node_id, peer_ids, metrics=None,
-                 events=None):
+    def __init__(self, kernel, network, node_id, peer_ids, metrics, events):
         self.kernel = kernel
         self.network = network
         self.node_id = node_id
         self.peer_ids = [p for p in peer_ids if p != node_id]
         self.events = events
-        if metrics is not None:
-            # Children bound once: node_id is fixed for the node's life.
-            self._m_elections = metrics.counter(
-                "raft_leader_elections_total", ("node",),
-                help="Times this node won a leader election"
-            ).labels(node=node_id)
-            self._m_commit_dur = metrics.histogram(
-                "raft_commit_duration_seconds", ("node",),
-                help="Leader-side propose-to-commit latency"
-            ).labels(node=node_id)
-            self._m_applied = metrics.counter(
-                "raft_applied_entries_total", ("node",),
-                help="Log entries applied to the state machine"
-            ).labels(node=node_id)
-            self._m_dup_applies = metrics.counter(
-                "raft_duplicate_applies_total", ("node",),
-                help="Committed commands deduplicated by the session "
-                     "table: a retried client op that reached the log "
-                     "twice"
-            ).labels(node=node_id)
-        else:
-            self._m_elections = self._m_commit_dur = self._m_applied = None
-            self._m_dup_applies = None
+        # Children bound once: node_id is fixed for the node's life.
+        self._m_elections = metrics.counter(
+            "raft_leader_elections_total", ("node",),
+            help="Times this node won a leader election"
+        ).labels(node=node_id)
+        self._m_commit_dur = metrics.histogram(
+            "raft_commit_duration_seconds", ("node",),
+            help="Leader-side propose-to-commit latency"
+        ).labels(node=node_id)
+        self._m_applied = metrics.counter(
+            "raft_applied_entries_total", ("node",),
+            help="Log entries applied to the state machine"
+        ).labels(node=node_id)
+        self._m_dup_applies = metrics.counter(
+            "raft_duplicate_applies_total", ("node",),
+            help="Committed commands deduplicated by the session "
+                 "table: a retried client op that reached the log "
+                 "twice"
+        ).labels(node=node_id)
         self.snapshot_threshold = SNAPSHOT_THRESHOLD
         self._rng = kernel.rng(f"raft:{node_id}")
 
@@ -275,12 +270,10 @@ class RaftNode:
         # lease never lapses on a healthy cluster and the read path is
         # timeline-identical to the pre-lease behaviour.
         self._peer_acks = {p: self.kernel.now for p in self.peer_ids}
-        if self._m_elections is not None:
-            self._m_elections.inc()
-        if self.events is not None:
-            self.events.emit_event(
-                "Normal", "LeaderElected", "EtcdNode", self.node_id,
-                message=f"won election for term {self.current_term}")
+        self._m_elections.inc()
+        self.events.emit_event(
+            "Normal", "LeaderElected", "EtcdNode", self.node_id,
+            message=f"won election for term {self.current_term}")
         # Barrier no-op: lets this term commit entries from prior terms
         # (Raft §5.4.2) without waiting for a client write.
         self.log.append(self.current_term, {"op": "noop"})
@@ -415,9 +408,7 @@ class RaftNode:
         self._poke_replicators()
         self._advance_commit()  # single-node clusters commit immediately
         result = yield waiter
-        if self._m_commit_dur is not None:
-            self._m_commit_dur.observe(
-                self.kernel.now - proposed)
+        self._m_commit_dur.observe(self.kernel.now - proposed)
         return result
 
     def _read_lease_valid(self):
@@ -573,10 +564,9 @@ class RaftNode:
             entry = self.log.entry_at(self.last_applied)
             duplicates_before = self.state_machine.duplicate_applies
             result = self.state_machine.apply(entry.command)
-            if self._m_applied is not None:
-                self._m_applied.inc()
-                if self.state_machine.duplicate_applies != duplicates_before:
-                    self._m_dup_applies.inc()
+            self._m_applied.inc()
+            if self.state_machine.duplicate_applies != duplicates_before:
+                self._m_dup_applies.inc()
             waiter = self._waiters.pop(self.last_applied, None)
             if waiter is not None:
                 term, event = waiter

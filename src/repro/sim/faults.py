@@ -7,49 +7,37 @@ hands it: impairments applied and later reverted while the target
 keeps passing its health probe. Crashes are not recorded here; the
 crashed component's own trace and events say so.
 
-Every injection is recorded three ways: a bounded in-memory ring
-(``injected``, the most recent entries only — a long chaos soak must
-not grow memory without bound), the ``fault_injected_total`` counter
-metric (the durable record), and a ``FaultInjected`` Warning platform
-event so tests can assert detection-follows-injection ordering from
-the operational record alone.
+Every injection is recorded three ways, each with its own readers: the
+``fault_injected_total`` counter metric (scraped beside the alerts it
+should explain), a ``FaultInjected`` Warning platform event (so tests
+can assert detection-follows-injection ordering from the operational
+record alone), and a ``fault-injector`` trace record (what job
+timelines show).
 """
-
-from collections import deque
-
-INJECTED_CAP = 256  # entries the ``injected`` ring keeps
 
 
 class FaultInjector:
     """Applies gray faults and arms step faults, recording each one."""
 
-    def __init__(self, kernel, tracer=None, metrics=None, events=None):
+    def __init__(self, kernel, tracer, metrics, events):
         self._kernel = kernel
         self._tracer = tracer
         self._events = events
-        self.injected = deque(maxlen=INJECTED_CAP)
         self.armed = {}  # learner pod -> (kind, step), see arm()
         # Disk stalls live on one etcd node or Mongo member: holder ->
         # the delays of its live stalls, whose sum is its disk_stall.
         self.stall_layers = {}
-        if metrics is not None:
-            self._m_injected = metrics.counter(
-                "fault_injected_total", ("target", "kind"),
-                help="Fault injections by target and fault kind")
-        else:
-            self._m_injected = None
+        self._m_injected = metrics.counter(
+            "fault_injected_total", ("target", "kind"),
+            help="Fault injections by target and fault kind")
 
     def _record(self, name, kind, reason, record_kind):
-        self.injected.append((self._kernel.now, name, reason))
-        if self._m_injected is not None:
-            self._m_injected.labels(target=name, kind=kind).inc()
-        if self._events is not None:
-            self._events.emit_event(
-                "Warning", "FaultInjected", "Component", name,
-                message=f"{kind} fault injected ({reason})")
-        if self._tracer is not None:
-            self._tracer.emit("fault-injector", record_kind,
-                              target=name, reason=reason, fault=kind)
+        self._m_injected.labels(target=name, kind=kind).inc()
+        self._events.emit_event(
+            "Warning", "FaultInjected", "Component", name,
+            message=f"{kind} fault injected ({reason})")
+        self._tracer.emit("fault-injector", record_kind,
+                          target=name, reason=reason, fault=kind)
 
     def arm(self, name, kind, step):
         """Make learner pod ``name`` "hang" or "fail" (``kind``) once it
@@ -90,12 +78,11 @@ class FaultInjector:
             raise ValueError(f"duration must be positive, got {duration}")
 
         def clear():
-            if self._tracer is not None:
-                self._tracer.emit("fault-injector", "gray-cleared",
-                                  target=name, fault=kind)
+            self._tracer.emit("fault-injector", "gray-cleared",
+                              target=name, fault=kind)
             revert()
 
         self._record(name, kind, reason or kind, "gray-injected")
         apply()
         if revert is not None and duration is not None:
-            self._kernel._schedule_at(self._kernel.now + duration, clear)
+            self._kernel.call_later(duration, clear)

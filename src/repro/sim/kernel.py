@@ -176,16 +176,6 @@ class Kernel:
         """Cancelled timers still queued (lazy deletion)."""
         return self._dead_pending
 
-    def _schedule_at(self, when, callback):
-        now = self._now
-        if when < now:
-            raise SimError(f"cannot schedule in the past ({when} < {now})")
-        if when == now:
-            self._ready.append(callback)
-        else:
-            self._sequence += 1
-            heapq.heappush(self._queue, (when, self._sequence, callback))
-
     def call_soon(self, callback):
         """Run ``callback()`` at the current instant, after everything
         already queued for it: a bare ready-queue entry, no event."""

@@ -80,7 +80,7 @@ class _Family:
             self._children[key] = child
             self._sorted_children = None
             registry = self._registry
-            if registry is not None and registry._born is not None:
+            if registry._born is not None:
                 registry._born.append((self, key, child))
         return child
 
@@ -107,7 +107,7 @@ class _Family:
         if child is not None:
             self._sorted_children = None
             registry = self._registry
-            if registry is not None and registry._removed is not None:
+            if registry._removed is not None:
                 registry._removed.append(child)
 
     def _default(self):

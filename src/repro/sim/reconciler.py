@@ -23,7 +23,7 @@ The three building blocks:
 
 from collections import deque
 
-from .errors import ChannelClosed, ProcessKilled
+from .errors import ChannelClosed, ProcessKilled, SimError
 from .periodic import Periodic
 
 # A failed key waits BACKOFF_BASE * 2**(failures - 1), at most
@@ -52,7 +52,7 @@ class WorkQueue:
     Queues of one kind share their metric children.
     """
 
-    def __init__(self, kernel, name="", metrics=None, kind=None):
+    def __init__(self, kernel, metrics, name="", kind=None):
         self._kernel = kernel
         self.name = name
         self.kind = kind or name
@@ -64,34 +64,28 @@ class WorkQueue:
         self._timers = {}  # key -> earliest scheduled fire time
         self.backoff_base = BACKOFF_BASE
         self.backoff_max = BACKOFF_MAX
-        # Observability: how much polling the coalescing saved.
-        self.adds = 0
+        # How much polling the coalescing saved.
         self.coalesced = 0
-        self.dispatched = 0
         self._enqueued_at = {}  # key -> enqueue time, for queue latency
         # Kubernetes workqueue metric names, labeled by queue kind.
-        if metrics is not None:
-            # Children bound once: the label never changes, and
-            # labels() per enqueue is measurable on the hot path.
-            self._m_depth = metrics.gauge(
-                "workqueue_depth", ("name",),
-                help="Keys currently waiting in the work queues of a kind"
-            ).labels(name=self.kind)
-            self._m_adds = metrics.counter(
-                "workqueue_adds_total", ("name",),
-                help="Keys added to the work queue (incl. coalesced)"
-            ).labels(name=self.kind)
-            self._m_queue_dur = metrics.histogram(
-                "workqueue_queue_duration_seconds", ("name",),
-                help="Time keys wait in the queue before dispatch"
-            ).labels(name=self.kind)
-            self._m_retries = metrics.counter(
-                "workqueue_retries_total", ("name",),
-                help="Keys requeued after a failed reconcile"
-            ).labels(name=self.kind)
-        else:
-            self._m_depth = self._m_adds = None
-            self._m_queue_dur = self._m_retries = None
+        # Children bound once: the label never changes, and
+        # labels() per enqueue is measurable on the hot path.
+        self._m_depth = metrics.gauge(
+            "workqueue_depth", ("name",),
+            help="Keys currently waiting in the work queues of a kind"
+        ).labels(name=self.kind)
+        self._m_adds = metrics.counter(
+            "workqueue_adds_total", ("name",),
+            help="Keys added to the work queue (incl. coalesced)"
+        ).labels(name=self.kind)
+        self._m_queue_dur = metrics.histogram(
+            "workqueue_queue_duration_seconds", ("name",),
+            help="Time keys wait in the queue before dispatch"
+        ).labels(name=self.kind)
+        self._m_retries = metrics.counter(
+            "workqueue_retries_total", ("name",),
+            help="Keys requeued after a failed reconcile"
+        ).labels(name=self.kind)
 
     def __len__(self):
         return len(self._ready)
@@ -100,23 +94,20 @@ class WorkQueue:
         # The gauge child may be shared with other queues of this kind:
         # move it by what this queue gained or lost, never set it. A
         # closed queue has already given its keys back (see close()).
-        if self._m_depth is not None and not self.closed:
+        if not self.closed:
             self._m_depth.inc(delta)
 
     def add(self, key):
         """Enqueue ``key`` now; a duplicate of a queued key coalesces."""
         if self.closed:
             return
-        self.adds += 1
-        if self._m_adds is not None:
-            self._m_adds.inc()
+        self._m_adds.inc()
         if key in self._queued:
             self.coalesced += 1
             return
         self._queued.add(key)
         self._enqueued_at.setdefault(key, self._kernel.now)
         if self._getters:
-            self.dispatched += 1
             self._queued.discard(key)
             self._dispatch_metrics(key)
             self._getters.popleft().succeed(key)
@@ -126,7 +117,7 @@ class WorkQueue:
 
     def _dispatch_metrics(self, key):
         enqueued = self._enqueued_at.pop(key, None)
-        if self._m_queue_dur is not None and enqueued is not None:
+        if enqueued is not None:
             self._m_queue_dur.observe(self._kernel.now - enqueued)
 
     def add_after(self, key, delay):
@@ -159,8 +150,7 @@ class WorkQueue:
         """Re-enqueue a failed key after its exponential backoff."""
         failures = self._failures.get(key, 0) + 1
         self._failures[key] = failures
-        if self._m_retries is not None:
-            self._m_retries.inc()
+        self._m_retries.inc()
         delay = min(self.backoff_base * (2 ** (failures - 1)), self.backoff_max)
         self.add_after(key, delay)
         return delay
@@ -176,7 +166,6 @@ class WorkQueue:
         event = kernel.event(
             name=f"workqueue.get({self.name})" if kernel.debug else "")
         if self._ready:
-            self.dispatched += 1
             key = self._ready.popleft()
             self._queued.discard(key)
             self._dispatch_metrics(key)
@@ -277,14 +266,18 @@ class Reconciler:
     full relist (the static keys and the source's own listing), so
     transitions that fired while the watch was down are re-observed
     rather than lost.
+
+    A stopped reconciler is spent: :meth:`stop` closes its work queue
+    for good, and :meth:`start` after it raises :class:`SimError`. A
+    component that restarts builds a new one.
     """
 
     def __init__(self, kernel, name, reconcile, *, resync_interval=0.0,
-                 tracer=None, metrics=None, kind=None, key_context=None):
+                 tracer, metrics, kind=None, key_context=None):
         self.kernel = kernel
         self.name = name
         self.reconcile = reconcile
-        self.queue = WorkQueue(kernel, name=name, metrics=metrics, kind=kind)
+        self.queue = WorkQueue(kernel, metrics, name=name, kind=kind)
         self._resync = None  # the safety-net relist behind the watches
         if resync_interval > 0:
             self._resync = Periodic(
@@ -296,13 +289,10 @@ class Reconciler:
         # reconcile pass into the causal trace of the object it serves
         # (e.g. map a job id key to the job's span context).
         self.key_context = key_context
-        if metrics is not None:
-            self._m_work_dur = metrics.histogram(
-                "workqueue_work_duration_seconds", ("name",),
-                help="Time spent running reconcile(key)"
-            ).labels(name=self.queue.kind)
-        else:
-            self._m_work_dur = None
+        self._m_work_dur = metrics.histogram(
+            "workqueue_work_duration_seconds", ("name",),
+            help="Time spent running reconcile(key)"
+        ).labels(name=self.queue.kind)
         self.sources = []
         self.static_keys = []
         self.rewatches = 0
@@ -341,8 +331,14 @@ class Reconciler:
     # ------------------------------------------------------------------
 
     def start(self):
+        """Spawn the pumps and the worker; a second call is a no-op.
+        A stopped reconciler is spent: its queue is closed for good, so
+        starting it again raises :class:`SimError` (build a new one)."""
         if self._running:
             return self
+        if self.queue.closed:
+            raise SimError(f"reconciler {self.name!r} was stopped and "
+                           "cannot be restarted")
         self._running = True
         for key in self.static_keys:
             self.queue.add(key)
@@ -354,7 +350,7 @@ class Reconciler:
         return self
 
     def stop(self):
-        """Tear the runtime down: processes, watches, queue."""
+        """Tear the runtime down for good: processes, watches, queue."""
         if not self._running:
             return
         self._running = False
@@ -374,8 +370,7 @@ class Reconciler:
         return proc
 
     def _trace(self, kind, **fields):
-        if self.tracer is not None:
-            self.tracer.emit(f"reconciler:{self.name}", kind, **fields)
+        self.tracer.emit(f"reconciler:{self.name}", kind, **fields)
 
     # ------------------------------------------------------------------
     # Processes
@@ -440,8 +435,6 @@ class Reconciler:
             yield from self._relist(source)
 
     def _start_reconcile_span(self, key):
-        if self.tracer is None:
-            return None
         parent = self.key_context(key) if self.key_context is not None else None
         if parent is None:
             return None  # don't root fresh traces for unlinked keys
@@ -478,5 +471,4 @@ class Reconciler:
                 if isinstance(result, (int, float)) and result > 0:
                     self.queue.add_after(key, result)
             finally:
-                if self._m_work_dur is not None:
-                    self._m_work_dur.observe(self.kernel.now - started)
+                self._m_work_dur.observe(self.kernel.now - started)

@@ -13,8 +13,10 @@ import pytest
 from repro.audit import ConsistencyAuditor, HistoryRecorder, check_history
 from repro.audit.checker import render_witness
 from repro.grpcnet import LatencyModel, Network
-from repro.raftkv import EtcdClient, EtcdCluster
-from repro.sim import Kernel
+from repro.raftkv import EtcdClient
+from repro.sim import Kernel, MetricsRegistry
+
+from ..observers import etcd_cluster
 
 
 class FakeKernel:
@@ -82,7 +84,7 @@ class TestAuditing:
         ``v2`` was written and audited. Compacting ``/j/a`` while the
         range was in flight would have filed the read behind the cut
         and called it stale."""
-        auditor = ConsistencyAuditor(history.kernel, history)
+        auditor = ConsistencyAuditor(history.kernel, history, MetricsRegistry())
         put(history, "/j/a", "v1")
         token = history.invoke_range("/j/")
         put(history, "/j/a", "v2")
@@ -93,7 +95,7 @@ class TestAuditing:
         assert auditor.ok
 
     def test_a_stale_range_observation_is_flagged(self, history):
-        auditor = ConsistencyAuditor(history.kernel, history)
+        auditor = ConsistencyAuditor(history.kernel, history, MetricsRegistry())
         put(history, "/j/a", "v1")
         put(history, "/j/a", "v2")
         token = history.invoke_range("/j/")
@@ -102,7 +104,7 @@ class TestAuditing:
         assert [w["key"] for w in auditor.violations] == ["/j/a"]
 
     def test_a_named_absent_key_that_was_written_is_flagged(self, history):
-        auditor = ConsistencyAuditor(history.kernel, history)
+        auditor = ConsistencyAuditor(history.kernel, history, MetricsRegistry())
         put(history, "/j/halt", True)
         token = history.invoke_range("/j/")
         history.complete_range(token, "reader", 1, [], also=("/j/halt",))
@@ -124,9 +126,9 @@ class TestSeededStaleLeader:
 
     def scenario(self, stale_reads):
         kernel = Kernel(seed=7)
-        network = Network(kernel,
+        network = Network(kernel, MetricsRegistry(),
                           latency=LatencyModel(base=0.002, jitter=0.002))
-        cluster = EtcdCluster(kernel, network, size=3).start()
+        cluster = etcd_cluster(kernel, network).start()
         for node_id in cluster.node_ids:
             cluster.node(node_id).stale_reads = stale_reads
         history = HistoryRecorder(kernel)

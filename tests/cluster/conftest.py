@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cluster import KubernetesCluster
-from repro.nfs import NfsServer
 from repro.sim import Kernel
+
+from ..observers import kubernetes, nfs_server
 
 
 @pytest.fixture
@@ -14,12 +14,12 @@ def kernel():
 
 @pytest.fixture
 def nfs(kernel):
-    return NfsServer(kernel)
+    return nfs_server(kernel)
 
 
 @pytest.fixture
 def cluster(kernel, nfs):
-    cluster = KubernetesCluster(kernel, nfs)
+    cluster = kubernetes(kernel, nfs)
     cluster.registry.register("tiny", 10)
     cluster.registry.register("framework/tensorflow:1.5", 3000)
     for i in range(3):

@@ -17,7 +17,9 @@ from repro.cluster import (
 )
 from repro.cluster import images
 from repro.cluster.apiserver import ApiServer
-from repro.sim import Kernel
+from repro.sim import Kernel, Tracer
+
+from ..observers import k8s_events
 
 
 def watchers_of(api, kind):
@@ -38,7 +40,7 @@ def kernel():
 
 @pytest.fixture
 def api(kernel):
-    return ApiServer(kernel)
+    return ApiServer(kernel, Tracer(kernel))
 
 
 class TestCrud:
@@ -142,7 +144,7 @@ class TestPodIndexes:
     @given(OPERATIONS)
     def test_indexed_reads_equal_filtered_full_list(self, operations):
         kernel = Kernel(seed=0)
-        api = ApiServer(kernel)
+        api = ApiServer(kernel, Tracer(kernel))
         for operation in operations:
             pending = api.list("Pod", unscheduled=True)
             version = api.unscheduled_version
@@ -282,7 +284,7 @@ class TestWatches:
         assert api._watchers == {}
 
     def test_unwatch_tolerates_foreign_channel(self, api):
-        other = ApiServer(api.kernel)
+        other = ApiServer(api.kernel, Tracer(api.kernel))
         channel = other.watch("Pod")
         api.unwatch(channel)  # never registered here: no-op, but closed
         assert channel.closed
@@ -290,9 +292,13 @@ class TestWatches:
 
 class TestEvents:
     def test_record_and_filter(self, api):
+        api.kernel.run(until=2.5)
         api.record_event("Pod", "p", "Started", "on node-1")
         api.record_event("Job", "j", "Completed")
-        assert len(api.events) == 2
+        assert k8s_events(api) == [
+            (2.5, "Pod", "p", "Started", "on node-1"),
+            (2.5, "Job", "j", "Completed", "")]
+        assert len(api.tracer.records) == 2
 
 
 class TestImageRegistry:

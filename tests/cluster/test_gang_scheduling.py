@@ -2,14 +2,14 @@
 
 from repro.cluster import (
     ContainerSpec,
-    KubernetesCluster,
     Pod,
     PodSpec,
     RESTART_NEVER,
 )
 from repro.cluster.errors import InvalidResource
-from repro.nfs import NfsServer
 from repro.sim import Kernel
+
+from ..observers import kubernetes
 
 import pytest
 
@@ -121,7 +121,7 @@ class TestCrossJobDeadlock:
         """One 4-GPU node running job A's three learners; job B's three
         are queued. Returns how many of B's learners bound."""
         kernel = Kernel(seed=11)
-        cluster = KubernetesCluster(kernel, NfsServer(kernel))
+        cluster = kubernetes(kernel)
         cluster.registry.register("tiny", 10)
         cluster.add_node("node-0", gpus=4, gpu_type="k80")
         cluster.start()

@@ -13,6 +13,8 @@ from repro.cluster import (
 )
 from repro.cluster.kubelet import SYNC_INTERVAL
 
+from ..observers import kubernetes
+
 
 def sleeper(duration, exit_code=0):
     def workload(ctx):
@@ -87,11 +89,11 @@ class TestMultiContainerPods:
 
 class TestBackoffCap:
     def test_backoff_caps_at_configured_max(self, kernel, nfs, monkeypatch):
-        from repro.cluster import KubernetesCluster, kubelet
+        from repro.cluster import kubelet
 
         monkeypatch.setattr(kubelet, "RESTART_BACKOFF_BASE", 0.5)
         monkeypatch.setattr(kubelet, "RESTART_BACKOFF_MAX", 2.0)
-        cluster = KubernetesCluster(kernel, nfs)
+        cluster = kubernetes(kernel, nfs)
         cluster.registry.register("tiny", 10)
         cluster.add_node("n0", gpus=0)
         cluster.start()

@@ -1,10 +1,7 @@
 """Pod scheduling and execution tests."""
 
-import pytest
-
 from repro.cluster import (
     ContainerSpec,
-    KubernetesCluster,
     Pod,
     PodSpec,
     RESTART_ALWAYS,
@@ -13,6 +10,8 @@ from repro.cluster import (
     pv_name,
 )
 from repro.cluster.resources.pod import FAILED, RUNNING, SUCCEEDED
+
+from ..observers import k8s_events, kubernetes
 
 
 def simple_workload(duration=1.0, exit_code=0, log=None):
@@ -68,7 +67,7 @@ class TestScheduling:
         assert waiter.phase == SUCCEEDED
 
     def test_gpu_type_constraint(self, kernel, nfs):
-        cluster = KubernetesCluster(kernel, nfs)
+        cluster = kubernetes(kernel, nfs)
         cluster.registry.register("tiny", 10)
         cluster.add_node("k80-node", gpus=4, gpu_type="k80")
         cluster.add_node("p100-node", gpus=4, gpu_type="p100")
@@ -88,7 +87,7 @@ class TestScheduling:
         assert second.node_name == first.node_name
 
     def test_node_selector(self, kernel, nfs):
-        cluster = KubernetesCluster(kernel, nfs)
+        cluster = kubernetes(kernel, nfs)
         cluster.registry.register("tiny", 10)
         cluster.add_node("plain", gpus=0)
         cluster.add_node("special", gpus=0, labels={"tier": "gold"})
@@ -102,7 +101,7 @@ class TestScheduling:
         pod = make_pod("huge", simple_workload(1.0), gpus=99)
         cluster.api.create(pod)
         kernel.run(until=1.0)
-        reasons = [e.reason for e in cluster.api.events if e.name == "huge"]
+        reasons = [e.reason for e in k8s_events(cluster.api) if e.name == "huge"]
         assert "FailedScheduling" in reasons
 
     def test_resources_released_after_completion(self, kernel, cluster):

@@ -18,14 +18,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import (
     ContainerSpec,
-    KubernetesCluster,
     Pod,
     PodSpec,
     RESTART_NEVER,
 )
 from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
-from repro.nfs import NfsServer
 from repro.sim import Kernel
+
+from .. import observers
+from ..observers import k8s_events, kubernetes
 
 NODE_GPUS = (2, 4)
 
@@ -48,8 +49,8 @@ def pod_spec(gpus, duration, outcome, gang=None, gang_size=0):
 
 def build(scheduler_class, seed=11):
     kernel = Kernel(seed=seed)
-    cluster = KubernetesCluster(kernel, NfsServer(kernel))
-    cluster.scheduler = scheduler_class(kernel, cluster.api)
+    cluster = kubernetes(kernel)
+    cluster.scheduler = observers.scheduler(cluster.api, scheduler_class)
     cluster.registry.register("tiny", 10)
     for i, gpus in enumerate(NODE_GPUS):
         cluster.add_node(f"node-{i}", gpus=gpus)
@@ -111,7 +112,8 @@ def run(scheduler_class, program):
     kernel.spawn(play(), name="program")
     kernel.run(until=sum(delay for delay, _op in program)
                + 2 * UNSCHEDULABLE_REPORT_INTERVAL + 5.0)
-    events = [(e.time, e.kind, e.name, e.reason) for e in cluster.api.events]
+    events = [(e.time, e.kind, e.name, e.reason)
+              for e in k8s_events(cluster.api)]
     pods = sorted((p.metadata.name, p.phase, p.node_name)
                   for p in cluster.api.list("Pod"))
     return events, pods, kernel.events_processed
@@ -136,8 +138,8 @@ def test_quiet_passes_match_full_passes(program):
 class CountingScheduler(Scheduler):
     """Logs the instant of every ``_pick_node`` call."""
 
-    def __init__(self, kernel, api):
-        super().__init__(kernel, api)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.picks = []
 
     def _pick_node(self, pod, nodes):
@@ -165,10 +167,10 @@ def test_parked_pods_cost_no_node_scans_until_something_changes():
     assert len(scheduler.picks) == picks
     # The re-report falls due: one full pass (the memo makes it one scan
     # for the one shape) re-reports all hundred, then quiet again.
-    failed = [e for e in api.events if e.reason == "FailedScheduling"]
+    failed = [e for e in k8s_events(api) if e.reason == "FailedScheduling"]
     assert len(failed) == 100
     kernel.run(until=parked_at + UNSCHEDULABLE_REPORT_INTERVAL + 5.0)
-    failed = [e for e in api.events if e.reason == "FailedScheduling"]
+    failed = [e for e in k8s_events(api) if e.reason == "FailedScheduling"]
     assert len(failed) == 200
     assert len(scheduler.picks) == picks + 1
     # Freed capacity is in-memory (Node.release): the next pass binds.

@@ -11,8 +11,10 @@ from repro.cluster import ContainerSpec, Pod, PodSpec, RESTART_NEVER
 from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
 from repro.cluster.resources.node import NOT_READY, READY, Node, NodeResources
-from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
-from repro.sim import Kernel
+from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL
+from repro.sim import Kernel, Tracer
+
+from .. import observers
 
 
 def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None,
@@ -27,7 +29,8 @@ def pod(name, gpus=1, cpu=100, gpu_type="k80", selector=None,
 
 @pytest.fixture
 def api():
-    return ApiServer(Kernel(seed=3))
+    kernel = Kernel(seed=3)
+    return ApiServer(kernel, Tracer(kernel))
 
 
 def add_node(api, name, gpus=4, gpu_type="k80", labels=None):
@@ -36,11 +39,12 @@ def add_node(api, name, gpus=4, gpu_type="k80", labels=None):
 
 
 def scheduler(api):
-    return Scheduler(api.kernel, api)
+    return observers.scheduler(api)
 
 
 def failed(api):
-    return [e.name for e in api.events if e.reason == "FailedScheduling"]
+    return [e.name for e in observers.k8s_events(api)
+            if e.reason == "FailedScheduling"]
 
 
 def run_pass(sched, at=None):
@@ -248,7 +252,7 @@ class TestParkEpisodes:
         assert failed(api) == ["waiting"] * 2
         run_pass(sched, at=5.0 + 2 * UNSCHEDULABLE_REPORT_INTERVAL)
         assert failed(api) == ["waiting"] * 3
-        assert [e.time for e in api.events
+        assert [e.time for e in observers.k8s_events(api)
                 if e.reason == "FailedScheduling"] == [
             5.0, 5.0 + UNSCHEDULABLE_REPORT_INTERVAL,
             5.0 + 2 * UNSCHEDULABLE_REPORT_INTERVAL]

@@ -38,9 +38,10 @@ from repro.cluster.controllers import (
     StatefulSetController,
 )
 from repro.cluster.kubelet import Kubelet
-from repro.nfs import NfsServer
-from repro.sim import Kernel
+from repro.sim import Kernel, Tracer
 from repro.sim.periodic import Polling
+
+from ..observers import k8s_events, kubernetes
 
 NODES = 2
 PREFIX = {"StatefulSet": "ss", "Deployment": "dp", "Job": "jb"}
@@ -76,8 +77,8 @@ class FullScanCluster(KubernetesCluster):
     """Every workload-controller pass visits every owner and every
     kubelet sync lists its node's pods."""
 
-    def __init__(self, kernel, nfs):
-        super().__init__(kernel, nfs)
+    def __init__(self, kernel, *args):
+        super().__init__(kernel, *args)
         self.controllers[:3] = [
             cls(kernel, self.api)
             for cls in (FullScanJobs, FullScanSets, FullScanDeployments)]
@@ -108,7 +109,7 @@ def template(duration, outcome, policy):
 
 def build(cluster_class, seed=7):
     kernel = Kernel(seed=seed)
-    cluster = cluster_class(kernel, NfsServer(kernel))
+    cluster = kubernetes(kernel, cluster_class=cluster_class)
     cluster.registry.register("tiny", 10)
     for i in range(NODES):
         cluster.add_node(f"node-{i}")
@@ -207,7 +208,8 @@ def run(cluster_class, before_start, program):
 
     kernel.spawn(play(), name="program")
     kernel.run(until=sum(delay for delay, _op in program) + 20.0)
-    events = [(e.time, e.kind, e.name, e.reason) for e in cluster.api.events]
+    events = [(e.time, e.kind, e.name, e.reason)
+              for e in k8s_events(cluster.api)]
     pods = sorted((p.metadata.name, p.phase, p.node_name, p.deletion_requested)
                   for p in cluster.api.list("Pod"))
     return events, pods, kernel.events_processed
@@ -283,13 +285,14 @@ class FlakySets(StatefulSetController):
 
 def test_owner_that_raised_and_those_after_it_are_visited_next_pass():
     kernel = Kernel(seed=3)
-    api = ApiServer(kernel)
+    api = ApiServer(kernel, Tracer(kernel))
     for i in range(3):
         api.create(StatefulSet(f"ss-{i}", template(1000.0, 0, RESTART_ALWAYS), 1))
     controller = FlakySets(kernel, api).start()
     kernel.run(until=0.1)
     assert controller.visits == [(0.0, "ss-0"), (0.0, "ss-1")]
-    assert [e.reason for e in api.events] == ["PodCreated", "ReconcileError"]
+    assert [e.reason for e in k8s_events(api)] == ["PodCreated",
+                                                   "ReconcileError"]
     assert [p.metadata.name for p in api.list("Pod")] == ["ss-0-0"]
     kernel.run(until=0.3)
     second = [name for when, name in controller.visits if when == 0.2]

@@ -6,7 +6,9 @@ constant wearing a knob's clothes: it belongs as an UPPER_CASE name
 beside the code that reads it, and a test that wants another value
 monkeypatches that (DESIGN.md "Configuration"). The same rule holds one layer
 down, for a keyword parameter of a function or constructor under
-``src/repro`` that no call site passes.
+``src/repro`` that no call site passes. And a component is observed one
+way: the metrics registry, tracer and event recorder it records into
+are never optional (DESIGN.md "A component is observed one way").
 """
 
 import ast
@@ -28,6 +30,18 @@ MAX_NEVER_PASSED = 0  # ratchet: the same, for never_passed_parameters()
 # ...and for never_passed_outside_tests(): a parameter only a test
 # passes is a constant the test monkeypatches, or an attribute it sets.
 MAX_NEVER_PASSED_OUTSIDE_TESTS = 0
+# ...and for optional_observers(): an observer parameter with a default,
+# or a None test of one, is a second, unobserved mode of its component.
+MAX_OPTIONAL_OBSERVERS = 0
+
+# The handles a component records into. ``history`` is not among them:
+# an EtcdClient without one is the platform with ``history_recording``
+# off, a mode the audit's config field chooses, not an off-switch of a
+# signal every run emits.
+OBSERVERS = {"metrics", "tracer", "events", "registry", "health"}
+# A metric child a component binds once (``self._m_adds``, ``_g_firing``,
+# ``_c_transitions``): testing one against None is testing the registry.
+METRIC_CHILD = re.compile(r"_[mgc]_\w+$")
 
 # Deployment sizes and credentials stay configurable although no caller
 # varies them today — siblings of the ``lcm_replicas`` that perfbench
@@ -306,3 +320,59 @@ def test_a_same_named_function_elsewhere_passes_nothing(tmp_path, monkeypatch):
                      "from repro.audit import checker\n\n"
                      "checker.check_history([], max_configs=5)\n"})
     assert never_passed_parameters() == []
+
+
+def _observer(expr):
+    name = _bare_name(expr)
+    return name is not None and (name in OBSERVERS
+                                 or METRIC_CHILD.match(name) is not None)
+
+
+def optional_observers():
+    """Every parameter under ``src/repro`` named for an observer that has
+    a default, and every ``is None`` / ``is not None`` test of an
+    observer or a bound metric child."""
+    found = []
+    source = REPO_ROOT / "src" / "repro"
+    for path in sorted(source.rglob("*.py")):
+        where = path.relative_to(source).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                found += [f"{where}:{node.lineno}:{node.name}({name}=)"
+                          for name, _index in _defaulted(node, False)
+                          if name in OBSERVERS]
+            elif isinstance(node, ast.Compare) and all(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Constant) and o.value is None
+                       for o in operands):
+                    found += [f"{where}:{node.lineno}:{ast.unparse(node)}"
+                              for o in operands if _observer(o)]
+    return found
+
+
+def test_no_component_has_an_unobserved_mode():
+    optional = optional_observers()
+    assert len(optional) <= MAX_OPTIONAL_OBSERVERS, (
+        f"{len(optional)} optional observers (the ratchet is "
+        f"{MAX_OPTIONAL_OBSERVERS}): take the metrics registry, tracer or "
+        "event recorder as a required parameter and record "
+        "unconditionally. All of them:\n" + "\n".join(optional))
+
+
+def test_an_optional_observer_is_found(tmp_path, monkeypatch):
+    _tree(tmp_path, {"src/repro/sim/queue.py":
+                     "class Queue:\n"
+                     "    def __init__(self, kernel, metrics=None, history=None):\n"
+                     "        self._m_adds = None\n"
+                     "        if metrics is not None:\n"
+                     "            self._m_adds = metrics.counter('adds')\n"
+                     "        self.history = history\n\n"
+                     "    def add(self):\n"
+                     "        if self._m_adds is not None and self.history:\n"
+                     "            self._m_adds.inc()\n"})
+    monkeypatch.setattr(sys.modules[__name__], "REPO_ROOT", tmp_path)
+    assert optional_observers() == [
+        "sim/queue.py:2:__init__(metrics=)",
+        "sim/queue.py:4:metrics is not None",
+        "sim/queue.py:9:self._m_adds is not None"]

@@ -13,7 +13,7 @@ def kernel():
 
 @pytest.fixture
 def recorder(kernel):
-    return EventRecorder(kernel)
+    return EventRecorder(kernel, MetricsRegistry())
 
 
 class TestEmit:
@@ -88,7 +88,7 @@ class TestQueries:
 
     def test_metrics_counter(self, kernel):
         registry = MetricsRegistry()
-        recorder = EventRecorder(kernel, metrics=registry)
+        recorder = EventRecorder(kernel, registry)
         recorder.emit_event("Warning", "NfsOutage", "NfsServer", "nfs")
         recorder.emit_event("Warning", "NfsOutage", "NfsServer", "nfs")
         counter = registry.counter("platform_events_total", ("type", "reason"))

@@ -140,6 +140,13 @@ def running_job():
     return platform, job_id
 
 
+def injections(platform):
+    """The fault injector's trace records of injections (not of
+    clears)."""
+    return [r for r in platform.tracer.query(component="fault-injector")
+            if r.kind != "gray-cleared"]
+
+
 def test_every_kind_has_a_row():
     assert set(ROWS) == set(KINDS)
 
@@ -149,13 +156,14 @@ def test_fire_breaks_then_recovers(kind):
     make_fault, effect, after = ROWS[kind]
     platform, job_id = running_job()
     fault = make_fault(platform, job_id)
-    injected = len(platform.faults.injected)
+    injected = len(injections(platform))
     when = platform.kernel.now
     name = fire(platform, fault)
     effect(platform, name)
     # Gray faults are recorded under the name they hit; crashes are not.
-    recorded = list(platform.faults.injected)[injected:]
-    assert [entry[1] for entry in recorded] == ([name] if kind in GRAY else [])
+    recorded = injections(platform)[injected:]
+    assert [r.fields["target"] for r in recorded] == (
+        [name] if kind in GRAY else [])
     platform.run_for(DURATION + RECOVERY)
     after(platform, name, when, job_id)
 

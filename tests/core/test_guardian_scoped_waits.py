@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import (
     ContainerSpec,
     Deployment,
-    KubernetesCluster,
     PodSpec,
     PodTemplate,
     RESTART_ALWAYS,
@@ -31,8 +30,9 @@ from repro.core.guardian import (
     GUARDIAN_TEARDOWN_RESYNC,
     Guardian,
 )
-from repro.nfs import NfsServer
 from repro.sim import Kernel
+
+from ..observers import kubernetes
 
 JOB = "job-a"
 OTHERS = ("job-b", "job-c", "job-d")
@@ -111,7 +111,7 @@ def teardown(api, job_id):
 
 def build(seed=5):
     kernel = Kernel(seed=seed)
-    cluster = KubernetesCluster(kernel, NfsServer(kernel))
+    cluster = kubernetes(kernel)
     cluster.registry.register("tiny", 10)
     for i in range(NODES):
         cluster.add_node(f"node-{i}")

@@ -22,7 +22,7 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 REACH = REPO_ROOT / "reach.txt"
 SCRIPT = REPO_ROOT / "scripts" / "reach.py"
 
-MAX_UNREACHED_LINES = 329  # ratchet: lower it when code goes, never raise it
+MAX_UNREACHED_LINES = 323  # ratchet: lower it when code goes, never raise it
 
 ROW = re.compile(r"^\s*(\d+) (\S+?):(\S+)$")
 TOTAL = re.compile(r"^total (\d+) unreached of \d+ function lines$")

@@ -1,27 +1,19 @@
 """Unit tests for the job timeline tool."""
 
+from repro.cluster.apiserver import ApiServer
 from repro.core import job_timeline, render_timeline
+from repro.sim import Kernel, Tracer
 
 
 class FakePlatform:
-    """Just enough platform surface for timeline assembly."""
-
-    class _K8s:
-        class _Api:
-            def __init__(self):
-                self.events = []
-
-        def __init__(self):
-            self.api = self._Api()
+    """Just enough platform surface for timeline assembly: the tracer
+    that every row but the status rows comes from."""
 
     def __init__(self, tracer):
         self.tracer = tracer
-        self.k8s = self._K8s()
 
 
 def make_platform():
-    from repro.sim import Kernel, Tracer
-
     kernel = Kernel()
     return FakePlatform(Tracer(kernel)), kernel
 
@@ -29,19 +21,18 @@ def make_platform():
 class TestJobTimeline:
     def test_merges_sources_in_time_order(self):
         platform, kernel = make_platform()
+        api = ApiServer(kernel, platform.tracer)
         platform.tracer.emit("guardian", "component-ready", job="job-1")
 
         def later():
-            yield kernel.sleep(5.0)
+            yield kernel.sleep(2.0)
+            api.record_event("Pod", "job-1-learner-0", "Scheduled", "gpu-0")
+            yield kernel.sleep(3.0)
             platform.tracer.emit("learner-0", "learner-exit", job="job-1",
                                  exit_code=0)
 
         kernel.spawn(later())
         kernel.run()
-        from repro.cluster.apiserver import ClusterEvent
-
-        platform.k8s.api.events.append(
-            ClusterEvent(2.0, "Pod", "job-1-learner-0", "Scheduled", "gpu-0"))
         doc = {"status_history": [{"status": "QUEUED", "time": 0.5}]}
 
         entries = job_timeline(platform, "job-1", status_doc=doc)
@@ -50,6 +41,36 @@ class TestJobTimeline:
         sources = [s for _t, s, _x in entries]
         # guardian fired at t=0, status recorded at t=0.5.
         assert sources == ["guardian", "status", "k8s:pod", "learner-0"]
+
+    def test_k8s_rows_keep_their_text_and_follow_trace_rows_at_a_tie(self):
+        # A Kubernetes event is an API-server trace record; its row reads
+        # "<reason> <name> (<message>)" and, at an equal time, comes
+        # after the status and other trace rows even when recorded first.
+        platform, kernel = make_platform()
+        api = ApiServer(kernel, platform.tracer)
+        api.record_event("Pod", "job-1-learner-0", "Scheduled",
+                         "bound to gpu-0")
+        platform.tracer.emit("guardian", "component-ready", job="job-1")
+        api.record_event("Job", "guardian-job-1", "Completed")
+        api.record_event("Pod", "lhelper", "Killing", "job-1 torn down")
+        api.record_event("Pod", "job-2-learner-0", "Scheduled", "gpu-1")
+        doc = {"status_history": [{"status": "QUEUED", "time": 0.0}]}
+
+        entries = job_timeline(platform, "job-1", status_doc=doc)
+        assert entries == [
+            (0.0, "status", "QUEUED"),
+            (0.0, "guardian", "component-ready"),
+            (0.0, "k8s:pod", "Scheduled job-1-learner-0 (bound to gpu-0)"),
+            (0.0, "k8s:job", "Completed guardian-job-1"),
+            (0.0, "k8s:pod", "Killing lhelper (job-1 torn down)"),
+        ]
+        assert render_timeline(entries).splitlines() == [
+            "     0.00s  status    QUEUED",
+            "     0.00s  guardian  component-ready",
+            "     0.00s  k8s:pod   Scheduled job-1-learner-0 (bound to gpu-0)",
+            "     0.00s  k8s:job   Completed guardian-job-1",
+            "     0.00s  k8s:pod   Killing lhelper (job-1 torn down)",
+        ]
 
     def test_other_jobs_excluded(self):
         platform, _kernel = make_platform()

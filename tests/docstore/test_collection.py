@@ -15,6 +15,8 @@ from repro.docstore import (
 from repro.grpcnet import LatencyModel, Network
 from repro.sim import Kernel
 
+from ..observers import Observers
+
 
 @pytest.fixture
 def coll():
@@ -162,9 +164,13 @@ class TestUniqueIndex:
 class TestReplicaSet:
     def setup_method(self):
         self.kernel = Kernel(seed=3)
-        self.network = Network(self.kernel, latency=LatencyModel(0.001, 0.0))
-        self.rs = MongoReplicaSet(self.kernel, self.network, size=3).start()
-        self.client = MongoClient(self.kernel, self.network, self.rs)
+        self.observers = observers = Observers(self.kernel)
+        self.network = Network(self.kernel, observers.metrics,
+                               latency=LatencyModel(0.001, 0.0))
+        self.rs = MongoReplicaSet(self.kernel, self.network, observers.events,
+                                  size=3).start()
+        self.client = MongoClient(self.kernel, self.network, self.rs,
+                                  observers.tracer)
 
     def run(self, gen):
         return self.kernel.run_until_complete(self.kernel.spawn(gen))
@@ -203,8 +209,9 @@ class TestReplicaSet:
         def scenario():
             yield from self.client.insert_one("jobs", {"name": "j"})
 
-        client = MongoClient(self.kernel, self.network, self.rs, max_attempts=3,
-                             retry_delay=0.01)
+        client = MongoClient(self.kernel, self.network, self.rs,
+                             self.observers.tracer)
+        client.max_attempts, client.retry_delay = 3, 0.01
 
         def fast_scenario():
             yield from client.insert_one("jobs", {"name": "j"})

@@ -6,6 +6,8 @@ from repro.docstore import MongoShardSet, ShardedMongoClient, shard_index
 from repro.grpcnet import LatencyModel, Network
 from repro.sim import Kernel
 
+from ..observers import Observers
+
 
 @pytest.fixture
 def kernel():
@@ -13,18 +15,26 @@ def kernel():
 
 
 @pytest.fixture
-def network(kernel):
-    return Network(kernel, latency=LatencyModel(base=0.001, jitter=0.0))
+def observers(kernel):
+    return Observers(kernel)
 
 
 @pytest.fixture
-def shard_set(kernel, network):
-    return MongoShardSet(kernel, network, shards=3, size=1).start()
+def network(kernel, observers):
+    return Network(kernel, observers.metrics,
+                   latency=LatencyModel(base=0.001, jitter=0.0))
 
 
 @pytest.fixture
-def client(kernel, network, shard_set):
-    return ShardedMongoClient(kernel, network, shard_set, caller="test")
+def shard_set(kernel, network, observers):
+    return MongoShardSet(kernel, network, observers.events, shards=3,
+                         size=1).start()
+
+
+@pytest.fixture
+def client(kernel, network, shard_set, observers):
+    return ShardedMongoClient(kernel, network, shard_set, observers.tracer,
+                              caller="test")
 
 
 def run(kernel, generator):

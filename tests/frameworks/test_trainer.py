@@ -13,7 +13,7 @@ from repro.frameworks import (
     WorkloadConfig,
 )
 from repro.objectstore import ObjectStore
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 CREDS = {"key": "k"}
 
@@ -25,7 +25,7 @@ def kernel():
 
 @pytest.fixture
 def store(kernel):
-    store = ObjectStore(kernel)
+    store = ObjectStore(kernel, MetricsRegistry())
     store.link_bandwidth = 1_000_000_000
     store.request_latency = 0.01
     store.create_bucket("results", CREDS)

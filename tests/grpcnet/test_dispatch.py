@@ -10,7 +10,7 @@ from repro.grpcnet import (
     Server,
     ServiceError,
 )
-from repro.sim import Kernel, Process
+from repro.sim import Kernel, MetricsRegistry, Process
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def kernel():
 
 @pytest.fixture
 def network(kernel):
-    return Network(kernel, latency=LatencyModel(base=0.001, jitter=0.0))
+    return Network(kernel, MetricsRegistry(), latency=LatencyModel(base=0.001, jitter=0.0))
 
 
 class TestInlinePlainHandler:

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.grpcnet import LatencyModel, MethodNotFound, Network, Server, \
     ServiceError
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 from repro.sim.events import Event
 
 
@@ -87,7 +87,7 @@ class World:
 
     def __init__(self, server_class, service_time):
         self.kernel = kernel = Kernel(seed=1)
-        network = Network(kernel, latency=LatencyModel(base=0.001,
+        network = Network(kernel, MetricsRegistry(), latency=LatencyModel(base=0.001,
                                                        jitter=0.0))
         self.server = server_class(kernel, network, "svc",
                                    service_time=service_time).start()

@@ -18,7 +18,7 @@ from repro.grpcnet import (
     ServiceError,
     Unavailable,
 )
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 DEADLINE = 5.0
 
@@ -30,7 +30,7 @@ def kernel():
 
 @pytest.fixture
 def network(kernel):
-    network = Network(kernel, latency=LatencyModel(base=0.001, jitter=0.001))
+    network = Network(kernel, MetricsRegistry(), latency=LatencyModel(base=0.001, jitter=0.001))
     server = Server(kernel, network, "svc")
     server.add_method("echo", lambda request: request)
 

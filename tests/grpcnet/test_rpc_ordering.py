@@ -32,8 +32,9 @@ def kernel():
     return Kernel(seed=1)
 
 
-def make_network(kernel, *latencies, **kwargs):
-    return Network(kernel, latency=ScriptedLatency(*latencies), **kwargs)
+def make_network(kernel, *latencies, metrics=None):
+    return Network(kernel, metrics or MetricsRegistry(),
+                   latency=ScriptedLatency(*latencies))
 
 
 def start_server(kernel, network, address, **methods):
@@ -145,12 +146,14 @@ class TestDeadlineAtEveryStage:
         return when
 
     def test_during_the_request_leg(self, kernel):
-        network = make_network(kernel, 1.0, 0.001)
+        registry = MetricsRegistry()
+        network = make_network(kernel, 1.0, 0.001, metrics=registry)
         server = start_server(kernel, network, "svc", echo=lambda r: r)
         self.run_call(kernel, network, "echo")
         assert network.latency.drawn == 1
         assert server.requests_served == 0  # never delivered
-        assert network.calls_total == network.calls_failed == 1
+        assert counter_values(registry, "rpc_client_calls_total") == {
+            ("echo", "DeadlineExceeded"): 1}
 
     def test_during_a_suspended_handler(self, kernel):
         network = make_network(kernel, 0.010, 0.001)
@@ -180,12 +183,14 @@ class TestDeadlineAtEveryStage:
         assert network.latency.drawn == 1
 
     def test_during_the_response_leg(self, kernel):
-        network = make_network(kernel, 0.010, 1.0)
+        registry = MetricsRegistry()
+        network = make_network(kernel, 0.010, 1.0, metrics=registry)
         server = start_server(kernel, network, "svc", echo=lambda r: r)
         self.run_call(kernel, network, "echo")
         assert server.requests_served == 1
         assert network.latency.drawn == 2
-        assert network.calls_total == network.calls_failed == 1
+        assert counter_values(registry, "rpc_client_calls_total") == {
+            ("echo", "DeadlineExceeded"): 1}
 
 
 class TestCallerKilledWhileWaiting:
@@ -209,7 +214,6 @@ class TestCallerKilledWhileWaiting:
         kernel.run()
         assert resumed == [] and caller.state == "failed"
         assert server.requests_served == 1
-        assert (network.calls_total, network.calls_failed) == (1, 0)
         assert counter_values(registry, "rpc_client_calls_total") == {
             ("echo", "ok"): 1}
         assert counter_values(registry, "rpc_endpoint_requests_total") == {
@@ -331,7 +335,8 @@ class TestDegradedEndpoint:
 
 class TestDebugFreeze:
     def test_catches_a_suspending_handler_mutating_its_request(self, kernel):
-        network = make_network(kernel, 0.010, 0.001)
+        registry = MetricsRegistry()
+        network = make_network(kernel, 0.010, 0.001, metrics=registry)
         network.debug_freeze = True
 
         def mutating(request):
@@ -348,5 +353,6 @@ class TestDebugFreeze:
         assert when == pytest.approx(0.110)
         assert isinstance(outcome, AssertionError)
         assert "mutated its request" in str(outcome)
-        assert network.calls_failed == 1
+        assert counter_values(registry, "rpc_client_calls_total") == {
+            ("mutate", "AssertionError"): 1}
         assert network.latency.drawn == 1  # no response leg

@@ -12,6 +12,7 @@ import pytest
 from repro.core import ComponentCrasher, layout
 from repro.core.guardian import DEPLOY_STEPS
 
+from ..observers import k8s_events
 from .conftest import make_platform, manifest, wait_terminal
 
 
@@ -63,7 +64,7 @@ class TestRollbackAndRetry:
         assert doc["status"] == "COMPLETED"
         # Exactly one learner StatefulSet existed at completion-time;
         # the rolled-back attempt left no duplicates.
-        events = [e for e in platform.k8s.api.events
+        events = [e for e in k8s_events(platform.k8s.api)
                   if e.reason == "PodCreated" and "helper" in e.message]
         # Two helper deployments were created over the two attempts,
         # but never concurrently: at most one helper pod alive at once.

@@ -10,7 +10,8 @@ so that it holds for the class, not just for the primitive:
 * ``stop()`` ends it at the current instant, a second ``stop()`` is a
   no-op, and no pass begins afterwards;
 * ``start()`` after ``stop()`` resumes on the class's phase: a pass at
-  once (work-first) or one interval later (sleep-first);
+  once (work-first) or one interval later (sleep-first) — except for a
+  ``Reconciler``, which a ``stop()`` spends: its ``start()`` raises;
 * a generator body suspended mid-pass dies with the loop, at once.
 """
 
@@ -20,7 +21,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.audit import ConsistencyAuditor, HistoryRecorder
-from repro.cluster import KubernetesCluster
 from repro.cluster.controllers import (DeploymentController, JobController,
                                        NodeController, PvcController,
                                        StatefulSetController)
@@ -28,13 +28,13 @@ from repro.cluster.kubelet import Kubelet
 from repro.cluster.resources.node import Node, NodeResources
 from repro.cluster.scheduler import Scheduler
 from repro.core import PlatformConfig
-from repro.core.events import EventRecorder
 from repro.core.partitions import SLICE_TICK, SliceManager
-from repro.monitoring import AlertEngine, MetricsScraper
-from repro.nfs import NfsServer
+from repro.monitoring import AlertEngine, HealthRegistry, MetricsScraper
 from repro.sim import (Kernel, MetricsRegistry, ProcessKilled, Reconciler,
-                       WatchSource)
+                       SimError, Tracer, WatchSource)
 from repro.sim.timeseries import TimeSeriesStore
+
+from ..observers import Observers, kubernetes
 
 RPC_TIME = 0.01  # what one call to a SlowStore suspends its caller for
 
@@ -105,29 +105,29 @@ class Case:
 
 
 def stub_platform(kernel, **extra):
-    return SimpleNamespace(kernel=kernel, metrics=MetricsRegistry(),
-                           events=EventRecorder(kernel), **extra)
-
-
-def bare_cluster(kernel):
-    return KubernetesCluster(kernel, NfsServer(kernel))
+    observers = Observers(kernel)
+    return SimpleNamespace(kernel=kernel, metrics=observers.metrics,
+                           events=observers.events, **extra)
 
 
 def scraper(kernel, passes):
     holder = passes.spy(MetricsScraper, "scrape_once")(
-        kernel, TimeSeriesStore(), interval=1.0, registry=MetricsRegistry())
+        kernel, TimeSeriesStore(), MetricsRegistry(), HealthRegistry(),
+        interval=1.0)
     return Case(holder, [holder._loop], 1.0)
 
 
 def alert_engine(kernel, passes):
+    observers = Observers(kernel)
     holder = passes.spy(AlertEngine, "evaluate_once")(
-        kernel, TimeSeriesStore(), interval=1.0)
+        kernel, TimeSeriesStore(), observers.events, observers.metrics,
+        interval=1.0)
     return Case(holder, [holder._loop], 1.0)
 
 
 def auditor(kernel, passes):
     holder = passes.spy(ConsistencyAuditor, "audit_once")(
-        kernel, HistoryRecorder(kernel), interval=1.0)
+        kernel, HistoryRecorder(kernel), MetricsRegistry(), interval=1.0)
     return Case(holder, [holder._loop], 1.0, first_pass=1.0)
 
 
@@ -142,7 +142,7 @@ def slice_manager(kernel, passes):
 
 def controller(cls):
     def build(kernel, passes):
-        cluster = bare_cluster(kernel)
+        cluster = kubernetes(kernel)
         extra = (cluster.nfs,) if cls is PvcController else ()
         holder = passes.spy(cls, "reconcile_once")(kernel, cluster.api, *extra)
         return Case(holder, [holder._loop], holder._loop.interval)
@@ -151,13 +151,15 @@ def controller(cls):
 
 
 def scheduler(kernel, passes):
+    observers = Observers(kernel)
     holder = passes.spy(Scheduler, "schedule_once")(
-        kernel, bare_cluster(kernel).api)
+        kernel, kubernetes(kernel).api, observers.tracer, observers.metrics,
+        observers.events)
     return Case(holder, [holder._loop], 0.1)
 
 
 def kubelet(kernel, passes):
-    cluster = bare_cluster(kernel)
+    cluster = kubernetes(kernel)
     node = cluster.api.create(Node("n1", NodeResources(gpus=1)))
     holder = passes.spy(Kubelet, "sync_once")(
         kernel, cluster.api, node, cluster.nfs, cluster.registry, cluster)
@@ -171,7 +173,8 @@ def reconciler(kernel, passes):
         return ["k"]
 
     holder = passes.spy(Reconciler, "resync_once")(
-        kernel, "t", lambda key: None, resync_interval=1.0)
+        kernel, "t", lambda key: None, resync_interval=1.0,
+        tracer=Tracer(kernel), metrics=MetricsRegistry())
     holder.add_source(WatchSource("listed", list_keys=list_keys))
     return Case(holder, [holder._resync], 1.0, first_pass=1.0)
 
@@ -258,6 +261,20 @@ def test_restart_resumes_on_the_documented_phase(case):
     assert running(case) == [True] * len(case.loops)
     assert case.passes.began[1:] == [
         pytest.approx(restarted_at + case.first_pass)]
+
+
+@every(sorted(set(CASES) - set(RESTARTABLE)))
+def test_a_spent_holder_refuses_to_restart(case):
+    # A restarted reconciler used to run its resync relists, the LCM's
+    # Mongo find among them, into its closed queue for ever.
+    case.start()
+    run_for(case, case.first_pass / case.interval + 0.5)
+    case.stop()
+    with pytest.raises(SimError, match="'t'"):
+        case.start()
+    run_for(case, 5)
+    assert running(case) == [False] * len(case.loops)
+    assert len(case.passes.began) == 1
 
 
 @every(SUSPENDING)

@@ -10,6 +10,7 @@ from collections import Counter
 from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL
 from repro.core import COMPLETED
 
+from ..observers import k8s_events
 from .conftest import make_platform, manifest
 
 JOBS = 12
@@ -48,8 +49,9 @@ def test_backlogged_pods_report_once_per_interval_not_once_per_pass():
     assert len(pods) >= 3 * JOBS
     assert len({pod.metadata.name for pod in pods}) == len(pods)
 
-    bound_at = {e.name: e.time for e in api.events if e.reason == "Scheduled"}
-    reports = Counter(e.name for e in api.events
+    events = k8s_events(api)
+    bound_at = {e.name: e.time for e in events if e.reason == "Scheduled"}
+    reports = Counter(e.name for e in events
                       if e.reason == "FailedScheduling")
     assert set(reports) <= {pod.metadata.name for pod in pods}
     for pod in pods:
@@ -61,4 +63,4 @@ def test_backlogged_pods_report_once_per_interval_not_once_per_pass():
     # said so each time), and yet events stay a few per pod; a report
     # per pass makes this run 171 events per pod.
     assert max(reports.values()) >= 3
-    assert len(api.events) <= 8 * len(pods)
+    assert len(events) <= 8 * len(pods)

@@ -69,7 +69,9 @@ class TestEtcdWatchReestablishment:
         # Served by a follower, so that its crash costs no election.
         leader = platform.etcd.leader().node_id
         serving = next(n for n in platform.etcd.node_ids if n != leader)
-        reconciler = Reconciler(kernel, "rewatch-test", reconcile)
+        reconciler = Reconciler(kernel, "rewatch-test", reconcile,
+                                tracer=platform.tracer,
+                                metrics=platform.metrics)
         reconciler.add_static_key("status")
 
         def subscribe():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.events import EventRecorder
 from repro.monitoring import (
     AlertEngine,
     AlertRule,
@@ -15,8 +14,10 @@ from repro.monitoring import (
     default_rule_pack,
 )
 from repro.core import PlatformConfig
-from repro.sim import Kernel, MetricsRegistry
+from repro.sim import Kernel
 from repro.sim.timeseries import TimeSeriesStore
+
+from ..observers import Observers
 
 
 @pytest.fixture
@@ -29,8 +30,10 @@ def store():
     return TimeSeriesStore()
 
 
-def engine_with(kernel, store, rule, **kwargs):
-    engine = AlertEngine(kernel, store, interval=1.0, **kwargs)
+def engine_with(kernel, store, rule, observers=None):
+    observers = observers or Observers(kernel)
+    engine = AlertEngine(kernel, store, observers.events, observers.metrics,
+                         interval=1.0)
     engine.add_rule(rule)
     return engine
 
@@ -101,8 +104,9 @@ class TestLifecycle:
 
     def test_pending_that_recovers_never_fires(self, kernel, store):
         """Satellite: a dip shorter than ``for:`` must not page anyone."""
-        recorder = EventRecorder(kernel)
-        engine = engine_with(kernel, store, up_rule(for_=5.0), events=recorder)
+        observers = Observers(kernel)
+        recorder = observers.events
+        engine = engine_with(kernel, store, up_rule(for_=5.0), observers)
         store.add("up", {"component": "api"}, 0.0, 0.0)
         engine.evaluate_once()  # pending at t=0
         kernel.run(until=1.0)
@@ -120,8 +124,9 @@ class TestLifecycle:
         assert engine.firing("ApiDown")
 
     def test_firing_emits_warning_and_resolution_events(self, kernel, store):
-        recorder = EventRecorder(kernel)
-        engine = engine_with(kernel, store, up_rule(for_=0.0), events=recorder)
+        observers = Observers(kernel)
+        recorder = observers.events
+        engine = engine_with(kernel, store, up_rule(for_=0.0), observers)
         store.add("up", {"component": "api"}, 0.0, 0.0)
         engine.evaluate_once()
         warning = recorder.warnings(reason="ApiDown")
@@ -133,8 +138,9 @@ class TestLifecycle:
         assert recorder.events(reason="AlertResolved", name="api")
 
     def test_firing_gauge_and_transition_counter(self, kernel, store):
-        registry = MetricsRegistry()
-        engine = engine_with(kernel, store, up_rule(for_=0.0), metrics=registry)
+        observers = Observers(kernel)
+        registry = observers.metrics
+        engine = engine_with(kernel, store, up_rule(for_=0.0), observers)
         gauge = registry.gauge("alerts_firing", ("alert",))
         assert gauge.labels(alert="ApiDown").value == 0
         store.add("up", {"component": "api"}, 0.0, 0.0)
@@ -149,9 +155,10 @@ class TestLifecycle:
         assert transitions.labels(alert="ApiDown", state="firing").value == 1
 
     def test_custom_rule_reason_registered_on_recorder(self, kernel, store):
-        recorder = EventRecorder(kernel)
+        observers = Observers(kernel)
+        recorder = observers.events
         rule = AlertRule("QueueTooDeep", Metric("depth") > 10, for_=0.0)
-        engine_with(kernel, store, rule, events=recorder).evaluate_once()
+        engine_with(kernel, store, rule, observers).evaluate_once()
         recorder.emit_event("Warning", "QueueTooDeep", "Component", "q")
 
     def test_staleness_resolves_vanished_series(self, kernel, store):
@@ -168,7 +175,9 @@ class TestLifecycle:
 
 class TestRecordingRules:
     def test_recorded_series_feeds_alert_in_same_pass(self, kernel, store):
-        engine = AlertEngine(kernel, store, interval=1.0)
+        observers = Observers(kernel)
+        engine = AlertEngine(kernel, store, observers.events, observers.metrics,
+                             interval=1.0)
         engine.add_recording_rule("error_ratio",
                                   Increase("errors", 60.0) / Increase("ops", 60.0))
         engine.add_rule(AlertRule("ErrorsHigh", Metric("error_ratio") > 0.5,
@@ -192,8 +201,8 @@ class TestDefaultRulePack:
             assert expected in rules
 
     def test_reasons_all_registered(self, kernel):
-        recorder = EventRecorder(kernel)
+        observers = Observers(kernel)
         store = TimeSeriesStore()
-        engine = AlertEngine(kernel, store, events=recorder)
+        engine = AlertEngine(kernel, store, observers.events, observers.metrics)
         for rule in default_rule_pack(PlatformConfig()):
             engine.add_rule(rule)  # register_reason would raise on junk

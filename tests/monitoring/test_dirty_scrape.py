@@ -113,32 +113,28 @@ class EagerScraper(MetricsScraper):
     def scrape_once(self):
         now = self.kernel.now
         seen = set()
-        if self._g_events is not None:
-            kernel = self.kernel
-            self._g_events.set(float(kernel.events_processed))
-            self._g_dead.set(float(kernel.dead_entries_skipped))
-            self._g_dead_ratio.set(kernel.dead_entry_ratio)
-        if self.registry is not None:
-            for name in self.registry.names():
-                metric = self.registry.get(name)
-                for labelvalues, child in metric.children():
-                    labels = dict(zip(metric.labelnames, labelvalues))
-                    if metric.kind != "histogram":
-                        self._emit_eager(name, labels, now, child.value, seen)
-                        continue
-                    self._emit_eager(f"{name}_count", labels, now,
-                                     float(child.count), seen)
-                    self._emit_eager(f"{name}_sum", labels, now,
-                                     child.total, seen)
-                    if child.count:
-                        for quantile, q in self.QUANTILES:
-                            self._emit_eager(
-                                name, {**labels, "quantile": quantile}, now,
-                                child.bucket_percentile(q), seen)
-        if self.health is not None:
-            for component, up in self.health.up_samples():
-                self._emit_eager("up", {"component": component}, now, up,
-                                 seen)
+        kernel = self.kernel
+        self._g_events.set(float(kernel.events_processed))
+        self._g_dead.set(float(kernel.dead_entries_skipped))
+        self._g_dead_ratio.set(kernel.dead_entry_ratio)
+        for name in self.registry.names():
+            metric = self.registry.get(name)
+            for labelvalues, child in metric.children():
+                labels = dict(zip(metric.labelnames, labelvalues))
+                if metric.kind != "histogram":
+                    self._emit_eager(name, labels, now, child.value, seen)
+                    continue
+                self._emit_eager(f"{name}_count", labels, now,
+                                 float(child.count), seen)
+                self._emit_eager(f"{name}_sum", labels, now,
+                                 child.total, seen)
+                if child.count:
+                    for quantile, q in self.QUANTILES:
+                        self._emit_eager(
+                            name, {**labels, "quantile": quantile}, now,
+                            child.bucket_percentile(q), seen)
+        for component, up in self.health.up_samples():
+            self._emit_eager("up", {"component": component}, now, up, seen)
         for key in self._last_keys - seen:
             self.store.mark_stale(key[0], key[1], now)
             self._stale_since.setdefault(key, now)
@@ -151,10 +147,8 @@ class EagerScraper(MetricsScraper):
             del stale[key]
             if self.store.remove(key[0], key[1]):
                 self.series_pruned += 1
-        self.scrape_count += 1
-        if self._m_scrapes is not None:
-            self._m_scrapes.inc()
-            self._m_series.set(len(self.store))
+        self._m_scrapes.inc()
+        self._m_series.set(len(self.store))
 
 
 def materialised(store):
@@ -432,7 +426,7 @@ def test_increase_on_an_idle_held_series_never_builds_a_window(monkeypatch):
     kernel = Kernel(seed=1)
     registry = MetricsRegistry()
     store = TimeSeriesStore()
-    scraper = MetricsScraper(kernel, store, registry=registry)
+    scraper = MetricsScraper(kernel, store, registry, Probes())
     registry.counter("calls").inc(5)
     for tick in range(30):
         kernel.run(until=float(tick))

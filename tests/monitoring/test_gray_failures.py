@@ -82,7 +82,7 @@ def drive_mongo_writes(platform, period=0.05):
     """Steady write traffic so each secondary sees a dense stream of
     ``replicate`` calls to diverge on."""
     mongo = MongoClient(platform.kernel, platform.network, platform.mongo,
-                        caller="gray-write-driver")
+                        platform.tracer, caller="gray-write-driver")
 
     def writes():
         n = 0

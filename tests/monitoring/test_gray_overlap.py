@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Fault, fire
 from repro.grpcnet import LatencyModel, Network
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 from ..integration.conftest import make_platform
 
@@ -18,7 +18,8 @@ def kernel():
 
 @pytest.fixture
 def network(kernel):
-    return Network(kernel, latency=LatencyModel(base=0.001, jitter=0.0))
+    return Network(kernel, MetricsRegistry(),
+                   latency=LatencyModel(base=0.001, jitter=0.0))
 
 
 def pristine(network):

@@ -5,7 +5,7 @@ consumers that read the recreated children."""
 import pytest
 
 from repro.grpcnet import LatencyModel, Network, Server
-from repro.monitoring import Increase, MetricsScraper
+from repro.monitoring import HealthRegistry, Increase, MetricsScraper
 from repro.sim import Kernel, MetricsRegistry
 from repro.sim.timeseries import TimeSeriesStore, counter_increase
 
@@ -91,7 +91,7 @@ class TestFamilyRemove:
 class TestScraperPruning:
     def make(self, kernel, store, prune_after=5.0):
         registry = MetricsRegistry()
-        scraper = MetricsScraper(kernel, store, registry=registry)
+        scraper = MetricsScraper(kernel, store, registry, HealthRegistry())
         scraper.prune_after = prune_after
         return registry, scraper
 
@@ -160,7 +160,7 @@ class TestScraperPruning:
                 return [(c, 1.0) for c in self.components]
 
         health = FakeHealth()
-        scraper = MetricsScraper(kernel, store, health=health)
+        scraper = MetricsScraper(kernel, store, MetricsRegistry(), health)
         scraper.prune_after = 5.0
         scraper.scrape_once()
         assert store.get("up", {"component": "api-0"}) is not None
@@ -194,9 +194,8 @@ class TestScraperPruning:
 class TestNetworkEndpointPruning:
     def make_network(self, kernel):
         registry = MetricsRegistry()
-        network = Network(kernel, latency=LatencyModel(base=0.001,
-                                                       jitter=0.0),
-                          metrics=registry)
+        network = Network(kernel, registry,
+                          latency=LatencyModel(base=0.001, jitter=0.0))
         return registry, network
 
     def call_echo(self, kernel, network, address="svc"):
@@ -219,6 +218,7 @@ class TestNetworkEndpointPruning:
         assert any(lv[0] == "svc" for lv, _c in handled.children())
 
         network.unregister("svc")
+        assert network.lookup("svc") is None
         for family in (requests, latency, handled):
             assert not any(lv[0] == "svc" for lv, _c in family.children())
         # Per-method client families are endpoint-free and survive.
@@ -239,16 +239,6 @@ class TestNetworkEndpointPruning:
         self.call_echo(kernel, network)
         handled = registry.get("rpc_server_handled_total")
         assert handled.labels(endpoint="svc").value == 1.0  # reset, not 3
-
-    def test_unregister_without_metrics_is_safe(self, kernel):
-        network = Network(kernel, latency=LatencyModel(base=0.001,
-                                                       jitter=0.0))
-        server = Server(kernel, network, "svc")
-        server.add_method("echo", lambda request: {"echo": request})
-        server.start()
-        self.call_echo(kernel, network)
-        network.unregister("svc")
-        assert network.lookup("svc") is None
 
 
 class TestFinishedJobsLeaveNoSeries:

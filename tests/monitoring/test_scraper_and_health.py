@@ -23,7 +23,7 @@ class TestScraper:
         registry = MetricsRegistry()
         registry.counter("requests_total").inc(3)
         registry.gauge("depth", ("name",)).labels(name="q").set(7)
-        scraper = MetricsScraper(kernel, store, registry=registry)
+        scraper = MetricsScraper(kernel, store, registry, HealthRegistry())
         scraper.scrape_once()
         assert store.get("requests_total").values() == [3.0]
         assert store.get("depth", {"name": "q"}).values() == [7.0]
@@ -33,7 +33,7 @@ class TestScraper:
         hist = registry.histogram("rpc_seconds")
         for value in (0.1, 0.2, 0.3):
             hist.observe(value)
-        MetricsScraper(kernel, store, registry=registry).scrape_once()
+        MetricsScraper(kernel, store, registry, HealthRegistry()).scrape_once()
         assert store.get("rpc_seconds_count").values() == [3.0]
         assert store.get("rpc_seconds_sum").values() == [pytest.approx(0.6)]
         p99 = store.get("rpc_seconds", {"quantile": "p99"})
@@ -42,7 +42,7 @@ class TestScraper:
     def test_empty_histogram_yields_no_quantile_series(self, kernel, store):
         registry = MetricsRegistry()
         registry.histogram("rpc_seconds").labels()
-        MetricsScraper(kernel, store, registry=registry).scrape_once()
+        MetricsScraper(kernel, store, registry, HealthRegistry()).scrape_once()
         assert store.get("rpc_seconds_count").values() == [0.0]
         assert store.get("rpc_seconds", {"quantile": "p99"}) is None
 
@@ -57,7 +57,7 @@ class TestScraper:
             return {"live": True, "ready": True}
 
         health.register("api", check)
-        scraper = MetricsScraper(kernel, store, registry=registry, health=health)
+        scraper = MetricsScraper(kernel, store, registry, health)
         scraper.scrape_once()
         assert store.get("up", {"component": "api"}).latest_value() == 1.0
         state["present"] = False
@@ -68,16 +68,18 @@ class TestScraper:
     def test_periodic_loop_on_kernel(self, kernel, store):
         registry = MetricsRegistry()
         registry.counter("ticks").inc()
-        scraper = MetricsScraper(kernel, store, interval=0.5, registry=registry)
+        scraper = MetricsScraper(kernel, store, registry, HealthRegistry(),
+                                 interval=0.5)
         scraper.start()
         kernel.run(until=2.2)
         scraper.stop()
-        assert scraper.scrape_count == 5  # t = 0, .5, 1, 1.5, 2
+        # t = 0, .5, 1, 1.5, 2
         assert registry.counter("monitoring_scrapes_total").value == 5
 
     def test_rejects_bad_interval(self, kernel, store):
         with pytest.raises(ValueError):
-            MetricsScraper(kernel, store, interval=0)
+            MetricsScraper(kernel, store, MetricsRegistry(), HealthRegistry(),
+                           interval=0)
 
 
 class TestHealthRegistry:

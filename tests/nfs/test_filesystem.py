@@ -6,11 +6,13 @@ from repro.nfs import (
     AlreadyExists,
     FsError,
     IsADirectory,
-    NfsServer,
     NotFound,
     SharedFilesystem,
     VolumeNotFound,
 )
+from repro.sim import Kernel
+
+from ..observers import Observers, nfs_server
 
 
 @pytest.fixture
@@ -73,21 +75,21 @@ class TestDirectories:
 
 class TestNfsServer:
     def test_volume_lifecycle(self):
-        server = NfsServer()
+        server = nfs_server(Kernel())
         volume = server.create_volume("job-1")
         assert server.volume("job-1") is volume
         with pytest.raises(VolumeNotFound):
             server.volume("job-2")
 
     def test_duplicate_volume_rejected_unless_exist_ok(self):
-        server = NfsServer()
+        server = nfs_server(Kernel())
         server.create_volume("v")
         with pytest.raises(AlreadyExists):
             server.create_volume("v")
         assert server.create_volume("v", exist_ok=True) is server.volume("v")
 
     def test_mounts_share_state(self):
-        server = NfsServer()
+        server = nfs_server(Kernel())
         server.create_volume("shared")
         learner_mount = server.mount("shared")
         helper_mount = server.mount("shared")
@@ -95,7 +97,8 @@ class TestNfsServer:
         assert helper_mount.read_file("/exit-code") == "137"
 
     def test_server_outage_blocks_io(self):
-        server = NfsServer()
+        observers = Observers(Kernel())
+        server = nfs_server(observers.kernel, observers)
         server.create_volume("v")
         mount = server.mount("v")
         mount.write_file("/f", "x")
@@ -104,12 +107,12 @@ class TestNfsServer:
             mount.read_file("/f")
         server.come_up()
         assert mount.read_file("/f") == "x"
+        assert [e.reason for e in observers.events.events()] == [
+            "NfsOutage", "NfsRestored"]
 
     def test_clock_stamps_mtime(self):
-        from repro.sim import Kernel
-
         kernel = Kernel()
-        server = NfsServer(kernel)
+        server = nfs_server(kernel)
         volume = server.create_volume("v")
 
         def writer():
@@ -123,7 +126,7 @@ class TestNfsServer:
 
 class TestMountSurface:
     def test_mount_proxies_full_api(self):
-        server = NfsServer()
+        server = nfs_server(Kernel())
         server.create_volume("v")
         mount = server.mount("v")
         mount.mkdir("/dir")

@@ -9,7 +9,7 @@ from repro.objectstore import (
     NoSuchKey,
     ObjectStore,
 )
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
 CREDS = {"access_key": "AK", "secret": "SK"}
 BAD_CREDS = {"access_key": "AK", "secret": "wrong"}
@@ -21,8 +21,19 @@ def kernel():
 
 
 @pytest.fixture
-def store(kernel):
-    store = ObjectStore(kernel)
+def metrics():
+    return MetricsRegistry()
+
+
+def transferred(metrics, op):
+    """Payload bytes the store's metric counts for ``op``."""
+    return metrics.get("objectstore_transferred_bytes_total").labels(
+        op=op).value
+
+
+@pytest.fixture
+def store(kernel, metrics):
+    store = ObjectStore(kernel, metrics)
     store.link_bandwidth = 100
     store.request_latency = 0.0
     store.create_bucket("training-data", CREDS)
@@ -76,7 +87,7 @@ class TestObjects:
 
 
 class TestTransfers:
-    def test_download_takes_size_over_bandwidth(self, kernel, store):
+    def test_download_takes_size_over_bandwidth(self, kernel, store, metrics):
         store.put_object("training-data", "k", CREDS, size=500)
 
         def scenario():
@@ -85,18 +96,18 @@ class TestTransfers:
 
         # bandwidth 100 B/s, 500 B -> 5 s
         assert run(kernel, scenario()) == pytest.approx(5.0)
-        assert store.bytes_downloaded == 500
+        assert transferred(metrics, "download") == 500
 
-    def test_upload_accounts_bytes(self, kernel, store):
+    def test_upload_accounts_bytes(self, kernel, store, metrics):
         def scenario():
             yield from store.upload("training-data", "out", CREDS, size=300)
 
         run(kernel, scenario())
-        assert store.bytes_uploaded == 300
+        assert transferred(metrics, "upload") == 300
         assert store.head_object("training-data", "out", CREDS).size == 300
 
     def test_request_latency_added(self, kernel):
-        store = ObjectStore(kernel)
+        store = ObjectStore(kernel, MetricsRegistry())
         store.link_bandwidth = 100
         store.request_latency = 1.0
         store.create_bucket("b", CREDS)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ContainerSpec,
-    KubernetesCluster,
     Pod,
     PodSpec,
     RESTART_NEVER,
@@ -31,8 +30,10 @@ from repro.frameworks import (
     images_per_sec,
     step_time,
 )
-from repro.nfs import NfsServer, SharedFilesystem
+from repro.nfs import SharedFilesystem
 from repro.sim import Kernel
+
+from ..observers import kubernetes
 
 
 class TestSchedulerProperties:
@@ -43,7 +44,7 @@ class TestSchedulerProperties:
     )
     def test_allocations_never_exceed_capacity(self, node_gpus, pod_gpus):
         kernel = Kernel(seed=1)
-        cluster = KubernetesCluster(kernel, NfsServer(kernel))
+        cluster = kubernetes(kernel)
         cluster.registry.register("img", 10)
         for i, gpus in enumerate(node_gpus):
             cluster.add_node(f"n{i}", gpus=gpus, gpu_type="k80")
@@ -69,7 +70,7 @@ class TestSchedulerProperties:
     def test_scheduling_is_work_conserving(self, pod_gpus):
         # If any node could fit a pending pod, the pod must be bound.
         kernel = Kernel(seed=1)
-        cluster = KubernetesCluster(kernel, NfsServer(kernel))
+        cluster = kubernetes(kernel)
         cluster.registry.register("img", 10)
         cluster.add_node("n0", gpus=8, gpu_type="k80")
         for i, gpus in enumerate(pod_gpus):

@@ -4,9 +4,10 @@ crash-schedule safety check on the full cluster ("Jepsen-lite")."""
 from hypothesis import given, settings, strategies as st
 
 from repro.grpcnet import LatencyModel, Network
-from repro.raftkv import EtcdClient, EtcdCluster, KvStateMachine, LogEntry, RaftLog
-from repro.sim import Kernel
+from repro.raftkv import EtcdClient, KvStateMachine, LogEntry, RaftLog
+from repro.sim import Kernel, MetricsRegistry
 
+from ..observers import etcd_cluster
 from ..raftkv.oracles import logs_consistent
 
 entry_lists = st.lists(
@@ -109,8 +110,9 @@ class TestClusterSafety:
     )
     def test_acknowledged_writes_survive_crash_schedules(self, seed, crashes):
         kernel = Kernel(seed=seed)
-        network = Network(kernel, latency=LatencyModel(0.002, 0.002))
-        cluster = EtcdCluster(kernel, network, size=3).start()
+        network = Network(kernel, MetricsRegistry(),
+                          latency=LatencyModel(0.002, 0.002))
+        cluster = etcd_cluster(kernel, network).start()
         client = EtcdClient(kernel, network, cluster)
         acknowledged = []
 

@@ -19,7 +19,9 @@ from repro.cluster.apiserver import ApiServer
 from repro.cluster.kubelet import release_pod_resources
 from repro.cluster.resources.node import NOT_READY, READY, Node, NodeResources
 from repro.cluster.scheduler import UNSCHEDULABLE_REPORT_INTERVAL, Scheduler
-from repro.sim import Kernel
+from repro.sim import Kernel, Tracer
+
+from .. import observers
 
 
 class BruteForceScheduler(Scheduler):
@@ -87,8 +89,8 @@ class World:
     def __init__(self, scheduler_class, nodes, palette):
         self.palette = palette
         self.kernel = Kernel(seed=1)
-        self.api = ApiServer(self.kernel)
-        self.scheduler = scheduler_class(self.kernel, self.api)
+        self.api = ApiServer(self.kernel, Tracer(self.kernel))
+        self.scheduler = observers.scheduler(self.api, scheduler_class)
         for i, (gpus, gpu_type, zone) in enumerate(nodes):
             self.api.create(Node(f"node-{i}",
                                  NodeResources(gpus=gpus, gpu_type=gpu_type),
@@ -143,7 +145,8 @@ class World:
 
     def event_log(self, failed):
         """The ``FailedScheduling`` events, or the others (``Scheduled``)."""
-        return [(e.time, e.name, e.reason) for e in self.api.events
+        return [(e.time, e.name, e.reason)
+                for e in observers.k8s_events(self.api)
                 if (e.reason == "FailedScheduling") == failed]
 
 

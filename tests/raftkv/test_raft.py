@@ -1,19 +1,19 @@
 """Integration tests for Raft consensus: elections, replication, crashes."""
 
-import pytest
-
 from repro.grpcnet import LatencyModel, Network
-from repro.raftkv import EtcdClient, EtcdCluster, LEADER
+from repro.raftkv import EtcdClient, LEADER
 from repro.raftkv import node as raft
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
+from ..observers import etcd_cluster
 from .oracles import applied_states_agree, logs_consistent
 
 
 def make_cluster(size=3, seed=7):
     kernel = Kernel(seed=seed)
-    network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-    cluster = EtcdCluster(kernel, network, size=size).start()
+    network = Network(kernel, MetricsRegistry(),
+                      latency=LatencyModel(base=0.002, jitter=0.002))
+    cluster = etcd_cluster(kernel, network, size=size).start()
     return kernel, network, cluster
 
 

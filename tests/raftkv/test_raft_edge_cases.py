@@ -5,21 +5,21 @@ import pytest
 from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import (
     EtcdClient,
-    EtcdCluster,
     NoLeader,
-    NotLeader,
     RequestVote,
 )
 from repro.raftkv import node as raft
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
+from ..observers import etcd_cluster
 from .oracles import logs_consistent
 
 
 def make_cluster(size=3, seed=21):
     kernel = Kernel(seed=seed)
-    network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-    cluster = EtcdCluster(kernel, network, size=size).start()
+    network = Network(kernel, MetricsRegistry(),
+                      latency=LatencyModel(base=0.002, jitter=0.002))
+    cluster = etcd_cluster(kernel, network, size=size).start()
     return kernel, network, cluster
 
 
@@ -173,8 +173,9 @@ class TestLossyNetwork:
     def test_raft_commits_despite_message_loss(self):
         # 5% message loss: elections and replication retry through it.
         kernel = Kernel(seed=55)
-        network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-        cluster = EtcdCluster(kernel, network, size=3).start()
+        network = Network(kernel, MetricsRegistry(),
+                          latency=LatencyModel(base=0.002, jitter=0.002))
+        cluster = etcd_cluster(kernel, network).start()
         for node_id in cluster.node_ids:
             network.degrade(node_id, loss=0.05)
         client = EtcdClient(kernel, network, cluster)

@@ -6,14 +6,17 @@ import pytest
 from repro.grpcnet import LatencyModel, Network
 from repro.raftkv import EtcdClient, EtcdCluster, NotLeader
 from repro.raftkv import node as raft
+from repro.core.events import EventRecorder
 from repro.sim import Kernel, MetricsRegistry
 
 
 def make_cluster(size=3, seed=7, metrics=None):
     kernel = Kernel(seed=seed)
-    network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-    cluster = EtcdCluster(kernel, network, size=size,
-                          metrics=metrics).start()
+    metrics = metrics or MetricsRegistry()
+    network = Network(kernel, metrics,
+                      latency=LatencyModel(base=0.002, jitter=0.002))
+    cluster = EtcdCluster(kernel, network, metrics,
+                          EventRecorder(kernel, metrics), size=size).start()
     return kernel, network, cluster
 
 

@@ -3,17 +3,19 @@
 import pytest
 
 from repro.grpcnet import LatencyModel, Network
-from repro.raftkv import EtcdClient, EtcdCluster, KvStateMachine, RaftLog
+from repro.raftkv import EtcdClient, KvStateMachine, RaftLog
 from repro.raftkv.log import Compacted
-from repro.sim import Kernel
+from repro.sim import Kernel, MetricsRegistry
 
+from ..observers import etcd_cluster
 from .oracles import logs_consistent
 
 
 def make_cluster(snapshot_threshold, size=3, seed=33):
     kernel = Kernel(seed=seed)
-    network = Network(kernel, latency=LatencyModel(base=0.002, jitter=0.002))
-    cluster = EtcdCluster(kernel, network, size=size)
+    network = Network(kernel, MetricsRegistry(),
+                      latency=LatencyModel(base=0.002, jitter=0.002))
+    cluster = etcd_cluster(kernel, network, size=size)
     for node in cluster.nodes.values():
         node.snapshot_threshold = snapshot_threshold
     cluster.start()

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.sim import FaultInjector, Kernel, MetricsRegistry, Tracer, faults
+from repro.sim import FaultInjector, Kernel, MetricsRegistry, Tracer
+
+from ..observers import Observers
 
 
 @pytest.fixture
@@ -231,27 +233,28 @@ class TestTracer:
         assert tracer.last(kind="e").fields["n"] == 2
 
 
+def injector_of(observers):
+    return FaultInjector(observers.kernel, observers.tracer,
+                         observers.metrics, observers.events)
+
+
+def injections(tracer):
+    """``(time, kind, target, reason)`` of every fault-injector record."""
+    return [(r.time, r.kind, r.fields["target"], r.fields.get("reason"))
+            for r in tracer.query(component="fault-injector")]
+
+
 class TestFaultInjector:
     def test_tracer_records_injections(self, kernel):
-        tracer = Tracer(kernel)
-        injector = FaultInjector(kernel, tracer=tracer)
-        injector.inject_gray("ep", "slow", apply=lambda: None)
-        assert tracer.query(component="fault-injector", kind="gray-injected")
-
-    def test_injected_ring_is_bounded(self, kernel, monkeypatch):
-        monkeypatch.setattr(faults, "INJECTED_CAP", 10)
-        injector = FaultInjector(kernel)
-        for i in range(25):
-            kernel.run(until=float(i))
-            injector.inject_gray(f"ep-{i}", "slow", apply=lambda: None)
-        assert len(injector.injected) == 10
-        # The ring keeps the most recent injections.
-        assert list(injector.injected)[0] == (15.0, "ep-15", "slow")
-        assert list(injector.injected)[-1] == (24.0, "ep-24", "slow")
+        observers = Observers(kernel)
+        injector_of(observers).inject_gray("ep", "slow", apply=lambda: None)
+        assert injections(observers.tracer) == [
+            (0.0, "gray-injected", "ep", "slow")]
 
     def test_injection_counter_metric(self, kernel):
-        registry = MetricsRegistry()
-        injector = FaultInjector(kernel, metrics=registry)
+        observers = Observers(kernel)
+        registry = observers.metrics
+        injector = injector_of(observers)
         injector.inject_gray("ep", "slow", apply=lambda: None)
         injector.inject_gray("ep", "slow", apply=lambda: None)
         injector.inject_gray("ep", "loss", apply=lambda: None)
@@ -261,7 +264,8 @@ class TestFaultInjector:
 
     def test_inject_gray_applies_and_reverts(self, kernel):
         state = {"degraded": False}
-        injector = FaultInjector(kernel)
+        observers = Observers(kernel)
+        injector = injector_of(observers)
 
         def apply():
             state["degraded"] = True
@@ -277,17 +281,19 @@ class TestFaultInjector:
         assert state["degraded"]
         kernel.run(until=8.0)
         assert not state["degraded"]  # reverted at t=7
-        assert list(injector.injected) == [(2.0, "ep", "slow")]
+        assert injections(observers.tracer) == [
+            (2.0, "gray-injected", "ep", "slow"),
+            (7.0, "gray-cleared", "ep", None)]
 
     def test_inject_gray_validates_arguments(self, kernel):
-        injector = FaultInjector(kernel)
+        injector = injector_of(Observers(kernel))
         with pytest.raises(ValueError):
             injector.inject_gray("ep", "slow", apply=lambda: None, duration=0)
 
     def test_a_hang_fires_once_and_a_failure_every_time(self, kernel):
-        registry = MetricsRegistry()
-        tracer = Tracer(kernel)
-        injector = FaultInjector(kernel, tracer=tracer, metrics=registry)
+        observers = Observers(kernel)
+        registry, tracer = observers.metrics, observers.tracer
+        injector = injector_of(observers)
         injector.arm("learner-a", "hang", 20)
         injector.arm("learner-b", "fail", 10)
         for _incarnation in range(2):
@@ -295,15 +301,14 @@ class TestFaultInjector:
                 injector.fired("learner-a")
             injector.fired("learner-b")
         assert injector.armed == {"learner-b": ("fail", 10)}
-        assert list(injector.injected) == [
-            (0.0, "learner-a", "step 20"), (0.0, "learner-b", "step 10"),
-            (0.0, "learner-b", "step 10")]
+        assert injections(tracer) == [
+            (0.0, "hang-injected", "learner-a", "step 20"),
+            (0.0, "fail-injected", "learner-b", "step 10"),
+            (0.0, "fail-injected", "learner-b", "step 10")]
         family = registry.get("fault_injected_total")
         assert family.labels(target="learner-a", kind="hang").value == 1
         assert family.labels(target="learner-b", kind="fail").value == 2
-        assert [r.kind for r in tracer.query(component="fault-injector")] \
-            == ["hang-injected", "fail-injected", "fail-injected"]
 
     def test_arm_takes_only_hang_or_fail(self, kernel):
         with pytest.raises(ValueError):
-            FaultInjector(kernel).arm("learner-a", "crash", 1)
+            injector_of(Observers(kernel)).arm("learner-a", "crash", 1)

@@ -10,7 +10,7 @@ split — every entry a ``(when, seq, callback)`` tuple on one heap, and
 every timer's dispatch hop queued (its ``timer_hop``) — and serves only
 as the oracle here. Hypothesis generates nested programs
 of every way to schedule (``call_soon``, ``call_later``, ``sleep``,
-``_schedule_at``, ``spawn``, ``kill``, ``succeed``, ``cancel``) with
+``spawn``, ``kill``, ``succeed``, ``cancel``) with
 delays that tie often, and runs each on both kernels under ``run()``,
 ``run(until=)`` and ``run_until_complete(limit=)``.
 
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.grpcnet import Network, Server
 from repro.raftkv.node import HEARTBEAT, _Idle
-from repro.sim import Kernel, Periodic, SimError
+from repro.sim import Kernel, MetricsRegistry, Periodic, SimError
 from repro.sim.events import PENDING
 
 
@@ -51,11 +51,6 @@ class SingleHeapKernel(Kernel):
     def _push(self, when, callback):
         self._sequence += 1
         heapq.heappush(self._queue, (when, self._sequence, callback))
-
-    def _schedule_at(self, when, callback):
-        if when < self._now:
-            raise SimError(f"cannot schedule in the past ({when} < {self._now})")
-        self._push(when, callback)
 
     def call_soon(self, callback):
         self._push(self._now, callback)
@@ -125,7 +120,6 @@ def _actions(leaf_or_nested):
     return st.one_of(
         st.tuples(st.just("soon"), children),
         st.tuples(st.just("later"), delays, children),
-        st.tuples(st.just("at"), delays, children),
         st.tuples(st.just("timer"), delays, children),
         st.tuples(st.just("spawn"), steps),
     )
@@ -171,9 +165,6 @@ class Interpreter:
                 kernel.call_soon(self.later(label, action[1]))
             elif kind == "later":
                 kernel.call_later(action[1], self.later(label, action[2]))
-            elif kind == "at":
-                kernel._schedule_at(kernel.now + action[1],
-                                    self.later(label, action[2]))
             elif kind == "timer":
                 timer = kernel.sleep(action[1])
                 self.timers.append(timer)
@@ -375,7 +366,7 @@ def test_quiet_wakes_at_one_instant_match_the_single_heap(order):
     same rule a timer does, so both kernels run them alike."""
     def drive(interpreter):
         kernel = interpreter.kernel
-        network = Network(kernel)
+        network = Network(kernel, MetricsRegistry())
         server = Server(kernel, network, "svc")
 
         def slow(_request):

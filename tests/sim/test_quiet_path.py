@@ -17,10 +17,11 @@ from collections import Counter
 import pytest
 
 from repro.grpcnet import Network
-from repro.raftkv import EtcdCluster
-from repro.sim import Kernel, Periodic
+from repro.sim import Kernel, MetricsRegistry, Periodic
 from repro.sim.events import AnyOf
 from repro.sim.process import Process
+
+from ..observers import etcd_cluster
 
 
 class SleepCountingKernel(Kernel):
@@ -52,12 +53,15 @@ def built(monkeypatch):
 
 def test_an_idle_etcd_cluster(built):
     kernel = SleepCountingKernel(seed=0)
-    network = Network(kernel)
-    cluster = EtcdCluster(kernel, network, size=3).start()
+    metrics = MetricsRegistry()
+    network = Network(kernel, metrics)
+    cluster = etcd_cluster(kernel, network).start()
     kernel.run(until=10.0)
     assert cluster.leader().current_term == 1
     # Every heartbeat is an RPC whose deadline entry is reached dead.
-    assert network.calls_total == kernel.timers_cancelled == 382
+    calls = sum(child.value for _labels, child in
+                metrics.get("rpc_client_calls_total").children())
+    assert calls == kernel.timers_cancelled == 382
     assert kernel.dead_entries_skipped == 380
     assert (kernel.events_processed, kernel.dispatches_inlined) == (2861, 565)
     # The election timers are all that still sleeps: not the idle
@@ -74,8 +78,8 @@ def test_a_write_pokes_the_idle_replicators():
     ``AnyOf``, and its heartbeat entry is reached dead, counted as the
     timer it stands for was when cancelled."""
     kernel = Kernel(seed=0)
-    network = Network(kernel)
-    cluster = EtcdCluster(kernel, network, size=3).start()
+    network = Network(kernel, MetricsRegistry())
+    cluster = etcd_cluster(kernel, network).start()
     kernel.run(until=10.0)
     counts = (kernel.events_processed, kernel.dispatches_inlined,
               kernel.timers_cancelled, kernel.dead_entries_skipped)

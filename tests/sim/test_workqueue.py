@@ -8,6 +8,7 @@ from repro.sim import (
     Kernel,
     MetricsRegistry,
     Reconciler,
+    Tracer,
     WatchSource,
     WorkQueue,
 )
@@ -31,18 +32,25 @@ def drain(kernel, queue, count):
     return got
 
 
+def make_reconciler(kernel, reconcile, **kwargs):
+    return Reconciler(kernel, "t", reconcile, tracer=Tracer(kernel),
+                      metrics=MetricsRegistry(), **kwargs)
+
+
 class TestWorkQueueCoalescing:
     def test_duplicate_adds_coalesce(self, kernel):
-        queue = WorkQueue(kernel)
+        registry = MetricsRegistry()
+        queue = WorkQueue(kernel, registry, name="q")
         queue.add("a")
         queue.add("a")
         queue.add("b")
         assert len(queue) == 2
-        assert queue.adds == 3
+        adds = registry.get("workqueue_adds_total").labels(name="q")
+        assert adds.value == 3
         assert queue.coalesced == 1
 
     def test_fifo_dispatch(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         for key in ("a", "b", "c"):
             queue.add(key)
         got = drain(kernel, queue, 3)
@@ -50,7 +58,7 @@ class TestWorkQueueCoalescing:
         assert [key for _t, key in got] == ["a", "b", "c"]
 
     def test_key_can_be_readded_after_dispatch(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         got = drain(kernel, queue, 2)
         queue.add("a")
         kernel.run(until=0.1)
@@ -59,7 +67,7 @@ class TestWorkQueueCoalescing:
         assert [key for _t, key in got] == ["a", "a"]
 
     def test_waiting_getter_receives_directly(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         got = drain(kernel, queue, 1)
         kernel.run(until=0.1)
         queue.add("a")
@@ -70,14 +78,14 @@ class TestWorkQueueCoalescing:
 
 class TestWorkQueueDelaysAndBackoff:
     def test_add_after_fires_at_delay(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         got = drain(kernel, queue, 1)
         queue.add_after("a", 2.5)
         kernel.run(until=5.0)
         assert got == [(2.5, "a")]
 
     def test_delayed_adds_keep_earliest_fire_time(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         got = drain(kernel, queue, 1)
         queue.add_after("a", 3.0)
         queue.add_after("a", 1.0)  # earlier wins
@@ -86,7 +94,7 @@ class TestWorkQueueDelaysAndBackoff:
         assert got == [(1.0, "a")]
 
     def test_immediate_add_wins_over_pending_timer(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         got = drain(kernel, queue, 1)
         queue.add_after("a", 4.0)
         queue.add("a")
@@ -95,13 +103,13 @@ class TestWorkQueueDelaysAndBackoff:
         assert got[0][0] == 0.0
 
     def test_requeue_backoff_is_exponential_and_capped(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         queue.backoff_base, queue.backoff_max = 0.1, 0.5
         delays = [queue.requeue("a") for _ in range(5)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_forget_resets_backoff(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         queue.backoff_base, queue.backoff_max = 0.1, 5.0
         queue.requeue("a")
         queue.requeue("a")
@@ -111,7 +119,7 @@ class TestWorkQueueDelaysAndBackoff:
 
 class TestWorkQueueClose:
     def test_close_fails_pending_getters(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         outcome = []
 
         def getter():
@@ -127,7 +135,7 @@ class TestWorkQueueClose:
         assert outcome == ["closed"]
 
     def test_add_and_timers_ignored_after_close(self, kernel):
-        queue = WorkQueue(kernel)
+        queue = WorkQueue(kernel, MetricsRegistry())
         queue.add_after("a", 1.0)
         queue.close()
         queue.add("b")
@@ -137,10 +145,10 @@ class TestWorkQueueClose:
 
 def test_get_event_is_named_only_under_debug():
     # Channel.get's convention: the f-string is paid for when asked.
-    assert WorkQueue(Kernel(), name="q").get().name == ""
+    assert WorkQueue(Kernel(), MetricsRegistry(), name="q").get().name == ""
     kernel = Kernel()
     kernel.debug = True
-    named = WorkQueue(kernel, name="q").get()
+    named = WorkQueue(kernel, MetricsRegistry(), name="q").get()
     assert named.name == "workqueue.get(q)"
 
 
@@ -171,7 +179,7 @@ class TestQueuesSharingAKind:
                 queue.add(key)
             queue.add(0)  # coalesced adds count too
         adds = registry.get("workqueue_adds_total").labels(name="guardian")
-        assert adds.value == sum(q.adds for q in queues) == 12
+        assert adds.value == 3 + 4 + 5
 
     def test_gauge_is_the_sum_of_the_queues_depths(self, kernel):
         registry, queues = self.make(kernel)
@@ -202,7 +210,8 @@ class TestQueuesSharingAKind:
         registry = MetricsRegistry()
         reconcilers = [
             Reconciler(kernel, f"controller:job-{i}", lambda key: None,
-                       metrics=registry, kind="controller").start()
+                       tracer=Tracer(kernel), metrics=registry,
+                       kind="controller").start()
             for i in range(2)]
         for reconciler in reconcilers:
             reconciler.queue.add("k")
@@ -226,8 +235,9 @@ class TestQueuesSharingAKind:
 class TestReconciler:
     def test_static_keys_reconcile_at_start_and_resync(self, kernel):
         seen = []
-        reconciler = Reconciler(kernel, "t", lambda key: seen.append((kernel.now, key)),
-                                resync_interval=1.0)
+        reconciler = make_reconciler(
+            kernel, lambda key: seen.append((kernel.now, key)),
+            resync_interval=1.0)
         reconciler.add_static_key("x")
         reconciler.start()
         kernel.run(until=2.5)
@@ -237,7 +247,7 @@ class TestReconciler:
     def test_watch_events_enqueue_keys(self, kernel):
         channel = Channel(kernel)
         seen = []
-        reconciler = Reconciler(kernel, "t", lambda key: seen.append(key))
+        reconciler = make_reconciler(kernel, lambda key: seen.append(key))
         reconciler.watch_channel("src", subscribe=lambda: channel,
                                  keys_of=lambda event: [event])
         reconciler.start()
@@ -251,7 +261,8 @@ class TestReconciler:
     def test_delayed_keys_coalesce_progress_events(self, kernel):
         channel = Channel(kernel)
         seen = []
-        reconciler = Reconciler(kernel, "t", lambda key: seen.append((kernel.now, key)))
+        reconciler = make_reconciler(
+            kernel, lambda key: seen.append((kernel.now, key)))
         reconciler.watch_channel("src", subscribe=lambda: channel,
                                  keys_of=lambda event: [(event, 1.0)])
         reconciler.start()
@@ -270,7 +281,7 @@ class TestReconciler:
             if len(attempts) < 3:
                 raise RuntimeError("transient")
 
-        reconciler = Reconciler(kernel, "t", reconcile)
+        reconciler = make_reconciler(kernel, reconcile)
         reconciler.queue.backoff_base = 1.0
         reconciler.add_static_key("x")
         reconciler.start()
@@ -287,7 +298,7 @@ class TestReconciler:
             channels.append(channel)
             return channel
 
-        reconciler = Reconciler(kernel, "t", lambda key: seen.append(key))
+        reconciler = make_reconciler(kernel, lambda key: seen.append(key))
         reconciler.rewatch_delay = 0.5
         reconciler.watch_channel("src", subscribe=subscribe,
                                  keys_of=lambda event: [event],
@@ -314,8 +325,8 @@ class TestReconciler:
             channels.append(channel)
             return channel
 
-        reconciler = Reconciler(kernel, "t",
-                                lambda key: seen.append((kernel.now, key)))
+        reconciler = make_reconciler(
+            kernel, lambda key: seen.append((kernel.now, key)))
         reconciler.rewatch_delay = 0.5
         reconciler.add_static_key("status")
         reconciler.watch_channel("src", subscribe=subscribe,
@@ -339,7 +350,7 @@ class TestReconciler:
             yield kernel.sleep(0.0)
             return ["g"]
 
-        reconciler = Reconciler(kernel, "t", reconcile)
+        reconciler = make_reconciler(kernel, reconcile)
         reconciler.add_source(WatchSource("gen", list_keys=list_keys))
         reconciler.start()
         kernel.run(until=1.0)
@@ -347,8 +358,8 @@ class TestReconciler:
         assert seen == [(0.1, "g")]
 
     def test_stop_kills_worker_and_closes_queue(self, kernel):
-        reconciler = Reconciler(kernel, "t", lambda key: None,
-                                resync_interval=1.0)
+        reconciler = make_reconciler(kernel, lambda key: None,
+                                     resync_interval=1.0)
         reconciler.add_static_key("x")
         reconciler.start()
         kernel.run(until=0.5)
