@@ -9,14 +9,21 @@ MongoDB, for both orderly completion and orderly failure.
 Since the control plane went event-driven the pipeline is wake-on-write
 end to end: NFS change notification -> controller reconcile -> Raft
 commit (~10ms) -> etcd watch -> Guardian aggregation -> Mongo write.
-The historical poll-budget bound (< 3s) is kept as the regression gate;
-actual latency is dominated by the Raft/Mongo commits (~tens of ms).
+The historical poll-budget bound (< 3s) is kept as the paper's band;
+actual latency is dominated by the Raft/Mongo commits (~tens of ms), and
+the regression gate is the measured maximum, pinned to about 10 ms.
 """
 
 from repro.bench import bench_manifest, build_platform, render_table
 from repro.core import layout
 
 COLUMNS = ["terminal event", "runs", "min s", "mean s", "max s", "budget"]
+# The measured worst case at the committed seeds (6-9), pinned to
+# PIN_TOLERANCE_S beside the paper's budget: the budget alone would pass
+# a regression of seconds, the pin fails on one of tens of ms. A change
+# that moves the status pipeline on purpose re-pins these.
+MEASURED_MAX_S = {"COMPLETED": 0.0175, "FAILED": 0.0176}
+PIN_TOLERANCE_S = 0.01
 
 
 def measure(kind, runs=4, seed=6):
@@ -70,3 +77,6 @@ def test_detection_latency(benchmark, record_table):
     for row in rows:
         assert 0.0 < row["min s"]
         assert row["max s"] < 3.0
+        pinned = MEASURED_MAX_S[row["terminal event"]]
+        assert abs(row["max s"] - pinned) <= PIN_TOLERANCE_S, (
+            row["terminal event"], row["max s"], pinned)

@@ -63,6 +63,14 @@ handler) that never suspends never becomes a process, so only passes
 that suspended show up, under the loop's name. ``Process._resume`` and ``Process._on_wait_done``
 are wrapped from here; no profiler runs.
 
+``--floor`` asks what the platform costs with nothing to do: it builds
+a workload's platform (``--workload``, default ``steady``), lets it
+settle for 30 simulated seconds without submitting anything, then
+counts the kernel's events over 300 more and reports them per idle
+simulated second. The idle window runs under cProfile and is
+split by source the way ``--events`` splits a whole run, each row with
+its entries per idle second beside its share.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile.py            # smoke scenario
@@ -74,6 +82,7 @@ Usage::
     PYTHONPATH=src python scripts/profile.py --passes --workload chaos
     PYTHONPATH=src python scripts/profile.py --lists --workload scale
     PYTHONPATH=src python scripts/profile.py --wakes --workload scale
+    PYTHONPATH=src python scripts/profile.py --floor --workload chaos
     PYTHONPATH=src python scripts/profile.py -o out.pstats  # for snakeviz
 """
 
@@ -109,6 +118,10 @@ SCHEDULERS = ("sleep", "spawn", "call_later", "call_soon")
 ROUTED = {getattr(kernel_module.Kernel, name).__code__: name
           for name in ("sleep", "call_later")}
 HEAP_TOP_TYPES = 15
+# --floor: simulated seconds a platform settles (its first election and
+# start-up writes), then the idle window whose events are counted.
+FLOOR_SETTLE = 30.0
+FLOOR_IDLE = 300.0
 # Reconciler-runtime functions whose frame on the stack of a
 # ``WorkQueue.add`` says why the key was enqueued (innermost wins).
 PASS_CAUSES = {"requeue": "backoff requeue", "_worker": "scheduled re-check",
@@ -192,6 +205,37 @@ def heap_census(name, seed):
     for type_name, count in census.most_common(HEAP_TOP_TYPES):
         print(f"{count:>9}  {type_name}")
     print(f"\nru_maxrss: {peak:.1f} MB")
+
+
+def floor_census(name, seed, lines):
+    """Build workload ``name``'s platform, let it settle for
+    ``FLOOR_SETTLE`` simulated seconds, then profile ``FLOOR_IDLE``
+    seconds in which nothing is submitted and split their events by
+    source."""
+    from perfbench.workloads import WORKLOADS, make_platform
+
+    # Kernel.__init__ reads the name when it builds its ready queue.
+    kernel_module.deque = ReadyCensus
+    platform = make_platform(WORKLOADS[name], seed)
+    platform.run_for(FLOOR_SETTLE)
+    kernel = platform.kernel
+    events, inlined = kernel.events_processed, kernel.dispatches_inlined
+    ReadyCensus.appended.clear()
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    platform.run_for(FLOOR_IDLE)
+    profiler.disable()
+    wall = time.perf_counter() - start
+    events = kernel.events_processed - events
+    inlined = kernel.dispatches_inlined - inlined
+    print(f"workload={name} seed={seed} settle={FLOOR_SETTLE:g}s "
+          f"idle={FLOOR_IDLE:g}s wall={wall:.3f}s")
+    print(f"floor: {events} events over {FLOOR_IDLE:g} idle simulated s = "
+          f"{events / FLOOR_IDLE:.1f} events/s ({inlined / FLOOR_IDLE:.1f} "
+          "timer hops/s run inline besides)\n")
+    event_census(pstats.Stats(profiler), events, inlined,
+                 ReadyCensus.appended, lines, seconds=FLOOR_IDLE)
 
 
 def rpc_census(run, lines):
@@ -459,14 +503,17 @@ class ReadyCensus(deque):
         deque.append(self, callback)
 
 
-def event_census(stats, events_processed, inlined, ready, lines):
+def event_census(stats, events_processed, inlined, ready, lines,
+                 seconds=None):
     """Callers of the ``SCHEDULERS`` from a cProfile run, by module and
     by function, as shares of ``events_processed``, each split into
     heap and ready-queue entries (``ready`` is ``ReadyCensus.appended``).
     The rest of the events are the zero-delay callbacks those entries
     and processes trigger (event callbacks, process resumptions, the
     hops of ticks, deadlines and idle waits); the hops run inline
-    (``inlined``) are not events and are reported on their own row."""
+    (``inlined``) are not events and are reported on their own row.
+    Given the simulated ``seconds`` the counts cover, each row also
+    reads as entries per second."""
     kernel_py = str(Path("repro", "sim", "kernel.py"))
     by_function = Counter()
     to_ready = Counter()
@@ -497,6 +544,11 @@ def event_census(stats, events_processed, inlined, ready, lines):
     def share(calls):
         return f"{100.0 * calls / events_processed:5.1f} %"
 
+    def rate(calls):  # the per-second column, when there is one
+        return "" if seconds is None else f"  {calls / seconds:>7.1f}"
+
+    per_s = "" if seconds is None else "  per s  "
+
     print("--- who schedules the kernel's events "
           f"({events_processed} processed) ---")
     for via in SCHEDULERS:
@@ -506,16 +558,19 @@ def event_census(stats, events_processed, inlined, ready, lines):
     print(f"Timer hops run inline: {inlined}, {share(inlined)} "
           "of events_processed, not in it; with them "
           f"{events_processed + inlined} entries")
-    print("\n    calls    share       heap      ready  via           module")
+    print(f"\n    calls    share{per_s}       heap      ready  via           "
+          "module")
     for key, calls in by_module.most_common():
         module, via = key
-        print(f"{calls:>9}  {share(calls)}  {calls - ready_by_module[key]:>9}  "
+        print(f"{calls:>9}  {share(calls)}{rate(calls)}  "
+              f"{calls - ready_by_module[key]:>9}  "
               f"{ready_by_module[key]:>9}  {via:12}  {module}")
-    print("\n    calls    share       heap      ready  via           "
+    print(f"\n    calls    share{per_s}       heap      ready  via           "
           f"function:line (top {lines})")
     for key, calls in by_function.most_common(lines):
         module, function, via = key
-        print(f"{calls:>9}  {share(calls)}  {calls - to_ready[key]:>9}  "
+        print(f"{calls:>9}  {share(calls)}{rate(calls)}  "
+              f"{calls - to_ready[key]:>9}  "
               f"{to_ready[key]:>9}  {via:12}  {module}.{function}")
 
 
@@ -559,7 +614,14 @@ def main(argv=None):
                         help="instead of cProfile: process resumes by "
                              "generator function and process name, with "
                              "shares of all resumes")
+    parser.add_argument("--floor", action="store_true",
+                        help="instead of a run: a workload's platform with "
+                             "no job, its events per idle simulated second "
+                             "split by source as --events splits them")
     args = parser.parse_args(argv)
+    if args.floor:
+        floor_census(args.workload or "steady", args.seed, args.lines)
+        return 0
     if args.heap:
         if not args.workload:
             # Only the perfbench path hands the platform back, and a

@@ -45,7 +45,7 @@ injected the simulated timeline is bit-identical.
 # Methods that are disk writes on the serving member: a stalled disk
 # shows up here first, while the member's read path stays competitive.
 # Raft's empty appends are ``heartbeat`` calls and deliberately not in
-# the set: they skip the disk, and twenty of them a second would drown
+# the set: they skip the disk, and ten of them a second would drown
 # the handful of log writes a quiet platform makes.
 WRITE_METHODS = frozenset({
     "replicate", "append_entries", "install_snapshot", "propose",

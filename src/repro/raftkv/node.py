@@ -38,10 +38,13 @@ LEADER = "leader"
 RPC_TIMEOUT = 0.06  # deadline of one peer RPC, simulated seconds
 LEASE_SWEEP = 0.5  # how often the leader expires overdue leases
 # Election timeout drawn from [ELECTION_MIN, ELECTION_MAX); the leader
-# sends an empty append every HEARTBEAT. Simulated seconds.
-ELECTION_MIN = 0.15
-ELECTION_MAX = 0.30
-HEARTBEAT = 0.05
+# sends an empty append every HEARTBEAT. Simulated seconds, etcd's
+# defaults: ``--heartbeat-interval`` 100 ms, ``--election-timeout``
+# 1000 ms drawn from [T, 2T). A follower learns a new commit index at
+# once, not at the next heartbeat (``_advance_commit``).
+ELECTION_MIN = 1.0
+ELECTION_MAX = 2.0
+HEARTBEAT = 0.1
 # Compact the log once this many entries are applied beyond the last
 # snapshot (``RaftNode.snapshot_threshold``; 0 disables compaction).
 SNAPSHOT_THRESHOLD = 500
@@ -504,6 +507,8 @@ class RaftNode:
                 self._next_index[peer] = max(self._next_index[peer], reply.match_index + 1)
                 if self._next_index[peer] <= self.log.last_index:
                     continue  # more entries pending; keep streaming
+                if request.leader_commit < self.commit_index:
+                    continue  # the commit advanced in flight: send it
             else:
                 self._next_index[peer] = max(1, min(reply.next_index_hint, next_index - 1))
                 continue
@@ -557,6 +562,9 @@ class RaftNode:
                 self.log.term_at(majority_index) == self.current_term:
             self.commit_index = majority_index
             self._apply_committed()
+            # etcd's raft sends the new index at once: an idle
+            # replicator's last append carried the old one.
+            self._poke_replicators()
 
     def _apply_committed(self):
         while self.last_applied < self.commit_index:

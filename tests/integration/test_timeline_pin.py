@@ -129,7 +129,9 @@ class TestHeapFollowsTheSimulation:
         """Every RPC is two processes (caller side, server side). The
         kernel keeps no registry of them, so after six jobs the heap
         holds the few finished processes some component still points
-        at (image pulls, the last pod of a kubelet) — not two per RPC."""
+        at (image pulls, the last pod of a kubelet) — not two per RPC.
+        The jobs run 90 steps so that the run makes over 5,000 RPCs
+        with Raft heartbeating every 0.1 s."""
         platform = make_platform(seed=2, gpu_nodes=4)
         client = platform.client("perf")
 
@@ -137,7 +139,7 @@ class TestHeapFollowsTheSimulation:
             job_ids = []
             for i in range(6):
                 job_ids.append((yield from client.submit(manifest(
-                    name=f"perf-{i}", gpus_per_learner=2, target_steps=30))))
+                    name=f"perf-{i}", gpus_per_learner=2, target_steps=90))))
             for job_id in job_ids:
                 yield from client.wait_for_status(job_id, timeout=100_000)
 
